@@ -4,12 +4,15 @@ The static checks in :mod:`repro.analysis.checks` catch what is visible in
 the source; this module catches what is only visible in the tensors — a
 NaN that appeared three matmuls ago, a "probability" vector that drifted
 off the simplex, two requests whose KV-arena row ranges overlap.  Guards
-are compiled in permanently but *gated*: with the ``REPRO_SANITIZE`` env
-var unset (the default) every guard is a single falsy branch, so the hot
-path pays nothing.  Set ``REPRO_SANITIZE=1`` (or call :func:`enable` /
-use the :func:`sanitized` context manager in tests) to arm them; a
-violated contract raises :class:`SanitizerError` at the first operation
-that can see it, instead of surfacing as garbage tokens much later.
+are compiled in permanently but *gated*: ``REPRO_SANITIZE`` is read once,
+at import, into a module global, so with it unset (the default) a guard or
+a contract wrapper costs the hot path one global load and a falsy branch
+per call — no ``os.environ`` lookup, no signature binding.  Set
+``REPRO_SANITIZE=1`` before the process starts (or call :func:`enable` /
+use the :func:`sanitized` context manager in tests; :func:`reset` re-reads
+the environment) to arm them; a violated contract raises
+:class:`SanitizerError` at the first operation that can see it, instead of
+surfacing as garbage tokens much later.
 
 Two flavours:
 
@@ -27,14 +30,21 @@ import functools
 import inspect
 import os
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
 ENV_FLAG = "REPRO_SANITIZE"
 
-#: Tri-state override: None -> follow the env var; True/False -> forced.
-_FORCED: Optional[bool] = None
+
+def _env_armed() -> bool:
+    return os.environ.get(ENV_FLAG, "").strip() not in ("", "0", "false")
+
+
+#: Whether guards are armed.  Every guard and contract wrapper reads this
+#: global directly; only :func:`enable`, :func:`reset` and :func:`sanitized`
+#: write it, so the environment is consulted at import and on ``reset()``.
+_ARMED: bool = _env_armed()
 
 
 class SanitizerError(RuntimeError):
@@ -42,34 +52,32 @@ class SanitizerError(RuntimeError):
 
 
 def enabled() -> bool:
-    """Whether guards are armed (override first, then ``REPRO_SANITIZE``)."""
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get(ENV_FLAG, "").strip() not in ("", "0", "false")
+    """Whether guards are armed."""
+    return _ARMED
 
 
 def enable(on: bool = True) -> None:
     """Force the sanitizer on/off for this process (tests, debugging)."""
-    global _FORCED
-    _FORCED = on
+    global _ARMED
+    _ARMED = on
 
 
 def reset() -> None:
-    """Drop any :func:`enable` override; fall back to the env var."""
-    global _FORCED
-    _FORCED = None
+    """Drop any :func:`enable` override; re-read ``REPRO_SANITIZE``."""
+    global _ARMED
+    _ARMED = _env_armed()
 
 
 @contextmanager
 def sanitized(on: bool = True) -> Iterator[None]:
     """Arm (or disarm) the sanitizer for the duration of a ``with`` block."""
-    global _FORCED
-    previous = _FORCED
-    _FORCED = on
+    global _ARMED
+    previous = _ARMED
+    _ARMED = on
     try:
         yield
     finally:
-        _FORCED = previous
+        _ARMED = previous
 
 
 # -- markers ------------------------------------------------------------------
@@ -91,7 +99,7 @@ def hot_path(fn):
 
 def guard_finite(name: str, array: np.ndarray) -> None:
     """Raise if ``array`` contains NaN/Inf (armed mode only)."""
-    if not enabled():
+    if not _ARMED:
         return
     if not np.all(np.isfinite(array)):
         bad = int(np.size(array) - np.count_nonzero(np.isfinite(array)))
@@ -106,7 +114,7 @@ def guard_simplex(name: str, probs: np.ndarray, atol: float = 1e-6) -> None:
 
     Checks non-negativity, finiteness, and unit sum (within ``atol``).
     """
-    if not enabled():
+    if not _ARMED:
         return
     probs = np.asarray(probs)
     if not np.all(np.isfinite(probs)):
@@ -125,7 +133,7 @@ def guard_simplex(name: str, probs: np.ndarray, atol: float = 1e-6) -> None:
 
 def guard_dtype(name: str, array: np.ndarray, dtype) -> None:
     """Raise unless ``array.dtype`` matches ``dtype`` (armed mode only)."""
-    if not enabled():
+    if not _ARMED:
         return
     expected = np.dtype(dtype)
     if np.asarray(array).dtype != expected:
@@ -136,7 +144,7 @@ def guard_dtype(name: str, array: np.ndarray, dtype) -> None:
 
 def guard_contiguous(name: str, array: np.ndarray) -> None:
     """Raise unless ``array`` is C-contiguous (armed mode only)."""
-    if not enabled():
+    if not _ARMED:
         return
     if not np.asarray(array).flags["C_CONTIGUOUS"]:
         raise SanitizerError(f"{name}: array is not C-contiguous")
@@ -154,7 +162,7 @@ def guard_disjoint_ranges(
     other's keys — the worst kind of cross-request corruption, because
     attention still produces plausible numbers.
     """
-    if not enabled():
+    if not _ARMED:
         return
     start, stop = new
     if start >= stop:
@@ -187,8 +195,8 @@ def tensor_contract(**specs: Dict[str, object]):
                                                       "dtype": np.intp})
         def forward_masked(self, tokens, positions, mask, cache): ...
 
-    Disabled mode costs one branch per call; the signature is bound only
-    when armed.
+    Disabled mode costs one global load and one branch per call; the
+    signature is bound only when armed.
     """
 
     def decorate(fn):
@@ -202,7 +210,7 @@ def tensor_contract(**specs: Dict[str, object]):
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            if enabled():
+            if _ARMED:
                 bound = signature.bind(*args, **kwargs)
                 for arg_name, spec in specs.items():
                     if arg_name not in bound.arguments:

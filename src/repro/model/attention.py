@@ -9,6 +9,7 @@ causal mask* built from the token tree (see :mod:`repro.tree.masks`).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.model.layers import (
     merge_grad,
     stable_softmax,
 )
+from repro.model.rope import rope_rotate
 from repro.model.scratch import ScratchArena
 
 NEG_INF = float("-inf")
@@ -109,26 +111,38 @@ def cross_mask(n_query: int, n_key: int, query_offset: int,
 @tensor_contract(q={"ndim": 3}, k={"ndim": 3}, v={"ndim": 3},
                  mask={"ndim": 2})
 def scaled_dot_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Masked scaled-dot-product attention (inference path, no grad).
+
+    Both contractions are ``np.matmul`` over head-major *views* of the
+    inputs — ``(h, n_q, d) @ (h, d, n_k)`` and ``(h, n_q, n_k) @ (h, n_k, d)``
+    — so each head is one BLAS GEMM reading the (possibly strided) cache
+    slices in place; the scale, the mask add and the softmax all run in the
+    one ``(h, n_q, n_k)`` score buffer.
 
     Args:
         q: ``(n_q, h, d_head)`` queries.
         k: ``(n_k, h, d_head)`` keys.
         v: ``(n_k, h, d_head)`` values.
         mask: ``(n_q, n_k)`` additive mask.
+        out: Optional ``(n_q, h, d_head)`` buffer the weighted sum is
+            written into (a row block of a larger array is fine).
 
     Returns:
         ``(n_q, h, d_head)`` attention outputs.
     """
     d_head = q.shape[-1]
     perf.add_attention(q.shape[1], q.shape[0], k.shape[0], d_head)
-    # (h, n_q, n_k) scores
-    scores = np.einsum("qhd,khd->hqk", q, k) / np.sqrt(d_head)
-    scores = scores + mask[None, :, :]
-    weights = stable_softmax(scores, axis=-1)
-    return np.einsum("hqk,khd->qhd", weights, v)
+    if out is None:
+        out = np.empty_like(q)
+    scores = np.matmul(q.transpose(1, 0, 2), k.transpose(1, 2, 0))
+    scores /= math.sqrt(d_head)
+    scores += mask
+    weights = stable_softmax(scores, axis=-1, out=scores)
+    np.matmul(weights, v.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+    return out
 
 
 @tensor_contract(q={"ndim": 3})
@@ -169,7 +183,7 @@ def block_diagonal_attention(
         raise ValueError(f"out buffer {out.shape} != queries {q.shape}")
     for i, ((keys, values), mask) in enumerate(zip(kvs, masks)):
         lo, hi = row_offsets[i], row_offsets[i + 1]
-        out[lo:hi] = scaled_dot_attention(q[lo:hi], keys, values, mask)
+        scaled_dot_attention(q[lo:hi], keys, values, mask, out=out[lo:hi])
     return out
 
 
@@ -216,8 +230,6 @@ def mha_forward(
     v, v_cache = linear_forward(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
     qh, kh, vh = (split_heads(t, n_heads) for t in (q, k, v))
     if use_rope:
-        from repro.model.rope import rope_rotate
-
         if positions is None:
             raise ValueError("RoPE attention requires explicit positions")
         qh = rope_rotate(qh, positions)
@@ -267,8 +279,6 @@ def mha_backward(
 
     if rope_positions is not None:
         # The rotation is orthogonal: its adjoint is the inverse rotation.
-        from repro.model.rope import rope_rotate
-
         dqh = rope_rotate(dqh, rope_positions, inverse=True)
         dkh = rope_rotate(dkh, rope_positions, inverse=True)
 

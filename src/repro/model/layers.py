@@ -40,11 +40,8 @@ def linear_forward(
             decode loop's packed QKV projection and LM head reuse
             scratch-arena buffers.
     """
-    perf.add_gemm(int(np.prod(x.shape[:-1], dtype=np.int64)), w.shape[0],
-                  w.shape[1])
-    if out is None:
-        return x @ w + b, (x, w)
-    np.matmul(x, w, out=out)
+    perf.add_gemm(x.size // x.shape[-1], w.shape[0], w.shape[1])
+    out = np.matmul(x, w, out=out)
     out += b
     return out, (x, w)
 
@@ -66,16 +63,42 @@ def linear_backward(
 # -- layer norm -----------------------------------------------------------------
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)`` as the two ufunc calls it is made of.
+
+    ``ndarray.mean`` / ``ndarray.var`` are Python functions
+    (``numpy._core._methods``) that cost more than the reduction itself on
+    one decode row; for float32/float64 this is bit-identical to them.
+    """
+    total = np.add.reduce(x, axis=-1, keepdims=True)
+    total /= x.shape[-1]
+    return total
+
+
 @tensor_contract(scale={"ndim": 1}, bias={"ndim": 1})
+@hot_path
 def layernorm_forward(
-    x: np.ndarray, scale: np.ndarray, bias: np.ndarray, eps: float = 1e-5
+    x: np.ndarray, scale: np.ndarray, bias: np.ndarray, eps: float = 1e-5,
+    out: np.ndarray = None,
 ) -> Tuple[np.ndarray, LayerCache]:
-    """LayerNorm over the last axis: ``scale * (x - mu) / sigma + bias``."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mu) * inv_std
-    return scale * x_hat + bias, (x_hat, inv_std, scale)
+    """LayerNorm over the last axis: ``scale * (x - mu) / sigma + bias``.
+
+    Pass ``out`` (same shape and dtype as ``x``; may alias ``x``) for the
+    inference form: the same subtract / scale / shift sequence run in place
+    in ``out``, returning ``(out, None)`` — bit-identical output, no
+    ``(x_hat, inv_std, scale)`` backward cache.
+    """
+    centered = np.subtract(x, _row_mean(x), out=out)
+    inv_std = _row_mean(centered * centered)  # the (biased) variance
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    x_hat = np.multiply(centered, inv_std, out=centered)
+    if out is None:
+        return scale * x_hat + bias, (x_hat, inv_std, scale)
+    out *= scale
+    out += bias
+    return out, None
 
 
 # lint: allow-contract grad rank is polymorphic, mirroring layernorm_forward's x
@@ -99,15 +122,37 @@ def layernorm_backward(
 
 # -- GELU -------------------------------------------------------------------------
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+# A Python float, not ``np.float64``: a NumPy scalar would promote float32
+# activations to float64 (NEP 50), a Python float keeps the array's dtype.
+_GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
-# lint: allow-contract elementwise: any rank of x is legal
-def gelu_forward(x: np.ndarray) -> Tuple[np.ndarray, LayerCache]:
-    """Tanh-approximation GELU (as used by GPT-2/OPT)."""
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    return 0.5 * x * (1.0 + t), (x, t)
+@hot_path
+def gelu_forward(x: np.ndarray,  # lint: allow-contract elementwise: any rank of x is legal
+                 out: np.ndarray = None) -> Tuple[np.ndarray, LayerCache]:
+    """Tanh-approximation GELU (as used by GPT-2/OPT).
+
+    ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x**3)))`` evaluated as a chain
+    of in-place ufuncs over one temporary; the cube is ``x * x * x`` (two
+    multiplies, within 1 ulp of ``pow(x, 3)``, which is ~20x slower).
+
+    Pass ``out`` (same shape and dtype as ``x``; may alias ``x``) for the
+    inference form: the result lands in ``out`` and ``(out, None)`` comes
+    back — bit-identical values, no ``(x, t)`` backward cache kept alive.
+    """
+    t = np.multiply(x, x)
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    # Training keeps ``t`` for the backward, so there the gate ``1 + t`` is a
+    # new array; inference has no use for ``t`` and overwrites it.
+    training = out is None
+    gate = t + 1.0 if training else np.add(t, 1.0, out=t)
+    out = np.multiply(gate, x, out=gate if training else out)
+    out *= 0.5
+    return out, ((x, t) if training else None)
 
 
 # lint: allow-contract elementwise: grad rank mirrors gelu_forward's x

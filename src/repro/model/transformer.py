@@ -46,6 +46,7 @@ from repro.model.layers import (
     stable_softmax,
 )
 from repro.model.parameters import ParameterStore
+from repro.model.rope import rope_rotate
 from repro.model.scratch import ScratchArena
 
 
@@ -212,34 +213,45 @@ class TransformerLM:
         use_rope = cfg.position_encoding == "rope"
         x = p["tok_embed"][tokens]
         if not use_rope:
-            x = x + p["pos_embed"][positions]
+            x += p["pos_embed"][positions]
         n_heads = cfg.n_heads
         d_head = cfg.d_model // n_heads
+        d_model, d_ff = cfg.d_model, cfg.d_ff
         qkv_out = attn_buf = logits_out = None
         if scratch is not None:
             # Trailing dims are bounded exactly so the (n, h, d_head) view
             # stays C-contiguous and ``reshape(n_new, -1)`` below is a view,
             # not a silent copy.
-            qkv_out = scratch.take("fwd.qkv", (n_new, 3 * cfg.d_model),
-                                   cfg.dtype, bound=(0, 3 * cfg.d_model))
+            qkv_out = scratch.take("fwd.qkv", (n_new, 3 * d_model),
+                                   cfg.dtype, bound=(0, 3 * d_model))
             attn_buf = scratch.take("fwd.attn", (n_new, n_heads, d_head),
                                     cfg.dtype, bound=(0, n_heads, d_head))
             logits_out = scratch.take("fwd.logits", (n_new, cfg.vocab_size),
                                       cfg.dtype, bound=(0, cfg.vocab_size))
+            hidden = scratch.take("fwd.hidden", (n_new, d_model),
+                                  cfg.dtype, bound=(0, d_model))
+            mlp = scratch.take("fwd.mlp", (n_new, d_ff),
+                               cfg.dtype, bound=(0, d_ff))
+        else:
+            hidden = np.empty_like(x)
+            mlp = np.empty((n_new, d_ff), dtype=x.dtype)
+        # ``hidden`` stages every d_model-wide intermediate in turn (each
+        # LayerNorm output and each projection back to the residual stream
+        # is consumed by the very next op) and ``mlp`` the d_ff-wide one, so
+        # a layer allocates nothing of either size.  ``x`` is this call's
+        # own array (a gather result): the residual adds run in place.
         for i in range(cfg.n_layers):
             pre = f"layer{i}"
-            h, _ = layernorm_forward(x, p[f"{pre}.ln1.scale"], p[f"{pre}.ln1.bias"])
+            h, _ = layernorm_forward(x, p[f"{pre}.ln1.scale"],
+                                     p[f"{pre}.ln1.bias"], out=hidden)
             wqkv, bqkv = p.packed_qkv(f"{pre}.attn")
             qkv, _ = linear_forward(h, wqkv, bqkv, out=qkv_out)
-            q, k, v = np.split(qkv, 3, axis=-1)
-            qh = split_heads(q, n_heads)
-            kh = split_heads(k, n_heads)
+            qh = split_heads(qkv[:, :d_model], n_heads)
+            kh = split_heads(qkv[:, d_model : 2 * d_model], n_heads)
+            vh = split_heads(qkv[:, 2 * d_model :], n_heads)
             if use_rope:
-                from repro.model.rope import rope_rotate
-
                 qh = rope_rotate(qh, positions)
                 kh = rope_rotate(kh, positions)
-            vh = split_heads(v, n_heads)
             kvs = []
             for b, cache in enumerate(caches):
                 layer_kv = cache.layers[i]
@@ -249,21 +261,21 @@ class TransformerLM:
             attn = block_diagonal_attention(qh, kvs, masks, offsets,
                                             out=attn_buf)
             attn_out, _ = linear_forward(
-                attn.reshape(n_new, -1), p[f"{pre}.attn.wo"], p[f"{pre}.attn.bo"]
+                attn.reshape(n_new, -1), p[f"{pre}.attn.wo"],
+                p[f"{pre}.attn.bo"], out=hidden,
             )
-            x = x + attn_out
-            h2, _ = layernorm_forward(
-                x, p[f"{pre}.ln2.scale"], p[f"{pre}.ln2.bias"]
-            )
-            up, _ = linear_forward(h2, p[f"{pre}.mlp.w1"], p[f"{pre}.mlp.b1"])
-            act, _ = gelu_forward(up)
-            down, _ = linear_forward(act, p[f"{pre}.mlp.w2"], p[f"{pre}.mlp.b2"])
-            x = x + down
-        final, _ = layernorm_forward(x, p["final_ln.scale"], p["final_ln.bias"])
-        if logits_out is None:
-            logits = final @ p["lm_head"]
-        else:
-            logits = np.matmul(final, p["lm_head"], out=logits_out)
+            x += attn_out
+            h2, _ = layernorm_forward(x, p[f"{pre}.ln2.scale"],
+                                      p[f"{pre}.ln2.bias"], out=hidden)
+            up, _ = linear_forward(h2, p[f"{pre}.mlp.w1"], p[f"{pre}.mlp.b1"],
+                                   out=mlp)
+            act, _ = gelu_forward(up, out=up)
+            down, _ = linear_forward(act, p[f"{pre}.mlp.w2"],
+                                     p[f"{pre}.mlp.b2"], out=hidden)
+            x += down
+        final, _ = layernorm_forward(x, p["final_ln.scale"],
+                                     p["final_ln.bias"], out=hidden)
+        logits = np.matmul(final, p["lm_head"], out=logits_out)
         sanitizer.guard_finite("forward_masked_blocks logits", logits)
         return logits
 

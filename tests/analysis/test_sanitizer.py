@@ -45,7 +45,31 @@ class TestGating:
         with pytest.raises(SanitizerError):
             guard_finite("x", np.array([np.nan]))
 
-    def test_context_manager_restores(self):
+    def test_environment_is_read_at_import_and_on_reset_only(self, monkeypatch):
+        # The hot path reads one module global; it never sees a mid-run
+        # change to the environment until ``reset()`` re-reads it.
+        monkeypatch.delenv(sanitizer.ENV_FLAG, raising=False)
+        sanitizer.reset()
+        monkeypatch.setenv(sanitizer.ENV_FLAG, "1")
+        assert not sanitizer.enabled()
+        guard_finite("x", np.array([np.nan]))  # still disarmed
+        sanitizer.reset()
+        assert sanitizer.enabled()
+
+    def test_enable_overrides_until_reset(self, monkeypatch):
+        monkeypatch.delenv(sanitizer.ENV_FLAG, raising=False)
+        sanitizer.reset()
+        sanitizer.enable()
+        assert sanitizer.enabled()
+        with sanitized(False):
+            assert not sanitizer.enabled()
+        assert sanitizer.enabled()
+        sanitizer.reset()
+        assert not sanitizer.enabled()
+
+    def test_context_manager_restores(self, monkeypatch):
+        monkeypatch.delenv(sanitizer.ENV_FLAG, raising=False)
+        sanitizer.reset()
         with sanitized():
             assert sanitizer.enabled()
         assert not sanitizer.enabled()
@@ -141,7 +165,8 @@ class TestTensorContract:
         def f(x):
             return x
 
-        assert f(np.zeros(3)) is not None  # wrong ndim, but disarmed
+        with sanitized(False):
+            assert f(np.zeros(3)) is not None  # wrong ndim, but disarmed
 
     def test_shape_spec_with_wildcards(self):
         @tensor_contract(x={"shape": (None, 4)})

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.model.arena import BatchArena
 from repro.model.attention import (
+    block_diagonal_attention,
     causal_mask,
     cross_mask,
     mha_backward,
@@ -13,6 +15,8 @@ from repro.model.attention import (
     split_heads,
 )
 from repro.model.config import ModelConfig
+from repro.model.layers import stable_softmax
+from repro.model.paged_cache import PagedKVPool
 from repro.model.parameters import ParameterStore
 
 
@@ -67,6 +71,104 @@ class TestScaledDotAttention:
         lo = v.min(axis=0, keepdims=True)
         hi = v.max(axis=0, keepdims=True)
         assert (out >= lo - 1e-9).all() and (out <= hi + 1e-9).all()
+
+
+def einsum_attention(q, k, v, mask):
+    """The expression ``scaled_dot_attention`` used before it moved to
+    ``np.matmul`` over heads, kept here as the numerical reference."""
+    scores = np.einsum("qhd,khd->hqk", q, k) / np.sqrt(q.shape[-1])
+    weights = stable_softmax(scores + mask[None, :, :], axis=-1)
+    return np.einsum("hqk,khd->qhd", weights, v)
+
+
+KV_CONFIG = ModelConfig(vocab_size=16, d_model=128, n_layers=1, n_heads=4,
+                        max_seq_len=96, name="attn-kv")
+
+
+def tree_like_mask(rng, n_q, n_k):
+    """Zeros and ``-inf`` with every row keeping at least one key."""
+    mask = np.where(rng.random((n_q, n_k)) < 0.4, float("-inf"), 0.0)
+    mask[:, 0] = 0.0
+    return mask
+
+
+class TestMatmulAttentionMatchesEinsum:
+    N_K = 80
+
+    def contiguous_kv(self, rng):
+        shape = (self.N_K, KV_CONFIG.n_heads, KV_CONFIG.d_head)
+        return rng.normal(size=shape), rng.normal(size=shape)
+
+    def arena_kv(self, rng):
+        # A request's rows in the middle of the shared slab: a strided,
+        # zero-copy view, which is what block-sparse verification reads.
+        arena = BatchArena(KV_CONFIG, max_requests=3)
+        arena.new_sequence()
+        cache = arena.new_sequence()
+        keys, values = self.contiguous_kv(rng)
+        cache.layers[0].append(keys, values)
+        return cache.layers[0].view()
+
+    def paged_kv(self, rng):
+        pool = PagedKVPool(KV_CONFIG, num_blocks=12, block_size=16)
+        pool.allocate_block()  # so the sequence does not start at block 0
+        cache = pool.new_sequence()
+        keys, values = self.contiguous_kv(rng)
+        cache.layers[0].append(keys, values)
+        return cache.layers[0].view()
+
+    @pytest.mark.parametrize("n_q", [1, 3, 21])
+    @pytest.mark.parametrize("source", ["contiguous_kv", "arena_kv",
+                                        "paged_kv"])
+    def test_within_1e_12_of_einsum(self, rng, source, n_q):
+        k, v = getattr(self, source)(rng)
+        assert k.shape == (self.N_K, 4, 32)
+        # Queries as the forward passes them: a column block of the packed
+        # QKV projection, split into heads (strided, not contiguous).
+        qkv = rng.normal(size=(n_q, 3 * KV_CONFIG.d_model))
+        q = split_heads(qkv[:, : KV_CONFIG.d_model], KV_CONFIG.n_heads)
+        mask = tree_like_mask(rng, n_q, self.N_K)
+        out = scaled_dot_attention(q, k, v, mask)
+        assert out.shape == q.shape
+        np.testing.assert_allclose(out, einsum_attention(q, k, v, mask),
+                                   rtol=0, atol=1e-12)
+
+    def test_writes_into_a_row_block_of_out(self, rng):
+        k, v = self.contiguous_kv(rng)
+        q = rng.normal(size=(5, 4, 32))
+        mask = tree_like_mask(rng, 5, self.N_K)
+        buffer = np.full((9, 4, 32), np.nan)
+        result = scaled_dot_attention(q, k, v, mask, out=buffer[2:7])
+        assert np.shares_memory(result, buffer)
+        np.testing.assert_array_equal(buffer[2:7],
+                                      scaled_dot_attention(q, k, v, mask))
+        assert np.isnan(buffer[:2]).all() and np.isnan(buffer[7:]).all()
+
+    def test_float32_stays_float32(self, rng):
+        k, v = (a.astype(np.float32) for a in self.contiguous_kv(rng))
+        q = rng.normal(size=(3, 4, 32)).astype(np.float32)
+        mask = tree_like_mask(rng, 3, self.N_K).astype(np.float32)
+        out = scaled_dot_attention(q, k, v, mask)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(
+            out, einsum_attention(*(a.astype(np.float64)
+                                    for a in (q, k, v, mask))),
+            rtol=0, atol=1e-5)
+
+    def test_block_diagonal_matches_per_block_einsum(self, rng):
+        counts, key_counts = [21, 1, 3], [80, 33, 50]
+        offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        q = rng.normal(size=(offsets[-1], 4, 32))
+        kvs = [(rng.normal(size=(n, 4, 32)), rng.normal(size=(n, 4, 32)))
+               for n in key_counts]
+        masks = [tree_like_mask(rng, c, n)
+                 for c, n in zip(counts, key_counts)]
+        out = block_diagonal_attention(q, kvs, masks, offsets)
+        for b, ((k, v), mask) in enumerate(zip(kvs, masks)):
+            lo, hi = offsets[b], offsets[b + 1]
+            np.testing.assert_allclose(
+                out[lo:hi], einsum_attention(q[lo:hi], k, v, mask),
+                rtol=0, atol=1e-12)
 
 
 class TestMhaTrainingPath:

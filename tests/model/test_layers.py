@@ -94,7 +94,82 @@ class TestLayerNorm:
         np.testing.assert_allclose(dbias, numerical_grad(loss, bias), atol=1e-6)
 
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("rows", [1, 8, 168])
+    def test_inference_form_matches_training_output(self, rng, rows, dtype):
+        x = rng.normal(loc=0.5, scale=3.0, size=(rows, 128)).astype(dtype)
+        scale = rng.normal(size=128).astype(dtype)
+        bias = rng.normal(size=128).astype(dtype)
+        trained, cache = layernorm_forward(x, scale, bias)
+        assert len(cache) == 3
+        out = np.empty_like(x)
+        result, no_cache = layernorm_forward(x, scale, bias, out=out)
+        assert result is out and no_cache is None
+        assert out.dtype == x.dtype
+        np.testing.assert_allclose(out, trained, rtol=0, atol=1e-12)
+
+    def test_statistics_match_ndarray_mean_and_var(self, rng):
+        # The training output against the definition NumPy's own (slower,
+        # pure-Python) ``mean`` / ``var`` give.
+        x = rng.normal(loc=-2.0, scale=4.0, size=(21, 128))
+        scale = rng.normal(size=128)
+        bias = rng.normal(size=128)
+        mu = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        expected = scale * ((x - mu) / np.sqrt(var + 1e-5)) + bias
+        out, _ = layernorm_forward(x, scale, bias)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_inference_form_may_alias_input(self, rng):
+        x = rng.normal(size=(3, 16))
+        expected, _ = layernorm_forward(x, np.ones(16), np.zeros(16))
+        out, _ = layernorm_forward(x, np.ones(16), np.zeros(16), out=x)
+        assert out is x
+        np.testing.assert_array_equal(out, expected)
+
+
+def textbook_gelu(x):
+    """The tanh-GELU as written in the paper, cube by ``np.power``, every
+    constant in ``x``'s own dtype."""
+    t = x.dtype.type
+    inner = t(np.sqrt(2.0 / np.pi)) * (x + t(0.044715) * np.power(x, 3))
+    return t(0.5) * x * (t(1.0) + np.tanh(inner))
+
+
 class TestGelu:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("rows", [1, 8, 168])
+    def test_matches_textbook_formula_within_4_ulp(self, rng, rows, dtype):
+        x = rng.normal(scale=3.0, size=(rows, 512)).astype(dtype)
+        expected = textbook_gelu(x)
+        out, _ = gelu_forward(x)
+        assert out.dtype == x.dtype
+        # ulps at the scale of the input: for x << 0 the factor 1 + tanh(.)
+        # cancels, so an output-relative ulp is ill-conditioned in that tail
+        # for *any* two evaluation orders; where it does not cancel (x >= 0)
+        # the bound holds relative to the output as well.
+        err = np.abs(out - expected)
+        assert (err <= 4 * np.spacing(np.abs(x))).all()
+        positive = x >= 0
+        assert (err[positive] <= 4 * np.spacing(expected[positive])).all()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_out_form_is_bit_equal_and_cache_free(self, rng, dtype):
+        x = rng.normal(scale=3.0, size=(8, 512)).astype(dtype)
+        trained, cache = gelu_forward(x)
+        assert cache[0] is x and cache[1].shape == x.shape
+        out = np.empty_like(x)
+        result, no_cache = gelu_forward(x, out=out)
+        assert result is out and no_cache is None
+        np.testing.assert_array_equal(out, trained)
+
+    def test_out_may_alias_input(self, rng):
+        x = rng.normal(scale=3.0, size=(8, 512)).astype("float32")
+        expected, _ = gelu_forward(x.copy())
+        result, _ = gelu_forward(x, out=x)
+        assert result is x and x.dtype == np.float32
+        np.testing.assert_array_equal(x, expected)
+
     def test_matches_known_values(self):
         out, _ = gelu_forward(np.array([0.0]))
         assert out[0] == pytest.approx(0.0)
