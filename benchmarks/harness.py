@@ -16,6 +16,7 @@ appended to ``benchmarks/results/`` so EXPERIMENTS.md can quote them.
 from __future__ import annotations
 
 import os
+import zipfile
 from functools import lru_cache
 from typing import Dict, List, Sequence
 
@@ -82,13 +83,21 @@ def bench_corpus():
 
 @lru_cache(maxsize=1)
 def bench_llm() -> TransformerLM:
-    """The shared benchmark LLM: trained on the Markov corpus, cached."""
+    """The shared benchmark LLM: trained on the Markov corpus, cached.
+
+    A cache file that is missing or does not load — a truncated zip from a
+    killed run, a stale layout — is retrained over, and the new file is
+    written under a temporary name and moved into place, so this never
+    leaves a half-written checkpoint for the next run to trip on.
+    """
     from repro.model.parameters import ParameterStore
     from repro.model.trainer import Trainer, TrainingConfig
 
-    if os.path.exists(_WEIGHTS_CACHE):
+    try:
         params = ParameterStore.load(_WEIGHTS_CACHE)
         return TransformerLM(BENCH_MODEL_CONFIG, params=params)
+    except (zipfile.BadZipFile, ValueError, OSError):
+        pass  # absent (FileNotFoundError is an OSError) or damaged: retrain
     model = TransformerLM(BENCH_MODEL_CONFIG, seed=1234)
     corpus = bench_corpus()
     trainer = Trainer(
@@ -97,7 +106,14 @@ def bench_llm() -> TransformerLM:
     )
     trainer.train_lm(corpus.sample_many(64, 48))
     os.makedirs(os.path.dirname(_WEIGHTS_CACHE), exist_ok=True)
-    model.params.save(_WEIGHTS_CACHE)
+    # ``np.savez`` appends ".npz" to a name that lacks it.
+    staging = f"{_WEIGHTS_CACHE}.{os.getpid()}.tmp.npz"
+    try:
+        model.params.save(staging)
+        os.replace(staging, _WEIGHTS_CACHE)
+    finally:
+        if os.path.exists(staging):
+            os.remove(staging)
     return model
 
 

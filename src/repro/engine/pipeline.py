@@ -540,10 +540,11 @@ class DecodePipeline:
             before speculation resumes.
         packed_speculation: Score all requests' draft trees through one
             batched GEMM per tree level (:class:`PackedSpeculator`) instead
-            of per-session SSM decode loops.  Bit-identical trees; requests
-            the packer cannot handle (stochastic decoding, merge-based or
-            adaptive speculators, near-end-of-context caches) silently use
-            the per-session loop.
+            of per-session SSM decode loops, greedy and sampling alike.
+            The same trees; requests the packer cannot handle (merge-based
+            or adaptive speculators, near-end-of-context caches) use the
+            per-session loop, and say so in a
+            ``repro.speculate.packed.fallback`` trace event.
         planner: Optional :class:`~repro.speculate.planner.TreePlanner`
             consulted once per tick, before speculation.  The plan's
             expansion profile overrides every speculative state's static
@@ -666,7 +667,8 @@ class DecodePipeline:
         if state.speculator is not None and not state.finished:
             # Accepted speculated tokens (all but the bonus) extend the
             # verified prefix; the pending token itself was committed by
-            # the verifier's cache compaction.
+            # the verifier's cache compaction.  The speculator only queues
+            # them: the next tick's first SSM forward mirrors them.
             state.speculator.advance(
                 [previous_pending] + verification.accepted_tokens[:-1]
             )

@@ -38,9 +38,8 @@ class ParameterStore:
         """Compatibility shim: split packed ``*.wqkv``/``*.bqkv`` tensors.
 
         Canonical storage stays the unpacked ``wq``/``wk``/``wv`` triplet
-        (the training path updates them independently, and every existing
-        checkpoint — ``benchmarks/results/bench_llm_weights.npz``, the
-        ``examples/.zoo_cache`` zoo — stores them that way).  Checkpoints
+        (the training path updates them independently, and every checkpoint
+        this repository writes stores them that way).  Checkpoints
         that instead carry fused ``wqkv`` tensors are split on load so both
         layouts keep working.
         """

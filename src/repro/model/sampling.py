@@ -145,14 +145,46 @@ def sample_from_probs(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(rng.choice(probs.shape[-1], p=probs / total))
 
 
-@tensor_contract(probs={"ndim": 1})
-def top_k_tokens(probs: np.ndarray, k: int) -> np.ndarray:
-    """Ids of the ``k`` most likely tokens, most likely first."""
+def top_k_tokens(probs: np.ndarray, k: int) -> np.ndarray:  # lint: allow-contract probs rank is polymorphic (one distribution, or one per row of a tree level)
+    """Ids of the ``k`` most likely tokens, most likely first.
+
+    ``probs`` is one ``(vocab,)`` distribution or a ``(rows, vocab)`` stack
+    of them; the result is ``(k,)`` or ``(rows, k)``.  A stacked call
+    returns, row for row, exactly what the one-row calls would.
+    """
     if k <= 0:
-        return np.empty(0, dtype=np.intp)
+        return np.empty(probs.shape[:-1] + (0,), dtype=np.intp)
+    if k == 1:
+        # Most tree levels are one token wide, and argmax costs a twentieth
+        # of a partition.
+        return np.argmax(probs, axis=-1, keepdims=True)
     k = min(k, probs.shape[-1])
-    idx = np.argpartition(probs, -k)[-k:]
-    return idx[np.argsort(probs[idx])[::-1]]
+    idx = np.argpartition(probs, -k, axis=-1)[..., -k:]
+    order = np.argsort(np.take_along_axis(probs, idx, axis=-1), axis=-1)
+    return np.take_along_axis(idx, order[..., ::-1], axis=-1)
+
+
+def inverse_cdf_tokens(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:  # lint: allow-contract probs rank is polymorphic (one distribution, or one per row of a tree level)
+    """Token ids drawn from ``probs`` by inverting its CDF at ``uniforms``.
+
+    The arithmetic is ``Generator.choice(vocab, p=probs)``'s own — cumulative
+    sum, divide by its last entry, ``searchsorted(side="right")`` — so fed
+    the uniforms ``choice`` would have drawn it returns the tokens ``choice``
+    would have returned, bit for bit.  Taking the uniforms as an argument is
+    what lets a caller decide *which* draw a tree node reads independently
+    of the order nodes are visited in.
+
+    ``probs`` is ``(vocab,)`` with ``(k,)`` uniforms, or ``(rows, vocab)``
+    with ``(rows, k)``; the result has the shape of ``uniforms``.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[..., -1:]
+    if cdf.ndim == 1:
+        return cdf.searchsorted(uniforms, side="right")
+    tokens = np.empty(uniforms.shape, dtype=np.intp)
+    for row, row_cdf in enumerate(cdf):
+        tokens[row] = row_cdf.searchsorted(uniforms[row], side="right")
+    return tokens
 
 
 @tensor_contract(probs={"ndim": 1})

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.model.layers import stable_softmax
-from repro.model.sampling import top_k_tokens
+from repro.model.sampling import inverse_cdf_tokens, top_k_tokens
 from repro.tree.token_tree import TokenTree
 
 
@@ -57,6 +57,27 @@ class ExpansionConfig:
             frontier *= k
             total += frontier
         return total
+
+    def level_offsets(self) -> Tuple[int, ...]:
+        """Where each level's draws start in a stochastic call's uniform block.
+
+        A stochastic expansion draws ``max_tree_tokens()`` uniforms up front,
+        one per candidate the full tree could hold, level after level.  The
+        node reached from the root by child ranks ``r_1 … r_d`` has path index
+        ``p = (…(r_1·k_2 + r_2)·k_3 + …) + r_d`` and samples its ``k_{d+1}``
+        candidates from entries ``level_offsets()[d] + p·k_{d+1} + j``; its
+        ``j``-th candidate has path index ``p·k_{d+1} + j``.  Which uniform a
+        node reads therefore depends on where it sits, never on when it is
+        visited.
+        """
+        offsets = []
+        total = 0
+        frontier = 1
+        for k in self.widths:
+            offsets.append(total)
+            frontier *= k
+            total += frontier
+        return tuple(offsets)
 
     @classmethod
     def paper_default(cls) -> "ExpansionConfig":
@@ -105,7 +126,16 @@ def expand_token_tree(
       i.i.d. from the SSM's distribution (duplicates merge).  Multi-step
       speculative sampling is only distribution-preserving (Theorem 4.2)
       when candidates are *samples* from the recorded proposal
-      distribution, so stochastic decoding must use this mode.
+      distribution, so stochastic decoding must use this mode.  Every call
+      takes one block of ``config.max_tree_tokens()`` uniforms from ``rng``
+      — however small the tree turns out — and a node inverts its CDF at
+      the entries its position selects
+      (:meth:`ExpansionConfig.level_offsets`); a duplicate draw merges into
+      the child its first occurrence made.  The tree is thus a function of
+      (``rng``'s stream, ``config``, the SSM) and not of this depth-first
+      visiting order, which is what lets
+      :class:`~repro.speculate.packed.PackedSpeculator` build the same tree
+      level by level, and what makes this loop its reference.
 
     Args:
         ssm: Any model exposing ``decode(token, cache) -> logits`` and a
@@ -136,14 +166,10 @@ def expand_token_tree(
         raise ValueError("max_tokens must be >= 0")
     tree = TokenTree(root_token)
     entry_snapshot = cache.snapshot()
+    uniforms = rng.random(config.max_tree_tokens()) if stochastic else None
+    offsets = config.level_offsets()
 
-    def candidates(probs: np.ndarray, width: int) -> list:
-        if stochastic:
-            return [int(t) for t in
-                    rng.choice(probs.shape[-1], size=width, p=probs)]
-        return [int(t) for t in top_k_tokens(probs, width)]
-
-    def expand(node_idx: int, token: int, step: int) -> None:
+    def expand(node_idx: int, token: int, step: int, path: int) -> None:
         if step >= config.depth:
             return
         if max_tokens is not None and tree.num_speculated() >= max_tokens:
@@ -154,18 +180,25 @@ def expand_token_tree(
         probs = stable_softmax(np.asarray(logits, dtype=np.float64)
                                / max(temperature, 1e-8))
         tree.set_proposal(node_idx, ssm_id, probs)
-        for candidate in candidates(probs, config.widths[step]):
+        width = config.widths[step]
+        if stochastic:
+            lo = offsets[step] + path * width
+            drawn = inverse_cdf_tokens(probs, uniforms[lo : lo + width])
+        else:
+            drawn = top_k_tokens(probs, width)
+        for rank, candidate in enumerate(drawn.tolist()):
             if (max_tokens is not None
                     and tree.num_speculated() >= max_tokens):
                 break
+            known = len(tree)
             child_idx = tree.add_child(node_idx, candidate, ssm_id=ssm_id)
-            if tree.nodes[child_idx].children:
-                continue  # duplicate sample already expanded
+            if len(tree) == known:
+                continue  # duplicate sample: the first draw's child stands
             snap = cache.snapshot()
-            expand(child_idx, candidate, step + 1)
+            expand(child_idx, candidate, step + 1, path * width + rank)
             cache.restore(snap)
 
     if max_tokens != 0:
-        expand(0, int(root_token), 0)
+        expand(0, int(root_token), 0, 0)
     cache.restore(entry_snapshot)
     return tree

@@ -3,61 +3,87 @@
 The per-session speculation loop (:func:`repro.speculate.expansion.
 expand_token_tree`) drives its SSM depth-first: one ``decode`` call — one
 ``(1, d) @ (d, 3d)`` GEMM per layer — per tree node per request, with cache
-snapshot/restore around every branch.  On a serving batch this is the last
-per-session hot loop left: a batch of ``B`` requests speculating ``m``-deep
-trees issues ``O(B · nodes)`` tiny GEMMs per tick.
+snapshot/restore around every branch, after one more SSM forward per request
+to mirror the tokens the previous tick committed.  On a serving batch of
+``B`` requests that is ``O(B · nodes)`` tiny GEMMs per tick.
 
-This module replaces that loop with **level-synchronous packed expansion**
-for the deterministic (greedy/top-k) case:
+This module replaces that loop with **level-synchronous packed expansion**:
+a tick issues exactly ``depth`` SSM forwards for the whole batch, greedy or
+sampling, and none anywhere else.
 
-* every request's frontier at depth ``d`` is scored in **one**
+* Every request's frontier at depth ``d`` is scored in **one**
   :meth:`~repro.model.transformer.TransformerLM.forward_masked_blocks` call
   over the shared SSM — the QKV/MLP/LM-head GEMMs batch across all live
-  requests and all sibling branches, so a tick issues ``O(depth)`` GEMM
-  rounds instead of ``O(B · nodes)``;
-* instead of snapshot/restore replay, all tree rows stay in the SSM cache
+  requests and all sibling branches.
+* Instead of snapshot/restore replay, all tree rows stay in the SSM cache
   under a per-level topology mask (each frontier node attends to the
   verified prefix plus its own ancestors), and the cache is truncated back
   to the prefix once the tree is built.
+* **The mirror prefill rides level 0.**  ``Speculator.advance`` only queues
+  the tokens a tick committed; the next level-0 call scores
+  ``[queued…, root]`` under a causal block, and the slot's prefix (and a
+  coupled SSM's token context) moves past the queued rows, which the final
+  truncation therefore keeps.  Whoever reaches the SSM cache first flushes
+  the queue: here :meth:`~repro.speculate.speculator.Speculator.take_queued`,
+  on the per-session path ``Speculator.speculate`` (one prefill, as before).
+* **Proposal math runs once per level**: one temperature divide, one
+  ``stable_softmax``, one ``top_k_tokens`` / ``inverse_cdf_tokens`` over the
+  level's ``(rows, vocab)`` float64 logits, and masks filled from per-slot
+  arrays of ancestor columns that grow by one column per level.
 
-Bit-equivalence rests on the tree-attention property the repo already
-tests (Definition 4.1): scoring a node under the topology-aware causal
-mask is bit-identical to sequentially decoding its root-to-node path, and
-total GEMM FLOPs are unchanged (the packing is over the ``m`` axis, which
-:func:`repro.model.perf.add_gemm` is linear in).  Proposal distributions,
-tree shape, and child ordering therefore match the depth-first loop
-exactly; only node *numbering* differs (BFS insertion order), which no
-consumer observes — verification runs over the structural DFS
-linearization.
+Stochastic requests are packed like greedy ones because a sampled tree no
+longer depends on visiting order.  Per call a request draws one block of
+``config.max_tree_tokens()`` uniforms from its own stream — a size fixed by
+the expansion config, whatever the tree turns out to be — and a node reads
+the entries its level and child-rank path select
+(:meth:`~repro.speculate.expansion.ExpansionConfig.level_offsets`); a
+duplicate draw merges into the child its first occurrence made, which keeps
+that first draw's path.  ``expand_token_tree(stochastic=True)`` indexes the
+same block the same way, so a request's tree is a function of (its stream,
+the config) and not of traversal order, batch composition, slot order, or
+whether it fell back this tick.
 
-Scope (everything else falls back to the per-session loop, counted by
-``repro.speculate.packed.fallbacks``):
+Equivalence rests on the tree-attention property the repo already tests
+(Definition 4.1): scoring a node under the topology-aware causal mask
+computes what sequentially decoding its root-to-node path computes, with
+total GEMM FLOPs unchanged (the packing is over the ``m`` axis, which
+:func:`repro.model.perf.add_gemm` is linear in).  Tree tokens, shape and
+child order match the depth-first loop exactly, and recorded proposal
+distributions to the last few ulps — BLAS runs a one-row product through a
+different kernel (GEMV) than a many-row one, which is the only arithmetic
+the two paths do not share.  Node *numbering* differs (BFS insertion
+order), which no consumer observes: verification runs over the structural
+DFS linearization.
 
-* deterministic expansion only (stochastic proposals consume per-request
-  RNG draws in DFS order; replaying that order defeats the packing);
-* single static-config SSM per speculator (no merge/adaptive);
-* SSMs that are a :class:`TransformerLM` or a
+Scope — everything else falls back to the per-session loop, counted by
+``repro.speculate.packed.fallbacks`` with one
+``repro.speculate.packed.fallback`` trace event naming the cause:
+
+* ``multi_ssm`` / ``adaptive``: merge-based and adaptive speculators keep
+  their own loop (one static config on one SSM is what a level is);
+* ``model_type``: the SSM is neither a :class:`TransformerLM` nor a
   :class:`~repro.model.coupled.CoupledSSM` (whose perturbation is a pure
   function of the path context and is replayed per node);
-* requests whose SSM cache can hold the whole scored frontier at once
-  (``prefix + scored-node bound <= capacity``); near end-of-context the
-  depth-first loop's per-branch capacity check is the right tool.
+* ``capacity``: the SSM cache cannot hold the queued tokens plus the whole
+  scored frontier at once (``prefix + queued + scored-node bound >
+  capacity``); near end-of-context the depth-first loop's per-branch
+  capacity check is the right tool.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.model.attention import NEG_INF, MaskScratch
+from repro.model.attention import NEG_INF, MaskScratch, cross_mask
 from repro.model.coupled import CoupledSSM
 from repro.model.layers import stable_softmax
-from repro.model.sampling import top_k_tokens
+from repro.model.sampling import inverse_cdf_tokens, top_k_tokens
 from repro.model.scratch import ScratchArena
 from repro.model.transformer import TransformerLM
-from repro.obs import REGISTRY
+from repro.obs import REGISTRY, TRACER
 from repro.speculate.expansion import ExpansionConfig
 from repro.tree.token_tree import TokenTree
 
@@ -87,44 +113,122 @@ def scored_node_bound(config: ExpansionConfig) -> int:
 
 
 class _Slot:
-    """Per-request expansion state inside one packed group."""
+    """Per-request expansion state inside one packed group.
 
-    def __init__(self, state, ssm, cache, config: ExpansionConfig,
-                 temperature: float):
+    The frontier — the nodes scored at the current level — is held as
+    parallel arrays, one entry per node: its tree index, its token, the
+    tree-region cache columns it attends to (ancestors, then itself) and,
+    when sampling, its path index into the request's uniform block.
+
+    Constructing a slot commits the request to the packed path for this
+    call: it takes the speculator's queued tokens (level 0 will mirror
+    them) and, when sampling, draws the call's uniform block from the
+    request's stream.
+    """
+
+    def __init__(self, state, ssm, cache, config: ExpansionConfig):
+        spec = state.speculator
         self.state = state
         self.ssm = ssm
         self.config = config
-        self.temperature = temperature
+        self.temperature = max(spec.temperature, 1e-8)
+        self.queued = spec.take_queued()
         if isinstance(ssm, CoupledSSM):
             self.base_cache = cache.base_cache
+            cache.context.extend(self.queued)
             self.entry_context: Optional[List[int]] = list(cache.context)
         else:
             self.base_cache = cache
             self.entry_context = None
-        self.prefix = self.base_cache.length
+        # The verified prefix once level 0 has appended the queued rows.
+        self.prefix = self.base_cache.length + len(self.queued)
         self.tree = TokenTree(state.pending)
-        # Cache row (0-based among appended tree rows) of each scored node.
-        self.row_of: Dict[int, int] = {}
-        self.appended = 0
-        # Nodes to score at the current level (all share depth == level).
-        self.frontier: List[int] = [0]
+        self.scored = 0
+        self.nodes: List[int] = [0]
+        self.tokens: List[int] = [state.pending]
+        self.columns = np.full((1, 1), self.prefix, dtype=np.intp)
+        self.uniforms = None
+        if not state.sampling.greedy:
+            self.uniforms = state.rng.random(config.max_tree_tokens())
+            self.offsets = config.level_offsets()
+            self.paths = np.zeros(1, dtype=np.intp)
 
     def live_at(self, level: int) -> bool:
-        return bool(self.frontier) and level < self.config.depth
+        return bool(self.nodes) and level < self.config.depth
 
-    def path_rows(self, node: int) -> List[int]:
-        """Appended-row indices of ``node``'s scored ancestors (root..parent)."""
-        return [self.row_of[n] for n in self.tree.path_to(node)[:-1]]
+    def rows_at(self, level: int) -> int:
+        """Rows this slot contributes to the level's forward pass."""
+        return len(self.nodes) + (len(self.queued) if level == 0 else 0)
+
+    def fill(self, level: int, tokens: np.ndarray, positions: np.ndarray,
+             mask: np.ndarray) -> None:
+        """Write this slot's block of the level's forward inputs."""
+        if level == 0:
+            # ``[queued…, root]`` after the cached prefix: a causal block.
+            prior = self.base_cache.length
+            tokens[:-1] = self.queued
+            tokens[-1] = self.tokens[0]
+            positions[:] = np.arange(prior, prior + len(tokens))
+            cross_mask(len(tokens), prior + len(tokens), prior,
+                       dtype=mask.dtype, out=mask)
+            return
+        # Frontier node j attends to the verified prefix, its scored
+        # ancestors' rows, and itself — never to siblings or to other
+        # branches' rows (the per-level topology-aware causal mask).
+        tokens[:] = self.tokens
+        positions[:] = self.prefix + level
+        mask[:, : self.prefix] = 0.0
+        mask[:, self.prefix:] = NEG_INF
+        mask[np.arange(len(self.nodes))[:, None], self.columns] = 0.0
 
     def context_for(self, node: int) -> List[int]:
         """Token context the coupled perturbation is keyed by at ``node``."""
         path = self.tree.path_to(node)
         return self.entry_context + [self.tree.nodes[n].token for n in path]
 
-    def finish(self) -> TokenTree:
+    def level_uniforms(self, level: int, out: np.ndarray) -> None:
+        """This level's draws, one row of ``width`` uniforms per node."""
+        width = self.config.widths[level]
+        first = self.offsets[level] + self.paths * width
+        out[:, :width] = self.uniforms[first[:, None] + np.arange(width)]
+
+    def grow(self, level: int, probs: np.ndarray,
+             candidates: np.ndarray) -> None:
+        """Record the level's proposals and make its candidates the next
+        frontier (``probs`` / ``candidates``: one row per frontier node)."""
+        tree = self.tree
+        width = self.config.widths[level]
+        expandable = level + 1 < self.config.depth
+        nodes: List[int] = []
+        tokens: List[int] = []
+        parents: List[int] = []
+        ranks: List[int] = []
+        drawn = candidates[:, :width].tolist()
+        for j, node in enumerate(self.nodes):
+            tree.set_proposal(node, 0, probs[j])
+            for rank, token in enumerate(drawn[j]):
+                known = len(tree)
+                child = tree.add_child(node, token, ssm_id=0)
+                if expandable and len(tree) > known:
+                    # (a duplicate draw merges into its first occurrence)
+                    nodes.append(child)
+                    tokens.append(token)
+                    parents.append(j)
+                    ranks.append(rank)
+        self.scored += len(self.nodes)
+        # Row of the next frontier's node i in the cache: the rows scored so
+        # far, then i.
+        columns = np.empty((len(nodes), level + 2), dtype=np.intp)
+        columns[:, :-1] = self.columns[parents]
+        columns[:, -1] = self.prefix + self.scored + np.arange(len(nodes))
+        if self.uniforms is not None:
+            self.paths = self.paths[parents] * width + ranks
+        self.nodes, self.tokens, self.columns = nodes, tokens, columns
+
+    def finish(self) -> None:
         """Truncate the SSM cache back to the verified prefix."""
         self.base_cache.truncate(self.prefix)
-        return self.tree
+        self.state.speculator.record_packed_speculation(self.scored)
 
 
 class PackedSpeculator:
@@ -147,26 +251,25 @@ class PackedSpeculator:
 
     # -- eligibility -----------------------------------------------------------------
 
-    def _slot_for(self, state, plan=None) -> Optional[
-            Tuple[TransformerLM, _Slot]]:
-        """``(base model, slot)`` when ``state`` is packed-eligible."""
+    def _slot_for(self, state, plan=None) -> Union[
+            str, Tuple[TransformerLM, _Slot]]:
+        """``(base model, slot)`` when ``state`` is packed-eligible, else
+        the fallback cause."""
         spec = state.speculator
-        if spec is None or not state.sampling.greedy:
-            return None
         packed = spec.packed_expansion_state(plan)
         if packed is None:
-            return None
+            return "adaptive" if spec.adaptive is not None else "multi_ssm"
         ssm, cache, config = packed
         if isinstance(ssm, CoupledSSM):
             base = ssm.base
         elif isinstance(ssm, TransformerLM):
             base = ssm
         else:
-            return None
-        slot = _Slot(state, ssm, cache, config, spec.temperature)
-        if slot.prefix + scored_node_bound(config) > slot.base_cache.capacity:
-            return None
-        return base, slot
+            return "model_type"
+        if (spec.prefix_len + scored_node_bound(config)
+                > cache.capacity):
+            return "capacity"
+        return base, _Slot(state, ssm, cache, config)
 
     # -- the packed loop -------------------------------------------------------------
 
@@ -184,22 +287,24 @@ class PackedSpeculator:
                 both paths build identical trees).
         """
         trees: List[Optional[TokenTree]] = [None] * len(states)
-        groups: Dict[int, Tuple[TransformerLM, List[Tuple[int, _Slot]]]] = {}
+        groups: Dict[int, Tuple[TransformerLM, List[_Slot]]] = {}
         for i, state in enumerate(states):
+            if state.speculator is None:
+                trees[i] = fallback(state)
+                continue
             eligible = self._slot_for(state, plan)
-            if eligible is None:
-                if state.speculator is not None:
-                    _PACKED_FALLBACKS.inc()
+            if isinstance(eligible, str):
+                _PACKED_FALLBACKS.inc()
+                TRACER.event("repro.speculate.packed.fallback",
+                             cause=eligible)
                 trees[i] = fallback(state)
                 continue
             base, slot = eligible
-            groups.setdefault(id(base), (base, []))[1].append((i, slot))
-        for base, members in groups.values():
-            self._expand_group(base, [slot for _, slot in members])
-            for i, slot in members:
-                trees[i] = slot.tree
-                slot.state.speculator.record_packed_speculation(slot.tree)
-            _PACKED_REQUESTS.inc(len(members))
+            trees[i] = slot.tree
+            groups.setdefault(id(base), (base, []))[1].append(slot)
+        for base, slots in groups.values():
+            self._expand_group(base, slots)
+            _PACKED_REQUESTS.inc(len(slots))
         return trees
 
     def _expand_group(self, base: TransformerLM,
@@ -226,13 +331,11 @@ class PackedSpeculator:
                      level: int) -> None:
         """Score every live slot's frontier in one fused pass, then expand."""
         _PACKED_LEVELS.inc()
-        counts = [len(slot.frontier) for slot in live]
         offsets = [0]
-        for count in counts:
-            offsets.append(offsets[-1] + count)
-        n_total = offsets[-1]
-        tokens = arena.take("pk.tokens", (n_total,), np.intp)
-        positions = arena.take("pk.positions", (n_total,), np.intp)
+        for slot in live:
+            offsets.append(offsets[-1] + slot.rows_at(level))
+        tokens = arena.take("pk.tokens", (offsets[-1],), np.intp)
+        positions = arena.take("pk.positions", (offsets[-1],), np.intp)
         while len(scratches) < len(live):
             scratches.append(MaskScratch(
                 base.config.dtype, arena=arena,
@@ -242,49 +345,53 @@ class PackedSpeculator:
         masks = []
         priors = []
         for b, slot in enumerate(live):
-            lo = offsets[b]
+            lo, hi = offsets[b], offsets[b + 1]
             prior = slot.base_cache.length
-            priors.append(prior)
-            n_f = counts[b]
-            mask = scratches[b].take(n_f, prior + n_f)
-            # Frontier node j attends to the verified prefix, its scored
-            # ancestors' rows, and itself — never to siblings or to other
-            # branches' rows (the per-level topology-aware causal mask).
-            mask[:, : slot.prefix] = 0.0
-            mask[:, slot.prefix:] = NEG_INF
-            for j, node in enumerate(slot.frontier):
-                tokens[lo + j] = slot.tree.nodes[node].token
-                positions[lo + j] = slot.prefix + level
-                for row in slot.path_rows(node):
-                    mask[j, slot.prefix + row] = 0.0
-                mask[j, prior + j] = 0.0
+            mask = scratches[b].take(hi - lo, prior + hi - lo)
+            slot.fill(level, tokens[lo:hi], positions[lo:hi], mask)
             masks.append(mask)
+            priors.append(prior)
         logits = base.forward_masked_blocks(
             tokens, positions, masks, [slot.base_cache for slot in live],
             priors=priors, scratch=arena,
         )
+        if level == 0:
+            # Only the roots propose; the queued rows are now mirrored.
+            logits = logits[np.asarray(offsets[1:]) - 1]
+            offsets = list(range(len(live) + 1))
+        # The level's proposal math, once over all frontier rows.  The copy
+        # is the trees' own: ``logits`` is arena memory the next level
+        # overwrites, and each row outlives the tick's speculate phase.
+        scaled = np.array(logits, dtype=np.float64)
         for b, slot in enumerate(live):
-            lo = offsets[b]
-            next_frontier: List[int] = []
-            width = slot.config.widths[level]
-            expandable = level + 1 < slot.config.depth
-            for j, node in enumerate(slot.frontier):
-                row = logits[lo + j]
-                if slot.entry_context is not None:
-                    # Replay the coupled perturbation the sequential loop
-                    # applies inside decode(); it is a pure function of
-                    # (seed, token context), so per-node replay is exact.
-                    row = slot.ssm._perturb(row, slot.context_for(node))
-                probs = stable_softmax(
-                    np.asarray(row, dtype=np.float64)
-                    / max(slot.temperature, 1e-8)
-                )
-                slot.tree.set_proposal(node, 0, probs)
-                slot.row_of[node] = slot.appended + j
-                for candidate in top_k_tokens(probs, width):
-                    child = slot.tree.add_child(node, int(candidate),
-                                                ssm_id=0)
-                    if expandable:
-                        next_frontier.append(child)
-            slot.appended += counts[b]
-            slot.frontier = next_frontier
+            if slot.entry_context is not None:
+                # Replay the coupled perturbation the sequential loop
+                # applies inside decode(); it is a pure function of
+                # (seed, token context), so per-node replay is exact.
+                for j, node in enumerate(slot.nodes):
+                    row = offsets[b] + j
+                    scaled[row] = slot.ssm._perturb(logits[row],
+                                                    slot.context_for(node))
+        counts = np.diff(offsets)
+        scaled /= np.repeat([slot.temperature for slot in live],
+                            counts)[:, None]
+        probs = stable_softmax(scaled, out=scaled)
+        # A batch may mix decoding modes and widths: each rule runs once at
+        # the widest width any of its slots needs, and a slot reads its own
+        # leading columns (top-k is a prefix of top-(k+1); unread uniforms
+        # stay zero).
+        width = max(slot.config.widths[level] for slot in live)
+        ranked = sampled = None
+        if any(slot.uniforms is None for slot in live):
+            ranked = top_k_tokens(probs, width)
+        if any(slot.uniforms is not None for slot in live):
+            uniforms = np.zeros((len(probs), width))
+            for b, slot in enumerate(live):
+                if slot.uniforms is not None:
+                    slot.level_uniforms(
+                        level, uniforms[offsets[b] : offsets[b + 1]])
+            sampled = inverse_cdf_tokens(probs, uniforms)
+        for b, slot in enumerate(live):
+            lo, hi = offsets[b], offsets[b + 1]
+            chosen = ranked if slot.uniforms is None else sampled
+            slot.grow(level, probs[lo:hi], chosen[lo:hi])

@@ -13,7 +13,14 @@ engine protocol is::
     spec.prefill(prompt_prefix)          # verified prefix, pending excluded
     tree = spec.speculate(pending)       # caches restored afterwards
     ... verifier accepts some tokens ...
-    spec.advance([pending] + accepted)   # extend the mirrored prefix
+    spec.advance([pending] + accepted)   # queue them; no SSM runs here
+
+``advance`` only records the tokens.  They reach the SSM caches with the
+next forward pass that would have needed them anyway: packed expansion
+(:mod:`repro.speculate.packed`) takes the queue and scores it in the same
+level-0 call as the new root, and :meth:`Speculator.speculate` /
+:meth:`Speculator.prefill` flush it with one prefill before doing anything
+else — so a tick never pays an SSM forward of its own for mirroring.
 """
 
 from __future__ import annotations
@@ -67,11 +74,14 @@ class Speculator:
         # tick-to-tick; ``speculation_latency_steps`` reports it).
         self._last_depth: Optional[int] = None
         self._caches = [ssm.new_cache() for ssm in self.ssms]
-        # Per-SSM staging arenas for the per-tick mirror prefill
-        # (:meth:`advance`): without them, every committed step allocates a
-        # fresh cross mask and forward buffers inside each SSM.
+        # Per-SSM staging arenas for the mirror prefill: without them, every
+        # flush allocates a fresh cross mask and forward buffers inside each
+        # SSM.
         self._arenas = [ScratchArena() for _ in self.ssms]
         self._prefix_len = 0
+        # Verified tokens :meth:`advance` recorded that no SSM cache holds
+        # yet (counted in ``_prefix_len``).
+        self._queued: List[int] = []
         # Cost accounting for the cluster model: SSM decode steps issued in
         # the most recent speculate() call (all SSMs run in data parallel, so
         # the latency-relevant figure is the max over SSMs).
@@ -83,23 +93,41 @@ class Speculator:
         """Drop all mirrored state (new request)."""
         self._caches = [ssm.new_cache() for ssm in self.ssms]
         self._prefix_len = 0
+        self._queued = []
 
     def prefill(self, tokens: Sequence[int]) -> None:
-        """Mirror the verified prompt prefix into every SSM cache."""
-        arr = np.asarray(list(tokens), dtype=np.intp)
+        """Mirror the verified prompt prefix into every SSM cache, behind
+        whatever :meth:`advance` queued — one SSM prefill for both."""
+        tokens = list(tokens)
+        arr = np.asarray(self._queued + tokens, dtype=np.intp)
+        self._prefix_len += len(tokens)
+        self._queued = []
         if arr.size == 0:
             return
         for ssm, cache, arena in zip(self.ssms, self._caches, self._arenas):
             ssm.prefill(arr, cache, scratch=arena)
-        self._prefix_len += int(arr.size)
 
     def advance(self, tokens: Sequence[int]) -> None:
-        """Extend the mirrored verified prefix by newly accepted tokens."""
-        self.prefill(tokens)
+        """Extend the verified prefix by newly accepted tokens.
+
+        Runs no SSM: the tokens are queued, and mirrored by whichever comes
+        first of the next packed level-0 call (:meth:`take_queued`), the
+        next :meth:`speculate`, and the next :meth:`prefill`.
+        """
+        self._queued.extend(int(token) for token in tokens)
+        self._prefix_len += len(tokens)
+
+    def take_queued(self) -> List[int]:
+        """Hand over the queued tokens to a caller that will append them to
+        the cache :meth:`packed_expansion_state` returned, ahead of the
+        root, in its own forward pass."""
+        queued, self._queued = self._queued, []
+        return queued
 
     @property
     def prefix_len(self) -> int:
-        """Number of verified tokens mirrored into the SSM caches."""
+        """Number of verified tokens mirrored into the SSM caches or queued
+        to be."""
         return self._prefix_len
 
     # -- packed (cross-request) expansion seam -----------------------------------------
@@ -109,9 +137,11 @@ class Speculator:
         speculator, else ``None``.
 
         Packed draft scoring (:mod:`repro.speculate.packed`) replays the
-        deterministic expansion of a *single* statically-configured SSM as
+        expansion of a *single* statically-configured SSM as
         level-synchronous tree-parallel decode; merge-based (multi-SSM) and
-        adaptive speculators keep their own loop.
+        adaptive speculators keep their own loop.  The cache returned does
+        not hold the queued tokens yet — the packer owes them a
+        :meth:`take_queued`.
 
         Args:
             plan: Optional per-tick :class:`~repro.speculate.planner.
@@ -136,16 +166,16 @@ class Speculator:
             return config
         return ExpansionConfig(tuple(plan.widths))
 
-    def record_packed_speculation(self, tree: TokenTree) -> None:
-        """Update cost accounting after packed expansion built ``tree``.
+    def record_packed_speculation(self, scored_nodes: int) -> None:
+        """Update cost accounting after packed expansion scored
+        ``scored_nodes`` tree nodes.
 
         Mirrors :meth:`speculate`'s bookkeeping: one SSM decode step per
-        internal node, so the cluster cost model prices a packed tick
-        identically to the per-session loop it replaced.
+        internal node (every scored node gets children), so the cluster
+        cost model prices a packed tick identically to the per-session
+        loop it replaced.
         """
-        self.last_ssm_steps[0] = sum(
-            1 for n in range(len(tree)) if tree.nodes[n].children
-        )
+        self.last_ssm_steps[0] = scored_nodes
 
     # -- speculation ------------------------------------------------------------------
 
@@ -158,8 +188,8 @@ class Speculator:
     ) -> TokenTree:
         """Produce a speculated token tree rooted at ``pending_token``.
 
-        SSM caches are left unchanged (snapshot/restore inside expansion);
-        only :meth:`advance` moves them forward.
+        Tokens :meth:`advance` queued are mirrored first; beyond that the
+        SSM caches are left unchanged (snapshot/restore inside expansion).
 
         Args:
             pending_token: The tree root (last generated token).
@@ -173,6 +203,7 @@ class Speculator:
                 the planner re-sizes speculation tick-to-tick without
                 rebuilding the speculator or disturbing its caches.
         """
+        self.prefill(())
         planned = plan is not None and getattr(plan, "speculative", False)
         plan_budget = int(plan.budget) if planned else None
         trees: List[TokenTree] = []

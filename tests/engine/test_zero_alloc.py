@@ -7,9 +7,11 @@ Three families of guarantees:
   verification backends, greedy and stochastic, multiple seeds (the
   ``out=`` rewrites of the forward pass provably compute the same bits);
 * packed speculation equivalence — scoring every request's draft tree
-  through one batched GEMM per level produces the same trees and the same
-  committed tokens as the per-session SSM loop, with automatic fallback
-  for configurations the packer does not cover;
+  through one batched GEMM per level produces, tick for tick, the same
+  trees, the same recorded proposal distributions and the same committed
+  tokens as the per-session SSM loop, greedy and sampling, with automatic
+  fallback (counted, and explained in a trace event) for configurations
+  the packer does not cover;
 * steady-state allocation freedom (``perf_smoke``) — after warm-up ticks,
   ``DecodePipeline.tick`` performs zero tracked hot-path allocations, the
   property ``benchmarks/ci_gate.py`` gates in CI.
@@ -31,13 +33,16 @@ from repro.model.coupled import CoupledSSM
 from repro.model.sampling import SamplingConfig
 from repro.model.transformer import TransformerLM
 from repro.obs import REGISTRY, reset_observability
+from repro.obs import tracing
+from repro.speculate.adaptive import AdaptiveConfig
 from repro.speculate.expansion import ExpansionConfig
+from repro.speculate.packed import scored_node_bound
 from repro.speculate.speculator import Speculator
 from tests.conftest import make_prompt
 
 
 def _make_states(llm, ssm_factory, greedy, seed, n_requests=3,
-                 max_new_tokens=14):
+                 max_new_tokens=14, prompt_len=4, widths=(1, 2, 1)):
     rng = np.random.default_rng(seed)
     sampling = (SamplingConfig(greedy=True) if greedy
                 else SamplingConfig(temperature=1.0))
@@ -46,9 +51,10 @@ def _make_states(llm, ssm_factory, greedy, seed, n_requests=3,
         config = GenerationConfig(
             max_new_tokens=max_new_tokens, sampling=sampling, seed=seed + r,
         )
-        spec = Speculator([ssm_factory()], ExpansionConfig((1, 2, 1)))
+        spec = Speculator([ssm_factory()], ExpansionConfig(widths))
         states.append(DecodeState(
-            llm, make_prompt(rng, length=4 + r), config, speculator=spec,
+            llm, make_prompt(rng, length=prompt_len + r), config,
+            speculator=spec,
         ))
     return states
 
@@ -94,70 +100,307 @@ class TestScratchOnOffEquivalence:
         assert any(tokens for tokens in with_scratch)
 
 
+def _ssm_factory(llm, ssm_kind):
+    if ssm_kind == "transformer":
+        small = TransformerLM(
+            ModelConfig(vocab_size=64, d_model=16, n_layers=1,
+                        n_heads=2, max_seq_len=96), seed=9,
+        )
+        return lambda: small
+    return lambda: CoupledSSM(llm, alignment=0.9, seed=7, noise_scale=2.0)
+
+
+def _shape_and_proposals(tree):
+    """A tree as the verifier sees it: ``(parent slot, token)`` per node in
+    DFS order over the children lists (node numbering itself differs between
+    the BFS and DFS builders), and each node's recorded SSM distribution."""
+    shape, proposals = [], []
+
+    def walk(idx, parent_slot):
+        node = tree.nodes[idx]
+        slot = len(shape)
+        shape.append((parent_slot, node.token))
+        proposals.append(node.proposals.get(0))
+        for child in node.children:
+            walk(child, slot)
+
+    walk(0, -1)
+    return shape, proposals
+
+
+class _TreeLog(FusedBackend):
+    """A fused backend that keeps every tick's fitted trees."""
+
+    def __init__(self, model):
+        super().__init__(model, rng=np.random.default_rng(0))
+        self.ticks = []
+
+    def verify(self, states, trees):
+        self.ticks.append([_shape_and_proposals(tree) for tree in trees])
+        return super().verify(states, trees)
+
+
+def _drive(llm, states, packed):
+    backend = _TreeLog(llm)
+    pipeline = DecodePipeline(llm, backend=backend, packed_speculation=packed)
+    while any(not s.finished for s in states):
+        pipeline.tick([s for s in states if not s.finished])
+    return [s.tokens for s in states], backend.ticks
+
+
+def _assert_same_ticks(packed_ticks, sequential_ticks):
+    """Tick for tick and request for request: the same tree, token for token
+    and edge for edge, and the same recorded distributions.
+
+    The distributions are compared to 1e-12, not bit for bit: the
+    per-session loop scores one row at a time, which BLAS runs through GEMV,
+    and the packed path scores many, which it runs through GEMM — the two
+    kernels round differently in the last few ulps (about 5e-15 on these
+    logits).  Everything downstream of the distributions is compared
+    exactly.
+    """
+    assert len(packed_ticks) == len(sequential_ticks)
+    for packed_tick, sequential_tick in zip(packed_ticks, sequential_ticks):
+        assert len(packed_tick) == len(sequential_tick)
+        for (shape_a, props_a), (shape_b, props_b) in zip(packed_tick,
+                                                         sequential_tick):
+            assert shape_a == shape_b
+            for a, b in zip(props_a, props_b):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def _fallback_causes(llm, speculator_factory, prompt_len=5,
+                     max_new_tokens=6):
+    """Drive two greedy requests to completion; the set of causes their
+    ``repro.speculate.packed.fallback`` events carry (every fallback is
+    counted *and* says why), and how many requests were packed."""
+    reset_observability()
+    states = [
+        DecodeState(
+            llm, make_prompt(np.random.default_rng(r), length=prompt_len),
+            GenerationConfig(max_new_tokens=max_new_tokens,
+                             sampling=SamplingConfig(greedy=True)),
+            speculator=speculator_factory(),
+        )
+        for r in range(2)
+    ]
+    pipeline = DecodePipeline(llm, backend=FusedBackend(llm))
+    with tracing() as tracer:
+        while any(not s.finished for s in states):
+            pipeline.tick([s for s in states if not s.finished])
+        causes = [record["attrs"]["cause"]
+                  for record in tracer.records()
+                  if record["name"] == "repro.speculate.packed.fallback"]
+    snap = REGISTRY.snapshot()
+    assert (snap["repro.speculate.packed.fallbacks"]["value"]
+            == len(causes) > 0)
+    return set(causes), snap["repro.speculate.packed.requests"]["value"]
+
+
+#: The suite's long-standing shape, and one that branches at every level so
+#: sampled siblings collide (merged duplicates) and path indices matter.
+EQUIVALENCE_WIDTHS = [(1, 2, 1), (2, 2, 2)]
+
+
 class TestPackedSpeculationEquivalence:
     """One batched GEMM per tree level == the per-session SSM loop."""
+
+    def _check(self, llm, ssm_kind, greedy, seed):
+        for widths in EQUIVALENCE_WIDTHS:
+            runs = [
+                _drive(llm, _make_states(llm, _ssm_factory(llm, ssm_kind),
+                                         greedy, seed, widths=widths),
+                       packed)
+                for packed in (True, False)
+            ]
+            (packed_tokens, packed_ticks), (tokens, ticks) = runs
+            assert packed_tokens == tokens
+            assert any(tokens)
+            _assert_same_ticks(packed_ticks, ticks)
 
     @pytest.mark.parametrize("ssm_kind", ["transformer", "coupled"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_greedy_tokens_identical(self, llm, ssm_kind, seed):
-        if ssm_kind == "transformer":
-            small = TransformerLM(
-                ModelConfig(vocab_size=64, d_model=16, n_layers=1,
-                            n_heads=2, max_seq_len=96), seed=9,
-            )
-            ssm_factory = lambda: small
-        else:
-            ssm_factory = lambda: CoupledSSM(llm, alignment=0.9, seed=7,
-                                             noise_scale=2.0)
-        packed = _run(llm, ssm_factory, FusedBackend, True, seed,
-                      packed_speculation=True)
-        sequential = _run(llm, ssm_factory, FusedBackend, True, seed,
-                          packed_speculation=False)
-        assert packed == sequential
+        self._check(llm, ssm_kind, True, seed)
 
-    def test_packed_path_actually_runs_greedy(self, llm):
+    @pytest.mark.parametrize("ssm_kind", ["transformer", "coupled"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stochastic_trees_and_tokens_identical(self, llm, ssm_kind,
+                                                   seed):
+        self._check(llm, ssm_kind, False, seed)
+
+    def test_sampled_siblings_do_merge(self, llm):
+        """The (2, 2, 2) runs above exercise duplicate draws, not just
+        branching: some sampled tree is smaller than the full shape."""
+        states = _make_states(llm, _ssm_factory(llm, "coupled"), False, 0,
+                              widths=(2, 2, 2))
+        _, ticks = _drive(llm, states, packed=True)
+        sizes = {len(shape) for tick in ticks for shape, _ in tick}
+        assert min(sizes) < 1 + 2 + 4 + 8
+
+    def _assert_packed_only(self, llm, greedy):
         reset_observability()
-        ssm_factory = lambda: CoupledSSM(llm, alignment=0.9, seed=7,
-                                         noise_scale=2.0)
-        _run(llm, ssm_factory, FusedBackend, True, 0,
+        _run(llm, _ssm_factory(llm, "coupled"), FusedBackend, greedy, 0,
              packed_speculation=True)
         snap = REGISTRY.snapshot()
         assert snap["repro.speculate.packed.requests"]["value"] > 0
         assert snap["repro.speculate.packed.levels"]["value"] > 0
         assert snap["repro.speculate.packed.fallbacks"]["value"] == 0
 
-    def test_stochastic_falls_back_to_per_session_loop(self, llm):
-        reset_observability()
-        ssm_factory = lambda: CoupledSSM(llm, alignment=0.9, seed=7,
-                                         noise_scale=2.0)
-        _run(llm, ssm_factory, FusedBackend, False, 0,
-             packed_speculation=True)
-        snap = REGISTRY.snapshot()
-        assert snap["repro.speculate.packed.requests"]["value"] == 0
-        assert snap["repro.speculate.packed.fallbacks"]["value"] > 0
+    def test_packed_path_actually_runs_greedy(self, llm):
+        self._assert_packed_only(llm, greedy=True)
+
+    def test_packed_path_actually_runs_stochastic(self, llm):
+        self._assert_packed_only(llm, greedy=False)
 
     def test_merge_based_speculator_falls_back(self, llm):
         """Multi-SSM (merge-based) speculators keep the per-session loop."""
-        reset_observability()
-        states = []
-        for r in range(2):
-            spec = Speculator(
-                [CoupledSSM(llm, alignment=0.9, seed=s, noise_scale=2.0)
-                 for s in (7, 8)],
-                ExpansionConfig((1, 2)),
+        causes, packed = _fallback_causes(llm, lambda: Speculator(
+            [CoupledSSM(llm, alignment=0.9, seed=s, noise_scale=2.0)
+             for s in (7, 8)],
+            ExpansionConfig((1, 2)),
+        ))
+        assert causes == {"multi_ssm"} and packed == 0
+
+    @pytest.mark.parametrize("greedy", [True, False],
+                             ids=["greedy", "stochastic"])
+    def test_tokens_do_not_depend_on_neighbours(self, llm, greedy):
+        """A request's tree is a function of its own stream: the same
+        request alone, and in a batch whose other members join late and
+        leave early, commits the same tokens.  (Per-request verification,
+        so the verifier draws from the request's stream too.)"""
+        def request(seed, prompt_len, max_new_tokens):
+            sampling = (SamplingConfig(greedy=True) if greedy
+                        else SamplingConfig(temperature=1.0))
+            return DecodeState(
+                llm, make_prompt(np.random.default_rng(seed),
+                                 length=prompt_len),
+                GenerationConfig(max_new_tokens=max_new_tokens,
+                                 sampling=sampling, seed=seed),
+                speculator=Speculator(
+                    [CoupledSSM(llm, alignment=0.9, seed=7,
+                                noise_scale=2.0)],
+                    ExpansionConfig((2, 2, 2))),
             )
-            states.append(DecodeState(
-                llm, make_prompt(np.random.default_rng(r), length=5),
-                GenerationConfig(max_new_tokens=6,
-                                 sampling=SamplingConfig(greedy=True)),
-                speculator=spec,
-            ))
-        pipeline = DecodePipeline(llm, backend=FusedBackend(llm))
-        while any(not s.finished for s in states):
-            pipeline.tick([s for s in states if not s.finished])
+
+        alone = request(11, 5, 24)
+        DecodePipeline(llm).run_to_completion(alone)
+
+        subject = request(11, 5, 24)
+        early, late = request(12, 7, 6), request(13, 4, 30)
+        pipeline = DecodePipeline(llm)
+        tick = 0
+        while not subject.finished:
+            batch = [early, subject] if tick < 2 else [late, early, subject]
+            pipeline.tick([s for s in batch if not s.finished])
+            tick += 1
+        assert early.finished and tick > 4
+        assert subject.tokens == alone.tokens
+
+    @pytest.mark.parametrize("greedy", [True, False],
+                             ids=["greedy", "stochastic"])
+    def test_request_crossing_the_capacity_fallback(self, llm, greedy):
+        """Near end-of-context a request leaves the packed path for the
+        per-session loop mid-generation; its trees and tokens are the ones
+        the per-session loop alone would have produced, because both read
+        the same uniform block the same way."""
+        def states():
+            return _make_states(llm, _ssm_factory(llm, "coupled"), greedy, 3,
+                                n_requests=2, max_new_tokens=60,
+                                prompt_len=50, widths=(2, 2, 2))
+
+        reset_observability()
+        packed_tokens, packed_ticks = _drive(llm, states(), packed=True)
         snap = REGISTRY.snapshot()
-        assert snap["repro.speculate.packed.requests"]["value"] == 0
+        assert snap["repro.speculate.packed.requests"]["value"] > 0
         assert snap["repro.speculate.packed.fallbacks"]["value"] > 0
+        tokens, ticks = _drive(llm, states(), packed=False)
+        assert packed_tokens == tokens
+        _assert_same_ticks(packed_ticks, ticks)
+
+
+class _DuckSSM:
+    """The SSM protocol over a transformer, without being one."""
+
+    def __init__(self, model):
+        self._model = model
+        self.config = model.config
+        self.new_cache = model.new_cache
+        self.prefill = model.prefill
+        self.decode = model.decode
+
+
+class TestPackedFallbackCauses:
+    """The other causes (``multi_ssm`` is
+    ``test_merge_based_speculator_falls_back`` above)."""
+
+    def test_adaptive_speculator(self, llm):
+        causes, packed = _fallback_causes(llm, lambda: Speculator(
+            [CoupledSSM(llm, alignment=0.9, seed=7, noise_scale=2.0)],
+            adaptive=AdaptiveConfig(max_tokens=4, max_depth=3),
+        ))
+        assert causes == {"adaptive"} and packed == 0
+
+    def test_unknown_model_type(self, llm):
+        causes, packed = _fallback_causes(llm, lambda: Speculator(
+            [_DuckSSM(llm)], ExpansionConfig((1, 2))))
+        assert causes == {"model_type"} and packed == 0
+
+    def test_near_capacity(self, llm):
+        # 90 of 96 positions are prompt: the (1, 2) tree's three scored
+        # rows fit for a tick or two, then only the per-branch check does.
+        causes, packed = _fallback_causes(
+            llm, lambda: Speculator(
+                [CoupledSSM(llm, alignment=0.9, seed=7, noise_scale=2.0)],
+                ExpansionConfig((1, 2))),
+            prompt_len=90, max_new_tokens=12)
+        assert causes == {"capacity"} and packed > 0
+
+
+@pytest.mark.perf_smoke
+class TestOneDraftForwardPerLevel:
+    """A tick drafts the whole batch in ``depth`` SSM forwards, greedy or
+    sampling, and runs the SSM nowhere else — so a regression to
+    per-request drafting, or to a mirror prefill of its own, fails tier-1
+    and not only the benchmark."""
+
+    BATCH = 8
+    TICKS = 6
+
+    @pytest.mark.parametrize("greedy", [True, False],
+                             ids=["greedy", "stochastic"])
+    def test_ssm_forwards_per_tick_equal_tree_depth(self, llm, greedy):
+        config = ExpansionConfig.paper_default()
+        ssm = TransformerLM(
+            ModelConfig(vocab_size=64, d_model=16, n_layers=1, n_heads=2,
+                        max_seq_len=96), seed=9)
+        states = _make_states(llm, lambda: ssm, greedy, 0,
+                              n_requests=self.BATCH, max_new_tokens=90,
+                              widths=config.widths)
+        calls = {"forward_masked_blocks": 0, "decode": 0, "prefill": 0}
+        for name in calls:
+            def counted(*args, _name=name, _method=getattr(ssm, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _method(*args, **kwargs)
+            setattr(ssm, name, counted)
+
+        pipeline = DecodePipeline(llm, backend=FusedBackend(llm))
+        for _ in range(self.TICKS):
+            # Steady state: nobody finishing, nobody near end-of-context.
+            assert all(
+                not s.finished
+                and s.speculator.prefix_len + scored_node_bound(config)
+                <= ssm.config.max_seq_len
+                for s in states
+            )
+            before = dict(calls)
+            pipeline.tick(states)
+            assert (calls["forward_masked_blocks"]
+                    - before["forward_masked_blocks"]) == config.depth
+            assert calls["decode"] == calls["prefill"] == 0
 
 
 @pytest.mark.perf_smoke

@@ -10,6 +10,7 @@ from repro.model.sampling import (
     distribution_from_logits,
     entropy,
     greedy_token,
+    inverse_cdf_tokens,
     sample_from_probs,
     sample_token,
     softmax,
@@ -134,6 +135,53 @@ class TestSampling:
         probs = np.array([0.6, 0.4])
         assert top_k_tokens(probs, 0).size == 0
         np.testing.assert_array_equal(top_k_tokens(probs, 5), [0, 1])
+
+
+class TestRowWiseHelpers:
+    """One call over a tree level's rows == one call per row, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("rows,vocab", [(1, 64), (8, 256), (24, 1000)])
+    def test_top_k_tokens_stacked_equals_per_row(self, rows, vocab, k):
+        probs = np.random.default_rng(rows + k).dirichlet(
+            np.ones(vocab), size=rows)
+        stacked = top_k_tokens(probs, k)
+        assert stacked.shape == (rows, k)
+        for row in range(rows):
+            np.testing.assert_array_equal(stacked[row],
+                                          top_k_tokens(probs[row], k))
+            np.testing.assert_array_equal(
+                stacked[row], np.argsort(probs[row])[::-1][:k])
+        assert top_k_tokens(probs, 0).shape == (rows, 0)
+
+    @pytest.mark.parametrize("vocab", [2, 64, 1000])
+    def test_inverse_cdf_reproduces_generator_choice(self, vocab):
+        """Same uniforms in, ``Generator.choice(p=...)``'s tokens out."""
+        drawer = np.random.default_rng(vocab)
+        for trial in range(50):
+            probs = drawer.dirichlet(np.full(vocab, 0.3))
+            size = 1 + trial % 4
+            chosen = np.random.default_rng(trial).choice(
+                vocab, size=size, p=probs)
+            uniforms = np.random.default_rng(trial).random(size)
+            np.testing.assert_array_equal(
+                inverse_cdf_tokens(probs, uniforms), chosen)
+
+    def test_inverse_cdf_stacked_equals_per_row(self):
+        drawer = np.random.default_rng(3)
+        probs = drawer.dirichlet(np.full(256, 0.3), size=24)
+        uniforms = drawer.random((24, 3))
+        stacked = inverse_cdf_tokens(probs, uniforms)
+        assert stacked.shape == (24, 3)
+        for row in range(24):
+            np.testing.assert_array_equal(
+                stacked[row], inverse_cdf_tokens(probs[row], uniforms[row]))
+
+    def test_inverse_cdf_never_picks_a_zero_mass_token(self):
+        probs = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
+        uniforms = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
+        np.testing.assert_array_equal(
+            inverse_cdf_tokens(probs, uniforms), [1, 1, 3, 3, 3])
 
 
 class TestEntropy:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.model.sampling import inverse_cdf_tokens
 from repro.speculate.expansion import ExpansionConfig, expand_token_tree
 from tests.conftest import make_prompt
 
@@ -48,6 +49,22 @@ class TestExpansionConfig:
             frontier *= k
             total += frontier
         assert config.max_tree_tokens() == total
+
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_level_offsets_tile_the_uniform_block(self, widths):
+        """Level ``d`` owns one uniform per candidate the full tree could
+        hold there, and the levels partition ``max_tree_tokens()``."""
+        config = ExpansionConfig(tuple(widths))
+        offsets = config.level_offsets()
+        assert offsets[0] == 0
+        frontier = 1
+        for level, k in enumerate(widths):
+            frontier *= k
+            end = (offsets[level + 1] if level + 1 < len(widths)
+                   else config.max_tree_tokens())
+            assert end - offsets[level] == frontier
 
 
 class TestExpandTokenTree:
@@ -119,3 +136,53 @@ class TestExpandTokenTree:
                                  ExpansionConfig((2, 1)))
         tree.validate()
         assert len(tree) == 5  # root + 2 + 2
+
+
+class TestStochasticDraws:
+    """A sampled tree is a function of (stream, config), not of visiting
+    order (the packed level-by-level builder is checked against this loop
+    in ``tests/engine/test_zero_alloc.py``)."""
+
+    CONFIG = ExpansionConfig((2, 2, 2))
+
+    def _tree(self, ssm, prompt, rng, **kwargs):
+        cache = ssm.new_cache()
+        ssm.prefill(prompt[:-1], cache)
+        return expand_token_tree(ssm, int(prompt[-1]), cache, self.CONFIG,
+                                 stochastic=True, rng=rng, **kwargs)
+
+    @pytest.mark.parametrize("max_tokens", [None, 0, 3])
+    def test_a_call_takes_one_block_sized_by_the_config(self, ssm, rng,
+                                                        max_tokens):
+        """Merged duplicates, budgets and capacity stops shrink the tree,
+        never the draw: the stream ends where the next call expects it."""
+        prompt = make_prompt(rng, length=5)
+        used, fresh = (np.random.default_rng(4) for _ in range(2))
+        self._tree(ssm, prompt, used, max_tokens=max_tokens)
+        fresh.random(self.CONFIG.max_tree_tokens())
+        assert used.random() == fresh.random()
+
+    def test_children_are_inverse_cdf_draws_of_the_recorded_proposal(
+            self, ssm, rng):
+        prompt = make_prompt(rng, length=5)
+        tree = self._tree(ssm, prompt, np.random.default_rng(8))
+        uniforms = np.random.default_rng(8).random(
+            self.CONFIG.max_tree_tokens())
+        offsets = self.CONFIG.level_offsets()
+
+        def check(node, level, path):
+            if not tree.nodes[node].children:
+                return
+            width = self.CONFIG.widths[level]
+            lo = offsets[level] + path * width
+            drawn = inverse_cdf_tokens(tree.nodes[node].proposals[0],
+                                       uniforms[lo : lo + width]).tolist()
+            children = tree.nodes[node].children
+            # Children in first-draw order; a repeat merges into the first.
+            assert ([tree.nodes[c].token for c in children]
+                    == list(dict.fromkeys(drawn)))
+            for child in children:
+                rank = drawn.index(tree.nodes[child].token)
+                check(child, level + 1, path * width + rank)
+
+        check(0, 0, 0)

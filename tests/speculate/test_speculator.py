@@ -9,6 +9,18 @@ from repro.speculate.speculator import Speculator
 from tests.conftest import make_prompt
 
 
+class _CountingSSM(CoupledSSM):
+    """Records the length of every prefill it is asked for."""
+
+    def __init__(self, base):
+        super().__init__(base, alignment=0.9, seed=7, noise_scale=2.0)
+        self.prefills = []
+
+    def prefill(self, tokens, cache, scratch=None):
+        self.prefills.append(len(tokens))
+        return super().prefill(tokens, cache, scratch=scratch)
+
+
 class TestConstruction:
     def test_needs_at_least_one_ssm(self):
         with pytest.raises(ValueError):
@@ -39,8 +51,51 @@ class TestSingleSsm:
     def test_reset_clears_state(self, ssm, rng):
         spec = Speculator([ssm], ExpansionConfig((2,)))
         spec.prefill(make_prompt(rng, length=5))
+        spec.advance([3, 4])
         spec.reset()
         assert spec.prefix_len == 0
+        assert spec.take_queued() == []
+
+    def test_advance_queues_and_runs_no_ssm(self, llm, rng):
+        """The mirror prefill happens in the next forward that needs the
+        cache anyway, never in ``advance`` itself."""
+        ssm = _CountingSSM(llm)
+        spec = Speculator([ssm], ExpansionConfig((2, 1)))
+        prompt = make_prompt(rng, length=5)
+        spec.prefill(prompt[:-1])
+        assert ssm.prefills == [4]
+        spec.advance([int(prompt[-1]), 3])
+        spec.advance([9])
+        assert ssm.prefills == [4]
+        assert spec.prefix_len == len(prompt) + 2
+        # speculate() flushes everything queued in one prefill ...
+        tree = spec.speculate(7)
+        assert ssm.prefills == [4, 3]
+        # ... and the tree is the one an eager mirror would have produced.
+        eager = Speculator([_CountingSSM(llm)], ExpansionConfig((2, 1)))
+        eager.prefill(list(prompt) + [3, 9])
+        assert tree.sequences() == eager.speculate(7).sequences()
+        spec.speculate(7)
+        assert ssm.prefills == [4, 3]
+
+    def test_prefill_mirrors_queued_tokens_first(self, llm, rng):
+        ssm = _CountingSSM(llm)
+        spec = Speculator([ssm], ExpansionConfig((2,)))
+        spec.advance([5, 6])
+        spec.prefill([7])
+        assert ssm.prefills == [3]
+        assert spec.prefix_len == 3
+        eager = Speculator([_CountingSSM(llm)], ExpansionConfig((2,)))
+        eager.prefill([5, 6, 7])
+        assert (spec.speculate(8).sequences()
+                == eager.speculate(8).sequences())
+
+    def test_take_queued_hands_the_tokens_over_once(self, ssm):
+        spec = Speculator([ssm], ExpansionConfig((2,)))
+        spec.advance([5, 6])
+        assert spec.take_queued() == [5, 6]
+        assert spec.take_queued() == []
+        assert spec.prefix_len == 2
 
     def test_speculation_depends_on_context(self, ssm, rng):
         """Different mirrored prefixes produce different trees."""
