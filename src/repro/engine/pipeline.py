@@ -50,6 +50,7 @@ from repro.engine.generation import (
 )
 from repro.model import perf
 from repro.model.sampling import SamplingConfig, sample_token
+from repro.model.scratch import ScratchArena
 from repro.model.transformer import TransformerLM
 from repro.obs import DEFAULT_COUNT_BUCKETS, REGISTRY, TRACER
 from repro.speculate.packed import PackedSpeculator
@@ -453,26 +454,36 @@ class FusedBackend(VerificationBackend):
 
 
 class IncrementalBackend(VerificationBackend):
-    """Algorithm 1 as the degenerate one-node tree.
+    """Algorithm 1 as the degenerate one-node tree, one forward per batch.
 
-    The speculate phase hands this backend a bare root (the pending token);
-    verification is a single ``model.decode`` of that root — committing its
-    KV row — followed by one sample, which plays the bonus-token role.
-    Incremental decoding thereby stops being a parallel code path: it is
-    the tree pipeline with tree size one and nothing to reject.
+    The speculate phase hands this backend a bare root per state (the
+    pending token); verification is a single
+    :meth:`~repro.model.transformer.TransformerLM.decode_batch` of all the
+    roots — one row per request, each against its own cache, committing its
+    KV row — followed by one sample per state from that state's own RNG,
+    which plays the bonus-token role.  Incremental decoding thereby stops
+    being a parallel code path: it is the tree pipeline with tree size one
+    and nothing to reject, batched at iteration level like any other tick.
     """
 
     def __init__(self, model: TransformerLM):
         self.model = model
+        self._arena = ScratchArena()
 
     def verify(self, states: Sequence[DecodeState],
                trees: Sequence[TokenTree]) -> List[VerificationResult]:
         _observe_verify("incremental", trees)
         with TRACER.span("repro.verify.incremental", requests=len(trees)):
+            tokens = self._arena.take("decode.tokens", (len(trees),), np.intp)
+            for i, tree in enumerate(trees):
+                tokens[i] = tree.root.token
+            logits = self.model.decode_batch(
+                tokens, [state.cache for state in states],
+                scratch=self._arena,
+            )
             results: List[VerificationResult] = []
-            for state, tree in zip(states, trees):
-                logits = self.model.decode(tree.root.token, state.cache)
-                token = int(sample_token(logits, state.sampling, state.rng))
+            for state, row in zip(states, logits):
+                token = int(sample_token(row, state.sampling, state.rng))
                 results.append(
                     VerificationResult(
                         accepted_tokens=[token],
@@ -583,7 +594,10 @@ class DecodePipeline:
         self.packed = PackedSpeculator() if packed_speculation else None
         self.planner = planner
         self.router = router
-        self._fallback_backend = IncrementalBackend(model)
+        self._fallback_backend = (
+            self.backend if isinstance(self.backend, IncrementalBackend)
+            else IncrementalBackend(model)
+        )
         self._fallback_remaining = 0
         self._tick_plan = None
         self._ticks = 0

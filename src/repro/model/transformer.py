@@ -65,7 +65,7 @@ class TransformerLM:
         )
         # Reusable all-zero mask for incremental decode steps (a single new
         # token sees the whole prefix, so the mask is always zeros); sliced
-        # per step instead of allocated per step.
+        # per step and per request instead of allocated.
         self._decode_mask = np.zeros((1, config.max_seq_len),
                                      dtype=config.dtype)
 
@@ -304,18 +304,35 @@ class TransformerLM:
         return self.forward_masked(tokens, positions, mask, cache,
                                    scratch=scratch)
 
+    @tensor_contract(tokens={"ndim": 1})
+    def decode_batch(self, tokens: np.ndarray, caches: Sequence,
+                     scratch: Optional[ScratchArena] = None) -> np.ndarray:
+        """One incremental decoding step for each of several requests.
+
+        ``tokens[b]`` is appended to ``caches[b]`` at position
+        ``caches[b].length``; every request advances in the one forward
+        pass (iteration-level batching).  Returns ``(len(caches), vocab)``
+        logits in batch order.  ``scratch`` stages the positions and the
+        forward's buffers; the arena-lifecycle caveats of
+        :meth:`forward_masked_blocks` apply.
+        """
+        priors = [cache.length for cache in caches]
+        if scratch is not None:
+            positions = scratch.take("decode.positions", (len(priors),),
+                                     np.intp)
+            positions[:] = priors
+        else:
+            positions = np.array(priors, dtype=np.intp)
+        # A single new token sees every prior position: each request's mask
+        # is all zeros, so slices of the preallocated buffer serve every
+        # step.
+        masks = [self._decode_mask[:, : prior + 1] for prior in priors]
+        return self.forward_masked_blocks(tokens, positions, masks, caches,
+                                          priors=priors, scratch=scratch)
+
     def decode(self, token: int, cache: KVCache) -> np.ndarray:
         """One incremental decoding step; returns ``(vocab,)`` logits."""
-        prior = cache.length
-        # The single new token sees every prior position: the mask is all
-        # zeros, so a slice of the preallocated buffer serves every step.
-        mask = self._decode_mask[:, : prior + 1]
-        logits = self.forward_masked(
-            np.array([token], dtype=np.intp),
-            np.array([prior], dtype=np.intp),
-            mask, cache,
-        )
-        return logits[0]
+        return self.decode_batch(np.array([token], dtype=np.intp), [cache])[0]
 
     def next_distribution(
         self, token: int, cache: KVCache, temperature: float = 1.0

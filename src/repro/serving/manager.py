@@ -10,8 +10,11 @@ requests stop consuming slots immediately.
 One manager serves every execution mode, parameterized by verification
 backend:
 
-* ``backend=None`` (default): per-request serving — each session advances
-  through its own single-lane pipeline (one verification pass per request).
+* ``backend=None`` (default): per-request serving.  Sessions with no
+  speculator (Algorithm 1) are ticked together through one manager-owned
+  incremental pipeline — one LLM forward per iteration for all of them,
+  one row per request — and each speculative session advances through its
+  own single-lane pipeline (one verification pass per request).
 * ``backend=FusedBackend(...)``: fused serving — every running session's
   token tree is verified in one batched pass per iteration (Figure 6's
   workflow); :class:`~repro.serving.batched_manager.BatchedRequestManager`
@@ -41,7 +44,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.generation import GenerationConfig
-from repro.engine.pipeline import DecodePipeline, VerificationBackend
+from repro.engine.pipeline import (
+    DecodePipeline,
+    IncrementalBackend,
+    TickOutcome,
+    VerificationBackend,
+)
 from repro.faults import FaultError, FaultInjector, FaultKind
 from repro.obs import DEFAULT_COUNT_BUCKETS, REGISTRY, TRACER
 from repro.serving.request import Request, RequestOutput, RequestState
@@ -152,9 +160,12 @@ class RequestManager:
             head-of-line blocking) and retried once memory frees up.
         kv_headroom: Extra KV tokens reserved per request for transient
             tree-verification rows (section 5.3's memory overhead).
-        backend: Optional :class:`VerificationBackend`.  ``None`` steps each
-            session through its own pipeline; a backend verifies the whole
-            batch per iteration through one shared pipeline (and requires
+        backend: Optional :class:`VerificationBackend`.  ``None`` ticks the
+            incremental sessions of an iteration through one shared
+            :class:`~repro.engine.pipeline.IncrementalBackend` pipeline
+            (created on first use) and steps each speculative session
+            through its own; a backend verifies the whole batch per
+            iteration through one shared pipeline (and requires
             :class:`SpeculativeSession` sessions).
         injector: Optional :class:`~repro.faults.FaultInjector` driving the
             failure paths (chaos testing); ``None`` disables injection at
@@ -172,12 +183,13 @@ class RequestManager:
             ``backend`` (per-request serving runs one pipeline per session,
             so there is no batch-wide tick to plan).
         router: Optional :class:`~repro.speculate.router.SpeculatorRouter`
-            closing the routing feedback loop: each admitted session's
-            pipeline (the shared one under a fused ``backend``, otherwise
-            the session's own, armed at admission) reports per-request
-            acceptance back after every verify.  Pair it with a routed
-            session factory (:func:`~repro.serving.session.make_routed_factory`)
-            so assignments are pinned at admit; preempted requests re-route
+            closing the routing feedback loop: each admitted speculative
+            session's pipeline (the shared one under a fused ``backend``,
+            otherwise the session's own, armed at admission) reports
+            per-request acceptance back after every verify.  Pair it with a
+            routed session factory
+            (:func:`~repro.serving.session.make_routed_factory`) so
+            assignments are pinned at admit; preempted requests re-route
             sticky through the same factory.
     """
 
@@ -220,6 +232,9 @@ class RequestManager:
         self.fallback_cooldown = fallback_cooldown
         self.planner = planner
         self.router = router
+        #: The pipeline whose tick serves a whole batch: the fused one, or —
+        #: without a backend — the incremental one ``_tick`` creates on
+        #: first use (a speculative-only manager never needs it).
         self._pipeline = (
             DecodePipeline(backend.model, backend, injector=injector,
                            fallback_cooldown=fallback_cooldown,
@@ -330,12 +345,8 @@ class RequestManager:
         if self.injector is not None:
             self._apply_kv_pressure()
         batch_size = len(self._running)
-        if self.backend is None:
-            tokens_emitted, llm_tokens, finished_ids, emissions = \
-                self._advance_each(only)
-        else:
-            tokens_emitted, llm_tokens, finished_ids, emissions = \
-                self._advance_fused(only)
+        tokens_emitted, llm_tokens, finished_ids, emissions = \
+            self._advance(only)
         for request_id in finished_ids:
             self._retire(request_id)
         stats = IterationStats(
@@ -397,64 +408,67 @@ class RequestManager:
             ready.append(request_id)
         return ready
 
-    def _advance_each(
+    def _advance(
         self, only: Optional[Sequence[int]] = None,
     ) -> Tuple[int, int, List[int], Dict[int, List[int]]]:
-        """Per-request serving: each session steps through its own pipeline."""
+        """Advance every schedulable session by one LLM iteration."""
+        scheduled = self._schedulable(only)
+        sessions = [self._tracked[rid].session for rid in scheduled]
         tokens_emitted = 0
         llm_tokens = 0
         finished_ids: List[int] = []
         emissions: Dict[int, List[int]] = {}
-        for request_id in self._schedulable(only):
+        for request_id, session, outcome in zip(scheduled, sessions,
+                                                self._tick(sessions)):
             tracked = self._tracked[request_id]
-            session = tracked.session
-            steps_before = len(session.steps)
-            emitted = session.step()
             tracked.retry_streak = 0
-            tokens_emitted += len(emitted)
-            if len(session.steps) > steps_before:
+            tokens_emitted += len(outcome.emitted)
+            if outcome.advanced:
                 # Only count steps that actually ran: a retiring session
                 # emits nothing and records no trace, and re-reading the
                 # previous trace would double-count its scored tokens.
                 llm_tokens += session.steps[-1].llm_tokens_scored
-            if emitted:
-                emissions[request_id] = list(emitted)
-            self._note_emission(tracked, emitted)
+            if outcome.emitted:
+                emissions[request_id] = list(outcome.emitted)
+            self._note_emission(tracked, outcome.emitted)
             if session.finished:
                 finished_ids.append(request_id)
         return tokens_emitted, llm_tokens, finished_ids, emissions
 
-    def _advance_fused(
-        self, only: Optional[Sequence[int]] = None,
-    ) -> Tuple[int, int, List[int], Dict[int, List[int]]]:
-        """Batched serving: one pipeline tick verifies every session's tree
-        through the shared backend."""
-        scheduled = self._schedulable(only)
-        sessions: List[DecodeSession] = []
-        for request_id in scheduled:
-            session = self._tracked[request_id].session
-            if not isinstance(session, SpeculativeSession):
-                raise TypeError(
-                    "batched verification requires SpeculativeSession "
-                    f"sessions; got {type(session).__name__}"
+    def _tick(self, sessions: List[DecodeSession]) -> List[TickOutcome]:
+        """One pipeline tick per session, as few LLM passes as the mode
+        allows; outcomes in ``sessions`` order.
+
+        A fused ``backend`` verifies every session's tree in one tick of
+        the shared pipeline.  Without one, the sessions that have no
+        speculator (Algorithm 1) are ticked together through one
+        manager-owned incremental pipeline — one LLM forward for all of
+        them — and each speculative session steps through its own.
+        """
+        if self.backend is not None:
+            for session in sessions:
+                if not isinstance(session, SpeculativeSession):
+                    raise TypeError(
+                        "batched verification requires SpeculativeSession "
+                        f"sessions; got {type(session).__name__}"
+                    )
+            return self._pipeline.tick([s.state for s in sessions])
+        outcomes: List[Optional[TickOutcome]] = [
+            session.tick() if session.speculator is not None else None
+            for session in sessions
+        ]
+        batch = [i for i, outcome in enumerate(outcomes) if outcome is None]
+        if batch:
+            if self._pipeline is None:
+                model = sessions[batch[0]].model
+                self._pipeline = DecodePipeline(
+                    model, IncrementalBackend(model), injector=self.injector,
+                    fallback_cooldown=self.fallback_cooldown,
                 )
-            sessions.append(session)
-        outcomes = self._pipeline.tick([s.state for s in sessions])
-        tokens_emitted = 0
-        llm_tokens = 0
-        finished_ids: List[int] = []
-        emissions: Dict[int, List[int]] = {}
-        for request_id, session, outcome in zip(scheduled, sessions, outcomes):
-            self._tracked[request_id].retry_streak = 0
-            tokens_emitted += len(outcome.emitted)
-            if outcome.advanced:
-                llm_tokens += session.steps[-1].llm_tokens_scored
-            if outcome.emitted:
-                emissions[request_id] = list(outcome.emitted)
-            self._note_emission(self._tracked[request_id], outcome.emitted)
-            if session.finished:
-                finished_ids.append(request_id)
-        return tokens_emitted, llm_tokens, finished_ids, emissions
+            for i, outcome in zip(batch, self._pipeline.tick(
+                    [sessions[i].state for i in batch])):
+                outcomes[i] = outcome
+        return outcomes
 
     def _note_emission(self, tracked: _Tracked, emitted: List[int]) -> None:
         if emitted and tracked.output.first_token_iteration is None:
@@ -701,7 +715,8 @@ class RequestManager:
             self._running.append(request_id)
             if self.injector is not None and self.backend is None:
                 # Per-request serving: arm each session's standalone
-                # pipeline (fused serving arms the one shared pipeline).
+                # pipeline (fused serving arms the one shared pipeline, and
+                # so does the incremental batch — see ``_tick``).
                 session.attach_injector(self.injector,
                                         self.fallback_cooldown)
             if self.router is not None and self.backend is None:

@@ -3,10 +3,13 @@
 A session binds one :class:`~repro.serving.request.Request` to a
 :class:`~repro.engine.pipeline.DecodeState` and a single-lane
 :class:`~repro.engine.pipeline.DecodePipeline`; ``step()`` is one pipeline
-tick.  The request managers interleave sessions at iteration granularity
-(continuous batching) — either by stepping each session through its own
-pipeline (per-request serving) or by ticking every session's state through
-one shared pipeline with a fused backend (see
+tick — a batch of one.  The request managers interleave sessions at
+iteration granularity (continuous batching) by ticking session *states*
+through a pipeline the manager owns wherever one LLM pass can serve the
+batch — every incremental session of an iteration through one
+``IncrementalBackend`` pipeline, every session through one fused backend
+when the manager has one — and by stepping each speculative session
+through its own pipeline otherwise (per-request serving; see
 :class:`~repro.serving.manager.RequestManager`).
 """
 
@@ -21,6 +24,7 @@ from repro.engine.pipeline import (
     DecodeState,
     IncrementalBackend,
     PerRequestBackend,
+    TickOutcome,
     VerificationBackend,
 )
 from repro.model.transformer import TransformerLM
@@ -89,9 +93,14 @@ class DecodeSession(ABC):
     def speculator(self):
         return self.state.speculator
 
+    def tick(self) -> TickOutcome:
+        """One LLM decoding iteration through this session's own pipeline
+        (a batch of one)."""
+        return self._pipeline.tick([self.state])[0]
+
     def step(self) -> List[int]:
         """One LLM decoding iteration; returns emitted tokens."""
-        return self._pipeline.tick([self.state])[0].emitted
+        return self.tick().emitted
 
     def attach_injector(self, injector,
                         fallback_cooldown: Optional[int] = None) -> None:

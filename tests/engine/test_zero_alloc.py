@@ -1,6 +1,6 @@
 """The zero-allocation decode hot path is an *optimization*, not a fork.
 
-Three families of guarantees:
+Four families of guarantees:
 
 * scratch on/off bit-equivalence — committed tokens are identical with
   scratch-arena buffer reuse enabled and disabled, across all three
@@ -14,7 +14,10 @@ Three families of guarantees:
   the packer does not cover;
 * steady-state allocation freedom (``perf_smoke``) — after warm-up ticks,
   ``DecodePipeline.tick`` performs zero tracked hot-path allocations, the
-  property ``benchmarks/ci_gate.py`` gates in CI.
+  property ``benchmarks/ci_gate.py`` gates in CI;
+* call counts (``perf_smoke``) — a tick drafts the batch in ``depth`` SSM
+  forwards, and an incremental tick (served as such, fault-degraded, or
+  planned with budget 0) is one LLM forward for the whole batch.
 """
 
 import numpy as np
@@ -27,18 +30,24 @@ from repro.engine.pipeline import (
     FusedBackend,
     PerRequestBackend,
 )
+from repro.faults import FaultKind
 from repro.model import perf
+from repro.model.arena import BatchArena
 from repro.model.config import ModelConfig
 from repro.model.coupled import CoupledSSM
 from repro.model.sampling import SamplingConfig
 from repro.model.transformer import TransformerLM
 from repro.obs import REGISTRY, reset_observability
 from repro.obs import tracing
+from repro.serving.manager import RequestManager
 from repro.speculate.adaptive import AdaptiveConfig
 from repro.speculate.expansion import ExpansionConfig
 from repro.speculate.packed import scored_node_bound
 from repro.speculate.speculator import Speculator
 from tests.conftest import make_prompt
+from tests.engine.test_pipeline_planner import StubPlanner
+from tests.serving.test_fault_tolerance import ScriptedInjector
+from tests.serving.test_manager import incremental_factory
 
 
 def _make_states(llm, ssm_factory, greedy, seed, n_requests=3,
@@ -359,6 +368,19 @@ class TestPackedFallbackCauses:
         assert causes == {"capacity"} and packed > 0
 
 
+def _count_calls(monkeypatch, model, names):
+    """Count calls of ``names`` on this model *instance* (restored by
+    ``monkeypatch``: the fixture models are shared)."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _method=getattr(model, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(model, name, counted)
+    return calls
+
+
 @pytest.mark.perf_smoke
 class TestOneDraftForwardPerLevel:
     """A tick drafts the whole batch in ``depth`` SSM forwards, greedy or
@@ -371,7 +393,8 @@ class TestOneDraftForwardPerLevel:
 
     @pytest.mark.parametrize("greedy", [True, False],
                              ids=["greedy", "stochastic"])
-    def test_ssm_forwards_per_tick_equal_tree_depth(self, llm, greedy):
+    def test_ssm_forwards_per_tick_equal_tree_depth(self, llm, greedy,
+                                                    monkeypatch):
         config = ExpansionConfig.paper_default()
         ssm = TransformerLM(
             ModelConfig(vocab_size=64, d_model=16, n_layers=1, n_heads=2,
@@ -379,13 +402,8 @@ class TestOneDraftForwardPerLevel:
         states = _make_states(llm, lambda: ssm, greedy, 0,
                               n_requests=self.BATCH, max_new_tokens=90,
                               widths=config.widths)
-        calls = {"forward_masked_blocks": 0, "decode": 0, "prefill": 0}
-        for name in calls:
-            def counted(*args, _name=name, _method=getattr(ssm, name),
-                        **kwargs):
-                calls[_name] += 1
-                return _method(*args, **kwargs)
-            setattr(ssm, name, counted)
+        calls = _count_calls(monkeypatch, ssm,
+                             ["forward_masked_blocks", "decode", "prefill"])
 
         pipeline = DecodePipeline(llm, backend=FusedBackend(llm))
         for _ in range(self.TICKS):
@@ -401,6 +419,89 @@ class TestOneDraftForwardPerLevel:
             assert (calls["forward_masked_blocks"]
                     - before["forward_masked_blocks"]) == config.depth
             assert calls["decode"] == calls["prefill"] == 0
+
+
+def _tick_allocs():
+    return REGISTRY.snapshot()["repro.engine.tick.allocs"]["value"]
+
+
+@pytest.mark.perf_smoke
+class TestOneLLMForwardPerIncrementalTick:
+    """Algorithm 1 is batched at iteration level: a steady-state tick of B
+    incremental requests — served as such, or degraded to it by a fault or
+    a budget-0 plan — is one LLM forward that allocates nothing.  A
+    regression to one forward per request fails tier-1, not only the
+    benchmark."""
+
+    BATCH = 8
+    WARMUP = 3
+    STEADY = 6
+
+    def _assert_one_forward_per_tick(self, calls, tick):
+        for _ in range(self.WARMUP):
+            tick()
+        allocs = _tick_allocs()
+        for _ in range(self.STEADY):
+            before = dict(calls)
+            tick()
+            assert (calls["forward_masked_blocks"]
+                    - before["forward_masked_blocks"]) == 1
+            assert calls["decode"] == before["decode"]
+        assert _tick_allocs() == allocs
+
+    def test_incremental_manager(self, llm, rng, monkeypatch):
+        reset_observability()
+        arena = BatchArena(llm.config, max_requests=self.BATCH)
+        mgr = RequestManager(incremental_factory(llm, arena.new_sequence),
+                             max_batch_size=self.BATCH)
+        for r in range(self.BATCH):
+            mgr.submit(make_prompt(rng, length=3 + r),
+                       GenerationConfig(max_new_tokens=40,
+                                        stop_on_eos=False))
+        calls = _count_calls(monkeypatch, llm,
+                             ["forward_masked_blocks", "decode"])
+
+        def iteration():
+            stats = mgr.run_iteration()
+            assert stats.batch_size == self.BATCH == stats.tokens_emitted
+
+        self._assert_one_forward_per_tick(calls, iteration)
+
+    def _speculative_states(self, llm):
+        ssm = TransformerLM(
+            ModelConfig(vocab_size=64, d_model=16, n_layers=1, n_heads=2,
+                        max_seq_len=96), seed=9)
+        return _make_states(llm, lambda: ssm, True, 0,
+                            n_requests=self.BATCH, max_new_tokens=40)
+
+    def test_fault_degraded_fused_tick(self, llm, monkeypatch):
+        reset_observability()
+        states = self._speculative_states(llm)
+        pipeline = DecodePipeline(
+            llm, FusedBackend(llm),
+            injector=ScriptedInjector({FaultKind.SPECULATION: [1]}),
+            fallback_cooldown=self.WARMUP + self.STEADY,
+        )
+        calls = _count_calls(monkeypatch, llm,
+                             ["forward_masked_blocks", "decode"])
+
+        def tick():
+            pipeline.tick(states)
+            assert pipeline.speculation_suppressed
+
+        self._assert_one_forward_per_tick(calls, tick)
+
+    def test_planner_budget_zero_fused_tick(self, llm, monkeypatch):
+        reset_observability()
+        states = self._speculative_states(llm)
+        pipeline = DecodePipeline(llm, FusedBackend(llm),
+                                  planner=StubPlanner(()))
+        calls = _count_calls(monkeypatch, llm,
+                             ["forward_masked_blocks", "decode"])
+        self._assert_one_forward_per_tick(
+            calls, lambda: pipeline.tick(states))
+        assert all(step.tree_size == 0
+                   for state in states for step in state.steps)
 
 
 @pytest.mark.perf_smoke

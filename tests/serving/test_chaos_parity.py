@@ -19,7 +19,10 @@ from repro.obs.workload import WorkloadSpec, run_observed_workload
 from repro.serving.manager import RequestManager
 from repro.serving.memory import KvMemoryPool
 from tests.conftest import SMALL_CONFIG, make_prompt
-from tests.serving.test_manager import speculative_factory
+from tests.serving.test_manager import (
+    incremental_factory,
+    speculative_factory,
+)
 
 pytestmark = pytest.mark.chaos
 
@@ -104,18 +107,28 @@ class TestPerRequestParity:
                                                          seed):
         """Per-request serving with a memory pool under random faults:
         same tokens as the clean run, reservations fully drained."""
+        self._check(llm, rng, speculative_factory(llm), 0.05, seed)
+
+    @pytest.mark.parametrize("seed", [3, 7, 13])
+    def test_incremental_chaos_is_lossless_and_leak_free(self, llm, rng,
+                                                         seed):
+        """The same through the manager's one shared incremental pipeline,
+        where a verification fault degrades the whole batch's tick."""
+        self._check(llm, rng, incremental_factory(llm), 0.10, seed)
+
+    def _check(self, llm, rng, factory, rate, seed):
         config = GenerationConfig(max_new_tokens=8, stop_on_eos=False)
         prompts = [make_prompt(rng, length=4) for _ in range(4)]
 
-        clean = RequestManager(speculative_factory(llm), max_batch_size=3)
+        clean = RequestManager(factory, max_batch_size=3)
         clean_ids = [clean.submit(p, config) for p in prompts]
         clean.run_until_complete()
         expected = [clean.output_for(rid).tokens for rid in clean_ids]
 
         pool = KvMemoryPool(budget_bytes=10**9, model=SMALL_CONFIG)
         chaotic = RequestManager(
-            speculative_factory(llm), max_batch_size=3, memory_pool=pool,
-            injector=FaultInjector(rate=0.05, seed=seed),
+            factory, max_batch_size=3, memory_pool=pool,
+            injector=FaultInjector(rate=rate, seed=seed),
         )
         ids = [chaotic.submit(p, config) for p in prompts]
         chaotic.run_until_complete(max_iterations=2000)

@@ -13,8 +13,9 @@ from repro.speculate.speculator import Speculator
 from tests.conftest import make_prompt
 
 
-def incremental_factory(llm):
-    return lambda req: IncrementalSession(req, llm)
+def incremental_factory(llm, cache_factory=None):
+    return lambda req: IncrementalSession(req, llm,
+                                          cache_factory=cache_factory)
 
 
 def speculative_factory(llm):
