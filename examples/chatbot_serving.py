@@ -72,7 +72,8 @@ def main() -> None:
     print(
         f"\naggregate: {total_tokens} tokens in {total_steps} request-steps "
         f"({total_tokens / total_steps:.2f} tokens per LLM step; "
-        f"incremental decoding would need {total_tokens})"
+        # Each request's first token comes from its prompt pass.
+        f"incremental decoding would need {total_tokens - len(outputs)})"
     )
     busy = [s for s in manager.iteration_stats if s.batch_size > 0]
     print(

@@ -1,4 +1,5 @@
-"""The unified decode pipeline: one speculate→fit→verify→commit→advance loop.
+"""The unified decode pipeline: one prompt pass, then one
+speculate→fit→verify→commit→advance loop.
 
 The paper's Algorithm 2 is *one* loop, and this module is its single home.
 Every execution surface — the offline engines
@@ -10,6 +11,7 @@ defined here:
 
 * :class:`DecodeState` — the canonical per-request state machine (KV cache,
   pending token, RNG, emitted tokens, step traces, termination flags).
+  Building one runs no model.
 * :class:`TreeFitter` — the only home of tree→cache capacity math and BFS
   pruning (:func:`prune_to_size`).
 * :class:`TraceRecorder` — the only construction site of
@@ -21,8 +23,10 @@ defined here:
   :class:`~repro.engine.batched.BatchedTreeVerifier` pass per batch, block
   or dense mode), and :class:`IncrementalBackend` (Algorithm 1 as the
   degenerate one-node tree).
-* :class:`DecodePipeline` — the per-iteration loop itself
-  (:meth:`DecodePipeline.tick`).
+* :class:`DecodePipeline` — the prompt pass
+  (:meth:`DecodePipeline.prefill`: the full prompts of a batch of states in
+  one LLM forward, which emits each request's first token) and the
+  per-iteration loop itself (:meth:`DecodePipeline.tick`).
 
 Because greedy fused, greedy per-request, and offline generation share this
 one loop, the bit-equivalence suites verify the architecture rather than
@@ -69,6 +73,8 @@ _SPECULATED_NODES = REGISTRY.counter(
     "repro.engine.speculated_nodes", help="tree nodes before fitting")
 _TOKENS_EMITTED = REGISTRY.counter(
     "repro.engine.tokens_emitted", help="verified tokens appended")
+_PREFILL_ROWS = REGISTRY.counter(
+    "repro.engine.prefill_rows", help="prompt rows scored by prompt passes")
 _TREE_SIZE = REGISTRY.histogram(
     "repro.engine.tree_size", buckets=DEFAULT_COUNT_BUCKETS,
     help="fitted tree sizes per verification step")
@@ -162,9 +168,13 @@ class DecodeState:
     cache, the (optional) speculator with its SSM caches, the pending
     token, the RNG, the emitted tokens, and the per-step traces.
 
+    Constructing a state runs no model.  The prompt pass
+    (:meth:`DecodePipeline.prefill`) fills the cache, emits the first token
+    and makes it ``pending``; until then ``pending`` is ``None``.
+
     Args:
         model: The LLM.
-        prompt: Input token ids (non-empty).
+        prompt: Input token ids (non-empty, at most ``max_seq_len``).
         config: Generation bounds / decoding mode.
         speculator: Optional :class:`~repro.speculate.speculator.Speculator`.
             ``None`` selects incremental decoding (Algorithm 1) — the
@@ -187,6 +197,11 @@ class DecodeState:
         prompt_arr = np.asarray(list(prompt), dtype=np.intp)
         if prompt_arr.size == 0:
             raise ValueError("prompt must be non-empty")
+        if prompt_arr.size > model.config.max_seq_len:
+            raise ValueError(
+                f"prompt length {prompt_arr.size} exceeds max_seq_len "
+                f"{model.config.max_seq_len}"
+            )
         self.model = model
         self.prompt = prompt_arr
         self.config = config
@@ -201,13 +216,11 @@ class DecodeState:
         self.steps: List[StepTrace] = []
         self.finished_by_eos = False
         self.retired = False
-        if prompt_arr.size > 1:
-            model.prefill(prompt_arr[:-1], self.cache)
         if speculator is not None:
             speculator.reset()
-            if prompt_arr.size > 1:
-                speculator.prefill(prompt_arr[:-1])
-        self.pending = int(prompt_arr[-1])
+        #: The last emitted token, not yet in the cache: the root of the
+        #: next tree.  ``None`` until the prompt pass has run.
+        self.pending: Optional[int] = None
 
     @property
     def sampling(self) -> SamplingConfig:
@@ -504,11 +517,12 @@ class TickOutcome:
 
     Attributes:
         state: The state the outcome describes.
-        emitted: Tokens appended to the request's output this tick — the
-            per-session committed-token *delta*, so streaming consumers
-            (the serving gateway) forward tokens without re-diffing state.
+        emitted: Tokens appended to the request's output this tick (or
+            prompt pass) — the per-session committed-token *delta*, so
+            streaming consumers (the serving gateway) forward tokens
+            without re-diffing state.
         advanced: Whether a verification step ran (exactly when a new
-            :class:`StepTrace` was recorded).
+            :class:`StepTrace` was recorded; never for a prompt pass).
         retired: Whether the fitter found no room this tick (the state's
             ``retired`` flag is set; it will report ``finished``).
         committed_total: Tokens the state has committed *after* this tick
@@ -529,8 +543,10 @@ class TickOutcome:
 class DecodePipeline:
     """The canonical per-iteration decode loop.
 
-    One :meth:`tick` advances a batch of :class:`DecodeState`s by exactly
-    one LLM iteration: speculate a tree per request (a one-node tree for
+    :meth:`prefill` is the prompt pass — one LLM forward over the prompts of
+    a batch of states, which emits each one's first token.  One :meth:`tick`
+    then advances a batch of :class:`DecodeState`s by exactly one LLM
+    iteration: speculate a tree per request (a one-node tree for
     incremental states), fit each tree to its cache, verify the survivors
     through the configured :class:`VerificationBackend`, then commit —
     record the trace, emit accepted tokens, advance the speculator.
@@ -659,16 +675,6 @@ class DecodePipeline:
             _TREES_PRUNED.inc()
         return fitted
 
-    def speculate(self, state: DecodeState) -> Optional[TokenTree]:
-        """Phases 1+2 for one state: speculate, then fit to the cache.
-
-        Returns ``None`` — and marks the state retired — when the request
-        cannot decode further (context exhausted).  Single-state surface
-        used by the sessions' two-phase stepping; :meth:`tick` runs the
-        same two phases batch-wide under their own trace spans.
-        """
-        return self._fit_tree(state, self._speculate_tree(state))
-
     def commit(self, state: DecodeState, tree: TokenTree,
                verification: VerificationResult,
                incremental_shape: bool = False) -> List[int]:
@@ -688,6 +694,45 @@ class DecodePipeline:
             )
         return emitted
 
+    # -- the prompt pass -----------------------------------------------------------
+
+    def prefill(self, states: Sequence[DecodeState]) -> List[TickOutcome]:
+        """The prompt pass: one LLM forward over the full prompts of
+        ``states``, which emits every request's first token.
+
+        Each prompt is scored under its own causal block into its own
+        cache.  The request's first token is drawn from its last row's
+        logits with the request's own RNG (argmax when greedy) — a draw
+        from the LLM's own distribution, with nothing to verify — then
+        emitted and made ``pending``.  No SSM runs: a speculative state
+        queues its prompt on the speculator, and the first tick's level-0
+        draft call mirrors it.  No :class:`StepTrace` is recorded — steps
+        count decode iterations — so outcomes report ``advanced=False``.
+        """
+        with TRACER.span("repro.engine.prefill",
+                         requests=len(states)) as span:
+            logits = self.model.prefill_batch(
+                [state.prompt for state in states],
+                [state.cache for state in states],
+            )
+            outcomes: List[TickOutcome] = []
+            for state, rows in zip(states, logits):
+                token = int(sample_token(rows[-1], state.sampling, state.rng))
+                emitted = state.emit([token])
+                state.pending = token
+                if state.speculator is not None and not state.finished:
+                    state.speculator.advance(state.prompt)
+                outcomes.append(TickOutcome(
+                    state=state, emitted=emitted,
+                    committed_total=len(state.tokens),
+                    finished=state.finished,
+                ))
+            rows_scored = sum(state.prompt.size for state in states)
+            _PREFILL_ROWS.inc(rows_scored)
+            _TOKENS_EMITTED.inc(len(outcomes))
+            span.set(rows=rows_scored, tokens_emitted=len(outcomes))
+        return outcomes
+
     # -- the loop ------------------------------------------------------------------
 
     @hot_path
@@ -698,9 +743,18 @@ class DecodePipeline:
         (``repro.engine.speculate`` / ``fit`` / ``verify`` / ``commit``),
         nested in one ``repro.engine.tick`` span per iteration; phase
         latencies land in the ``*.host_seconds`` registry histograms.
+        A state that has not been through :meth:`prefill` takes it first.
         """
         _TICKS.inc()
         outcomes = [TickOutcome(state=state) for state in states]
+        # A state nobody prefilled (offline engines, standalone sessions)
+        # takes the prompt pass first; its first token leads this tick's
+        # delta.  The serving managers prefill at admission instead.
+        cold = [i for i, state in enumerate(states) if state.pending is None]
+        if cold:
+            for i, first in zip(cold,
+                                self.prefill([states[i] for i in cold])):
+                outcomes[i].emitted = first.emitted
         allocs_before = perf.COUNTERS.hot_alloc_events
         with TRACER.span("repro.engine.tick", iteration=self._ticks,
                          batch=len(states)) as tick_span:
@@ -816,11 +870,12 @@ class DecodePipeline:
                 emitted_total = 0
                 for i, state, tree, result in zip(slots, active, trees,
                                                   results):
-                    outcomes[i].emitted = self.commit(
+                    emitted = self.commit(
                         state, tree, result, incremental_shape=incremental
                     )
+                    outcomes[i].emitted += emitted
                     outcomes[i].advanced = True
-                    emitted_total += len(outcomes[i].emitted)
+                    emitted_total += len(emitted)
                 _TOKENS_EMITTED.inc(emitted_total)
                 span.set(steps=len(results), tokens_emitted=emitted_total)
 

@@ -49,6 +49,11 @@ from repro.model.parameters import ParameterStore
 from repro.model.rope import rope_rotate
 from repro.model.scratch import ScratchArena
 
+#: Rows per causal block of a prompt pass (:meth:`TransformerLM.prefill_batch`).
+#: Attention of a block costs ``rows × keys so far``, so a 224-row prompt in
+#: blocks of 32 scores 57% of its square; shorter prompts are one block.
+PROMPT_BLOCK_ROWS = 32
+
 
 class TransformerLM:
     """A GPT-style decoder-only language model.
@@ -161,10 +166,15 @@ class TransformerLM:
             masks: Per-request additive masks of shape
                 ``(nᵢ, priorᵢ + nᵢ)``; defines the block layout.
             caches: Matching per-request KV caches (contiguous, arena or
-                paged); each receives its own new keys/values.
+                paged); each receives its own new keys/values.  One cache
+                may back several consecutive blocks (the causal blocks of
+                a long prompt): each block appends after, and attends to,
+                what the blocks before it appended in the same layer.
             priors: Optional precomputed ``cache.length`` per request, so
                 the per-step batch layout is computed once by the caller
-                instead of re-derived here.
+                instead of re-derived here.  Required when a cache backs
+                several blocks: a later block's prior counts the rows of
+                the blocks before it.
             scratch: Optional :class:`ScratchArena` providing persistent
                 staging buffers for the packed QKV projection, the
                 block-sparse attention output and the LM-head logits.  The
@@ -303,6 +313,46 @@ class TransformerLM:
                           out=mask_out)
         return self.forward_masked(tokens, positions, mask, cache,
                                    scratch=scratch)
+
+    def prefill_batch(self, prompts: Sequence[np.ndarray],
+                      caches: Sequence) -> List[np.ndarray]:
+        """:meth:`prefill` for several requests in one forward pass; returns
+        one ``(nᵢ, vocab)`` logits view per prompt.
+
+        Prompt ``b`` lands after whatever ``caches[b]`` already holds, under
+        a causal block of its own, so a prompt scored in a batch sees
+        exactly what it sees alone — this is the prompt pass of
+        iteration-level scheduling: every request admitted in one round
+        shares the GEMMs.
+
+        A prompt longer than :data:`PROMPT_BLOCK_ROWS` is laid out as
+        consecutive blocks of the *same* cache: within a layer each block
+        appends its keys and attends to everything up to its own last row,
+        so the upper triangle of a long prompt's score matrix — all
+        ``-inf`` under the causal mask — is never computed.  Still one
+        forward of ``Σnᵢ`` rows.
+        """
+        dtype = self.config.dtype
+        counts = [len(prompt) for prompt in prompts]
+        starts = [cache.length for cache in caches]
+        masks, block_caches, priors = [], [], []
+        for count, start, cache in zip(counts, starts, caches):
+            for prior in range(start, start + count, PROMPT_BLOCK_ROWS):
+                rows = min(PROMPT_BLOCK_ROWS, start + count - prior)
+                masks.append(cross_mask(rows, prior + rows, prior,
+                                        dtype=dtype))
+                block_caches.append(cache)
+                priors.append(prior)
+        # lint: allow-alloc the prompt pass runs once per admission round, not per tick
+        tokens = np.concatenate(
+            [np.asarray(prompt, dtype=np.intp) for prompt in prompts])
+        # lint: allow-alloc as above
+        positions = np.concatenate(
+            [np.arange(start, start + n) for n, start in zip(counts, starts)])
+        logits = self.forward_masked_blocks(tokens, positions, masks,
+                                            block_caches, priors=priors)
+        bounds = np.cumsum([0] + counts)
+        return [logits[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     @tensor_contract(tokens={"ndim": 1})
     def decode_batch(self, tokens: np.ndarray, caches: Sequence,

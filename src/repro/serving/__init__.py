@@ -17,8 +17,8 @@
 * :mod:`repro.serving.gateway` -- the async streaming gateway: bounded
   per-tenant admission queues, weighted round-robin with rate limits, two
   SLO classes, and per-request token streams over the synchronous core.
-* :mod:`repro.serving.loop` -- the gateway's asyncio driver and SLO-class
-  tick scheduler.
+* :mod:`repro.serving.loop` -- the gateway's asyncio driver (a prefill or
+  a decode iteration of the core per cycle).
 * :mod:`repro.serving.transport` / :mod:`repro.serving.client` -- the
   localhost TCP/JSONL transport and its streaming client.
 * :mod:`repro.serving.loadgen` -- concurrent async load generator
@@ -52,7 +52,7 @@ from repro.serving.gateway import (
     TenantConfig,
     TokenStream,
 )
-from repro.serving.loop import GatewayLoop, SloScheduler
+from repro.serving.loop import GatewayLoop
 from repro.serving.manager import IterationStats, RequestManager
 from repro.serving.memory import KvMemoryPool, KvReservation
 from repro.serving.metrics import (
@@ -106,7 +106,6 @@ __all__ = [
     "GatewayRequestFailed",
     "ServingGateway",
     "SloClass",
-    "SloScheduler",
     "StreamEvent",
     "TenantConfig",
     "TokenStream",

@@ -17,12 +17,12 @@ Layering (see ``docs/serving_gateway.md``):
 * :class:`ServingGateway` (this module) is the *policy* layer: bounded
   per-tenant queues, a KV-reservation precheck before any submit reaches
   the core, per-tenant weighted round-robin with rate limits, and two SLO
-  classes (:class:`SloClass`).
-* :class:`~repro.serving.loop.GatewayLoop` is the asyncio *driver*: it
-  pumps admissions, picks the per-tick decode subset from the SLO
-  scheduler, runs one core ``step``, and dispatches the per-request
-  committed-token deltas (``IterationStats.emissions``) into client
-  streams.
+  classes (:class:`SloClass`) that label the latency histograms.
+* :class:`~repro.serving.loop.GatewayLoop` is the asyncio *driver*: each
+  cycle it pumps admissions — a round that admits anything is the core's
+  prefill iteration, whose first tokens are dispatched at once — or else
+  runs one core ``step``, and dispatches the per-request committed-token
+  deltas (``IterationStats.emissions``) into client streams.
 
 Mid-stream fault tolerance is inherited from the core: a preempted
 request's stream sees a ``stall`` event, then a ``resume`` and the
@@ -85,11 +85,10 @@ _LATENCY_BUCKETS = (1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0,
 class SloClass(enum.Enum):
     """The gateway's two service-level objective classes.
 
-    ``INTERACTIVE`` optimizes time-to-first-token: while an interactive
-    request is still waiting for its first token, the SLO scheduler runs
-    small interactive-only ticks so the new request is not queued behind a
-    full throughput batch.  ``BATCH`` optimizes throughput: batch-class
-    requests decode in full-batch ticks and tolerate TTFT.
+    They are labels: the TTFT/TBT histograms are kept per class, and both
+    classes are scheduled alike.  (A first token comes from the prompt pass
+    of the round that admits the request, so there is no cold request for
+    an interactive-only tick to favour.)
     """
 
     INTERACTIVE = "interactive"
@@ -168,9 +167,6 @@ class GatewayConfig:
         auto_tenants: Whether submissions naming an unknown tenant create
             one on the fly from ``default_tenant_template``.
         default_tenant_template: Policy applied to auto-created tenants.
-        max_interactive_only_ticks: Starvation bound for the SLO scheduler
-            — consecutive interactive-only ticks allowed while batch-class
-            requests hold slots.
         idle_wait_seconds: How long the loop parks waiting for a wake
             signal when it has no work.
     """
@@ -179,7 +175,6 @@ class GatewayConfig:
     auto_tenants: bool = True
     default_tenant_template: TenantConfig = field(
         default_factory=lambda: TenantConfig(name="default"))
-    max_interactive_only_ticks: int = 4
     idle_wait_seconds: float = 0.05
 
 
@@ -346,7 +341,7 @@ class ServingGateway:
 
     def __init__(self, manager: RequestManager,
                  config: Optional[GatewayConfig] = None):
-        from repro.serving.loop import GatewayLoop, SloScheduler
+        from repro.serving.loop import GatewayLoop
 
         self.manager = manager
         self.config = config or GatewayConfig()
@@ -356,8 +351,6 @@ class ServingGateway:
         }
         self._by_id: Dict[int, _GwRequest] = {}
         self._wrr_credit: Dict[str, float] = {}
-        self._scheduler = SloScheduler(
-            self.config.max_interactive_only_ticks)
         self._loop_driver = GatewayLoop(self)
         self._task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
@@ -494,8 +487,11 @@ class ServingGateway:
 
     # -- admission pump (called by the loop driver each tick) ----------------------
 
-    def _pump_admissions(self) -> int:
-        """Move queued requests into the core, WRR across tenants.
+    def _pump_admissions(self) -> bool:
+        """Move queued requests into the core, WRR across tenants, and run
+        the core's prefill iteration over whatever the round admits; its
+        first tokens are dispatched before this returns.  Returns whether
+        a prefill iteration ran.
 
         A candidate is admitted only when a batch slot is free *and* its
         KV reservation fits right now *and* its tenant's rate bucket has
@@ -546,14 +542,17 @@ class ServingGateway:
             _ADMITTED.inc()
             TRACER.event("repro.gateway.admit", request=request_id,
                          tenant=name, slo=gwreq.slo.value)
+        stats = None
         if admitted or self.manager.num_waiting:
             # Fill slots even with nothing newly submitted: the core's own
             # waiting queue holds preempted/requeued requests that must
             # re-enter once their cooldown lapses or KV memory frees up.
-            self.manager.admit()
+            stats = self.manager.admit()
         _QUEUE_DEPTH.set(self.queue_depth)
         self.peak_queue_depth = max(self.peak_queue_depth, self.queue_depth)
-        return admitted
+        if stats is not None:
+            self._dispatch(stats)
+        return stats is not None
 
     def _wrr_next(self, eligible: Dict[str, int]) -> str:
         """Smooth weighted round-robin over the eligible tenants."""
@@ -567,19 +566,7 @@ class ServingGateway:
         self._wrr_credit[best] -= total
         return best
 
-    # -- dispatch (called by the loop driver after each core step) -----------------
-
-    def _running_requests(self) -> List[_GwRequest]:
-        """Gateway views of the requests currently holding batch slots."""
-        return [
-            self._by_id[rid]
-            for rid in self.manager._running
-            if rid in self._by_id
-        ]
-
-    def _select_subset(self) -> Optional[List[int]]:
-        """This tick's decode subset per the SLO scheduler (None = all)."""
-        return self._scheduler.select(self._running_requests())
+    # -- dispatch (after each core iteration, prefill or decode) -------------------
 
     def _dispatch(self, stats) -> None:
         """Forward one iteration's outcomes into the client streams."""

@@ -1,13 +1,18 @@
-"""The gateway's asyncio driver: SLO-aware ticking over the sync core.
+"""The gateway's asyncio driver: prefill-or-decode cycles over the sync core.
 
 :class:`GatewayLoop` is the only place where the event loop and the
 synchronous scheduling core meet.  Each cycle it pumps the gateway's
-admission queues, asks :class:`SloScheduler` which running requests should
-decode this tick, runs exactly one synchronous
-:meth:`~repro.serving.manager.RequestManager.step`, hands the resulting
-:class:`~repro.serving.manager.IterationStats` to the gateway's dispatcher
-(which fans committed-token deltas into client streams), and yields to the
-event loop so client tasks can consume.
+admission queues into the core.  When the round admits anything, the core's
+prefill iteration (:meth:`~repro.serving.manager.RequestManager.admit`) has
+already produced the new requests' first tokens and the gateway has
+dispatched them; the loop yields to the event loop, so clients read their
+first token before any tick runs.  Otherwise it runs exactly one synchronous
+decode iteration (:meth:`~repro.serving.manager.RequestManager.step`),
+hands the resulting :class:`~repro.serving.manager.IterationStats` to the
+gateway's dispatcher (which fans committed-token deltas into client
+streams), and yields.  That is the replay path's ``run_iteration`` — a
+prefill iteration or a decode iteration — so both drivers advance the
+core's logical clock identically.
 
 The core never blocks on clients and clients never block the core: all
 coupling is through the gateway's queues and streams.
@@ -16,57 +21,12 @@ coupling is through the gateway's queues and streams.
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING
 
-from repro.obs import REGISTRY, TRACER
+from repro.obs import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serving.gateway import ServingGateway, _GwRequest
-
-_INTERACTIVE_TICKS = REGISTRY.counter(
-    "repro.gateway.interactive_ticks",
-    help="TTFT-optimized ticks that decoded only interactive-class requests")
-_FULL_TICKS = REGISTRY.counter(
-    "repro.gateway.full_ticks",
-    help="throughput-optimized ticks that decoded the full batch")
-
-
-class SloScheduler:
-    """Chooses each tick's decode subset from the two SLO classes.
-
-    Policy: while any *interactive* request in the batch is still waiting
-    for its first token, run interactive-only ticks — the small batch
-    reaches the first commit sooner, which is the whole TTFT objective.
-    Everything else (both classes warmed up, or only batch-class work)
-    runs full-batch throughput ticks.  ``max_interactive_only_ticks``
-    bounds consecutive small ticks so batch-class requests cannot starve
-    under a steady interactive arrival stream.
-
-    Under greedy verification the subset choice never changes *what*
-    tokens a request emits — only *when* — so this scheduler trades TTFT
-    against throughput without touching output parity.
-    """
-
-    def __init__(self, max_interactive_only_ticks: int = 4):
-        if max_interactive_only_ticks < 0:
-            raise ValueError("max_interactive_only_ticks must be >= 0")
-        self.max_interactive_only_ticks = max_interactive_only_ticks
-        self._consecutive_interactive = 0
-
-    def select(self, running: List["_GwRequest"]) -> Optional[List[int]]:
-        """The request-id subset to decode this tick; ``None`` = full batch."""
-        from repro.serving.gateway import SloClass
-
-        interactive = [r for r in running if r.slo is SloClass.INTERACTIVE]
-        others = len(running) - len(interactive)
-        cold = [r for r in interactive if r.first_token_at is None]
-        if (cold and others
-                and self._consecutive_interactive
-                < self.max_interactive_only_ticks):
-            self._consecutive_interactive += 1
-            return [r.request_id for r in interactive]
-        self._consecutive_interactive = 0
-        return None
+    from repro.serving.gateway import ServingGateway
 
 
 class GatewayLoop:
@@ -74,10 +34,9 @@ class GatewayLoop:
 
     Args:
         gateway: The :class:`~repro.serving.gateway.ServingGateway` whose
-            admission pump, SLO scheduler, and stream dispatcher this loop
-            drives.
-        tick_yield: Optional sleep between ticks (seconds).  The default
-            ``0`` still yields control to the event loop every tick so
+            admission pump and stream dispatcher this loop drives.
+        tick_yield: Optional sleep between cycles (seconds).  The default
+            ``0`` still yields control to the event loop every cycle so
             client tasks interleave with decoding.
     """
 
@@ -90,7 +49,11 @@ class GatewayLoop:
         """Drive the gateway until it is closing and fully drained."""
         gateway = self.gateway
         while True:
-            gateway._pump_admissions()
+            if gateway._pump_admissions():
+                # A prefill iteration ran and its first tokens are on the
+                # client streams: let the clients read them before a tick.
+                await asyncio.sleep(self.tick_yield)
+                continue
             if not gateway.manager.num_running:
                 if gateway._closing and not gateway.has_work:
                     return
@@ -109,23 +72,17 @@ class GatewayLoop:
             await asyncio.sleep(self.tick_yield)
 
     def _tick(self) -> None:
-        """One synchronous core step plus stream dispatch."""
+        """One synchronous decode iteration plus stream dispatch."""
         from repro.serving.gateway import _TICKS
 
         gateway = self.gateway
-        subset = gateway._select_subset()
         with TRACER.span(
             "repro.gateway.tick",
             tick=self.ticks,
             running=gateway.manager.num_running,
             queued=gateway.queue_depth,
-            subset=len(subset) if subset is not None else -1,
         ):
-            stats = gateway.manager.step(only=subset)
-        if subset is None:
-            _FULL_TICKS.inc()
-        else:
-            _INTERACTIVE_TICKS.inc()
+            stats = gateway.manager.step()
         _TICKS.inc()
         self.ticks += 1
         gateway._dispatch(stats)

@@ -1,11 +1,15 @@
 """Request manager: iteration-level scheduling with continuous batching.
 
 Adapted from Orca's iteration-level scheduling (paper section 5.1): the
-manager schedules *iterations*, not requests.  Each iteration it (1) admits
-waiting requests into free batch slots, (2) advances every running session
-by one LLM decoding iteration, and (3) retires finished requests — so new
-requests start without waiting for the current batch to drain, and finished
-requests stop consuming slots immediately.
+manager schedules *iterations*, not requests, and an iteration is one of two
+kinds.  A **prefill iteration** admits waiting requests into free batch
+slots and scores all their prompts in one LLM forward, which yields each
+request's first token — so a new request's first token costs a prompt pass,
+not a prompt pass plus a speculate/verify tick.  A **decode iteration**
+(every round that admits nothing) advances every running session by one LLM
+decoding iteration.  Both retire what finished, so new requests start
+without waiting for the current batch to drain and finished requests stop
+consuming slots immediately.
 
 One manager serves every execution mode, parameterized by verification
 backend:
@@ -39,7 +43,7 @@ paths emit bit-identical final tokens to a fault-free run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -89,15 +93,18 @@ class IterationStats:
 
     Attributes:
         iteration: Iteration index.
-        batch_size: Sessions holding batch slots this iteration — every
-            running session the scheduler processed, *including* sessions
-            that finished or were retired (context exhausted) during the
-            iteration and sessions skipped while backing off after a
-            transient fault.  Identical across per-request and fused
-            serving for the same workload.
+        batch_size: A decode iteration: sessions holding batch slots —
+            every running session the scheduler processed, *including*
+            sessions that finished or were retired (context exhausted)
+            during the iteration and sessions skipped while backing off
+            after a transient fault.  A prefill iteration: the requests
+            whose prompts it scored.  Identical across per-request and
+            fused serving for the same workload.
         tokens_emitted: Tokens emitted across the batch.
-        llm_tokens_scored: Token positions scored across the batch.
-        admitted: Requests admitted this iteration.
+        llm_tokens_scored: Token positions the LLM scored: tree rows in a
+            decode iteration, prompt rows in a prefill iteration.
+        admitted: Requests admitted this iteration (non-zero exactly in
+            prefill iterations).
         finished: Requests retired this iteration.
         emissions: Per-request committed-token deltas this iteration —
             ``{request_id: [token, ...]}`` for every request that emitted.
@@ -232,9 +239,9 @@ class RequestManager:
         self.fallback_cooldown = fallback_cooldown
         self.planner = planner
         self.router = router
-        #: The pipeline whose tick serves a whole batch: the fused one, or —
-        #: without a backend — the incremental one ``_tick`` creates on
-        #: first use (a speculative-only manager never needs it).
+        #: The pipeline that serves a whole batch: the fused one, or —
+        #: without a backend — the incremental one ``_shared_pipeline``
+        #: creates at the first prompt pass.
         self._pipeline = (
             DecodePipeline(backend.model, backend, injector=injector,
                            fallback_cooldown=fallback_cooldown,
@@ -303,50 +310,110 @@ class RequestManager:
         tokens = prompt_len + max_new_tokens + self.kv_headroom
         return self.memory_pool.can_admit(tokens)
 
-    def run_iteration(self, only: Optional[Sequence[int]] = None
-                      ) -> IterationStats:
-        """One scheduler iteration: admit, advance, retire.
+    def run_iteration(self) -> IterationStats:
+        """One scheduler iteration: a *prefill* iteration when the round
+        admits anything (its first tokens come back without a tick), a
+        *decode* iteration otherwise."""
+        # The bodies, not ``admit`` / ``step``: those two are the surface an
+        # outside driver calls, and a count taken there (the benchmark's
+        # ``serving.gateway.ticks`` is calls of ``step``) stays that driver's.
+        return self._prefill_iteration() or self._decode_iteration()
 
-        Args:
-            only: Optional subset of running request ids to advance this
-                iteration (SLO-class scheduling); other running requests
-                keep their slots and reservations but do not decode.
-        """
-        with TRACER.span("repro.serving.iteration",
-                         iteration=self.iteration) as span:
-            admitted = self._admit()
-            stats = self._advance_and_retire(admitted, only, span)
-        self._record_iteration(stats)
-        return stats
-
-    def admit(self) -> int:
-        """Admission phase alone (sync-core surface): fill free batch
-        slots from the waiting queue; returns the number admitted."""
-        return self._admit()
-
-    def step(self, only: Optional[Sequence[int]] = None) -> IterationStats:
-        """Advance + retire without admission (sync-core surface).
+    def admit(self) -> Optional[IterationStats]:
+        """The prefill iteration alone (sync-core surface): fill free batch
+        slots from the waiting queue and run the admitted requests' prompt
+        pass.  Returns that iteration's stats — first tokens included — or
+        ``None`` when nothing was admitted (no iteration ran).
 
         The async gateway drives the manager through :meth:`admit` /
-        :meth:`step` so admission policy lives outside the core; the
-        replay path keeps using :meth:`run_iteration`.
+        :meth:`step` so admission policy lives outside the core and first
+        tokens reach clients before the next tick; the replay path's
+        :meth:`run_iteration` is the same two phases, so both advance the
+        logical clock identically.
         """
-        with TRACER.span("repro.serving.iteration",
-                         iteration=self.iteration) as span:
-            stats = self._advance_and_retire(0, only, span)
+        return self._prefill_iteration()
+
+    def step(self) -> IterationStats:
+        """The decode iteration alone (sync-core surface): advance every
+        running request by one LLM iteration and retire the finished."""
+        return self._decode_iteration()
+
+    def _prefill_iteration(self) -> Optional[IterationStats]:
+        """Admit, then score every admitted prompt in one LLM forward.
+
+        ``batch_size`` is the number of requests prefilled and
+        ``llm_tokens_scored`` their prompt rows.  A request whose budget is
+        one token (or whose first token is EOS) finishes here and returns
+        its slot and reservation without ever ticking.
+        """
+        admitted = self._admit()
+        if not admitted:
+            return None
+        with TRACER.span("repro.serving.iteration", iteration=self.iteration,
+                         phase="prefill") as span:
+            sessions = [self._tracked[rid].session for rid in admitted]
+            if self.backend is not None:
+                for session in sessions:
+                    if not isinstance(session, SpeculativeSession):
+                        raise TypeError(
+                            "batched verification requires "
+                            "SpeculativeSession sessions; got "
+                            f"{type(session).__name__}"
+                        )
+            outcomes = self._shared_pipeline(sessions[0].model).prefill(
+                [session.state for session in sessions])
+            stats = self._collect(
+                admitted, sessions, outcomes, batch_size=len(admitted),
+                admitted=len(admitted), span=span,
+                llm_tokens=sum(s.state.prompt.size for s in sessions))
         self._record_iteration(stats)
         return stats
 
-    def _advance_and_retire(self, admitted: int,
-                            only: Optional[Sequence[int]],
-                            span) -> IterationStats:
-        """The advance/retire body shared by :meth:`run_iteration` and
-        :meth:`step` (runs inside the iteration trace span)."""
-        if self.injector is not None:
-            self._apply_kv_pressure()
-        batch_size = len(self._running)
-        tokens_emitted, llm_tokens, finished_ids, emissions = \
-            self._advance(only)
+    def _decode_iteration(self) -> IterationStats:
+        """Advance every schedulable session by one LLM iteration and
+        retire the finished."""
+        with TRACER.span("repro.serving.iteration", iteration=self.iteration,
+                         phase="decode") as span:
+            if self.injector is not None:
+                self._apply_kv_pressure()
+            batch_size = len(self._running)
+            scheduled = self._schedulable()
+            sessions = [self._tracked[rid].session for rid in scheduled]
+            outcomes = self._tick(sessions)
+            for request_id in scheduled:
+                self._tracked[request_id].retry_streak = 0
+            stats = self._collect(
+                scheduled, sessions, outcomes, batch_size=batch_size,
+                admitted=0, span=span,
+                # Only steps that actually ran: a retiring session emits
+                # nothing and records no trace, and re-reading the previous
+                # trace would double-count its scored tokens.
+                llm_tokens=sum(
+                    session.steps[-1].llm_tokens_scored
+                    for session, outcome in zip(sessions, outcomes)
+                    if outcome.advanced))
+        self._record_iteration(stats)
+        return stats
+
+    def _collect(self, request_ids: List[int],
+                 sessions: List[DecodeSession],
+                 outcomes: List[TickOutcome], *, batch_size: int,
+                 admitted: int, llm_tokens: int, span) -> IterationStats:
+        """Fold one iteration's outcomes into its stats and retire the
+        finished (shared by the prefill and the decode iteration)."""
+        tokens_emitted = 0
+        finished_ids: List[int] = []
+        emissions: Dict[int, List[int]] = {}
+        for request_id, session, outcome in zip(request_ids, sessions,
+                                                outcomes):
+            tokens_emitted += len(outcome.emitted)
+            if outcome.emitted:
+                emissions[request_id] = list(outcome.emitted)
+                output = self._tracked[request_id].output
+                if output.first_token_iteration is None:
+                    output.first_token_iteration = self.iteration
+            if session.finished:
+                finished_ids.append(request_id)
         for request_id in finished_ids:
             self._retire(request_id)
         stats = IterationStats(
@@ -380,22 +447,17 @@ class RequestManager:
         self.iteration_stats.append(stats)
         self.iteration += 1
 
-    def _schedulable(self, only: Optional[Sequence[int]] = None) -> List[int]:
+    def _schedulable(self) -> List[int]:
         """Running requests that advance this iteration.
 
         Applies the failure paths before any session touches the model:
         requests backing off after a transient fault are skipped (they keep
         their slot and reservation), and injected session faults are
         absorbed here — bounded retry with exponential
-        backoff-in-iterations, then terminal ``FAILED``.  With ``only``
-        set, requests outside the subset are skipped without consuming
-        fault-injection draws (they simply do not decode this iteration).
+        backoff-in-iterations, then terminal ``FAILED``.
         """
-        subset = set(only) if only is not None else None
         ready: List[int] = []
         for request_id in list(self._running):
-            if subset is not None and request_id not in subset:
-                continue
             tracked = self._tracked[request_id]
             if tracked.cooldown_until > self.iteration:
                 continue
@@ -408,32 +470,16 @@ class RequestManager:
             ready.append(request_id)
         return ready
 
-    def _advance(
-        self, only: Optional[Sequence[int]] = None,
-    ) -> Tuple[int, int, List[int], Dict[int, List[int]]]:
-        """Advance every schedulable session by one LLM iteration."""
-        scheduled = self._schedulable(only)
-        sessions = [self._tracked[rid].session for rid in scheduled]
-        tokens_emitted = 0
-        llm_tokens = 0
-        finished_ids: List[int] = []
-        emissions: Dict[int, List[int]] = {}
-        for request_id, session, outcome in zip(scheduled, sessions,
-                                                self._tick(sessions)):
-            tracked = self._tracked[request_id]
-            tracked.retry_streak = 0
-            tokens_emitted += len(outcome.emitted)
-            if outcome.advanced:
-                # Only count steps that actually ran: a retiring session
-                # emits nothing and records no trace, and re-reading the
-                # previous trace would double-count its scored tokens.
-                llm_tokens += session.steps[-1].llm_tokens_scored
-            if outcome.emitted:
-                emissions[request_id] = list(outcome.emitted)
-            self._note_emission(tracked, outcome.emitted)
-            if session.finished:
-                finished_ids.append(request_id)
-        return tokens_emitted, llm_tokens, finished_ids, emissions
+    def _shared_pipeline(self, model) -> DecodePipeline:
+        """The pipeline that serves a whole batch: the fused one, or —
+        without a backend — an incremental one created on first use (the
+        first prompt pass, which needs only the model)."""
+        if self._pipeline is None:
+            self._pipeline = DecodePipeline(
+                model, IncrementalBackend(model), injector=self.injector,
+                fallback_cooldown=self.fallback_cooldown,
+            )
+        return self._pipeline
 
     def _tick(self, sessions: List[DecodeSession]) -> List[TickOutcome]:
         """One pipeline tick per session, as few LLM passes as the mode
@@ -441,17 +487,11 @@ class RequestManager:
 
         A fused ``backend`` verifies every session's tree in one tick of
         the shared pipeline.  Without one, the sessions that have no
-        speculator (Algorithm 1) are ticked together through one
-        manager-owned incremental pipeline — one LLM forward for all of
-        them — and each speculative session steps through its own.
+        speculator (Algorithm 1) are ticked together through the shared
+        incremental pipeline — one LLM forward for all of them — and each
+        speculative session steps through its own.
         """
         if self.backend is not None:
-            for session in sessions:
-                if not isinstance(session, SpeculativeSession):
-                    raise TypeError(
-                        "batched verification requires SpeculativeSession "
-                        f"sessions; got {type(session).__name__}"
-                    )
             return self._pipeline.tick([s.state for s in sessions])
         outcomes: List[Optional[TickOutcome]] = [
             session.tick() if session.speculator is not None else None
@@ -459,20 +499,10 @@ class RequestManager:
         ]
         batch = [i for i, outcome in enumerate(outcomes) if outcome is None]
         if batch:
-            if self._pipeline is None:
-                model = sessions[batch[0]].model
-                self._pipeline = DecodePipeline(
-                    model, IncrementalBackend(model), injector=self.injector,
-                    fallback_cooldown=self.fallback_cooldown,
-                )
             for i, outcome in zip(batch, self._pipeline.tick(
                     [sessions[i].state for i in batch])):
                 outcomes[i] = outcome
         return outcomes
-
-    def _note_emission(self, tracked: _Tracked, emitted: List[int]) -> None:
-        if emitted and tracked.output.first_token_iteration is None:
-            tracked.output.first_token_iteration = self.iteration
 
     def run_until_complete(self, max_iterations: int = 100000) -> List[RequestOutput]:
         """Drain the queue; returns finished outputs in completion order.
@@ -680,8 +710,10 @@ class RequestManager:
         resume.state = RequestState.RUNNING
         return resume
 
-    def _admit(self) -> int:
-        admitted = 0
+    def _admit(self) -> List[int]:
+        """Move waiting requests into free batch slots (sessions are built,
+        no model runs); returns the admitted request ids in slot order."""
+        admitted: List[int] = []
         ordered = self.policy(
             [self._tracked[rid].request for rid in self._waiting]
         )
@@ -723,7 +755,7 @@ class RequestManager:
                 # Same split for routing feedback: per-request sessions
                 # report acceptance through their own pipelines.
                 session.attach_router(self.router)
-            admitted += 1
+            admitted.append(request_id)
             _ADMITTED.inc()
             TRACER.event(
                 "repro.serving.admit",

@@ -31,8 +31,8 @@ class RequestLatency:
             finished (or failed) without emitting — a tokenless request has
             no first token, so TTFT is undefined rather than zero.
         completion: Arrival to finish.
-        tpot: Mean iterations per emitted token once running (0.0 for a
-            tokenless request).
+        tpot: Mean decode iterations per emitted token after the first,
+            which the prompt pass emits (0.0 for a tokenless request).
     """
 
     request_id: int
@@ -85,7 +85,7 @@ def request_latency(output: RequestOutput, arrival_iteration: int) -> RequestLat
         queueing=output.first_token_iteration - arrival_iteration,
         ttft=ttft,
         completion=completion,
-        tpot=running / max(1, len(output.tokens)),
+        tpot=running / max(1, len(output.tokens) - 1),
     )
 
 

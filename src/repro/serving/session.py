@@ -3,7 +3,11 @@
 A session binds one :class:`~repro.serving.request.Request` to a
 :class:`~repro.engine.pipeline.DecodeState` and a single-lane
 :class:`~repro.engine.pipeline.DecodePipeline`; ``step()`` is one pipeline
-tick — a batch of one.  The request managers interleave sessions at
+tick — a batch of one.  Building a session runs no model: the manager
+scores the prompts of every request it admits in one round through
+:meth:`~repro.engine.pipeline.DecodePipeline.prefill`, and a standalone
+session's first ``step()`` takes the same prompt pass before its first
+tick.  The request managers interleave sessions at
 iteration granularity (continuous batching) by ticking session *states*
 through a pipeline the manager owns wherever one LLM pass can serve the
 batch — every incremental session of an iteration through one
@@ -30,8 +34,6 @@ from repro.engine.pipeline import (
 from repro.model.transformer import TransformerLM
 from repro.serving.request import Request
 from repro.speculate.speculator import Speculator
-from repro.tree.token_tree import TokenTree
-from repro.verify.result import VerificationResult
 
 
 class DecodeSession(ABC):
@@ -99,7 +101,8 @@ class DecodeSession(ABC):
         return self._pipeline.tick([self.state])[0]
 
     def step(self) -> List[int]:
-        """One LLM decoding iteration; returns emitted tokens."""
+        """One LLM decoding iteration; returns emitted tokens (led by the
+        prompt pass's first token when nobody prefilled this session)."""
         return self.tick().emitted
 
     def attach_injector(self, injector,
@@ -167,22 +170,6 @@ class SpeculativeSession(DecodeSession):
         # Speculation and verification share the request's seeded RNG, so a
         # standalone session replays exactly like the offline engine.
         return PerRequestBackend(model)
-
-    # -- two-phase interface (legacy surface of the fused managers) ----------------
-
-    def prepare_step(self) -> Optional[TokenTree]:
-        """Phase 1: speculate (and fit) this iteration's token tree.
-
-        Returns ``None`` when the request cannot decode further (context
-        exhausted); the session then reports ``finished`` and the manager
-        retires it.
-        """
-        return self._pipeline.speculate(self.state)
-
-    def commit_step(self, tree: TokenTree,
-                    verification: VerificationResult) -> List[int]:
-        """Phase 2: record the verification outcome and advance state."""
-        return self._pipeline.commit(self.state, tree, verification)
 
 
 def make_routed_factory(model: TransformerLM, pool, router,

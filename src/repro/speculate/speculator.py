@@ -10,17 +10,19 @@ the current generation state into a speculated token tree each iteration:
 The speculator mirrors the verified sequence in every SSM's cache.  The
 engine protocol is::
 
-    spec.prefill(prompt_prefix)          # verified prefix, pending excluded
+    spec.advance(prompt)                 # verified prefix, pending excluded
     tree = spec.speculate(pending)       # caches restored afterwards
     ... verifier accepts some tokens ...
     spec.advance([pending] + accepted)   # queue them; no SSM runs here
 
-``advance`` only records the tokens.  They reach the SSM caches with the
-next forward pass that would have needed them anyway: packed expansion
-(:mod:`repro.speculate.packed`) takes the queue and scores it in the same
-level-0 call as the new root, and :meth:`Speculator.speculate` /
-:meth:`Speculator.prefill` flush it with one prefill before doing anything
-else — so a tick never pays an SSM forward of its own for mirroring.
+``advance`` only records the tokens — the prompt included: the decode
+pipeline's prompt pass queues it, so admitting a request runs no SSM.  They
+reach the SSM caches with the next forward pass that would have needed them
+anyway: packed expansion (:mod:`repro.speculate.packed`) takes the queue and
+scores it in the same level-0 call as the new root, and
+:meth:`Speculator.speculate` / :meth:`Speculator.prefill` flush it with one
+prefill before doing anything else — so a tick never pays an SSM forward of
+its own for mirroring.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ class TestIncrementalEngine:
                                                stop_on_eos=False)
         )
         assert result.num_tokens == 10
-        assert result.num_llm_steps == 10
+        # The prompt pass emits the first token; steps count decode steps.
+        assert result.num_llm_steps == 9
 
     def test_rejects_empty_prompt(self, llm):
         with pytest.raises(ValueError, match="non-empty"):
@@ -103,4 +104,4 @@ class TestIncrementalEngine:
         )
         prefixes = [s.prefix_len for s in result.steps]
         assert prefixes == sorted(prefixes)
-        assert prefixes[0] == 3  # prompt minus pending token
+        assert prefixes[0] == 4  # the prompt; the first token is pending

@@ -92,10 +92,14 @@ def _state(llm, cache_factory, greedy, seed, prompt_len, max_new_tokens):
                 else SamplingConfig(temperature=1.0))
     prompt = make_prompt(np.random.default_rng(1000 * seed + prompt_len),
                          length=prompt_len)
-    config = GenerationConfig(max_new_tokens=max_new_tokens,
+    # The prompt pass emits one token here, so the ticks under test emit
+    # ``max_new_tokens`` more.
+    config = GenerationConfig(max_new_tokens=max_new_tokens + 1,
                               sampling=sampling, stop_on_eos=False,
                               seed=seed + prompt_len)
-    return DecodeState(llm, prompt, config, cache_factory=cache_factory)
+    state = DecodeState(llm, prompt, config, cache_factory=cache_factory)
+    DecodePipeline(llm).prefill([state])
+    return state
 
 
 def _drive(llm, backend, cache_kind, greedy, seed, shapes, late=()):
@@ -218,8 +222,11 @@ class TestManagerEqualsEngine:
         for _ in range(3):
             mgr.run_iteration()
         mgr.preempt(1)
-        stats = mgr.run_iteration()  # request 1 re-admitted and resumed
-        assert stats.admitted == 1 and set(stats.emissions) == {0, 1, 2}
+        # Request 1 re-enters through a prefill iteration of its own ...
+        stats = mgr.run_iteration()
+        assert stats.admitted == 1 and set(stats.emissions) == {1}
+        # ... and decodes with the others from the next one.
+        assert set(mgr.run_iteration().emissions) == {0, 1, 2}
         mgr.run_until_complete()
         assert mgr.output_for(1).preemptions == 1
         assert {rid: mgr.output_for(rid).tokens
@@ -228,12 +235,14 @@ class TestManagerEqualsEngine:
     def test_session_fault_cooldown_skips_only_that_request(self, llm):
         """The cooling request is absent from the batch; the others
         advance, and every output is still the engine's."""
-        # SESSION draws are per schedulable request per iteration, in
-        # running order: iteration 0 draws (0, 0, 0), iteration 1 (0, 1, 0).
+        # SESSION draws are per schedulable request per decode iteration,
+        # in running order (the prefill iteration draws none): the first
+        # decode iteration draws (0, 0, 0), the second (0, 1, 0).
         injector = ScriptedInjector({FaultKind.SESSION: [0, 0, 0, 0, 1, 0]})
         mgr = RequestManager(incremental_factory(llm), max_batch_size=3,
                              injector=injector)
         expected = _submit_all(llm, mgr, greedy=True, seed=11, n=3)
+        assert mgr.run_iteration().admitted == 3
         assert set(mgr.run_iteration().emissions) == {0, 1, 2}
         assert set(mgr.run_iteration().emissions) == {0, 2}
         assert set(mgr.run_iteration().emissions) == {0, 1, 2}
@@ -250,7 +259,7 @@ class TestManagerEqualsEngine:
         mgr = RequestManager(incremental_factory(llm), max_batch_size=3,
                              injector=injector, fallback_cooldown=2)
         expected = _submit_all(llm, mgr, greedy=True, seed=13, n=3)
-        for _ in range(2):
+        for _ in range(3):  # the prefill iteration, then two ticks
             assert set(mgr.run_iteration().emissions) == {0, 1, 2}
         assert injector.checks[FaultKind.VERIFICATION] == 2
         assert injector.checks[FaultKind.SPECULATION] == 0

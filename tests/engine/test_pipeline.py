@@ -140,7 +140,8 @@ class TestIncrementalBackend:
                             GenerationConfig(max_new_tokens=3,
                                              stop_on_eos=False))
         DecodePipeline(llm, IncrementalBackend(llm)).run_to_completion(state)
-        assert len(state.steps) == 3
+        # Three tokens: one from the prompt pass (no trace), two decode steps.
+        assert len(state.tokens) == 3 and len(state.steps) == 2
         for step in state.steps:
             assert step.llm_tokens_scored == 1
             assert step.tokens_emitted == 1
@@ -173,14 +174,34 @@ class TestIncrementalBackend:
 class TestPipelineTick:
     def test_finished_state_is_skipped(self, llm, rng):
         state = DecodeState(llm, make_prompt(rng),
-                            GenerationConfig(max_new_tokens=1,
+                            GenerationConfig(max_new_tokens=2,
                                              stop_on_eos=False))
         pipeline = DecodePipeline(llm, IncrementalBackend(llm))
+        pipeline.prefill([state])
         first = pipeline.tick([state])[0]
         assert first.advanced and len(first.emitted) == 1
         second = pipeline.tick([state])[0]
         assert not second.advanced and second.emitted == []
         assert len(state.steps) == 1
+
+    def test_cold_state_takes_the_prompt_pass_inside_its_first_tick(
+            self, llm, rng):
+        """Nobody prefilled the state: the tick does, and the prompt pass's
+        token leads the tick's delta.  A one-token budget ends there."""
+        config = GenerationConfig(max_new_tokens=1, stop_on_eos=False)
+        prompt = make_prompt(rng)
+        state = DecodeState(llm, prompt, config)
+        assert state.pending is None and state.cache.length == 0
+        outcome = DecodePipeline(llm, IncrementalBackend(llm)).tick([state])[0]
+        assert not outcome.advanced and outcome.finished
+        assert outcome.emitted == state.tokens and len(state.tokens) == 1
+        assert state.steps == [] and state.cache.length == len(prompt)
+
+        longer = DecodeState(llm, prompt, GenerationConfig(
+            max_new_tokens=4, stop_on_eos=False))
+        outcome = DecodePipeline(llm, IncrementalBackend(llm)).tick([longer])[0]
+        assert outcome.advanced and outcome.emitted == longer.tokens
+        assert longer.tokens[0] == state.tokens[0] and len(longer.tokens) == 2
 
     def test_context_exhaustion_marks_retired(self, llm, rng):
         """When not even a one-node tree fits, the tick retires the state

@@ -32,11 +32,14 @@ class ScriptedInjector(FaultInjector):
 
 
 def make_state(llm, ssm, prompt, max_new_tokens=12):
-    return DecodeState(
+    """A prefilled state, so each tick below is a decode tick only."""
+    state = DecodeState(
         llm, prompt,
         GenerationConfig(max_new_tokens=max_new_tokens, stop_on_eos=False),
         speculator=Speculator([ssm], ExpansionConfig((1, 2, 1))),
     )
+    DecodePipeline(llm).prefill([state])
+    return state
 
 
 class TestFallbackEntry:

@@ -138,7 +138,8 @@ class TestTraces:
             make_prompt(rng),
             GenerationConfig(max_new_tokens=13, stop_on_eos=False),
         )
-        total = sum(s.tokens_emitted for s in result.steps)
+        # The prompt pass emits the first token; the steps the rest.
+        total = 1 + sum(s.tokens_emitted for s in result.steps)
         # The last step may overshoot max_new_tokens before truncation.
         assert total >= result.num_tokens
         assert result.num_tokens == 13

@@ -547,8 +547,9 @@ class TestSteadyStateAllocationFree:
             greedy=True, seed=1, max_new_tokens=30,
         )
         pipeline = DecodePipeline(llm, backend=FusedBackend(llm))
-        # Request-construction prefills allocate outside any tick; only
-        # in-tick allocations must land in the tick.allocs counter.
+        # The prompt pass allocates outside any tick; only in-tick
+        # allocations must land in the tick.allocs counter.
+        pipeline.prefill(states)
         before = perf.COUNTERS.hot_alloc_events
         while any(not s.finished for s in states):
             pipeline.tick([s for s in states if not s.finished])

@@ -1,22 +1,18 @@
-"""SLO classes: scheduler policy unit tests + end-to-end tick shaping."""
+"""SLO classes: labels on the gateway's latency histograms.
+
+Both classes are scheduled alike — a request's first token comes from the
+prompt pass of the round that admits it, so no tick ever has a cold request
+to favour — and the class only selects which TTFT/TBT histogram the
+request's latencies land in.
+"""
 
 import pytest
 
 from repro.engine.generation import GenerationConfig
 from repro.obs import REGISTRY
 from repro.serving.gateway import ServingGateway, SloClass
-from repro.serving.loop import SloScheduler
 
 from tests.gateway.conftest import build_manager
-
-
-class _Req:
-    """Minimal stand-in for the gateway's request view."""
-
-    def __init__(self, request_id, slo, warmed=False):
-        self.request_id = request_id
-        self.slo = slo
-        self.first_token_at = 0.0 if warmed else None
 
 
 class TestSloClassParse:
@@ -30,69 +26,14 @@ class TestSloClassParse:
             SloClass.parse("platinum")
 
 
-class TestSloSchedulerPolicy:
-    def test_cold_interactive_with_batch_present_gets_subset(self):
-        scheduler = SloScheduler()
-        running = [
-            _Req(0, SloClass.BATCH, warmed=True),
-            _Req(1, SloClass.INTERACTIVE),
-            _Req(2, SloClass.INTERACTIVE, warmed=True),
-        ]
-        # Subset = every interactive request, cold or warm: the warm ones
-        # ride along so the small tick still makes progress for them.
-        assert scheduler.select(running) == [1, 2]
-
-    def test_all_warm_runs_full_batch(self):
-        scheduler = SloScheduler()
-        running = [
-            _Req(0, SloClass.BATCH, warmed=True),
-            _Req(1, SloClass.INTERACTIVE, warmed=True),
-        ]
-        assert scheduler.select(running) is None
-
-    def test_interactive_only_batch_runs_full(self):
-        scheduler = SloScheduler()
-        assert scheduler.select([_Req(0, SloClass.INTERACTIVE)]) is None
-
-    def test_batch_only_runs_full(self):
-        scheduler = SloScheduler()
-        assert scheduler.select(
-            [_Req(0, SloClass.BATCH), _Req(1, SloClass.BATCH)]) is None
-
-    def test_starvation_bound_forces_a_full_tick(self):
-        scheduler = SloScheduler(max_interactive_only_ticks=2)
-        running = [
-            _Req(0, SloClass.BATCH, warmed=True),
-            _Req(1, SloClass.INTERACTIVE),
-        ]
-        assert scheduler.select(running) == [1]
-        assert scheduler.select(running) == [1]
-        # Bound reached: the batch request gets its full tick ...
-        assert scheduler.select(running) is None
-        # ... and the counter resets, so small ticks may resume.
-        assert scheduler.select(running) == [1]
-
-    def test_zero_bound_disables_interactive_ticks(self):
-        scheduler = SloScheduler(max_interactive_only_ticks=0)
-        running = [
-            _Req(0, SloClass.BATCH, warmed=True),
-            _Req(1, SloClass.INTERACTIVE),
-        ]
-        assert scheduler.select(running) is None
-
-    def test_rejects_negative_bound(self):
-        with pytest.raises(ValueError):
-            SloScheduler(max_interactive_only_ticks=-1)
-
-
 class TestSloEndToEnd:
-    async def test_interactive_ticks_run_and_everything_completes(
-            self, llm, prompts):
-        interactive_ticks = REGISTRY.counter(
-            "repro.gateway.interactive_ticks")
-        full_ticks = REGISTRY.counter("repro.gateway.full_ticks")
-        before_interactive = interactive_ticks.value
-        before_full = full_ticks.value
+    async def test_mixed_classes_complete_and_label_ttft(self, llm, prompts):
+        ttft = {
+            slo: REGISTRY.histogram(
+                f"repro.gateway.ttft_seconds.{slo.value}")
+            for slo in SloClass
+        }
+        before = {slo: hist.count for slo, hist in ttft.items()}
         manager = build_manager(llm, batch=4)
         gateway = ServingGateway(manager)
         config = GenerationConfig(max_new_tokens=8, stop_on_eos=False)
@@ -106,24 +47,13 @@ class TestSloEndToEnd:
         await gateway.stop(drain=True)
         for stream in streams:
             assert len(await stream.collect()) == 8
-        # The cold interactive pair triggered TTFT-optimized small ticks,
-        # and the batch pair still finished (no starvation).
-        assert interactive_ticks.value > before_interactive
-        assert full_ticks.value > before_full
-
-    async def test_first_token_unblocks_interactive_ticks(
-            self, llm, prompts):
-        """Once every interactive request is warm, ticks are full-batch
-        again — small ticks are strictly a TTFT instrument."""
-        manager = build_manager(llm, batch=2)
-        gateway = ServingGateway(manager)
-        config = GenerationConfig(max_new_tokens=4, stop_on_eos=False)
-        batch_stream = await gateway.submit(
-            prompts[0], config, slo=SloClass.BATCH)
-        inter_stream = await gateway.submit(
-            prompts[1], config, slo=SloClass.INTERACTIVE)
-        await gateway.start()
-        await gateway.stop(drain=True)
-        assert len(await batch_stream.collect()) == 4
-        assert len(await inter_stream.collect()) == 4
-        assert gateway._scheduler._consecutive_interactive == 0
+        # One TTFT sample per request, in its own class's histogram.
+        for slo, hist in ttft.items():
+            assert hist.count - before[slo] == 2
+        # All four were admitted in one round: one prefill iteration gave
+        # every request its first token, and every later iteration decoded
+        # the whole batch.
+        log = manager.iteration_stats
+        assert log[0].admitted == 4
+        assert sorted(log[0].emissions) == [s.request_id for s in streams]
+        assert all(stats.batch_size == 4 for stats in log[1:-1])

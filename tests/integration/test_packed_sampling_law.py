@@ -3,11 +3,14 @@ under fused verification emits tokens distributed as the LLM's.
 
 ``test_end_to_end.py`` compares two 400-sample estimates of the first
 token's law at TV < 0.25.  This pins the same theorem harder and where it
-is now load-bearing: 4,096 seeded requests drafted by
-:class:`~repro.speculate.packed.PackedSpeculator` (branching trees, so
-multi-candidate MSS, residual renormalization and merged duplicate draws
-all occur), checked against the LLM's *exact* first- and second-token laws
-rather than against another sample.
+is now load-bearing: 4,096 seeded requests, checked against the LLM's
+*exact* first- and second-token laws rather than against another sample.
+The first token is the one the batched prompt pass samples from the last
+prompt row with the request's own RNG; the second is what the first tick
+after it commits, drafted by
+:class:`~repro.speculate.packed.PackedSpeculator` behind the queued prompt
+(branching trees, so multi-candidate MSS, residual renormalization and
+merged duplicate draws all occur).
 """
 
 import math
@@ -58,10 +61,7 @@ def exact_laws(llm, prompt):
 
 def test_first_and_second_token_laws_are_the_llms(llm):
     reset_observability()
-    # One prompt token: admission then runs no prefill, which at 4,096
-    # requests is half the test's time and none of its subject.  The second
-    # tick of each request still speculates behind a mirrored prefix.
-    prompt = make_prompt(np.random.default_rng(5), length=1)
+    prompt = make_prompt(np.random.default_rng(5), length=3)
     sampling = SamplingConfig(temperature=1.0)
     # A poorly aligned SSM: rejections and residual sampling do real work.
     ssm = CoupledSSM(llm, alignment=0.5, seed=11, noise_scale=2.0)
@@ -79,15 +79,20 @@ def test_first_and_second_token_laws_are_the_llms(llm):
             )
             for seed in range(first_seed, first_seed + BATCH)
         ]
-        while any(not state.finished for state in states):
-            pipeline.tick([s for s in states if not s.finished])
-        for state in states:
+        # The prompt pass: one forward for the batch, one draw per request.
+        for state, outcome in zip(states, pipeline.prefill(states)):
+            assert outcome.emitted == state.tokens and not state.steps
             counts[0, state.tokens[0]] += 1
+        # The first tick after it commits the second token.
+        pipeline.tick(states)
+        for state in states:
+            assert state.finished and len(state.steps) == 1
             counts[1, state.tokens[1]] += 1
 
     snap = REGISTRY.snapshot()
-    assert snap["repro.speculate.packed.requests"]["value"] >= N_REQUESTS
+    assert snap["repro.speculate.packed.requests"]["value"] == N_REQUESTS
     assert snap["repro.speculate.packed.fallbacks"]["value"] == 0
+    assert snap["repro.engine.ticks"]["value"] == N_REQUESTS // BATCH
 
     bound = tv_bound(vocab, N_REQUESTS)
     assert bound < 0.08

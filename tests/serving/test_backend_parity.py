@@ -188,5 +188,7 @@ class TestIterationAccounting:
         result = engine.generate(prompt, config)
         assert output.tokens == result.tokens
         assert output.num_llm_steps == len(result.steps)
-        assert sum(s.llm_tokens_scored for s in manager.iteration_stats) == \
+        prefill, *decode = manager.iteration_stats
+        assert prefill.llm_tokens_scored == len(prompt)  # the prompt pass
+        assert sum(s.llm_tokens_scored for s in decode) == \
             sum(s.llm_tokens_scored for s in result.steps)

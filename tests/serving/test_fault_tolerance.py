@@ -135,12 +135,14 @@ class TestBoundedRetry:
         rid = mgr.submit(make_prompt(rng),
                          GenerationConfig(max_new_tokens=2,
                                           stop_on_eos=False))
-        mgr.run_iteration()  # fault 1 -> cooldown until iteration 1
+        mgr.run_iteration()  # iteration 0: the prompt pass, no check
+        assert injector.checks[FaultKind.SESSION] == 0
+        mgr.run_iteration()  # fault 1 -> cooldown until iteration 2
         tracked = mgr._tracked[rid]
-        assert tracked.cooldown_until == 1
-        mgr.run_iteration()  # fault 2 -> cooldown until iteration 3
-        assert tracked.cooldown_until == 3
-        mgr.run_iteration()  # iteration 2: still cooling down, no check
+        assert tracked.cooldown_until == 2
+        mgr.run_iteration()  # fault 2 -> cooldown until iteration 4
+        assert tracked.cooldown_until == 4
+        mgr.run_iteration()  # iteration 3: still cooling down, no check
         assert injector.checks[FaultKind.SESSION] == 2
         mgr.run_until_complete()
         assert mgr.output_for(rid).retries == 2
@@ -159,7 +161,9 @@ class TestBoundedRetry:
         assert mgr._tracked[rid].request.state is RequestState.FAILED
         assert "retries" in failed[0].error
         assert failed[0].retries == 3  # 2 tolerated + the fatal one
-        assert failed[0].tokens == []  # never advanced
+        # The prompt pass's token is all it has: no tick ever ran.
+        assert len(failed[0].tokens) == 1
+        assert failed[0].num_llm_steps == 0
 
     def test_failure_releases_resources(self, llm, rng):
         pool = KvMemoryPool(budget_bytes=10**9, model=SMALL_CONFIG)

@@ -14,7 +14,8 @@ from repro.serving.session import IncrementalSession
 from tests.conftest import make_prompt
 
 
-def finished_output(rid=0, first=2, finish=6, steps=4, tokens=4):
+def finished_output(rid=0, first=2, finish=6, steps=3, tokens=4):
+    """Four tokens: one from the prompt pass, three decode steps."""
     return RequestOutput(
         request_id=rid,
         tokens=list(range(tokens)),
@@ -52,7 +53,7 @@ class TestRequestLatency:
 class TestBuildReport:
     def test_aggregates(self):
         outputs = [
-            finished_output(0, first=0, finish=4, steps=4, tokens=4),
+            finished_output(0, first=0, finish=4, steps=3, tokens=4),
             finished_output(1, first=1, finish=9, steps=8, tokens=8),
         ]
         stats = [
@@ -82,7 +83,7 @@ class TestBuildReport:
         import math
 
         outputs = [
-            finished_output(0, first=0, finish=4, steps=4, tokens=4),
+            finished_output(0, first=0, finish=4, steps=3, tokens=4),
             RequestOutput(request_id=1, finish_iteration=6),  # no tokens
         ]
         report = build_report(outputs, arrivals=[0, 0], iteration_stats=[])

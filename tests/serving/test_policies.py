@@ -139,13 +139,12 @@ class TestPreemptionTieBreak:
         assert mgr.output_for(victim).preemptions == 1
 
 
-class TestZeroCommittedResume:
-    def test_preempt_before_first_token_resumes_from_original_request(
-            self, llm, rng):
-        """A request preempted with zero committed tokens must re-admit
-        from its *original* request view (full prompt, full budget) — the
-        resume-view path would otherwise build a session from an empty
-        committed list and a reduced budget."""
+class TestPreemptAfterPrefill:
+    def test_resumes_through_the_prompt_pass(self, llm, rng):
+        """The earliest a request can be preempted is right after its
+        prefill iteration, holding exactly the prompt pass's token; it
+        re-admits through the resume view (prompt + that token, budget
+        minus one) and another prompt pass."""
         config = GenerationConfig(max_new_tokens=5, stop_on_eos=False)
         prompt = make_prompt(rng, length=6)
 
@@ -158,15 +157,16 @@ class TestZeroCommittedResume:
         mgr = RequestManager(
             lambda req: IncrementalSession(req, llm), max_batch_size=2)
         rid = mgr.submit(prompt, config)
-        assert mgr.admit() == 1  # session exists, nothing decoded yet
+        stats = mgr.admit()  # the prefill iteration: no tick has run
+        assert stats.admitted == 1 and stats.emissions == {rid: expected[:1]}
         mgr.preempt(rid)
         tracked = mgr._tracked[rid]
-        assert tracked.committed == []
+        assert tracked.committed == expected[:1]
         assert tracked.preemptions == 1
-        # The factory view is the untouched original request.
         view = mgr._session_request(tracked)
-        assert view is tracked.request
-        assert view.config.max_new_tokens == 5
+        assert list(view.prompt) == list(prompt) + expected[:1]
+        assert view.config.max_new_tokens == 4
+        assert mgr.admit().emissions == {rid: expected[1:2]}
         mgr.run_until_complete()
         output = mgr.output_for(rid)
         assert output.tokens == expected

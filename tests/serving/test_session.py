@@ -34,9 +34,12 @@ def spec_session(llm, request):
 class TestIncrementalSession:
     def test_one_token_per_step(self, llm, rng):
         session = IncrementalSession(make_request(make_prompt(rng)), llm)
+        # A standalone session's first step also takes the prompt pass,
+        # whose token leads the delta.
         emitted = session.step()
-        assert len(emitted) == 1
+        assert len(emitted) == 2
         assert session.tokens == emitted
+        assert len(session.step()) == 1
 
     def test_finishes_at_budget(self, llm, rng):
         session = IncrementalSession(
@@ -46,7 +49,7 @@ class TestIncrementalSession:
         while not session.finished:
             session.step()
             steps += 1
-        assert steps == 3
+        assert steps == 2  # prompt pass + tick, then one more tick
         assert len(session.tokens) == 3
 
     def test_step_after_finish_is_noop(self, llm, rng):
@@ -75,7 +78,8 @@ class TestSpeculativeSession:
         prompt = make_prompt(rng, length=5)
         session = spec_session(llm, make_request(prompt, max_new=12))
         emitted = session.step()
-        assert 1 <= len(emitted) <= 4  # depth-3 tree + bonus
+        assert 2 <= len(emitted) <= 5  # prompt pass + depth-3 tree + bonus
+        assert 1 <= len(session.step()) <= 4
 
     def test_matches_incremental_greedy(self, llm, rng):
         prompt = make_prompt(rng, length=5)
