@@ -31,7 +31,6 @@ from repro.model.sampling import SamplingConfig
 from repro.model.transformer import TransformerLM
 from repro.speculate.expansion import ExpansionConfig, expand_token_tree
 from repro.reporting.tables import AsciiTable
-from repro.verify.precision import PRECISIONS, ROWS_FALLBACK, ROWS_QUANTIZED
 from repro.verify.verifier import TokenTreeVerifier
 
 BATCH_SIZES = (1, 2, 4, 8, 16)
@@ -165,31 +164,24 @@ ABLATION_BATCH = 8
 
 
 def run_ablation(batch=ABLATION_BATCH, repeats=REPEATS):
-    """Allocation + precision ablation on the block-sparse fused path.
+    """Allocation ablation on the block-sparse fused path.
 
-    Two axes, both bit-exact by construction:
-
-    * ``reuse_scratch`` on/off — identical accepted tokens; with reuse the
-      steady state (every call after the arena-warming first one) performs
-      zero tracked hot-path allocations;
-    * ``precision`` fp32/fp16/int8 — identical accepted tokens under
-      greedy decoding (argmax-stability guard), with the quantized-vs-
-      fallback row split recorded per step.
+    ``reuse_scratch`` on/off — identical accepted tokens; with reuse the
+    steady state (every call after the arena-warming first one) performs
+    zero tracked hot-path allocations.
     """
     llm = TransformerLM(FUSED_BENCH_CONFIG, seed=7)
     ssm = CoupledSSM(llm, alignment=0.8, seed=11, noise_scale=2.0)
     arena = BatchArena(FUSED_BENCH_CONFIG, max_requests=batch)
     trees, caches = _build_batch(llm, ssm, batch, arena=arena)
     sampling = SamplingConfig(greedy=True)
-    measures = {"batch": batch, "alloc": {}, "precision": {}}
+    measures = {"batch": batch, "alloc": {}}
     baseline = None
 
     table = AsciiTable(
-        ["variant", "ms/step", "steady allocs", "steady alloc MB",
-         "rows quantized", "rows fp32-fallback"],
+        ["variant", "ms/step", "steady allocs", "steady alloc MB"],
         title=f"Block-sparse fused ablation at batch {batch}: scratch "
-              "reuse and reduced-precision scoring (accepted tokens "
-              "identical in every variant)",
+              "reuse (accepted tokens identical in both variants)",
     )
 
     for label, reuse in (("scratch_on", True), ("scratch_off", False)):
@@ -211,28 +203,9 @@ def run_ablation(batch=ABLATION_BATCH, repeats=REPEATS):
             label, f"{elapsed * 1e3:.1f}",
             str(measures["alloc"][label]["steady_alloc_events"]),
             f"{measures['alloc'][label]['steady_alloc_bytes'] / 1e6:.2f}",
-            "-", "-",
         )
     assert measures["alloc"]["scratch_on"]["steady_alloc_events"] == 0
 
-    for precision in PRECISIONS:
-        verifier = BatchedTreeVerifier(llm, sampling, precision=precision)
-        step = lambda: verifier.verify_batch(trees, caches)
-        _time_batch_step(step, caches, repeats=1)  # warm the arena
-        quantized_0, fallback_0 = ROWS_QUANTIZED.value, ROWS_FALLBACK.value
-        elapsed, results = _time_batch_step(step, caches, repeats=repeats)
-        assert _accepted(results) == baseline
-        measures["precision"][precision] = {
-            "s": elapsed,
-            "rows_quantized":
-                (ROWS_QUANTIZED.value - quantized_0) // repeats,
-            "rows_fallback": (ROWS_FALLBACK.value - fallback_0) // repeats,
-        }
-        table.add_row(
-            precision, f"{elapsed * 1e3:.1f}", "-", "-",
-            str(measures["precision"][precision]["rows_quantized"]),
-            str(measures["precision"][precision]["rows_fallback"]),
-        )
     return table.render(), measures
 
 
@@ -243,13 +216,10 @@ def test_batched_fused_paths(benchmark):
     ablation_report, ablation = run_ablation()
     save_report("batched_fused", report + "\n\n" + ablation_report)
 
-    # Warmed scratch-backed verification steps allocate nothing; reduced
-    # precision actually quantizes rows (run_ablation itself asserts the
-    # accepted tokens match fp32 in every variant).
+    # Warmed scratch-backed verification steps allocate nothing
+    # (run_ablation itself asserts the accepted tokens match).
     assert ablation["alloc"]["scratch_on"]["steady_alloc_events"] == 0
     assert ablation["alloc"]["scratch_off"]["steady_alloc_events"] > 0
-    for precision in ("fp16", "int8"):
-        assert ablation["precision"][precision]["rows_quantized"] > 0
 
     # Block-sparse per-step cost grows ~linearly in Σ tree tokens: per-token
     # time at BS=16 stays within 2.5x of BS=1 (dense-fused blows past that —
@@ -295,19 +265,13 @@ def record_ablation_metrics(ablation):
     """Mirror the ablation measures into the registry for ``ci_gate.py``.
 
     The gate reads ``...ablation.alloc.scratch_on.steady_alloc_events``
-    (must be zero) and publishes the precision numbers alongside the
-    fused-speedup gauges in ``BENCH_ci.json``.
+    (must be zero).
     """
     prefix = "repro.bench.fused.ablation"
     REGISTRY.gauge(f"{prefix}.batch").set(ablation["batch"])
     for label, m in ablation["alloc"].items():
         for key in ("s", "steady_alloc_events", "steady_alloc_bytes"):
             REGISTRY.gauge(f"{prefix}.alloc.{label}.{key}").set(m[key])
-    for precision, m in ablation["precision"].items():
-        for key in ("s", "rows_quantized", "rows_fallback"):
-            REGISTRY.gauge(f"{prefix}.precision.{precision}.{key}").set(
-                m[key]
-            )
 
 
 def main(argv=None):

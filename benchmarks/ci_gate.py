@@ -9,8 +9,7 @@ benchmark tables:
    ``MIN_FUSED_SPEEDUP``.
 2. **Benchmark steady-state allocations** — from the same JSON, the
    ablation's ``scratch_on`` variant must report zero tracked hot-path
-   allocations per warmed verification step (the precision-ablation
-   gauges ride along in the artifact for trend tracking).
+   allocations per warmed verification step.
 3. **Pipeline steady-state allocations** — drives a seeded fused-backend
    decode batch end to end and fails if ``repro.engine.tick.allocs``
    grows at all after the warm-up ticks: the whole
@@ -119,19 +118,13 @@ def gate_fused_speedup(bench_json: str) -> list:
 
 
 def gate_bench_allocs(bench_json: str) -> list:
-    """Failure messages from the benchmark's allocation/precision ablation."""
+    """Failure messages from the benchmark's allocation ablation."""
     with open(bench_json) as fh:
         metrics = json.load(fh)
     key = "repro.bench.fused.ablation.alloc.scratch_on.steady_alloc_events"
     if key not in metrics:
         raise RuntimeError(f"{bench_json} is missing {key}")
     allocs = int(metrics[key]["value"])
-    for precision in ("fp16", "int8"):
-        prefix = f"repro.bench.fused.ablation.precision.{precision}"
-        quantized = int(metrics[f"{prefix}.rows_quantized"]["value"])
-        fallback = int(metrics[f"{prefix}.rows_fallback"]["value"])
-        print(f"{precision} draft scoring: {quantized} rows quantized, "
-              f"{fallback} fp32 fallbacks per step")
     print(f"warmed verification-step allocations: {allocs} (gate: == 0)")
     if allocs:
         return [f"warmed block-sparse verification step performed "

@@ -144,19 +144,13 @@ def _serve_stack(args: argparse.Namespace):
                 ),
             )
 
-    backend = None
     planner = None
     if getattr(args, "planner", False):
-        # Per-tick planning needs the batch-wide shared pipeline, so
-        # --planner implies fused verification.
-        from repro.engine.pipeline import FusedBackend
         from repro.speculate.planner import TreePlanner
 
-        backend = FusedBackend(llm)
         planner = TreePlanner.default()
     manager = RequestManager(factory, max_batch_size=args.batch,
-                             backend=backend, planner=planner,
-                             router=router)
+                             planner=planner, router=router)
     dataset = make_dataset(args.dataset, vocab_size=96)
     arrivals = PoissonArrivals(rate=args.rate, dataset=dataset,
                                seed=args.seed,
@@ -631,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=7)
     serve.add_argument("--planner", action="store_true",
                        help="plan speculation budgets per tick against the "
-                            "hardware cost model (implies fused verify)")
+                            "hardware cost model")
     _add_pool_args(serve)
     serve.add_argument("--gateway", action="store_true",
                        help="serve through the async streaming gateway "

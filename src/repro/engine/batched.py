@@ -42,7 +42,6 @@ from repro.tree.token_tree import TokenTree
 from repro.verify.decode import TreeDecodeOutput
 from repro.verify.greedy import verify_greedy
 from repro.verify.naive import verify_naive_sampling
-from repro.verify.precision import apply_precision, validate_precision
 from repro.verify.result import VerificationResult
 from repro.verify.stochastic import verify_stochastic
 
@@ -223,10 +222,6 @@ class BatchedTreeVerifier:
             (``repro.engine.tick.allocs == 0``).  ``False`` allocates fresh
             buffers every call — bit-identical results, exercised by the
             scratch on/off equivalence suite.
-        precision: ``"fp32"`` (exact), ``"fp16"`` or ``"int8"`` — simulate
-            reduced-precision draft scoring on the verification logits.
-            Requires a greedy sampling config; committed tokens stay
-            bit-identical to fp32 (see :mod:`repro.verify.precision`).
     """
 
     MODES = ("block", "dense")
@@ -239,7 +234,6 @@ class BatchedTreeVerifier:
         use_naive_sampling: bool = False,
         mode: str = "block",
         reuse_scratch: bool = True,
-        precision: str = "fp32",
     ):
         if mode not in self.MODES:
             raise ValueError(
@@ -250,8 +244,6 @@ class BatchedTreeVerifier:
         self.rng = rng or np.random.default_rng(0)
         self.use_naive_sampling = use_naive_sampling
         self.mode = mode
-        validate_precision(precision, self.sampling.greedy)
-        self.precision = precision
         self.reuse_scratch = reuse_scratch
         # One arena backs every persistent per-step buffer: index vectors,
         # per-batch-slot topology masks (block path), the combined
@@ -303,7 +295,6 @@ class BatchedTreeVerifier:
             logits = self._decode_dense(items, caches, layout)
         else:
             logits = self._decode_blocks(items, caches, layout)
-        logits = apply_precision(logits, self.precision)
 
         results: List[VerificationResult] = []
         for i, item in enumerate(items):

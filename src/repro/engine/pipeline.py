@@ -4,10 +4,9 @@ speculate→fit→verify→commit→advance loop.
 The paper's Algorithm 2 is *one* loop, and this module is its single home.
 Every execution surface — the offline engines
 (:class:`~repro.engine.incremental.IncrementalEngine`,
-:class:`~repro.engine.tree_spec.SpecInferEngine`), the per-request serving
-sessions (:mod:`repro.serving.session`), and the continuous-batching request
-managers (:mod:`repro.serving.manager`) — is a thin adapter over the pieces
-defined here:
+:class:`~repro.engine.tree_spec.SpecInferEngine`) and the continuous-batching
+request manager (:mod:`repro.serving.manager`) — is a thin adapter over the
+pieces defined here:
 
 * :class:`DecodeState` — the canonical per-request state machine (KV cache,
   pending token, RNG, emitted tokens, step traces, termination flags).
@@ -174,7 +173,8 @@ class DecodeState:
 
     Args:
         model: The LLM.
-        prompt: Input token ids (non-empty, at most ``max_seq_len``).
+        prompt: Input token ids (non-empty, at most ``max_seq_len``, each
+            in ``[0, vocab_size)``).
         config: Generation bounds / decoding mode.
         speculator: Optional :class:`~repro.speculate.speculator.Speculator`.
             ``None`` selects incremental decoding (Algorithm 1) — the
@@ -201,6 +201,11 @@ class DecodeState:
             raise ValueError(
                 f"prompt length {prompt_arr.size} exceeds max_seq_len "
                 f"{model.config.max_seq_len}"
+            )
+        vocab_size = model.config.vocab_size
+        if prompt_arr.min() < 0 or prompt_arr.max() >= vocab_size:
+            raise ValueError(
+                f"prompt token ids must be in [0, {vocab_size})"
             )
         self.model = model
         self.prompt = prompt_arr
@@ -279,18 +284,15 @@ class TraceRecorder:
 
     def record(self, state: DecodeState, tree: TokenTree,
                verification: VerificationResult,
-               incremental_shape: bool = False) -> StepTrace:
+               bare_root: bool = False) -> StepTrace:
         """Build and append the trace for one committed verification step.
 
-        Incremental steps (``state.speculator is None``) record the
-        Algorithm 1 shape — one token scored, one emitted, no tree fields —
-        even though the pipeline modeled them as a one-node tree.
-        ``incremental_shape`` forces that shape for a *speculative* state
-        whose tick degraded to incremental decoding (fault fallback): no
-        speculation ran, so charging SSM steps or tree fields to the cost
-        model would misprice the step.
+        A ``bare_root`` step (nothing was drafted: the tree is the pending
+        token alone) records the Algorithm 1 shape — one token scored, one
+        emitted, no tree fields, no SSM steps — so the cost model never
+        charges speculation that did not run.
         """
-        if state.speculator is None or incremental_shape:
+        if bare_root:
             fields = dict(
                 llm_tokens_scored=1,
                 tokens_emitted=1,
@@ -355,8 +357,8 @@ class PerRequestBackend(VerificationBackend):
     Args:
         model: The LLM.
         sampling: Decoding mode.  ``None`` (default) uses each state's own
-            sampling config — the per-session discipline the serving
-            sessions and offline engines rely on.
+            sampling config — the per-request discipline the offline
+            engines and a ``backend=None`` manager rely on.
         rng: Verification randomness.  ``None`` (default) draws from each
             state's own stream (speculation and verification then share the
             request RNG, matching the offline engines).  An explicit
@@ -366,9 +368,6 @@ class PerRequestBackend(VerificationBackend):
         use_naive_sampling: Swap MSS for the Table 3 naive baseline.
         reuse_scratch: Reuse per-verifier scratch arenas across steps
             (see :class:`TokenTreeVerifier`).
-        precision: Draft-scoring precision for greedy verification
-            (``"fp32"``/``"fp16"``/``"int8"``; see
-            :mod:`repro.verify.precision`).
     """
 
     def __init__(
@@ -378,14 +377,12 @@ class PerRequestBackend(VerificationBackend):
         rng: Optional[np.random.Generator] = None,
         use_naive_sampling: bool = False,
         reuse_scratch: bool = True,
-        precision: str = "fp32",
     ):
         self.model = model
         self.sampling = sampling
         self.rng = rng
         self.use_naive_sampling = use_naive_sampling
         self.reuse_scratch = reuse_scratch
-        self.precision = precision
         self._verifiers: "WeakKeyDictionary[DecodeState, TokenTreeVerifier]" = (
             WeakKeyDictionary()
         )
@@ -399,7 +396,6 @@ class PerRequestBackend(VerificationBackend):
                 rng=self.rng if self.rng is not None else state.rng,
                 use_naive_sampling=self.use_naive_sampling,
                 reuse_scratch=self.reuse_scratch,
-                precision=self.precision,
             )
             self._verifiers[state] = verifier
         return verifier
@@ -426,9 +422,6 @@ class FusedBackend(VerificationBackend):
             (reference block-diagonal mask); bit-equivalent outputs.
         reuse_scratch: Reuse batch-wide scratch arenas across ticks
             (see :class:`BatchedTreeVerifier`).
-        precision: Draft-scoring precision for greedy verification
-            (``"fp32"``/``"fp16"``/``"int8"``; see
-            :mod:`repro.verify.precision`).
     """
 
     def __init__(
@@ -439,7 +432,6 @@ class FusedBackend(VerificationBackend):
         use_naive_sampling: bool = False,
         mode: str = "block",
         reuse_scratch: bool = True,
-        precision: str = "fp32",
     ):
         self.model = model
         self._verifier = BatchedTreeVerifier(
@@ -449,7 +441,6 @@ class FusedBackend(VerificationBackend):
             use_naive_sampling=use_naive_sampling,
             mode=mode,
             reuse_scratch=reuse_scratch,
-            precision=precision,
         )
 
     @property
@@ -546,19 +537,27 @@ class DecodePipeline:
     :meth:`prefill` is the prompt pass — one LLM forward over the prompts of
     a batch of states, which emits each one's first token.  One :meth:`tick`
     then advances a batch of :class:`DecodeState`s by exactly one LLM
-    iteration: speculate a tree per request (a one-node tree for
-    incremental states), fit each tree to its cache, verify the survivors
-    through the configured :class:`VerificationBackend`, then commit —
-    record the trace, emit accepted tokens, advance the speculator.
+    iteration: speculate a tree per request, fit each tree to its cache,
+    verify the survivors, then commit — record the trace, emit accepted
+    tokens, advance the speculator.
+
+    One per-state decision shapes a tick.  A state's tree is a *bare root*
+    (its pending token alone — Algorithm 1) when the state has no
+    speculator, or the tick is fault-degraded, or the plan's budget is 0.
+    All bare roots of a tick are scored by the pipeline's one
+    :class:`IncrementalBackend` in a single ``decode_batch`` and record the
+    Algorithm-1 trace shape; every other state drafts a tree, and those
+    trees go through the configured backend in a single ``verify``.  So a
+    batch mixing speculative and incremental requests is one tick under any
+    backend, and only drafted states feed the planner and the router.
 
     Args:
         model: The LLM (sizes the tree fitter).
-        backend: The verification backend; defaults to
+        backend: The verification backend for drafted trees; defaults to
             :class:`PerRequestBackend` over ``model``.
         injector: Optional :class:`~repro.faults.FaultInjector`.  When set,
-            speculation and verification faults can fire each tick; the
-            affected tick *degrades* to incremental decoding (a one-node
-            tree per state, verified by :class:`IncrementalBackend`) instead
+            one speculation and one verification fault can fire each tick;
+            the affected tick *degrades* (every tree a bare root) instead
             of crashing, and speculation re-enables after
             ``fallback_cooldown`` clean ticks.  Under greedy verification
             degraded ticks emit exactly the tokens the speculative path
@@ -575,21 +574,19 @@ class DecodePipeline:
         planner: Optional :class:`~repro.speculate.planner.TreePlanner`
             consulted once per tick, before speculation.  The plan's
             expansion profile overrides every speculative state's static
-            configuration for that tick; a budget-0 plan runs the tick as
-            Algorithm-1 incremental decoding (one-node trees through
-            :class:`IncrementalBackend`) until the planner's cooldown
-            re-probes speculation.  Under greedy verification the emitted
+            configuration for that tick; a budget-0 plan makes every tree
+            of the tick a bare root until the planner's cooldown re-probes
+            speculation.  Under greedy verification the emitted
             tokens are identical for every plan — the planner only moves
             tokens-per-step, never content.
         router: Optional :class:`~repro.speculate.router.SpeculatorRouter`.
             When set, ticks that speculated feed each routed state's
             acceptance outcome back per request (through ``state.route``),
             and the planner's acceptance input becomes the mean of the live
-            routed members' estimates.  Fault-degraded and
-            planned-incremental ticks feed nothing — the same skip the
-            global planner estimator gets.  Routing never changes greedy
-            output: the verifier emits the LLM's greedy continuation
-            whichever member drafted.
+            routed members' estimates.  Bare roots feed nothing — the
+            same skip the global planner estimator gets.  Routing never
+            changes greedy output: the verifier emits the LLM's greedy
+            continuation whichever member drafted.
     """
 
     def __init__(self, model: TransformerLM,
@@ -610,12 +607,12 @@ class DecodePipeline:
         self.packed = PackedSpeculator() if packed_speculation else None
         self.planner = planner
         self.router = router
-        self._fallback_backend = (
+        #: Scores every bare root of a tick in one ``decode_batch``.
+        self._incremental = (
             self.backend if isinstance(self.backend, IncrementalBackend)
             else IncrementalBackend(model)
         )
         self._fallback_remaining = 0
-        self._tick_plan = None
         self._ticks = 0
 
     # -- fault fallback ------------------------------------------------------------
@@ -653,17 +650,6 @@ class DecodePipeline:
 
     # -- phases --------------------------------------------------------------------
 
-    def _speculate_tree(self, state: DecodeState) -> TokenTree:
-        """This iteration's raw (unfitted) token tree for one state."""
-        if state.speculator is None:
-            return TokenTree(state.pending)
-        return state.speculator.speculate(
-            state.pending,
-            stochastic=not state.sampling.greedy,
-            rng=state.rng,
-            plan=self._tick_plan,
-        )
-
     def _fit_tree(self, state: DecodeState,
                   tree: TokenTree) -> Optional[TokenTree]:
         """Fit one raw tree; marks the state retired when nothing fits."""
@@ -677,10 +663,9 @@ class DecodePipeline:
 
     def commit(self, state: DecodeState, tree: TokenTree,
                verification: VerificationResult,
-               incremental_shape: bool = False) -> List[int]:
+               bare_root: bool = False) -> List[int]:
         """Phase 3: record the outcome and advance the request's state."""
-        self.recorder.record(state, tree, verification,
-                             incremental_shape=incremental_shape)
+        self.recorder.record(state, tree, verification, bare_root=bare_root)
         emitted = state.emit(verification.accepted_tokens)
         previous_pending = state.pending
         state.pending = int(verification.bonus_token)
@@ -747,9 +732,9 @@ class DecodePipeline:
         """
         _TICKS.inc()
         outcomes = [TickOutcome(state=state) for state in states]
-        # A state nobody prefilled (offline engines, standalone sessions)
-        # takes the prompt pass first; its first token leads this tick's
-        # delta.  The serving managers prefill at admission instead.
+        # A state nobody prefilled (the offline engines) takes the prompt
+        # pass first; its first token leads this tick's delta.  The serving
+        # manager prefills at admission instead.
         cold = [i for i, state in enumerate(states) if state.pending is None]
         if cold:
             for i, first in zip(cold,
@@ -759,17 +744,17 @@ class DecodePipeline:
         with TRACER.span("repro.engine.tick", iteration=self._ticks,
                          batch=len(states)) as tick_span:
             self._ticks += 1
+            live = [
+                s for s in states
+                if s.speculator is not None and not s.finished
+            ]
 
             # Fault fallback: a tick is degraded when a previous fault's
             # cooldown is still draining, or when a speculation fault fires
-            # now.  Degraded ticks speculate the one-node tree (Algorithm 1)
-            # for every state and verify through the incremental backend.
+            # now (drawn only when something could draft).
             degraded = self._fallback_remaining > 0
             entered = False
-            can_speculate = any(
-                s.speculator is not None and not s.finished for s in states
-            )
-            if not degraded and can_speculate and self.injector is not None:
+            if live and not degraded and self.injector is not None:
                 try:
                     self.injector.maybe_fail(FaultKind.SPECULATION,
                                              iteration=self._ticks - 1)
@@ -779,14 +764,9 @@ class DecodePipeline:
 
             # Dynamic tree planning: one budget/shape decision for the whole
             # tick, solved against the live batch size and context depth.
-            # Fault-degraded ticks skip planning (no speculation will run);
-            # a budget-0 plan runs this tick as Algorithm-1 incremental.
+            # Fault-degraded ticks skip planning (nothing will draft).
             plan = None
-            if self.planner is not None and can_speculate and not degraded:
-                live = [
-                    s for s in states
-                    if s.speculator is not None and not s.finished
-                ]
+            if self.planner is not None and live and not degraded:
                 context_len = max(s.cache.length for s in live)
                 routed_alpha = self._routed_alpha(live)
                 if routed_alpha is not None:
@@ -799,8 +779,11 @@ class DecodePipeline:
                     # an ``alpha`` parameter).
                     plan = self.planner.plan(len(live),
                                              context_len=context_len)
-            planned_incremental = plan is not None and not plan.speculative
-            self._tick_plan = plan if not planned_incremental else None
+
+            # The one per-state decision: whose tree is a bare root.
+            nothing_drafts = degraded or (
+                plan is not None and not plan.speculative)
+            bare = [nothing_drafts or s.speculator is None for s in states]
 
             with TRACER.span("repro.engine.speculate") as span:
                 raw: List[Optional[TokenTree]] = [None] * len(states)
@@ -808,20 +791,24 @@ class DecodePipeline:
                 for i, state in enumerate(states):
                     if state.finished:
                         outcomes[i].retired = state.retired
-                    elif degraded or planned_incremental:
+                    elif bare[i]:
                         raw[i] = TokenTree(state.pending)
                     else:
                         todo.append(i)
+
+                def draft(state: DecodeState) -> TokenTree:
+                    # The per-state path, for what the packer cannot take.
+                    return state.speculator.speculate(
+                        state.pending, stochastic=not state.sampling.greedy,
+                        rng=state.rng, plan=plan)
+
                 if todo and self.packed is not None:
                     for i, tree in zip(todo, self.packed.speculate_batch(
-                        [states[i] for i in todo], self._speculate_tree,
-                        plan=self._tick_plan,
-                    )):
+                            [states[i] for i in todo], draft, plan=plan)):
                         raw[i] = tree
                 else:
                     for i in todo:
-                        raw[i] = self._speculate_tree(states[i])
-                self._tick_plan = None
+                        raw[i] = draft(states[i])
                 nodes = sum(len(t) for t in raw if t is not None)
                 _SPECULATED_NODES.inc(nodes)
                 span.set(trees=sum(t is not None for t in raw), nodes=nodes)
@@ -857,57 +844,62 @@ class DecodePipeline:
                                                  iteration=self._ticks - 1)
                     except FaultError:
                         # The backend is down this tick: discard the
-                        # speculated trees (nothing touched the caches yet)
+                        # drafted trees (nothing touched the caches yet)
                         # and decode each pending token incrementally.
                         self._enter_fallback("verification")
                         degraded = entered = True
                         trees = [TokenTree(s.pending) for s in active]
-                incremental = degraded or planned_incremental
-                backend = self._fallback_backend if incremental else self.backend
-                results = backend.verify(active, trees) if active else []
+                        bare = [True] * len(states)
+                # Bare roots: one decode_batch.  Drafted trees: one verify
+                # of the configured backend.
+                results: List[Optional[VerificationResult]] = (
+                    [None] * len(active))
+                drafted = [j for j, i in enumerate(slots) if not bare[i]]
+                roots = [j for j, i in enumerate(slots) if bare[i]]
+                for backend, rows in ((self._incremental, roots),
+                                      (self.backend, drafted)):
+                    if rows:
+                        for j, result in zip(rows, backend.verify(
+                                [active[j] for j in rows],
+                                [trees[j] for j in rows])):
+                            results[j] = result
 
             with TRACER.span("repro.engine.commit") as span:
                 emitted_total = 0
                 for i, state, tree, result in zip(slots, active, trees,
                                                   results):
-                    emitted = self.commit(
-                        state, tree, result, incremental_shape=incremental
-                    )
+                    emitted = self.commit(state, tree, result,
+                                          bare_root=bare[i])
                     outcomes[i].emitted += emitted
                     outcomes[i].advanced = True
                     emitted_total += len(emitted)
                 _TOKENS_EMITTED.inc(emitted_total)
                 span.set(steps=len(results), tokens_emitted=emitted_total)
 
-            if not degraded and not planned_incremental:
-                # Acceptance evidence — only from ticks that actually
-                # speculated: fault-degraded and planned-incremental ticks
-                # ran Algorithm 1, so they must feed neither the router's
-                # per-member estimators nor the planner's global EWMA.  Per
-                # request, the accepted speculated tokens, and whether the
-                # accepted path ended by rejection (its tip still had
-                # children in the fitted tree) rather than by consuming the
-                # whole tree.
-                if self.router is not None:
-                    for state, tree, result in zip(active, trees, results):
-                        if state.speculator is None or state.route is None:
-                            continue
-                        stop = (1 if tree.nodes[result.accepted_nodes[-1]]
-                                .children else 0)
-                        self.router.observe(
-                            state.route,
-                            result.num_accepted_speculated, stop,
-                        )
-                elif plan is not None and plan.speculative:
-                    accepted = 0
-                    stops = 0
-                    for state, tree, result in zip(active, trees, results):
-                        if state.speculator is None:
-                            continue
-                        accepted += result.num_accepted_speculated
-                        if tree.nodes[result.accepted_nodes[-1]].children:
-                            stops += 1
-                    self.planner.observe(accepted, stops)
+            # Acceptance evidence — only from drafted trees: a bare root
+            # ran Algorithm 1, so it feeds neither the router's per-member
+            # estimators nor the planner's global EWMA.  Per request, the
+            # accepted speculated tokens, and whether the accepted path
+            # ended by rejection (its tip still had children in the fitted
+            # tree) rather than by consuming the whole tree.
+            if self.router is not None:
+                for j in drafted:
+                    if active[j].route is None:
+                        continue
+                    tip = trees[j].nodes[results[j].accepted_nodes[-1]]
+                    self.router.observe(
+                        active[j].route,
+                        results[j].num_accepted_speculated,
+                        1 if tip.children else 0,
+                    )
+            elif plan is not None and drafted:
+                accepted = 0
+                stops = 0
+                for j in drafted:
+                    accepted += results[j].num_accepted_speculated
+                    if trees[j].nodes[results[j].accepted_nodes[-1]].children:
+                        stops += 1
+                self.planner.observe(accepted, stops)
 
             if degraded:
                 _FALLBACK_TICKS.inc()

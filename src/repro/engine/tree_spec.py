@@ -20,12 +20,9 @@ from repro.engine.pipeline import (
     DecodePipeline,
     DecodeState,
     PerRequestBackend,
-    prune_to_size as _prune_to_size,  # re-export: legacy import site
 )
 from repro.model.transformer import TransformerLM
 from repro.speculate.speculator import Speculator
-
-__all__ = ["SpecInferEngine", "_prune_to_size"]
 
 
 class SpecInferEngine:

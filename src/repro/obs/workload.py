@@ -45,7 +45,7 @@ class WorkloadSpec:
             fixed offset of ``seed`` so fault decisions never perturb the
             workload's own RNG streams.
         planner: Attach a hardware-aware
-            :class:`~repro.speculate.planner.TreePlanner` to the shared
+            :class:`~repro.speculate.planner.TreePlanner` to the manager's
             pipeline — speculation budgets re-solved every tick (populates
             ``repro.planner.*`` metrics).  Greedy token output is identical
             either way; only the tree shapes change.

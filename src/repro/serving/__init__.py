@@ -1,15 +1,13 @@
 """Serving runtime (paper section 5.1).
 
 * :mod:`repro.serving.request` -- request lifecycle types.
-* :mod:`repro.serving.session` -- per-request decode sessions: thin
-  adapters binding a request to the unified decode pipeline
-  (:mod:`repro.engine.pipeline`), advanced one iteration at a time.
+* :mod:`repro.serving.session` -- per-request decode sessions: a request
+  bound to its decode state (with or without a speculator); no pipeline.
 * :mod:`repro.serving.manager` -- the request manager: iteration-level
-  (Orca-style) scheduling with continuous batching, parameterized by
-  verification backend (per-request or fused); finished requests leave
-  and waiting requests join the batch between iterations.
-* :mod:`repro.serving.batched_manager` -- compatibility shim for the fused
-  entry point (``RequestManager`` + ``FusedBackend``).
+  (Orca-style) scheduling with continuous batching over one decode
+  pipeline (:mod:`repro.engine.pipeline`), parameterized by verification
+  backend (per-request or fused); finished requests leave and waiting
+  requests join the batch between iterations.
 * :mod:`repro.serving.policies` -- admission-ordering policies (FCFS, SJF,
   priority).
 * :mod:`repro.serving.memory` -- KV-cache memory pool and admission control.
@@ -41,7 +39,6 @@ from repro.serving.session import (
     IncrementalSession,
     SpeculativeSession,
 )
-from repro.serving.batched_manager import BatchedRequestManager
 from repro.serving.gateway import (
     AdmissionError,
     GatewayConfig,
@@ -80,7 +77,6 @@ __all__ = [
     "IncrementalSession",
     "SpeculativeSession",
     "RequestManager",
-    "BatchedRequestManager",
     "IterationStats",
     "VerificationBackend",
     "PerRequestBackend",

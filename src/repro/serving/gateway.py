@@ -376,8 +376,8 @@ class ServingGateway:
             self._abort_queued("shutdown")
         self._closing = True
         self._wake.set()
-        await self._task
-        self._task = None
+        task, self._task = self._task, None
+        await task  # re-raises whatever killed the loop
 
     def _abort_queued(self, reason: str) -> None:
         for state in self._tenants.values():
@@ -386,13 +386,24 @@ class ServingGateway:
                 gwreq.stream.push(StreamEvent(kind="failed", reason=reason))
         _QUEUE_DEPTH.set(0)
 
+    def _abort_all(self, reason: str) -> None:
+        """Terminal ``failed`` for every queued and in-flight stream (the
+        loop is dying: nothing will ever dispatch to them again)."""
+        self._abort_queued(reason)
+        while self._by_id:
+            _, gwreq = self._by_id.popitem()
+            gwreq.stream.error = reason
+            gwreq.stream.push(StreamEvent(kind="failed", reason=reason))
+
     @property
     def running(self) -> bool:
-        return self._task is not None
+        return self._task is not None and not self._task.done()
 
     @property
     def has_work(self) -> bool:
-        return self.manager.has_work or any(
+        """Anything queued, in the core, or streaming without its terminal
+        event yet."""
+        return self.manager.has_work or bool(self._by_id) or any(
             state.queue for state in self._tenants.values()
         )
 

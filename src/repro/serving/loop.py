@@ -46,7 +46,20 @@ class GatewayLoop:
         self.ticks = 0
 
     async def run(self) -> None:
-        """Drive the gateway until it is closing and fully drained."""
+        """Drive the gateway until it is closing and fully drained.
+
+        If the core raises, every queued and in-flight stream gets a
+        terminal ``failed`` event carrying the reason before the exception
+        propagates (``stop()`` re-raises it), so no client outlives the
+        loop waiting for tokens.
+        """
+        try:
+            await self._run()
+        except Exception as exc:
+            self.gateway._abort_all(f"gateway loop died: {exc!r}")
+            raise
+
+    async def _run(self) -> None:
         gateway = self.gateway
         while True:
             if gateway._pump_admissions():
@@ -57,12 +70,14 @@ class GatewayLoop:
             if not gateway.manager.num_running:
                 if gateway._closing and not gateway.has_work:
                     return
-                if gateway.queue_depth or gateway.manager.num_waiting:
+                if gateway.has_work:
                     # Work exists but nothing is admissible right now
                     # (rate limit, KV pressure, or a requeued request
-                    # backing off in the core): run an idle core tick so
-                    # the logical clock — and with it the rate buckets and
-                    # retry cooldowns — advances.
+                    # backing off in the core), or a request failed at
+                    # admission and its terminal event is still in the
+                    # core: run an idle core tick so the logical clock —
+                    # and with it the rate buckets and retry cooldowns —
+                    # advances and the event is dispatched.
                     self._tick()
                     await asyncio.sleep(self.tick_yield)
                     continue

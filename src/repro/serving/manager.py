@@ -11,21 +11,23 @@ decoding iteration.  Both retire what finished, so new requests start
 without waiting for the current batch to drain and finished requests stop
 consuming slots immediately.
 
-One manager serves every execution mode, parameterized by verification
-backend:
+One manager, one :class:`~repro.engine.pipeline.DecodePipeline`, one tick
+per decode iteration — in every mode.  The session factory chooses *what*
+each request decodes (a session without a speculator is Algorithm 1, and
+may share a batch with speculative ones); ``backend`` chooses only how the
+drafted trees of a tick are verified:
 
-* ``backend=None`` (default): per-request serving.  Sessions with no
-  speculator (Algorithm 1) are ticked together through one manager-owned
-  incremental pipeline — one LLM forward per iteration for all of them,
-  one row per request — and each speculative session advances through its
-  own single-lane pipeline (one verification pass per request).
-* ``backend=FusedBackend(...)``: fused serving — every running session's
-  token tree is verified in one batched pass per iteration (Figure 6's
-  workflow); :class:`~repro.serving.batched_manager.BatchedRequestManager`
-  is the compatibility shim that configures this.
-* ``backend=PerRequestBackend(model, rng=...)``: the per-request execution
-  strategy under the fused scheduling discipline — used by the parity
-  suites to show all backends emit identical tokens.
+* ``backend=FusedBackend(...)``: every drafted tree of the batch in one
+  batched pass per iteration (Figure 6's workflow).
+* ``backend=None`` (default) is ``PerRequestBackend(model)``: one
+  verification pass per drafted tree, each request drawing from its own
+  seeded RNG; ``PerRequestBackend(model, rng=...)`` is the same strategy
+  drawing from one shared stream (the parity suites use it to show all
+  backends emit identical tokens).
+
+The bare roots of a tick — sessions without a speculator, and every
+session of a fault-degraded or budget-0 tick — are always one
+``decode_batch``, whatever the backend.
 
 Failure is a first-class code path (see ``docs/fault_tolerance.md``).  With
 a :class:`~repro.faults.FaultInjector` attached the manager survives every
@@ -50,14 +52,14 @@ import numpy as np
 from repro.engine.generation import GenerationConfig
 from repro.engine.pipeline import (
     DecodePipeline,
-    IncrementalBackend,
+    PerRequestBackend,
     TickOutcome,
     VerificationBackend,
 )
 from repro.faults import FaultError, FaultInjector, FaultKind
 from repro.obs import DEFAULT_COUNT_BUCKETS, REGISTRY, TRACER
 from repro.serving.request import Request, RequestOutput, RequestState
-from repro.serving.session import DecodeSession, SpeculativeSession
+from repro.serving.session import DecodeSession
 
 _ITERATIONS = REGISTRY.counter(
     "repro.serving.iterations", help="scheduler iterations executed")
@@ -167,13 +169,10 @@ class RequestManager:
             head-of-line blocking) and retried once memory frees up.
         kv_headroom: Extra KV tokens reserved per request for transient
             tree-verification rows (section 5.3's memory overhead).
-        backend: Optional :class:`VerificationBackend`.  ``None`` ticks the
-            incremental sessions of an iteration through one shared
-            :class:`~repro.engine.pipeline.IncrementalBackend` pipeline
-            (created on first use) and steps each speculative session
-            through its own; a backend verifies the whole batch per
-            iteration through one shared pipeline (and requires
-            :class:`SpeculativeSession` sessions).
+        backend: The :class:`VerificationBackend` that verifies the
+            drafted trees of each tick; ``None`` is
+            :class:`~repro.engine.pipeline.PerRequestBackend` over the
+            sessions' model.
         injector: Optional :class:`~repro.faults.FaultInjector` driving the
             failure paths (chaos testing); ``None`` disables injection at
             zero cost.
@@ -185,16 +184,12 @@ class RequestManager:
             after a speculation/verification fault (forwarded to
             :class:`DecodePipeline`).
         planner: Optional :class:`~repro.speculate.planner.TreePlanner`
-            forwarded to the shared :class:`DecodePipeline` — per-tick
-            hardware-aware speculation budgets.  Requires a fused
-            ``backend`` (per-request serving runs one pipeline per session,
-            so there is no batch-wide tick to plan).
+            forwarded to the :class:`DecodePipeline` — per-tick
+            hardware-aware speculation budgets.
         router: Optional :class:`~repro.speculate.router.SpeculatorRouter`
-            closing the routing feedback loop: each admitted speculative
-            session's pipeline (the shared one under a fused ``backend``,
-            otherwise the session's own, armed at admission) reports
-            per-request acceptance back after every verify.  Pair it with a
-            routed session factory
+            closing the routing feedback loop: the pipeline reports each
+            routed request's acceptance back after every verify.  Pair it
+            with a routed session factory
             (:func:`~repro.serving.session.make_routed_factory`) so
             assignments are pinned at admit; preempted requests re-route
             sticky through the same factory.
@@ -219,10 +214,6 @@ class RequestManager:
             raise ValueError("max_batch_size must be >= 1")
         if kv_headroom < 0:
             raise ValueError("kv_headroom must be >= 0")
-        if planner is not None and backend is None:
-            raise ValueError(
-                "planner requires a fused backend (shared pipeline)"
-            )
         if max_session_retries < 0:
             raise ValueError("max_session_retries must be >= 0")
         from repro.serving.policies import fcfs, preempt_newest_first
@@ -239,15 +230,9 @@ class RequestManager:
         self.fallback_cooldown = fallback_cooldown
         self.planner = planner
         self.router = router
-        #: The pipeline that serves a whole batch: the fused one, or —
-        #: without a backend — the incremental one ``_shared_pipeline``
-        #: creates at the first prompt pass.
-        self._pipeline = (
-            DecodePipeline(backend.model, backend, injector=injector,
-                           fallback_cooldown=fallback_cooldown,
-                           planner=planner, router=router)
-            if backend is not None else None
-        )
+        #: The one pipeline every iteration runs through, built at the
+        #: first prompt pass (``backend=None`` learns the model there).
+        self._pipeline: Optional[DecodePipeline] = None
         self.iteration = 0
         self.iteration_stats: List[IterationStats] = []
         self._next_id = 0
@@ -352,15 +337,14 @@ class RequestManager:
         with TRACER.span("repro.serving.iteration", iteration=self.iteration,
                          phase="prefill") as span:
             sessions = [self._tracked[rid].session for rid in admitted]
-            if self.backend is not None:
-                for session in sessions:
-                    if not isinstance(session, SpeculativeSession):
-                        raise TypeError(
-                            "batched verification requires "
-                            "SpeculativeSession sessions; got "
-                            f"{type(session).__name__}"
-                        )
-            outcomes = self._shared_pipeline(sessions[0].model).prefill(
+            if self._pipeline is None:
+                model = sessions[0].model
+                self._pipeline = DecodePipeline(
+                    model, self.backend or PerRequestBackend(model),
+                    injector=self.injector,
+                    fallback_cooldown=self.fallback_cooldown,
+                    planner=self.planner, router=self.router)
+            outcomes = self._pipeline.prefill(
                 [session.state for session in sessions])
             stats = self._collect(
                 admitted, sessions, outcomes, batch_size=len(admitted),
@@ -470,39 +454,11 @@ class RequestManager:
             ready.append(request_id)
         return ready
 
-    def _shared_pipeline(self, model) -> DecodePipeline:
-        """The pipeline that serves a whole batch: the fused one, or —
-        without a backend — an incremental one created on first use (the
-        first prompt pass, which needs only the model)."""
-        if self._pipeline is None:
-            self._pipeline = DecodePipeline(
-                model, IncrementalBackend(model), injector=self.injector,
-                fallback_cooldown=self.fallback_cooldown,
-            )
-        return self._pipeline
-
     def _tick(self, sessions: List[DecodeSession]) -> List[TickOutcome]:
-        """One pipeline tick per session, as few LLM passes as the mode
-        allows; outcomes in ``sessions`` order.
-
-        A fused ``backend`` verifies every session's tree in one tick of
-        the shared pipeline.  Without one, the sessions that have no
-        speculator (Algorithm 1) are ticked together through the shared
-        incremental pipeline — one LLM forward for all of them — and each
-        speculative session steps through its own.
-        """
-        if self.backend is not None:
-            return self._pipeline.tick([s.state for s in sessions])
-        outcomes: List[Optional[TickOutcome]] = [
-            session.tick() if session.speculator is not None else None
-            for session in sessions
-        ]
-        batch = [i for i, outcome in enumerate(outcomes) if outcome is None]
-        if batch:
-            for i, outcome in zip(batch, self._pipeline.tick(
-                    [sessions[i].state for i in batch])):
-                outcomes[i] = outcome
-        return outcomes
+        """One tick of the one pipeline over every scheduled session."""
+        if self._pipeline is None:
+            return []  # nothing was ever admitted, so nothing is running
+        return self._pipeline.tick([s.state for s in sessions])
 
     def run_until_complete(self, max_iterations: int = 100000) -> List[RequestOutput]:
         """Drain the queue; returns finished outputs in completion order.
@@ -738,6 +694,12 @@ class RequestManager:
                     # stays WAITING and retries with backoff.
                     self._note_session_fault(request_id)
                     continue
+                if isinstance(exc, ValueError):
+                    # The request's own data is unservable (prompt too
+                    # long, token id outside the vocabulary): fail it
+                    # alone and keep admitting the rest of the round.
+                    self._fail(request_id, f"rejected at admission: {exc}")
+                    continue
                 raise
             tracked.session = session
             if tracked.output is None:
@@ -745,16 +707,6 @@ class RequestManager:
             tracked.request.state = RequestState.RUNNING
             self._waiting.remove(request_id)
             self._running.append(request_id)
-            if self.injector is not None and self.backend is None:
-                # Per-request serving: arm each session's standalone
-                # pipeline (fused serving arms the one shared pipeline, and
-                # so does the incremental batch — see ``_tick``).
-                session.attach_injector(self.injector,
-                                        self.fallback_cooldown)
-            if self.router is not None and self.backend is None:
-                # Same split for routing feedback: per-request sessions
-                # report acceptance through their own pipelines.
-                session.attach_router(self.router)
             admitted.append(request_id)
             _ADMITTED.inc()
             TRACER.event(

@@ -278,9 +278,9 @@ class PackedSpeculator:
         """One tree per state; ineligible states run ``fallback(state)``.
 
         Args:
-            states: Unfinished decode states to speculate for.
-            fallback: ``state -> TokenTree`` — the per-session path
-                (also used for incremental states' one-node trees).
+            states: Unfinished decode states that draft this tick (each
+                has a speculator).
+            fallback: ``state -> TokenTree`` — the per-session path.
             plan: Optional per-tick :class:`~repro.speculate.planner.
                 TreePlan` applied to every packed slot (the fallback path
                 applies the same plan inside ``Speculator.speculate``, so
@@ -289,9 +289,6 @@ class PackedSpeculator:
         trees: List[Optional[TokenTree]] = [None] * len(states)
         groups: Dict[int, Tuple[TransformerLM, List[_Slot]]] = {}
         for i, state in enumerate(states):
-            if state.speculator is None:
-                trees[i] = fallback(state)
-                continue
             eligible = self._slot_for(state, plan)
             if isinstance(eligible, str):
                 _PACKED_FALLBACKS.inc()

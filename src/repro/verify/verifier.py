@@ -25,7 +25,6 @@ from repro.tree.token_tree import TokenTree
 from repro.verify.decode import TreeDecodeOutput, tree_parallel_decode
 from repro.verify.greedy import verify_greedy
 from repro.verify.naive import verify_naive_sampling
-from repro.verify.precision import apply_precision, validate_precision
 from repro.verify.result import VerificationResult
 from repro.verify.stochastic import verify_stochastic
 
@@ -44,10 +43,6 @@ class TokenTreeVerifier:
             across iterations (allocation-free steady state).  ``False``
             runs the allocating path — bit-identical results, used by the
             scratch on/off equivalence suite.
-        precision: ``"fp32"`` (exact), ``"fp16"`` or ``"int8"`` — simulate
-            reduced-precision draft scoring.  Reduced precision requires a
-            greedy sampling config and commits bit-identical tokens (see
-            :mod:`repro.verify.precision`).
     """
 
     def __init__(
@@ -57,14 +52,11 @@ class TokenTreeVerifier:
         rng: Optional[np.random.Generator] = None,
         use_naive_sampling: bool = False,
         reuse_scratch: bool = True,
-        precision: str = "fp32",
     ):
         self.model = model
         self.sampling = sampling or SamplingConfig(greedy=True)
         self.rng = rng or np.random.default_rng(0)
         self.use_naive_sampling = use_naive_sampling
-        validate_precision(precision, self.sampling.greedy)
-        self.precision = precision
         self.reuse_scratch = reuse_scratch
         if reuse_scratch:
             max_len = model.config.max_seq_len
@@ -108,12 +100,6 @@ class TokenTreeVerifier:
             mask_out=self._tree_mask_out(tree, prefix_len),
             scratch=self._arena,
         )
-        if self.precision != "fp32":
-            output = TreeDecodeOutput(
-                lin=output.lin,
-                logits=apply_precision(output.logits, self.precision),
-                prefix_len=output.prefix_len,
-            )
         result = self._verify(output, tree)
         accepted_slots = [output.lin.slot_of[n] for n in result.accepted_nodes]
         cache.keep_rows(prefix_len, accepted_slots)

@@ -117,6 +117,17 @@ class TestSingleTraceSite:
         assert len(sites) == 1, sites
         assert sites[0].startswith("engine/pipeline.py"), sites
 
+    def test_serving_constructs_one_pipeline(self):
+        """One manager, one pipeline: a single ``DecodePipeline(`` site in
+        the serving package (the manager's), none in the sessions."""
+        sites = [
+            path.name
+            for path in sorted((SRC_ROOT / "serving").glob("*.py"))
+            for line in path.read_text().splitlines()
+            if "DecodePipeline(" in line
+        ]
+        assert sites == ["manager.py"]
+
 
 class TestIncrementalBackend:
     def test_matches_manual_decode(self, llm, rng):
@@ -219,6 +230,24 @@ class TestPipelineTick:
         # The cache filled to the model's context limit, no further.
         assert state.cache.length == llm.config.max_seq_len
         assert len(state.tokens) < 500
+
+    def test_speculative_tick_can_emit_multiple_tokens(self, llm, rng):
+        state = DecodeState(llm, make_prompt(rng, length=5),
+                            GenerationConfig(max_new_tokens=12,
+                                             stop_on_eos=False),
+                            speculator=make_speculator(llm))
+        pipeline = DecodePipeline(llm)
+        # Cold: prompt pass + depth-3 tree + bonus; then tree + bonus.
+        assert 2 <= len(pipeline.tick([state])[0].emitted) <= 5
+        assert 1 <= len(pipeline.tick([state])[0].emitted) <= 4
+
+    def test_speculative_state_respects_budget_exactly(self, llm, rng):
+        state = DecodeState(llm, make_prompt(rng),
+                            GenerationConfig(max_new_tokens=5,
+                                             stop_on_eos=False),
+                            speculator=make_speculator(llm))
+        DecodePipeline(llm).run_to_completion(state)
+        assert len(state.tokens) == 5
 
     def test_mixed_batch_advances_independent_states(self, llm, rng):
         states = [

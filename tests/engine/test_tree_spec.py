@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.engine.generation import GenerationConfig
 from repro.engine.incremental import IncrementalEngine
-from repro.engine.tree_spec import SpecInferEngine, _prune_to_size
+from repro.engine.pipeline import prune_to_size
+from repro.engine.tree_spec import SpecInferEngine
 from repro.model.coupled import CoupledSSM
 from repro.model.sampling import SamplingConfig
 from repro.speculate.expansion import ExpansionConfig
@@ -152,7 +153,7 @@ class TestPruning:
         tree.add_child(0, 3)
         tree.add_child(a, 4)
         tree.add_child(a, 5)
-        pruned = _prune_to_size(tree, 3)
+        pruned = prune_to_size(tree, 3)
         pruned.validate()
         assert len(pruned) == 3
         assert pruned.root.token == 1
@@ -161,7 +162,7 @@ class TestPruning:
         tree = TokenTree(1)
         tree.add_child(0, 2, ssm_id=1)
         tree.set_proposal(0, 1, np.full(4, 0.25))
-        pruned = _prune_to_size(tree, 2)
+        pruned = prune_to_size(tree, 2)
         assert 1 in pruned.nodes[0].proposals
         assert pruned.nodes[1].ssm_ids == {1}
 

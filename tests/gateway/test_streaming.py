@@ -14,7 +14,7 @@ from repro.serving.gateway import (
     TokenStream,
 )
 
-from tests.gateway.conftest import build_manager
+from tests.gateway.conftest import build_manager, replay_reference
 
 
 def _config(tokens=6):
@@ -142,3 +142,57 @@ class TestGatewayStreaming:
         for stream in streams:
             tokens = await stream.collect()
             assert len(tokens) == 6
+
+
+class TestBadInputCannotStopOtherStreams:
+    async def test_bad_prompt_fails_alone_and_the_loop_keeps_serving(
+            self, llm, prompts):
+        """An over-long prompt ends in ``failed`` on its own stream; its
+        neighbour streams the replay tokens and the loop serves on."""
+        want = replay_reference(llm, prompts[:2], _config())
+        gateway = ServingGateway(build_manager(llm))
+        await gateway.start()
+        try:
+            bad = await gateway.submit(
+                list(range(1, llm.config.max_seq_len + 2)), _config())
+            good = await gateway.submit(prompts[0], _config())
+            assert await asyncio.wait_for(good.collect(), 10.0) == want[0]
+            with pytest.raises(GatewayRequestFailed, match="admission"):
+                await asyncio.wait_for(bad.collect(), 10.0)
+            # A bad prompt alone, nothing running: still terminal.
+            alone = await gateway.submit([1, 99], _config())
+            with pytest.raises(GatewayRequestFailed, match="admission"):
+                await asyncio.wait_for(alone.collect(), 10.0)
+            assert gateway.running
+            later = await gateway.submit(prompts[1], _config())
+            assert await asyncio.wait_for(later.collect(), 10.0) == want[1]
+        finally:
+            await gateway.stop()
+
+    async def test_no_collect_outlives_a_dead_loop(self, llm, prompts):
+        """The core raises (a session factory's ``RuntimeError``): every
+        queued and in-flight stream ends in ``failed`` with the reason,
+        and ``stop()`` re-raises what killed the loop."""
+        manager = build_manager(llm, batch=2)
+        healthy_factory = manager.session_factory
+
+        def factory(request):
+            if request.request_id == 2:
+                raise RuntimeError("model load failed")
+            return healthy_factory(request)
+
+        manager.session_factory = factory
+        gateway = ServingGateway(manager)
+        # Request 0 finishes and frees the slot request 2 dies in, while
+        # request 1 is mid-stream and requests 3 and 4 are still queued.
+        first = await gateway.submit(prompts[0], _config(4))
+        streams = [await gateway.submit(p, _config(40)) for p in prompts[1:5]]
+        await gateway.start()
+        assert len(await asyncio.wait_for(first.collect(), 10.0)) == 4
+        for stream in streams:
+            with pytest.raises(GatewayRequestFailed,
+                               match="model load failed"):
+                await asyncio.wait_for(stream.collect(), 10.0)
+        assert not gateway.running
+        with pytest.raises(RuntimeError, match="model load failed"):
+            await gateway.stop()

@@ -4,7 +4,11 @@ The refactor's core promise: per-request, fused-block, and fused-dense
 verification are *execution strategies*, not semantics.  For the same
 seeds, the same requests come out token-identical under both greedy and
 stochastic sampling — including when a request exhausts its context
-mid-batch and is retired by the tree fitter.
+mid-batch and is retired by the tree fitter — and every manager shape is
+one pipeline: a batch mixing speculative and incremental sessions is one
+tick (one ``decode_batch`` for the bare roots, one backend ``verify`` for
+the drafted trees), the planner, the router and the fault injector work
+without a ``backend``, and ``backend=None`` is ``PerRequestBackend``.
 
 Run standalone with ``pytest -m serving``.
 """
@@ -15,15 +19,27 @@ import numpy as np
 import pytest
 
 from repro.engine.generation import GenerationConfig
+from repro.engine.incremental import IncrementalEngine
 from repro.engine.pipeline import FusedBackend, PerRequestBackend
+from repro.faults import FaultInjector, FaultKind
+from repro.model import perf
+from repro.model.arena import BatchArena
 from repro.model.coupled import CoupledSSM
+from repro.model.paged_cache import PagedKVPool
 from repro.model.sampling import SamplingConfig
-from repro.serving.batched_manager import BatchedRequestManager
 from repro.serving.manager import RequestManager
-from repro.serving.session import SpeculativeSession
+from repro.serving.session import (
+    IncrementalSession,
+    SpeculativeSession,
+    make_routed_factory,
+)
 from repro.speculate.expansion import ExpansionConfig
+from repro.speculate.planner import TreePlanner
+from repro.speculate.pool import SpeculatorPool
+from repro.speculate.router import RouterConfig, SpeculatorRouter
 from repro.speculate.speculator import Speculator
-from tests.conftest import make_prompt
+from tests.conftest import SMALL_CONFIG, make_prompt
+from tests.engine.test_zero_alloc import _count_calls
 
 pytestmark = pytest.mark.serving
 
@@ -35,25 +51,35 @@ GREEDY = SamplingConfig(greedy=True)
 STOCHASTIC = SamplingConfig(temperature=1.0)
 
 
-def spec_factory(llm):
+def spec_factory(llm, cache_factory=None, incremental_ids=()):
+    """Speculative sessions, except Algorithm 1 ones for the request ids in
+    ``incremental_ids`` (a mixed batch)."""
+
     def factory(request):
+        if request.request_id in incremental_ids:
+            return IncrementalSession(request, llm,
+                                      cache_factory=cache_factory)
         return SpeculativeSession(
             request, llm,
             lambda: Speculator(
                 [CoupledSSM(llm, alignment=0.9, seed=7, noise_scale=2.0)],
                 ExpansionConfig((1, 2, 1)),
             ),
+            cache_factory=cache_factory,
         )
 
     return factory
 
 
-def make_backend(kind, llm, sampling):
+def make_backend(kind, llm, sampling=GREEDY):
     """Build a manager-level backend with its own seeded verification rng.
 
     All three consume the shared stream in batch order, so for the same
-    seed the stochastic draws line up across backends.
+    seed the stochastic draws line up across backends.  ``"default"`` is
+    the manager's ``backend=None``.
     """
+    if kind == "default":
+        return None
     rng = np.random.default_rng(SEED)
     if kind == "per-request":
         return PerRequestBackend(llm, sampling=sampling, rng=rng)
@@ -61,6 +87,7 @@ def make_backend(kind, llm, sampling):
 
 
 BACKENDS = ["per-request", "block", "dense"]
+MANAGER_SHAPES = ["default"] + BACKENDS
 
 
 def run_workload(llm, kind, sampling, prompts, configs):
@@ -117,18 +144,125 @@ class TestBackendParity:
         assert results["per-request"] == results["block"]
         assert results["per-request"] == results["dense"]
 
-    def test_per_request_backend_matches_legacy_manager(self, llm, rng):
-        """The backend-driven manager reproduces per-session serving
-        (greedy, where rng plumbing is irrelevant)."""
-        prompts = [make_prompt(rng, length=5) for _ in range(3)]
-        configs = [GenerationConfig(max_new_tokens=10, stop_on_eos=False)
-                   for _ in prompts]
-        _, via_backend = run_workload(llm, "per-request", GREEDY, prompts,
-                                      configs)
-        legacy = RequestManager(spec_factory(llm), max_batch_size=3)
-        ids = [legacy.submit(p, c) for p, c in zip(prompts, configs)]
-        legacy.run_until_complete()
-        assert via_backend == [legacy.output_for(rid).tokens for rid in ids]
+    @pytest.mark.parametrize("sampling", [GREEDY, STOCHASTIC],
+                             ids=["greedy", "stochastic"])
+    def test_default_backend_is_per_request_backend(self, llm, rng,
+                                                    sampling):
+        """``backend=None`` is ``PerRequestBackend(llm)`` token for token:
+        each request speculates and verifies from its own seeded RNG."""
+        prompts = [make_prompt(rng, length=4 + i) for i in range(4)]
+        configs = [
+            GenerationConfig(max_new_tokens=10, sampling=sampling,
+                             stop_on_eos=False, seed=100 + i)
+            for i in range(4)
+        ]
+        outputs = []
+        for backend in (None, PerRequestBackend(llm)):
+            manager = RequestManager(spec_factory(llm), max_batch_size=4,
+                                     backend=backend)
+            ids = [manager.submit(p, c) for p, c in zip(prompts, configs)]
+            manager.run_until_complete()
+            outputs.append([(manager.output_for(rid).tokens,
+                             manager.output_for(rid).num_llm_steps)
+                            for rid in ids])
+        assert outputs[0] == outputs[1]
+
+
+class TestOnePipelineEveryShape:
+    """Every manager shape is one pipeline and one tick per iteration."""
+
+    @pytest.mark.parametrize("kind", MANAGER_SHAPES)
+    def test_mixed_batch_is_one_tick(self, llm, kind, monkeypatch):
+        """Two speculative and two Algorithm-1 sessions in one batch (what
+        a fused manager used to reject with a ``TypeError``), prompt
+        lengths across the 32-row prompt-block edge: greedy tokens are
+        ``IncrementalEngine``'s, and a decode iteration is exactly one
+        ``decode_batch`` for the bare roots plus one ``verify`` of the
+        configured backend.  The block-sparse shape runs over a shared
+        arena: no cross-request scores, no KV copies, rows all returned."""
+        arena = BatchArena(SMALL_CONFIG, max_requests=4)
+        prompts = [make_prompt(np.random.default_rng(n), length=n)
+                   for n in (31, 32, 33, 5)]
+        config = GenerationConfig(max_new_tokens=12, stop_on_eos=False)
+        manager = RequestManager(
+            spec_factory(llm, incremental_ids=(1, 3),
+                         cache_factory=(arena.new_sequence
+                                        if kind == "block" else None)),
+            max_batch_size=4, backend=make_backend(kind, llm))
+        ids = [manager.submit(p, config) for p in prompts]
+        with perf.track() as counters:
+            assert manager.run_iteration().admitted == 4
+            roots = _count_calls(monkeypatch, llm, ["decode_batch"])
+            trees = _count_calls(monkeypatch, manager._pipeline.backend,
+                                 ["verify"])
+            live = {rid: rid in (1, 3) for rid in ids}  # id -> is bare
+            while manager.has_work:
+                before = roots["decode_batch"], trees["verify"]
+                stats = manager.run_iteration()
+                assert roots["decode_batch"] - before[0] == \
+                    any(live.values())
+                assert trees["verify"] - before[1] == \
+                    (not all(live.values()))
+                for rid in stats.finished_ids:
+                    del live[rid]
+        for rid, prompt in zip(ids, prompts):
+            assert manager.output_for(rid).tokens == \
+                IncrementalEngine(llm).generate(prompt, config).tokens
+        if kind == "block":
+            assert counters.cross_request_score_flops == 0
+            assert counters.kv_bytes_copied == 0
+            assert arena.used_rows == 0
+
+    def test_fused_on_shared_paged_pool(self, llm, rng):
+        """Fused batch verification + paged pool + continuous batching."""
+        pool = PagedKVPool(SMALL_CONFIG, num_blocks=96, block_size=8)
+        manager = RequestManager(
+            spec_factory(llm, cache_factory=pool.new_sequence),
+            max_batch_size=2, backend=make_backend("block", llm))
+        for _ in range(4):
+            manager.submit(make_prompt(rng, length=5),
+                           GenerationConfig(max_new_tokens=8,
+                                            stop_on_eos=False))
+        assert len(manager.run_until_complete()) == 4
+        assert pool.used_blocks == 0
+
+    def test_planner_and_router_need_no_backend(self, llm, rng):
+        """Armed on a ``backend=None`` manager, both get their evidence."""
+        config = GenerationConfig(max_new_tokens=8, stop_on_eos=False)
+        planner = TreePlanner.default()
+        planned = RequestManager(spec_factory(llm), max_batch_size=3,
+                                 planner=planner)
+        pool = SpeculatorPool.from_coupled(llm, (0.9, 0.6))
+        router = SpeculatorRouter(pool, RouterConfig(seed=5))
+        routed = RequestManager(make_routed_factory(llm, pool, router),
+                                max_batch_size=3, router=router)
+        for manager in (planned, routed):
+            prompts = [make_prompt(rng, length=5) for _ in range(3)]
+            ids = [manager.submit(p, config) for p in prompts]
+            manager.run_until_complete()
+            for rid, prompt in zip(ids, prompts):
+                assert manager.output_for(rid).tokens == \
+                    IncrementalEngine(llm).generate(prompt, config).tokens
+        assert planner.estimator.observations > 0
+        assert router.observations > 0
+
+    @pytest.mark.parametrize("kind", MANAGER_SHAPES)
+    def test_one_fault_draw_of_each_kind_per_decode_iteration(self, llm,
+                                                              rng, kind):
+        injector = FaultInjector(rate=0.0)
+        manager = RequestManager(spec_factory(llm), max_batch_size=3,
+                                 backend=make_backend(kind, llm),
+                                 injector=injector)
+        for _ in range(3):
+            manager.submit(make_prompt(rng, length=5),
+                           GenerationConfig(max_new_tokens=9,
+                                            stop_on_eos=False))
+        manager.run_until_complete()
+        decode_iterations = sum(
+            1 for stats in manager.iteration_stats if not stats.admitted)
+        assert decode_iterations > 1
+        assert injector.checks[FaultKind.SPECULATION] == decode_iterations
+        assert injector.checks[FaultKind.VERIFICATION] == decode_iterations
 
 
 class TestIterationAccounting:
@@ -144,19 +278,21 @@ class TestIterationAccounting:
         ]
 
         plain = RequestManager(spec_factory(llm), max_batch_size=2)
-        for p, c in zip(prompts, configs):
-            plain.submit(p, c)
-        plain.run_until_complete()
-
-        fused = BatchedRequestManager(spec_factory(llm), llm,
-                                      max_batch_size=2)
-        for p, c in zip(prompts, configs):
-            fused.submit(p, c)
-        fused.run_until_complete()
+        fused = RequestManager(spec_factory(llm), max_batch_size=2,
+                               backend=make_backend("block", llm))
+        for manager in (plain, fused):
+            for p, c in zip(prompts, configs):
+                manager.submit(p, c)
+            manager.run_until_complete()
 
         plain_sizes = [s.batch_size for s in plain.iteration_stats]
         fused_sizes = [s.batch_size for s in fused.iteration_stats]
         assert plain_sizes == fused_sizes
+        # Fused batching changes kernel granularity, not scheduling: a
+        # request takes the same number of LLM steps either way.
+        for rid in (0, 1):
+            assert plain.output_for(rid).num_llm_steps == \
+                fused.output_for(rid).num_llm_steps
         # The retiring iterations still count their sessions: every
         # iteration that finished requests processed at least that many.
         for stats in plain.iteration_stats + fused.iteration_stats:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.engine.generation import GenerationConfig
 from repro.engine.incremental import IncrementalEngine
+from repro.model.arena import BatchArena
 from repro.faults import (
     FaultInjector,
     FaultKind,
@@ -208,6 +209,34 @@ class TestAdmissionFaults:
             mgr.run_iteration()
         assert pool.reserved_bytes == 0
         assert pool.num_reservations == 0
+
+    @pytest.mark.parametrize("bad_prompt", [
+        list(range(1, SMALL_CONFIG.max_seq_len + 2)), [1, 99], [1, -3],
+    ], ids=["too_long", "id_past_vocab", "negative_id"])
+    def test_bad_prompt_fails_alone(self, llm, rng, bad_prompt):
+        """One request whose own data is unservable is FAILED with a
+        reason at admission; its neighbour's stream is Algorithm 1's and
+        every reservation and arena row comes back."""
+        pool = KvMemoryPool(budget_bytes=10**9, model=SMALL_CONFIG)
+        arena = BatchArena(SMALL_CONFIG, max_requests=2)
+        arena_factory = speculative_factory(
+            llm, cache_factory=arena.new_sequence)
+        mgr = RequestManager(arena_factory, max_batch_size=2,
+                             memory_pool=pool)
+        config = GenerationConfig(max_new_tokens=6, stop_on_eos=False)
+        prompt = make_prompt(rng)
+        bad = mgr.submit(bad_prompt, config)
+        good = mgr.submit(prompt, config)
+        first = mgr.run_iteration()
+        assert first.failed_ids == [bad] and first.admitted == 1
+        outputs = mgr.run_until_complete()
+        assert [o.request_id for o in outputs] == [good]
+        assert outputs[0].tokens == reference_tokens(llm, prompt, config)
+        failed = mgr.output_for(bad)
+        assert failed.tokens == [] and "rejected at admission" in failed.error
+        assert [o.request_id for o in mgr.failed_outputs()] == [bad]
+        assert pool.reserved_bytes == 0 and pool.num_reservations == 0
+        assert arena.used_rows == 0
 
     def test_transient_factory_fault_retries_with_backoff(self, llm, rng):
         """A FaultError from the factory keeps the request WAITING and

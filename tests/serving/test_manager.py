@@ -18,7 +18,7 @@ def incremental_factory(llm, cache_factory=None):
                                           cache_factory=cache_factory)
 
 
-def speculative_factory(llm):
+def speculative_factory(llm, cache_factory=None):
     def factory(req):
         return SpeculativeSession(
             req,
@@ -27,6 +27,7 @@ def speculative_factory(llm):
                 [CoupledSSM(llm, alignment=0.9, seed=7, noise_scale=2.0)],
                 ExpansionConfig((1, 2, 1)),
             ),
+            cache_factory=cache_factory,
         )
 
     return factory
