@@ -1,15 +1,13 @@
-"""Batched fused verification: per-request loop vs dense-fused vs block-sparse.
+"""Batched fused verification: one batch pass vs one pass per request.
 
-The dense-fused batch path scores one combined ``(Σnᵢ, Σkᵢ)`` attention
-matrix whose cross-request blocks are all ``-inf`` — per-request cost grows
-with the *batch's* total KV footprint, so batching gets slower per request
-as the batch grows.  The block-sparse path (shared KV arena + per-request
-block attention, batched GEMMs) does ``O(Σ nᵢ·kᵢ)`` score work: per-step
-cost grows ~linearly in the sum of tree sizes.
-
-This benchmark measures real wall-clock of the three paths over batch sizes
-1–16 on the NumPy substrate, plus the op counters (cross-request score
-FLOPs, bytes of KV staged per step) that explain the gap.  Results go to
+The repository has one tree verifier,
+:class:`~repro.engine.batched.BatchedTreeVerifier`: the batch's tree tokens
+go through one block-sparse forward (shared KV arena, per-request block
+attention, batched GEMMs), whose score work is ``O(Σ nᵢ·kᵢ)`` — per-step
+cost grows ~linearly in the sum of tree sizes.  This benchmark measures its
+wall-clock two ways over batch sizes 1–16 on the NumPy substrate: one
+``verify_batch`` of *b* trees, and *b* one-tree calls — the deployable
+per-request baseline.  The ratio is reported, not gated.  Results go to
 ``benchmarks/results/batched_fused.txt`` and the README perf table.
 """
 
@@ -31,12 +29,12 @@ from repro.model.sampling import SamplingConfig
 from repro.model.transformer import TransformerLM
 from repro.speculate.expansion import ExpansionConfig, expand_token_tree
 from repro.reporting.tables import AsciiTable
-from repro.verify.verifier import TokenTreeVerifier
 
 BATCH_SIZES = (1, 2, 4, 8, 16)
 PREFIX_LEN = 96
 EXPANSION = ExpansionConfig((3, 2, 2, 1))  # 34-token trees (incl. root)
 REPEATS = 5
+GREEDY = SamplingConfig(greedy=True)
 
 #: Attention-heavy decode shape: long-ish prefixes over a mid-sized model,
 #: the regime the fused verification kernel targets (paper section 5.1).
@@ -50,15 +48,14 @@ FUSED_BENCH_CONFIG = ModelConfig(
 )
 
 
-def _build_batch(llm, ssm, n_requests, arena=None):
+def _build_batch(llm, ssm, n_requests, arena):
     """(trees, caches) with identical content for every path."""
     rng = np.random.default_rng(1000 + n_requests)
-    factory = arena.new_sequence if arena is not None else llm.new_cache
     trees, caches = [], []
     for _ in range(n_requests):
         prompt = rng.integers(1, llm.config.vocab_size,
                               size=PREFIX_LEN + 1).astype(np.intp)
-        cache = factory()
+        cache = arena.new_sequence()
         llm.prefill(prompt[:-1], cache)
         ssm_cache = ssm.new_cache()
         ssm.prefill(prompt[:-1], ssm_cache)
@@ -67,6 +64,13 @@ def _build_batch(llm, ssm, n_requests, arena=None):
         )
         caches.append(cache)
     return trees, caches
+
+
+def _verify(verifier, trees, caches):
+    """One greedy ``verify_batch`` over ``trees``."""
+    n = len(trees)
+    return verifier.verify_batch(trees, caches, [GREEDY] * n,
+                                 [np.random.default_rng(0)] * n)
 
 
 def _time_batch_step(step, caches, repeats=REPEATS):
@@ -93,69 +97,41 @@ def _accepted(results):
 
 
 def run_comparison(batch_sizes=BATCH_SIZES, repeats=REPEATS):
-    """Time the three paths at every batch size; return (table, measures)."""
+    """Time both ways at every batch size; return (table, measures)."""
     llm = TransformerLM(FUSED_BENCH_CONFIG, seed=7)
     ssm = CoupledSSM(llm, alignment=0.8, seed=11, noise_scale=2.0)
     table = AsciiTable(
-        ["batch", "Σ tree tok", "loop ms", "dense ms", "block ms",
-         "block vs dense", "dense cross-GFLOP", "dense KV-MB/step"],
-        title="Batched fused verification: per-request loop vs dense-fused "
-              "vs block-sparse (wall-clock per batch step)",
+        ["batch", "Σ tree tok", "per-request ms", "batch ms",
+         "per-request / batch"],
+        title="Batched fused verification: one verify_batch of b trees vs "
+              "b one-tree calls (wall-clock per batch step)",
     )
     measures = {}
     for batch in batch_sizes:
-        trees, caches = _build_batch(llm, ssm, batch)
-        loop_verifier = TokenTreeVerifier(llm)
+        runs = {}
+        for way in ("per_request", "batch"):
+            trees, caches = _build_batch(
+                llm, ssm, batch,
+                BatchArena(FUSED_BENCH_CONFIG, max_requests=batch))
+            verifier = BatchedTreeVerifier(llm)
+            if way == "batch":
+                step = lambda: _verify(verifier, trees, caches)
+            else:
+                step = lambda: [_verify(verifier, [tree], [cache])[0]
+                                for tree, cache in zip(trees, caches)]
+            runs[way] = _time_batch_step(step, caches, repeats=repeats)
+        assert _accepted(runs["batch"][1]) == _accepted(runs["per_request"][1])
 
-        def loop_step():
-            return [
-                loop_verifier.verify_step(tree, cache)
-                for tree, cache in zip(trees, caches)
-            ]
-
-        loop_s, loop_results = _time_batch_step(loop_step, caches,
-                                                repeats=repeats)
-
-        dense_verifier = BatchedTreeVerifier(llm, mode="dense")
-        with perf.track() as dense_counters:
-            dense_s, dense_results = _time_batch_step(
-                lambda: dense_verifier.verify_batch(trees, caches), caches,
-                repeats=repeats,
-            )
-
-        arena = BatchArena(FUSED_BENCH_CONFIG, max_requests=batch)
-        arena_trees, arena_caches = _build_batch(llm, ssm, batch,
-                                                 arena=arena)
-        block_verifier = BatchedTreeVerifier(llm, mode="block")
-        with perf.track() as block_counters:
-            block_s, block_results = _time_batch_step(
-                lambda: block_verifier.verify_batch(arena_trees,
-                                                    arena_caches),
-                arena_caches,
-                repeats=repeats,
-            )
-
-        assert _accepted(dense_results) == _accepted(loop_results)
-        assert _accepted(block_results) == _accepted(loop_results)
-        assert block_counters.cross_request_score_flops == 0
-
-        n_tokens = sum(len(t) for t in trees)
         measures[batch] = {
-            "tokens": n_tokens,
-            "loop_s": loop_s,
-            "dense_s": dense_s,
-            "block_s": block_s,
-            "dense_cross_flops":
-                dense_counters.cross_request_score_flops // repeats,
-            "dense_kv_bytes": dense_counters.kv_bytes_copied // repeats,
-            "block_kv_bytes": block_counters.kv_bytes_copied // repeats,
+            "tokens": sum(len(t) for t in trees),
+            "per_request_s": runs["per_request"][0],
+            "batch_s": runs["batch"][0],
         }
+        m = measures[batch]
         table.add_row(
-            str(batch), str(n_tokens),
-            f"{loop_s * 1e3:.1f}", f"{dense_s * 1e3:.1f}",
-            f"{block_s * 1e3:.1f}", f"{dense_s / block_s:.2f}x",
-            f"{measures[batch]['dense_cross_flops'] / 1e9:.2f}",
-            f"{measures[batch]['dense_kv_bytes'] / 1e6:.2f}",
+            str(batch), str(m["tokens"]),
+            f"{m['per_request_s'] * 1e3:.1f}", f"{m['batch_s'] * 1e3:.1f}",
+            f"{m['per_request_s'] / m['batch_s']:.2f}x",
         )
     return table.render(), measures
 
@@ -172,9 +148,8 @@ def run_ablation(batch=ABLATION_BATCH, repeats=REPEATS):
     """
     llm = TransformerLM(FUSED_BENCH_CONFIG, seed=7)
     ssm = CoupledSSM(llm, alignment=0.8, seed=11, noise_scale=2.0)
-    arena = BatchArena(FUSED_BENCH_CONFIG, max_requests=batch)
-    trees, caches = _build_batch(llm, ssm, batch, arena=arena)
-    sampling = SamplingConfig(greedy=True)
+    trees, caches = _build_batch(
+        llm, ssm, batch, BatchArena(FUSED_BENCH_CONFIG, max_requests=batch))
     measures = {"batch": batch, "alloc": {}}
     baseline = None
 
@@ -185,8 +160,8 @@ def run_ablation(batch=ABLATION_BATCH, repeats=REPEATS):
     )
 
     for label, reuse in (("scratch_on", True), ("scratch_off", False)):
-        verifier = BatchedTreeVerifier(llm, sampling, reuse_scratch=reuse)
-        step = lambda: verifier.verify_batch(trees, caches)
+        verifier = BatchedTreeVerifier(llm, reuse_scratch=reuse)
+        step = lambda: _verify(verifier, trees, caches)
         _time_batch_step(step, caches, repeats=1)  # warm the arena
         with perf.track() as counters:
             elapsed, results = _time_batch_step(step, caches,
@@ -222,43 +197,28 @@ def test_batched_fused_paths(benchmark):
     assert ablation["alloc"]["scratch_off"]["steady_alloc_events"] > 0
 
     # Block-sparse per-step cost grows ~linearly in Σ tree tokens: per-token
-    # time at BS=16 stays within 2.5x of BS=1 (dense-fused blows past that —
-    # its per-token cost grows with the batch's total KV footprint).
+    # time at BS=16 stays within 2.5x of BS=1.
     per_token = {
-        b: m["block_s"] / m["tokens"] for b, m in measures.items()
+        b: m["batch_s"] / m["tokens"] for b, m in measures.items()
     }
     assert per_token[16] < 2.5 * per_token[1]
-
-    # Headline: >= 2x over dense-fused at batch size 8.
-    assert measures[8]["dense_s"] / measures[8]["block_s"] >= 2.0
-
-    # The dense path stages the whole batch KV every step; block-sparse
-    # stages nothing.
-    assert measures[8]["dense_kv_bytes"] > 0
-    assert measures[8]["block_kv_bytes"] == 0
 
 
 def record_registry_metrics(measures):
     """Mirror the benchmark measures into the metrics registry.
 
-    CI reads the resulting JSON (``repro.bench.fused.*``) instead of
-    parsing the ASCII table; gauges hold per-batch-size seconds and the
-    dense/block speedup scaled into integer microseconds / millionths so
-    the registry's numeric model stays simple.
+    The uploaded CI artifact reads the resulting JSON
+    (``repro.bench.fused.*``) instead of parsing the ASCII table: per batch
+    size, tree tokens, seconds both ways, and their ratio.
     """
     for batch, m in measures.items():
         prefix = f"repro.bench.fused.batch{batch}"
         REGISTRY.gauge(f"{prefix}.tokens").set(m["tokens"])
-        for key in ("loop_s", "dense_s", "block_s"):
+        for key in ("per_request_s", "batch_s"):
             REGISTRY.gauge(f"{prefix}.{key}").set(m[key])
-        REGISTRY.gauge(f"{prefix}.speedup_block_vs_dense").set(
-            m["dense_s"] / m["block_s"]
+        REGISTRY.gauge(f"{prefix}.per_request_vs_batch").set(
+            m["per_request_s"] / m["batch_s"]
         )
-        REGISTRY.gauge(f"{prefix}.dense_cross_flops").set(
-            m["dense_cross_flops"]
-        )
-        REGISTRY.gauge(f"{prefix}.dense_kv_bytes").set(m["dense_kv_bytes"])
-        REGISTRY.gauge(f"{prefix}.block_kv_bytes").set(m["block_kv_bytes"])
 
 
 def record_ablation_metrics(ablation):

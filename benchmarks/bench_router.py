@@ -22,7 +22,7 @@ Two epochs over an interleaved mixed stream of all five datasets:
 Every variant emits bit-identical greedy tokens (asserted — routing never
 changes content, only tokens per second).  Seconds are **modeled** from
 the paper-scale hardware cost model exactly as in ``bench_planner.py``.
-Results are deterministic, so CI gates on them (``ci_gate.py`` check 6:
+Results are deterministic, so CI gates on them (``ci_gate.py`` check 5:
 routed >= 0.97x the best fixed member per workload, and a strict win over
 every fixed member on the mixed aggregate).
 """

@@ -1,32 +1,30 @@
 """Perf-regression gate for CI.
 
-Six checks, all driven by the metrics registry rather than parsed
+Five checks, all driven by the metrics registry rather than parsed
 benchmark tables:
 
-1. **Fused speedup** — reads the ``BENCH_ci.json`` written by
-   ``bench_batched_fused.py --quick --json`` and fails when the
-   block-sparse vs dense-fused speedup at batch 8 drops below
-   ``MIN_FUSED_SPEEDUP``.
-2. **Benchmark steady-state allocations** — from the same JSON, the
-   ablation's ``scratch_on`` variant must report zero tracked hot-path
-   allocations per warmed verification step.
-3. **Pipeline steady-state allocations** — drives a seeded fused-backend
+1. **Benchmark steady-state allocations** — reads the ``BENCH_ci.json``
+   written by ``bench_batched_fused.py --quick --json``: the ablation's
+   ``scratch_on`` variant must report zero tracked hot-path allocations per
+   warmed verification step.  (The benchmark's batch-vs-per-request ratio
+   is reported there, not gated.)
+2. **Pipeline steady-state allocations** — drives a seeded fused-backend
    decode batch end to end and fails if ``repro.engine.tick.allocs``
    grows at all after the warm-up ticks: the whole
    speculate→fit→verify→commit tick must be allocation-free once the
    scratch arenas are warm.
-4. **Verified tokens per step** — runs the seeded observability workload
+3. **Verified tokens per step** — runs the seeded observability workload
    (deterministic: fixed seeds, cost-model time only) and compares the
    ``repro.engine.tokens_per_step`` histogram mean against the committed
    baseline ``benchmarks/results/baseline_ci.json``.  A drop below
    ``baseline * (1 - TOKENS_PER_STEP_SLACK)`` fails the job.
-5. **Planner vs static trees** — from the ``repro.bench.planner.*``
+4. **Planner vs static trees** — from the ``repro.bench.planner.*``
    gauges ``bench_planner.py --quick --json`` merges into the same
    ``BENCH_ci.json``: the dynamic tree planner's modeled tokens/sec must
    reach ``PLANNER_STATIC_SLACK`` of the *best* static expansion config
    at batch 1 and batch 8, and strictly beat every static config on the
    acceptance-drift workload (where no static tree wins both halves).
-6. **Routed speculator pool vs fixed SSMs** — from the
+5. **Routed speculator pool vs fixed SSMs** — from the
    ``repro.bench.router.*`` gauges ``bench_router.py --quick --json``
    merges into the same ``BENCH_ci.json``: the learned router's modeled
    tokens/sec must reach ``ROUTER_FIXED_SLACK`` of the *best* fixed
@@ -47,11 +45,6 @@ import argparse
 import json
 import os
 import sys
-
-#: Gate: block-sparse must beat dense-fused by at least this much at batch 8.
-#: Measured 5.4-5.8x after the zero-allocation work; 4.0 leaves headroom for
-#: CI-runner jitter while still catching a return to the pre-scratch floor.
-MIN_FUSED_SPEEDUP = 4.0
 
 #: Ticks driven before the allocation gate starts counting: arena growth and
 #: first-mask construction all happen here.
@@ -99,22 +92,6 @@ def measure_tokens_per_step() -> dict:
         "tokens": snap["sum"],
         "tokens_per_step": snap["sum"] / steps,
     }
-
-
-def gate_fused_speedup(bench_json: str) -> list:
-    """Failure messages from the fused-benchmark metrics file."""
-    with open(bench_json) as fh:
-        metrics = json.load(fh)
-    key = "repro.bench.fused.batch8.speedup_block_vs_dense"
-    if key not in metrics:
-        raise RuntimeError(f"{bench_json} is missing {key}")
-    speedup = float(metrics[key]["value"])
-    print(f"fused speedup at batch 8: {speedup:.2f}x "
-          f"(gate: >= {MIN_FUSED_SPEEDUP:.1f}x)")
-    if speedup < MIN_FUSED_SPEEDUP:
-        return [f"fused speedup {speedup:.2f}x is below the "
-                f"{MIN_FUSED_SPEEDUP:.1f}x gate"]
-    return []
 
 
 def gate_bench_allocs(bench_json: str) -> list:
@@ -329,7 +306,6 @@ def main(argv=None) -> int:
 
     failures = []
     if args.bench_json:
-        failures += gate_fused_speedup(args.bench_json)
         failures += gate_bench_allocs(args.bench_json)
         failures += gate_planner(args.bench_json)
         failures += gate_router(args.bench_json)

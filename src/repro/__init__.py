@@ -9,7 +9,7 @@ Public API tour::
     from repro import (
         ModelConfig, TransformerLM, CoupledSSM,       # model substrate
         TokenTree, ExpansionConfig, Speculator,       # speculation
-        TokenTreeVerifier, SamplingConfig,            # verification
+        BatchedTreeVerifier, SamplingConfig,          # verification
         IncrementalEngine, SpecInferEngine,           # decoding engines
         GenerationConfig,
     )
@@ -28,7 +28,6 @@ from repro.engine import (
     GenerationResult,
     IncrementalBackend,
     IncrementalEngine,
-    PerRequestBackend,
     SpecInferEngine,
     StepTrace,
     VerificationBackend,
@@ -49,7 +48,7 @@ from repro.speculate import (
     Speculator,
 )
 from repro.tree import TokenTree, merge_trees
-from repro.verify import TokenTreeVerifier, VerificationResult
+from repro.verify import VerificationResult
 
 __version__ = "0.1.0"
 
@@ -66,7 +65,6 @@ __all__ = [
     "AdaptiveConfig",
     "Speculator",
     "BoostTuner",
-    "TokenTreeVerifier",
     "VerificationResult",
     "IncrementalEngine",
     "SpecInferEngine",
@@ -74,7 +72,6 @@ __all__ = [
     "DecodePipeline",
     "DecodeState",
     "VerificationBackend",
-    "PerRequestBackend",
     "FusedBackend",
     "IncrementalBackend",
     "BatchedTreeVerifier",

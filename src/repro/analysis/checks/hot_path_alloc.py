@@ -31,7 +31,8 @@ Two refinements keep the check aligned with the scratch-arena pattern
 
 Reference paths and genuinely cold fallbacks stay — annotated with
 ``# lint: allow-alloc <reason>`` so every remaining copy is a recorded
-decision, mirroring how ``perf.add_kv_copy`` charges the dense path.
+decision, mirroring how ``perf.add_kv_copy`` charges the paged cache's
+block gathers at run time.
 """
 
 from __future__ import annotations

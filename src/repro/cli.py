@@ -78,11 +78,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def cmd_tree(args: argparse.Namespace) -> int:
     """Speculate one token tree, verify it, render both."""
+    from repro.engine.batched import BatchedTreeVerifier
     from repro.model.sampling import SamplingConfig
     from repro.speculate.expansion import ExpansionConfig
     from repro.speculate.speculator import Speculator
     from repro.tree.render import render_tree, tree_stats_line
-    from repro.verify.verifier import TokenTreeVerifier
 
     llm, ssm = _build_toy_pair(args.alignment, args.seed)
     rng = np.random.default_rng(args.seed)
@@ -94,8 +94,8 @@ def cmd_tree(args: argparse.Namespace) -> int:
     tree = speculator.speculate(int(prompt[-1]))
     cache = llm.new_cache()
     llm.prefill(prompt[:-1], cache)
-    verifier = TokenTreeVerifier(llm, SamplingConfig(greedy=True))
-    result = verifier.verify_step(tree, cache)
+    result = BatchedTreeVerifier(llm).verify_batch(
+        [tree], [cache], [SamplingConfig(greedy=True)], [rng])[0]
     print(tree_stats_line(tree))
     print(render_tree(tree, accepted_nodes=result.accepted_nodes))
     print(f"accepted {result.num_accepted_speculated} speculated tokens "
@@ -458,7 +458,6 @@ def _workload_spec(args: argparse.Namespace):
         rate=args.rate,
         seed=args.seed,
         alignment=args.alignment,
-        mode=args.mode,
         planner=getattr(args, "planner", False),
         pool=getattr(args, "pool", 0),
         router=getattr(args, "router", "ucb"),
@@ -483,9 +482,6 @@ def _add_workload_args(parser: argparse.ArgumentParser,
     parser.add_argument("--rate", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--alignment", type=float, default=0.88)
-    parser.add_argument("--mode", choices=("block", "dense"),
-                        default="block",
-                        help="fused verification execution path")
     parser.add_argument("--planner", action="store_true",
                         help="re-solve the speculation budget every tick "
                              "against the hardware cost model")

@@ -3,7 +3,7 @@
 * :mod:`repro.engine.generation` -- shared request/result/trace types.
 * :mod:`repro.engine.pipeline` -- the unified decode pipeline: the one
   speculate→fit→verify→commit loop every surface drives, with pluggable
-  verification backends (per-request, fused, incremental).
+  verification backends (fused tree pass, incremental).
 * :mod:`repro.engine.incremental` -- Algorithm 1: one token per LLM step
   (what vLLM/TGI/FasterTransformer do; also "SpecInfer w/ incremental
   decoding" in Figure 7) — the pipeline's degenerate one-node-tree case.
@@ -26,7 +26,6 @@ from repro.engine.pipeline import (
     DecodeState,
     FusedBackend,
     IncrementalBackend,
-    PerRequestBackend,
     TickOutcome,
     TraceRecorder,
     TreeFitter,
@@ -52,7 +51,6 @@ __all__ = [
     "TraceRecorder",
     "TreeFitter",
     "VerificationBackend",
-    "PerRequestBackend",
     "FusedBackend",
     "IncrementalBackend",
     "prune_to_size",

@@ -15,21 +15,19 @@ pieces defined here:
   pruning (:func:`prune_to_size`).
 * :class:`TraceRecorder` — the only construction site of
   :class:`~repro.engine.generation.StepTrace` records.
-* :class:`VerificationBackend` — the pluggable verify seam with three
-  implementations: :class:`PerRequestBackend` (one
-  :class:`~repro.verify.verifier.TokenTreeVerifier` pass per request),
-  :class:`FusedBackend` (one
-  :class:`~repro.engine.batched.BatchedTreeVerifier` pass per batch, block
-  or dense mode), and :class:`IncrementalBackend` (Algorithm 1 as the
-  degenerate one-node tree).
+* :class:`VerificationBackend` — the pluggable verify seam with two
+  implementations: :class:`FusedBackend` (one
+  :class:`~repro.engine.batched.BatchedTreeVerifier` pass per batch, each
+  tree under its request's own sampling) and :class:`IncrementalBackend`
+  (Algorithm 1 as the degenerate one-node tree).
 * :class:`DecodePipeline` — the prompt pass
   (:meth:`DecodePipeline.prefill`: the full prompts of a batch of states in
   one LLM forward, which emits each request's first token) and the
   per-iteration loop itself (:meth:`DecodePipeline.tick`).
 
-Because greedy fused, greedy per-request, and offline generation share this
-one loop, the bit-equivalence suites verify the architecture rather than
-four hand-synchronized copies; future backends (async, sharded,
+Because batched serving and offline generation share this one loop and one
+tree verifier, the bit-equivalence suites verify the architecture rather
+than hand-synchronized copies; future backends (async, sharded,
 disaggregated verify) plug into the same seam.
 """
 
@@ -39,7 +37,6 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -59,7 +56,6 @@ from repro.obs import DEFAULT_COUNT_BUCKETS, REGISTRY, TRACER
 from repro.speculate.packed import PackedSpeculator
 from repro.tree.token_tree import TokenTree
 from repro.verify.result import VerificationResult
-from repro.verify.verifier import TokenTreeVerifier
 
 # Interned once at import; REGISTRY.reset() zeroes these in place.
 _TICKS = REGISTRY.counter(
@@ -337,8 +333,8 @@ class VerificationBackend(ABC):
     A backend turns a batch of (state, fitted tree) pairs into per-request
     :class:`VerificationResult`s, committing each accepted path to the
     request's KV cache.  Implementations decide the execution strategy —
-    one pass per request, one fused pass per batch, or plain incremental
-    decoding — without touching the loop around them.
+    one fused tree pass per batch, or plain incremental decoding — without
+    touching the loop around them.
     """
 
     #: The LLM the backend verifies against (used by the pipeline to size
@@ -351,75 +347,20 @@ class VerificationBackend(ABC):
         """Verify each tree against its state's cache; batch order."""
 
 
-class PerRequestBackend(VerificationBackend):
-    """One :class:`TokenTreeVerifier` pass per request.
-
-    Args:
-        model: The LLM.
-        sampling: Decoding mode.  ``None`` (default) uses each state's own
-            sampling config — the per-request discipline the offline
-            engines and a ``backend=None`` manager rely on.
-        rng: Verification randomness.  ``None`` (default) draws from each
-            state's own stream (speculation and verification then share the
-            request RNG, matching the offline engines).  An explicit
-            generator is consumed across the batch in request order — the
-            same discipline :class:`FusedBackend` uses, which makes the two
-            backends exchangeable under stochastic decoding.
-        use_naive_sampling: Swap MSS for the Table 3 naive baseline.
-        reuse_scratch: Reuse per-verifier scratch arenas across steps
-            (see :class:`TokenTreeVerifier`).
-    """
-
-    def __init__(
-        self,
-        model: TransformerLM,
-        sampling: Optional[SamplingConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-        use_naive_sampling: bool = False,
-        reuse_scratch: bool = True,
-    ):
-        self.model = model
-        self.sampling = sampling
-        self.rng = rng
-        self.use_naive_sampling = use_naive_sampling
-        self.reuse_scratch = reuse_scratch
-        self._verifiers: "WeakKeyDictionary[DecodeState, TokenTreeVerifier]" = (
-            WeakKeyDictionary()
-        )
-
-    def _verifier_for(self, state: DecodeState) -> TokenTreeVerifier:
-        verifier = self._verifiers.get(state)
-        if verifier is None:
-            verifier = TokenTreeVerifier(
-                self.model,
-                sampling=self.sampling or state.sampling,
-                rng=self.rng if self.rng is not None else state.rng,
-                use_naive_sampling=self.use_naive_sampling,
-                reuse_scratch=self.reuse_scratch,
-            )
-            self._verifiers[state] = verifier
-        return verifier
-
-    def verify(self, states: Sequence[DecodeState],
-               trees: Sequence[TokenTree]) -> List[VerificationResult]:
-        _observe_verify("per_request", trees)
-        with TRACER.span("repro.verify.per_request", requests=len(trees)):
-            return [
-                self._verifier_for(state).verify_step(tree, state.cache)
-                for state, tree in zip(states, trees)
-            ]
-
-
 class FusedBackend(VerificationBackend):
     """One fused :class:`BatchedTreeVerifier` pass over the whole batch.
 
     Args:
         model: The LLM.
-        sampling: Decoding mode shared by the batch.
-        rng: Verification randomness, consumed in request order.
+        sampling: Decoding mode for every tree of the batch.  ``None``
+            (default) verifies each tree under its state's own sampling
+            config.
+        rng: Verification randomness, consumed across the batch in request
+            order.  ``None`` (default) draws from each state's own stream, so
+            speculation and verification share the request RNG, as in the
+            offline engines.
         use_naive_sampling: Swap MSS for the Table 3 naive baseline.
-        mode: ``"block"`` (block-sparse, default) or ``"dense"``
-            (reference block-diagonal mask); bit-equivalent outputs.
+        mode: Only ``"block"`` (the block-sparse pass) is accepted.
         reuse_scratch: Reuse batch-wide scratch arenas across ticks
             (see :class:`BatchedTreeVerifier`).
     """
@@ -433,27 +374,26 @@ class FusedBackend(VerificationBackend):
         mode: str = "block",
         reuse_scratch: bool = True,
     ):
+        if mode != "block":
+            raise ValueError(f"mode must be 'block', got {mode!r}")
         self.model = model
+        self.sampling = sampling
+        self.rng = rng
         self._verifier = BatchedTreeVerifier(
             model,
-            sampling=sampling,
-            rng=rng,
             use_naive_sampling=use_naive_sampling,
-            mode=mode,
             reuse_scratch=reuse_scratch,
         )
-
-    @property
-    def mode(self) -> str:
-        return self._verifier.mode
 
     def verify(self, states: Sequence[DecodeState],
                trees: Sequence[TokenTree]) -> List[VerificationResult]:
         _observe_verify("fused", trees)
-        with TRACER.span("repro.verify.fused", requests=len(trees),
-                         mode=self.mode):
+        with TRACER.span("repro.verify.fused", requests=len(trees)):
             return self._verifier.verify_batch(
-                list(trees), [state.cache for state in states]
+                trees, [state.cache for state in states],
+                [self.sampling or state.sampling for state in states],
+                [state.rng if self.rng is None else self.rng
+                 for state in states],
             )
 
 
@@ -554,7 +494,8 @@ class DecodePipeline:
     Args:
         model: The LLM (sizes the tree fitter).
         backend: The verification backend for drafted trees; defaults to
-            :class:`PerRequestBackend` over ``model``.
+            :class:`FusedBackend` over ``model`` (each tree verified under
+            its state's own sampling config and RNG).
         injector: Optional :class:`~repro.faults.FaultInjector`.  When set,
             one speculation and one verification fault can fire each tick;
             the affected tick *degrades* (every tree a bare root) instead
@@ -599,7 +540,7 @@ class DecodePipeline:
         if fallback_cooldown < 0:
             raise ValueError("fallback_cooldown must be >= 0")
         self.model = model
-        self.backend = backend if backend is not None else PerRequestBackend(model)
+        self.backend = backend if backend is not None else FusedBackend(model)
         self.injector = injector
         self.fallback_cooldown = fallback_cooldown
         self.fitter = TreeFitter(model.config.max_seq_len)

@@ -3,8 +3,8 @@
 A thin adapter over the unified :class:`~repro.engine.pipeline.DecodePipeline`:
 ``generate`` builds one :class:`~repro.engine.pipeline.DecodeState` and
 drives it to completion through a
-:class:`~repro.engine.pipeline.PerRequestBackend` (speculation and
-verification share the request's seeded RNG, so stochastic runs replay).
+:class:`~repro.engine.pipeline.FusedBackend` with a batch of one (speculation
+and verification share the request's seeded RNG, so stochastic runs replay).
 
 Greedy mode emits *exactly* the incremental-decoding sequence; stochastic
 mode emits tokens from exactly the LLM's distribution (Theorem 4.2).  The
@@ -19,7 +19,7 @@ from repro.engine.generation import GenerationConfig, GenerationResult
 from repro.engine.pipeline import (
     DecodePipeline,
     DecodeState,
-    PerRequestBackend,
+    FusedBackend,
 )
 from repro.model.transformer import TransformerLM
 from repro.speculate.speculator import Speculator
@@ -57,7 +57,7 @@ class SpecInferEngine:
         )
         pipeline = DecodePipeline(
             self.model,
-            PerRequestBackend(
+            FusedBackend(
                 self.model, use_naive_sampling=self.use_naive_sampling
             ),
         )

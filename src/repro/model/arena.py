@@ -1,8 +1,9 @@
 """Shared KV arena: one preallocated slab per layer for a whole batch.
 
-The dense-fused batch path staged attention inputs by concatenating every
-request's keys and values per layer per step — O(total cached KV) of copying
-on every decoding iteration.  The arena removes the copies at the source:
+Staging a batch's attention inputs by concatenating every request's keys
+and values per layer per step costs O(total cached KV) of copying on every
+decoding iteration, and a paged cache pays a block gather per layer view.
+The arena removes the copies at the source:
 
 * :class:`BatchArena` owns, per transformer layer, one preallocated
   ``(capacity, n_heads, d_head)`` key slab and value slab shared by all

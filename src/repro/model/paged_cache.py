@@ -14,7 +14,8 @@ This module provides that substrate:
   on paged storage — including tree-parallel decoding with path compaction.
 
 Reads gather blocks into a contiguous array (the NumPy analogue of paged
-attention's block-indexed loads).
+attention's block-indexed loads); every layer view's gather is charged to
+``repro.model.kv_bytes_copied``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.sanitizer import tensor_contract
+from repro.model import perf
 from repro.model.config import ModelConfig
 
 
@@ -233,10 +235,10 @@ class PagedSequenceCache:
     def _view_layer(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
         n = self._lengths_per_layer[layer]
         positions = np.arange(n)
-        return (
-            self._gather(layer, positions, self.pool._keys),
-            self._gather(layer, positions, self.pool._values),
-        )
+        keys = self._gather(layer, positions, self.pool._keys)
+        values = self._gather(layer, positions, self.pool._values)
+        perf.add_kv_copy(keys.nbytes + values.nbytes)
+        return keys, values
 
     def _truncate_layer(self, layer: int, length: int) -> None:
         if not 0 <= length <= self._lengths_per_layer[layer]:

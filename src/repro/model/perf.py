@@ -1,8 +1,9 @@
 """Operation counters for the decoding hot path (registry shim).
 
 The fused-batching work (block-sparse attention over a shared KV arena)
-makes claims that are easy to regress silently: "no cross-request score
-FLOPs", "no per-step KV copies", "allocation-free steady-state masks".
+makes claims that are easy to regress silently: "score FLOPs only inside
+each request's own block", "no per-step KV copies", "allocation-free
+steady-state masks".
 This module threads cheap integer counters through the primitives so those
 claims are *asserted* by the ``perf_smoke`` tier-1 tests and *reported* by
 ``benchmarks/bench_batched_fused.py`` — the NumPy analogue of a CUDA
@@ -16,8 +17,8 @@ The legacy surface is unchanged — ``add_*`` helpers, :func:`reset`,
 :data:`COUNTERS` attribute access, and::
 
     with perf.track() as c:
-        verifier.verify_batch(trees, caches)
-    assert c.cross_request_score_flops == 0
+        verifier.verify_batch(trees, caches, samplings, rngs)
+    assert c.kv_bytes_copied == 0
 
 ``track`` measures the *delta* over its body, so nesting and unrelated
 background accumulation are both safe.
@@ -40,13 +41,9 @@ class PerfCounters:
             ``linear_forward`` — QKV/output projections, MLP, LM head.
         attn_score_flops: FLOPs spent forming attention scores and the
             weighted value sum (2 * 2 * heads * n_q * n_k * d_head).
-        cross_request_score_flops: The subset of ``attn_score_flops`` spent
-            on query/key pairs from *different* requests — work whose result
-            is guaranteed to be masked to ``-inf``.  The dense-fused batch
-            path pays this; the block-sparse path must report zero.
         kv_bytes_copied: Bytes of cached keys/values copied to stage
-            attention inputs (per-layer concatenation in the dense path,
-            block gathers in the paged path).  Zero-copy views count
+            attention inputs (the block gathers of every paged-cache layer
+            view).  Zero-copy views (contiguous and arena caches) count
             nothing; post-verification compaction is excluded (it is
             bounded by the accepted path, not the batch).
         mask_cells_allocated: Cells of freshly allocated attention-mask
@@ -62,7 +59,6 @@ class PerfCounters:
 
     gemm_flops: int = 0
     attn_score_flops: int = 0
-    cross_request_score_flops: int = 0
     kv_bytes_copied: int = 0
     mask_cells_allocated: int = 0
     hot_alloc_events: int = 0
@@ -155,11 +151,6 @@ def add_gemm(m: int, k: int, n: int) -> None:
 def add_attention(n_heads: int, n_q: int, n_k: int, d_head: int) -> None:
     """Record one masked attention block (scores + weighted sum)."""
     _METRICS["attn_score_flops"].value += 2 * 2 * n_heads * n_q * n_k * d_head
-
-
-def add_cross_request_scores(n_heads: int, cells: int, d_head: int) -> None:
-    """Record score FLOPs spent on cross-request (always-masked) cells."""
-    _METRICS["cross_request_score_flops"].value += 2 * 2 * n_heads * cells * d_head
 
 
 def add_kv_copy(n_bytes: int) -> None:

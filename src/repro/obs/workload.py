@@ -35,7 +35,6 @@ class WorkloadSpec:
         rate: Poisson arrival rate (requests per scheduler iteration).
         seed: Master seed (models, arrivals, prompts).
         alignment: SSM/LLM alignment of the toy coupled pair.
-        mode: Fused verification mode, ``"block"`` or ``"dense"``.
         simulate: Also replay one offline generation through the cluster
             cost model (populates ``repro.cluster.*`` metrics).
         fault_rate: Per-site fault-injection probability; 0.0 (default)
@@ -67,7 +66,6 @@ class WorkloadSpec:
     rate: float = 1.0
     seed: int = 7
     alignment: float = 0.88
-    mode: str = "block"
     simulate: bool = True
     fault_rate: float = 0.0
     fault_seed: Optional[int] = None
@@ -157,8 +155,7 @@ def run_observed_workload(spec: Optional[WorkloadSpec] = None):
     manager = RequestManager(
         session_factory,
         max_batch_size=spec.batch,
-        backend=FusedBackend(llm, rng=np.random.default_rng(spec.seed),
-                             mode=spec.mode),
+        backend=FusedBackend(llm, rng=np.random.default_rng(spec.seed)),
         injector=injector,
         planner=planner,
         router=router,

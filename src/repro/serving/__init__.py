@@ -6,7 +6,7 @@
 * :mod:`repro.serving.manager` -- the request manager: iteration-level
   (Orca-style) scheduling with continuous batching over one decode
   pipeline (:mod:`repro.engine.pipeline`), parameterized by verification
-  backend (per-request or fused); finished requests leave and waiting
+  backend (fused tree pass by default); finished requests leave and waiting
   requests join the batch between iterations.
 * :mod:`repro.serving.policies` -- admission-ordering policies (FCFS, SJF,
   priority).
@@ -30,7 +30,6 @@ streaming on top.  See ``docs/serving_gateway.md``.
 from repro.engine.pipeline import (
     FusedBackend,
     IncrementalBackend,
-    PerRequestBackend,
     VerificationBackend,
 )
 from repro.serving.request import Request, RequestOutput, RequestState
@@ -79,7 +78,6 @@ __all__ = [
     "RequestManager",
     "IterationStats",
     "VerificationBackend",
-    "PerRequestBackend",
     "FusedBackend",
     "IncrementalBackend",
     "KvMemoryPool",

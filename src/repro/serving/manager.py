@@ -17,13 +17,12 @@ each request decodes (a session without a speculator is Algorithm 1, and
 may share a batch with speculative ones); ``backend`` chooses only how the
 drafted trees of a tick are verified:
 
-* ``backend=FusedBackend(...)``: every drafted tree of the batch in one
-  batched pass per iteration (Figure 6's workflow).
-* ``backend=None`` (default) is ``PerRequestBackend(model)``: one
-  verification pass per drafted tree, each request drawing from its own
-  seeded RNG; ``PerRequestBackend(model, rng=...)`` is the same strategy
-  drawing from one shared stream (the parity suites use it to show all
-  backends emit identical tokens).
+* ``backend=None`` (default) is ``FusedBackend(model)``: every drafted tree
+  of the batch in one batched pass per iteration (Figure 6's workflow), each
+  verified under its request's own sampling config and seeded RNG — the
+  tokens each request would get from ``SpecInferEngine`` alone.
+* ``backend=FusedBackend(model, sampling=..., rng=...)``: the same pass with
+  one decoding mode and one verification stream shared by the batch.
 
 The bare roots of a tick — sessions without a speculator, and every
 session of a fault-degraded or budget-0 tick — are always one
@@ -52,7 +51,6 @@ import numpy as np
 from repro.engine.generation import GenerationConfig
 from repro.engine.pipeline import (
     DecodePipeline,
-    PerRequestBackend,
     TickOutcome,
     VerificationBackend,
 )
@@ -171,8 +169,8 @@ class RequestManager:
             tree-verification rows (section 5.3's memory overhead).
         backend: The :class:`VerificationBackend` that verifies the
             drafted trees of each tick; ``None`` is
-            :class:`~repro.engine.pipeline.PerRequestBackend` over the
-            sessions' model.
+            :class:`~repro.engine.pipeline.FusedBackend` over the sessions'
+            model.
         injector: Optional :class:`~repro.faults.FaultInjector` driving the
             failure paths (chaos testing); ``None`` disables injection at
             zero cost.
@@ -340,7 +338,7 @@ class RequestManager:
             if self._pipeline is None:
                 model = sessions[0].model
                 self._pipeline = DecodePipeline(
-                    model, self.backend or PerRequestBackend(model),
+                    model, self.backend,
                     injector=self.injector,
                     fallback_cooldown=self.fallback_cooldown,
                     planner=self.planner, router=self.router)

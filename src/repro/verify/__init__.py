@@ -7,8 +7,9 @@
 * :mod:`repro.verify.stochastic` -- ``VerifyStochastic``: multi-step
   speculative sampling (MSS) with residual renormalization.
 * :mod:`repro.verify.naive` -- the naive-sampling baseline of section 4.3.
-* :mod:`repro.verify.verifier` -- :class:`TokenTreeVerifier` façade combining
-  decode + verification + KV-cache compaction.
+
+The tree verifier that combines a fused decode, these rules and KV-cache
+compaction is :class:`repro.engine.batched.BatchedTreeVerifier`.
 """
 
 from repro.verify.decode import (
@@ -21,7 +22,6 @@ from repro.verify.greedy import verify_greedy
 from repro.verify.naive import verify_naive_sampling
 from repro.verify.result import VerificationResult
 from repro.verify.stochastic import verify_stochastic
-from repro.verify.verifier import TokenTreeVerifier
 
 __all__ = [
     "TreeDecodeOutput",
@@ -32,5 +32,4 @@ __all__ = [
     "verify_stochastic",
     "verify_naive_sampling",
     "VerificationResult",
-    "TokenTreeVerifier",
 ]

@@ -73,7 +73,7 @@ def tree_parallel_decode(
     The tree tokens (root included — the root is the last generated token
     whose KV is not yet cached) are appended to ``cache`` in DFS order.  The
     caller is responsible for compacting the cache to the accepted path
-    afterwards (see :class:`repro.verify.verifier.TokenTreeVerifier`).
+    afterwards (see :class:`repro.engine.batched.BatchedTreeVerifier`).
 
     Args:
         mask_out: Optional ``(n, prefix + n)`` buffer for the topology mask

@@ -1,53 +1,97 @@
-"""Equivalence and perf-regression suite for the block-sparse fused path.
+"""Equivalence and perf-regression suite for the one tree verifier.
 
 Headline property: the three execution paths —
 
-1. per-request loop (``TokenTreeVerifier.verify_step`` per request),
-2. dense-fused (``BatchedTreeVerifier(mode="dense")``, one block-diagonal
-   mask over concatenated caches),
-3. block-sparse fused (``BatchedTreeVerifier(mode="block")``, the default)
+1. batch (``BatchedTreeVerifier.verify_batch`` over every request at once),
+2. solo (the same verifier run on each request alone, a batch of one),
+3. reference (``tree_parallel_decode`` — Definition 4.1 — plus the
+   request's verification rule and cache compaction, on a contiguous cache)
 
-— produce identical :class:`VerificationResult`s and cache states, for
-greedy *and* stochastic verification, over contiguous, paged and arena
-caches, including ragged batches.  The ``perf_smoke`` tests additionally
-pin the block-sparse path's cost shape (no cross-request score FLOPs, no
-per-step KV staging copies, allocation-free steady-state masks) so future
-changes cannot silently reintroduce the quadratic path.
+— give each request the same :class:`VerificationResult` and cache rows,
+for greedy, stochastic and mixed batches (every request verified under its
+own sampling config and RNG), over contiguous, paged and arena caches,
+including ragged batches.  The ``perf_smoke`` tests additionally pin the
+fused pass's cost shape (score FLOPs only inside each request's own block,
+no KV staging copies on an arena, allocation-free steady-state masks) so
+future changes cannot silently reintroduce a quadratic path.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine.batched import BatchedTreeVerifier, _BatchLayout
+from repro.engine.pipeline import FusedBackend
 from repro.model import perf
 from repro.model.arena import BatchArena
 from repro.model.paged_cache import PagedKVPool
 from repro.model.sampling import SamplingConfig
 from repro.speculate.expansion import ExpansionConfig, expand_token_tree
 from repro.tree.token_tree import TokenTree
-from repro.verify.verifier import TokenTreeVerifier
+from repro.verify.decode import tree_parallel_decode
+from repro.verify.greedy import verify_greedy
+from repro.verify.stochastic import verify_stochastic
 from tests.conftest import SMALL_CONFIG, make_prompt
 
+GREEDY = SamplingConfig(greedy=True)
+STOCHASTIC = SamplingConfig(temperature=1.0)
 
-def build_batch(llm, ssm, rng, n_requests=3, cache_factory=None,
-                widths=(2, 2, 1), prompt_lengths=None):
+#: ``(prompt length, expansion widths)`` per request; ``()`` is a root-only
+#: tree.
+DEFAULT_SHAPES = ((4, (2, 2, 1)), (6, (2, 2, 1)), (8, (2, 2, 1)))
+
+
+def build_batch(llm, ssm, rng, cache_factory=None, shapes=DEFAULT_SHAPES):
     """Per-request (tree, cache) pairs with distinct prefix lengths."""
     factory = cache_factory or llm.new_cache
     trees, caches = [], []
-    for i in range(n_requests):
-        length = (prompt_lengths[i] if prompt_lengths is not None
-                  else 4 + 2 * i)
+    for length, widths in shapes:
         prompt = make_prompt(rng, length=length)
         cache = factory()
         llm.prefill(prompt[:-1], cache)
-        ssm_cache = ssm.new_cache()
-        ssm.prefill(prompt[:-1], ssm_cache)
-        tree = expand_token_tree(
-            ssm, int(prompt[-1]), ssm_cache, ExpansionConfig(widths),
-        )
+        if widths:
+            ssm_cache = ssm.new_cache()
+            ssm.prefill(prompt[:-1], ssm_cache)
+            tree = expand_token_tree(
+                ssm, int(prompt[-1]), ssm_cache, ExpansionConfig(widths),
+            )
+        else:
+            tree = TokenTree(int(prompt[-1]))
         trees.append(tree)
         caches.append(cache)
     return trees, caches
+
+
+def samplings_for(kind, n):
+    """``greedy`` / ``stochastic`` for every request, or alternating."""
+    if kind == "mixed":
+        return [(GREEDY, STOCHASTIC)[i % 2] for i in range(n)]
+    return [GREEDY if kind == "greedy" else STOCHASTIC] * n
+
+
+def reference_verify(llm, tree, cache, sampling, rng):
+    """Definition 4.1's tree decode, the verification rule, compaction."""
+    output = tree_parallel_decode(llm, cache, tree)
+    if sampling.greedy:
+        result = verify_greedy(output, tree)
+    else:
+        result = verify_stochastic(output, tree, sampling, rng)
+    cache.keep_rows(output.prefix_len,
+                    [output.lin.slot_of[n] for n in result.accepted_nodes])
+    return result
+
+
+def run_path(path, llm, trees, caches, samplings):
+    """Verify along ``path``; request ``i`` draws from ``default_rng(42+i)``."""
+    rngs = [np.random.default_rng(42 + i) for i in range(len(trees))]
+    batch = list(zip(trees, caches, samplings, rngs))
+    if path == "batch":
+        return BatchedTreeVerifier(llm).verify_batch(trees, caches,
+                                                     samplings, rngs)
+    if path == "solo":
+        verifier = BatchedTreeVerifier(llm)
+        return [verifier.verify_batch([t], [c], [s], [r])[0]
+                for t, c, s, r in batch]
+    return [reference_verify(llm, *request) for request in batch]
 
 
 def assert_results_equal(a, b):
@@ -65,156 +109,79 @@ def assert_caches_equal(cache_a, cache_b):
         np.testing.assert_allclose(va, vb, atol=1e-12)
 
 
-class TestThreePathEquivalence:
-    """block-sparse == dense-fused == per-request loop, bit for bit."""
-
-    @pytest.mark.parametrize("greedy", [True, False],
-                             ids=["greedy", "stochastic"])
-    def test_results_identical_across_paths(self, llm, ssm, greedy):
-        sampling = (SamplingConfig(greedy=True) if greedy
-                    else SamplingConfig(temperature=1.0))
-        per_path = {}
-        for path in ("loop", "dense", "block"):
-            trees, caches = build_batch(llm, ssm, np.random.default_rng(11))
-            rng = np.random.default_rng(42)
-            if path == "loop":
-                verifier = TokenTreeVerifier(llm, sampling, rng=rng)
-                results = [
-                    verifier.verify_step(tree, cache)
-                    for tree, cache in zip(trees, caches)
-                ]
-            else:
-                results = BatchedTreeVerifier(
-                    llm, sampling, rng=rng, mode=path
-                ).verify_batch(trees, caches)
-            per_path[path] = (results, caches)
-        for path in ("dense", "block"):
-            for res, ref in zip(per_path[path][0], per_path["loop"][0]):
-                assert_results_equal(res, ref)
-            for cache, ref_cache in zip(per_path[path][1],
-                                        per_path["loop"][1]):
-                assert_caches_equal(cache, ref_cache)
-
-    @pytest.mark.parametrize("greedy", [True, False],
-                             ids=["greedy", "stochastic"])
-    def test_paged_caches(self, llm, ssm, greedy):
-        sampling = (SamplingConfig(greedy=True) if greedy
-                    else SamplingConfig(temperature=1.0))
-        pool = PagedKVPool(SMALL_CONFIG, num_blocks=64, block_size=8)
-        trees_a, caches_a = build_batch(
-            llm, ssm, np.random.default_rng(12),
-            cache_factory=pool.new_sequence,
-        )
-        trees_b, caches_b = build_batch(llm, ssm, np.random.default_rng(12))
-        block = BatchedTreeVerifier(
-            llm, sampling, rng=np.random.default_rng(7), mode="block"
-        ).verify_batch(trees_a, caches_a)
-        dense = BatchedTreeVerifier(
-            llm, sampling, rng=np.random.default_rng(7), mode="dense"
-        ).verify_batch(trees_b, caches_b)
-        for res, ref in zip(block, dense):
+def assert_three_paths_agree(llm, ssm, seed, kind="greedy",
+                             cache_factory=None, shapes=DEFAULT_SHAPES):
+    """Run every path on its own copy of one batch (the reference on
+    contiguous caches, the others on ``cache_factory``'s); returns each
+    path's ``(results, caches)``."""
+    runs = {}
+    for path in ("reference", "solo", "batch"):
+        trees, caches = build_batch(
+            llm, ssm, np.random.default_rng(seed),
+            cache_factory=None if path == "reference" else cache_factory,
+            shapes=shapes)
+        runs[path] = (run_path(path, llm, trees, caches,
+                               samplings_for(kind, len(trees))), caches)
+    ref_results, ref_caches = runs["reference"]
+    for path in ("solo", "batch"):
+        results, caches = runs[path]
+        for res, ref in zip(results, ref_results):
             assert_results_equal(res, ref)
-        for cache, ref_cache in zip(caches_a, caches_b):
+        for cache, ref_cache in zip(caches, ref_caches):
             assert_caches_equal(cache, ref_cache)
+    return runs
+
+
+class TestThreePathEquivalence:
+    """batch == solo == reference, bit for bit, per request."""
+
+    @pytest.mark.parametrize("kind", ["greedy", "stochastic", "mixed"])
+    def test_results_identical_across_paths(self, llm, ssm, kind):
+        assert_three_paths_agree(llm, ssm, 11, kind)
+
+    @pytest.mark.parametrize("kind", ["greedy", "stochastic"])
+    def test_paged_caches(self, llm, ssm, kind):
+        pool = PagedKVPool(SMALL_CONFIG, num_blocks=64, block_size=8)
+        assert_three_paths_agree(llm, ssm, 12, kind,
+                                 cache_factory=pool.new_sequence)
 
     def test_arena_caches(self, llm, ssm):
-        arena = BatchArena(SMALL_CONFIG, max_requests=3)
-        trees_a, caches_a = build_batch(
-            llm, ssm, np.random.default_rng(13),
-            cache_factory=arena.new_sequence,
-        )
-        trees_b, caches_b = build_batch(llm, ssm, np.random.default_rng(13))
-        block = BatchedTreeVerifier(llm, mode="block").verify_batch(
-            trees_a, caches_a
-        )
-        loop = TokenTreeVerifier(llm)
-        for tree, cache, res in zip(trees_b, caches_b, block):
-            assert_results_equal(res, loop.verify_step(tree, cache))
-        for cache, ref_cache in zip(caches_a, caches_b):
-            assert_caches_equal(cache, ref_cache)
+        arena = BatchArena(SMALL_CONFIG, max_requests=6)
+        assert_three_paths_agree(llm, ssm, 13,
+                                 cache_factory=arena.new_sequence)
 
     def test_ragged_batch_mixed_prefixes_and_tree_sizes(self, llm, ssm):
         """Strongly ragged batch: prefix lengths 2..14, tree widths vary."""
-        per_path = {}
-        for path in ("dense", "block"):
-            rng = np.random.default_rng(14)
-            trees, caches = [], []
-            for length, widths in [(2, (1,)), (9, (3, 2, 1)), (14, (2,)),
-                                   (5, (2, 2, 2))]:
-                t, c = build_batch(llm, ssm, rng, n_requests=1,
-                                   widths=widths, prompt_lengths=[length])
-                trees += t
-                caches += c
-            results = BatchedTreeVerifier(llm, mode=path).verify_batch(
-                trees, caches
-            )
-            per_path[path] = (results, caches)
-        for res, ref in zip(per_path["block"][0], per_path["dense"][0]):
-            assert_results_equal(res, ref)
-        for cache, ref_cache in zip(per_path["block"][1],
-                                    per_path["dense"][1]):
-            assert_caches_equal(cache, ref_cache)
+        assert_three_paths_agree(
+            llm, ssm, 14, "mixed",
+            shapes=((2, (1,)), (9, (3, 2, 1)), (14, (2,)), (5, (2, 2, 2))))
 
     def test_single_request_batch(self, llm, ssm):
-        trees_a, caches_a = build_batch(llm, ssm, np.random.default_rng(15),
-                                        n_requests=1)
-        trees_b, caches_b = build_batch(llm, ssm, np.random.default_rng(15),
-                                        n_requests=1)
-        block = BatchedTreeVerifier(llm, mode="block").verify_batch(
-            trees_a, caches_a
-        )[0]
-        plain = TokenTreeVerifier(llm).verify_step(trees_b[0], caches_b[0])
-        assert_results_equal(block, plain)
+        assert_three_paths_agree(llm, ssm, 15, "stochastic",
+                                 shapes=DEFAULT_SHAPES[:1])
 
-    def test_root_only_tree_edge_case(self, llm, ssm, rng):
+    def test_root_only_tree_edge_case(self, llm, ssm):
         """A degenerate single-node tree (no speculation) in the batch."""
-        trees, caches = build_batch(llm, ssm, np.random.default_rng(16),
-                                    n_requests=2)
-        prompt = make_prompt(rng, length=5)
-        root_cache = llm.new_cache()
-        llm.prefill(prompt[:-1], root_cache)
-        root_tree = TokenTree(int(prompt[-1]))
-        trees.append(root_tree)
-        caches.append(root_cache)
-        dense_trees, dense_caches = build_batch(
-            llm, ssm, np.random.default_rng(16), n_requests=2
-        )
-        dense_root_cache = llm.new_cache()
-        llm.prefill(prompt[:-1], dense_root_cache)
-        dense_trees.append(TokenTree(int(prompt[-1])))
-        dense_caches.append(dense_root_cache)
-        block = BatchedTreeVerifier(llm, mode="block").verify_batch(
-            trees, caches
-        )
-        dense = BatchedTreeVerifier(llm, mode="dense").verify_batch(
-            dense_trees, dense_caches
-        )
-        for res, ref in zip(block, dense):
-            assert_results_equal(res, ref)
+        runs = assert_three_paths_agree(
+            llm, ssm, 16, shapes=DEFAULT_SHAPES[:2] + ((5, ()),))
         # The root-only request always accepts exactly the root.
-        assert len(block[-1].accepted_nodes) == 1
+        assert len(runs["batch"][0][-1].accepted_nodes) == 1
 
     def test_empty_batch(self, llm):
-        assert BatchedTreeVerifier(llm, mode="block").verify_batch([], []) == []
+        assert BatchedTreeVerifier(llm).verify_batch([], [], [], []) == []
 
     def test_unknown_mode_raises(self, llm):
         with pytest.raises(ValueError, match="mode"):
-            BatchedTreeVerifier(llm, mode="sparse-ish")
+            FusedBackend(llm, mode="sparse-ish")
 
     def test_continued_decoding_matches(self, llm, ssm):
-        """After block-sparse verification, requests decode identically."""
-        trees_a, caches_a = build_batch(llm, ssm, np.random.default_rng(17))
-        trees_b, caches_b = build_batch(llm, ssm, np.random.default_rng(17))
-        block = BatchedTreeVerifier(llm, mode="block").verify_batch(
-            trees_a, caches_a
-        )
-        loop = TokenTreeVerifier(llm)
-        for tree, cache_a, cache_b, res in zip(trees_b, caches_a, caches_b,
-                                               block):
-            ref = loop.verify_step(tree, cache_b)
+        """After batched verification, requests decode identically."""
+        runs = assert_three_paths_agree(llm, ssm, 17)
+        (results, caches), (_, ref_caches) = runs["batch"], runs["reference"]
+        for res, cache, ref_cache in zip(results, caches, ref_caches):
             np.testing.assert_allclose(
-                llm.decode(res.bonus_token, cache_a),
-                llm.decode(ref.bonus_token, cache_b),
+                llm.decode(res.bonus_token, cache),
+                llm.decode(res.bonus_token, ref_cache),
                 atol=1e-12,
             )
 
@@ -231,55 +198,60 @@ class TestBatchLayout:
             for t, c in zip(trees, caches)
         ]
         layout = _BatchLayout.from_items(items)
+        assert layout.new_counts == tuple(len(t) for t in trees)
+        assert layout.priors == tuple(c.length for c in caches)
         assert layout.n_total == sum(layout.new_counts)
-        assert layout.k_total == sum(
-            p + n for p, n in zip(layout.priors, layout.new_counts)
-        )
-        assert layout.block_cells + layout.cross_cells == (
-            layout.n_total * layout.k_total
-        )
         assert layout.row_offsets[-1] == layout.n_total
-        assert layout.col_offsets[-1] == layout.k_total
+
+
+def score_flops(cells):
+    """Attention FLOPs (scores + weighted sum) for ``cells`` query/key
+    pairs in every layer of the test LLM."""
+    cfg = SMALL_CONFIG
+    return 2 * 2 * cfg.n_heads * cfg.d_head * cfg.n_layers * cells
 
 
 @pytest.mark.perf_smoke
 class TestPerfSmoke:
     """Counter-based regression guards for the block-sparse cost shape."""
 
+    def _tracked_batch(self, llm, ssm, cache_factory=None):
+        """One greedy batch step's counters, and each request's
+        ``(tree tokens, prefix rows)``."""
+        trees, caches = build_batch(llm, ssm, np.random.default_rng(20),
+                                    cache_factory=cache_factory)
+        shape = [(len(t), c.length) for t, c in zip(trees, caches)]
+        with perf.track() as counters:
+            run_path("batch", llm, trees, caches, samplings_for("greedy", 3))
+        return counters, shape
+
     def test_block_path_no_cross_request_flops_and_no_kv_copies(
         self, llm, ssm
     ):
+        """Scores exactly the per-request diagonal blocks, copies no K/V."""
         arena = BatchArena(SMALL_CONFIG, max_requests=3)
-        trees, caches = build_batch(
-            llm, ssm, np.random.default_rng(20),
-            cache_factory=arena.new_sequence,
-        )
-        verifier = BatchedTreeVerifier(llm, mode="block")
-        with perf.track() as c:
-            verifier.verify_batch(trees, caches)
-        assert c.cross_request_score_flops == 0
-        assert c.kv_bytes_copied == 0
-        assert c.attn_score_flops > 0
+        counters, shape = self._tracked_batch(llm, ssm, arena.new_sequence)
+        assert counters.attn_score_flops == score_flops(
+            sum(n * (p + n) for n, p in shape))
+        assert counters.kv_bytes_copied == 0
 
-    def test_dense_path_pays_cross_request_flops(self, llm, ssm):
-        """Sanity check that the counters actually detect the dense path."""
-        trees, caches = build_batch(llm, ssm, np.random.default_rng(21))
-        verifier = BatchedTreeVerifier(llm, mode="dense")
-        with perf.track() as c:
-            verifier.verify_batch(trees, caches)
-        assert c.cross_request_score_flops > 0
-        assert c.kv_bytes_copied > 0
+    def test_paged_path_pays_kv_copies(self, llm, ssm):
+        """Sanity check that the counter detects a copying path: the same
+        batch on a paged pool gathers every layer's rows once."""
+        pool = PagedKVPool(SMALL_CONFIG, num_blocks=64, block_size=8)
+        counters, shape = self._tracked_batch(llm, ssm, pool.new_sequence)
+        row_bytes = 2 * SMALL_CONFIG.d_model * np.dtype(
+            SMALL_CONFIG.dtype).itemsize
+        assert counters.kv_bytes_copied == SMALL_CONFIG.n_layers * sum(
+            p + n for n, p in shape) * row_bytes > 0
 
     def test_block_path_scores_fewer_flops_than_dense(self, llm, ssm):
-        flops = {}
-        for mode in ("dense", "block"):
-            trees, caches = build_batch(llm, ssm, np.random.default_rng(22))
-            with perf.track() as c:
-                BatchedTreeVerifier(llm, mode=mode).verify_batch(
-                    trees, caches
-                )
-            flops[mode] = c.attn_score_flops
-        assert flops["block"] < flops["dense"]
+        """Fewer score FLOPs than one dense ``(Σnᵢ)·(Σkᵢ)`` matrix over the
+        same batch, which would also score every cross-request pair."""
+        counters, shape = self._tracked_batch(llm, ssm)
+        n_total = sum(n for n, _ in shape)
+        k_total = sum(p + n for n, p in shape)
+        assert counters.attn_score_flops < score_flops(n_total * k_total)
 
     def test_steady_state_masks_are_allocation_free(self, llm, ssm):
         """After warm-up, repeated batched steps allocate no mask cells."""
@@ -289,12 +261,14 @@ class TestPerfSmoke:
             cache_factory=arena.new_sequence,
         )
         snapshots = [c.snapshot() for c in caches]
-        verifier = BatchedTreeVerifier(llm, mode="block")
-        verifier.verify_batch(trees, caches)  # warm-up allocates scratch
+        verifier = BatchedTreeVerifier(llm)
+        step = lambda: verifier.verify_batch(
+            trees, caches, samplings_for("greedy", 3), [None] * 3)
+        step()  # warm-up allocates scratch
         for cache, snap in zip(caches, snapshots):
             cache.restore(snap)
         with perf.track() as c:
-            verifier.verify_batch(trees, caches)
+            step()
         assert c.mask_cells_allocated == 0
 
     def test_incremental_decode_masks_are_allocation_free(self, llm, rng):

@@ -14,8 +14,8 @@ from repro.engine.generation import GenerationConfig
 from repro.engine.pipeline import (
     DecodePipeline,
     DecodeState,
+    FusedBackend,
     IncrementalBackend,
-    PerRequestBackend,
     TreeFitter,
     prune_to_size,
 )
@@ -162,21 +162,22 @@ class TestIncrementalBackend:
     def test_equals_one_node_tree_through_tree_verifier(self, llm, rng):
         """Algorithm 1 really is the degenerate tree: a speculator-free
         state through IncrementalBackend matches a width-0 'tree' pass
-        through the per-request tree verifier, token for token."""
+        through the tree verifier, token for token."""
         prompt = make_prompt(rng, length=5)
         config = GenerationConfig(max_new_tokens=8, stop_on_eos=False)
         inc_state = DecodeState(llm, prompt, config)
         DecodePipeline(llm, IncrementalBackend(llm)).run_to_completion(inc_state)
 
-        from repro.verify.verifier import TokenTreeVerifier
+        from repro.engine.batched import BatchedTreeVerifier
 
         cache = llm.new_cache()
         llm.prefill(prompt[:-1], cache)
-        verifier = TokenTreeVerifier(llm)
+        verifier = BatchedTreeVerifier(llm)
         pending = int(prompt[-1])
         tokens = []
         while len(tokens) < 8:
-            result = verifier.verify_step(TokenTree(pending), cache)
+            result = verifier.verify_batch([TokenTree(pending)], [cache],
+                                           [config.sampling], [None])[0]
             tokens.extend(int(t) for t in result.accepted_tokens)
             pending = result.bonus_token
         assert inc_state.tokens == tokens[:8]
@@ -223,7 +224,7 @@ class TestPipelineTick:
             GenerationConfig(max_new_tokens=500, stop_on_eos=False),
             speculator=make_speculator(llm),
         )
-        pipeline = DecodePipeline(llm, PerRequestBackend(llm))
+        pipeline = DecodePipeline(llm, FusedBackend(llm))
         pipeline.run_to_completion(state)
         assert state.retired
         assert state.finished
@@ -256,7 +257,7 @@ class TestPipelineTick:
                         speculator=make_speculator(llm))
             for i in range(3)
         ]
-        pipeline = DecodePipeline(llm, PerRequestBackend(llm))
+        pipeline = DecodePipeline(llm, FusedBackend(llm))
         outcomes = pipeline.tick(states)
         assert all(o.advanced for o in outcomes)
         assert all(len(s.steps) == 1 for s in states)

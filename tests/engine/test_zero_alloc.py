@@ -3,8 +3,8 @@
 Four families of guarantees:
 
 * scratch on/off bit-equivalence — committed tokens are identical with
-  scratch-arena buffer reuse enabled and disabled, across all three
-  verification backends, greedy and stochastic, multiple seeds (the
+  scratch-arena buffer reuse enabled and disabled, with per-request and
+  shared verification streams, greedy and stochastic, multiple seeds (the
   ``out=`` rewrites of the forward pass provably compute the same bits);
 * packed speculation equivalence — scoring every request's draft tree
   through one batched GEMM per level produces, tick for tick, the same
@@ -28,7 +28,6 @@ from repro.engine.pipeline import (
     DecodePipeline,
     DecodeState,
     FusedBackend,
-    PerRequestBackend,
 )
 from repro.faults import FaultKind
 from repro.model import perf
@@ -59,6 +58,7 @@ def _make_states(llm, ssm_factory, greedy, seed, n_requests=3,
     for r in range(n_requests):
         config = GenerationConfig(
             max_new_tokens=max_new_tokens, sampling=sampling, seed=seed + r,
+            stop_on_eos=False,
         )
         spec = Speculator([ssm_factory()], ExpansionConfig(widths))
         states.append(DecodeState(
@@ -78,10 +78,11 @@ def _run(llm, ssm_factory, backend_factory, greedy, seed, **pipeline_kwargs):
     return [s.tokens for s in states]
 
 
+#: Each request's own sampling config and RNG, or one shared stream.
 BACKENDS = [
-    ("per_request", lambda llm, **kw: PerRequestBackend(llm, **kw)),
-    ("fused_block", lambda llm, **kw: FusedBackend(llm, mode="block", **kw)),
-    ("fused_dense", lambda llm, **kw: FusedBackend(llm, mode="dense", **kw)),
+    ("per_request", lambda llm, **kw: FusedBackend(llm, **kw)),
+    ("fused_shared_rng", lambda llm, **kw: FusedBackend(
+        llm, rng=np.random.default_rng(0), **kw)),
 ]
 
 
@@ -278,8 +279,8 @@ class TestPackedSpeculationEquivalence:
     def test_tokens_do_not_depend_on_neighbours(self, llm, greedy):
         """A request's tree is a function of its own stream: the same
         request alone, and in a batch whose other members join late and
-        leave early, commits the same tokens.  (Per-request verification,
-        so the verifier draws from the request's stream too.)"""
+        leave early, commits the same tokens.  (The default backend
+        verifies each request from its own stream too.)"""
         def request(seed, prompt_len, max_new_tokens):
             sampling = (SamplingConfig(greedy=True) if greedy
                         else SamplingConfig(temperature=1.0))

@@ -53,15 +53,12 @@ def build_manager(llm, batch=4, fault_rate=0.0, fault_seed=9973,
     """A request manager over the shared test LLM.
 
     ``backend`` selects the verification strategy: ``"fused"`` (the
-    gateway's production shape), ``"per_request"``, ``"incremental"``
-    (both under the fused scheduling discipline), or ``"sessions"``
-    (per-request incremental sessions, no shared backend).
+    gateway's production shape, one shared verification stream),
+    ``"per_request"`` (the default backend: each request's own stream),
+    ``"incremental"``, or ``"sessions"`` (incremental sessions under the
+    default backend).
     """
-    from repro.engine.pipeline import (
-        FusedBackend,
-        IncrementalBackend,
-        PerRequestBackend,
-    )
+    from repro.engine.pipeline import FusedBackend, IncrementalBackend
     from repro.model.arena import BatchArena
     from repro.model.coupled import CoupledSSM
     from repro.serving.manager import RequestManager
@@ -92,8 +89,7 @@ def build_manager(llm, batch=4, fault_rate=0.0, fault_seed=9973,
 
     backends = {
         "fused": lambda: FusedBackend(llm, rng=np.random.default_rng(seed)),
-        "per_request": lambda: PerRequestBackend(
-            llm, rng=np.random.default_rng(seed)),
+        "per_request": lambda: None,
         "incremental": lambda: IncrementalBackend(llm),
     }
     return RequestManager(

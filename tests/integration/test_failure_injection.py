@@ -83,9 +83,9 @@ class TestAdversarialTrees:
     def test_verifier_handles_tree_with_unknown_proposals(self, llm, rng):
         """Hand-built trees lacking proposal distributions verify without
         error in stochastic mode (deterministic-proposal semantics)."""
+        from repro.engine.batched import BatchedTreeVerifier
         from repro.model.sampling import SamplingConfig
         from repro.tree.token_tree import TokenTree
-        from repro.verify.verifier import TokenTreeVerifier
 
         prompt = make_prompt(rng, length=4)
         cache = llm.new_cache()
@@ -93,26 +93,24 @@ class TestAdversarialTrees:
         tree = TokenTree(int(prompt[-1]))
         tree.add_path([1, 2, 3])
         tree.add_path([4, 5])
-        verifier = TokenTreeVerifier(
-            llm, SamplingConfig(temperature=1.0),
-            rng=np.random.default_rng(0),
-        )
-        result = verifier.verify_step(tree, cache)
+        result = BatchedTreeVerifier(llm).verify_batch(
+            [tree], [cache], [SamplingConfig(temperature=1.0)],
+            [np.random.default_rng(0)])[0]
         result.validate()
 
     def test_deep_chain_tree_within_limits(self, llm, rng):
         """A maximum-depth chain (degenerate tree) verifies correctly."""
+        from repro.engine.batched import BatchedTreeVerifier
         from repro.model.sampling import SamplingConfig
         from repro.tree.token_tree import TokenTree
-        from repro.verify.verifier import TokenTreeVerifier
 
         prompt = make_prompt(rng, length=4)
         cache = llm.new_cache()
         llm.prefill(prompt[:-1], cache)
         tree = TokenTree(int(prompt[-1]))
         tree.add_path(list(rng.integers(1, 64, size=30)))
-        result = TokenTreeVerifier(llm, SamplingConfig(greedy=True)
-                                   ).verify_step(tree, cache)
+        result = BatchedTreeVerifier(llm).verify_batch(
+            [tree], [cache], [SamplingConfig(greedy=True)], [rng])[0]
         result.validate()
         assert cache.length == len(prompt) - 1 + len(result.accepted_nodes)
 

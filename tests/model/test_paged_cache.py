@@ -8,10 +8,10 @@ block tables — the paged pool is a drop-in cache implementation.
 import numpy as np
 import pytest
 
+from repro.engine.batched import BatchedTreeVerifier
 from repro.model.paged_cache import PagedKVPool, PagedSequenceCache
 from repro.model.sampling import SamplingConfig
 from repro.tree.token_tree import TokenTree
-from repro.verify.verifier import TokenTreeVerifier
 from tests.conftest import SMALL_CONFIG, make_prompt
 
 
@@ -135,9 +135,12 @@ class TestOutputEquivalence:
         a = tree.add_child(0, 5)
         tree.add_child(0, 9)
         tree.add_child(a, 11)
-        verifier = TokenTreeVerifier(llm, SamplingConfig(greedy=True))
-        result_paged = verifier.verify_step(tree, paged)
-        result_contig = verifier.verify_step(tree, contiguous)
+        greedy = [SamplingConfig(greedy=True)]
+        verifier = BatchedTreeVerifier(llm)
+        result_paged = verifier.verify_batch([tree], [paged], greedy,
+                                             [rng])[0]
+        result_contig = verifier.verify_batch([tree], [contiguous], greedy,
+                                              [rng])[0]
         assert result_paged.accepted_tokens == result_contig.accepted_tokens
         # Continue decoding after compaction: still identical.
         np.testing.assert_allclose(

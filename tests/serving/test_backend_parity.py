@@ -1,26 +1,29 @@
-"""Backend parity suite: every verification backend emits the same tokens.
+"""Backend parity suite: every serving surface emits the same tokens.
 
-The refactor's core promise: per-request, fused-block, and fused-dense
-verification are *execution strategies*, not semantics.  For the same
-seeds, the same requests come out token-identical under both greedy and
-stochastic sampling — including when a request exhausts its context
-mid-batch and is retired by the tree fitter — and every manager shape is
-one pipeline: a batch mixing speculative and incremental sessions is one
-tick (one ``decode_batch`` for the bare roots, one backend ``verify`` for
-the drafted trees), the planner, the router and the fault injector work
-without a ``backend``, and ``backend=None`` is ``PerRequestBackend``.
+One tree verifier, one promise: batching is an execution strategy, not
+semantics.  Each request of a batched manager — ``backend=None`` or an
+explicit ``FusedBackend(llm)`` — emits exactly what ``SpecInferEngine``
+emits for it alone, greedy, stochastic or in a mixed batch, because every
+tree is verified under its own request's sampling config and seeded RNG —
+including when a request exhausts its context mid-batch and is retired by
+the tree fitter.  And every manager shape is one pipeline: a batch mixing
+speculative and incremental sessions is one tick (one ``decode_batch`` for
+the bare roots, one backend ``verify`` for the drafted trees), and the
+planner, the router and the fault injector work without a ``backend``.
 
 Run standalone with ``pytest -m serving``.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.engine.generation import GenerationConfig
 from repro.engine.incremental import IncrementalEngine
-from repro.engine.pipeline import FusedBackend, PerRequestBackend
+from repro.engine.pipeline import FusedBackend
+from repro.engine.tree_spec import SpecInferEngine
 from repro.faults import FaultInjector, FaultKind
 from repro.model import perf
 from repro.model.arena import BatchArena
@@ -43,12 +46,22 @@ from tests.engine.test_zero_alloc import _count_calls
 
 pytestmark = pytest.mark.serving
 
-# The shared verification-rng seed.  The nightly workflow sweeps this via
+# The seed of the shared verification stream (``"block"``) and the base of
+# the per-request seeds.  The nightly workflow sweeps this via
 # REPRO_PARITY_SEED to exercise stochastic parity on fresh draw sequences.
 SEED = int(os.environ.get("REPRO_PARITY_SEED", "11"))
 
 GREEDY = SamplingConfig(greedy=True)
 STOCHASTIC = SamplingConfig(temperature=1.0)
+SAMPLINGS = {"greedy": (GREEDY,), "stochastic": (STOCHASTIC,),
+             "mixed": (GREEDY, STOCHASTIC)}
+
+
+def make_speculator(llm):
+    return Speculator(
+        [CoupledSSM(llm, alignment=0.9, seed=7, noise_scale=2.0)],
+        ExpansionConfig((1, 2, 1)),
+    )
 
 
 def spec_factory(llm, cache_factory=None, incremental_ids=()):
@@ -59,113 +72,98 @@ def spec_factory(llm, cache_factory=None, incremental_ids=()):
         if request.request_id in incremental_ids:
             return IncrementalSession(request, llm,
                                       cache_factory=cache_factory)
-        return SpeculativeSession(
-            request, llm,
-            lambda: Speculator(
-                [CoupledSSM(llm, alignment=0.9, seed=7, noise_scale=2.0)],
-                ExpansionConfig((1, 2, 1)),
-            ),
-            cache_factory=cache_factory,
-        )
+        return SpeculativeSession(request, llm,
+                                  lambda: make_speculator(llm),
+                                  cache_factory=cache_factory)
 
     return factory
 
 
-def make_backend(kind, llm, sampling=GREEDY):
-    """Build a manager-level backend with its own seeded verification rng.
-
-    All three consume the shared stream in batch order, so for the same
-    seed the stochastic draws line up across backends.  ``"default"`` is
-    the manager's ``backend=None``.
-    """
+def make_backend(kind, llm):
+    """``"default"`` is the manager's ``backend=None``; ``"per-request"``
+    builds the same ``FusedBackend(llm)`` explicitly (each request's own
+    sampling and stream); ``"block"`` is the fused pass with one shared,
+    seeded greedy verification stream."""
     if kind == "default":
         return None
-    rng = np.random.default_rng(SEED)
     if kind == "per-request":
-        return PerRequestBackend(llm, sampling=sampling, rng=rng)
-    return FusedBackend(llm, sampling=sampling, rng=rng, mode=kind)
+        return FusedBackend(llm)
+    return FusedBackend(llm, sampling=GREEDY,
+                        rng=np.random.default_rng(SEED))
 
 
-BACKENDS = ["per-request", "block", "dense"]
-MANAGER_SHAPES = ["default"] + BACKENDS
+MANAGER_SHAPES = ["default", "per-request", "block"]
 
 
-def run_workload(llm, kind, sampling, prompts, configs):
-    manager = RequestManager(
-        spec_factory(llm),
-        max_batch_size=len(prompts),
-        backend=make_backend(kind, llm, sampling),
-    )
+def run_manager(llm, backend, prompts, configs):
+    """Token lists and LLM step counts of one batched manager run."""
+    manager = RequestManager(spec_factory(llm), max_batch_size=len(prompts),
+                             backend=backend)
     ids = [manager.submit(p, c) for p, c in zip(prompts, configs)]
     manager.run_until_complete()
-    return manager, [manager.output_for(rid).tokens for rid in ids]
+    return [(manager.output_for(rid).tokens,
+             manager.output_for(rid).num_llm_steps) for rid in ids]
+
+
+def run_alone(llm, prompts, configs):
+    """The same requests, each through ``SpecInferEngine`` on its own."""
+    results = [SpecInferEngine(llm, make_speculator(llm)).generate(p, c)
+               for p, c in zip(prompts, configs)]
+    return [(r.tokens, len(r.steps)) for r in results]
+
+
+def seeded_configs(kind, budgets):
+    """Per-request seeds; ``mixed`` alternates greedy and stochastic."""
+    samplings = SAMPLINGS[kind]
+    return [GenerationConfig(max_new_tokens=budget,
+                             sampling=samplings[i % len(samplings)],
+                             stop_on_eos=False, seed=SEED + 100 + i)
+            for i, budget in enumerate(budgets)]
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("sampling", [GREEDY, STOCHASTIC],
-                             ids=["greedy", "stochastic"])
-    def test_all_backends_emit_identical_tokens(self, llm, rng, sampling):
+    @pytest.mark.parametrize("kind", ["greedy", "stochastic", "mixed"])
+    def test_all_backends_emit_identical_tokens(self, llm, rng, kind):
+        """``FusedBackend(llm)`` verifies each tree under its own request's
+        sampling config and RNG: every request of the batch, stochastic
+        ones included, emits what ``SpecInferEngine`` emits for it alone.
+        After its first token a greedy request follows Algorithm 1's
+        continuation and a stochastic one does not."""
         prompts = [make_prompt(rng, length=4 + i) for i in range(4)]
-        configs = [
-            GenerationConfig(max_new_tokens=8, sampling=sampling,
-                             stop_on_eos=False)
-            for _ in prompts
-        ]
-        results = {
-            kind: run_workload(llm, kind, sampling, prompts, configs)[1]
-            for kind in BACKENDS
-        }
-        assert results["per-request"] == results["block"]
-        assert results["per-request"] == results["dense"]
+        configs = seeded_configs(kind, [8] * 4)
+        batched = run_manager(llm, FusedBackend(llm), prompts, configs)
+        assert batched == run_alone(llm, prompts, configs)
+        for (tokens, _), prompt, config in zip(batched, prompts, configs):
+            greedy_tail = IncrementalEngine(llm).generate(
+                list(prompt) + tokens[:1],
+                replace(config, sampling=GREEDY,
+                        max_new_tokens=len(tokens) - 1)).tokens
+            assert (tokens[1:] == greedy_tail) == config.sampling.greedy
 
-    @pytest.mark.parametrize("sampling", [GREEDY, STOCHASTIC],
-                             ids=["greedy", "stochastic"])
-    def test_context_exhaustion_mid_batch(self, llm, rng, sampling):
+    @pytest.mark.parametrize("kind", ["greedy", "stochastic"])
+    def test_context_exhaustion_mid_batch(self, llm, rng, kind):
         """One request runs out of context while its batchmates keep going:
-        the fitter returns ``None``, the state is retired, and every
-        backend agrees on what was emitted before retirement."""
+        the fitter returns ``None``, the state is retired, and batch and
+        solo runs agree on what was emitted before retirement."""
         long_prompt = make_prompt(rng, length=llm.config.max_seq_len - 12)
         short_prompt = make_prompt(rng, length=5)
         prompts = [long_prompt, short_prompt]
-        configs = [
-            GenerationConfig(max_new_tokens=500, sampling=sampling,
-                             stop_on_eos=False),
-            GenerationConfig(max_new_tokens=20, sampling=sampling,
-                             stop_on_eos=False),
-        ]
-        results = {}
-        for kind in BACKENDS:
-            manager, tokens = run_workload(llm, kind, sampling, prompts,
-                                           configs)
-            results[kind] = tokens
-            # The long request was cut off by context, not by its budget.
-            assert 0 < len(tokens[0]) < 500
-            assert len(tokens[1]) == 20
-        assert results["per-request"] == results["block"]
-        assert results["per-request"] == results["dense"]
+        configs = seeded_configs(kind, [500, 20])
+        batched = run_manager(llm, None, prompts, configs)
+        # The long request was cut off by context, not by its budget.
+        assert 0 < len(batched[0][0]) < 500
+        assert len(batched[1][0]) == 20
+        assert batched == run_alone(llm, prompts, configs)
 
-    @pytest.mark.parametrize("sampling", [GREEDY, STOCHASTIC],
-                             ids=["greedy", "stochastic"])
-    def test_default_backend_is_per_request_backend(self, llm, rng,
-                                                    sampling):
-        """``backend=None`` is ``PerRequestBackend(llm)`` token for token:
-        each request speculates and verifies from its own seeded RNG."""
+    @pytest.mark.parametrize("kind", ["greedy", "stochastic"])
+    def test_default_backend_is_fused_backend(self, llm, rng, kind):
+        """``backend=None`` is ``FusedBackend(llm)`` token for token and
+        step for step: each request speculates and verifies from its own
+        seeded RNG."""
         prompts = [make_prompt(rng, length=4 + i) for i in range(4)]
-        configs = [
-            GenerationConfig(max_new_tokens=10, sampling=sampling,
-                             stop_on_eos=False, seed=100 + i)
-            for i in range(4)
-        ]
-        outputs = []
-        for backend in (None, PerRequestBackend(llm)):
-            manager = RequestManager(spec_factory(llm), max_batch_size=4,
-                                     backend=backend)
-            ids = [manager.submit(p, c) for p, c in zip(prompts, configs)]
-            manager.run_until_complete()
-            outputs.append([(manager.output_for(rid).tokens,
-                             manager.output_for(rid).num_llm_steps)
-                            for rid in ids])
-        assert outputs[0] == outputs[1]
+        configs = seeded_configs(kind, [10] * 4)
+        assert run_manager(llm, None, prompts, configs) == \
+            run_manager(llm, FusedBackend(llm), prompts, configs)
 
 
 class TestOnePipelineEveryShape:
@@ -178,8 +176,8 @@ class TestOnePipelineEveryShape:
         lengths across the 32-row prompt-block edge: greedy tokens are
         ``IncrementalEngine``'s, and a decode iteration is exactly one
         ``decode_batch`` for the bare roots plus one ``verify`` of the
-        configured backend.  The block-sparse shape runs over a shared
-        arena: no cross-request scores, no KV copies, rows all returned."""
+        configured backend.  The shared-stream shape runs over a shared
+        arena: no KV copies, rows all returned."""
         arena = BatchArena(SMALL_CONFIG, max_requests=4)
         prompts = [make_prompt(np.random.default_rng(n), length=n)
                    for n in (31, 32, 33, 5)]
@@ -209,7 +207,6 @@ class TestOnePipelineEveryShape:
             assert manager.output_for(rid).tokens == \
                 IncrementalEngine(llm).generate(prompt, config).tokens
         if kind == "block":
-            assert counters.cross_request_score_flops == 0
             assert counters.kv_bytes_copied == 0
             assert arena.used_rows == 0
 
@@ -312,16 +309,8 @@ class TestIterationAccounting:
         manager.run_until_complete()
         output = manager.output_for(rid)
 
-        from repro.engine.tree_spec import SpecInferEngine
-
-        engine = SpecInferEngine(
-            llm,
-            Speculator(
-                [CoupledSSM(llm, alignment=0.9, seed=7, noise_scale=2.0)],
-                ExpansionConfig((1, 2, 1)),
-            ),
-        )
-        result = engine.generate(prompt, config)
+        result = SpecInferEngine(llm, make_speculator(llm)).generate(
+            prompt, config)
         assert output.tokens == result.tokens
         assert output.num_llm_steps == len(result.steps)
         prefill, *decode = manager.iteration_stats

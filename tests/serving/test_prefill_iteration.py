@@ -58,9 +58,9 @@ def _coupled(llm):
 
 
 def build_manager(llm, kind, slots, ssm_factory=None, **kwargs):
-    """``fused`` (block-sparse fused verification over a shared arena),
-    ``per_request`` (speculative sessions, each through its own pipeline)
-    or ``incremental`` (Algorithm 1 sessions, one shared pipeline)."""
+    """``fused`` (an explicit ``FusedBackend``), ``per_request``
+    (speculative sessions under the default backend) or ``incremental``
+    (Algorithm 1 sessions), all over a shared arena."""
     arena = BatchArena(llm.config, max_requests=slots)
     ssm_factory = ssm_factory or (lambda: _coupled(llm))
     if kind == "incremental":
@@ -71,7 +71,7 @@ def build_manager(llm, kind, slots, ssm_factory=None, **kwargs):
             req, llm,
             lambda: Speculator([ssm_factory()], ExpansionConfig(WIDTHS)),
             cache_factory=arena.new_sequence)
-    backend = FusedBackend(llm, mode="block") if kind == "fused" else None
+    backend = FusedBackend(llm) if kind == "fused" else None
     manager = RequestManager(factory, max_batch_size=slots, backend=backend,
                              **kwargs)
     manager.arena = arena
@@ -216,7 +216,6 @@ class TestOneForwardPerAdmissionRound:
         # scored across requests and no K/V is copied to stage it.
         assert batched.gemm_flops == solo.gemm_flops
         assert batched.attn_score_flops == solo.attn_score_flops
-        assert batched.cross_request_score_flops == 0
         assert batched.kv_bytes_copied == 0
 
         # The first tick: ``depth`` packed SSM forwards, the first of which

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.engine.generation import GenerationConfig
-from repro.engine.pipeline import FusedBackend, PerRequestBackend
+from repro.engine.pipeline import FusedBackend
 from repro.obs import reset_observability
 from repro.serving.manager import RequestManager
 from repro.serving.session import make_routed_factory
@@ -38,11 +38,11 @@ def build_pool(llm):
 
 
 def make_backend(kind, llm):
+    """``"sessions"``: the default backend (each request's own stream);
+    ``"block"``: one shared, seeded verification stream."""
     if kind == "sessions":
         return None
-    if kind == "per-request":
-        return PerRequestBackend(llm, rng=np.random.default_rng(11))
-    return FusedBackend(llm, rng=np.random.default_rng(11), mode=kind)
+    return FusedBackend(llm, rng=np.random.default_rng(11))
 
 
 def run_routed(llm, backend_kind="block", policy="ucb", batch=3,
@@ -73,12 +73,12 @@ class TestRoutingDeterminism:
         assert first_tokens == again_tokens
 
     def test_assignments_and_tokens_agree_across_backends(self, llm):
-        """Per-request, fused-block, and fused-dense verification are
-        bit-equivalent, so the acceptance evidence — and therefore every
-        later routing decision — replays identically on all three."""
+        """Greedy verification from each request's own stream or from one
+        shared stream is bit-equivalent, so the acceptance evidence — and
+        therefore every later routing decision — replays identically."""
         results = {
             kind: run_routed(llm, backend_kind=kind)[:2]
-            for kind in ("sessions", "per-request", "block", "dense")
+            for kind in ("sessions", "block")
         }
         baseline_history, baseline_tokens = results["block"]
         for kind, (history, tokens) in results.items():
