@@ -13,7 +13,6 @@ Commands:
   tenants and SLO classes; report admission and latency behavior.
 * ``models`` — list the paper-scale model descriptors and placements.
 * ``latency`` — query the hardware cost model for a decoding-step latency.
-* ``lint`` — run the repro static-analysis checks over source paths.
 * ``trace`` — run a seeded workload, export the span/event trace as JSONL.
 * ``metrics`` — run a seeded workload, dump the metrics registry.
 * ``chaos`` — run a workload under seeded fault injection; report survival.
@@ -406,46 +405,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the static-analysis checks; exit 0 clean, 1 findings, 2 errors.
-
-    With ``--baseline``, findings recorded in the baseline file are
-    reported but excluded from the exit code (only *new* findings fail);
-    ``--update-baseline`` rewrites the file from this run's findings.
-    ``--fail-stale`` turns ratchet debt (stale baseline entries or stale
-    suppressions) into exit code 1 — the CI ratchet step's mode.
-    """
-    from repro.analysis.baseline import write_baseline
-    from repro.analysis.report import render_json, render_text
-    from repro.analysis.runner import run_paths
-
-    # When rewriting the baseline, don't load the old one: the file may
-    # not exist yet, and its entries must not mask current findings.
-    baseline_path = None if args.update_baseline else args.baseline
-    try:
-        result = run_paths(args.paths, check_names=args.check,
-                           baseline_path=baseline_path)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    if args.update_baseline:
-        target = args.baseline or ".lint-baseline.json"
-        count = write_baseline(result.unsuppressed, target)
-        print(f"repro lint: wrote {count} finding(s) to {target}")
-        return 0
-    if args.format == "json":
-        print(render_json(result))
-    else:
-        print(render_text(result, show_suppressed=args.show_suppressed))
-    exit_code = result.exit_code
-    if args.fail_stale and exit_code == 0:
-        stale_baseline = (result.baseline.stale_entries
-                          if result.baseline is not None else [])
-        if stale_baseline or result.stale_suppressions:
-            return 1
-    return exit_code
-
-
 def _workload_spec(args: argparse.Namespace):
     """A :class:`~repro.obs.workload.WorkloadSpec` from shared CLI args."""
     from repro.obs.workload import WorkloadSpec
@@ -697,27 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--alpha", type=float, default=0.7)
     sweep.add_argument("--max-depth", type=int, default=12)
     sweep.set_defaults(handler=cmd_sweep)
-
-    lint = sub.add_parser(
-        "lint", help="run the repro static-analysis checks"
-    )
-    lint.add_argument("paths", nargs="+",
-                      help="files or directories to lint")
-    lint.add_argument("--format", choices=("text", "json"), default="text")
-    lint.add_argument("--check", action="append", metavar="NAME",
-                      help="run only the named check (repeatable)")
-    lint.add_argument("--show-suppressed", action="store_true",
-                      help="also list suppressed findings")
-    lint.add_argument("--baseline", metavar="PATH",
-                      help="accepted-findings file; only new findings "
-                           "fail (see .lint-baseline.json)")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline from this run's "
-                           "findings and exit 0")
-    lint.add_argument("--fail-stale", action="store_true",
-                      help="exit 1 on ratchet debt: stale baseline "
-                           "entries or stale suppressions")
-    lint.set_defaults(handler=cmd_lint)
 
     trace = sub.add_parser(
         "trace",

@@ -107,7 +107,6 @@ class GenerationResult:
 
     def tokens_per_step_series(self) -> np.ndarray:
         """Per-step emitted-token counts (Figure 9's CDF input)."""
-        # lint: allow-dtype reporting series, not model tensors; CDF math wants double
         return np.array([s.tokens_emitted for s in self.steps], dtype=np.float64)
 
 

@@ -40,7 +40,6 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.sanitizer import hot_path
 from repro.engine.batched import BatchedTreeVerifier
 from repro.faults import FaultError, FaultKind
 from repro.engine.generation import (
@@ -661,7 +660,6 @@ class DecodePipeline:
 
     # -- the loop ------------------------------------------------------------------
 
-    @hot_path
     def tick(self, states: Sequence[DecodeState]) -> List[TickOutcome]:
         """One canonical iteration over a batch of decode states.
 

@@ -31,7 +31,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis import sanitizer
+from repro import sanitizer
 from repro.model.config import ModelConfig
 from repro.model.kv_cache import LayerKV
 from repro.obs import REGISTRY

@@ -14,7 +14,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.sanitizer import tensor_contract
 from repro.model import perf
 from repro.model.layers import (
     LayerCache,
@@ -25,6 +24,7 @@ from repro.model.layers import (
 )
 from repro.model.rope import rope_rotate
 from repro.model.scratch import ScratchArena
+from repro.sanitizer import tensor_contract
 
 NEG_INF = float("-inf")
 

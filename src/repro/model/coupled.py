@@ -24,10 +24,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis.sanitizer import tensor_contract
 from repro.model.config import ModelConfig
 from repro.model.layers import stable_softmax
 from repro.model.transformer import TransformerLM
+from repro.sanitizer import tensor_contract
 
 
 @dataclass

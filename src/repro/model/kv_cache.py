@@ -17,8 +17,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.sanitizer import tensor_contract
 from repro.model.config import ModelConfig
+from repro.sanitizer import tensor_contract
 
 
 class LayerKV:

@@ -12,8 +12,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.analysis.sanitizer import hot_path, tensor_contract
 from repro.model import perf
+from repro.sanitizer import tensor_contract
 
 LayerCache = Tuple
 
@@ -22,7 +22,6 @@ LayerCache = Tuple
 
 
 @tensor_contract(w={"ndim": 2}, b={"ndim": 1})
-@hot_path
 def linear_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray,
     out: np.ndarray = None,
@@ -46,7 +45,6 @@ def linear_forward(
     return out, (x, w)
 
 
-# lint: allow-contract grad rank is polymorphic ((n, d) or batched (..., d)); pinned by the paired forward cache
 def linear_backward(
     grad: np.ndarray, cache: LayerCache
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,7 +74,6 @@ def _row_mean(x: np.ndarray) -> np.ndarray:
 
 
 @tensor_contract(scale={"ndim": 1}, bias={"ndim": 1})
-@hot_path
 def layernorm_forward(
     x: np.ndarray, scale: np.ndarray, bias: np.ndarray, eps: float = 1e-5,
     out: np.ndarray = None,
@@ -101,7 +98,6 @@ def layernorm_forward(
     return out, None
 
 
-# lint: allow-contract grad rank is polymorphic, mirroring layernorm_forward's x
 def layernorm_backward(
     grad: np.ndarray, cache: LayerCache
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,8 +123,7 @@ def layernorm_backward(
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
-@hot_path
-def gelu_forward(x: np.ndarray,  # lint: allow-contract elementwise: any rank of x is legal
+def gelu_forward(x: np.ndarray,
                  out: np.ndarray = None) -> Tuple[np.ndarray, LayerCache]:
     """Tanh-approximation GELU (as used by GPT-2/OPT).
 
@@ -155,7 +150,6 @@ def gelu_forward(x: np.ndarray,  # lint: allow-contract elementwise: any rank of
     return out, ((x, t) if training else None)
 
 
-# lint: allow-contract elementwise: grad rank mirrors gelu_forward's x
 def gelu_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
     """Backward for :func:`gelu_forward`."""
     x, t = cache
@@ -174,7 +168,6 @@ def embedding_forward(
     return table[token_ids], (token_ids, table.shape)
 
 
-# lint: allow-contract grad rank mirrors embedding_forward's token_ids plus the table's last axis
 def embedding_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
     """Scatter-add gradient back into an embedding-table-shaped buffer."""
     token_ids, shape = cache
@@ -186,8 +179,7 @@ def embedding_backward(grad: np.ndarray, cache: LayerCache) -> np.ndarray:
 # -- softmax / cross-entropy -----------------------------------------------------
 
 
-@hot_path
-def stable_softmax(logits: np.ndarray, axis: int = -1,  # lint: allow-contract logits rank is polymorphic (1-d rows, 2-d batches, 3-d attention scores)
+def stable_softmax(logits: np.ndarray, axis: int = -1,
                    out: np.ndarray = None) -> np.ndarray:
     """Numerically stable softmax.
 
@@ -254,7 +246,6 @@ def kl_divergence_loss(
     return loss, dlogits
 
 
-# lint: allow-contract value's rank matches whichever parameter it accumulates into
 def merge_grad(grads: Dict[str, np.ndarray], name: str, value: np.ndarray) -> None:
     """Accumulate ``value`` into ``grads[name]`` (creating it if absent)."""
     if name in grads:

@@ -24,9 +24,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.sanitizer import tensor_contract
 from repro.model import perf
 from repro.model.config import ModelConfig
+from repro.sanitizer import tensor_contract
 
 
 class PagedKVPool:

@@ -191,7 +191,7 @@ class ParameterStore:
         """L2 norm over all parameters (used for gradient clipping)."""
         total = 0.0
         for value in self._params.values():
-            # lint: allow-dtype norm accumulation must not overflow at reduced precision
+            # Accumulate in float64 so the norm cannot overflow in float32.
             total += float(np.sum(value.astype(np.float64) ** 2))
         return float(np.sqrt(total))
 

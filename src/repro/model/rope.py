@@ -18,16 +18,15 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.analysis.sanitizer import tensor_contract
+from repro.sanitizer import tensor_contract
 
 
 @lru_cache(maxsize=32)
 def _angle_table(max_positions: int, d_head: int, base: float) -> Tuple:
     """Precomputed (cos, sin) tables of shape ``(max_positions, d_head/2)``."""
     half = d_head // 2
-    # lint: allow-dtype one-time cached table; angles computed at full precision
+    # One-time cached table: angles are computed at full precision.
     inv_freq = base ** (-np.arange(half, dtype=np.float64) / half)
-    # lint: allow-dtype one-time cached table; angles computed at full precision
     angles = np.outer(np.arange(max_positions, dtype=np.float64), inv_freq)
     return np.cos(angles), np.sin(angles)
 

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis.sanitizer import tensor_contract
 from repro.model.layers import stable_softmax as softmax
+from repro.sanitizer import tensor_contract
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def distribution_from_logits(
     """
     if config.greedy:
         if out is None:
-            # lint: allow-dtype verification distributions are float64 by contract (MSS ratio/residual math)
+            # Verification distributions are float64 (MSS ratio/residual math).
             probs = np.zeros(logits.shape[-1], dtype=np.float64)
         else:
             probs = out
@@ -145,7 +145,7 @@ def sample_from_probs(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(rng.choice(probs.shape[-1], p=probs / total))
 
 
-def top_k_tokens(probs: np.ndarray, k: int) -> np.ndarray:  # lint: allow-contract probs rank is polymorphic (one distribution, or one per row of a tree level)
+def top_k_tokens(probs: np.ndarray, k: int) -> np.ndarray:
     """Ids of the ``k`` most likely tokens, most likely first.
 
     ``probs`` is one ``(vocab,)`` distribution or a ``(rows, vocab)`` stack
@@ -164,7 +164,7 @@ def top_k_tokens(probs: np.ndarray, k: int) -> np.ndarray:  # lint: allow-contra
     return np.take_along_axis(idx, order[..., ::-1], axis=-1)
 
 
-def inverse_cdf_tokens(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:  # lint: allow-contract probs rank is polymorphic (one distribution, or one per row of a tree level)
+def inverse_cdf_tokens(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Token ids drawn from ``probs`` by inverting its CDF at ``uniforms``.
 
     The arithmetic is ``Generator.choice(vocab, p=probs)``'s own — cumulative

@@ -21,8 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis import sanitizer
-from repro.analysis.sanitizer import tensor_contract
+from repro import sanitizer
 from repro.model.attention import (
     MaskScratch,
     block_diagonal_attention,
@@ -48,6 +47,7 @@ from repro.model.layers import (
 from repro.model.parameters import ParameterStore
 from repro.model.rope import rope_rotate
 from repro.model.scratch import ScratchArena
+from repro.sanitizer import tensor_contract
 
 #: Rows per causal block of a prompt pass (:meth:`TransformerLM.prefill_batch`).
 #: Attention of a block costs ``rows × keys so far``, so a 224-row prompt in
@@ -343,10 +343,9 @@ class TransformerLM:
                                         dtype=dtype))
                 block_caches.append(cache)
                 priors.append(prior)
-        # lint: allow-alloc the prompt pass runs once per admission round, not per tick
+        # Allocating is fine here: the prompt pass runs once per admission round.
         tokens = np.concatenate(
             [np.asarray(prompt, dtype=np.intp) for prompt in prompts])
-        # lint: allow-alloc as above
         positions = np.concatenate(
             [np.arange(start, start + n) for n, start in zip(counts, starts)])
         logits = self.forward_masked_blocks(tokens, positions, masks,

@@ -117,13 +117,11 @@ class Tracer:
         timer = self.registry.histogram(
             f"{name}.host_seconds", buckets=DEFAULT_TIME_BUCKETS
         )
-        # lint: allow-wall-clock Tracer.span IS the sanctioned host-timing site every other hot-path timer must route through
         t0 = time.perf_counter()
         if not self.enabled:
             try:
                 yield _NULL_SPAN
             finally:
-                # lint: allow-wall-clock span end: pairs with the sanctioned t0 read above
                 timer.observe(time.perf_counter() - t0)
             return
         span_id = self._next_span_id
@@ -141,7 +139,6 @@ class Tracer:
             yield handle
         finally:
             self._stack.pop()
-            # lint: allow-wall-clock span end: pairs with the sanctioned t0 read above
             timer.observe(time.perf_counter() - t0)
             self._records.append({
                 "kind": "span",

@@ -63,7 +63,6 @@ class TreeDecodeOutput:
         return int(np.argmax(self.logits_for_node(node_idx)))
 
 
-# lint: allow-contract mask_out is an optional preallocated buffer; topology_causal_mask validates its shape
 def tree_parallel_decode(
     model: TransformerLM, cache: KVCache, tree: TokenTree,
     mask_out: np.ndarray = None, scratch=None,

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis import sanitizer
+from repro import sanitizer
 from repro.model.sampling import SamplingConfig, sample_from_probs
 from repro.tree.token_tree import TokenTree
 from repro.verify.decode import TreeDecodeOutput
@@ -133,7 +133,7 @@ def _normalized_residual(
 
 def _excluding_token(probs: np.ndarray, token: int) -> np.ndarray:
     """Remove a single token's mass and renormalize (proposal-free children)."""
-    out = probs.copy()  # lint: allow-alloc cold fallback, proposal-free (hand-built) trees only
+    out = probs.copy()
     out[token] = 0.0
     total = out.sum()
     if total <= 1e-300:

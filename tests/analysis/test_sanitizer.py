@@ -6,8 +6,8 @@ Run just this tier with ``-m sanitizer``.
 import numpy as np
 import pytest
 
-from repro.analysis import sanitizer
-from repro.analysis.sanitizer import (
+from repro import sanitizer
+from repro.sanitizer import (
     SanitizerError,
     guard_disjoint_ranges,
     guard_finite,
@@ -55,6 +55,12 @@ class TestGating:
         guard_finite("x", np.array([np.nan]))  # still disarmed
         sanitizer.reset()
         assert sanitizer.enabled()
+
+    @pytest.mark.parametrize("value", ["False", "OFF", "no"])
+    def test_off_spellings_disarm_at_import(self, monkeypatch, value):
+        monkeypatch.setenv(sanitizer.ENV_FLAG, value)
+        sanitizer.reset()
+        assert not sanitizer.enabled()
 
     def test_enable_overrides_until_reset(self, monkeypatch):
         monkeypatch.delenv(sanitizer.ENV_FLAG, raising=False)

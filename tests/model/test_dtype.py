@@ -5,11 +5,16 @@ substrate must stay consistent (cache == scratch) at lower precision, and
 the speculative engines must remain lossless — acceptance decisions compare
 tokens, not floats, so precision affects *which* tokens get speculated but
 never output correctness.
+
+Every case runs with the runtime sanitizer armed, so a float64 tensor that
+leaks into the float32 forward (a mask, a cache, a staging buffer) fails
+here rather than only in the sanitized CI runs.
 """
 
 import numpy as np
 import pytest
 
+from repro import sanitizer
 from repro.model.config import ModelConfig
 from repro.model.coupled import CoupledSSM
 from repro.model.transformer import TransformerLM
@@ -21,6 +26,12 @@ F32_CONFIG = ModelConfig(vocab_size=32, d_model=16, n_layers=2, n_heads=2,
 @pytest.fixture(scope="module")
 def model():
     return TransformerLM(F32_CONFIG, seed=11)
+
+
+@pytest.fixture(autouse=True)
+def armed():
+    with sanitizer.sanitized():
+        yield
 
 
 class TestFloat32:

@@ -1,7 +1,7 @@
 """The inference forward holds what it needs and nothing for a backward.
 
-``repro.engine.tick.allocs`` and the hot-path-alloc lint only see arena
-growth; the temporaries NumPy expressions make are invisible to both.  This
+``repro.engine.tick.allocs`` only sees arena growth; the temporaries NumPy
+expressions make are invisible to it.  This
 pins them from the outside, under ``tracemalloc``: one steady-state
 verification-sized forward may hold at most three ``(rows, d_ff)`` arrays
 worth of new memory at its peak (the ``up`` projection, GELU's one

@@ -186,7 +186,7 @@ class TestThreadSafetyContract:
         assert "not thread-safe" in module.__doc__
         assert "not thread-safe" in MetricsRegistry.__doc__.lower()
 
-    def test_no_locks_on_the_hot_path(self):
+    def test_no_locks_in_metric_classes(self):
         # A lock acquire per counter-inc would dwarf the accounting itself;
         # the classes stay plain-attribute on purpose.
         import inspect
