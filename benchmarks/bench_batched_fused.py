@@ -22,7 +22,7 @@ from benchmarks.harness import save_report
 from repro.obs import REGISTRY
 from repro.engine.batched import BatchedTreeVerifier
 from repro.model import perf
-from repro.model.arena import BatchArena
+from repro.model.kv_cache import BatchArena
 from repro.model.config import ModelConfig
 from repro.model.coupled import CoupledSSM
 from repro.model.sampling import SamplingConfig

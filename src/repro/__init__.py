@@ -37,7 +37,6 @@ from repro.model import (
     CoupledSSM,
     KVCache,
     ModelConfig,
-    PagedKVPool,
     SamplingConfig,
     TransformerLM,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "TransformerLM",
     "CoupledSSM",
     "KVCache",
-    "PagedKVPool",
     "SamplingConfig",
     "TokenTree",
     "merge_trees",

@@ -8,7 +8,7 @@ tokens are concatenated into one
 :meth:`~repro.model.transformer.TransformerLM.forward_masked_blocks` call —
 QKV/MLP GEMMs batched across the whole batch, attention computed per request
 block against that request's own cache rows (zero-copy views; see
-:class:`~repro.model.arena.BatchArena`).  The cross-request score blocks,
+:class:`~repro.model.kv_cache.BatchArena`).  The cross-request score blocks,
 which are ``-inf`` by construction, are never computed and no dense
 ``(Σnᵢ, Σkᵢ)`` mask is materialized: per-step cost is ``O(Σ nᵢ·kᵢ)``.
 
@@ -127,8 +127,8 @@ class BatchedTreeVerifier:
 
         Args:
             trees: One speculated tree per request.
-            caches: The matching per-request KV caches (contiguous, arena
-                or paged); each is compacted to its accepted path on return.
+            caches: The matching per-request KV caches; each is compacted
+                to its accepted path on return.
             samplings: Each request's decoding mode (greedy, MSS or — with
                 ``use_naive_sampling`` — naive sampling).
             rngs: Each request's verification randomness, consumed in batch

@@ -175,7 +175,8 @@ class DecodeState:
             ``None`` selects incremental decoding (Algorithm 1) — the
             pipeline speculates the degenerate one-node tree.
         cache_factory: Optional KV-cache allocation override (e.g.
-            ``pool.new_sequence`` for paged storage).
+            ``arena.new_sequence`` for a slot of a shared
+            :class:`~repro.model.kv_cache.BatchArena`).
         rng: Optional RNG override; defaults to ``default_rng(config.seed)``.
     """
 
@@ -252,11 +253,9 @@ class DecodeState:
         return appended
 
     def release(self) -> None:
-        """Free cache resources (paged caches return blocks to the pool,
-        arena caches and the speculator's mirror caches their rows)."""
-        free = getattr(self.cache, "free", None)
-        if callable(free):
-            free()
+        """Give the cache's and the speculator's mirror caches' arena rows
+        back."""
+        self.cache.free()
         if self.speculator is not None:
             self.speculator.release()
 

@@ -9,9 +9,9 @@ deep-learning framework:
   with manual backward passes,
 * :mod:`repro.model.attention` -- multi-head attention accepting arbitrary
   additive masks (the hook tree attention plugs into),
-* :mod:`repro.model.kv_cache` -- per-layer key/value cache with rollback,
-* :mod:`repro.model.arena` -- shared per-batch KV slab; request caches are
-  zero-copy views (the block-sparse fused batch path reads straight from it),
+* :mod:`repro.model.kv_cache` -- the KV cache: a row range of a shared
+  per-layer slab, with rollback and path compaction (the block-sparse fused
+  batch path reads straight from the slab),
 * :mod:`repro.model.perf` -- op counters (GEMM FLOPs, copied bytes, mask
   cells) asserted by the perf-smoke tests,
 * :mod:`repro.model.transformer` -- the decoder-only language model with
@@ -25,9 +25,7 @@ deep-learning framework:
 
 from repro.model.config import ModelConfig
 from repro.model.parameters import ParameterStore
-from repro.model.kv_cache import KVCache
-from repro.model.arena import ArenaKVCache, BatchArena
-from repro.model.paged_cache import PagedKVPool, PagedSequenceCache
+from repro.model.kv_cache import BatchArena, KVCache
 from repro.model.transformer import TransformerLM
 from repro.model.coupled import CoupledSSM
 from repro.model.sampling import (
@@ -44,10 +42,7 @@ __all__ = [
     "ModelConfig",
     "ParameterStore",
     "KVCache",
-    "ArenaKVCache",
     "BatchArena",
-    "PagedKVPool",
-    "PagedSequenceCache",
     "TransformerLM",
     "CoupledSSM",
     "SamplingConfig",

@@ -53,6 +53,9 @@ class CoupledCache:
         self.base_cache.restore(base_snap)
         del self.context[n:]
 
+    def free(self) -> None:
+        self.base_cache.free()
+
 
 class CoupledSSM:
     """An SSM whose distribution is a perturbed view of a base model's.

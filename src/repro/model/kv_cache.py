@@ -1,56 +1,80 @@
-"""Per-layer key/value cache with append, rollback and snapshotting.
+"""The KV cache: a row range of a preallocated per-layer slab.
 
 SpecInfer's tree-parallel decoding (paper section 4.2) appends the keys and
 values for *all* tokens of a speculated token tree in DFS order, then — after
-verification — rolls the cache back so that only the verified path remains.
-This module implements that contract:
+verification — compacts the cache so that only the verified path remains.
+Every cache in this repository does that over rows of a shared slab:
 
-* :meth:`KVCache.append` adds keys/values for new positions,
-* :meth:`KVCache.truncate` drops everything past a verified length,
-* :meth:`KVCache.keep_rows` compacts the cache down to the accepted tree
-  path after verification (the "DFS update" in Figure 4).
+* :class:`BatchArena` owns, per transformer layer, one preallocated
+  ``(capacity, n_heads, d_head)`` key slab and value slab;
+* :meth:`BatchArena.new_sequence` carves a contiguous *row range* out of the
+  slabs and returns a :class:`KVCache` whose per-layer :class:`LayerKV`
+  buffers are NumPy views into them.  :meth:`LayerKV.append` writes through
+  to the slab, :meth:`LayerKV.view` is a zero-copy slice,
+  :meth:`KVCache.keep_rows` compacts in place down to the accepted tree path
+  (the "DFS update" in Figure 4) and :meth:`KVCache.truncate` rolls back;
+* :meth:`~repro.model.transformer.TransformerLM.new_cache` is the whole of a
+  private arena; a serving batch shares one arena, so the block-sparse fused
+  decode path (:meth:`~repro.model.transformer.TransformerLM.
+  forward_masked_blocks`) reads each request's keys straight from its rows
+  and never materializes a concatenated KV tensor;
+* a default-size request occupies one *slot*, rows ``[s·n, (s+1)·n)`` for
+  ``n = max_seq_len`` (:attr:`KVCache.slot`), so a batch of them is also one
+  ``(slots, n, h, d_head)`` view of each slab: a forward of small blocks
+  stores and scores all of them at once (slot-major).
+
+Allocation is first-fit over free row ranges with coalescing on release,
+which is plenty for the serving manager's churn (requests allocate full
+``max_seq_len`` ranges by default).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import weakref
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import sanitizer
 from repro.model.config import ModelConfig
+from repro.obs import REGISTRY
 from repro.sanitizer import tensor_contract
+
+# Aggregated across every arena in the process (see docs/observability.md).
+_ALLOCATIONS = REGISTRY.counter(
+    "repro.model.arena.allocations", help="row ranges carved for requests")
+_RELEASES = REGISTRY.counter(
+    "repro.model.arena.releases", help="row ranges returned to free lists")
+_ROWS_USED = REGISTRY.gauge(
+    "repro.model.arena.rows_used", help="slab rows currently carved out")
+_BYTES_RESIDENT = REGISTRY.gauge(
+    "repro.model.arena.bytes_resident",
+    help="K/V bytes of currently carved-out rows across all layers")
+_BYTES_HIGH_WATER = REGISTRY.gauge(
+    "repro.model.arena.bytes_high_water",
+    help="largest bytes_resident seen since the last registry reset")
+_ROWS_COMPACTED = REGISTRY.counter(
+    "repro.model.arena.rows_compacted",
+    help="slab rows moved by post-verification keep_rows compaction")
 
 
 class LayerKV:
-    """Key/value tensors for a single transformer layer.
+    """Key/value rows of one transformer layer for one request.
 
-    Backed by pre-allocated buffers of shape ``(capacity, n_heads, d_head)``
-    with an explicit length, mirroring how real serving systems slab-allocate
-    cache memory.
+    ``keys`` and ``values`` are ``(capacity, n_heads, d_head)`` views of a
+    :class:`BatchArena`'s slabs (writes go straight to the slab; ``view()``
+    slices it with no copy); ``length`` counts the live rows.
     """
 
-    def __init__(self, capacity: int, n_heads: int, d_head: int, dtype: str):
-        self._keys = np.zeros((capacity, n_heads, d_head), dtype=dtype)
-        self._values = np.zeros((capacity, n_heads, d_head), dtype=dtype)
-        self.length = 0
-
-    @classmethod
-    @tensor_contract(keys={"ndim": 3}, values={"ndim": 3})
-    def from_buffers(cls, keys: np.ndarray, values: np.ndarray) -> "LayerKV":
-        """A layer cache over externally owned ``(capacity, h, d_head)``
-        buffers — the hook :class:`~repro.model.arena.BatchArena` uses to
-        make request caches *views* into a shared slab (writes go straight
-        to the slab; ``view()`` slices it with no copy)."""
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
         if keys.shape != values.shape or keys.ndim != 3:
             raise ValueError(
                 f"key/value buffers must share a (capacity, heads, d_head) "
                 f"shape; got {keys.shape} and {values.shape}"
             )
-        layer = cls.__new__(cls)
-        layer._keys = keys
-        layer._values = values
-        layer.length = 0
-        return layer
+        self._keys = keys
+        self._values = values
+        self.length = 0
 
     @property
     def capacity(self) -> int:
@@ -100,20 +124,151 @@ class LayerKV:
         self.length = base + len(rows)
 
 
-class KVCache:
-    """A stack of :class:`LayerKV`, one per transformer layer."""
+class BatchArena:
+    """Preallocated per-layer KV slabs shared by a batch of requests.
 
-    def __init__(self, config: ModelConfig, capacity: int = 0):
-        capacity = capacity or config.max_seq_len
-        if capacity > config.max_seq_len:
-            raise ValueError(
-                f"capacity {capacity} exceeds max_seq_len {config.max_seq_len}"
-            )
+    Args:
+        config: Model architecture (layer count, heads, head dim, dtype).
+        capacity: Total slab rows per layer.  Defaults to
+            ``max_requests * config.max_seq_len``.
+        max_requests: Sizing shorthand when ``capacity`` is not given.
+    """
+
+    def __init__(self, config: ModelConfig, capacity: int = 0,
+                 max_requests: int = 8):
+        if capacity <= 0:
+            capacity = max_requests * config.max_seq_len
         self.config = config
-        self.layers: List[LayerKV] = [
-            LayerKV(capacity, config.n_heads, config.d_head, config.dtype)
-            for _ in range(config.n_layers)
+        self.capacity = capacity
+        shape = (capacity, config.n_heads, config.d_head)
+        self._keys = [
+            np.zeros(shape, dtype=config.dtype) for _ in range(config.n_layers)
         ]
+        self._values = [
+            np.zeros(shape, dtype=config.dtype) for _ in range(config.n_layers)
+        ]
+        # K/V bytes one slab row occupies across all layers (both slabs).
+        self.row_bytes = (
+            2 * config.n_layers * config.n_heads * config.d_head
+            * np.dtype(config.dtype).itemsize
+        )
+        # Free row ranges, kept sorted and coalesced: list of (start, stop).
+        self._free: List[Tuple[int, int]] = [(0, capacity)]
+        # Ranges currently owned by live KVCaches; the sanitizer checks
+        # every new registration against these for overlap.
+        self._live: List[Tuple[int, int]] = []
+
+    # -- allocation ---------------------------------------------------------------
+
+    @property
+    def free_rows(self) -> int:
+        return sum(stop - start for start, stop in self._free)
+
+    @property
+    def used_rows(self) -> int:
+        return self.capacity - self.free_rows
+
+    def utilization(self) -> float:
+        """Fraction of slab rows currently carved out to requests."""
+        return self.used_rows / self.capacity
+
+    def slabs(self, layer: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Layer ``layer``'s whole ``(capacity, h, d_head)`` key and value
+        slabs (the slot-major forward stores and reads through these)."""
+        return self._keys[layer], self._values[layer]
+
+    def new_sequence(self, capacity: int = 0) -> "KVCache":
+        """Carve a row range for one request (first-fit).
+
+        Args:
+            capacity: Rows to reserve; defaults to ``config.max_seq_len``
+                (one slot, the serving default).
+        """
+        capacity = capacity or self.config.max_seq_len
+        if capacity < 0:
+            raise ValueError(f"capacity {capacity} is negative")
+        if capacity > self.config.max_seq_len:
+            raise ValueError(
+                f"capacity {capacity} exceeds max_seq_len "
+                f"{self.config.max_seq_len}"
+            )
+        for i, (start, stop) in enumerate(self._free):
+            if stop - start >= capacity:
+                if stop - start == capacity:
+                    del self._free[i]
+                else:
+                    self._free[i] = (start + capacity, stop)
+                return KVCache(self, start, start + capacity)
+        raise MemoryError(
+            f"KV arena exhausted: no free range of {capacity} rows "
+            f"({self.free_rows} rows free, fragmented over "
+            f"{len(self._free)} ranges)"
+        )
+
+    def register(self, start: int, stop: int) -> None:
+        """Record ``[start, stop)`` as owned by a live request cache.
+
+        Called by :class:`KVCache` on construction.  Under
+        ``REPRO_SANITIZE`` the new range is checked for overlap against
+        every live range — two requests sharing slab rows would silently
+        read each other's keys/values.
+        """
+        sanitizer.guard_disjoint_ranges("KV arena", self._live, (start, stop))
+        self._live.append((start, stop))
+        _ALLOCATIONS.inc()
+        _ROWS_USED.add(stop - start)
+        _BYTES_RESIDENT.add((stop - start) * self.row_bytes)
+        _BYTES_HIGH_WATER.set_max(_BYTES_RESIDENT.value)
+
+    def release(self, start: int, stop: int) -> None:
+        """Return a row range to the free list, coalescing neighbours."""
+        if not 0 <= start <= stop <= self.capacity:
+            raise ValueError(f"invalid arena range [{start}, {stop})")
+        if (start, stop) in self._live:
+            self._live.remove((start, stop))
+        for free_start, free_stop in self._free:
+            if start < free_stop and free_start < stop:
+                raise ValueError(
+                    f"double free of arena rows [{start}, {stop})"
+                )
+        _RELEASES.inc()
+        _ROWS_USED.add(start - stop)
+        _BYTES_RESIDENT.add((start - stop) * self.row_bytes)
+        self._free.append((start, stop))
+        self._free.sort()
+        merged: List[Tuple[int, int]] = []
+        for rng_start, rng_stop in self._free:
+            if merged and rng_start == merged[-1][1]:
+                merged[-1] = (merged[-1][0], rng_stop)
+            else:
+                merged.append((rng_start, rng_stop))
+        self._free = merged
+
+
+class KVCache:
+    """One request's KV cache: rows ``[start, stop)`` of a
+    :class:`BatchArena`, one :class:`LayerKV` view per layer.
+
+    Built by :meth:`BatchArena.new_sequence`.  The rows go back to the
+    arena on :meth:`free` or when the cache is collected.
+    """
+
+    def __init__(self, arena: BatchArena, start: int, stop: int):
+        self.arena = arena
+        self.config = arena.config
+        self._start = start
+        self._stop = stop
+        arena.register(start, stop)
+        self._release = weakref.finalize(self, arena.release, start, stop)
+        self.layers: List[LayerKV] = [
+            LayerKV(keys[start:stop], values[start:stop])
+            for keys, values in zip(arena._keys, arena._values)
+        ]
+
+    @property
+    def row_range(self) -> Tuple[int, int]:
+        """This request's ``[start, stop)`` rows in the arena slab."""
+        return self._start, self._stop
 
     @property
     def length(self) -> int:
@@ -122,7 +277,19 @@ class KVCache:
 
     @property
     def capacity(self) -> int:
-        return self.layers[0].capacity
+        return self._stop - self._start
+
+    @property
+    def slot(self) -> Optional[int]:
+        """``s`` when this live cache is exactly slot ``s`` of its arena —
+        rows ``[s·n, (s+1)·n)`` for ``n = max_seq_len``, the default
+        request size — else ``None``.  The slot-major forward addresses a
+        batch by slot."""
+        rows = self.config.max_seq_len
+        if (not self._release.alive or self._stop - self._start != rows
+                or self._start % rows):
+            return None
+        return self._start // rows
 
     def truncate(self, length: int) -> None:
         """Roll every layer back to ``length`` positions."""
@@ -131,6 +298,10 @@ class KVCache:
 
     def keep_rows(self, base: int, rows: Sequence[int]) -> None:
         """Compact every layer; see :meth:`LayerKV.keep_rows`."""
+        if not self._release.alive:
+            raise ValueError(
+                f"arena rows [{self._start}, {self._stop}) were freed")
+        _ROWS_COMPACTED.inc(len(rows) * len(self.layers))
         for layer in self.layers:
             layer.keep_rows(base, rows)
 
@@ -146,3 +317,17 @@ class KVCache:
         only ever touches positions past the verified prefix.
         """
         self.truncate(snapshot)
+
+    def free(self) -> None:
+        """Return this request's rows to the arena (idempotent).
+
+        The layer views are detached too: the arena may hand these rows to
+        another request, and a stale handle must not write into them (a
+        later ``append`` overflows a zero-row buffer, ``keep_rows`` raises).
+        """
+        if not self._release.alive:
+            return
+        self._release()
+        empty = np.zeros((0, self.config.n_heads, self.config.d_head),
+                         dtype=self.config.dtype)
+        self.layers = [LayerKV(empty, empty) for _ in self.layers]

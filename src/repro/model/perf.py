@@ -42,10 +42,9 @@ class PerfCounters:
         attn_score_flops: FLOPs spent forming attention scores and the
             weighted value sum (2 * 2 * heads * n_q * n_k * d_head).
         kv_bytes_copied: Bytes of cached keys/values copied to stage
-            attention inputs (the block gathers of every paged-cache layer
-            view).  Zero-copy views (contiguous and arena caches) count
-            nothing; post-verification compaction is excluded (it is
-            bounded by the accepted path, not the batch).
+            attention inputs.  Every cache is a zero-copy view of an
+            arena slab, so nothing adds to it and it reads 0; it is kept
+            because the benchmark (``benchmarks/e2e``) reports it.
         mask_cells_allocated: Cells of freshly allocated attention-mask
             buffers.  Steady-state decode with reused (``out=``) buffers
             allocates none.
@@ -151,11 +150,6 @@ def add_gemm(m: int, k: int, n: int) -> None:
 def add_attention(n_heads: int, n_q: int, n_k: int, d_head: int) -> None:
     """Record one masked attention block (scores + weighted sum)."""
     _METRICS["attn_score_flops"].value += 2 * 2 * n_heads * n_q * n_k * d_head
-
-
-def add_kv_copy(n_bytes: int) -> None:
-    """Record bytes of K/V copied to stage an attention input."""
-    _METRICS["kv_bytes_copied"].value += n_bytes
 
 
 def add_mask_alloc(cells: int, itemsize: int = 8) -> None:

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import sanitizer
-from repro.model.arena import ArenaKVCache, BatchArena
 from repro.model.attention import (
     MaskScratch,
     SlotKV,
@@ -35,7 +34,7 @@ from repro.model.attention import (
     split_heads,
 )
 from repro.model.config import ModelConfig
-from repro.model.kv_cache import KVCache
+from repro.model.kv_cache import BatchArena, KVCache
 from repro.model.layers import (
     embedding_backward,
     gelu_backward,
@@ -80,7 +79,7 @@ def slot_block_rows(config: ModelConfig) -> int:
 
 class _SlotSpan:
     """A batch whose every block owns a default-size
-    :class:`~repro.model.arena.BatchArena` slot: its K/V stores and its
+    :class:`~repro.model.kv_cache.BatchArena` slot: its K/V stores and its
     attention run slot-major, once per layer.
 
     ``rows[r]`` is the slab row new token ``r`` is written to, the same in
@@ -111,15 +110,13 @@ class _SlotSpan:
     @classmethod
     def plan(cls, caches, priors, counts, offsets, masks):
         """The span, or ``None`` when the batch is not slot-shaped."""
-        arena = getattr(caches[0], "arena", None)
-        if (not isinstance(arena, BatchArena)
-                or len(caches) < SLOT_MIN_BLOCKS
+        arena = caches[0].arena
+        if (len(caches) < SLOT_MIN_BLOCKS
                 or max(counts) > slot_block_rows(arena.config)):
             return None
         slots = []
         for cache, prior, count in zip(caches, priors, counts):
-            slot = (cache.slot if isinstance(cache, ArenaKVCache)
-                    and cache.arena is arena else None)
+            slot = cache.slot if cache.arena is arena else None
             if slot is None or cache.layers[0].length != prior:
                 return None
             if prior + count > cache.capacity:
@@ -180,8 +177,10 @@ class TransformerLM:
         return self.config.name
 
     def new_cache(self, capacity: int = 0) -> KVCache:
-        """Allocate a fresh KV cache sized for this model."""
-        return KVCache(self.config, capacity=capacity)
+        """A fresh KV cache of ``capacity`` rows (default ``max_seq_len``):
+        the whole of a private :class:`~repro.model.kv_cache.BatchArena`."""
+        capacity = capacity or self.config.max_seq_len
+        return BatchArena(self.config, capacity).new_sequence(capacity)
 
     def num_parameters(self) -> int:
         return self.params.num_parameters()
@@ -261,7 +260,7 @@ class TransformerLM:
         The evaluation order follows the shape.  When at least
         :data:`SLOT_MIN_BLOCKS` blocks of at most :func:`slot_block_rows`
         rows each own a distinct default-size slot of one
-        :class:`~repro.model.arena.BatchArena` (decode rows, draft levels),
+        :class:`~repro.model.kv_cache.BatchArena` (decode rows, draft levels),
         a layer's K/V is one indexed store into the slab and its attention
         one batched evaluation over the slots
         (:func:`~repro.model.attention.block_diagonal_attention` with a
@@ -274,11 +273,12 @@ class TransformerLM:
             positions: ``(Σnᵢ,)`` absolute positions, same layout.
             masks: Per-request additive masks of shape
                 ``(nᵢ, priorᵢ + nᵢ)``; defines the block layout.
-            caches: Matching per-request KV caches (contiguous, arena or
-                paged); each receives its own new keys/values.  One cache
-                may back several consecutive blocks (the causal blocks of
-                a long prompt): each block appends after, and attends to,
-                what the blocks before it appended in the same layer.
+            caches: Matching per-request KV caches (private ranges or slots
+                of a shared arena); each receives its own new keys/values.
+                One cache may back several consecutive blocks (the causal
+                blocks of a long prompt): each block appends after, and
+                attends to, what the blocks before it appended in the same
+                layer.
             priors: Optional precomputed ``cache.length`` per request, so
                 the per-step batch layout is computed once by the caller
                 instead of re-derived here.  Required when a cache backs
@@ -319,10 +319,9 @@ class TransformerLM:
                     f"mask shape {mask.shape} != expected "
                     f"{(count, prior + count)}"
                 )
-        if sanitizer.enabled():
-            for b, mask in enumerate(masks):
-                sanitizer.guard_dtype(f"forward_masked_blocks masks[{b}]",
-                                      mask, self.config.dtype)
+        for b, mask in enumerate(masks):
+            sanitizer.guard_dtype(f"forward_masked_blocks masks[{b}]",
+                                  mask, self.config.dtype)
         if positions.max(initial=0) >= self.config.max_seq_len:
             raise ValueError(
                 f"position {int(positions.max())} exceeds max_seq_len "

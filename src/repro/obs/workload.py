@@ -7,7 +7,7 @@ the cluster cost model — and (b) is fully determined by its seed, so the
 exported trace is byte-identical across runs.  This module is that
 workload: a Poisson arrival schedule of dataset prompts served by a
 :class:`~repro.serving.manager.RequestManager` over a
-:class:`~repro.model.arena.BatchArena`, followed by one offline generation
+:class:`~repro.model.kv_cache.BatchArena`, followed by one offline generation
 replayed through the hardware cost model.
 
 It lives in ``repro.obs`` (not the CLI) so the trace golden tests and the
@@ -102,7 +102,7 @@ def run_observed_workload(spec: Optional[WorkloadSpec] = None):
     """
     from repro.engine.generation import GenerationConfig
     from repro.engine.pipeline import FusedBackend
-    from repro.model.arena import BatchArena
+    from repro.model.kv_cache import BatchArena
     from repro.serving.manager import RequestManager
     from repro.serving.session import SpeculativeSession, make_routed_factory
     from repro.speculate.expansion import ExpansionConfig

@@ -172,7 +172,7 @@ def build_gateway_stack(spec: LoadgenSpec) -> ServingGateway:
     the replay driver, with per-tenant admission policy from ``spec``.
     """
     from repro.engine.pipeline import FusedBackend
-    from repro.model.arena import BatchArena
+    from repro.model.kv_cache import BatchArena
     from repro.obs.workload import _build_toy_pair
     from repro.serving.manager import RequestManager
     from repro.serving.session import SpeculativeSession

@@ -629,7 +629,7 @@ class RequestManager:
         tracked = self._tracked[request_id]
         release = getattr(tracked.session, "release", None)
         if callable(release):
-            release()  # paged/arena caches return their rows to the pool
+            release()  # the caches return their rows to their arenas
         tracked.session = None  # free the KV cache
         self._running.remove(request_id)
 

@@ -26,7 +26,7 @@ class DecodeSession:
         request: The request being served.
         model: The LLM.
         cache_factory: Optional KV-cache allocation override (e.g.
-            ``pool.new_sequence``); default a private contiguous cache.
+            ``arena.new_sequence``); default a private cache.
         speculator_factory: Builds a fresh per-request speculator (they
             hold per-request SSM caches); ``None`` decodes incrementally.
     """

@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.model.arena import ArenaKVCache, BatchArena
+from repro.model.kv_cache import BatchArena, KVCache
 from repro.model.coupled import CoupledCache, CoupledSSM
 from repro.model.scratch import ScratchArena
 from repro.model.transformer import TransformerLM
@@ -46,7 +46,7 @@ _MIRROR_ARENAS: "weakref.WeakKeyDictionary[TransformerLM, BatchArena]" = (
 )
 
 
-def _mirror_slot(model: TransformerLM) -> ArenaKVCache:
+def _mirror_slot(model: TransformerLM) -> KVCache:
     arena = _MIRROR_ARENAS.get(model)
     if arena is None or arena.free_rows < model.config.max_seq_len:
         slots = 8 if arena is None else 2 * arena.capacity // (
@@ -69,13 +69,6 @@ def mirror_cache(ssm):
     if isinstance(ssm, TransformerLM):
         return _mirror_slot(ssm)
     return ssm.new_cache()
-
-
-def _free_mirrors(caches) -> None:
-    for cache in caches:
-        cache = getattr(cache, "base_cache", cache)
-        if isinstance(cache, ArenaKVCache):
-            cache.free()
 
 
 class Speculator:
@@ -142,14 +135,14 @@ class Speculator:
 
     def _mirror(self) -> None:
         """Fresh mirror caches, whose arena slots go back on
-        :meth:`release` or when the speculator is collected."""
+        :meth:`release` or when the caches are collected."""
         self._caches = [mirror_cache(ssm) for ssm in self.ssms]
-        self._release = weakref.finalize(self, _free_mirrors, self._caches)
 
     def release(self) -> None:
         """Give the mirror caches' arena slots back (the request is done;
         a later :meth:`reset` takes fresh ones)."""
-        self._release()
+        for cache in self._caches:
+            cache.free()
 
     def prefill(self, tokens: Sequence[int]) -> None:
         """Mirror the verified prompt prefix into every SSM cache, behind

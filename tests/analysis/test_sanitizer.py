@@ -15,7 +15,7 @@ from repro.sanitizer import (
     sanitized,
     tensor_contract,
 )
-from repro.model.arena import ArenaKVCache, BatchArena
+from repro.model.kv_cache import BatchArena, KVCache
 from repro.model.config import ModelConfig
 from repro.model.transformer import TransformerLM
 
@@ -105,7 +105,7 @@ class TestGuards:
         first = arena.new_sequence(16)
         start, _ = first.row_range
         with sanitized(), pytest.raises(SanitizerError, match="overlaps"):
-            ArenaKVCache(arena, start + 4, start + 12)
+            KVCache(arena, start + 4, start + 12)
 
     def test_released_range_can_be_reused(self):
         arena = BatchArena(CONFIG, max_requests=2)

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from repro.engine.batched import BatchedTreeVerifier
-from repro.model.paged_cache import PagedKVPool
 from repro.model.sampling import SamplingConfig
 from repro.speculate.expansion import ExpansionConfig, expand_token_tree
-from tests.conftest import SMALL_CONFIG, make_prompt
+from tests.conftest import make_prompt
 
 GREEDY = SamplingConfig(greedy=True)
 
@@ -132,18 +131,3 @@ class TestBatchedMechanics:
         plain = verify_greedy(
             tree_parallel_decode(llm, caches_b[0], trees_b[0]), trees_b[0])
         assert batch_result.accepted_tokens == plain.accepted_tokens
-
-    def test_works_on_paged_caches(self, llm, ssm):
-        """Batched verification over a shared paged pool."""
-        pool = PagedKVPool(SMALL_CONFIG, num_blocks=64, block_size=8)
-        trees_a, caches_a = build_batch(
-            llm, ssm, np.random.default_rng(6),
-            cache_factory=pool.new_sequence,
-        )
-        trees_b, caches_b = build_batch(llm, ssm, np.random.default_rng(6))
-        batch_results = verify_all(BatchedTreeVerifier(llm), trees_a,
-                                   caches_a)
-        for result, batch_result in zip(
-                verify_each(BatchedTreeVerifier(llm), trees_b, caches_b),
-                batch_results):
-            assert result.accepted_tokens == batch_result.accepted_tokens

@@ -5,12 +5,12 @@ Headline property: the three execution paths —
 1. batch (``BatchedTreeVerifier.verify_batch`` over every request at once),
 2. solo (the same verifier run on each request alone, a batch of one),
 3. reference (``tree_parallel_decode`` — Definition 4.1 — plus the
-   request's verification rule and cache compaction, on a contiguous cache)
+   request's verification rule and cache compaction, on a private cache)
 
 — give each request the same :class:`VerificationResult` and cache rows,
 for greedy, stochastic and mixed batches (every request verified under its
-own sampling config and RNG), over contiguous, paged and arena caches,
-including ragged batches.  The ``perf_smoke`` tests additionally pin the
+own sampling config and RNG), over private caches and ranges of a shared
+arena, including ragged batches.  The ``perf_smoke`` tests additionally pin the
 fused pass's cost shape (score FLOPs only inside each request's own block,
 no KV staging copies on an arena, allocation-free steady-state masks) so
 future changes cannot silently reintroduce a quadratic path.
@@ -22,8 +22,7 @@ import pytest
 from repro.engine.batched import BatchedTreeVerifier, _BatchLayout
 from repro.engine.pipeline import FusedBackend
 from repro.model import perf
-from repro.model.arena import BatchArena
-from repro.model.paged_cache import PagedKVPool
+from repro.model.kv_cache import BatchArena
 from repro.model.sampling import SamplingConfig
 from repro.speculate.expansion import ExpansionConfig, expand_token_tree
 from repro.tree.token_tree import TokenTree
@@ -112,7 +111,7 @@ def assert_caches_equal(cache_a, cache_b):
 def assert_three_paths_agree(llm, ssm, seed, kind="greedy",
                              cache_factory=None, shapes=DEFAULT_SHAPES):
     """Run every path on its own copy of one batch (the reference on
-    contiguous caches, the others on ``cache_factory``'s); returns each
+    private caches, the others on ``cache_factory``'s); returns each
     path's ``(results, caches)``."""
     runs = {}
     for path in ("reference", "solo", "batch"):
@@ -139,15 +138,9 @@ class TestThreePathEquivalence:
     def test_results_identical_across_paths(self, llm, ssm, kind):
         assert_three_paths_agree(llm, ssm, 11, kind)
 
-    @pytest.mark.parametrize("kind", ["greedy", "stochastic"])
-    def test_paged_caches(self, llm, ssm, kind):
-        pool = PagedKVPool(SMALL_CONFIG, num_blocks=64, block_size=8)
-        assert_three_paths_agree(llm, ssm, 12, kind,
-                                 cache_factory=pool.new_sequence)
-
     def test_arena_caches(self, llm, ssm):
         arena = BatchArena(SMALL_CONFIG, max_requests=6)
-        assert_three_paths_agree(llm, ssm, 13,
+        assert_three_paths_agree(llm, ssm, 13, "mixed",
                                  cache_factory=arena.new_sequence)
 
     def test_ragged_batch_mixed_prefixes_and_tree_sizes(self, llm, ssm):
@@ -234,16 +227,6 @@ class TestPerfSmoke:
         assert counters.attn_score_flops == score_flops(
             sum(n * (p + n) for n, p in shape))
         assert counters.kv_bytes_copied == 0
-
-    def test_paged_path_pays_kv_copies(self, llm, ssm):
-        """Sanity check that the counter detects a copying path: the same
-        batch on a paged pool gathers every layer's rows once."""
-        pool = PagedKVPool(SMALL_CONFIG, num_blocks=64, block_size=8)
-        counters, shape = self._tracked_batch(llm, ssm, pool.new_sequence)
-        row_bytes = 2 * SMALL_CONFIG.d_model * np.dtype(
-            SMALL_CONFIG.dtype).itemsize
-        assert counters.kv_bytes_copied == SMALL_CONFIG.n_layers * sum(
-            p + n for n, p in shape) * row_bytes > 0
 
     def test_block_path_scores_fewer_flops_than_dense(self, llm, ssm):
         """Fewer score FLOPs than one dense ``(Σnᵢ)·(Σkᵢ)`` matrix over the

@@ -26,8 +26,7 @@ from repro.engine.pipeline import (
     IncrementalBackend,
 )
 from repro.faults import FaultKind
-from repro.model.arena import BatchArena
-from repro.model.paged_cache import PagedKVPool
+from repro.model.kv_cache import BatchArena
 from repro.model.sampling import SamplingConfig, sample_token
 from repro.serving.manager import RequestManager
 from repro.verify.result import VerificationResult
@@ -77,14 +76,12 @@ class LogitTap:
 
 
 def _cache_factory(llm, kind, slots):
-    """A fresh KV home per run, so the two sides never share storage."""
+    """A fresh KV home per run, so the two sides never share storage:
+    ``contiguous`` gives each request a private arena of its own, ``arena``
+    a slot of one shared arena."""
     if kind == "contiguous":
         return None
-    if kind == "arena":
-        return BatchArena(llm.config, max_requests=slots).new_sequence
-    pool = PagedKVPool(llm.config, block_size=8,
-                       num_blocks=slots * llm.config.max_seq_len // 8)
-    return pool.new_sequence
+    return BatchArena(llm.config, max_requests=slots).new_sequence
 
 
 def _state(llm, cache_factory, greedy, seed, prompt_len, max_new_tokens):
@@ -142,7 +139,7 @@ def _assert_batched_equals_per_state(llm, cache_kind, greedy, seed, shapes,
     return expected
 
 
-CACHES = ["contiguous", "arena", "paged"]
+CACHES = ["contiguous", "arena"]
 MODES = pytest.mark.parametrize("greedy", [True, False],
                                 ids=["greedy", "sampling"])
 

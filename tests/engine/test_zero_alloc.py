@@ -34,7 +34,7 @@ from repro.engine.pipeline import (
 from repro.faults import FaultKind
 from repro.model import attention, perf
 from repro.model import transformer as transformer_module
-from repro.model.arena import BatchArena
+from repro.model.kv_cache import BatchArena
 from repro.model.config import ModelConfig
 from repro.model.coupled import CoupledSSM
 from repro.model.kv_cache import LayerKV

@@ -59,7 +59,7 @@ def build_manager(llm, batch=4, fault_rate=0.0, fault_seed=9973,
     default backend).
     """
     from repro.engine.pipeline import FusedBackend, IncrementalBackend
-    from repro.model.arena import BatchArena
+    from repro.model.kv_cache import BatchArena
     from repro.model.coupled import CoupledSSM
     from repro.serving.manager import RequestManager
     from repro.serving.session import IncrementalSession, SpeculativeSession

@@ -6,7 +6,7 @@ import pytest
 from repro.engine.generation import GenerationConfig
 from repro.model.config import ModelConfig
 from repro.model.coupled import CoupledSSM
-from repro.model.paged_cache import PagedKVPool
+from repro.model.kv_cache import BatchArena
 from repro.model.transformer import TransformerLM
 from repro.serving.manager import RequestManager
 from repro.serving.session import IncrementalSession, SpeculativeSession
@@ -55,21 +55,24 @@ class TestContextLimits:
 
 
 class TestPoolExhaustion:
-    def test_paged_pool_exhaustion_is_loud(self, llm, rng):
-        """Running out of blocks raises MemoryError (never silent
-        corruption)."""
-        pool = PagedKVPool(SMALL_CONFIG, num_blocks=2, block_size=4)
-        cache = pool.new_sequence()
+    def test_arena_exhaustion_is_loud(self, llm, rng):
+        """A full arena raises MemoryError, and a prompt past a cache's
+        rows raises ValueError (never silent corruption)."""
+        arena = BatchArena(SMALL_CONFIG, capacity=16)
+        cache = arena.new_sequence(8)
+        neighbour = arena.new_sequence(8)
         with pytest.raises(MemoryError, match="exhausted"):
+            arena.new_sequence(1)
+        with pytest.raises(ValueError, match="overflow"):
             llm.prefill(rng.integers(1, 64, size=12), cache)
 
     def test_oversubscribed_batch_fails_fast(self, llm, rng):
-        """A manager without admission control on an undersized pool
+        """A manager without admission control on an undersized arena
         surfaces MemoryError instead of deadlocking."""
-        pool = PagedKVPool(SMALL_CONFIG, num_blocks=3, block_size=4)
+        arena = BatchArena(SMALL_CONFIG, max_requests=3)
         mgr = RequestManager(
             lambda req: IncrementalSession(req, llm,
-                                           cache_factory=pool.new_sequence),
+                                           cache_factory=arena.new_sequence),
             max_batch_size=4,
         )
         for _ in range(4):

@@ -1,19 +1,33 @@
-"""Tests for the shared KV arena (slab allocation + zero-copy cache views)."""
+"""Tests for the KV cache: a row range of a ``BatchArena`` (slab allocation,
+zero-copy layer views, append/truncate/compaction, request lifecycle).
+
+Both layouts are covered: a private range (``TransformerLM.new_cache``, the
+whole of its own arena) and a slot of an arena a batch shares."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.generation import GenerationConfig
 from repro.model import attention
-from repro.model.arena import ArenaKVCache, BatchArena
-from repro.model.kv_cache import KVCache
+from repro.model.coupled import CoupledSSM
+from repro.model.kv_cache import BatchArena, LayerKV
+from repro.serving.manager import RequestManager
+from repro.serving.session import IncrementalSession, SpeculativeSession
+from repro.speculate.expansion import ExpansionConfig
+from repro.speculate.speculator import Speculator
 from tests.conftest import SMALL_CONFIG, make_prompt
 
 
 def make_arena(capacity=0, max_requests=4):
     return BatchArena(SMALL_CONFIG, capacity=capacity,
                       max_requests=max_requests)
+
+
+def private_cache(capacity):
+    """A cache that is the whole of its own arena."""
+    return make_arena(capacity=capacity).new_sequence(capacity)
 
 
 class TestAllocation:
@@ -33,7 +47,7 @@ class TestAllocation:
 
     def test_exhaustion_raises(self):
         arena = make_arena(capacity=16)
-        arena.new_sequence(16)
+        held = arena.new_sequence(16)
         with pytest.raises(MemoryError, match="exhausted"):
             arena.new_sequence(1)
 
@@ -41,6 +55,15 @@ class TestAllocation:
         arena = make_arena(capacity=512)
         with pytest.raises(ValueError, match="max_seq_len"):
             arena.new_sequence(SMALL_CONFIG.max_seq_len + 1)
+
+    def test_negative_capacity_raises_and_leaves_the_arena_whole(self, llm):
+        arena = make_arena(max_requests=2)
+        with pytest.raises(ValueError, match="negative"):
+            arena.new_sequence(-3)
+        assert arena.free_rows == arena.capacity
+        assert arena.used_rows == 0
+        with pytest.raises(ValueError, match="negative"):
+            llm.new_cache(-3)
 
     def test_free_returns_and_coalesces(self):
         arena = make_arena(capacity=48)
@@ -73,7 +96,7 @@ class TestAllocation:
     def test_reuse_after_free(self):
         arena = make_arena(capacity=32)
         a = arena.new_sequence(16)
-        arena.new_sequence(16)
+        b = arena.new_sequence(16)
         a.free()
         again = arena.new_sequence(16)
         assert again.row_range == (0, 16)
@@ -81,7 +104,7 @@ class TestAllocation:
     def test_utilization(self):
         arena = make_arena(capacity=32)
         assert arena.utilization() == 0.0
-        arena.new_sequence(16)
+        cache = arena.new_sequence(16)
         assert arena.utilization() == pytest.approx(0.5)
 
 
@@ -109,7 +132,7 @@ class TestFreedCacheIsDetached:
         stale = arena.new_sequence(16)
         stale.layers[0].append(*self._rows(2.0))
         stale.free()
-        arena.new_sequence(16)
+        owner = arena.new_sequence(16)
         with pytest.raises(ValueError, match="freed"):
             stale.keep_rows(0, [0])
         assert stale.length == 0
@@ -172,21 +195,132 @@ class TestSlotChurn:
         assert len(slot_major) == 8 * SMALL_CONFIG.n_layers
 
 
+def fill(layer, n, rng):
+    keys = rng.normal(size=(n, 2, 4))
+    layer.append(keys, keys * 2)
+    return keys
+
+
+def layer_kv(capacity):
+    return LayerKV(np.zeros((capacity, 2, 4)), np.zeros((capacity, 2, 4)))
+
+
+class TestLayerKV:
+    def test_append_and_view(self, rng):
+        layer = layer_kv(8)
+        keys = fill(layer, 3, rng)
+        k, v = layer.view()
+        assert k.shape == (3, 2, 4)
+        np.testing.assert_array_equal(k, keys)
+        np.testing.assert_array_equal(v, keys * 2)
+
+    def test_overflow_raises(self, rng):
+        layer = layer_kv(4)
+        fill(layer, 3, rng)
+        with pytest.raises(ValueError, match="overflow"):
+            fill(layer, 2, rng)
+
+    def test_truncate(self, rng):
+        layer = layer_kv(8)
+        keys = fill(layer, 5, rng)
+        layer.truncate(2)
+        k, _ = layer.view()
+        np.testing.assert_array_equal(k, keys[:2])
+
+    def test_truncate_bounds(self, rng):
+        layer = layer_kv(8)
+        fill(layer, 3, rng)
+        with pytest.raises(ValueError):
+            layer.truncate(4)
+        with pytest.raises(ValueError):
+            layer.truncate(-1)
+
+    def test_keep_rows_compacts(self, rng):
+        layer = layer_kv(10)
+        keys = fill(layer, 6, rng)
+        # Keep prefix of 2, then rows 1 and 3 of the region past it.
+        layer.keep_rows(2, [1, 3])
+        k, v = layer.view()
+        assert layer.length == 4
+        np.testing.assert_array_equal(k[:2], keys[:2])
+        np.testing.assert_array_equal(k[2], keys[3])
+        np.testing.assert_array_equal(k[3], keys[5])
+        np.testing.assert_array_equal(v[3], keys[5] * 2)
+
+    def test_keep_rows_out_of_range(self, rng):
+        layer = layer_kv(10)
+        fill(layer, 4, rng)
+        with pytest.raises(ValueError, match="out of range"):
+            layer.keep_rows(2, [5])
+
+    def test_keep_rows_preserves_order_given(self, rng):
+        layer = layer_kv(10)
+        keys = fill(layer, 5, rng)
+        layer.keep_rows(0, [2, 0, 4])
+        k, _ = layer.view()
+        np.testing.assert_array_equal(k[0], keys[2])
+        np.testing.assert_array_equal(k[1], keys[0])
+        np.testing.assert_array_equal(k[2], keys[4])
+
+
+def fill_cache(cache, n, rng):
+    """Append ``n`` random positions to every layer of ``cache``."""
+    shape = (n, SMALL_CONFIG.n_heads, SMALL_CONFIG.d_head)
+    for layer in cache.layers:
+        layer.append(rng.normal(size=shape), rng.normal(size=shape))
+
+
+class TestKVCache:
+    """The private layout: ``TransformerLM.new_cache`` is the whole of its
+    own arena."""
+
+    def test_capacity_defaults_to_max_seq_len(self, llm):
+        assert llm.new_cache().capacity == SMALL_CONFIG.max_seq_len
+
+    def test_capacity_cannot_exceed_max_seq_len(self, llm):
+        with pytest.raises(ValueError, match="exceeds max_seq_len"):
+            llm.new_cache(SMALL_CONFIG.max_seq_len + 1)
+
+    def test_length_tracks_all_layers(self, llm, rng):
+        cache = llm.new_cache(16)
+        fill_cache(cache, 3, rng)
+        assert cache.length == 3
+        assert all(layer.length == 3 for layer in cache.layers)
+
+    def test_snapshot_restore(self, llm, rng):
+        cache = llm.new_cache(16)
+        fill_cache(cache, 3, rng)
+        snap = cache.snapshot()
+        fill_cache(cache, 4, rng)
+        assert cache.length == 7
+        cache.restore(snap)
+        assert cache.length == 3
+
+    def test_truncate_applies_to_all_layers(self, llm, rng):
+        cache = llm.new_cache(16)
+        fill_cache(cache, 5, rng)
+        cache.truncate(2)
+        assert all(layer.length == 2 for layer in cache.layers)
+
+    def test_keep_rows_applies_to_all_layers(self, llm, rng):
+        cache = llm.new_cache(16)
+        fill_cache(cache, 5, rng)
+        cache.keep_rows(1, [0, 2])
+        assert cache.length == 3
+        assert all(layer.length == 3 for layer in cache.layers)
+
+
 class TestCacheSemantics:
-    """ArenaKVCache must be indistinguishable from a private KVCache."""
+    """A range of a shared arena is indistinguishable from a private
+    one."""
 
     def _fill(self, cache, rng):
-        n_heads, d_head = SMALL_CONFIG.n_heads, SMALL_CONFIG.d_head
-        for layer in cache.layers:
-            layer.append(
-                rng.normal(size=(5, n_heads, d_head)),
-                rng.normal(size=(5, n_heads, d_head)),
-            )
+        fill_cache(cache, 5, rng)
 
     def test_append_view_roundtrip_matches_kv_cache(self):
         arena = make_arena(capacity=64)
         arena_cache = arena.new_sequence(16)
-        plain = KVCache(SMALL_CONFIG, capacity=16)
+        plain = private_cache(16)
         self._fill(arena_cache, np.random.default_rng(0))
         self._fill(plain, np.random.default_rng(0))
         assert arena_cache.length == plain.length == 5
@@ -205,7 +339,7 @@ class TestCacheSemantics:
     def test_truncate_and_keep_rows(self):
         arena = make_arena(capacity=64)
         cache = arena.new_sequence(16)
-        plain = KVCache(SMALL_CONFIG, capacity=16)
+        plain = private_cache(16)
         self._fill(cache, np.random.default_rng(2))
         self._fill(plain, np.random.default_rng(2))
         cache.keep_rows(2, [2, 0])
@@ -215,6 +349,17 @@ class TestCacheSemantics:
             np.testing.assert_array_equal(la.view()[0], lp.view()[0])
         cache.truncate(1)
         assert cache.length == 1
+
+    def test_every_layer_moves_together(self):
+        """The shared layout; ``TestKVCache`` covers the private one."""
+        arena = make_arena(capacity=64)
+        cache = arena.new_sequence(16)
+        self._fill(cache, np.random.default_rng(7))
+        assert [layer.length for layer in cache.layers] == [5, 5]
+        cache.keep_rows(1, [0, 2])
+        assert [layer.length for layer in cache.layers] == [3, 3]
+        cache.truncate(2)
+        assert [layer.length for layer in cache.layers] == [2, 2]
 
     def test_snapshot_restore(self):
         arena = make_arena(capacity=64)
@@ -263,3 +408,83 @@ class TestModelIntegration:
             llm.decode(3, arena_cache), llm.decode(3, plain_cache),
             atol=1e-12,
         )
+
+    def test_every_cache_is_one_class(self, llm, ssm):
+        """A private cache, a range of a shared arena and a speculator's
+        mirror cache are all the one ``KVCache``."""
+        kind = type(BatchArena(SMALL_CONFIG).new_sequence())
+        assert type(llm.new_cache()) is kind
+        assert type(Speculator([llm]).packed_expansion_state()[1]) is kind
+        coupled = Speculator([ssm]).packed_expansion_state()[1]
+        assert type(coupled.base_cache) is kind
+
+    def test_a_collected_cache_gives_its_rows_back(self):
+        arena = make_arena(max_requests=2)
+        arena.new_sequence()  # dropped at once
+        assert arena.used_rows == 0
+
+
+def incremental_manager(llm, arena):
+    return RequestManager(
+        lambda req: IncrementalSession(
+            req, llm, cache_factory=arena.new_sequence),
+        max_batch_size=2,
+    )
+
+
+class TestServingLifecycle:
+    """A manager over a shared arena gives every row back, so the arena
+    holds the concurrent batch, never the whole queue."""
+
+    def test_rows_recycled_across_requests(self, llm, rng):
+        """Finished requests hand their rows back while the queue drains:
+        a four-slot arena never holds more than the two-request batch."""
+        arena = make_arena(max_requests=4)
+        mgr = incremental_manager(llm, arena)
+        for _ in range(6):
+            mgr.submit(make_prompt(rng, length=8),
+                       GenerationConfig(max_new_tokens=6, stop_on_eos=False))
+        finished = []
+        while mgr.has_work:
+            finished += mgr.run_iteration().finished_ids
+            assert arena.used_rows <= 2 * SMALL_CONFIG.max_seq_len
+        assert len(finished) == 6
+        assert arena.used_rows == 0
+
+    def test_arena_smaller_than_total_demand_serves_a_long_queue(
+            self, llm, rng):
+        arena = make_arena(max_requests=2)
+        mgr = incremental_manager(llm, arena)
+        for _ in range(10):
+            mgr.submit(make_prompt(rng, length=8),
+                       GenerationConfig(max_new_tokens=6, stop_on_eos=False))
+        outputs = mgr.run_until_complete()
+        assert len(outputs) == 10
+        assert arena.used_rows == 0
+
+    def test_speculative_sessions_on_a_shared_arena(self, llm, rng):
+        """Tree verification (append + compaction) under serving on a shared
+        arena emits what a manager over private caches emits, and gives
+        every row back."""
+
+        def factory(cache_factory):
+            return lambda req: SpeculativeSession(
+                req, llm,
+                lambda: Speculator(
+                    [CoupledSSM(llm, alignment=0.9, seed=7, noise_scale=2.0)],
+                    ExpansionConfig((1, 2, 1)),
+                ),
+                cache_factory=cache_factory,
+            )
+
+        arena = make_arena(max_requests=2)
+        prompt = make_prompt(rng, length=6)
+        config = GenerationConfig(max_new_tokens=10)
+        tokens = []
+        for cache_factory in (arena.new_sequence, None):
+            mgr = RequestManager(factory(cache_factory))
+            rid = mgr.submit(prompt, config)
+            mgr.run_until_complete()
+            tokens.append(mgr.output_for(rid).tokens)
+        assert tokens[0] == tokens[1]
+        assert arena.used_rows == 0

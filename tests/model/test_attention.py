@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.model.arena import BatchArena
+from repro.model.kv_cache import BatchArena
 from repro.model.attention import (
     block_diagonal_attention,
     causal_mask,
@@ -16,7 +16,6 @@ from repro.model.attention import (
 )
 from repro.model.config import ModelConfig
 from repro.model.layers import stable_softmax
-from repro.model.paged_cache import PagedKVPool
 from repro.model.parameters import ParameterStore
 
 
@@ -103,23 +102,14 @@ class TestMatmulAttentionMatchesEinsum:
         # A request's rows in the middle of the shared slab: a strided,
         # zero-copy view, which is what block-sparse verification reads.
         arena = BatchArena(KV_CONFIG, max_requests=3)
-        arena.new_sequence()
+        neighbour = arena.new_sequence()  # holds rows [0, n)
         cache = arena.new_sequence()
         keys, values = self.contiguous_kv(rng)
         cache.layers[0].append(keys, values)
         return cache.layers[0].view()
 
-    def paged_kv(self, rng):
-        pool = PagedKVPool(KV_CONFIG, num_blocks=12, block_size=16)
-        pool.allocate_block()  # so the sequence does not start at block 0
-        cache = pool.new_sequence()
-        keys, values = self.contiguous_kv(rng)
-        cache.layers[0].append(keys, values)
-        return cache.layers[0].view()
-
     @pytest.mark.parametrize("n_q", [1, 3, 21])
-    @pytest.mark.parametrize("source", ["contiguous_kv", "arena_kv",
-                                        "paged_kv"])
+    @pytest.mark.parametrize("source", ["contiguous_kv", "arena_kv"])
     def test_within_1e_12_of_einsum(self, rng, source, n_q):
         k, v = getattr(self, source)(rng)
         assert k.shape == (self.N_K, 4, 32)

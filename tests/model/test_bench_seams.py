@@ -24,7 +24,7 @@ from benchmarks.e2e.trace import Tracer  # noqa: E402
 from repro.engine.generation import GenerationConfig  # noqa: E402
 from repro.engine.pipeline import DecodePipeline, DecodeState  # noqa: E402
 from repro.model import attention  # noqa: E402
-from repro.model.arena import BatchArena  # noqa: E402
+from repro.model.kv_cache import BatchArena  # noqa: E402
 from repro.model.config import ModelConfig  # noqa: E402
 from repro.model.transformer import TransformerLM  # noqa: E402
 from repro.speculate.expansion import ExpansionConfig  # noqa: E402

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.model.arena import BatchArena
+from repro.model.kv_cache import BatchArena
 from repro.model.config import ModelConfig
 from repro.model.layers import gelu_forward, layernorm_forward
 from repro.model.scratch import ScratchArena

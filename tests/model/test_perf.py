@@ -19,11 +19,11 @@ class TestTrack:
 
     def test_nested_tracking(self):
         with perf.track() as outer:
-            perf.add_kv_copy(10)
+            perf.add_mask_cells(10)
             with perf.track() as inner:
-                perf.add_kv_copy(5)
-        assert inner.kv_bytes_copied == 5
-        assert outer.kv_bytes_copied == 15
+                perf.add_mask_cells(5)
+        assert inner.mask_cells_allocated == 5
+        assert outer.mask_cells_allocated == 15
 
     def test_reset_zeroes_globals(self):
         perf.add_mask_alloc(7)

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from repro.model import attention
-from repro.model.arena import BatchArena
-from repro.model.kv_cache import KVCache
+from repro.model.kv_cache import BatchArena
 from repro.model.transformer import (
     SLOT_MIN_BLOCKS,
     TransformerLM,
@@ -65,7 +64,7 @@ def _batch(llm, rng, slots_used, counts, slots_total=8, arena_rows=None):
         by_slot = [arena.new_sequence(arena_rows)
                    for _ in range(slots_total)]
     caches = [by_slot[s] for s in slots_used]
-    copies = [KVCache(SMALL_CONFIG, capacity=c.capacity) for c in caches]
+    copies = [llm.new_cache(c.capacity) for c in caches]
     for cache, copy in zip(caches, copies):
         prompt = rng.integers(1, SMALL_CONFIG.vocab_size,
                               int(rng.integers(1, 12)))

@@ -26,9 +26,8 @@ from repro.engine.pipeline import FusedBackend
 from repro.engine.tree_spec import SpecInferEngine
 from repro.faults import FaultInjector, FaultKind
 from repro.model import perf
-from repro.model.arena import BatchArena
+from repro.model.kv_cache import BatchArena
 from repro.model.coupled import CoupledSSM
-from repro.model.paged_cache import PagedKVPool
 from repro.model.sampling import SamplingConfig
 from repro.serving.manager import RequestManager
 from repro.serving.session import (
@@ -210,18 +209,22 @@ class TestOnePipelineEveryShape:
             assert counters.kv_bytes_copied == 0
             assert arena.used_rows == 0
 
-    def test_fused_on_shared_paged_pool(self, llm, rng):
-        """Fused batch verification + paged pool + continuous batching."""
-        pool = PagedKVPool(SMALL_CONFIG, num_blocks=96, block_size=8)
+    def test_fused_on_a_shared_arena_smaller_than_the_queue(self, llm, rng):
+        """Fused batch verification + continuous batching over a two-slot
+        arena: four speculative requests, greedy tokens are
+        ``IncrementalEngine``'s, every row comes back."""
+        arena = BatchArena(SMALL_CONFIG, max_requests=2)
         manager = RequestManager(
-            spec_factory(llm, cache_factory=pool.new_sequence),
+            spec_factory(llm, cache_factory=arena.new_sequence),
             max_batch_size=2, backend=make_backend("block", llm))
-        for _ in range(4):
-            manager.submit(make_prompt(rng, length=5),
-                           GenerationConfig(max_new_tokens=8,
-                                            stop_on_eos=False))
+        config = GenerationConfig(max_new_tokens=8, stop_on_eos=False)
+        prompts = [make_prompt(rng, length=5) for _ in range(4)]
+        ids = [manager.submit(prompt, config) for prompt in prompts]
         assert len(manager.run_until_complete()) == 4
-        assert pool.used_blocks == 0
+        for rid, prompt in zip(ids, prompts):
+            assert manager.output_for(rid).tokens == \
+                IncrementalEngine(llm).generate(prompt, config).tokens
+        assert arena.used_rows == 0
 
     def test_planner_and_router_need_no_backend(self, llm, rng):
         """Armed on a ``backend=None`` manager, both get their evidence."""

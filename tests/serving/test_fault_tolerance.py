@@ -10,7 +10,7 @@ import pytest
 
 from repro.engine.generation import GenerationConfig
 from repro.engine.incremental import IncrementalEngine
-from repro.model.arena import BatchArena
+from repro.model.kv_cache import BatchArena
 from repro.faults import (
     FaultInjector,
     FaultKind,

@@ -18,7 +18,7 @@ from repro.engine.generation import GenerationConfig
 from repro.engine.incremental import IncrementalEngine
 from repro.engine.pipeline import FusedBackend
 from repro.model import perf
-from repro.model.arena import BatchArena
+from repro.model.kv_cache import BatchArena
 from repro.model.config import ModelConfig
 from repro.model.coupled import CoupledSSM
 from repro.model.transformer import TransformerLM
@@ -259,19 +259,15 @@ class TestBatchedPrefillEqualsSolo:
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
-    @pytest.mark.parametrize("paged", [False, True])
-    def test_long_prompt_is_causal_blocks_of_one_cache(self, llm, paged):
+    def test_long_prompt_is_causal_blocks_of_one_cache(self, llm):
         """A prompt past ``PROMPT_BLOCK_ROWS`` is scored as blocks of its own
         cache: same logits, one forward of the same rows, and the masked
         upper triangle of its score matrix is not paid for."""
-        from repro.model.paged_cache import PagedKVPool, PagedSequenceCache
         from repro.model.transformer import PROMPT_BLOCK_ROWS as rows
 
         lengths = [rows - 1, rows, rows + 1, 2 * rows, 3 * rows - 1]
         prompts = _prompts(lengths)
-        pool = PagedKVPool(llm.config, num_blocks=64, block_size=8)
-        caches = [PagedSequenceCache(pool) if paged else llm.new_cache()
-                  for _ in prompts]
+        caches = [llm.new_cache() for _ in prompts]
         with perf.track() as counted:
             batched = llm.prefill_batch(prompts, caches)
         assert [c.length for c in caches] == lengths
