@@ -2,9 +2,10 @@
 
 The repository has one tree verifier,
 :class:`~repro.engine.batched.BatchedTreeVerifier`: the batch's tree tokens
-go through one block-sparse forward (shared KV arena, per-request block
-attention, batched GEMMs), whose score work is ``O(Σ nᵢ·kᵢ)`` — per-step
-cost grows ~linearly in the sum of tree sizes.  This benchmark measures its
+go through block-sparse forwards (shared KV arena, per-request block
+attention, batched GEMMs): each tree's trunk, then the subtree of every
+accepted fan-out child.  Score work is ``O(Σ nᵢ·kᵢ)`` over the rows
+forwarded, so per-step cost grows ~linearly in them.  This benchmark measures its
 wall-clock two ways over batch sizes 1–16 on the NumPy substrate: one
 ``verify_batch`` of *b* trees, and *b* one-tree calls — the deployable
 per-request baseline.  The ratio is reported, not gated.  Results go to

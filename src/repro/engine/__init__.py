@@ -3,7 +3,7 @@
 * :mod:`repro.engine.generation` -- shared request/result/trace types.
 * :mod:`repro.engine.pipeline` -- the unified decode pipeline: the one
   speculate→fit→verify→commit loop every surface drives, with pluggable
-  verification backends (fused tree pass, incremental).
+  verification backends (fused lazy tree passes, incremental).
 * :mod:`repro.engine.incremental` -- Algorithm 1: one token per LLM step
   (what vLLM/TGI/FasterTransformer do; also "SpecInfer w/ incremental
   decoding" in Figure 7) — the pipeline's degenerate one-node-tree case.

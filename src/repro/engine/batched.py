@@ -1,23 +1,35 @@
-"""Batched cross-request tree verification (one fused pass per iteration).
+"""Batched cross-request tree verification (at most two fused passes per
+iteration).
 
 The serving runtime (section 5.1) advances a whole batch per iteration; the
 real system verifies *all* requests' token trees in one fused kernel — the
 per-iteration latency the cost model charges as a single step.  This module
-is that pass, and the only tree verifier in the repository: the batch's tree
-tokens are concatenated into one
+is the only tree verifier in the repository.  A pass concatenates the
+batch's tree tokens into one
 :meth:`~repro.model.transformer.TransformerLM.forward_masked_blocks` call —
 QKV/MLP GEMMs batched across the whole batch, attention computed per request
 block against that request's own cache rows (zero-copy views; see
 :class:`~repro.model.kv_cache.BatchArena`).  The cross-request score blocks,
 which are ``-inf`` by construction, are never computed and no dense
-``(Σnᵢ, Σkᵢ)`` mask is materialized: per-step cost is ``O(Σ nᵢ·kᵢ)``.
+``(Σnᵢ, Σkᵢ)`` mask is materialized: per-pass cost is ``O(Σ nᵢ·kᵢ)``.
 
-Each tree is then verified under its own request's
+Verification is lazy at fan-outs.  At most one child of a node can be
+accepted, so scoring every subtree below a fan-out wastes all but one of
+them.  Pass 1 scores each tree's trunk — the root's single-child chain down
+to its first fan-out (:meth:`~repro.tree.token_tree.TokenTree.trunk`), the
+whole tree when it is a chain — and walks it.  A walk that accepts a child
+``w`` below the fan-out pauses there; pass 2 is one more forward, over only
+those requests, that scores ``w``'s subtree as an ordinary tree rooted at
+``w`` on the cache already compacted to the accepted path, and the walk
+resumes at ``w``.  A node's logits depend only on the prefix and its
+ancestors (Definition 4.1), which pass 2 lays out contiguously as
+incremental decoding does, so every accepted path and bonus token is the one
+a single pass over the whole tree gives.
+
+Each tree is verified under its own request's
 :class:`~repro.model.sampling.SamplingConfig` and RNG, so a batch may mix
-greedy and stochastic requests.  A batch of one scores the same tokens,
-positions and mask that :func:`~repro.verify.decode.tree_parallel_decode`
-does, and ``verify_batch`` gives each request exactly the result and cache
-rows it gets alone — tested.
+greedy and stochastic requests, and ``verify_batch`` gives each request
+exactly the result and cache rows it gets alone — tested.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from repro.model.attention import MaskScratch
 from repro.model.sampling import SamplingConfig
 from repro.model.scratch import ScratchArena
 from repro.model.transformer import TransformerLM
+from repro.obs import REGISTRY
 from repro.tree.masks import linearize, topology_causal_mask
 from repro.tree.token_tree import TokenTree
 from repro.verify.decode import TreeDecodeOutput
@@ -38,6 +51,14 @@ from repro.verify.greedy import verify_greedy
 from repro.verify.naive import verify_naive_sampling
 from repro.verify.result import VerificationResult
 from repro.verify.stochastic import verify_stochastic
+
+# Interned once at import; REGISTRY.reset() zeroes these in place.
+_ROWS_SCORED = REGISTRY.counter(
+    "repro.verify.fused.tokens_scored",
+    help="tree rows the LLM forwarded, summed over both verification passes")
+_SECOND_PASSES = REGISTRY.counter(
+    "repro.verify.fused.second_passes",
+    help="verify_batch calls that ran a second forward for paused walks")
 
 
 @dataclass
@@ -85,7 +106,8 @@ class _BatchLayout:
 
 
 class BatchedTreeVerifier:
-    """Verifies many requests' token trees in one fused decoding pass.
+    """Verifies many requests' token trees in at most two fused decoding
+    passes (see the module docstring).
 
     Args:
         model: The LLM.
@@ -123,7 +145,7 @@ class BatchedTreeVerifier:
         samplings: Sequence[SamplingConfig],
         rngs: Sequence[np.random.Generator],
     ) -> List[VerificationResult]:
-        """One fused decode over the batch, then per-request verification.
+        """Lazy fused decode over the batch, then per-request verification.
 
         Args:
             trees: One speculated tree per request.
@@ -131,9 +153,10 @@ class BatchedTreeVerifier:
                 to its accepted path on return.
             samplings: Each request's decoding mode (greedy, MSS or — with
                 ``use_naive_sampling`` — naive sampling).
-            rngs: Each request's verification randomness, consumed in batch
-                order (one generator may serve several requests; greedy
-                requests draw nothing).
+            rngs: Each request's verification randomness (greedy requests
+                draw nothing).  One generator may serve several requests;
+                it is then consumed pass-major: every pass-1 walk in batch
+                order, then the resumed walks in batch order.
 
         Returns:
             Per-request :class:`VerificationResult`, batch order.
@@ -143,33 +166,43 @@ class BatchedTreeVerifier:
                 f"{len(trees)} trees but {len(caches)} caches, "
                 f"{len(samplings)} sampling configs and {len(rngs)} rngs"
             )
-        if not trees:
-            return []
-        items = [
-            _BatchItem(
-                tree=tree,
-                cache=cache,
-                lin=linearize(tree),
-                prefix_len=cache.length,
-            )
-            for tree, cache in zip(trees, caches)
-        ]
-        layout = _BatchLayout.from_items(items)
-        logits = self._decode_blocks(items, caches, layout)
-
-        results: List[VerificationResult] = []
-        for i, (item, sampling, rng) in enumerate(zip(items, samplings, rngs)):
-            output = TreeDecodeOutput(
-                lin=item.lin,
-                logits=logits[layout.row_offsets[i] : layout.row_offsets[i + 1]],
-                prefix_len=item.prefix_len,
-            )
-            result = self._verify(output, item.tree, sampling, rng)
-            accepted_slots = [
-                item.lin.slot_of[node] for node in result.accepted_nodes
+        results: List[Optional[VerificationResult]] = [None] * len(trees)
+        # Pass 1 scores every trunk; pass 2 the whole subtree below each
+        # paused walk, so no walk pauses twice.
+        parts = [(i, tree.trunk()) for i, tree in enumerate(trees)]
+        while parts:
+            items = [
+                _BatchItem(
+                    tree=trees[i],
+                    cache=caches[i],
+                    lin=linearize(trees[i], nodes),
+                    prefix_len=caches[i].length,
+                )
+                for i, nodes in parts
             ]
-            item.cache.keep_rows(item.prefix_len, accepted_slots)
-            results.append(result)
+            layout = _BatchLayout.from_items(items)
+            logits = self._decode_blocks(items, layout)
+            _ROWS_SCORED.inc(layout.n_total)
+            paused = []
+            for (i, _), item, lo, hi in zip(parts, items, layout.row_offsets,
+                                            layout.row_offsets[1:]):
+                output = TreeDecodeOutput(
+                    lin=item.lin, logits=logits[lo:hi],
+                    prefix_len=item.prefix_len,
+                )
+                result = self._verify(output, item.tree, samplings[i],
+                                      rngs[i], results[i])
+                item.cache.keep_rows(item.prefix_len, [
+                    item.lin.slot_of[node] for node in result.accepted_nodes
+                    if output.scores(node)
+                ])
+                results[i] = result
+                if result.paused:
+                    paused.append(
+                        (i, item.tree.dfs_order(result.accepted_nodes[-1])))
+            if paused:
+                _SECOND_PASSES.inc()
+            parts = paused
         return results
 
     # -- internals ------------------------------------------------------------------
@@ -208,7 +241,7 @@ class BatchedTreeVerifier:
             ))
         return self._mask_scratches[i].take(rows, cols)
 
-    def _decode_blocks(self, items: Sequence[_BatchItem], caches: Sequence,
+    def _decode_blocks(self, items: Sequence[_BatchItem],
                        layout: _BatchLayout) -> np.ndarray:
         """Block-sparse fused decode: one pass, per-request attention."""
         dtype = self.model.config.dtype
@@ -224,15 +257,17 @@ class BatchedTreeVerifier:
             for i, item in enumerate(items)
         ]
         return self.model.forward_masked_blocks(
-            tokens, positions, masks, caches, priors=layout.priors,
+            tokens, positions, masks, [item.cache for item in items],
+            priors=layout.priors,
             scratch=self._arena,
         )
 
     def _verify(self, output: TreeDecodeOutput, tree: TokenTree,
-                sampling: SamplingConfig,
-                rng: np.random.Generator) -> VerificationResult:
+                sampling: SamplingConfig, rng: np.random.Generator,
+                result: Optional[VerificationResult],
+                ) -> VerificationResult:
         if sampling.greedy:
-            return verify_greedy(output, tree)
+            return verify_greedy(output, tree, result)
         if self.use_naive_sampling:
-            return verify_naive_sampling(output, tree, sampling, rng)
-        return verify_stochastic(output, tree, sampling, rng)
+            return verify_naive_sampling(output, tree, sampling, rng, result)
+        return verify_stochastic(output, tree, sampling, rng, result)

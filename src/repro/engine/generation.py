@@ -45,8 +45,13 @@ class StepTrace:
     """Cost-relevant facts about one LLM decoding step.
 
     Attributes:
-        llm_tokens_scored: Token positions the LLM processed this step
-            (1 for incremental decoding; tree size for tree verification).
+        llm_tokens_scored: Token positions the LLM scores this step in
+            one fused pass (1 for incremental decoding; tree size for tree
+            verification).  It feeds the modelled one-pass A10 cost
+            (``repro.cluster``), so it stays the tree size even though the
+            host's verifier forwards only the trunk and the accepted
+            fan-out child's subtree; ``repro.verify.fused.tokens_scored``
+            counts the rows actually forwarded.
         tokens_emitted: Verified tokens appended to the output this step.
         ssm_steps: Sequential SSM decode steps spent speculating (0 for
             incremental decoding).

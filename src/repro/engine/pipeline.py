@@ -17,7 +17,7 @@ pieces defined here:
   :class:`~repro.engine.generation.StepTrace` records.
 * :class:`VerificationBackend` — the pluggable verify seam with two
   implementations: :class:`FusedBackend` (one
-  :class:`~repro.engine.batched.BatchedTreeVerifier` pass per batch, each
+  :class:`~repro.engine.batched.BatchedTreeVerifier` call per batch, each
   tree under its request's own sampling) and :class:`IncrementalBackend`
   (Algorithm 1 as the degenerate one-node tree).
 * :class:`DecodePipeline` — the prompt pass
@@ -86,15 +86,21 @@ _TICK_ALLOCS = REGISTRY.counter(
     help="tracked hot-path buffer allocations during pipeline ticks "
          "(per-tick delta of repro.model.hot_alloc_events; zero at steady "
          "state once scratch arenas are warm)")
+_INCREMENTAL_ROWS = REGISTRY.counter(
+    "repro.verify.incremental.tokens_scored",
+    help="root rows the LLM forwarded for incremental verification")
 
 
 def _observe_verify(kind: str, trees: Sequence[TokenTree]) -> None:
-    """Charge one backend verification pass to ``repro.verify.<kind>.*``."""
+    """Charge one backend verification call to ``repro.verify.<kind>.*``.
+
+    Rows are counted where they are forwarded: ``fused.tokens_scored`` and
+    ``fused.second_passes`` by :class:`BatchedTreeVerifier`,
+    ``incremental.tokens_scored`` (one row a tree) by
+    :class:`IncrementalBackend`.
+    """
     REGISTRY.counter(f"repro.verify.{kind}.passes").inc()
     REGISTRY.counter(f"repro.verify.{kind}.requests").inc(len(trees))
-    REGISTRY.counter(f"repro.verify.{kind}.tokens_scored").inc(
-        sum(len(tree) for tree in trees)
-    )
 
 
 # -- tree fitting ----------------------------------------------------------------
@@ -131,7 +137,7 @@ def prune_to_size(tree: TokenTree, limit: int,
 class TreeFitter:
     """Fits speculated trees into a request's remaining KV capacity.
 
-    The verification pass appends ``len(tree)`` rows before compaction, and
+    Verification appends at most ``len(tree)`` rows before compaction, and
     a node at depth ``d`` occupies position ``prefix + d``, so trees near
     end-of-context must shrink in both node count and depth; when not even
     the root fits, the request cannot decode further and :meth:`fit`
@@ -334,7 +340,7 @@ class VerificationBackend(ABC):
     A backend turns a batch of (state, fitted tree) pairs into per-request
     :class:`VerificationResult`s, committing each accepted path to the
     request's KV cache.  Implementations decide the execution strategy —
-    one fused tree pass per batch, or plain incremental decoding — without
+    fused tree passes per batch, or plain incremental decoding — without
     touching the loop around them.
     """
 
@@ -349,17 +355,22 @@ class VerificationBackend(ABC):
 
 
 class FusedBackend(VerificationBackend):
-    """One fused :class:`BatchedTreeVerifier` pass over the whole batch.
+    """One :class:`BatchedTreeVerifier` call over the whole batch: a fused
+    pass over every trunk, and a second only for walks that passed a
+    fan-out.
 
     Args:
         model: The LLM.
         sampling: Decoding mode for every tree of the batch.  ``None``
             (default) verifies each tree under its state's own sampling
             config.
-        rng: Verification randomness, consumed across the batch in request
-            order.  ``None`` (default) draws from each state's own stream, so
-            speculation and verification share the request RNG, as in the
-            offline engines.
+        rng: Verification randomness shared by the whole batch, consumed
+            pass-major: every walk over the trunks in request order, then
+            the walks resumed below a fan-out in request order (see
+            :class:`BatchedTreeVerifier`).  ``None`` (default) draws from
+            each state's own stream, so speculation and verification share
+            the request RNG, as in the offline engines, and a request's
+            draws do not depend on its neighbours.
         use_naive_sampling: Swap MSS for the Table 3 naive baseline.
         mode: Only ``"block"`` (the block-sparse pass) is accepted.
         reuse_scratch: Reuse batch-wide scratch arenas across ticks
@@ -418,6 +429,7 @@ class IncrementalBackend(VerificationBackend):
     def verify(self, states: Sequence[DecodeState],
                trees: Sequence[TokenTree]) -> List[VerificationResult]:
         _observe_verify("incremental", trees)
+        _INCREMENTAL_ROWS.inc(len(trees))
         with TRACER.span("repro.verify.incremental", requests=len(trees)):
             tokens = self._arena.take("decode.tokens", (len(trees),), np.intp)
             for i, tree in enumerate(trees):

@@ -68,7 +68,9 @@ _RETIRED = REGISTRY.counter(
 _TOKENS = REGISTRY.counter(
     "repro.serving.tokens_emitted", help="tokens emitted across all batches")
 _SCORED = REGISTRY.counter(
-    "repro.serving.llm_tokens_scored", help="token positions scored by the LLM")
+    "repro.serving.llm_tokens_scored",
+    help="token positions a one-pass verifier would score (tree and prompt "
+         "rows); rows actually forwarded: repro.verify.fused.tokens_scored")
 _RUNNING = REGISTRY.gauge(
     "repro.serving.running", help="requests currently holding batch slots")
 _WAITING = REGISTRY.gauge(
@@ -101,8 +103,11 @@ class IterationStats:
             whose prompts it scored.  Identical across per-request and
             fused serving for the same workload.
         tokens_emitted: Tokens emitted across the batch.
-        llm_tokens_scored: Token positions the LLM scored: tree rows in a
-            decode iteration, prompt rows in a prefill iteration.
+        llm_tokens_scored: Token positions the LLM scores in one fused
+            pass: tree rows in a decode iteration, prompt rows in a prefill
+            iteration.  Tree rows are the whole trees (the modelled
+            one-pass cost), not the rows lazy verification forwards; those
+            are ``repro.verify.fused.tokens_scored``.
         admitted: Requests admitted this iteration (non-zero exactly in
             prefill iterations).
         finished: Requests retired this iteration.

@@ -45,19 +45,24 @@ class LinearizedTree:
         return len(self.order)
 
 
-def linearize(tree: TokenTree) -> LinearizedTree:
-    """Flatten ``tree`` to DFS order (the KV-cache layout of Figure 4)."""
-    order = tree.dfs_order()
+def linearize(tree: TokenTree,
+              nodes: Optional[List[int]] = None) -> LinearizedTree:
+    """Flatten ``tree`` to DFS order (the KV-cache layout of Figure 4).
+
+    ``nodes`` lays out part of the tree instead: DFS-ordered node indices
+    whose first node is an ancestor of every other (a node's subtree, or
+    the root's trunk).  Depths then count from that first node, which
+    becomes a root (parent slot ``-1``).
+    """
+    order = tree.dfs_order() if nodes is None else nodes
     slot_of = {node_idx: slot for slot, node_idx in enumerate(order)}
     tokens = np.array([tree.nodes[i].token for i in order], dtype=np.intp)
     parents = np.array(
-        [
-            -1 if tree.nodes[i].parent == -1 else slot_of[tree.nodes[i].parent]
-            for i in order
-        ],
-        dtype=np.intp,
+        [slot_of.get(tree.nodes[i].parent, -1) for i in order], dtype=np.intp
     )
-    depths = np.array([tree.nodes[i].depth for i in order], dtype=np.intp)
+    base = tree.nodes[order[0]].depth
+    depths = np.array([tree.nodes[i].depth - base for i in order],
+                      dtype=np.intp)
     return LinearizedTree(
         order=order, slot_of=slot_of, tokens=tokens, parents=parents, depths=depths
     )

@@ -150,16 +150,26 @@ class TokenTree:
             self.sequence_of(i) for i in range(len(self.nodes)) if self.is_leaf(i)
         )
 
-    def dfs_order(self) -> List[int]:
-        """Node indices in depth-first order (root first, children in
-        insertion order) — the KV-cache layout order of section 4.2."""
+    def dfs_order(self, root: int = 0) -> List[int]:
+        """Node indices of ``root``'s subtree in depth-first order (``root``
+        first, children in insertion order) — the KV-cache layout order of
+        section 4.2."""
         order: List[int] = []
-        stack = [0]
+        stack = [root]
         while stack:
             idx = stack.pop()
             order.append(idx)
             stack.extend(reversed(self.nodes[idx].children))
         return order
+
+    def trunk(self) -> List[int]:
+        """The root's single-child chain: node indices from the root down to
+        the first node without exactly one child — the first fan-out, or
+        the leaf when the tree is a chain."""
+        path = [0]
+        while len(self.nodes[path[-1]].children) == 1:
+            path.append(self.nodes[path[-1]].children[0])
+        return path
 
     def ancestor_matrix(self) -> np.ndarray:
         """Boolean ``(n, n)`` matrix: entry ``[u, v]`` is True iff ``v`` is an

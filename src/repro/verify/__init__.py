@@ -8,8 +8,9 @@
   speculative sampling (MSS) with residual renormalization.
 * :mod:`repro.verify.naive` -- the naive-sampling baseline of section 4.3.
 
-The tree verifier that combines a fused decode, these rules and KV-cache
-compaction is :class:`repro.engine.batched.BatchedTreeVerifier`.
+The tree verifier that combines fused decodes, these rules and KV-cache
+compaction is :class:`repro.engine.batched.BatchedTreeVerifier`; it scores
+a tree lazily, so the rules resume a paused walk.
 """
 
 from repro.verify.decode import (

@@ -37,6 +37,10 @@ from repro.tree.token_tree import TokenTree
 class TreeDecodeOutput:
     """LLM outputs 𝒪 for every node of a token tree.
 
+    A decode may score only part of a tree (see
+    :class:`~repro.engine.batched.BatchedTreeVerifier`); :meth:`scores` says
+    which nodes it covers.
+
     Attributes:
         lin: The DFS linearization used (maps nodes to KV-cache slots).
         logits: ``(n, vocab)`` logits in linear order; row ``lin.slot_of[u]``
@@ -47,6 +51,10 @@ class TreeDecodeOutput:
     lin: LinearizedTree
     logits: np.ndarray
     prefix_len: int
+
+    def scores(self, node_idx: int) -> bool:
+        """Whether this decode holds logits for ``node_idx``."""
+        return node_idx in self.lin.slot_of
 
     def logits_for_node(self, node_idx: int) -> np.ndarray:
         """Next-token logits for tree node ``node_idx``."""

@@ -7,9 +7,13 @@ otherwise the sampled token is emitted as the bonus token and verification
 stops.  This trivially preserves the LLM's distribution but wastes the
 information in the SSM proposals — Theorem 4.3 shows MSS rejects uniformly
 less often, and Table 3 quantifies the gap at 1.26-1.28x verified tokens.
+Like the other rules, the walk resumes a partial result and pauses at a
+node ``output`` did not score.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -24,12 +28,14 @@ def verify_naive_sampling(
     tree: TokenTree,
     sampling: SamplingConfig,
     rng: np.random.Generator,
+    result: Optional[VerificationResult] = None,
 ) -> VerificationResult:
-    """Verify ``tree`` by sampling from the LLM and checking membership."""
-    result = VerificationResult()
-    u = 0
-    result.accepted_nodes.append(u)
-    while True:
+    """Verify ``tree`` by sampling from the LLM and checking membership,
+    resuming ``result`` when given (``None`` starts at the root)."""
+    if result is None:
+        result = VerificationResult(accepted_nodes=[0])
+    u = result.accepted_nodes[-1]
+    while output.scores(u):
         probs = output.distribution_for_node(u, sampling)
         token = sample_from_probs(probs, rng)
         result.num_candidates_considered += 1
@@ -46,3 +52,4 @@ def verify_naive_sampling(
             return result
         result.accepted_nodes.append(matched)
         u = matched
+    return result

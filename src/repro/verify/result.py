@@ -19,7 +19,7 @@ class VerificationResult:
             tokens were accepted.
         bonus_token: The final token of ``accepted_tokens`` — produced by the
             LLM itself (greedy argmax, residual sample, or direct sample),
-            never taken from the tree.
+            never taken from the tree.  ``-1`` while the walk is paused.
         num_candidates_considered: How many tree nodes the verifier examined.
         num_rejections: Stochastic only — candidate rejections before
             acceptance or fallback.
@@ -30,6 +30,13 @@ class VerificationResult:
     bonus_token: int = -1
     num_candidates_considered: int = 0
     num_rejections: int = 0
+
+    @property
+    def paused(self) -> bool:
+        """The walk stopped, bonus unset, at its last accepted node because
+        the decode it read did not score that node; it resumes on a decode
+        of that node's subtree."""
+        return self.bonus_token == -1
 
     @property
     def num_accepted_speculated(self) -> int:

@@ -14,6 +14,11 @@ Theorem 4.2: the emitted token follows exactly the LLM's stochastic-decoding
 distribution.  Theorem 4.3: MSS rejects less often than the naive-sampling
 baseline (:mod:`repro.verify.naive`).  Both are checked statistically in the
 test suite.
+
+The walk resumes a partial result and pauses, bonus unset, on descending to
+a node ``output`` did not score: everything drawn up to that point depends
+only on scored nodes, so resuming on a later decode of that node's subtree
+draws exactly what one walk over the whole tree would.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ def verify_stochastic(
     tree: TokenTree,
     sampling: SamplingConfig,
     rng: np.random.Generator,
+    result: Optional[VerificationResult] = None,
 ) -> VerificationResult:
     """Verify ``tree`` against stochastic LLM outputs using MSS.
 
@@ -59,15 +65,17 @@ def verify_stochastic(
             every expanded node (see :class:`repro.tree.token_tree.TreeNode`).
         sampling: Stochastic decoding configuration (temperature/top-k/top-p).
         rng: Source of randomness (acceptance tests and fallback samples).
+        result: A paused walk to resume (``None`` starts at the root).
 
     Returns:
         A :class:`VerificationResult` whose final token was sampled from a
-        distribution provably equal to the LLM's (Theorem 4.2).
+        distribution provably equal to the LLM's (Theorem 4.2), or a paused
+        walk (see :attr:`VerificationResult.paused`).
     """
-    result = VerificationResult()
-    u = 0
-    result.accepted_nodes.append(u)
-    while True:
+    if result is None:
+        result = VerificationResult(accepted_nodes=[0])
+    u = result.accepted_nodes[-1]
+    while output.scores(u):
         llm_probs = output.distribution_for_node(u, sampling)
         sanitizer.guard_simplex("MSS llm_probs", llm_probs)
         children = list(tree.nodes[u].children)
@@ -112,6 +120,7 @@ def verify_stochastic(
         result.accepted_tokens.append(bonus)
         result.bonus_token = bonus
         return result
+    return result
 
 
 def _normalized_residual(

@@ -11,6 +11,9 @@ import pytest
 from repro.engine.batched import BatchedTreeVerifier
 from repro.model.sampling import SamplingConfig
 from repro.speculate.expansion import ExpansionConfig, expand_token_tree
+from repro.tree.masks import linearize
+from repro.verify.decode import TreeDecodeOutput, tree_parallel_decode
+from repro.verify.stochastic import verify_stochastic
 from tests.conftest import make_prompt
 
 GREEDY = SamplingConfig(greedy=True)
@@ -72,20 +75,62 @@ class TestBatchedEqualsSequential:
                 np.testing.assert_allclose(kb, ks, atol=1e-12)
                 np.testing.assert_allclose(vb, vs, atol=1e-12)
 
-    def test_stochastic_results_identical_with_shared_rng(self, llm, ssm):
-        """With the same RNG stream, batched and sequential stochastic
-        verification make identical decisions."""
+    def test_stochastic_results_identical_with_request_rngs(self, llm, ssm):
+        """With one generator per request, batched and sequential
+        stochastic verification make identical decisions."""
         trees_a, caches_a = build_batch(llm, ssm, np.random.default_rng(3))
         trees_b, caches_b = build_batch(llm, ssm, np.random.default_rng(3))
         sampling = SamplingConfig(temperature=1.0)
-        batch_results = verify_all(BatchedTreeVerifier(llm), trees_a,
-                                   caches_a, sampling,
-                                   np.random.default_rng(42))
-        for result, batch_result in zip(
-                verify_each(BatchedTreeVerifier(llm), trees_b, caches_b,
-                            sampling, np.random.default_rng(42)),
-                batch_results):
+        n = len(trees_a)
+        batch_results = BatchedTreeVerifier(llm).verify_batch(
+            trees_a, caches_a, [sampling] * n,
+            [np.random.default_rng(42 + i) for i in range(n)])
+        verifier = BatchedTreeVerifier(llm)
+        for i, batch_result in enumerate(batch_results):
+            result = verifier.verify_batch(
+                [trees_b[i]], [caches_b[i]], [sampling],
+                [np.random.default_rng(42 + i)])[0]
             assert result.accepted_tokens == batch_result.accepted_tokens
+            assert result.accepted_nodes == batch_result.accepted_nodes
+
+    def test_shared_rng_is_consumed_pass_major(self, llm, ssm):
+        """One generator serving the whole batch is drawn by every walk
+        over the trunks in batch order, then by the resumed walks below
+        the fan-outs in batch order — and so replays from its seed."""
+        sampling = SamplingConfig(temperature=1.0)
+
+        def batched(seed):
+            trees, caches = build_batch(llm, ssm, np.random.default_rng(6),
+                                        n_requests=6)
+            return verify_all(BatchedTreeVerifier(llm), trees, caches,
+                              sampling, np.random.default_rng(seed))
+
+        trees, caches = build_batch(llm, ssm, np.random.default_rng(6),
+                                    n_requests=6)
+        outputs = [tree_parallel_decode(llm, cache, tree)
+                   for tree, cache in zip(trees, caches)]
+        rng = np.random.default_rng(42)
+        expected = []
+        for tree, output in zip(trees, outputs):
+            trunk = tree.trunk()
+            rows = [output.lin.slot_of[node] for node in trunk]
+            trunk_only = TreeDecodeOutput(
+                lin=linearize(tree, trunk), logits=output.logits[rows],
+                prefix_len=output.prefix_len)
+            expected.append(
+                verify_stochastic(trunk_only, tree, sampling, rng))
+        assert any(result.paused for result in expected)
+        for tree, output, result in zip(trees, outputs, expected):
+            if result.paused:
+                verify_stochastic(output, tree, sampling, rng, result)
+
+        results = batched(42)
+        assert [r.accepted_tokens for r in results] == \
+            [r.accepted_tokens for r in expected]
+        assert [r.accepted_nodes for r in results] == \
+            [r.accepted_nodes for r in expected]
+        assert [r.accepted_tokens for r in batched(42)] == \
+            [r.accepted_tokens for r in results]
 
     def test_continued_decoding_matches(self, llm, ssm):
         """After batched verification, each request decodes identically to
@@ -119,7 +164,6 @@ class TestBatchedMechanics:
     def test_single_request_batch_equals_plain_verifier(self, llm, ssm):
         """A batch of one is the plain tree verifier: the greedy rule over
         ``tree_parallel_decode``'s logits."""
-        from repro.verify.decode import tree_parallel_decode
         from repro.verify.greedy import verify_greedy
 
         trees_a, caches_a = build_batch(llm, ssm, np.random.default_rng(5),

@@ -209,29 +209,42 @@ class TestPerfSmoke:
     """Counter-based regression guards for the block-sparse cost shape."""
 
     def _tracked_batch(self, llm, ssm, cache_factory=None):
-        """One greedy batch step's counters, and each request's
-        ``(tree tokens, prefix rows)``."""
+        """One greedy batch step's counters, each request's ``(tree
+        tokens, prefix rows)``, and ``(rows, prefix rows)`` of every block
+        the two passes forwarded: each trunk, then the subtree below each
+        walk that passed its fan-out."""
         trees, caches = build_batch(llm, ssm, np.random.default_rng(20),
                                     cache_factory=cache_factory)
         shape = [(len(t), c.length) for t, c in zip(trees, caches)]
         with perf.track() as counters:
-            run_path("batch", llm, trees, caches, samplings_for("greedy", 3))
-        return counters, shape
+            results = run_path("batch", llm, trees, caches,
+                               samplings_for("greedy", 3))
+        blocks = []
+        for tree, (_, prior), result in zip(trees, shape, results):
+            trunk = tree.trunk()
+            blocks.append((len(trunk), prior))
+            if len(result.accepted_nodes) > len(trunk):
+                below = tree.dfs_order(result.accepted_nodes[len(trunk)])
+                blocks.append((len(below), prior + len(trunk)))
+        return counters, shape, blocks
 
     def test_block_path_no_cross_request_flops_and_no_kv_copies(
         self, llm, ssm
     ):
-        """Scores exactly the per-request diagonal blocks, copies no K/V."""
+        """Scores exactly the per-request diagonal blocks of each pass,
+        copies no K/V."""
         arena = BatchArena(SMALL_CONFIG, max_requests=3)
-        counters, shape = self._tracked_batch(llm, ssm, arena.new_sequence)
+        counters, shape, blocks = self._tracked_batch(llm, ssm,
+                                                      arena.new_sequence)
+        assert len(blocks) > len(shape)  # both passes ran
         assert counters.attn_score_flops == score_flops(
-            sum(n * (p + n) for n, p in shape))
+            sum(n * (p + n) for n, p in blocks))
         assert counters.kv_bytes_copied == 0
 
     def test_block_path_scores_fewer_flops_than_dense(self, llm, ssm):
         """Fewer score FLOPs than one dense ``(Σnᵢ)·(Σkᵢ)`` matrix over the
         same batch, which would also score every cross-request pair."""
-        counters, shape = self._tracked_batch(llm, ssm)
+        counters, shape, _ = self._tracked_batch(llm, ssm)
         n_total = sum(n for n, _ in shape)
         k_total = sum(p + n for n, p in shape)
         assert counters.attn_score_flops < score_flops(n_total * k_total)
