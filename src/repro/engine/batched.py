@@ -26,6 +26,11 @@ ancestors (Definition 4.1), which pass 2 lays out contiguously as
 incremental decoding does, so every accepted path and bonus token is the one
 a single pass over the whole tree gives.
 
+A pass gathers each part's layout from its tree's arrays
+(:func:`~repro.tree.masks.linearize`), takes the greedy argmax once over
+its logits, and compacts all its caches in one call
+(:func:`~repro.model.kv_cache.compact`, one gather and scatter per slab).
+
 Each tree is verified under its own request's
 :class:`~repro.model.sampling.SamplingConfig` and RNG, so a batch may mix
 greedy and stochastic requests, and ``verify_batch`` gives each request
@@ -34,17 +39,18 @@ exactly the result and cache rows it gets alone — tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro import sanitizer
 from repro.model.attention import MaskScratch
+from repro.model.kv_cache import compact
 from repro.model.sampling import SamplingConfig
 from repro.model.scratch import ScratchArena
 from repro.model.transformer import TransformerLM
 from repro.obs import REGISTRY
-from repro.tree.masks import linearize, topology_causal_mask
+from repro.tree.masks import LinearizedTree, linearize, topology_causal_mask
 from repro.tree.token_tree import TokenTree
 from repro.verify.decode import TreeDecodeOutput
 from repro.verify.greedy import verify_greedy
@@ -59,50 +65,6 @@ _ROWS_SCORED = REGISTRY.counter(
 _SECOND_PASSES = REGISTRY.counter(
     "repro.verify.fused.second_passes",
     help="verify_batch calls that ran a second forward for paused walks")
-
-
-@dataclass
-class _BatchItem:
-    tree: TokenTree
-    cache: object
-    lin: object
-    prefix_len: int
-
-
-@dataclass(frozen=True)
-class _BatchLayout:
-    """Per-step batch geometry, computed once and passed down.
-
-    Re-deriving lengths inside the layer loop costs O(batch) per access
-    (and O(batch · layers) per step); everything the fused pass needs is a
-    pure function of the batch composition, so it is computed here exactly
-    once per iteration.
-
-    Attributes:
-        new_counts: Tree tokens per request.
-        priors: Cache length per request on entry.
-        row_offsets: Query-row start per request in the concatenated token
-            axis (plus a final total — ``len == batch + 1``).
-        n_total: ``Σ new_counts``.
-    """
-
-    new_counts: Tuple[int, ...]
-    priors: Tuple[int, ...]
-    row_offsets: Tuple[int, ...]
-    n_total: int
-
-    @classmethod
-    def from_items(cls, items: Sequence[_BatchItem]) -> "_BatchLayout":
-        new_counts = tuple(item.lin.num_tokens for item in items)
-        row_offsets = [0]
-        for count in new_counts:
-            row_offsets.append(row_offsets[-1] + count)
-        return cls(
-            new_counts=new_counts,
-            priors=tuple(item.prefix_len for item in items),
-            row_offsets=tuple(row_offsets),
-            n_total=row_offsets[-1],
-        )
 
 
 class BatchedTreeVerifier:
@@ -171,59 +133,40 @@ class BatchedTreeVerifier:
         # paused walk, so no walk pauses twice.
         parts = [(i, tree.trunk()) for i, tree in enumerate(trees)]
         while parts:
-            items = [
-                _BatchItem(
-                    tree=trees[i],
-                    cache=caches[i],
-                    lin=linearize(trees[i], nodes),
-                    prefix_len=caches[i].length,
-                )
-                for i, nodes in parts
-            ]
-            layout = _BatchLayout.from_items(items)
-            logits = self._decode_blocks(items, layout)
-            _ROWS_SCORED.inc(layout.n_total)
+            for i, _ in parts:
+                sanitizer.guard_tree(trees[i])
+            lins = [linearize(trees[i], nodes) for i, nodes in parts]
+            held = [caches[i] for i, _ in parts]
+            priors = [cache.length for cache in held]
+            logits = self._decode_blocks(lins, held, priors)
+            greedy = logits.argmax(axis=-1)
+            _ROWS_SCORED.inc(len(logits))
             paused = []
-            for (i, _), item, lo, hi in zip(parts, items, layout.row_offsets,
-                                            layout.row_offsets[1:]):
-                output = TreeDecodeOutput(
-                    lin=item.lin, logits=logits[lo:hi],
-                    prefix_len=item.prefix_len,
-                )
-                result = self._verify(output, item.tree, samplings[i],
+            kept = []
+            lo = 0
+            for (i, _), lin, prior in zip(parts, lins, priors):
+                hi = lo + lin.num_tokens
+                output = TreeDecodeOutput(lin=lin, logits=logits[lo:hi],
+                                          prefix_len=prior,
+                                          greedy=greedy[lo:hi])
+                lo = hi
+                result = self._verify(output, trees[i], samplings[i],
                                       rngs[i], results[i])
-                item.cache.keep_rows(item.prefix_len, [
-                    item.lin.slot_of[node] for node in result.accepted_nodes
-                    if output.scores(node)
-                ])
+                kept.append([slot for slot
+                             in lin.slot_of[result.accepted_nodes].tolist()
+                             if slot >= 0])
                 results[i] = result
                 if result.paused:
                     paused.append(
-                        (i, item.tree.dfs_order(result.accepted_nodes[-1])))
+                        (i, trees[i].dfs_order(result.accepted_nodes[-1])))
+            # Every cache of the pass, down to its accepted rows at once.
+            compact(held, priors, kept)
             if paused:
                 _SECOND_PASSES.inc()
             parts = paused
         return results
 
     # -- internals ------------------------------------------------------------------
-
-    def _gather_inputs(self, items: Sequence[_BatchItem],
-                       layout: _BatchLayout) -> Tuple[np.ndarray, np.ndarray]:
-        """The batch's tokens and depth-based positions, written into
-        reused arena views (no per-step concatenation)."""
-        if self._arena is not None:
-            tokens = self._arena.take("tokens", (layout.n_total,), np.intp)
-            positions = self._arena.take("positions", (layout.n_total,),
-                                         np.intp)
-        else:
-            tokens = np.empty(layout.n_total, dtype=np.intp)
-            positions = np.empty(layout.n_total, dtype=np.intp)
-        for i, item in enumerate(items):
-            lo, hi = layout.row_offsets[i], layout.row_offsets[i + 1]
-            tokens[lo:hi] = item.lin.tokens
-            positions[lo:hi] = item.lin.depths
-            positions[lo:hi] += item.prefix_len
-        return tokens, positions
 
     def _slot_mask_out(self, i: int, rows: int,
                        cols: int) -> Optional[np.ndarray]:
@@ -241,24 +184,30 @@ class BatchedTreeVerifier:
             ))
         return self._mask_scratches[i].take(rows, cols)
 
-    def _decode_blocks(self, items: Sequence[_BatchItem],
-                       layout: _BatchLayout) -> np.ndarray:
-        """Block-sparse fused decode: one pass, per-request attention."""
+    def _decode_blocks(self, lins: Sequence[LinearizedTree],
+                       caches: Sequence, priors: List[int]) -> np.ndarray:
+        """Block-sparse fused decode: one pass, per-request attention, the
+        inputs concatenated into reused arena views."""
+        counts = [lin.num_tokens for lin in lins]
+        rows = sum(counts)
+        if self._arena is not None:
+            tokens = self._arena.take("tokens", (rows,), np.intp)
+            positions = self._arena.take("positions", (rows,), np.intp)
+        else:
+            tokens = np.empty(rows, dtype=np.intp)
+            positions = np.empty(rows, dtype=np.intp)
+        np.concatenate([lin.tokens for lin in lins], out=tokens)
+        np.concatenate([lin.depths for lin in lins], out=positions)
+        positions += np.array(priors).repeat(counts)
         dtype = self.model.config.dtype
-        tokens, positions = self._gather_inputs(items, layout)
         masks = [
             topology_causal_mask(
-                item.lin, item.prefix_len, dtype=dtype,
-                out=self._slot_mask_out(
-                    i, layout.new_counts[i],
-                    layout.priors[i] + layout.new_counts[i],
-                ),
-            )
-            for i, item in enumerate(items)
+                lin, prior, dtype=dtype,
+                out=self._slot_mask_out(i, count, prior + count))
+            for i, (lin, prior, count) in enumerate(zip(lins, priors, counts))
         ]
         return self.model.forward_masked_blocks(
-            tokens, positions, masks, [item.cache for item in items],
-            priors=layout.priors,
+            tokens, positions, masks, caches, priors=priors,
             scratch=self._arena,
         )
 

@@ -34,7 +34,6 @@ disaggregated verify) plug into the same seam.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -109,29 +108,22 @@ def _observe_verify(kind: str, trees: Sequence[TokenTree]) -> None:
 def prune_to_size(tree: TokenTree, limit: int,
                   max_depth: Optional[int] = None) -> TokenTree:
     """Keep up to ``limit`` nodes in BFS order, optionally bounding depth
-    (root always survives)."""
-    keep = set()
-    queue = deque([0])
-    while queue and len(keep) < limit:
-        idx = queue.popleft()
-        if max_depth is not None and tree.nodes[idx].depth > max_depth:
-            continue
-        keep.add(idx)
-        queue.extend(tree.nodes[idx].children)
-    pruned = TokenTree(tree.root.token)
-    pruned.nodes[0].proposals = dict(tree.nodes[0].proposals)
-    mapping = {0: 0}
-    for idx in sorted(keep - {0}, key=lambda i: tree.path_to(i)):
-        node = tree.nodes[idx]
-        if node.parent not in mapping:
-            continue
-        new_idx = pruned.add_child(
-            mapping[node.parent], node.token, ssm_id=None
-        )
-        pruned.nodes[new_idx].ssm_ids = set(node.ssm_ids)
-        pruned.nodes[new_idx].proposals = dict(node.proposals)
-        mapping[idx] = new_idx
-    return pruned
+    (root always survives).  Survivors keep their relative order and their
+    proposal rows."""
+    # Within a depth, DFS order is BFS order (both sort by child ranks).
+    order = np.array(tree.dfs_order(), dtype=np.intp)
+    order = order[np.argsort(tree.depths[order], kind="stable")]
+    if max_depth is not None:
+        order = order[(tree.depths[order] <= max_depth) | (order == 0)]
+    keep = np.zeros(len(tree), dtype=bool)
+    keep[order[:max(limit, 1)]] = True
+    # BFS order is ancestor-closed, so every survivor's parent survives.
+    renumber = np.cumsum(keep) - 1
+    parents = np.where(tree.parents[keep] >= 0,
+                       renumber[tree.parents[keep]], -1)
+    return TokenTree.from_arrays(tree.tokens[keep], parents,
+                                 tree.depths[keep], tree.rows[keep],
+                                 tree.proposals)
 
 
 class TreeFitter:
@@ -302,7 +294,7 @@ class TraceRecorder:
                 prefix_len=state.cache.length - 1,
             )
         else:
-            leaves = [i for i in range(len(tree)) if tree.is_leaf(i)]
+            leaves = tree.leaves()
             fields = dict(
                 llm_tokens_scored=len(tree),
                 tokens_emitted=len(verification.accepted_tokens),
@@ -310,7 +302,7 @@ class TraceRecorder:
                 tree_size=len(tree),
                 tree_depth=tree.max_depth(),
                 tree_leaves=len(leaves),
-                tree_path_tokens=sum(len(tree.path_to(i)) for i in leaves),
+                tree_path_tokens=int(tree.depths[leaves].sum()) + len(leaves),
                 prefix_len=state.cache.length - len(verification.accepted_nodes),
                 num_rejections=verification.num_rejections,
             )
@@ -433,7 +425,7 @@ class IncrementalBackend(VerificationBackend):
         with TRACER.span("repro.verify.incremental", requests=len(trees)):
             tokens = self._arena.take("decode.tokens", (len(trees),), np.intp)
             for i, tree in enumerate(trees):
-                tokens[i] = tree.root.token
+                tokens[i] = tree.tokens[0]
             logits = self.model.decode_batch(
                 tokens, [state.cache for state in states],
                 scratch=self._arena,
@@ -835,24 +827,19 @@ class DecodePipeline:
             # accepted speculated tokens, and whether the accepted path
             # ended by rejection (its tip still had children in the fitted
             # tree) rather than by consuming the whole tree.
-            if self.router is not None:
-                for j in drafted:
-                    if active[j].route is None:
-                        continue
-                    tip = trees[j].nodes[results[j].accepted_nodes[-1]]
-                    self.router.observe(
-                        active[j].route,
-                        results[j].num_accepted_speculated,
-                        1 if tip.children else 0,
-                    )
-            elif plan is not None and drafted:
-                accepted = 0
-                stops = 0
-                for j in drafted:
-                    accepted += results[j].num_accepted_speculated
-                    if trees[j].nodes[results[j].accepted_nodes[-1]].children:
-                        stops += 1
-                self.planner.observe(accepted, stops)
+            if self.router is not None or (plan is not None and drafted):
+                evidence = [(active[j].route,
+                             results[j].num_accepted_speculated,
+                             0 if trees[j].is_leaf(
+                                 results[j].accepted_nodes[-1]) else 1)
+                            for j in drafted]
+                if self.router is not None:
+                    for route, accepted, stopped in evidence:
+                        if route is not None:
+                            self.router.observe(route, accepted, stopped)
+                else:
+                    self.planner.observe(sum(e[1] for e in evidence),
+                                         sum(e[2] for e in evidence))
 
             if degraded:
                 _FALLBACK_TICKS.inc()

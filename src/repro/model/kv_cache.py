@@ -11,7 +11,7 @@ Every cache in this repository does that over rows of a shared slab:
   slabs and returns a :class:`KVCache` whose per-layer :class:`LayerKV`
   buffers are NumPy views into them.  :meth:`LayerKV.append` writes through
   to the slab, :meth:`LayerKV.view` is a zero-copy slice,
-  :meth:`KVCache.keep_rows` compacts in place down to the accepted tree path
+  :func:`compact` moves a batch of caches down to their accepted tree paths
   (the "DFS update" in Figure 4) and :meth:`KVCache.truncate` rolls back;
 * :meth:`~repro.model.transformer.TransformerLM.new_cache` is the whole of a
   private arena; a serving batch shares one arena, so the block-sparse fused
@@ -55,7 +55,7 @@ _BYTES_HIGH_WATER = REGISTRY.gauge(
     help="largest bytes_resident seen since the last registry reset")
 _ROWS_COMPACTED = REGISTRY.counter(
     "repro.model.arena.rows_compacted",
-    help="slab rows moved by post-verification keep_rows compaction")
+    help="slab rows post-verification compaction moved, times layers")
 
 
 class LayerKV:
@@ -104,24 +104,6 @@ class LayerKV:
                 f"cannot truncate to {length}; current length {self.length}"
             )
         self.length = length
-
-    def keep_rows(self, base: int, rows: Sequence[int]) -> None:
-        """Compact the region past ``base`` down to the given relative rows.
-
-        After tree verification only the accepted root-to-leaf path survives;
-        ``rows`` are indices (relative to ``base``) of the surviving tokens in
-        the order they should occupy positions ``base, base+1, ...``.
-        """
-        rows = list(rows)
-        for r in rows:
-            if not 0 <= r < self.length - base:
-                raise ValueError(
-                    f"row {r} out of range for region of size {self.length - base}"
-                )
-        idx = np.asarray(rows, dtype=np.intp) + base
-        self._keys[base : base + len(rows)] = self._keys[idx]
-        self._values[base : base + len(rows)] = self._values[idx]
-        self.length = base + len(rows)
 
 
 class BatchArena:
@@ -297,13 +279,9 @@ class KVCache:
             layer.truncate(length)
 
     def keep_rows(self, base: int, rows: Sequence[int]) -> None:
-        """Compact every layer; see :meth:`LayerKV.keep_rows`."""
-        if not self._release.alive:
-            raise ValueError(
-                f"arena rows [{self._start}, {self._stop}) were freed")
-        _ROWS_COMPACTED.inc(len(rows) * len(self.layers))
-        for layer in self.layers:
-            layer.keep_rows(base, rows)
+        """Compact every layer past ``base`` down to the given relative
+        rows; see :func:`compact`."""
+        compact([self], [base], [rows])
 
     def snapshot(self) -> int:
         """Return a token describing the current state (just the length)."""
@@ -331,3 +309,34 @@ class KVCache:
         empty = np.zeros((0, self.config.n_heads, self.config.d_head),
                          dtype=self.config.dtype)
         self.layers = [LayerKV(empty, empty) for _ in self.layers]
+
+
+def compact(caches: Sequence[KVCache], bases: Sequence[int],
+            rows: Sequence[Sequence[int]]) -> None:
+    """Compact each cache's region past ``bases[i]`` to its relative rows
+    ``rows[i]``, in order: one gather and one scatter per layer slab of
+    each arena for the whole batch, of the rows that actually move."""
+    moves = {}  # arena id -> (arena, source rows, destination rows)
+    for cache, base, keep in zip(caches, bases, rows):
+        if not cache._release.alive:
+            raise ValueError(
+                f"arena rows [{cache._start}, {cache._stop}) were freed")
+        region = cache.length - base
+        start = cache._start + base
+        for place, row in enumerate(map(int, keep)):
+            if not 0 <= row < region:
+                raise ValueError(
+                    f"row {row} out of range for region of size {region}")
+            if row != place:
+                _, src, dst = moves.setdefault(
+                    id(cache.arena), (cache.arena, [], []))
+                src.append(start + row)
+                dst.append(start + place)
+    for arena, src, dst in moves.values():
+        _ROWS_COMPACTED.inc(len(dst) * arena.config.n_layers)
+        for slabs in (arena._keys, arena._values):
+            for slab in slabs:
+                slab[dst] = slab[src]
+    for cache, base, keep in zip(caches, bases, rows):
+        for layer in cache.layers:
+            layer.length = base + len(keep)

@@ -17,8 +17,8 @@ surfacing as garbage tokens much later.
 Two flavours:
 
 * **guard functions** (``guard_finite``, ``guard_simplex``,
-  ``guard_dtype``, ``guard_disjoint_ranges``) — called inline where the
-  invariant lives;
+  ``guard_dtype``, ``guard_disjoint_ranges``, ``guard_tree``) — called
+  inline where the invariant lives;
 * **the decorator** :func:`tensor_contract` — checks declared
   shape/dtype/contiguity properties of named array arguments on every
   call.
@@ -152,6 +152,16 @@ def guard_disjoint_ranges(
                 f"{name}: range [{start}, {stop}) overlaps live range "
                 f"[{other_start}, {other_stop})"
             )
+
+
+def guard_tree(tree) -> None:
+    """Raise unless ``tree`` passes ``TokenTree.validate`` (armed only)."""
+    if not _ARMED:
+        return
+    try:
+        tree.validate()
+    except ValueError as exc:
+        raise SanitizerError(f"token tree: {exc}") from exc
 
 
 # -- contract decorator -------------------------------------------------------

@@ -80,7 +80,6 @@ def expand_token_tree_adaptive(
     root_token: int,
     cache,
     config: AdaptiveConfig,
-    ssm_id: int = 0,
     temperature: float = 1.0,
     stochastic: bool = False,
     rng: Optional[np.random.Generator] = None,
@@ -97,7 +96,6 @@ def expand_token_tree_adaptive(
         root_token: The pending token (tree root).
         cache: SSM cache holding the verified prefix.
         config: The dynamic expansion policy.
-        ssm_id: Attribution recorded on proposed nodes.
         temperature: Softmax temperature of recorded proposals.
         stochastic: Sample candidates from the SSM distribution instead of
             taking the covering top set (required for distribution-
@@ -115,8 +113,9 @@ def expand_token_tree_adaptive(
     tree = TokenTree(root_token)
     entry = cache.snapshot()
     counter = itertools.count()  # heap tie-breaker
-    # Heap of (-path_prob, tiebreak, parent_node_idx, token, path_tokens).
-    heap: List[Tuple[float, int, int, int, Tuple[int, ...]]] = []
+    # Heap of (-path_prob, tiebreak, parent_node_idx, token, path_tokens,
+    # proposal row).
+    heap: List[Tuple[float, int, int, int, Tuple[int, ...], int]] = []
 
     def node_distribution(path_tokens: Sequence[int]) -> Optional[np.ndarray]:
         """SSM next-token distribution after decoding ``path_tokens``."""
@@ -138,7 +137,7 @@ def expand_token_tree_adaptive(
         probs = node_distribution(path_tokens)
         if probs is None:
             return
-        tree.set_proposal(node_idx, ssm_id, probs)
+        row = tree.add_proposal(probs) if stochastic else -1
         if stochastic:
             width = len(_adaptive_width(probs, config))
             candidates = rng.choice(probs.shape[-1], size=width, p=probs)
@@ -152,15 +151,15 @@ def expand_token_tree_adaptive(
             heapq.heappush(
                 heap,
                 (-child_prob, next(counter), node_idx, token,
-                 path_tokens + (token,)),
+                 path_tokens + (token,), row),
             )
 
     expanded = {0}
     if budget > 0:
         push_children(0, (int(root_token),), 1.0)
     while heap and tree.num_speculated() < budget:
-        neg_prob, _, parent, token, path_tokens = heapq.heappop(heap)
-        child_idx = tree.add_child(parent, token, ssm_id=ssm_id)
+        neg_prob, _, parent, token, path_tokens, row = heapq.heappop(heap)
+        child_idx = tree.add_child(parent, token, row)
         if child_idx in expanded:
             # Duplicate candidate (stochastic sampling can propose the same
             # token twice) — the node merged; expand it only once.

@@ -105,7 +105,6 @@ def expand_token_tree(
     root_token: int,
     cache,
     config: ExpansionConfig,
-    ssm_id: int = 0,
     temperature: float = 1.0,
     stochastic: bool = False,
     rng: "np.random.Generator" = None,
@@ -145,7 +144,6 @@ def expand_token_tree(
             becomes the tree root.
         cache: SSM cache holding the verified prefix (excluding the root).
         config: Expansion configuration ⟨k1…km⟩.
-        ssm_id: Attribution id recorded on proposed nodes.
         temperature: Softmax temperature for the recorded SSM distributions
             (MSS divides by these, so they must match what speculation used).
         stochastic: Sample candidates instead of taking top-k.
@@ -158,7 +156,10 @@ def expand_token_tree(
             rebuild is needed to shrink a tick's tree.
 
     Returns:
-        The expanded :class:`TokenTree` with per-node proposal distributions.
+        The expanded :class:`TokenTree`; a stochastic one records, per node,
+        the proposal row its token was drawn from (a greedy one records no
+        proposals: only :func:`~repro.verify.stochastic.verify_stochastic`
+        reads them).
     """
     if stochastic and rng is None:
         raise ValueError("stochastic expansion requires an rng")
@@ -179,7 +180,7 @@ def expand_token_tree(
         logits = ssm.decode(token, cache)
         probs = stable_softmax(np.asarray(logits, dtype=np.float64)
                                / max(temperature, 1e-8))
-        tree.set_proposal(node_idx, ssm_id, probs)
+        row = tree.add_proposal(probs) if stochastic else -1
         width = config.widths[step]
         if stochastic:
             lo = offsets[step] + path * width
@@ -191,7 +192,7 @@ def expand_token_tree(
                     and tree.num_speculated() >= max_tokens):
                 break
             known = len(tree)
-            child_idx = tree.add_child(node_idx, candidate, ssm_id=ssm_id)
+            child_idx = tree.add_child(node_idx, candidate, row)
             if len(tree) == known:
                 continue  # duplicate sample: the first draw's child stands
             snap = cache.snapshot()

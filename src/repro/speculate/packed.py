@@ -31,13 +31,14 @@ sampling, and none anywhere else.
   the queue: here :meth:`~repro.speculate.speculator.Speculator.take_queued`,
   on the per-session path ``Speculator.speculate`` (one prefill, as before).
 * **The bookkeeping runs once per level, not once per request.**  The
-  frontier of every request is one set of arrays and lists (owning slot,
-  tree node, token, ancestor rows, path index); the level's mask is one
-  buffer filled by array ops from them; the proposal math is one
-  temperature divide, one ``stable_softmax`` and one ``top_k_tokens`` /
-  ``inverse_cdf_tokens`` over the level's ``(rows, vocab)`` float64
-  logits.  ``TokenTree.add_child`` and ``set_proposal``, once per node,
-  are the only per-request Python.
+  frontier of every request is one set of arrays (owning slot, tree node,
+  token, ancestor rows, path index); the level's mask is filled by array
+  ops from them; the proposal math is one temperature divide, one
+  ``stable_softmax`` and one ``top_k_tokens`` / ``inverse_cdf_tokens``
+  over the level's ``(rows, vocab)`` logits; and a level appends every
+  request's new nodes to the group's tree arrays in one scatter per field,
+  after dropping duplicate sampled draws by (parent, token).  Only sampled
+  requests keep proposal rows (only ``verify_stochastic`` reads them).
 
 Stochastic requests are packed like greedy ones because a sampled tree no
 longer depends on visiting order.  Per call a request draws one block of
@@ -85,6 +86,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from repro import sanitizer
 from repro.model.attention import NEG_INF
 from repro.model.coupled import CoupledSSM
 from repro.model.layers import stable_softmax
@@ -112,17 +114,12 @@ def scored_node_bound(config: ExpansionConfig) -> int:
     Nodes at depths ``0 .. m-1`` are scored (the deepest level is proposed
     but never expanded): ``1 + k1 + k1·k2 + … + k1⋯k_{m-1}``.
     """
-    total = 1
-    frontier = 1
-    for width in config.widths[:-1]:
-        frontier *= width
-        total += frontier
-    return total
+    return 1 + config.max_tree_tokens() - config.num_sequences
 
 
 class _Slot:
-    """One request inside a packed group: its tree, its SSM cache and its
-    draws.  Its frontier lives in the group's level-wide arrays.
+    """One request inside a packed group: its SSM cache and its draws (its
+    frontier and tree live in the group's arrays).
 
     Constructing a slot commits the request to the packed path for this
     call: it takes the speculator's queued tokens (level 0 will mirror
@@ -146,15 +143,10 @@ class _Slot:
             self.entry_context = None
         # The verified prefix once level 0 has appended the queued rows.
         self.prefix = self.cache.length + len(self.queued)
-        self.tree = TokenTree(state.pending)
+        self.root = state.pending
         self.uniforms = None
         if not state.sampling.greedy:
             self.uniforms = state.rng.random(config.max_tree_tokens())
-
-    def context_for(self, node: int) -> List[int]:
-        """Token context the coupled perturbation is keyed by at ``node``."""
-        path = self.tree.path_to(node)
-        return self.entry_context + [self.tree.nodes[n].token for n in path]
 
     def finish(self, scored: int) -> None:
         """Truncate the SSM cache back to the verified prefix."""
@@ -165,15 +157,17 @@ class _Slot:
 class _Frontier(NamedTuple):
     """The nodes every slot scores at one level, in slot order."""
 
-    #: Owning slot, tree node and token, one entry per node.
-    owner: List[int]
-    nodes: List[int]
-    tokens: List[int]
-    #: Cache rows of each node's ancestors then itself, relative to its
-    #: slot's prefix (one row per node).
+    #: Owning slot, tree node (also its cache row past the slot's prefix)
+    #: and token, one entry per node.
+    owner: np.ndarray
+    nodes: np.ndarray
+    tokens: np.ndarray
+    #: Each node's root path, root first: the cache rows it attends to.
     columns: np.ndarray
     #: When sampling, each node's path index into its slot's uniform block.
     paths: Optional[np.ndarray]
+    #: How many of the nodes each slot owns.
+    counts: List[int]
 
 
 class PackedSpeculator:
@@ -229,7 +223,7 @@ class PackedSpeculator:
                 both paths build identical trees).
         """
         trees: List[Optional[TokenTree]] = [None] * len(states)
-        groups: Dict[int, Tuple[TransformerLM, List[_Slot]]] = {}
+        groups: Dict[int, Tuple[TransformerLM, List[_Slot], List[int]]] = {}
         for i, state in enumerate(states):
             eligible = self._slot_for(state, plan)
             if isinstance(eligible, str):
@@ -239,228 +233,267 @@ class PackedSpeculator:
                 trees[i] = fallback(state)
                 continue
             base, slot = eligible
-            trees[i] = slot.tree
-            groups.setdefault(id(base), (base, []))[1].append(slot)
-        for base, slots in groups.values():
-            self._expand_group(base, slots)
+            group = groups.setdefault(id(base), (base, [], []))
+            group[1].append(slot)
+            group[2].append(i)
+        for base, slots, where in groups.values():
+            # Level-synchronous expansion of every slot against ``base``.
+            arena = self._arenas.setdefault(base, ScratchArena())
+            levels = _Levels(base, arena, slots)
+            levels.run()
+            for i, slot, count, tree in zip(where, slots, levels.scored,
+                                            levels.trees()):
+                slot.finish(count)
+                trees[i] = tree
             _PACKED_REQUESTS.inc(len(slots))
         return trees
 
-    def _expand_group(self, base: TransformerLM,
-                      slots: List[_Slot]) -> None:
-        """Level-synchronous expansion of every slot against ``base``."""
-        arena = self._arenas.get(base)
-        if arena is None:
-            arena = ScratchArena()
-            self._arenas[base] = arena
-        levels = _Levels(base, arena, slots)
-        levels.run()
-        for slot, count in zip(slots, levels.scored):
-            slot.finish(count)
-
 
 class _Levels:
-    """One group's level loop: forward inputs, proposal math and frontier
-    growth, each once per level over every slot.  Per-node metadata are
-    Python lists (a level holds a few dozen nodes); what indexes cache
-    rows is an array."""
+    """One group's level loop: forward inputs, proposal math and tree
+    growth, each once per level over every slot.
+
+    The group's trees are rows of one ``(token / parent / depth / proposal
+    row, slots, nodes)`` table: a level writes every slot's new nodes with
+    one scatter per field, and :meth:`trees` hands each slot views of its
+    rows.  When a slot samples, each level's proposal math runs in place in
+    the next rows of one ``(scored nodes, vocab)`` block the group's trees
+    share, and a node's proposal row is the row its parent was scored in.
+    """
 
     def __init__(self, base: TransformerLM, arena: ScratchArena,
                  slots: List[_Slot]):
         self.base = base
-        self.arena = arena
         self.slots = slots
-        self.trees = [slot.tree for slot in slots]
-        #: Cache columns, for the level masks' prefix comparison.
-        self.key_columns = np.arange(base.config.max_seq_len)
-        #: Rows each slot has scored (appended) so far.
+        self.arena = arena
+        #: Rows each slot has scored (appended) so far, and its tree size.
         self.scored = [0] * len(slots)
+        self.size = [1] * len(slots)
         self.prefix = np.array([slot.prefix for slot in slots],
                                dtype=np.intp)
-        # Widths per slot and level, 0 from the slot's depth to the group's.
+        # Widths per slot and level (0 past the slot's depth); per level,
+        # the widest, whether all scoring slots share it, who expands.
         depth = max(slot.config.depth for slot in slots)
-        self.widths = [slot.config.widths + (0,) * (depth + 1
-                                                     - slot.config.depth)
-                       for slot in slots]
+        widths = [slot.config.widths + (0,) * (depth + 1 - slot.config.depth)
+                  for slot in slots]
+        self.widths = np.array(widths, dtype=np.intp)
+        self.level_width, self.uniform, self.expands = [], [], []
+        for level in range(depth):
+            here = {w[level] for w in widths if w[level]}
+            self.level_width.append(max(here))
+            self.uniform.append(len(here) == 1)
+            self.expands.append([w[level + 1] > 0 for w in widths])
         self.temperature = np.array([slot.temperature for slot in slots],
                                     dtype=np.float64)
+        self.table = np.full(
+            (4, len(slots),
+             max(slot.config.max_tree_tokens() for slot in slots) + 1), -1)
+        self.table[0, :, 0] = [slot.root for slot in slots]
+        self.table[2, :, 0] = 0
         # Sampling slots read their level's draws from the group's
-        # concatenated uniform blocks, starting at ``draws[b][level]``.
-        self.sampled = [slot.uniforms is not None for slot in slots]
-        blocks = [slot.uniforms for slot in slots if slot.uniforms is not None]
-        self.uniforms = np.concatenate(blocks) if blocks else None
-        self.draws: List[Tuple[int, ...]] = []
-        start = 0
-        for slot in slots:
-            self.draws.append(tuple(offset + start for offset
-                                    in slot.config.level_offsets()))
-            if slot.uniforms is not None:
-                start += len(slot.uniforms)
+        # concatenated uniform blocks, starting at ``draws[b, level]``.
+        sampled = [slot.uniforms is not None for slot in slots]
+        self.sampled = np.array(sampled)
+        self.all_sampled = all(sampled)
+        self.uniforms = self.proposals = None
+        bound = sum(scored_node_bound(slot.config) for slot in slots)
+        if any(sampled):
+            self.uniforms = np.concatenate(
+                [slot.uniforms for slot in slots if slot.uniforms is not None])
+            draws, start = [], 0
+            for slot in slots:
+                offsets = slot.config.level_offsets()
+                draws.append([start + offset for offset in offsets]
+                             + [start] * (depth - len(offsets)))
+                start += 0 if slot.uniforms is None else len(slot.uniforms)
+            self.draws = np.array(draws, dtype=np.intp)
+            self.proposals = np.empty((bound, base.config.vocab_size))
         self.coupled = any(slot.entry_context is not None for slot in slots)
+        # One mask buffer for every level: level 0 scores the queued rows
+        # and the roots, a later level at most every scored node.
+        cfg = base.config
+        self.mask = arena.take(
+            "pk.mask", (max(bound, sum(len(slot.queued) + 1 for slot in slots)),
+                        cfg.max_seq_len),
+            cfg.dtype, bound=(0, cfg.max_seq_len))
 
     def run(self) -> None:
         frontier = self._score_roots()
         level = 1
-        while frontier.nodes:
-            frontier = self._score_level(frontier, level)
+        while frontier is not None:
+            # A level past the roots: frontier node ``j`` attends to the
+            # verified prefix, its scored ancestors' rows and itself —
+            # never to siblings or to other branches' rows (the per-level
+            # topology-aware causal mask).
+            prefix = self.prefix[frontier.owner]
+            logits = self._forward(frontier.counts, frontier.tokens,
+                                   prefix + level, prefix,
+                                   prefix[:, None] + frontier.columns)
+            frontier = self._grow(frontier, logits, level)
             level += 1
+
+    def trees(self) -> List[TokenTree]:
+        """Each slot's tree so far, as views of the group's table."""
+        scored = sum(self.scored)
+        return [TokenTree.from_arrays(
+            *self.table[:, b, :size],
+            self.proposals[:scored] if self.sampled[b] else None)
+            for b, size in enumerate(self.size)]
 
     # -- forward inputs ------------------------------------------------------------
 
-    def _forward(self, owner: List[int], tokens: List[int],
+    def _forward(self, counts: List[int], tokens: np.ndarray,
                  positions: np.ndarray, allowed: np.ndarray,
                  ancestors: Optional[np.ndarray] = None) -> np.ndarray:
-        """One SSM forward over the level's rows (row ``r`` belongs to
-        slot ``owner[r]``; each slot's rows are contiguous).
-
-        Row ``r`` may attend to cache columns ``< allowed[r]`` and, when
-        given, to the columns in ``ancestors[r]``.
-        """
+        """One SSM forward over the level's rows, slot ``b`` owning the next
+        ``counts[b]``; row ``r`` may attend to cache columns
+        ``< allowed[r]`` and, when given, to those in ``ancestors[r]``."""
         _PACKED_LEVELS.inc()
-        live: List[int] = []
-        bounds: List[int] = []
-        for row, b in enumerate(owner):
-            if not live or live[-1] != b:
-                live.append(b)
-                bounds.append(row)
-        bounds.append(len(owner))
+        live = [b for b, count in enumerate(counts) if count]
         caches = [self.slots[b].cache for b in live]
         priors = [cache.length for cache in caches]
-        ends = [prior + hi - lo
-                for prior, lo, hi in zip(priors, bounds, bounds[1:])]
-        cfg = self.base.config
-        width = max(ends)
-        mask = self.arena.take("pk.mask", (len(owner), width), cfg.dtype,
-                               bound=(0, cfg.max_seq_len))
+        bounds, ends = [0], []
+        for b, prior in zip(live, priors):
+            bounds.append(bounds[-1] + counts[b])
+            ends.append(prior + counts[b])
+        mask = self.mask[:bounds[-1], :max(ends)]
         mask.fill(0.0)
         np.copyto(mask, NEG_INF,
-                  where=self.key_columns[:width] >= allowed[:, None])
+                  where=np.arange(max(ends)) >= allowed[:, None])
         if ancestors is not None:
-            mask[np.arange(len(owner))[:, None], ancestors] = 0.0
+            mask[np.arange(bounds[-1])[:, None], ancestors] = 0.0
         masks = [mask[lo:hi, :end]
                  for lo, hi, end in zip(bounds, bounds[1:], ends)]
         return self.base.forward_masked_blocks(
-            np.array(tokens, dtype=np.intp), positions, masks, caches,
-            priors=priors, scratch=self.arena,
+            tokens, positions, masks, caches, priors=priors,
+            scratch=self.arena,
         )
 
-    def _score_roots(self) -> _Frontier:
+    def _score_roots(self) -> Optional[_Frontier]:
         """Level 0: ``[queued…, root]`` after each slot's cached prefix, a
         causal block; only the roots propose."""
-        owner: List[int] = []
+        counts: List[int] = []
         tokens: List[int] = []
         first: List[int] = []
         last: List[int] = []
-        for b, slot in enumerate(self.slots):
+        for slot in self.slots:
             rows = len(slot.queued) + 1
-            owner += [b] * rows
-            tokens += slot.queued
-            tokens.append(slot.tree.nodes[0].token)
+            counts.append(rows)
+            tokens += slot.queued + [slot.root]
             first += [slot.prefix - rows + 1 - len(first)] * rows
-            last.append(len(owner) - 1)
-        positions = np.array(first, dtype=np.intp) + np.arange(len(owner))
-        logits = self._forward(owner, tokens, positions, positions + 1)
+            last.append(len(first) - 1)
+        positions = np.array(first, dtype=np.intp) + np.arange(len(first))
+        logits = self._forward(counts, np.array(tokens, dtype=np.intp),
+                               positions, positions + 1)
         count = len(self.slots)
-        roots = _Frontier(list(range(count)), [0] * count, [],
-                          np.zeros((count, 1), dtype=np.intp),
-                          np.zeros(count, dtype=np.intp))
+        zeros = np.zeros(count, dtype=np.intp)
+        roots = _Frontier(np.arange(count), zeros, self.table[0, :, 0],
+                          zeros[:, None], zeros, [1] * count)
         return self._grow(roots, logits[last], 0)
-
-    def _score_level(self, frontier: _Frontier, level: int) -> _Frontier:
-        """A level past the roots: frontier node ``j`` attends to the
-        verified prefix, its scored ancestors' rows and itself — never to
-        siblings or to other branches' rows (the per-level topology-aware
-        causal mask)."""
-        prefix = self.prefix[frontier.owner]
-        logits = self._forward(frontier.owner, frontier.tokens,
-                               prefix + level, prefix,
-                               prefix[:, None] + frontier.columns)
-        return self._grow(frontier, logits, level)
 
     # -- proposals and growth ------------------------------------------------------
 
     def _grow(self, frontier: _Frontier, logits: np.ndarray,
-              level: int) -> _Frontier:
-        """Record the level's proposals (one row of ``logits`` per frontier
-        node) and return the next frontier: the new children of nodes
-        whose slot expands past this level."""
-        slots = self.slots
+              level: int) -> Optional[_Frontier]:
+        """Record the level's proposals (a row of ``logits`` per frontier
+        node), append every slot's new nodes, and return the next frontier
+        (those of slots expanding past this level), or ``None``."""
         owner = frontier.owner
-        # The level's proposal math, once over all frontier rows.  The copy
-        # is the trees' own: ``logits`` is arena memory the next level
-        # overwrites, and each row outlives the tick's speculate phase.
-        scaled = np.array(logits, dtype=np.float64)
+        first = sum(self.scored)
+        for b, count in enumerate(frontier.counts):
+            self.scored[b] += count
+        # The level's proposal math, once over all frontier rows, into the
+        # trees' memory (``logits`` is arena memory): the proposal block's
+        # next rows when sampling.
+        temperature = self.temperature[owner][:, None]
+        scaled = np.divide(
+            logits, temperature, dtype=np.float64,
+            out=None if self.proposals is None
+            else self.proposals[first:first + len(owner)])
         if self.coupled:
             # Replay the coupled perturbation the sequential loop applies
             # inside decode(); it is a pure function of (seed, token
             # context), so per-node replay is exact.
-            for row, (b, node) in enumerate(zip(owner, frontier.nodes)):
-                slot = slots[b]
+            for row, (b, path) in enumerate(zip(owner.tolist(),
+                                                frontier.columns)):
+                slot = self.slots[b]
                 if slot.entry_context is not None:
-                    scaled[row] = slot.ssm._perturb(logits[row],
-                                                    slot.context_for(node))
-        scaled /= self.temperature[owner][:, None]
+                    scaled[row] = slot.ssm._perturb(
+                        logits[row], slot.entry_context
+                        + self.table[0, b, path].tolist()) / temperature[row]
         probs = stable_softmax(scaled, out=scaled)
-        breadth = [self.widths[b][level] for b in owner]
-        sampled = [self.sampled[b] for b in owner]
         # A batch may mix decoding modes and widths: each rule runs once at
-        # the widest width any of its rows needs, and a row reads its own
-        # leading columns (top-k is a prefix of top-(k+1); unread uniforms
-        # stay zero).
-        width = max(breadth)
-        chosen = None
-        if not all(sampled):
-            chosen = top_k_tokens(probs, width).tolist()
-        if any(sampled):
-            column = np.arange(width)
-            breadths = np.array(breadth, dtype=np.intp)
-            read = (column < breadths[:, None]) & np.array(sampled)[:, None]
-            start = (np.array([self.draws[b][level] for b in owner])
-                     + frontier.paths * breadths)
-            picks = np.where(read, start[:, None] + column, 0)
+        # the widest width any row needs, and a row reads its own leading
+        # columns (top-k is a prefix of top-(k+1); unread uniforms are 0).
+        width = breadth = self.level_width[level]
+        valid = None
+        if not self.uniform[level]:
+            breadth = self.widths[owner, level]
+            valid = np.arange(width) < breadth[:, None]
+        chosen = None if self.all_sampled else top_k_tokens(probs, width)
+        if self.uniforms is not None:
+            read = valid
+            if not self.all_sampled:
+                sampled = self.sampled[owner][:, None]
+                read = sampled if read is None else read & sampled
+            picks = ((self.draws[owner, level] + frontier.paths * breadth)
+                     [:, None] + np.arange(width))
+            uniforms = self.uniforms[picks if read is None
+                                     else np.where(read, picks, 0)]
             draws = inverse_cdf_tokens(
-                probs, np.where(read, self.uniforms[picks], 0.0)).tolist()
-            chosen = draws if chosen is None else [
-                drawn if is_sampled else ranked
-                for drawn, ranked, is_sampled in zip(draws, chosen, sampled)]
-        for b in owner:
-            self.scored[b] += 1
-        expands = [widths[level + 1] > 0 for widths in self.widths]
-        fresh = [0] * len(slots)
-        parents: List[int] = []
-        ranks: List[int] = []
-        owners: List[int] = []
-        nodes: List[int] = []
-        tokens: List[int] = []
-        rows: List[int] = []
-        for row, (b, node, drawn, k) in enumerate(
-                zip(owner, frontier.nodes, chosen, breadth)):
-            tree = self.trees[b]
-            tree.set_proposal(node, 0, probs[row])
-            if not expands[b]:
-                for token in drawn[:k]:
-                    tree.add_child(node, token, ssm_id=0)
-                continue
-            for rank, token in enumerate(drawn[:k]):
-                known = len(tree.nodes)
-                child = tree.add_child(node, token, ssm_id=0)
-                if child == known:
-                    # (a duplicate draw merges into its first occurrence)
-                    parents.append(row)
-                    ranks.append(rank)
-                    owners.append(b)
-                    nodes.append(child)
-                    tokens.append(token)
-                    # Its cache row: the rows its slot scored so far, then
-                    # the slot's new nodes before it.
-                    rows.append(self.scored[b] + fresh[b])
-                    fresh[b] += 1
-        parent = np.array(parents, dtype=np.intp)
-        columns = np.empty((len(parents), level + 2), dtype=np.intp)
-        columns[:, :-1] = frontier.columns[parent]
-        columns[:, -1] = rows
+                probs, uniforms if read is None
+                else np.where(read, uniforms, 0.0))
+            chosen = draws if chosen is None else np.where(
+                sampled, draws, chosen)
+            if width > 1:
+                # A duplicate draw merges into its first occurrence: dedup
+                # by (parent, token).
+                fresh = ~((chosen[:, :, None] == chosen[:, None, :])
+                          & np.tri(width, k=-1, dtype=bool)).any(axis=2)
+                valid = fresh if valid is None else valid & fresh
+        # Every slot's new nodes, numbered after its tree in row, then rank,
+        # order (the first draw of a token keeps its path).
+        if valid is None and width == 1:
+            # One child per row: the new nodes line up with the frontier.
+            rows, ranks, tokens = slice(None), 0, chosen[:, 0]
+            counts = frontier.counts
+        else:
+            if valid is None:
+                valid = np.ones((len(owner), width), dtype=bool)
+            rows, ranks = valid.nonzero()
+            tokens = chosen[rows, ranks]
+            counts = np.bincount(owner[rows],
+                                 minlength=len(self.slots)).tolist()
+        owners = owner[rows]
+        offsets, seen = [], 0
+        for b, count in enumerate(counts):
+            offsets.append(self.size[b] - seen)
+            seen += count
+            self.size[b] += count
+        nodes = np.array(offsets)[owners] + np.arange(seen)
+        self.table[0, owners, nodes] = tokens
+        self.table[1, owners, nodes] = frontier.nodes[rows]
+        self.table[2, owners, nodes] = level + 1
+        if self.proposals is not None:
+            self.table[3, owners, nodes] = np.where(
+                self.sampled[owners], first + np.arange(len(owner))[rows], -1)
+        if sanitizer.enabled():
+            for tree in self.trees():
+                sanitizer.guard_tree(tree)
+        expands = self.expands[level]
+        if not any(expands):
+            return None
+        if not all(expands):
+            keep = np.flatnonzero(self.widths[owners, level + 1] > 0)
+            rows = keep if isinstance(rows, slice) else rows[keep]
+            owners, nodes, tokens = owners[keep], nodes[keep], tokens[keep]
+            ranks = ranks if np.isscalar(ranks) else ranks[keep]
+            counts = [count if grows else 0
+                      for count, grows in zip(counts, expands)]
         paths = None
-        if frontier.paths is not None and any(sampled):
-            paths = (frontier.paths[parent] * np.array(breadth)[parent]
-                     + np.array(ranks, dtype=np.intp))
-        return _Frontier(owners, nodes, tokens, columns, paths)
+        if self.uniforms is not None:
+            if not self.uniform[level]:
+                breadth = breadth[rows]
+            paths = frontier.paths[rows] * breadth + ranks
+        return _Frontier(owners, nodes, tokens, np.concatenate(
+            [frontier.columns[rows], nodes[:, None]], axis=1), paths, counts)

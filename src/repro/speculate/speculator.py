@@ -267,7 +267,6 @@ class Speculator:
                     pending_token,
                     cache,
                     self.adaptive,
-                    ssm_id=ssm_id,
                     temperature=self.temperature,
                     stochastic=stochastic,
                     rng=rng,
@@ -279,15 +278,12 @@ class Speculator:
                     pending_token,
                     cache,
                     self._effective_config(cfg, plan),
-                    ssm_id=ssm_id,
                     temperature=self.temperature,
                     stochastic=stochastic,
                     rng=rng,
                 )
             # Internal nodes each cost one SSM decode step.
-            self.last_ssm_steps[ssm_id] = sum(
-                1 for n in range(len(tree)) if tree.nodes[n].children
-            )
+            self.last_ssm_steps[ssm_id] = len(tree) - len(tree.leaves())
             trees.append(tree)
         if planned:
             self._last_depth = (

@@ -14,7 +14,7 @@ parallel decoding):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,14 +28,14 @@ class LinearizedTree:
 
     Attributes:
         order: ``order[i]`` is the tree-node index occupying linear slot ``i``.
-        slot_of: inverse mapping, ``slot_of[node_index] = linear slot``.
+        slot_of: ``slot_of[node_index] = linear slot`` (``-1``: left out).
         tokens: ``(n,)`` token ids in linear order.
         parents: ``(n,)`` linear slot of each slot's parent (-1 for the root).
         depths: ``(n,)`` node depths in linear order.
     """
 
-    order: List[int]
-    slot_of: Dict[int, int]
+    order: np.ndarray
+    slot_of: np.ndarray
     tokens: np.ndarray
     parents: np.ndarray
     depths: np.ndarray
@@ -46,7 +46,7 @@ class LinearizedTree:
 
 
 def linearize(tree: TokenTree,
-              nodes: Optional[List[int]] = None) -> LinearizedTree:
+              nodes: Optional[Sequence[int]] = None) -> LinearizedTree:
     """Flatten ``tree`` to DFS order (the KV-cache layout of Figure 4).
 
     ``nodes`` lays out part of the tree instead: DFS-ordered node indices
@@ -54,18 +54,17 @@ def linearize(tree: TokenTree,
     the root's trunk).  Depths then count from that first node, which
     becomes a root (parent slot ``-1``).
     """
-    order = tree.dfs_order() if nodes is None else nodes
-    slot_of = {node_idx: slot for slot, node_idx in enumerate(order)}
-    tokens = np.array([tree.nodes[i].token for i in order], dtype=np.intp)
-    parents = np.array(
-        [slot_of.get(tree.nodes[i].parent, -1) for i in order], dtype=np.intp
-    )
-    base = tree.nodes[order[0]].depth
-    depths = np.array([tree.nodes[i].depth - base for i in order],
-                      dtype=np.intp)
-    return LinearizedTree(
-        order=order, slot_of=slot_of, tokens=tokens, parents=parents, depths=depths
-    )
+    order = np.asarray(tree.dfs_order() if nodes is None else nodes,
+                       dtype=np.intp)
+    slot_of = np.empty(len(tree), dtype=np.intp)
+    slot_of.fill(-1)
+    slot_of[order] = np.arange(len(order))
+    parents = slot_of[tree.parents[order]]
+    parents[0] = -1
+    depths = tree.depths[order]
+    return LinearizedTree(order=order, slot_of=slot_of,
+                          tokens=tree.tokens[order], parents=parents,
+                          depths=depths - depths[0])
 
 
 def topology_causal_mask(
@@ -85,6 +84,9 @@ def topology_causal_mask(
     which is what repairs the causality violations that naive batching of
     tree tokens would introduce (the paper's ``t7`` vs ``t5`` example).
 
+    A parent's slot precedes its children's, so one pass over the slots
+    builds the ancestors: a slot's row is its parent's row plus itself.
+
     Pass ``out`` (an ``(n, prefix_len + n)`` buffer) to fill in place — the
     steady-state decode loop reuses one scratch buffer across iterations
     instead of allocating a fresh mask every step.
@@ -92,12 +94,13 @@ def topology_causal_mask(
     n = lin.num_tokens
     mask = _mask_buffer((n, prefix_len + n), dtype, out)
     mask[:, :prefix_len] = 0.0
+    ancestors = np.zeros((n, n), dtype=bool)
+    ancestors[0, 0] = True
+    for slot, parent in enumerate(lin.parents[1:].tolist(), 1):
+        ancestors[slot] = ancestors[parent]
+        ancestors[slot, slot] = True
     mask[:, prefix_len:] = NEG_INF
-    for j in range(n):
-        k = j
-        while k != -1:
-            mask[j, prefix_len + k] = 0.0
-            k = int(lin.parents[k])
+    np.copyto(mask[:, prefix_len:], 0.0, where=ancestors)
     return mask
 
 

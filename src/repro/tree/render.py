@@ -16,7 +16,6 @@ def render_tree(
     tree: TokenTree,
     accepted_nodes: Optional[Iterable[int]] = None,
     label: Optional[Callable[[int], str]] = None,
-    show_ssm_ids: bool = False,
 ) -> str:
     """Render ``tree`` as indented ASCII.
 
@@ -24,7 +23,6 @@ def render_tree(
         tree: The token tree.
         accepted_nodes: Node indices on the verified path; marked ``*``.
         label: Maps a token id to a display string (default: the id).
-        show_ssm_ids: Append each node's proposing-SSM attribution.
 
     Returns:
         A multi-line string, one node per line, root first.
@@ -34,13 +32,8 @@ def render_tree(
     lines: List[str] = []
 
     def describe(idx: int) -> str:
-        node = tree.nodes[idx]
-        text = label(node.token)
         mark = " *" if idx in accepted else ""
-        ssm = ""
-        if show_ssm_ids and node.ssm_ids:
-            ssm = f" [ssm {','.join(str(s) for s in sorted(node.ssm_ids))}]"
-        return f"{text}{ssm}{mark}"
+        return f"{label(int(tree.tokens[idx]))}{mark}"
 
     def walk(idx: int, prefix: str, is_last: bool) -> None:
         if idx == 0:
@@ -48,7 +41,7 @@ def render_tree(
         else:
             connector = "`-- " if is_last else "|-- "
             lines.append(prefix + connector + describe(idx))
-        children = tree.nodes[idx].children
+        children = tree.children(idx).tolist()
         for i, child in enumerate(children):
             if idx == 0:
                 child_prefix = ""
@@ -62,7 +55,7 @@ def render_tree(
 
 def tree_stats_line(tree: TokenTree) -> str:
     """One-line summary: nodes, depth, leaves (log-friendly)."""
-    leaves = sum(1 for i in range(len(tree)) if tree.is_leaf(i))
+    leaves = len(tree.leaves())
     return (
         f"tree: {len(tree)} nodes ({tree.num_speculated()} speculated), "
         f"depth {tree.max_depth()}, {leaves} leaves"

@@ -16,7 +16,7 @@ computations) that drive the Figure 11 comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -46,15 +46,21 @@ class TreeDecodeOutput:
         logits: ``(n, vocab)`` logits in linear order; row ``lin.slot_of[u]``
             is the LLM's next-token logits after the sequence ``S_u``.
         prefix_len: KV-cache length before the tree tokens were appended.
+        greedy: ``(n,)`` argmax token per row (from ``logits`` by default).
     """
 
     lin: LinearizedTree
     logits: np.ndarray
     prefix_len: int
+    greedy: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        if self.greedy is None:
+            self.greedy = self.logits.argmax(axis=-1)
 
     def scores(self, node_idx: int) -> bool:
         """Whether this decode holds logits for ``node_idx``."""
-        return node_idx in self.lin.slot_of
+        return self.lin.slot_of[node_idx] >= 0
 
     def logits_for_node(self, node_idx: int) -> np.ndarray:
         """Next-token logits for tree node ``node_idx``."""
@@ -68,7 +74,7 @@ class TreeDecodeOutput:
 
     def greedy_token_for_node(self, node_idx: int) -> int:
         """Argmax token at ``node_idx`` (greedy 𝒪(u))."""
-        return int(np.argmax(self.logits_for_node(node_idx)))
+        return int(self.greedy[self.lin.slot_of[node_idx]])
 
 
 def tree_parallel_decode(
@@ -139,10 +145,9 @@ def sequence_parallel_decode(
     outputs: Dict[int, np.ndarray] = {}
     tokens_computed = 0
     num_kernels = 0
-    leaf_nodes = [i for i in range(len(tree)) if tree.is_leaf(i)]
-    for leaf in leaf_nodes:
+    for leaf in tree.leaves().tolist():
         path = tree.path_to(leaf)
-        seq = np.array([tree.nodes[i].token for i in path], dtype=np.intp)
+        seq = tree.tokens[path]
         n = len(seq)
         positions = np.arange(prefix_len, prefix_len + n)
         mask = cross_mask(n, prefix_len + n, prefix_len, dtype=model.config.dtype)

@@ -41,16 +41,11 @@ def verify_greedy(output: TreeDecodeOutput, tree: TokenTree,
     while output.scores(u):
         llm_token = output.greedy_token_for_node(u)
         result.num_candidates_considered += 1
-        matched = -1
-        for child in tree.nodes[u].children:
-            if tree.nodes[child].token == llm_token:
-                matched = child
-                break
+        matched = tree.child_with_token(u, llm_token)
+        result.accepted_tokens.append(llm_token)
         if matched == -1:
-            result.accepted_tokens.append(llm_token)
             result.bonus_token = llm_token
             return result
-        result.accepted_tokens.append(llm_token)
         result.accepted_nodes.append(matched)
         u = matched
     return result

@@ -39,15 +39,11 @@ def verify_naive_sampling(
         probs = output.distribution_for_node(u, sampling)
         token = sample_from_probs(probs, rng)
         result.num_candidates_considered += 1
-        matched = -1
-        for child in tree.nodes[u].children:
-            if tree.nodes[child].token == token:
-                matched = child
-                break
+        matched = tree.child_with_token(u, token)
         result.accepted_tokens.append(token)
         if matched == -1:
             result.bonus_token = token
-            if tree.nodes[u].children:
+            if not tree.is_leaf(u):
                 result.num_rejections += 1
             return result
         result.accepted_nodes.append(matched)

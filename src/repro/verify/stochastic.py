@@ -34,22 +34,6 @@ from repro.verify.decode import TreeDecodeOutput
 from repro.verify.result import VerificationResult
 
 
-def _proposal_distribution(
-    tree: TokenTree, u: int, child: int
-) -> Optional[np.ndarray]:
-    """The SSM distribution backing ``child`` at node ``u``.
-
-    A child may have been proposed by several SSMs (merge-based trees); the
-    lowest ssm id that actually recorded a proposal at ``u`` is used so the
-    ratio and the residual subtraction are consistent with each other.
-    """
-    proposals = tree.nodes[u].proposals
-    for ssm_id in sorted(tree.nodes[child].ssm_ids):
-        if ssm_id in proposals:
-            return proposals[ssm_id]
-    return None
-
-
 def verify_stochastic(
     output: TreeDecodeOutput,
     tree: TokenTree,
@@ -61,8 +45,11 @@ def verify_stochastic(
 
     Args:
         output: Tree-parallel decode output (per-node LLM logits).
-        tree: Speculated token tree; nodes must carry SSM ``proposals`` for
-            every expanded node (see :class:`repro.tree.token_tree.TreeNode`).
+        tree: Speculated token tree; each child's proposal row
+            (:meth:`~repro.tree.token_tree.TokenTree.proposal_for`) is the
+            SSM distribution it was drawn from.  A child without one is a
+            deterministic proposal, accepted with probability
+            ``P(x | u, LLM)``.
         sampling: Stochastic decoding configuration (temperature/top-k/top-p).
         rng: Source of randomness (acceptance tests and fallback samples).
         result: A paused walk to resume (``None`` starts at the root).
@@ -78,14 +65,14 @@ def verify_stochastic(
     while output.scores(u):
         llm_probs = output.distribution_for_node(u, sampling)
         sanitizer.guard_simplex("MSS llm_probs", llm_probs)
-        children = list(tree.nodes[u].children)
+        children = tree.children(u).tolist()
         descended = False
         while children:
             pick = int(rng.integers(len(children)))
             child = children.pop(pick)
-            token = tree.nodes[child].token
+            token = int(tree.tokens[child])
             result.num_candidates_considered += 1
-            ssm_probs = _proposal_distribution(tree, u, child)
+            ssm_probs = tree.proposal_for(child)
             if ssm_probs is not None:
                 sanitizer.guard_simplex("MSS ssm_probs", ssm_probs)
             if ssm_probs is None:

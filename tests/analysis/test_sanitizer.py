@@ -135,9 +135,7 @@ class TestGuards:
         speculator.prefill(prompt[:-1])
         tree = speculator.speculate(int(prompt[-1]), stochastic=True,
                                     rng=np.random.default_rng(5))
-        for node in tree.nodes:
-            for ssm_id in node.proposals:
-                node.proposals[ssm_id] = node.proposals[ssm_id] * 3.0
+        tree.proposals = tree.proposals * 3.0
         cache = llm.new_cache()
         llm.prefill(prompt[:-1], cache)
         output = tree_parallel_decode(llm, cache, tree)
@@ -150,6 +148,62 @@ class TestGuards:
     def test_range_guard_rejects_inverted(self):
         with sanitized(), pytest.raises(SanitizerError, match="inverted"):
             guard_disjoint_ranges("arena", [], (5, 5))
+
+
+class TestGuardTree:
+    """``guard_tree`` names each broken token-tree invariant when armed."""
+
+    @staticmethod
+    def _tree():
+        from repro.tree.token_tree import TokenTree
+
+        tree = TokenTree(1)
+        row = tree.add_proposal(np.full(4, 0.25))
+        a = tree.add_child(0, 2, row)
+        tree.add_child(0, 3, row)
+        tree.add_child(a, 4)
+        for name in ("tokens", "parents", "depths", "rows"):
+            setattr(tree, name, getattr(tree, name).copy())
+        return tree
+
+    def test_good_tree_passes_and_disarmed_is_silent(self):
+        sanitizer.guard_tree(self._tree())
+        tree = self._tree()
+        tree.parents[0] = 0
+        with sanitized(False):
+            sanitizer.guard_tree(tree)
+        with sanitized():
+            sanitizer.guard_tree(self._tree())
+
+    def test_root_parent(self):
+        tree = self._tree()
+        tree.parents[0] = 0
+        with sanitized(), pytest.raises(SanitizerError, match="root"):
+            sanitizer.guard_tree(tree)
+
+    def test_parent_before_child(self):
+        tree = self._tree()
+        tree.parents[1] = 3
+        with sanitized(), pytest.raises(SanitizerError, match="earlier"):
+            sanitizer.guard_tree(tree)
+
+    def test_depth_is_parent_depth_plus_one(self):
+        tree = self._tree()
+        tree.depths[3] = 1
+        with sanitized(), pytest.raises(SanitizerError, match="depth"):
+            sanitizer.guard_tree(tree)
+
+    def test_siblings_unique_by_token(self):
+        tree = self._tree()
+        tree.tokens[2] = 2
+        with sanitized(), pytest.raises(SanitizerError, match="siblings"):
+            sanitizer.guard_tree(tree)
+
+    def test_proposal_row_in_range(self):
+        tree = self._tree()
+        tree.rows[1] = 1
+        with sanitized(), pytest.raises(SanitizerError, match="row"):
+            sanitizer.guard_tree(tree)
 
 
 class TestTensorContract:

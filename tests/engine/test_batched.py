@@ -19,8 +19,11 @@ from tests.conftest import make_prompt
 GREEDY = SamplingConfig(greedy=True)
 
 
-def build_batch(llm, ssm, rng, n_requests=3, cache_factory=None):
-    """Per-request (tree, cache) pairs with distinct prefix lengths."""
+def build_batch(llm, ssm, rng, n_requests=3, cache_factory=None,
+                stochastic=False):
+    """Per-request (tree, cache) pairs with distinct prefix lengths;
+    ``stochastic`` samples the trees (recording their proposals) instead of
+    taking top-k."""
     factory = cache_factory or llm.new_cache
     trees, caches = [], []
     for i in range(n_requests):
@@ -31,6 +34,7 @@ def build_batch(llm, ssm, rng, n_requests=3, cache_factory=None):
         ssm.prefill(prompt[:-1], ssm_cache)
         tree = expand_token_tree(
             ssm, int(prompt[-1]), ssm_cache, ExpansionConfig((2, 2, 1)),
+            stochastic=stochastic, rng=rng,
         )
         trees.append(tree)
         caches.append(cache)
@@ -101,12 +105,12 @@ class TestBatchedEqualsSequential:
 
         def batched(seed):
             trees, caches = build_batch(llm, ssm, np.random.default_rng(6),
-                                        n_requests=6)
+                                        n_requests=6, stochastic=True)
             return verify_all(BatchedTreeVerifier(llm), trees, caches,
                               sampling, np.random.default_rng(seed))
 
         trees, caches = build_batch(llm, ssm, np.random.default_rng(6),
-                                    n_requests=6)
+                                    n_requests=6, stochastic=True)
         outputs = [tree_parallel_decode(llm, cache, tree)
                    for tree, cache in zip(trees, caches)]
         rng = np.random.default_rng(42)

@@ -19,7 +19,7 @@ future changes cannot silently reintroduce a quadratic path.
 import numpy as np
 import pytest
 
-from repro.engine.batched import BatchedTreeVerifier, _BatchLayout
+from repro.engine.batched import BatchedTreeVerifier
 from repro.engine.pipeline import FusedBackend
 from repro.model import perf
 from repro.model.kv_cache import BatchArena
@@ -177,24 +177,6 @@ class TestThreePathEquivalence:
                 llm.decode(res.bonus_token, ref_cache),
                 atol=1e-12,
             )
-
-
-class TestBatchLayout:
-    def test_layout_geometry(self, llm, ssm):
-        trees, caches = build_batch(llm, ssm, np.random.default_rng(18))
-        from repro.engine.batched import _BatchItem
-        from repro.tree.masks import linearize
-
-        items = [
-            _BatchItem(tree=t, cache=c, lin=linearize(t),
-                       prefix_len=c.length)
-            for t, c in zip(trees, caches)
-        ]
-        layout = _BatchLayout.from_items(items)
-        assert layout.new_counts == tuple(len(t) for t in trees)
-        assert layout.priors == tuple(c.length for c in caches)
-        assert layout.n_total == sum(layout.new_counts)
-        assert layout.row_offsets[-1] == layout.n_total
 
 
 def score_flops(cells):

@@ -47,7 +47,7 @@ class PerStateBackend(IncrementalBackend):
     def verify(self, states, trees):
         rows, results = [], []
         for state, tree in zip(states, trees):
-            logits = self.model.decode(tree.root.token, state.cache)
+            logits = self.model.decode(int(tree.tokens[0]), state.cache)
             rows.append(np.array(logits))
             token = int(sample_token(logits, state.sampling, state.rng))
             results.append(VerificationResult(

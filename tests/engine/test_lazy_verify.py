@@ -161,8 +161,8 @@ class TestLazyEqualsSinglePass:
             a = tree.add_child(0, g1)
             tree.add_child(a, (g2 + 1) % SMALL_CONFIG.vocab_size)
             leaf = tree.add_child(a, g2)
-            tree.add_child(tree.nodes[a].children[0], 5)
-            assert tree.is_leaf(leaf) and tree.trunk() == [0, a]
+            tree.add_child(int(tree.children(a)[0]), 5)
+            assert tree.is_leaf(leaf) and tree.trunk().tolist() == [0, a]
             request.tree = tree
             copies.append([request])
         results = assert_lazy_equals_single_pass(llm, *copies, [GREEDY])
@@ -364,3 +364,84 @@ def test_third_token_law_through_the_deferred_path(llm):
     assert total_variation_distance(
         third_token_law(llm, prompt), counts / n_requests) < tv_bound(
             llm.config.vocab_size, n_requests)
+
+
+class TestOneCompactionPerPass:
+    """``verify_batch`` compacts every cache of a pass in one call; the rows
+    it leaves are the rows per-request ``keep_rows`` leaves."""
+
+    def test_equals_per_request_keep_rows_on_a_mixed_batch(
+            self, llm, oracle, ssm, monkeypatch):
+        import repro.engine.batched as batched
+
+        def per_request(caches, bases, rows):
+            for cache, base, keep in zip(caches, bases, rows):
+                cache.keep_rows(base, keep)
+
+        copies, results = [], []
+        for compaction in (batched.compact, per_request):
+            monkeypatch.setattr(batched, "compact", compaction)
+            arena = BatchArena(SMALL_CONFIG, max_requests=6)
+            batch = [
+                Request(llm, model, seed, widths, length, arena.new_sequence,
+                        stochastic=stochastic)
+                for model, seed, widths, length, stochastic in (
+                    (oracle, 70, PAPER, 4, False),
+                    (ssm, 71, PAPER, 6, True),
+                    (oracle, 72, (2, 2, 1), 5, True),
+                    (oracle, 73, (1, 3, 2), 7, False),
+                    (ssm, 74, (2, 1), 9, True),
+                )
+            ]
+            results.append(BatchedTreeVerifier(llm).verify_batch(
+                [r.tree for r in batch], [r.cache for r in batch],
+                [GREEDY, STOCHASTIC, STOCHASTIC, GREEDY, STOCHASTIC],
+                rngs(5)))
+            copies.append((arena, batch))
+        (arena, batch), (per_arena, per_batch) = copies
+        for a, b in zip(*results):
+            assert_results_equal(a, b)
+        for a, b in zip(batch, per_batch):
+            assert_caches_equal(a.cache, b.cache)
+        for layer in range(SMALL_CONFIG.n_layers):
+            for mine, theirs in zip(arena.slabs(layer),
+                                    per_arena.slabs(layer)):
+                np.testing.assert_array_equal(mine, theirs)
+        # Both passes ran: some walk was resumed below a fan-out.
+        assert any(passed_fanout(r, res)
+                   for r, res in zip(batch, results[0]))
+
+
+class TestRowsCompacted:
+    """``repro.model.arena.rows_compacted`` counts rows that moved."""
+
+    @staticmethod
+    def _compacted(llm, tree, request):
+        counter = REGISTRY.counter("repro.model.arena.rows_compacted")
+        before = counter.value
+        result = BatchedTreeVerifier(llm).verify_batch(
+            [tree], [request.cache], [GREEDY], rngs(1))[0]
+        return counter.value - before, result
+
+    def test_a_chain_accepted_whole_moves_nothing(self, llm):
+        request = Request(llm, None, 80, None, prompt_len=5)
+        tree = TokenTree(int(request.prompt[-1]))
+        tree.add_path(greedy_continuation(llm, request.prompt, 3))
+        moved, result = self._compacted(llm, tree, request)
+        assert len(result.accepted_nodes) == 4
+        assert moved == 0
+
+    def test_an_accepted_fanout_child_moves_its_rows(self, llm):
+        request = Request(llm, None, 81, None, prompt_len=5)
+        g1, g2, g3 = greedy_continuation(llm, request.prompt, 3)
+        vocab = SMALL_CONFIG.vocab_size
+        tree = TokenTree(int(request.prompt[-1]))
+        tree.add_child(0, (g1 + 1) % vocab)
+        a = tree.add_child(0, g1)
+        tree.add_child(tree.add_child(a, (g2 + 1) % vocab), 7)
+        tree.add_child(tree.add_child(a, g2), g3)
+        moved, result = self._compacted(llm, tree, request)
+        # Pass 2 lays out a's subtree as [a, decoy, 7, g2, g3]; the path
+        # keeps slots [0, 3, 4], so two rows move, in every layer.
+        assert result.accepted_tokens[:3] == [g1, g2, g3]
+        assert moved == 2 * SMALL_CONFIG.n_layers

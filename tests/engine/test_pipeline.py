@@ -45,7 +45,7 @@ class TestPruneToSize:
         pruned = prune_to_size(tree, 3)
         pruned.validate()
         assert len(pruned) == 3
-        assert pruned.root.token == 1
+        assert pruned.tokens[0] == 1
 
     def test_wide_tree_pruned_in_bfs_order(self):
         """Regression for the deque rewrite: a wide tree must keep exactly
@@ -58,15 +58,15 @@ class TestPruneToSize:
         # Root + the first 4 level-one children, no level-two nodes.
         pruned = prune_to_size(tree, 5)
         pruned.validate()
-        tokens = sorted(node.token for node in pruned.nodes)
+        tokens = sorted(pruned.tokens.tolist())
         assert tokens == [0, 10, 11, 12, 13]
         # One more slot admits the next sibling, still not a grandchild.
         pruned = prune_to_size(tree, 7)
-        tokens = sorted(node.token for node in pruned.nodes)
+        tokens = sorted(pruned.tokens.tolist())
         assert tokens == [0, 10, 11, 12, 13, 14, 15]
         # Past the full level, BFS descends to the children's children.
         pruned = prune_to_size(tree, 8)
-        assert 100 in [node.token for node in pruned.nodes]
+        assert 100 in pruned.tokens.tolist()
 
     def test_depth_bound_drops_deep_nodes(self):
         tree = TokenTree(0)

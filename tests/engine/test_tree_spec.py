@@ -156,15 +156,15 @@ class TestPruning:
         pruned = prune_to_size(tree, 3)
         pruned.validate()
         assert len(pruned) == 3
-        assert pruned.root.token == 1
+        assert pruned.tokens[0] == 1
 
     def test_prune_preserves_proposals(self):
         tree = TokenTree(1)
-        tree.add_child(0, 2, ssm_id=1)
-        tree.set_proposal(0, 1, np.full(4, 0.25))
+        tree.add_child(0, 2, tree.add_proposal(np.full(4, 0.25)))
+        tree.add_child(0, 3, tree.add_proposal(np.full(4, 0.5)))
         pruned = prune_to_size(tree, 2)
-        assert 1 in pruned.nodes[0].proposals
-        assert pruned.nodes[1].ssm_ids == {1}
+        pruned.validate()
+        np.testing.assert_array_equal(pruned.proposal_for(1), 0.25)
 
     def test_generation_near_capacity_terminates(self, llm, rng):
         """Requests that hit the context limit end gracefully."""

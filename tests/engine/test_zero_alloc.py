@@ -126,16 +126,16 @@ def _ssm_factory(llm, ssm_kind):
 
 def _shape_and_proposals(tree):
     """A tree as the verifier sees it: ``(parent slot, token)`` per node in
-    DFS order over the children lists (node numbering itself differs between
-    the BFS and DFS builders), and each node's recorded SSM distribution."""
+    DFS order over the children (node numbering itself differs between the
+    BFS and DFS builders), and the SSM distribution each node was drawn
+    from."""
     shape, proposals = [], []
 
     def walk(idx, parent_slot):
-        node = tree.nodes[idx]
         slot = len(shape)
-        shape.append((parent_slot, node.token))
-        proposals.append(node.proposals.get(0))
-        for child in node.children:
+        shape.append((parent_slot, int(tree.tokens[idx])))
+        proposals.append(tree.proposal_for(idx))
+        for child in tree.children(idx).tolist():
             walk(child, slot)
 
     walk(0, -1)
@@ -295,6 +295,25 @@ class TestPackedSpeculationEquivalence:
         tokens, ticks = _drive(llm, states(), packed=False)
         assert packed_tokens == tokens
         _assert_same_ticks(packed_ticks, ticks)
+
+    def test_one_group_mixes_greedy_and_sampled_requests(self, llm):
+        """Greedy and sampled requests over one base share a group; only
+        the sampled trees keep proposal rows, as on the per-session path."""
+        def states():
+            made = []
+            for greedy in (True, False):
+                made += _make_states(llm, _ssm_factory(llm, "coupled"),
+                                     greedy, 3, n_requests=2,
+                                     widths=(2, 2, 1))
+            return made
+
+        packed_tokens, packed_ticks = _drive(llm, states(), packed=True)
+        tokens, ticks = _drive(llm, states(), packed=False)
+        assert packed_tokens == tokens
+        _assert_same_ticks(packed_ticks, ticks)
+        first = packed_ticks[0]
+        assert all(p is None for _, props in first[:2] for p in props)
+        assert all(p is not None for _, props in first[2:] for p in props[1:])
 
     def _assert_packed_only(self, llm, greedy):
         reset_observability()

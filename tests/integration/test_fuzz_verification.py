@@ -25,14 +25,13 @@ def random_tree_with_proposals(draw):
     """A random tree where every expanded node carries a proposal."""
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     tree = TokenTree(draw(st.integers(0, VOCAB - 1)))
+    rows = {}
     for _ in range(draw(st.integers(0, 10))):
         parent = draw(st.integers(0, len(tree) - 1))
         token = draw(st.integers(0, VOCAB - 1))
-        tree.add_child(parent, token, ssm_id=0)
-    for idx, node in enumerate(tree.nodes):
-        if node.children:
-            probs = rng.dirichlet(np.ones(VOCAB))
-            tree.set_proposal(idx, 0, probs)
+        if parent not in rows:
+            rows[parent] = tree.add_proposal(rng.dirichlet(np.ones(VOCAB)))
+        tree.add_child(parent, token, rows[parent])
     return tree
 
 
@@ -44,8 +43,8 @@ def brute_force_greedy(tree: TokenTree, greedy_token_of: dict):
     while True:
         target = greedy_token_of[u]
         matched = None
-        for child in tree.nodes[u].children:
-            if tree.nodes[child].token == target:
+        for child in tree.children(u).tolist():
+            if tree.tokens[child] == target:
                 matched = child
                 break
         emitted.append(target)
@@ -85,7 +84,7 @@ class TestGreedyFuzz:
         result = verify_greedy(output, tree)
         for parent, child in zip(result.accepted_nodes,
                                  result.accepted_nodes[1:]):
-            assert tree.nodes[child].parent == parent
+            assert tree.parents[child] == parent
 
 
 class TestStochasticFuzz:
@@ -101,11 +100,11 @@ class TestStochasticFuzz:
         # Accepted path is a genuine root-anchored path.
         for parent, child in zip(result.accepted_nodes,
                                  result.accepted_nodes[1:]):
-            assert tree.nodes[child].parent == parent
+            assert tree.parents[child] == parent
         # Accepted speculated tokens match the tree's labels.
         for token, node in zip(result.accepted_tokens,
                                result.accepted_nodes[1:]):
-            assert tree.nodes[node].token == token
+            assert tree.tokens[node] == token
 
     @given(random_tree_with_proposals(), st.integers(0, 500))
     @settings(max_examples=40, deadline=None)

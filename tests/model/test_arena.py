@@ -235,11 +235,15 @@ class TestLayerKV:
         with pytest.raises(ValueError):
             layer.truncate(-1)
 
+    # Compaction moves every layer of a cache at once (one gather and one
+    # scatter per slab); these look at layer 0 of a one-request arena.
+
     def test_keep_rows_compacts(self, rng):
-        layer = layer_kv(10)
-        keys = fill(layer, 6, rng)
+        cache = private_cache(10)
+        keys = fill_layers(cache, 6, rng)
         # Keep prefix of 2, then rows 1 and 3 of the region past it.
-        layer.keep_rows(2, [1, 3])
+        cache.keep_rows(2, [1, 3])
+        layer = cache.layers[0]
         k, v = layer.view()
         assert layer.length == 4
         np.testing.assert_array_equal(k[:2], keys[:2])
@@ -248,19 +252,28 @@ class TestLayerKV:
         np.testing.assert_array_equal(v[3], keys[5] * 2)
 
     def test_keep_rows_out_of_range(self, rng):
-        layer = layer_kv(10)
-        fill(layer, 4, rng)
+        cache = private_cache(10)
+        fill_layers(cache, 4, rng)
         with pytest.raises(ValueError, match="out of range"):
-            layer.keep_rows(2, [5])
+            cache.keep_rows(2, [5])
 
     def test_keep_rows_preserves_order_given(self, rng):
-        layer = layer_kv(10)
-        keys = fill(layer, 5, rng)
-        layer.keep_rows(0, [2, 0, 4])
-        k, _ = layer.view()
+        cache = private_cache(10)
+        keys = fill_layers(cache, 5, rng)
+        cache.keep_rows(0, [2, 0, 4])
+        k, _ = cache.layers[0].view()
         np.testing.assert_array_equal(k[0], keys[2])
         np.testing.assert_array_equal(k[1], keys[0])
         np.testing.assert_array_equal(k[2], keys[4])
+
+
+def fill_layers(cache, n, rng):
+    """Append the same ``n`` random keys (values: twice them) to every
+    layer; returns the keys."""
+    keys = rng.normal(size=(n, SMALL_CONFIG.n_heads, SMALL_CONFIG.d_head))
+    for layer in cache.layers:
+        layer.append(keys, keys * 2)
+    return keys
 
 
 def fill_cache(cache, n, rng):

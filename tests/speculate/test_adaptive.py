@@ -94,7 +94,7 @@ class TestExpandAdaptive:
             AdaptiveConfig(max_tokens=1, min_path_prob=0.0),
         )
         assert tree.num_speculated() == 1
-        assert tree.nodes[1].token == expected
+        assert tree.tokens[1] == expected
 
     def test_proposals_recorded(self, ssm, rng):
         prompt = make_prompt(rng, length=4)
@@ -103,11 +103,11 @@ class TestExpandAdaptive:
         tree = expand_token_tree_adaptive(
             ssm, int(prompt[-1]), cache,
             AdaptiveConfig(max_tokens=6, min_path_prob=0.0),
+            stochastic=True, rng=np.random.default_rng(0),
         )
-        # Every expanded (non-leaf) node carries its proposal distribution.
-        for idx, node in enumerate(tree.nodes):
-            if node.children:
-                assert 0 in node.proposals
+        # Every speculated node carries the distribution it was drawn from.
+        for idx in range(1, len(tree)):
+            assert tree.proposal_for(idx) is not None
 
     def test_min_path_prob_prunes(self, ssm, rng):
         prompt = make_prompt(rng, length=4)

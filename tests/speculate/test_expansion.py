@@ -76,9 +76,9 @@ class TestExpandTokenTree:
         tree = expand_token_tree(ssm, int(prompt[-1]), cache, config)
         tree.validate()
         assert tree.max_depth() <= 2
-        assert len(tree.nodes[0].children) == 2
-        for child in tree.nodes[0].children:
-            assert len(tree.nodes[child].children) == 1
+        assert len(tree.children(0)) == 2
+        for child in tree.children(0):
+            assert len(tree.children(child)) == 1
 
     def test_children_are_ssm_top_k(self, llm, ssm, rng):
         prompt = make_prompt(rng, length=5)
@@ -91,7 +91,7 @@ class TestExpandTokenTree:
         tree = expand_token_tree(
             ssm, int(prompt[-1]), cache, ExpansionConfig((3,))
         )
-        child_tokens = {tree.nodes[c].token for c in tree.nodes[0].children}
+        child_tokens = set(tree.tokens[tree.children(0)].tolist())
         assert child_tokens == top3
 
     def test_cache_restored_on_return(self, ssm, rng):
@@ -108,12 +108,17 @@ class TestExpandTokenTree:
         cache = ssm.new_cache()
         ssm.prefill(prompt[:-1], cache)
         tree = expand_token_tree(ssm, int(prompt[-1]), cache,
-                                 ExpansionConfig((2, 1)))
-        for idx, node in enumerate(tree.nodes):
-            if node.children:
-                assert 0 in node.proposals, f"node {idx} missing proposal"
-                probs = node.proposals[0]
-                assert probs.sum() == pytest.approx(1.0)
+                                 ExpansionConfig((2, 1)), stochastic=True,
+                                 rng=np.random.default_rng(0))
+        for idx in range(1, len(tree)):
+            probs = tree.proposal_for(idx)
+            assert probs is not None, f"node {idx} missing proposal"
+            assert probs.sum() == pytest.approx(1.0)
+        # Siblings were drawn from one distribution: their parent's.
+        assert len(tree.proposals) == len(tree) - len(tree.leaves())
+        greedy = expand_token_tree(ssm, int(prompt[-1]), cache,
+                                   ExpansionConfig((2, 1)))
+        assert greedy.proposals is None and (greedy.rows == -1).all()
 
     def test_deterministic(self, ssm, rng):
         prompt = make_prompt(rng, length=4)
@@ -171,18 +176,18 @@ class TestStochasticDraws:
         offsets = self.CONFIG.level_offsets()
 
         def check(node, level, path):
-            if not tree.nodes[node].children:
+            children = tree.children(node).tolist()
+            if not children:
                 return
             width = self.CONFIG.widths[level]
             lo = offsets[level] + path * width
-            drawn = inverse_cdf_tokens(tree.nodes[node].proposals[0],
+            drawn = inverse_cdf_tokens(tree.proposal_for(children[0]),
                                        uniforms[lo : lo + width]).tolist()
-            children = tree.nodes[node].children
             # Children in first-draw order; a repeat merges into the first.
-            assert ([tree.nodes[c].token for c in children]
+            assert (tree.tokens[children].tolist()
                     == list(dict.fromkeys(drawn)))
             for child in children:
-                rank = drawn.index(tree.nodes[child].token)
+                rank = drawn.index(int(tree.tokens[child]))
                 check(child, level + 1, path * width + rank)
 
         check(0, 0, 0)

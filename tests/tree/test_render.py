@@ -6,9 +6,9 @@ from repro.tree.token_tree import TokenTree
 
 def sample_tree():
     tree = TokenTree(1)
-    a = tree.add_child(0, 2, ssm_id=0)
-    tree.add_child(0, 3, ssm_id=1)
-    tree.add_child(a, 4, ssm_id=0)
+    a = tree.add_child(0, 2)
+    tree.add_child(0, 3)
+    tree.add_child(a, 4)
     return tree, a
 
 
@@ -36,12 +36,6 @@ class TestRenderTree:
         words = {1: "the", 2: "cat", 3: "dog", 4: "sat"}
         out = render_tree(tree, label=lambda t: words[t])
         assert "cat" in out and "dog" in out
-
-    def test_ssm_attribution_shown(self):
-        tree, _ = sample_tree()
-        out = render_tree(tree, show_ssm_ids=True)
-        assert "[ssm 0]" in out
-        assert "[ssm 1]" in out
 
     def test_branch_connectors(self):
         tree, _ = sample_tree()

@@ -74,8 +74,7 @@ class TestTheorem42DistributionPreservation:
         def build(rng):
             tree = TokenTree(0)
             child = int(rng.choice(VOCAB, p=Q_SSM))
-            tree.add_child(0, child, ssm_id=0)
-            tree.set_proposal(0, 0, Q_SSM)
+            tree.add_child(0, child, tree.add_proposal(Q_SSM))
             return tree
 
         freqs = empirical_first_token(build, P_LLM, n_trials=20000)
@@ -89,10 +88,8 @@ class TestTheorem42DistributionPreservation:
             tree = TokenTree(0)
             c1 = int(rng.choice(VOCAB, p=q1))
             c2 = int(rng.choice(VOCAB, p=q2))
-            tree.add_child(0, c1, ssm_id=0)
-            tree.add_child(0, c2, ssm_id=1)
-            tree.set_proposal(0, 0, q1)
-            tree.set_proposal(0, 1, q2)
+            tree.add_child(0, c1, tree.add_proposal(q1))
+            tree.add_child(0, c2, tree.add_proposal(q2))
             return tree
 
         freqs = empirical_first_token(build, P_LLM, n_trials=20000)
@@ -104,8 +101,7 @@ class TestTheorem42DistributionPreservation:
         def build(rng):
             tree = TokenTree(0)
             child = int(rng.choice(VOCAB, p=P_LLM))
-            tree.add_child(0, child, ssm_id=0)
-            tree.set_proposal(0, 0, P_LLM)
+            tree.add_child(0, child, tree.add_proposal(P_LLM))
             return tree
 
         rng = np.random.default_rng(1)
@@ -124,8 +120,7 @@ class TestTheorem42DistributionPreservation:
 
         def build(rng):
             tree = TokenTree(0)
-            tree.add_child(0, 5, ssm_id=0)
-            tree.set_proposal(0, 0, q_bad)
+            tree.add_child(0, 5, tree.add_proposal(q_bad))
             return tree
 
         freqs = empirical_first_token(build, p_llm, n_trials=8000)
@@ -141,11 +136,9 @@ class TestTheorem42DistributionPreservation:
         for _ in range(20000):
             tree = TokenTree(0)
             c1 = int(rng.choice(VOCAB, p=Q_SSM))
-            n1 = tree.add_child(0, c1, ssm_id=0)
-            tree.set_proposal(0, 0, Q_SSM)
+            n1 = tree.add_child(0, c1, tree.add_proposal(Q_SSM))
             c2 = int(rng.choice(VOCAB, p=Q_SSM))
-            tree.add_child(n1, c2, ssm_id=0)
-            tree.set_proposal(n1, 0, Q_SSM)
+            tree.add_child(n1, c2, tree.add_proposal(Q_SSM))
             output = output_with_distribution(tree, P_LLM)
             result = verify_stochastic(output, tree, SAMPLING, rng)
             if len(result.accepted_tokens) >= 2:
@@ -163,16 +156,14 @@ class TestTheorem43MssBeatsNaive:
         for _ in range(n_trials):
             child_m = int(rng_m.choice(VOCAB, p=q_proposal))
             tree_m = TokenTree(0)
-            tree_m.add_child(0, child_m, ssm_id=0)
-            tree_m.set_proposal(0, 0, q_proposal)
+            tree_m.add_child(0, child_m, tree_m.add_proposal(q_proposal))
             out = output_with_distribution(tree_m, P_LLM)
             res = verify_stochastic(out, tree_m, SAMPLING, rng_m)
             reject_mss += res.num_accepted_speculated == 0
 
             child_n = int(rng_n.choice(VOCAB, p=q_proposal))
             tree_n = TokenTree(0)
-            tree_n.add_child(0, child_n, ssm_id=0)
-            tree_n.set_proposal(0, 0, q_proposal)
+            tree_n.add_child(0, child_n, tree_n.add_proposal(q_proposal))
             out = output_with_distribution(tree_n, P_LLM)
             res = verify_naive_sampling(out, tree_n, SAMPLING, rng_n)
             reject_ns += res.num_accepted_speculated == 0
@@ -204,8 +195,7 @@ class TestFilteredDecoding:
         for _ in range(15000):
             tree = TokenTree(0)
             child = int(rng.choice(VOCAB, p=Q_SSM))
-            tree.add_child(0, child, ssm_id=0)
-            tree.set_proposal(0, 0, Q_SSM)
+            tree.add_child(0, child, tree.add_proposal(Q_SSM))
             output = output_with_distribution(tree, P_LLM)
             result = verify_stochastic(output, tree, sampling, rng)
             counts[result.accepted_tokens[0]] += 1
@@ -223,8 +213,7 @@ class TestFilteredDecoding:
         for _ in range(15000):
             tree = TokenTree(0)
             child = int(rng.choice(VOCAB, p=Q_SSM))
-            tree.add_child(0, child, ssm_id=0)
-            tree.set_proposal(0, 0, Q_SSM)
+            tree.add_child(0, child, tree.add_proposal(Q_SSM))
             output = output_with_distribution(tree, P_LLM)
             result = verify_stochastic(output, tree, sampling, rng)
             counts[result.accepted_tokens[0]] += 1
@@ -237,8 +226,7 @@ class TestFilteredDecoding:
         rng = np.random.default_rng(9)
         for _ in range(500):
             tree = TokenTree(0)
-            tree.add_child(0, 5, ssm_id=0)  # token 5 is filtered out
-            tree.set_proposal(0, 0, Q_SSM)
+            tree.add_child(0, 5, tree.add_proposal(Q_SSM))  # token 5 is filtered out
             output = output_with_distribution(tree, P_LLM)
             result = verify_stochastic(output, tree, sampling, rng)
             assert result.accepted_tokens[0] in (0, 1)
@@ -248,8 +236,7 @@ class TestVerifyStochasticMechanics:
     def test_result_validates(self):
         rng = np.random.default_rng(0)
         tree = TokenTree(0)
-        tree.add_child(0, 1, ssm_id=0)
-        tree.set_proposal(0, 0, Q_SSM)
+        tree.add_child(0, 1, tree.add_proposal(Q_SSM))
         output = output_with_distribution(tree, P_LLM)
         result = verify_stochastic(output, tree, SAMPLING, rng)
         result.validate()
@@ -260,8 +247,7 @@ class TestVerifyStochasticMechanics:
         q = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         for _ in range(200):
             tree = TokenTree(0)
-            tree.add_child(0, 3, ssm_id=0)  # but q[3] == 0
-            tree.set_proposal(0, 0, q)
+            tree.add_child(0, 3, tree.add_proposal(q))  # but q[3] == 0
             output = output_with_distribution(tree, P_LLM)
             result = verify_stochastic(output, tree, SAMPLING, rng)
             assert result.num_accepted_speculated == 0
@@ -284,8 +270,7 @@ class TestVerifyStochasticMechanics:
         q = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         p = np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
         tree = TokenTree(0)
-        tree.add_child(0, 5, ssm_id=0)
-        tree.set_proposal(0, 0, q)
+        tree.add_child(0, 5, tree.add_proposal(q))
         output = output_with_distribution(tree, p)
         result = verify_stochastic(output, tree, SAMPLING, rng)
         assert result.num_rejections == 1

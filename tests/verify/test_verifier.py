@@ -37,7 +37,7 @@ def oracle_tree(llm, prompt, depth=3, width=2):
         node = tree.add_child(node, t)
         # Add a decoy sibling that will not match.
         decoy = (t + 1) % llm.config.vocab_size or 1
-        tree.add_child(tree.nodes[node].parent, decoy)
+        tree.add_child(int(tree.parents[node]), decoy)
     return tree
 
 
@@ -89,9 +89,8 @@ class TestVerifyStep:
         cache = llm.new_cache()
         llm.prefill(prompt[:-1], cache)
         tree = TokenTree(int(prompt[-1]))
-        tree.add_child(0, 5)
-        tree.set_proposal(0, 0, np.full(llm.config.vocab_size,
-                                        1 / llm.config.vocab_size))
+        tree.add_child(0, 5, tree.add_proposal(
+            np.full(llm.config.vocab_size, 1 / llm.config.vocab_size)))
         result = verify_step(llm, tree, cache, SamplingConfig(temperature=1.0),
                              np.random.default_rng(0))
         result.validate()
