@@ -5,8 +5,8 @@ Commands:
 * ``demo`` — run the three engines on one prompt and compare LLM steps.
 * ``tree`` — speculate a token tree and render it, with the verified path.
 * ``serve`` — simulate continuous-batching serving under Poisson arrivals;
-  ``--gateway`` serves the same workload through the async streaming
-  gateway, ``--listen`` additionally exposes it over TCP/JSONL.
+  ``--listen`` serves the same workload through the async streaming
+  gateway and exposes it over TCP/JSONL.
 * ``chat`` — stream one generation from a gateway (``--local`` spins up an
   in-process stack; ``--connect`` talks to a running ``serve --listen``).
 * ``loadgen`` — drive a gateway with concurrent async clients across
@@ -16,6 +16,12 @@ Commands:
 * ``trace`` — run a seeded workload, export the span/event trace as JSONL.
 * ``metrics`` — run a seeded workload, dump the metrics registry.
 * ``chaos`` — run a workload under seeded fault injection; report survival.
+
+Every serving verb (``serve``, ``chat --local``, ``loadgen``, ``trace``,
+``metrics``, ``chaos``) builds one toy stack,
+:func:`repro.obs.workload.build_workload`, from a
+:class:`~repro.obs.workload.WorkloadSpec`; a spec the flags make invalid
+exits 2 with a one-line message.
 """
 
 from __future__ import annotations
@@ -27,32 +33,18 @@ from typing import List, Optional
 import numpy as np
 
 
-def _build_toy_pair(alignment: float, seed: int):
-    """The demo substrate: toy LLM + coupled SSM."""
-    from repro.model.config import ModelConfig
-    from repro.model.coupled import CoupledSSM
-    from repro.model.transformer import TransformerLM
-
-    llm = TransformerLM(
-        ModelConfig(vocab_size=96, d_model=48, n_layers=3, n_heads=4,
-                    max_seq_len=256, name="cli-llm"),
-        seed=seed,
-    )
-    ssm = CoupledSSM(llm, alignment=alignment, seed=seed + 1,
-                     noise_scale=2.0)
-    return llm, ssm
-
-
 def cmd_demo(args: argparse.Namespace) -> int:
     """Compare incremental / sequence-spec / tree-spec on one prompt."""
     from repro.engine.generation import GenerationConfig
     from repro.engine.incremental import IncrementalEngine
     from repro.engine.sequence_spec import make_sequence_spec_engine
     from repro.engine.tree_spec import SpecInferEngine
+    from repro.obs.workload import _build_toy_pair
     from repro.speculate.expansion import ExpansionConfig
     from repro.speculate.speculator import Speculator
 
-    llm, ssm = _build_toy_pair(args.alignment, args.seed)
+    llm, ssm_factory = _build_toy_pair(args.alignment, args.seed)
+    ssm = ssm_factory()
     rng = np.random.default_rng(args.seed)
     prompt = [int(t) for t in rng.integers(1, 96, size=8)]
     config = GenerationConfig(max_new_tokens=args.tokens, stop_on_eos=False)
@@ -79,15 +71,16 @@ def cmd_tree(args: argparse.Namespace) -> int:
     """Speculate one token tree, verify it, render both."""
     from repro.engine.batched import BatchedTreeVerifier
     from repro.model.sampling import SamplingConfig
+    from repro.obs.workload import _build_toy_pair
     from repro.speculate.expansion import ExpansionConfig
     from repro.speculate.speculator import Speculator
     from repro.tree.render import render_tree, tree_stats_line
 
-    llm, ssm = _build_toy_pair(args.alignment, args.seed)
+    llm, ssm_factory = _build_toy_pair(args.alignment, args.seed)
     rng = np.random.default_rng(args.seed)
     prompt = rng.integers(1, 96, size=8)
     speculator = Speculator(
-        [ssm], ExpansionConfig(tuple(args.widths))
+        [ssm_factory()], ExpansionConfig(tuple(args.widths))
     )
     speculator.prefill(prompt[:-1])
     tree = speculator.speculate(int(prompt[-1]))
@@ -100,61 +93,6 @@ def cmd_tree(args: argparse.Namespace) -> int:
     print(f"accepted {result.num_accepted_speculated} speculated tokens "
           f"+ bonus {result.bonus_token}")
     return 0
-
-
-def _serve_stack(args: argparse.Namespace):
-    """The serving substrate ``serve`` uses in both modes."""
-    from repro.model.coupled import CoupledSSM
-    from repro.serving.manager import RequestManager
-    from repro.serving.session import SpeculativeSession
-    from repro.speculate.expansion import ExpansionConfig
-    from repro.speculate.speculator import Speculator
-    from repro.workloads.arrival import PoissonArrivals
-    from repro.workloads.datasets import make_dataset
-
-    llm, _ = _build_toy_pair(args.alignment, args.seed)
-
-    router = None
-    if getattr(args, "pool", 0):
-        from repro.serving.session import make_routed_factory
-        from repro.speculate.pool import SpeculatorPool
-        from repro.speculate.router import RouterConfig, SpeculatorRouter
-
-        if args.pool < 2:
-            raise SystemExit("--pool needs at least 2 members")
-        sp_pool = SpeculatorPool.coupled_spread(
-            llm, args.pool, args.alignment, seed=args.seed + 1,
-            config=ExpansionConfig.paper_default(),
-        )
-        router = SpeculatorRouter(
-            sp_pool,
-            RouterConfig(policy=getattr(args, "router", "ucb"),
-                         seed=args.seed),
-        )
-        factory = make_routed_factory(llm, sp_pool, router)
-    else:
-        def factory(request):
-            return SpeculativeSession(
-                request, llm,
-                lambda: Speculator(
-                    [CoupledSSM(llm, alignment=args.alignment,
-                                seed=args.seed + 1, noise_scale=2.0)],
-                    ExpansionConfig.paper_default(),
-                ),
-            )
-
-    planner = None
-    if getattr(args, "planner", False):
-        from repro.speculate.planner import TreePlanner
-
-        planner = TreePlanner.default()
-    manager = RequestManager(factory, max_batch_size=args.batch,
-                             planner=planner, router=router)
-    dataset = make_dataset(args.dataset, vocab_size=96)
-    arrivals = PoissonArrivals(rate=args.rate, dataset=dataset,
-                               seed=args.seed,
-                               max_prompt_len=16).schedule(args.requests)
-    return manager, arrivals
 
 
 def _print_serve_report(manager, batch: int) -> None:
@@ -171,41 +109,40 @@ def _print_serve_report(manager, batch: int) -> None:
           f" / {batch}")
 
 
-async def _serve_gateway(args: argparse.Namespace, manager, arrivals) -> int:
-    """Serve the arrival schedule through the streaming gateway.
+async def _serve_gateway(spec, listen: str) -> int:
+    """Serve the arrival schedule through the streaming gateway over TCP.
 
     Streams every request concurrently (admission order follows the
-    canonical ``(iteration, request_id)`` schedule order), optionally
-    exposing the gateway over TCP while the workload drains.  Under greedy
-    verification the streamed tokens are bit-identical to the replay
-    path's — only the iteration-timing metrics differ.
+    canonical ``(iteration, request_id)`` schedule order) while the
+    gateway listens on ``listen``.  Under greedy verification the streamed
+    tokens are bit-identical to the replay path's — only the
+    iteration-timing metrics differ.
     """
-    from repro.engine.generation import GenerationConfig
-    from repro.serving.gateway import ServingGateway
-    from repro.workloads.arrival import sort_arrivals
-
-    config = GenerationConfig(max_new_tokens=args.tokens, stop_on_eos=False)
-    gateway = ServingGateway(manager)
-    await gateway.start()
-    server = None
-    if args.listen:
-        from repro.serving.transport import start_gateway_server
-
-        host, _, port = args.listen.rpartition(":")
-        server = await start_gateway_server(
-            gateway, host=host or "127.0.0.1", port=int(port))
-        print(f"gateway listening on {server.host}:{server.port}")
-    streams = [
-        await gateway.submit(arrival.prompt, config)
-        for arrival in sort_arrivals(arrivals)
-    ]
     import asyncio
 
-    totals = await asyncio.gather(*[s.collect() for s in streams])
-    if server is not None:
+    from repro.obs.workload import build_workload
+    from repro.serving.gateway import ServingGateway
+    from repro.serving.transport import start_gateway_server
+    from repro.workloads.arrival import sort_arrivals
+
+    manager, arrivals = build_workload(spec)
+    gateway = ServingGateway(manager)
+    await gateway.start()
+    host, _, port = listen.rpartition(":")
+    server = await start_gateway_server(
+        gateway, host=host or "127.0.0.1", port=int(port))
+    try:
+        print(f"gateway listening on {server.host}:{server.port}")
+        config = spec.generation_config()
+        streams = [
+            await gateway.submit(arrival.prompt, config)
+            for arrival in sort_arrivals(arrivals)
+        ]
+        totals = await asyncio.gather(*[s.collect() for s in streams])
+    finally:
         await server.close()
-    await gateway.stop()
-    _print_serve_report(manager, args.batch)
+        await gateway.stop()
+    _print_serve_report(manager, spec.batch)
     print(f"gateway ticks      : {gateway._loop_driver.ticks}")
     print(f"tokens streamed    : {sum(len(t) for t in totals)}")
     return 0
@@ -214,18 +151,14 @@ async def _serve_gateway(args: argparse.Namespace, manager, arrivals) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a Poisson workload: replay simulation or streaming gateway."""
     import asyncio
+    from dataclasses import replace
 
-    from repro.engine.generation import GenerationConfig
-    from repro.workloads.arrival import drive_manager
+    from repro.obs.workload import run_observed_workload
 
-    manager, arrivals = _serve_stack(args)
-    if args.gateway or args.listen:
-        return asyncio.run(_serve_gateway(args, manager, arrivals))
-    drive_manager(
-        manager, arrivals,
-        GenerationConfig(max_new_tokens=args.tokens, stop_on_eos=False),
-    )
-    _print_serve_report(manager, args.batch)
+    if args.listen:
+        return asyncio.run(_serve_gateway(args.spec, args.listen))
+    manager = run_observed_workload(replace(args.spec, simulate=False))
+    _print_serve_report(manager, args.spec.batch)
     return 0
 
 
@@ -249,7 +182,7 @@ def cmd_chat(args: argparse.Namespace) -> int:
     else:
         from repro.workloads.datasets import make_dataset
 
-        dataset = make_dataset(args.dataset, vocab_size=96)
+        dataset = make_dataset(args.spec.dataset, vocab_size=96)
         prompt = [int(t) for t in dataset.sample_prompt(max_len=12)]
 
     async def chat(host: str, port: int) -> int:
@@ -258,7 +191,7 @@ def cmd_chat(args: argparse.Namespace) -> int:
         print("tokens : ", end="", flush=True)
         status, reason, count = "done", None, 0
         async for event in client.generate(
-                prompt, max_new_tokens=args.tokens,
+                prompt, max_new_tokens=args.spec.max_new_tokens,
                 tenant=args.tenant, slo=args.slo, stop_on_eos=False):
             kind = event.get("event")
             if kind == "token":
@@ -279,11 +212,11 @@ def cmd_chat(args: argparse.Namespace) -> int:
         return 0
 
     async def local() -> int:
+        from repro.obs.workload import build_workload
         from repro.serving.gateway import ServingGateway
-        from repro.serving.manager import RequestManager
         from repro.serving.transport import start_gateway_server
 
-        manager, _ = _serve_stack(args)
+        manager, _ = build_workload(args.spec)
         gateway = ServingGateway(manager)
         await gateway.start()
         server = await start_gateway_server(gateway)
@@ -299,28 +232,29 @@ def cmd_chat(args: argparse.Namespace) -> int:
     return asyncio.run(chat(host or "127.0.0.1", int(port)))
 
 
+def _loadgen_spec(args: argparse.Namespace):
+    """A :class:`~repro.serving.loadgen.LoadgenSpec` from ``loadgen``'s args."""
+    from repro.serving.loadgen import LoadgenSpec
+
+    return LoadgenSpec(
+        clients=args.clients,
+        requests_per_client=args.requests_per_client,
+        tenants=tuple(args.tenants),
+        max_queue_depth=args.queue_depth,
+        rate_per_tick=args.rate_limit,
+        workload=_workload_spec(args),
+    )
+
+
 def cmd_loadgen(args: argparse.Namespace) -> int:
     """Drive a gateway with concurrent async clients; print the report."""
     import asyncio
 
     from repro.obs import reset_observability
-    from repro.serving.loadgen import LoadgenSpec, run_loadgen
+    from repro.serving.loadgen import run_loadgen
 
     reset_observability()
-    spec = LoadgenSpec(
-        clients=args.clients,
-        requests_per_client=args.requests_per_client,
-        dataset=args.dataset,
-        max_new_tokens=args.tokens,
-        batch=args.batch,
-        seed=args.seed,
-        alignment=args.alignment,
-        tenants=tuple(args.tenants),
-        max_queue_depth=args.queue_depth,
-        rate_per_tick=args.rate_limit,
-        fault_rate=args.fault_rate,
-    )
-    report = asyncio.run(run_loadgen(spec))
+    report = asyncio.run(run_loadgen(args.spec))
     print(report.render())
     ok = (report.dropped == 0 and report.failed == 0
           and report.final_queue_depth == 0
@@ -406,33 +340,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _workload_spec(args: argparse.Namespace):
-    """A :class:`~repro.obs.workload.WorkloadSpec` from shared CLI args."""
+    """A :class:`~repro.obs.workload.WorkloadSpec` from the workload flags
+    the verb has (``--tokens`` is ``max_new_tokens``; the rest keep their
+    spec names)."""
     from repro.obs.workload import WorkloadSpec
 
+    names = ("dataset", "requests", "batch", "rate", "seed", "alignment",
+             "fault_rate", "planner", "pool", "router")
     return WorkloadSpec(
-        dataset=args.workload,
-        requests=args.requests,
         max_new_tokens=args.tokens,
-        batch=args.batch,
-        rate=args.rate,
-        seed=args.seed,
-        alignment=args.alignment,
-        planner=getattr(args, "planner", False),
-        pool=getattr(args, "pool", 0),
-        router=getattr(args, "router", "ucb"),
+        **{name: getattr(args, name) for name in names if name in args},
     )
 
 
 def _add_workload_args(parser: argparse.ArgumentParser,
                        positional: bool) -> None:
-    """The seeded-workload knobs ``trace`` and ``metrics`` share."""
+    """The seeded-workload knobs serve/trace/metrics/chaos share."""
     from repro.workloads.datasets import DATASET_NAMES
 
     if positional:
-        parser.add_argument("workload", choices=DATASET_NAMES,
+        parser.add_argument("dataset", choices=DATASET_NAMES,
                             help="prompt dataset driving the workload")
     else:
-        parser.add_argument("--workload", choices=DATASET_NAMES,
+        parser.add_argument("--dataset", choices=DATASET_NAMES,
                             default="Alpaca",
                             help="prompt dataset driving the workload")
     parser.add_argument("--requests", type=int, default=4)
@@ -444,11 +374,6 @@ def _add_workload_args(parser: argparse.ArgumentParser,
     parser.add_argument("--planner", action="store_true",
                         help="re-solve the speculation budget every tick "
                              "against the hardware cost model")
-    _add_pool_args(parser)
-
-
-def _add_pool_args(parser: argparse.ArgumentParser) -> None:
-    """The speculator-pool routing knobs serve/trace/metrics/chaos share."""
     parser.add_argument("--pool", type=int, default=0, metavar="N",
                         help="serve with a heterogeneous pool of N coupled "
                              "speculators routed per request (N >= 2; "
@@ -471,7 +396,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     reset_observability()
     with tracing():
-        run_observed_workload(_workload_spec(args))
+        run_observed_workload(args.spec)
         if args.out == "-":
             n = TRACER.export_jsonl(sys.stdout)
         else:
@@ -487,12 +412,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.obs.workload import run_observed_workload
     from repro.reporting import render_metrics
 
+    spec = args.spec
     reset_observability()
-    run_observed_workload(_workload_spec(args))
+    run_observed_workload(spec)
     print(render_metrics(
         REGISTRY.snapshot(), format=args.format,
-        title=f"metrics registry after {args.workload} workload "
-              f"({args.requests} requests, seed {args.seed})",
+        title=f"metrics registry after {spec.dataset} workload "
+              f"({spec.requests} requests, seed {spec.seed})",
     ))
     return 0
 
@@ -511,16 +437,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.obs import REGISTRY, reset_observability
     from repro.obs.workload import run_observed_workload
 
-    spec = _workload_spec(args)
     # The cost-model replay contributes nothing to the parity check.
+    spec = dc_replace(args.spec, simulate=False)
     reset_observability()
-    clean = run_observed_workload(dc_replace(spec, simulate=False))
+    clean = run_observed_workload(dc_replace(spec, fault_rate=0.0))
     expected = {o.request_id: o.tokens for o in clean.finished_outputs()}
 
     reset_observability()
-    chaotic = run_observed_workload(
-        dc_replace(spec, simulate=False, fault_rate=args.fault_rate)
-    )
+    chaotic = run_observed_workload(spec)
     actual = {o.request_id: o.tokens for o in chaotic.finished_outputs()}
     failed = chaotic.failed_outputs()
 
@@ -529,9 +453,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return int(m.value) if m is not None else 0
 
     parity = actual == expected
-    print(f"workload            : {args.workload} ({spec.requests} requests, "
+    print(f"workload            : {spec.dataset} ({spec.requests} requests, "
           f"seed {spec.seed})")
-    print(f"fault rate          : {args.fault_rate}")
+    print(f"fault rate          : {spec.fault_rate}")
     print(f"faults injected     : {metric('repro.faults.injected')} "
           f"of {metric('repro.faults.checks')} checks")
     print(f"  speculation       : {metric('repro.faults.speculation')}")
@@ -571,24 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
     tree.set_defaults(handler=cmd_tree)
 
     serve = sub.add_parser("serve", help="simulate continuous batching")
-    serve.add_argument("--requests", type=int, default=8)
-    serve.add_argument("--rate", type=float, default=0.5)
-    serve.add_argument("--batch", type=int, default=4)
-    serve.add_argument("--tokens", type=int, default=16)
-    serve.add_argument("--dataset", default="Alpaca")
-    serve.add_argument("--alignment", type=float, default=0.88)
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument("--planner", action="store_true",
-                       help="plan speculation budgets per tick against the "
-                            "hardware cost model")
-    _add_pool_args(serve)
-    serve.add_argument("--gateway", action="store_true",
-                       help="serve through the async streaming gateway "
-                            "instead of the replay simulation")
+    _add_workload_args(serve, positional=False)
     serve.add_argument("--listen", metavar="HOST:PORT",
-                       help="also expose the gateway over TCP/JSONL while "
-                            "the workload drains (implies --gateway)")
-    serve.set_defaults(handler=cmd_serve)
+                       help="serve through the async streaming gateway, "
+                            "exposed over TCP/JSONL while the workload "
+                            "drains, instead of the replay simulation")
+    serve.set_defaults(handler=cmd_serve, spec_from=_workload_spec)
 
     chat = sub.add_parser(
         "chat", help="stream one generation from a serving gateway"
@@ -606,15 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     chat.add_argument("--slo", choices=("interactive", "batch"),
                       default="interactive")
     chat.add_argument("--dataset", default="Alpaca")
-    chat.add_argument("--requests", type=int, default=1,
-                      help=argparse.SUPPRESS)  # _serve_stack compatibility
-    chat.add_argument("--rate", type=float, default=1.0,
-                      help=argparse.SUPPRESS)
-    chat.add_argument("--batch", type=int, default=4,
-                      help=argparse.SUPPRESS)
     chat.add_argument("--alignment", type=float, default=0.88)
     chat.add_argument("--seed", type=int, default=7)
-    chat.set_defaults(handler=cmd_chat)
+    chat.set_defaults(handler=cmd_chat, spec_from=_workload_spec)
 
     loadgen = sub.add_parser(
         "loadgen",
@@ -634,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-tenant admissions per tick")
     loadgen.add_argument("--fault-rate", type=float, default=0.0,
                          help="per-site fault-injection probability")
-    loadgen.set_defaults(handler=cmd_loadgen)
+    loadgen.set_defaults(handler=cmd_loadgen, spec_from=_loadgen_spec)
 
     models = sub.add_parser("models", help="list paper model descriptors")
     models.set_defaults(handler=cmd_models)
@@ -664,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(trace, positional=True)
     trace.add_argument("--out", default="-", metavar="PATH",
                        help="JSONL output path ('-' for stdout)")
-    trace.set_defaults(handler=cmd_trace)
+    trace.set_defaults(handler=cmd_trace, spec_from=_workload_spec)
 
     metrics = sub.add_parser(
         "metrics",
@@ -673,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(metrics, positional=False)
     metrics.add_argument("--format", choices=("text", "json"),
                          default="text")
-    metrics.set_defaults(handler=cmd_metrics)
+    metrics.set_defaults(handler=cmd_metrics, spec_from=_workload_spec)
 
     chaos = sub.add_parser(
         "chaos",
@@ -682,14 +588,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(chaos, positional=True)
     chaos.add_argument("--fault-rate", type=float, default=0.05,
                        help="per-site fault-injection probability")
-    chaos.set_defaults(handler=cmd_chaos)
+    chaos.set_defaults(handler=cmd_chaos, spec_from=_workload_spec)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if "spec_from" in args:
+        try:
+            args.spec = args.spec_from(args)
+        except ValueError as exc:
+            print(f"repro {args.command}: {exc}", file=sys.stderr)
+            return 2
     return args.handler(args)
 
 

@@ -1,16 +1,15 @@
 """Acceptance-rate analytics for speculative decoding.
 
-Speculative decoding theory (Leviathan et al.) gives closed forms for
-sequence speculation with per-token acceptance rate ``alpha``:
-
-* P(accepting exactly k of L speculated tokens) = ``alpha^k (1 - alpha)``
-  for ``k < L`` and ``alpha^L`` for ``k = L``;
-* expected emitted tokens per step (including the bonus token) =
-  ``(1 - alpha^(L+1)) / (1 - alpha)``.
+Speculative decoding theory (Leviathan et al.) gives a closed form for
+sequence speculation with per-token acceptance rate ``alpha``: a step
+accepts exactly k of L speculated tokens with probability
+``alpha^k (1 - alpha)`` for ``k < L`` and ``alpha^L`` for ``k = L``, so
+it emits ``(1 - alpha^(L+1)) / (1 - alpha)`` tokens on average
+(including the bonus token).
 
 These utilities estimate ``alpha`` from measured traces and predict
-tokens-per-step for candidate speculation lengths — the planning math
-behind choosing the paper's depth-8 configuration — plus a first-order
+tokens-per-step for candidate speculation lengths (the closed form
+:mod:`repro.cluster.sweep` plans depth with), plus a first-order
 extension for trees (width ``w`` boosts the per-step success probability
 from ``alpha`` to ``1 - (1 - alpha)^w`` under an independence
 approximation).
@@ -19,8 +18,6 @@ approximation).
 from __future__ import annotations
 
 from typing import Sequence
-
-import numpy as np
 
 from repro.engine.generation import GenerationResult
 
@@ -39,16 +36,6 @@ def expected_tokens_per_step(alpha: float, depth: int) -> float:
     if alpha == 1.0:
         return float(depth + 1)
     return float((1 - alpha ** (depth + 1)) / (1 - alpha))
-
-
-def acceptance_distribution(alpha: float, depth: int) -> np.ndarray:
-    """P(exactly k accepted speculated tokens), k = 0..depth."""
-    if not 0 <= alpha <= 1:
-        raise ValueError("alpha must be in [0, 1]")
-    probs = np.array(
-        [alpha**k * (1 - alpha) for k in range(depth)] + [alpha**depth]
-    )
-    return probs
 
 
 def effective_tree_alpha(alpha: float, width: int) -> float:
@@ -89,38 +76,3 @@ def estimate_alpha(results: Sequence[GenerationResult]) -> float:
     if trials == 0:
         raise ValueError("traces contain no speculation steps")
     return successes / trials
-
-
-def predict_speedup(
-    alpha: float,
-    depth: int,
-    ssm_cost_ratio: float = 0.02,
-) -> float:
-    """Per-token speedup of sequence speculation over incremental decoding.
-
-    Args:
-        alpha: Per-token acceptance rate.
-        depth: Speculation length.
-        ssm_cost_ratio: SSM step cost / LLM step cost (the paper's SSMs
-            are 100-1000x smaller, so ~0.01-0.05).
-
-    Returns:
-        Expected speedup assuming verification costs one LLM step
-        (memory-bound regime) and speculation costs ``depth`` SSM steps.
-    """
-    if ssm_cost_ratio < 0:
-        raise ValueError("ssm_cost_ratio must be >= 0")
-    tokens = expected_tokens_per_step(alpha, depth)
-    step_cost = 1.0 + depth * ssm_cost_ratio
-    return tokens / step_cost
-
-
-def best_depth(alpha: float, ssm_cost_ratio: float = 0.02,
-               max_depth: int = 32) -> int:
-    """Speculation length maximizing :func:`predict_speedup`."""
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    return max(
-        range(1, max_depth + 1),
-        key=lambda depth: predict_speedup(alpha, depth, ssm_cost_ratio),
-    )

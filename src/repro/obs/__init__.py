@@ -8,9 +8,10 @@ package:
   (:data:`REGISTRY`), deterministic under seeds;
 * :mod:`repro.obs.trace` — structured spans/events (:data:`TRACER`) with
   byte-deterministic JSONL export;
-* :mod:`repro.obs.workload` — the seeded reference workload the ``repro
-  trace`` / ``repro metrics`` CLI subcommands (and the trace golden tests)
-  observe.
+* :mod:`repro.obs.workload` — the seeded toy serving stack every ``repro``
+  serving verb builds (:func:`~repro.obs.workload.build_workload`), and the
+  reference workload ``repro trace`` / ``repro metrics`` (and the trace
+  golden tests) observe.
 
 See ``docs/observability.md`` for the naming convention
 (``repro.<layer>.<metric>``), the trace schema, and how to add a metric.

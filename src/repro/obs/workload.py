@@ -1,4 +1,4 @@
-"""The seeded reference workload the observability CLI and tests observe.
+"""The toy serving stack every ``repro`` serving verb builds and drives.
 
 ``repro trace`` and ``repro metrics`` need a workload that (a) exercises
 every instrumented layer — the four pipeline phases, a fused verification
@@ -10,17 +10,26 @@ workload: a Poisson arrival schedule of dataset prompts served by a
 :class:`~repro.model.kv_cache.BatchArena`, followed by one offline generation
 replayed through the hardware cost model.
 
-It lives in ``repro.obs`` (not the CLI) so the trace golden tests and the
-CLI drive the *same* code path — the determinism test is a regression test
-for exactly what ``repro trace`` ships.
+:func:`build_workload` is the one place the stack is built.  ``serve``,
+``chat --local`` and ``loadgen`` put its manager behind a gateway or drive
+it with :func:`run_observed_workload`, the same code path the trace golden
+tests and ``benchmarks/ci_gate.py`` observe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.serving.manager import RequestManager
+    from repro.workloads.arrival import Arrival
+
+#: The fault injector's seed is the workload seed plus this offset, so
+#: fault decisions never perturb the workload's own RNG streams.
+FAULT_SEED_OFFSET = 9973
 
 
 @dataclass(frozen=True)
@@ -40,9 +49,6 @@ class WorkloadSpec:
         fault_rate: Per-site fault-injection probability; 0.0 (default)
             serves without an injector, byte-identical to the pre-fault
             workload.
-        fault_seed: Seed for the injector's fault streams; defaults to a
-            fixed offset of ``seed`` so fault decisions never perturb the
-            workload's own RNG streams.
         planner: Attach a hardware-aware
             :class:`~repro.speculate.planner.TreePlanner` to the manager's
             pipeline — speculation budgets re-solved every tick (populates
@@ -57,6 +63,11 @@ class WorkloadSpec:
         router: Routing policy over the pool (``"ucb"``, ``"thompson"``,
             ``"round_robin"``, or ``"fixed:<member>"``); only consulted
             when ``pool >= 2``.
+
+    Raises:
+        ValueError: ``requests``, ``max_new_tokens`` or ``batch`` below 1,
+            a non-positive ``rate``, a ``pool`` of 1 or below 0, or an
+            unknown ``dataset``.
     """
 
     dataset: str = "Alpaca"
@@ -68,14 +79,34 @@ class WorkloadSpec:
     alignment: float = 0.88
     simulate: bool = True
     fault_rate: float = 0.0
-    fault_seed: Optional[int] = None
     planner: bool = False
     pool: int = 0
     router: str = "ucb"
 
+    def __post_init__(self) -> None:
+        from repro.workloads.datasets import DATASET_NAMES
+
+        for name in ("requests", "max_new_tokens", "batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.rate <= 0:
+            raise ValueError("rate must be > 0")
+        if self.pool != 0 and self.pool < 2:
+            raise ValueError("pool must be 0 (one SSM) or >= 2 members")
+        if self.dataset not in DATASET_NAMES:
+            raise ValueError(f"unknown dataset {self.dataset!r}; "
+                             f"expected one of {', '.join(DATASET_NAMES)}")
+
+    def generation_config(self):
+        """Every request's config: ``max_new_tokens``, no EOS stop."""
+        from repro.engine.generation import GenerationConfig
+
+        return GenerationConfig(max_new_tokens=self.max_new_tokens,
+                                stop_on_eos=False)
+
 
 def _build_toy_pair(alignment: float, seed: int):
-    """Toy LLM + coupled-SSM factory (the CLI demo substrate)."""
+    """Toy LLM + coupled-SSM factory (the substrate of every CLI verb)."""
     from repro.model.config import ModelConfig
     from repro.model.coupled import CoupledSSM
     from repro.model.transformer import TransformerLM
@@ -93,24 +124,26 @@ def _build_toy_pair(alignment: float, seed: int):
     return llm, ssm_factory
 
 
-def run_observed_workload(spec: Optional[WorkloadSpec] = None):
-    """Serve ``spec`` and return the drained manager.
+def build_workload(
+        spec: WorkloadSpec) -> Tuple["RequestManager", List["Arrival"]]:
+    """The toy serving stack for ``spec`` and its arrival schedule.
 
-    Everything downstream of ``spec.seed`` is deterministic; callers that
-    want a clean trace/metric state reset the observability globals first
-    (:func:`repro.obs.reset_observability`).
+    Returns ``(manager, arrivals)``: a
+    :class:`~repro.serving.manager.RequestManager` whose sessions draft
+    with the toy coupled SSM (or a routed pool) into one
+    :class:`~repro.model.kv_cache.BatchArena`, verified by a seeded
+    :class:`~repro.engine.pipeline.FusedBackend`; and the seeded Poisson
+    schedule of ``spec.requests`` dataset prompts.  Nothing has run yet.
     """
-    from repro.engine.generation import GenerationConfig
     from repro.engine.pipeline import FusedBackend
     from repro.model.kv_cache import BatchArena
     from repro.serving.manager import RequestManager
     from repro.serving.session import SpeculativeSession, make_routed_factory
     from repro.speculate.expansion import ExpansionConfig
     from repro.speculate.speculator import Speculator
-    from repro.workloads.arrival import PoissonArrivals, drive_manager
+    from repro.workloads.arrival import PoissonArrivals
     from repro.workloads.datasets import make_dataset
 
-    spec = spec or WorkloadSpec()
     llm, ssm_factory = _build_toy_pair(spec.alignment, spec.seed)
     arena = BatchArena(llm.config, max_requests=spec.batch)
 
@@ -119,8 +152,6 @@ def run_observed_workload(spec: Optional[WorkloadSpec] = None):
         from repro.speculate.pool import SpeculatorPool
         from repro.speculate.router import RouterConfig, SpeculatorRouter
 
-        if spec.pool < 2:
-            raise ValueError("a routed pool needs >= 2 members")
         sp_pool = SpeculatorPool.coupled_spread(
             llm, spec.pool, spec.alignment, seed=spec.seed + 1,
             config=ExpansionConfig.paper_default(),
@@ -144,9 +175,8 @@ def run_observed_workload(spec: Optional[WorkloadSpec] = None):
     if spec.fault_rate > 0:
         from repro.faults import FaultInjector
 
-        fault_seed = (spec.fault_seed if spec.fault_seed is not None
-                      else spec.seed + 9973)
-        injector = FaultInjector(rate=spec.fault_rate, seed=fault_seed)
+        injector = FaultInjector(rate=spec.fault_rate,
+                                 seed=spec.seed + FAULT_SEED_OFFSET)
     planner = None
     if spec.planner:
         from repro.speculate.planner import TreePlanner
@@ -164,38 +194,46 @@ def run_observed_workload(spec: Optional[WorkloadSpec] = None):
     arrivals = PoissonArrivals(
         rate=spec.rate, dataset=dataset, seed=spec.seed, max_prompt_len=16
     ).schedule(spec.requests)
-    drive_manager(
-        manager, arrivals,
-        GenerationConfig(max_new_tokens=spec.max_new_tokens,
-                         stop_on_eos=False),
-    )
+    return manager, arrivals
+
+
+def run_observed_workload(spec: Optional[WorkloadSpec] = None):
+    """Serve ``spec`` and return the drained manager.
+
+    Replays the arrival schedule through :func:`build_workload`'s manager,
+    then (``spec.simulate``) one offline generation through the cost model.
+    Everything downstream of ``spec.seed`` is deterministic; callers that
+    want a clean trace/metric state reset the observability globals first
+    (:func:`repro.obs.reset_observability`).
+    """
+    from repro.workloads.arrival import drive_manager
+
+    spec = spec or WorkloadSpec()
+    manager, arrivals = build_workload(spec)
+    drive_manager(manager, arrivals, spec.generation_config())
     if spec.simulate:
-        _replay_through_cost_model(llm, ssm_factory, spec)
+        _replay_through_cost_model(spec)
     return manager
 
 
-def _replay_through_cost_model(llm, ssm_factory, spec: WorkloadSpec) -> None:
+def _replay_through_cost_model(spec: WorkloadSpec) -> None:
     """One offline generation replayed at paper scale (cluster metrics)."""
     from repro.cluster.cost_model import LatencyModel
     from repro.cluster.hardware import single_node_cluster
     from repro.cluster.models import paper_model
     from repro.cluster.parallel import ParallelPlan
     from repro.cluster.simulator import ServingSimulator
-    from repro.engine.generation import GenerationConfig
     from repro.engine.tree_spec import SpecInferEngine
     from repro.speculate.expansion import ExpansionConfig
     from repro.speculate.speculator import Speculator
 
+    llm, ssm_factory = _build_toy_pair(spec.alignment, spec.seed)
     rng = np.random.default_rng(spec.seed)
     prompt = [int(t) for t in
               rng.integers(1, llm.config.vocab_size, size=8)]
     result = SpecInferEngine(
         llm, Speculator([ssm_factory()], ExpansionConfig.paper_default())
-    ).generate(
-        prompt,
-        GenerationConfig(max_new_tokens=spec.max_new_tokens,
-                         stop_on_eos=False),
-    )
+    ).generate(prompt, spec.generation_config())
     cluster = single_node_cluster()
     plan = ParallelPlan(tensor_parallel=1, pipeline_stages=1)
     simulator = ServingSimulator(

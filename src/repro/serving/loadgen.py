@@ -1,12 +1,14 @@
 """Concurrent async load generator for the serving gateway.
 
-``repro loadgen`` drives a full gateway stack — toy LLM, fused
-verification backend, shared KV arena, admission control — with *real
-concurrent asyncio clients* spread across tenants and both SLO classes.
-It is the acceptance harness for the gateway's steady-state properties:
-admission rejects are counted and retried (never crash a client), the
-queue stays bounded at the admission limit, and the per-class
-``repro.gateway.ttft_seconds`` / ``tbt_seconds`` histograms populate.
+``repro loadgen`` puts the toy serving stack that
+:func:`repro.obs.workload.build_workload` builds behind a
+:class:`~repro.serving.gateway.ServingGateway` with per-tenant admission
+control, and drives it with *real concurrent asyncio clients* spread
+across tenants and both SLO classes.  It is the acceptance harness for
+the gateway's steady-state properties: admission rejects are counted and
+retried (never crash a client), the queue stays bounded at the admission
+limit, and the per-class ``repro.gateway.ttft_seconds`` /
+``tbt_seconds`` histograms populate.
 """
 
 from __future__ import annotations
@@ -15,10 +17,8 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.engine.generation import GenerationConfig
 from repro.obs import REGISTRY
+from repro.obs.workload import WorkloadSpec, build_workload
 from repro.serving.gateway import (
     AdmissionError,
     GatewayConfig,
@@ -26,6 +26,11 @@ from repro.serving.gateway import (
     SloClass,
     TenantConfig,
 )
+
+#: Client-side retries after a ``queue_full`` admission reject.
+MAX_RESUBMITS = 200
+#: Client backoff between resubmits (seconds).
+RETRY_DELAY = 0.002
 
 
 @dataclass(frozen=True)
@@ -38,35 +43,22 @@ class LoadgenSpec:
             full tenant rotation, so every (tenant, class) pair sees
             traffic (see :func:`_client_plan`).
         requests_per_client: Sequential requests each client issues.
-        dataset: Prompt source (:data:`repro.workloads.datasets.DATASET_NAMES`).
-        max_new_tokens: Generation budget per request.
-        batch: Scheduler batch slots (also sizes the KV arena).
-        seed: Master seed (models and prompts).
-        alignment: SSM/LLM alignment of the toy coupled pair.
         tenants: Tenant names; first tenant gets weight 2, the rest 1.
         max_queue_depth: Per-tenant admission queue bound — overflow
             submissions are rejected and retried by the client.
         rate_per_tick: Optional per-tenant admission rate limit.
-        fault_rate: Per-site fault-injection probability (chaos mode).
-        fault_seed: Injector seed; defaults to ``seed + 9973``.
-        max_resubmits: Client-side retries after a ``queue_full`` reject.
-        retry_delay: Client backoff between resubmits (seconds).
+        workload: The served stack and its requests: prompt dataset,
+            generation budget, batch slots, seed, alignment and fault
+            rate.  Its ``requests``, ``rate`` and ``simulate`` are unused:
+            the clients, not an arrival schedule, submit the requests.
     """
 
     clients: int = 8
     requests_per_client: int = 2
-    dataset: str = "Alpaca"
-    max_new_tokens: int = 8
-    batch: int = 4
-    seed: int = 7
-    alignment: float = 0.88
     tenants: Tuple[str, ...] = ("alpha", "beta")
     max_queue_depth: int = 4
     rate_per_tick: Optional[float] = None
-    fault_rate: float = 0.0
-    fault_seed: Optional[int] = None
-    max_resubmits: int = 200
-    retry_delay: float = 0.002
+    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
 
     def __post_init__(self) -> None:
         if self.clients < 1:
@@ -163,58 +155,6 @@ class LoadgenReport:
         return "\n".join(lines)
 
 
-def build_gateway_stack(spec: LoadgenSpec) -> ServingGateway:
-    """A full serving stack behind one gateway (toy substrate).
-
-    Mirrors :func:`repro.obs.workload.run_observed_workload`'s
-    construction — toy LLM + coupled SSM, fused backend over a shared KV
-    arena — but hands the manager to a :class:`ServingGateway` instead of
-    the replay driver, with per-tenant admission policy from ``spec``.
-    """
-    from repro.engine.pipeline import FusedBackend
-    from repro.model.kv_cache import BatchArena
-    from repro.obs.workload import _build_toy_pair
-    from repro.serving.manager import RequestManager
-    from repro.serving.session import SpeculativeSession
-    from repro.speculate.expansion import ExpansionConfig
-    from repro.speculate.speculator import Speculator
-
-    llm, ssm_factory = _build_toy_pair(spec.alignment, spec.seed)
-    arena = BatchArena(llm.config, max_requests=spec.batch)
-
-    def session_factory(request):
-        return SpeculativeSession(
-            request, llm,
-            lambda: Speculator([ssm_factory()],
-                               ExpansionConfig.paper_default()),
-            cache_factory=arena.new_sequence,
-        )
-
-    injector = None
-    if spec.fault_rate > 0:
-        from repro.faults import FaultInjector
-
-        fault_seed = (spec.fault_seed if spec.fault_seed is not None
-                      else spec.seed + 9973)
-        injector = FaultInjector(rate=spec.fault_rate, seed=fault_seed)
-    manager = RequestManager(
-        session_factory,
-        max_batch_size=spec.batch,
-        backend=FusedBackend(llm, rng=np.random.default_rng(spec.seed)),
-        injector=injector,
-    )
-    tenants = {
-        name: TenantConfig(
-            name=name,
-            weight=2 if i == 0 else 1,
-            max_queue_depth=spec.max_queue_depth,
-            rate_per_tick=spec.rate_per_tick,
-        )
-        for i, name in enumerate(spec.tenants)
-    }
-    return ServingGateway(manager, GatewayConfig(tenants=tenants))
-
-
 def _client_plan(spec: LoadgenSpec) -> List[ClientStats]:
     """Deterministic (tenant, SLO) assignment for each client.
 
@@ -237,11 +177,10 @@ async def _run_client(gateway: ServingGateway, spec: LoadgenSpec,
                       stats: ClientStats,
                       prompts: List[List[int]]) -> None:
     """One client: submit sequentially, retry rejects, stream each reply."""
-    config = GenerationConfig(max_new_tokens=spec.max_new_tokens,
-                              stop_on_eos=False)
+    config = spec.workload.generation_config()
     for prompt in prompts:
         stream = None
-        for _ in range(spec.max_resubmits + 1):
+        for _ in range(MAX_RESUBMITS + 1):
             try:
                 stream = await gateway.submit(
                     prompt, config, tenant=stats.tenant, slo=stats.slo)
@@ -250,7 +189,7 @@ async def _run_client(gateway: ServingGateway, spec: LoadgenSpec,
                 if exc.reason != "queue_full":
                     raise
                 stats.rejections += 1
-                await asyncio.sleep(spec.retry_delay)
+                await asyncio.sleep(RETRY_DELAY)
         if stream is None:
             stats.dropped += 1
             continue
@@ -281,9 +220,19 @@ async def run_loadgen(spec: Optional[LoadgenSpec] = None) -> LoadgenReport:
     from repro.workloads.datasets import make_dataset
 
     spec = spec or LoadgenSpec()
-    gateway = build_gateway_stack(spec)
-    vocab = gateway.manager.backend.model.config.vocab_size
-    dataset = make_dataset(spec.dataset, vocab_size=vocab)
+    manager, _ = build_workload(spec.workload)
+    tenants = {
+        name: TenantConfig(
+            name=name,
+            weight=2 if i == 0 else 1,
+            max_queue_depth=spec.max_queue_depth,
+            rate_per_tick=spec.rate_per_tick,
+        )
+        for i, name in enumerate(spec.tenants)
+    }
+    gateway = ServingGateway(manager, GatewayConfig(tenants=tenants))
+    vocab = manager.backend.model.config.vocab_size
+    dataset = make_dataset(spec.workload.dataset, vocab_size=vocab)
     clients = _client_plan(spec)
     # Pre-sample prompts so dataset RNG order does not depend on task
     # interleaving (the run stays seed-determined up to timing).

@@ -15,7 +15,6 @@ from repro.workloads.datasets import (
 from repro.workloads.arrival import (
     Arrival,
     PoissonArrivals,
-    UniformArrivals,
     drive_manager,
     sort_arrivals,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "ToyTokenizer",
     "Arrival",
     "PoissonArrivals",
-    "UniformArrivals",
     "drive_manager",
     "sort_arrivals",
     "Conversation",

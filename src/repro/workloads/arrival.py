@@ -1,9 +1,9 @@
 """Request arrival processes for serving experiments.
 
 The paper's serving benchmarks submit a fixed batch up front; real serving
-sees requests arrive over time.  This module generates arrival schedules —
-Poisson (memoryless, the standard open-loop model) and uniform — in the
-request manager's iteration clock, so load studies (queueing delay vs
+sees requests arrive over time.  This module generates Poisson arrival
+schedules (memoryless, the standard open-loop model) in the request
+manager's iteration clock, so load studies (queueing delay vs
 arrival rate, continuous-batching occupancy) can run on the same runtime.
 """
 
@@ -86,29 +86,6 @@ class PoissonArrivals:
             )
             for i, t in enumerate(times)
         ])
-
-
-class UniformArrivals:
-    """Deterministic fixed-gap arrivals (closed-form comparisons)."""
-
-    def __init__(self, gap: int, dataset, max_prompt_len: int = 0):
-        if gap < 0:
-            raise ValueError("gap must be >= 0")
-        self.gap = gap
-        self.dataset = dataset
-        self.max_prompt_len = max_prompt_len
-
-    def schedule(self, num_requests: int) -> List[Arrival]:
-        if num_requests < 1:
-            raise ValueError("num_requests must be >= 1")
-        return [
-            Arrival(
-                iteration=i * self.gap,
-                prompt=self.dataset.sample_prompt(max_len=self.max_prompt_len),
-                request_id=i,
-            )
-            for i in range(num_requests)
-        ]
 
 
 def drive_manager(manager, arrivals: List[Arrival], config=None,

@@ -1,5 +1,6 @@
 """Load-generator acceptance: concurrency, fairness, bounded queues."""
 
+from repro.obs.workload import WorkloadSpec
 from repro.serving.gateway import SloClass
 from repro.serving.loadgen import (
     LoadgenSpec,
@@ -38,13 +39,14 @@ class TestLoadgenAcceptance:
         populate, admission rejects are counted (not errors), and the
         queue stays bounded."""
         spec = LoadgenSpec(clients=8, requests_per_client=2,
-                           max_new_tokens=8, batch=4, max_queue_depth=2)
+                           max_queue_depth=2,
+                           workload=WorkloadSpec(max_new_tokens=8, batch=4))
         report = await run_loadgen(spec)
         total = spec.clients * spec.requests_per_client
         assert report.completed == total
         assert report.failed == 0
         assert report.dropped == 0
-        assert report.tokens == total * spec.max_new_tokens
+        assert report.tokens == total * spec.workload.max_new_tokens
         # All four (tenant, class) combinations saw traffic, so both
         # classes populated both latency histograms.
         for slo in SloClass:
@@ -61,8 +63,8 @@ class TestLoadgenAcceptance:
 
     async def test_rate_limited_run_still_completes(self):
         spec = LoadgenSpec(clients=4, requests_per_client=1,
-                           max_new_tokens=4, rate_per_tick=0.5,
-                           max_queue_depth=8)
+                           rate_per_tick=0.5, max_queue_depth=8,
+                           workload=WorkloadSpec(max_new_tokens=4))
         report = await run_loadgen(spec)
         assert report.completed == 4
         assert report.dropped == 0
@@ -73,7 +75,8 @@ class TestLoadgenAcceptance:
         worst case terminally fail after bounded retries), but every
         submission is accounted for and the gateway drains clean."""
         spec = LoadgenSpec(clients=4, requests_per_client=2,
-                           max_new_tokens=4, fault_rate=0.05)
+                           workload=WorkloadSpec(max_new_tokens=4,
+                                                 fault_rate=0.05))
         report = await run_loadgen(spec)
         total = spec.clients * spec.requests_per_client
         assert report.completed + report.failed == total

@@ -5,12 +5,9 @@ import pytest
 
 from repro.engine.generation import GenerationResult, StepTrace
 from repro.metrics.acceptance import (
-    acceptance_distribution,
-    best_depth,
     effective_tree_alpha,
     estimate_alpha,
     expected_tokens_per_step,
-    predict_speedup,
 )
 
 
@@ -26,20 +23,6 @@ class TestClosedForms:
         expected = sum(alpha**k for k in range(depth + 1))
         assert expected_tokens_per_step(alpha, depth) == \
             pytest.approx(expected)
-
-    def test_distribution_sums_to_one(self):
-        probs = acceptance_distribution(0.6, 8)
-        assert probs.sum() == pytest.approx(1.0)
-        assert len(probs) == 9
-
-    def test_distribution_mean_matches_expected_tokens(self):
-        alpha, depth = 0.65, 6
-        probs = acceptance_distribution(alpha, depth)
-        mean_accepted = float((np.arange(depth + 1) * probs).sum())
-        # Tokens per step = accepted + 1 bonus.
-        assert mean_accepted + 1 == pytest.approx(
-            expected_tokens_per_step(alpha, depth)
-        )
 
     def test_monte_carlo_agreement(self):
         """Closed form matches direct simulation of the acceptance chain."""
@@ -120,21 +103,3 @@ class TestEstimateAlpha:
         ))
         assert predicted == pytest.approx(measured, rel=0.25)
 
-
-class TestPlanning:
-    def test_speedup_positive(self):
-        assert predict_speedup(0.7, 8) > 1.0
-
-    def test_free_ssm_prefers_max_depth(self):
-        assert best_depth(0.9, ssm_cost_ratio=0.0, max_depth=16) == 16
-
-    def test_costly_ssm_prefers_shallow(self):
-        deep_cheap = best_depth(0.7, ssm_cost_ratio=0.0)
-        shallow_costly = best_depth(0.7, ssm_cost_ratio=0.3)
-        assert shallow_costly < deep_cheap
-
-    def test_paper_depth8_is_reasonable(self):
-        """With Table 1-style alpha ~0.7 and a 100x-smaller SSM, the optimal
-        planned depth is in the neighborhood of the paper's choice of 8."""
-        depth = best_depth(0.7, ssm_cost_ratio=0.02)
-        assert 4 <= depth <= 16

@@ -7,6 +7,14 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def exit_code(argv):
+    """``main(argv)``'s exit code, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -15,6 +23,22 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "Alpaca", "--pool", "1"],
+        ["chaos", "Alpaca", "--pool", "1"],
+        ["metrics", "--requests", "0"],
+        ["serve", "--requests", "0"],
+        ["serve", "--dataset", "nope"],
+        ["loadgen", "--dataset", "nope"],
+    ])
+    def test_bad_workload_is_a_usage_error(self, argv, capsys):
+        """An invalid workload exits 2 with a message, not a traceback."""
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines()[-1].startswith(
+            f"repro {argv[0]}")
 
 
 class TestDemo:
@@ -46,6 +70,48 @@ class TestServe:
         assert code == 0
         assert "requests           : 4" in out
         assert "tokens generated   : 24" in out
+
+    def test_pool_and_planner(self, capsys):
+        code = main(["serve", "--pool", "3", "--planner", "--requests", "2",
+                     "--tokens", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "tokens generated   : 8" in out
+
+    @pytest.mark.gateway
+    def test_listen_serves_through_the_gateway(self, capsys):
+        code = main(["serve", "--listen", "127.0.0.1:0", "--requests", "2",
+                     "--tokens", "2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "gateway listening on 127.0.0.1:" in out
+        assert "tokens streamed    : 4" in out
+
+
+@pytest.mark.gateway
+class TestChat:
+    def test_local_chat_streams_every_token(self, capsys):
+        code = main(["chat", "--local", "--prompt", "5 17 33",
+                     "--tokens", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "prompt : 5 17 33" in out
+        assert "done   : 4 tokens" in out
+
+    def test_needs_an_endpoint(self, capsys):
+        assert main(["chat"]) == 2
+        assert "need --connect" in capsys.readouterr().err
+
+
+@pytest.mark.gateway
+class TestLoadgen:
+    def test_small_run_completes(self, capsys):
+        code = main(["loadgen", "--clients", "4", "--requests-per-client",
+                     "1", "--tokens", "2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "completed          : 4" in out
+        assert "tokens streamed    : 8" in out
 
 
 class TestModels:
@@ -132,6 +198,7 @@ class TestMetrics:
         assert snapshot["repro.engine.tick.host_seconds"]["count"] > 0
 
 
+@pytest.mark.chaos
 class TestChaos:
     def test_survives_and_exits_zero(self, capsys):
         code = main(["chaos", "Alpaca", "--requests", "4", "--tokens", "8",

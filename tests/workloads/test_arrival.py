@@ -9,7 +9,6 @@ from repro.serving.session import IncrementalSession
 from repro.workloads.arrival import (
     Arrival,
     PoissonArrivals,
-    UniformArrivals,
     drive_manager,
     sort_arrivals,
 )
@@ -19,6 +18,15 @@ from repro.workloads.datasets import make_dataset
 @pytest.fixture()
 def dataset():
     return make_dataset("Alpaca", vocab_size=64)
+
+
+def spaced(dataset, gap, count):
+    """``count`` arrivals ``gap`` iterations apart (0 = one batch)."""
+    return [
+        Arrival(iteration=i * gap, prompt=dataset.sample_prompt(max_len=6),
+                request_id=i)
+        for i in range(count)
+    ]
 
 
 class TestPoissonArrivals:
@@ -101,22 +109,11 @@ class TestArrivalTieBreak:
             assert tracked.prompt.tolist() == arrival.prompt.tolist()
 
 
-class TestUniformArrivals:
-    def test_fixed_gaps(self, dataset):
-        arrivals = UniformArrivals(gap=3, dataset=dataset).schedule(4)
-        assert [a.iteration for a in arrivals] == [0, 3, 6, 9]
-
-    def test_gap_zero_is_batch(self, dataset):
-        arrivals = UniformArrivals(gap=0, dataset=dataset).schedule(3)
-        assert all(a.iteration == 0 for a in arrivals)
-
-
 class TestDriveManager:
     def test_all_requests_served(self, llm, dataset):
         mgr = RequestManager(lambda req: IncrementalSession(req, llm),
                              max_batch_size=2)
-        arrivals = UniformArrivals(gap=2, dataset=dataset,
-                                   max_prompt_len=6).schedule(5)
+        arrivals = spaced(dataset, gap=2, count=5)
         ids = drive_manager(
             mgr, arrivals,
             GenerationConfig(max_new_tokens=3, stop_on_eos=False),
@@ -127,8 +124,7 @@ class TestDriveManager:
     def test_arrival_iterations_respected(self, llm, dataset):
         mgr = RequestManager(lambda req: IncrementalSession(req, llm),
                              max_batch_size=4)
-        arrivals = UniformArrivals(gap=3, dataset=dataset,
-                                   max_prompt_len=6).schedule(3)
+        arrivals = spaced(dataset, gap=3, count=3)
         ids = drive_manager(
             mgr, arrivals,
             GenerationConfig(max_new_tokens=2, stop_on_eos=False),
@@ -144,8 +140,7 @@ class TestDriveManager:
         def run(gap):
             mgr = RequestManager(lambda req: IncrementalSession(req, llm),
                                  max_batch_size=1)
-            arrivals = UniformArrivals(gap=gap, dataset=dataset,
-                                       max_prompt_len=6).schedule(6)
+            arrivals = spaced(dataset, gap=gap, count=6)
             drive_manager(
                 mgr, arrivals,
                 GenerationConfig(max_new_tokens=4, stop_on_eos=False),
