@@ -41,7 +41,6 @@ from repro.model import (
     TransformerLM,
 )
 from repro.speculate import (
-    AdaptiveConfig,
     BoostTuner,
     ExpansionConfig,
     Speculator,
@@ -60,7 +59,6 @@ __all__ = [
     "TokenTree",
     "merge_trees",
     "ExpansionConfig",
-    "AdaptiveConfig",
     "Speculator",
     "BoostTuner",
     "VerificationResult",

@@ -20,8 +20,9 @@ Commands:
 Every serving verb (``serve``, ``chat --local``, ``loadgen``, ``trace``,
 ``metrics``, ``chaos``) builds one toy stack,
 :func:`repro.obs.workload.build_workload`, from a
-:class:`~repro.obs.workload.WorkloadSpec`; a spec the flags make invalid
-exits 2 with a one-line message.
+:class:`~repro.obs.workload.WorkloadSpec`.  A verb with a ``spec_from``
+builds what it runs on from its flags before doing anything else, and a
+value the flags make invalid exits 2 with a one-line message.
 """
 
 from __future__ import annotations
@@ -33,9 +34,15 @@ from typing import List, Optional
 import numpy as np
 
 
+def _demo_config(args: argparse.Namespace):
+    """``demo``'s :class:`~repro.engine.generation.GenerationConfig`."""
+    from repro.engine.generation import GenerationConfig
+
+    return GenerationConfig(max_new_tokens=args.tokens, stop_on_eos=False)
+
+
 def cmd_demo(args: argparse.Namespace) -> int:
     """Compare incremental / sequence-spec / tree-spec on one prompt."""
-    from repro.engine.generation import GenerationConfig
     from repro.engine.incremental import IncrementalEngine
     from repro.engine.sequence_spec import make_sequence_spec_engine
     from repro.engine.tree_spec import SpecInferEngine
@@ -47,7 +54,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     ssm = ssm_factory()
     rng = np.random.default_rng(args.seed)
     prompt = [int(t) for t in rng.integers(1, 96, size=8)]
-    config = GenerationConfig(max_new_tokens=args.tokens, stop_on_eos=False)
+    config = args.spec
     incremental = IncrementalEngine(llm).generate(prompt, config)
     sequence = make_sequence_spec_engine(llm, ssm).generate(prompt, config)
     tree = SpecInferEngine(
@@ -67,21 +74,25 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0 if lossless else 1
 
 
+def _tree_config(args: argparse.Namespace):
+    """``tree``'s :class:`~repro.speculate.expansion.ExpansionConfig`."""
+    from repro.speculate.expansion import ExpansionConfig
+
+    return ExpansionConfig(tuple(args.widths))
+
+
 def cmd_tree(args: argparse.Namespace) -> int:
     """Speculate one token tree, verify it, render both."""
     from repro.engine.batched import BatchedTreeVerifier
     from repro.model.sampling import SamplingConfig
     from repro.obs.workload import _build_toy_pair
-    from repro.speculate.expansion import ExpansionConfig
     from repro.speculate.speculator import Speculator
     from repro.tree.render import render_tree, tree_stats_line
 
     llm, ssm_factory = _build_toy_pair(args.alignment, args.seed)
     rng = np.random.default_rng(args.seed)
     prompt = rng.integers(1, 96, size=8)
-    speculator = Speculator(
-        [ssm_factory()], ExpansionConfig(tuple(args.widths))
-    )
+    speculator = Speculator([ssm_factory()], args.spec)
     speculator.prefill(prompt[:-1])
     tree = speculator.speculate(int(prompt[-1]))
     cache = llm.new_cache()
@@ -290,17 +301,21 @@ def cmd_models(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_latency(args: argparse.Namespace) -> int:
-    """Query the cost model for one decoding-step latency."""
+def _latency_model(args: argparse.Namespace):
+    """``latency``'s :class:`~repro.cluster.cost_model.LatencyModel`."""
     from repro.cluster.cost_model import LatencyModel
     from repro.cluster.hardware import single_node_cluster, two_node_cluster
     from repro.cluster.models import paper_model
     from repro.cluster.parallel import ParallelPlan
 
     cluster = two_node_cluster() if args.pp > 1 else single_node_cluster()
-    model = paper_model(args.model)
     plan = ParallelPlan(tensor_parallel=args.tp, pipeline_stages=args.pp)
-    latency = LatencyModel(model, plan, cluster)
+    return LatencyModel(paper_model(args.model), plan, cluster)
+
+
+def cmd_latency(args: argparse.Namespace) -> int:
+    """Query the cost model for one decoding-step latency."""
+    latency = args.spec
     scored = args.batch * args.tree_tokens
     context = args.batch * (args.context + args.tree_tokens)
     step = latency.step_latency(scored, context)
@@ -313,21 +328,28 @@ def cmd_latency(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """Planning sweep: per-token latency vs speculation depth."""
+def _sweep_points(args: argparse.Namespace):
+    """``sweep``'s points: the cost model's per-token latency per depth."""
     from repro.cluster.hardware import single_node_cluster, two_node_cluster
     from repro.cluster.models import paper_model
-    from repro.cluster.sweep import best_point, sweep_speculation_depth
+    from repro.cluster.sweep import sweep_speculation_depth
 
     cluster = two_node_cluster() if args.model == "llama-65b" \
         else single_node_cluster()
-    points = sweep_speculation_depth(
+    return sweep_speculation_depth(
         paper_model(args.model),
         paper_model(args.ssm),
         cluster,
         alpha=args.alpha,
         max_depth=args.max_depth,
     )
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """Planning sweep: per-token latency vs speculation depth."""
+    from repro.cluster.sweep import best_point
+
+    points = args.spec
     best = best_point(points)
     print(f"speculation-depth sweep: {args.model} + {args.ssm}, "
           f"alpha={args.alpha}")
@@ -485,14 +507,14 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--tokens", type=int, default=32)
     demo.add_argument("--alignment", type=float, default=0.88)
     demo.add_argument("--seed", type=int, default=7)
-    demo.set_defaults(handler=cmd_demo)
+    demo.set_defaults(handler=cmd_demo, spec_from=_demo_config)
 
     tree = sub.add_parser("tree", help="speculate and render a token tree")
     tree.add_argument("--widths", type=int, nargs="+",
                       default=[1, 1, 3, 1, 1, 1, 1, 1])
     tree.add_argument("--alignment", type=float, default=0.88)
     tree.add_argument("--seed", type=int, default=7)
-    tree.set_defaults(handler=cmd_tree)
+    tree.set_defaults(handler=cmd_tree, spec_from=_tree_config)
 
     serve = sub.add_parser("serve", help="simulate continuous batching")
     _add_workload_args(serve, positional=False)
@@ -553,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     latency.add_argument("--tree-tokens", type=int, default=1)
     latency.add_argument("--context", type=int, default=128)
     latency.add_argument("--tokens-per-step", type=float, default=1.0)
-    latency.set_defaults(handler=cmd_latency)
+    latency.set_defaults(handler=cmd_latency, spec_from=_latency_model)
 
     sweep = sub.add_parser("sweep",
                            help="speculation-depth planning sweep")
@@ -561,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--ssm", default="llama-68m")
     sweep.add_argument("--alpha", type=float, default=0.7)
     sweep.add_argument("--max-depth", type=int, default=12)
-    sweep.set_defaults(handler=cmd_sweep)
+    sweep.set_defaults(handler=cmd_sweep, spec_from=_sweep_points)
 
     trace = sub.add_parser(
         "trace",

@@ -510,13 +510,6 @@ class DecodePipeline:
             would — the fallback is lossless, just slower.
         fallback_cooldown: Clean (degraded) ticks served after a fault
             before speculation resumes.
-        packed_speculation: Score all requests' draft trees through one
-            batched GEMM per tree level (:class:`PackedSpeculator`) instead
-            of per-session SSM decode loops, greedy and sampling alike.
-            The same trees; requests the packer cannot handle (merge-based
-            or adaptive speculators, near-end-of-context caches) use the
-            per-session loop, and say so in a
-            ``repro.speculate.packed.fallback`` trace event.
         planner: Optional :class:`~repro.speculate.planner.TreePlanner`
             consulted once per tick, before speculation.  The plan's
             expansion profile overrides every speculative state's static
@@ -539,7 +532,6 @@ class DecodePipeline:
                  backend: Optional[VerificationBackend] = None,
                  injector: Optional["FaultInjector"] = None,
                  fallback_cooldown: int = 3,
-                 packed_speculation: bool = True,
                  planner: Optional["TreePlanner"] = None,
                  router: Optional["SpeculatorRouter"] = None):
         if fallback_cooldown < 0:
@@ -550,7 +542,9 @@ class DecodePipeline:
         self.fallback_cooldown = fallback_cooldown
         self.fitter = TreeFitter(model.config.max_seq_len)
         self.recorder = TraceRecorder()
-        self.packed = PackedSpeculator() if packed_speculation else None
+        #: The one drafter: every drafted tree of a tick, in one packed
+        #: level loop per SSM base.
+        self.packed = PackedSpeculator()
         self.planner = planner
         self.router = router
         #: Scores every bare root of a tick in one ``decode_batch``.
@@ -740,20 +734,10 @@ class DecodePipeline:
                         raw[i] = TokenTree(state.pending)
                     else:
                         todo.append(i)
-
-                def draft(state: DecodeState) -> TokenTree:
-                    # The per-state path, for what the packer cannot take.
-                    return state.speculator.speculate(
-                        state.pending, stochastic=not state.sampling.greedy,
-                        rng=state.rng, plan=plan)
-
-                if todo and self.packed is not None:
+                if todo:
                     for i, tree in zip(todo, self.packed.speculate_batch(
-                            [states[i] for i in todo], draft, plan=plan)):
+                            [states[i] for i in todo], plan=plan)):
                         raw[i] = tree
-                else:
-                    for i in todo:
-                        raw[i] = draft(states[i])
                 nodes = sum(len(t) for t in raw if t is not None)
                 _SPECULATED_NODES.inc(nodes)
                 span.set(trees=sum(t is not None for t in raw), nodes=nodes)

@@ -93,6 +93,9 @@ class WorkloadSpec:
             raise ValueError("rate must be > 0")
         if self.pool != 0 and self.pool < 2:
             raise ValueError("pool must be 0 (one SSM) or >= 2 members")
+        if not 0 <= self.fault_rate <= 1:
+            raise ValueError(f"fault_rate must be in [0, 1], got "
+                             f"{self.fault_rate}")
         if self.dataset not in DATASET_NAMES:
             raise ValueError(f"unknown dataset {self.dataset!r}; "
                              f"expected one of {', '.join(DATASET_NAMES)}")

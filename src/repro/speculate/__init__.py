@@ -2,9 +2,11 @@
 
 * :mod:`repro.speculate.expansion` -- expansion configurations ⟨k1…km⟩ and
   expansion-based token tree construction from a single SSM.
-* :mod:`repro.speculate.speculator` -- the :class:`Speculator` façade: drives
-  one or more SSMs, merges their trees (merge-based construction), and keeps
-  SSM KV caches synchronized with the verified sequence.
+* :mod:`repro.speculate.speculator` -- the :class:`Speculator` façade: owns
+  one or more SSMs (several: merge-based construction) and keeps their KV
+  caches synchronized with the verified sequence.
+* :mod:`repro.speculate.packed` -- the drafter: every request's tree, level
+  by level, in one SSM forward per level for the whole batch.
 * :mod:`repro.speculate.boost` -- adaptive boost-tuning of an SSM pool
   against the LLM on an unlabeled corpus.
 * :mod:`repro.speculate.planner` -- hardware-aware per-tick tree planning:
@@ -15,7 +17,6 @@
   acceptance-history bandit with a deterministic cold-start fallback.
 """
 
-from repro.speculate.adaptive import AdaptiveConfig, expand_token_tree_adaptive
 from repro.speculate.expansion import ExpansionConfig, expand_token_tree
 from repro.speculate.planner import (
     AcceptanceEstimator,
@@ -36,8 +37,6 @@ from repro.speculate.router import (
 __all__ = [
     "ExpansionConfig",
     "expand_token_tree",
-    "AdaptiveConfig",
-    "expand_token_tree_adaptive",
     "Speculator",
     "BoostTuner",
     "BoostTuningReport",

@@ -10,7 +10,7 @@ token); Table 2 and Figures 9/10 sweep ⟨1,1,k,1,1,1,1,1⟩ for k = 1..5.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -108,13 +108,16 @@ def expand_token_tree(
     temperature: float = 1.0,
     stochastic: bool = False,
     rng: "np.random.Generator" = None,
-    max_tokens: Optional[int] = None,
 ) -> TokenTree:
     """Build a token tree from one SSM under a static expansion config.
 
     The SSM is driven depth-first with cache snapshot/restore, so on return
-    ``cache`` is exactly as it was on entry (the engine then advances it by
-    whatever tokens the verifier accepts).
+    ``cache`` is exactly as it was on entry.  The decode pipeline never
+    calls this: its drafter,
+    :class:`~repro.speculate.packed.PackedSpeculator`, builds the same
+    trees level by level, and this loop is the reference it is tested
+    against (through :meth:`~repro.speculate.speculator.Speculator.
+    speculate`).
 
     Two proposal modes:
 
@@ -132,9 +135,8 @@ def expand_token_tree(
       (:meth:`ExpansionConfig.level_offsets`); a duplicate draw merges into
       the child its first occurrence made.  The tree is thus a function of
       (``rng``'s stream, ``config``, the SSM) and not of this depth-first
-      visiting order, which is what lets
-      :class:`~repro.speculate.packed.PackedSpeculator` build the same tree
-      level by level, and what makes this loop its reference.
+      visiting order, which is what lets the packed drafter build the same
+      tree level by level.
 
     Args:
         ssm: Any model exposing ``decode(token, cache) -> logits`` and a
@@ -149,11 +151,6 @@ def expand_token_tree(
         stochastic: Sample candidates instead of taking top-k.
         rng: Randomness for stochastic proposals (required when
             ``stochastic=True``).
-        max_tokens: Optional per-call cap on speculated tokens (root
-            excluded).  The tree planner changes its budget tick-to-tick,
-            so the cap is a *call* parameter — the construction-time
-            ``config`` keeps describing the shape, and no speculator
-            rebuild is needed to shrink a tick's tree.
 
     Returns:
         The expanded :class:`TokenTree`; a stochastic one records, per node,
@@ -163,8 +160,6 @@ def expand_token_tree(
     """
     if stochastic and rng is None:
         raise ValueError("stochastic expansion requires an rng")
-    if max_tokens is not None and max_tokens < 0:
-        raise ValueError("max_tokens must be >= 0")
     tree = TokenTree(root_token)
     entry_snapshot = cache.snapshot()
     uniforms = rng.random(config.max_tree_tokens()) if stochastic else None
@@ -173,8 +168,6 @@ def expand_token_tree(
     def expand(node_idx: int, token: int, step: int, path: int) -> None:
         if step >= config.depth:
             return
-        if max_tokens is not None and tree.num_speculated() >= max_tokens:
-            return  # per-call budget exhausted
         if cache.length + 1 > cache.capacity:
             return  # SSM context limit reached; stop this branch
         logits = ssm.decode(token, cache)
@@ -188,9 +181,6 @@ def expand_token_tree(
         else:
             drawn = top_k_tokens(probs, width)
         for rank, candidate in enumerate(drawn.tolist()):
-            if (max_tokens is not None
-                    and tree.num_speculated() >= max_tokens):
-                break
             known = len(tree)
             child_idx = tree.add_child(node_idx, candidate, row)
             if len(tree) == known:
@@ -199,7 +189,6 @@ def expand_token_tree(
             expand(child_idx, candidate, step + 1, path * width + rank)
             cache.restore(snap)
 
-    if max_tokens != 0:
-        expand(0, int(root_token), 0, 0)
+    expand(0, int(root_token), 0, 0)
     cache.restore(entry_snapshot)
     return tree

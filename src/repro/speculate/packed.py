@@ -1,15 +1,13 @@
 """Packed cross-request draft scoring (level-synchronous tree expansion).
 
-The per-session speculation loop (:func:`repro.speculate.expansion.
-expand_token_tree`) drives its SSM depth-first: one ``decode`` call — one
-``(1, d) @ (d, 3d)`` GEMM per layer — per tree node per request, with cache
-snapshot/restore around every branch, after one more SSM forward per request
-to mirror the tokens the previous tick committed.  On a serving batch of
-``B`` requests that is ``O(B · nodes)`` tiny GEMMs per tick.
-
-This module replaces that loop with **level-synchronous packed expansion**:
-a tick issues exactly ``depth`` SSM forwards for the whole batch, greedy or
-sampling, and none anywhere else.
+This is the one drafter the decode pipeline runs.  Its reference, the
+depth-first loop (:func:`repro.speculate.expansion.expand_token_tree`),
+drives an SSM one ``decode`` call — one ``(1, d) @ (d, 3d)`` GEMM per layer
+— per tree node per request, with cache snapshot/restore around every
+branch; on a serving batch of ``B`` requests that is ``O(B · nodes)`` tiny
+GEMMs per tick.  **Level-synchronous packed expansion** builds the same
+trees in exactly ``depth`` SSM forwards per group for the whole batch,
+greedy or sampling, and runs the SSM nowhere else.
 
 * Every request's frontier at depth ``d`` is scored in **one**
   :meth:`~repro.model.transformer.TransformerLM.forward_masked_blocks` call
@@ -27,9 +25,8 @@ sampling, and none anywhere else.
   the tokens a tick committed; the next level-0 call scores
   ``[queued…, root]`` under a causal block, and the slot's prefix (and a
   coupled SSM's token context) moves past the queued rows, which the final
-  truncation therefore keeps.  Whoever reaches the SSM cache first flushes
-  the queue: here :meth:`~repro.speculate.speculator.Speculator.take_queued`,
-  on the per-session path ``Speculator.speculate`` (one prefill, as before).
+  truncation therefore keeps (:meth:`~repro.speculate.speculator.
+  Speculator.take_queued`).
 * **The bookkeeping runs once per level, not once per request.**  The
   frontier of every request is one set of arrays (owning slot, tree node,
   token, ancestor rows, path index); the level's mask is filled by array
@@ -49,8 +46,7 @@ the entries its level and child-rank path select
 duplicate draw merges into the child its first occurrence made, which keeps
 that first draw's path.  ``expand_token_tree(stochastic=True)`` indexes the
 same block the same way, so a request's tree is a function of (its stream,
-the config) and not of traversal order, batch composition, slot order, or
-whether it fell back this tick.
+the config) and not of traversal order, batch composition or slot order.
 
 Equivalence rests on the tree-attention property the repo already tests
 (Definition 4.1): scoring a node under the topology-aware causal mask
@@ -64,24 +60,28 @@ the two paths do not share.  Node *numbering* differs (BFS insertion
 order), which no consumer observes: verification runs over the structural
 DFS linearization.
 
-Scope — everything else falls back to the per-session loop, counted by
-``repro.speculate.packed.fallbacks`` with one
-``repro.speculate.packed.fallback`` trace event naming the cause:
+Every speculator is packed.  A merge-based one (several SSMs) puts one slot
+per SSM in the group of that SSM's base, each under its own configuration,
+and its tree is :func:`~repro.tree.token_tree.merge_trees` of its slots'
+trees (Definition 3.2); slots are built request by request, SSM by SSM, so
+each SSM draws its uniform block from the request's stream where the
+depth-first loop does.  An SSM is a :class:`TransformerLM` or a
+:class:`~repro.model.coupled.CoupledSSM` (whose perturbation is a pure
+function of the path context and is replayed per node); a
+:class:`~repro.speculate.speculator.Speculator` rejects anything else.
 
-* ``multi_ssm`` / ``adaptive``: merge-based and adaptive speculators keep
-  their own loop (one static config on one SSM is what a level is);
-* ``model_type``: the SSM is neither a :class:`TransformerLM` nor a
-  :class:`~repro.model.coupled.CoupledSSM` (whose perturbation is a pure
-  function of the path context and is replayed per node);
-* ``capacity``: the SSM cache cannot hold the queued tokens plus the whole
-  scored frontier at once (``prefix + queued + scored-node bound >
-  capacity``); near end-of-context the depth-first loop's per-branch
-  capacity check is the right tool.
+Near end-of-context a slot stops at the first level whose frontier rows its
+cache cannot hold on top of the rows it has already scored; a slot with no
+room for its root mirrors its queued rows and keeps a bare root.  The levels
+it builds are the depth-first loop's, and with the unscored last one they
+hold more nodes than the cache has rows left — so, when the SSM's context is
+no shorter than the LLM's, :class:`~repro.engine.pipeline.TreeFitter`'s BFS
+prefix (the tree the verifier sees) equals the depth-first loop's.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -93,9 +93,9 @@ from repro.model.layers import stable_softmax
 from repro.model.sampling import inverse_cdf_tokens, top_k_tokens
 from repro.model.scratch import ScratchArena
 from repro.model.transformer import TransformerLM
-from repro.obs import REGISTRY, TRACER
+from repro.obs import REGISTRY
 from repro.speculate.expansion import ExpansionConfig
-from repro.tree.token_tree import TokenTree
+from repro.tree.token_tree import TokenTree, merge_trees
 
 _PACKED_REQUESTS = REGISTRY.counter(
     "repro.speculate.packed.requests",
@@ -103,9 +103,6 @@ _PACKED_REQUESTS = REGISTRY.counter(
 _PACKED_LEVELS = REGISTRY.counter(
     "repro.speculate.packed.levels",
     help="fused level-expansion passes issued")
-_PACKED_FALLBACKS = REGISTRY.counter(
-    "repro.speculate.packed.fallbacks",
-    help="requests that fell back to the per-session expansion loop")
 
 
 def scored_node_bound(config: ExpansionConfig) -> int:
@@ -118,40 +115,47 @@ def scored_node_bound(config: ExpansionConfig) -> int:
 
 
 class _Slot:
-    """One request inside a packed group: its SSM cache and its draws (its
-    frontier and tree live in the group's arrays).
+    """One SSM of one request inside a packed group: its SSM cache and its
+    draws (its frontier and tree live in the group's arrays).
 
-    Constructing a slot commits the request to the packed path for this
-    call: it takes the speculator's queued tokens (level 0 will mirror
-    them) and, when sampling, draws the call's uniform block from the
-    request's stream.
+    Constructing a slot commits the request's SSM to this call: level 0
+    will mirror ``queued`` into its cache and, when sampling, the slot draws
+    the call's uniform block from the request's stream.
     """
 
-    def __init__(self, state, ssm, cache, config: ExpansionConfig):
-        spec = state.speculator
+    def __init__(self, state, index: int, ssm, cache,
+                 config: ExpansionConfig, queued: List[int]):
         self.state = state
+        self.index = index
         self.ssm = ssm
         self.config = config
-        self.temperature = max(spec.temperature, 1e-8)
-        self.queued = spec.take_queued()
+        self.temperature = max(state.speculator.temperature, 1e-8)
+        self.queued = queued
         if isinstance(ssm, CoupledSSM):
+            self.base = ssm.base
             self.cache = cache.base_cache
-            cache.context.extend(self.queued)
+            cache.context.extend(queued)
             self.entry_context: Optional[List[int]] = list(cache.context)
         else:
+            self.base = ssm
             self.cache = cache
             self.entry_context = None
-        # The verified prefix once level 0 has appended the queued rows.
-        self.prefix = self.cache.length + len(self.queued)
+        # The verified prefix once level 0 has appended the queued rows,
+        # and the rows past it the tree may score.
+        self.prefix = self.cache.length + len(queued)
+        self.room = self.cache.capacity - self.prefix
         self.root = state.pending
         self.uniforms = None
         if not state.sampling.greedy:
             self.uniforms = state.rng.random(config.max_tree_tokens())
+        self.tree: Optional[TokenTree] = None
 
-    def finish(self, scored: int) -> None:
-        """Truncate the SSM cache back to the verified prefix."""
+    def finish(self, tree: TokenTree, scored: int) -> None:
+        """Keep the slot's tree and truncate the SSM cache back to the
+        verified prefix."""
+        self.tree = tree
         self.cache.truncate(self.prefix)
-        self.state.speculator.record_packed_speculation(scored)
+        self.state.speculator.record_packed_speculation(self.index, scored)
 
 
 class _Frontier(NamedTuple):
@@ -171,7 +175,7 @@ class _Frontier(NamedTuple):
 
 
 class PackedSpeculator:
-    """Cross-request packed draft scoring with per-request fallback.
+    """Cross-request packed draft scoring: the pipeline's one drafter.
 
     One instance lives on the :class:`~repro.engine.pipeline.DecodePipeline`
     and persists its scratch arenas across ticks, so the steady-state
@@ -185,68 +189,41 @@ class PackedSpeculator:
             WeakKeyDictionary()
         )
 
-    # -- eligibility -----------------------------------------------------------------
-
-    def _slot_for(self, state, plan=None) -> Union[
-            str, Tuple[TransformerLM, _Slot]]:
-        """``(base model, slot)`` when ``state`` is packed-eligible, else
-        the fallback cause."""
-        spec = state.speculator
-        packed = spec.packed_expansion_state(plan)
-        if packed is None:
-            return "adaptive" if spec.adaptive is not None else "multi_ssm"
-        ssm, cache, config = packed
-        if isinstance(ssm, CoupledSSM):
-            base = ssm.base
-        elif isinstance(ssm, TransformerLM):
-            base = ssm
-        else:
-            return "model_type"
-        if (spec.prefix_len + scored_node_bound(config)
-                > cache.capacity):
-            return "capacity"
-        return base, _Slot(state, ssm, cache, config)
-
-    # -- the packed loop -------------------------------------------------------------
-
-    def speculate_batch(self, states: Sequence, fallback,
+    def speculate_batch(self, states: Sequence,
                         plan=None) -> List[TokenTree]:
-        """One tree per state; ineligible states run ``fallback(state)``.
+        """One tree per state.
 
         Args:
             states: Unfinished decode states that draft this tick (each
                 has a speculator).
-            fallback: ``state -> TokenTree`` — the per-session path.
             plan: Optional per-tick :class:`~repro.speculate.planner.
-                TreePlan` applied to every packed slot (the fallback path
-                applies the same plan inside ``Speculator.speculate``, so
-                both paths build identical trees).
+                TreePlan` whose shape replaces every SSM's configuration
+                (as ``Speculator.speculate`` applies it).
         """
-        trees: List[Optional[TokenTree]] = [None] * len(states)
-        groups: Dict[int, Tuple[TransformerLM, List[_Slot], List[int]]] = {}
-        for i, state in enumerate(states):
-            eligible = self._slot_for(state, plan)
-            if isinstance(eligible, str):
-                _PACKED_FALLBACKS.inc()
-                TRACER.event("repro.speculate.packed.fallback",
-                             cause=eligible)
-                trees[i] = fallback(state)
-                continue
-            base, slot = eligible
-            group = groups.setdefault(id(base), (base, [], []))
-            group[1].append(slot)
-            group[2].append(i)
-        for base, slots, where in groups.values():
-            # Level-synchronous expansion of every slot against ``base``.
+        drafts: List[List[_Slot]] = []
+        groups: Dict[int, List[_Slot]] = {}
+        for state in states:
+            spec = state.speculator
+            queued = spec.take_queued()
+            slots = [_Slot(state, index, ssm, cache, config, queued)
+                     for index, (ssm, cache, config)
+                     in enumerate(spec.packed_expansion_states(plan))]
+            for slot in slots:
+                groups.setdefault(id(slot.base), []).append(slot)
+            drafts.append(slots)
+        for slots in groups.values():
+            # Level-synchronous expansion of every slot against one base.
+            base = slots[0].base
             arena = self._arenas.setdefault(base, ScratchArena())
             levels = _Levels(base, arena, slots)
             levels.run()
-            for i, slot, count, tree in zip(where, slots, levels.scored,
-                                            levels.trees()):
-                slot.finish(count)
-                trees[i] = tree
-            _PACKED_REQUESTS.inc(len(slots))
-        return trees
+            for slot, count, tree in zip(slots, levels.scored,
+                                         levels.trees()):
+                slot.finish(tree, count)
+        _PACKED_REQUESTS.inc(len(states))
+        return [slots[0].tree if len(slots) == 1
+                else merge_trees(slot.tree for slot in slots)
+                for slots in drafts]
 
 
 class _Levels:
@@ -271,6 +248,7 @@ class _Levels:
         self.size = [1] * len(slots)
         self.prefix = np.array([slot.prefix for slot in slots],
                                dtype=np.intp)
+        self.room = [slot.room for slot in slots]
         # Widths per slot and level (0 past the slot's depth); per level,
         # the widest, whether all scoring slots share it, who expands.
         depth = max(slot.config.depth for slot in slots)
@@ -321,6 +299,9 @@ class _Levels:
         frontier = self._score_roots()
         level = 1
         while frontier is not None:
+            frontier = self._fitting(frontier)
+            if frontier is None:
+                break
             # A level past the roots: frontier node ``j`` attends to the
             # verified prefix, its scored ancestors' rows and itself —
             # never to siblings or to other branches' rows (the per-level
@@ -371,25 +352,50 @@ class _Levels:
 
     def _score_roots(self) -> Optional[_Frontier]:
         """Level 0: ``[queued…, root]`` after each slot's cached prefix, a
-        causal block; only the roots propose."""
+        causal block; only the roots propose.  A slot with no room for its
+        root scores its queued rows alone and keeps a bare root."""
         counts: List[int] = []
         tokens: List[int] = []
         first: List[int] = []
         last: List[int] = []
         for slot in self.slots:
-            rows = len(slot.queued) + 1
+            root = [slot.root] if slot.room > 0 else []
+            rows = len(slot.queued) + len(root)
             counts.append(rows)
-            tokens += slot.queued + [slot.root]
-            first += [slot.prefix - rows + 1 - len(first)] * rows
-            last.append(len(first) - 1)
+            tokens += slot.queued + root
+            first += [slot.prefix - len(slot.queued) - len(first)] * rows
+            if root:
+                last.append(len(first) - 1)
+        if not tokens:
+            return None
         positions = np.array(first, dtype=np.intp) + np.arange(len(first))
         logits = self._forward(counts, np.array(tokens, dtype=np.intp),
                                positions, positions + 1)
-        count = len(self.slots)
-        zeros = np.zeros(count, dtype=np.intp)
-        roots = _Frontier(np.arange(count), zeros, self.table[0, :, 0],
-                          zeros[:, None], zeros, [1] * count)
+        if not last:
+            return None
+        owner = np.flatnonzero(np.array(self.room) > 0)
+        zeros = np.zeros(len(owner), dtype=np.intp)
+        roots = _Frontier(owner, zeros, self.table[0, owner, 0],
+                          zeros[:, None], zeros,
+                          [int(room > 0) for room in self.room])
         return self._grow(roots, logits[last], 0)
+
+    def _fitting(self, frontier: _Frontier) -> Optional[_Frontier]:
+        """``frontier`` without the nodes of slots whose cache cannot hold
+        them on top of the rows they have scored (such a slot's tree stops
+        at this level), or ``None`` when no node is left."""
+        over = [b for b, count in enumerate(frontier.counts)
+                if count > self.room[b] - self.scored[b]]
+        if not over:
+            return frontier
+        keep = ~np.isin(frontier.owner, over)
+        if not keep.any():
+            return None
+        return _Frontier(
+            *(None if field is None else field[keep]
+              for field in frontier[:5]),
+            [0 if b in over else count
+             for b, count in enumerate(frontier.counts)])
 
     # -- proposals and growth ------------------------------------------------------
 

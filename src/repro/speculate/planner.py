@@ -1,8 +1,7 @@
 """Hardware-aware dynamic tree planning (Sequoia-style, per tick).
 
-The static expansion configuration ⟨k1…km⟩ and the adaptive best-first
-policy both shape a tree *within* a fixed speculation budget; nothing in
-the system chooses the budget itself.  Sequoia (PAPERS.md) shows that the
+The static expansion configuration ⟨k1…km⟩ shapes a tree *within* a fixed
+speculation budget; nothing in it chooses the budget itself.  Sequoia (PAPERS.md) shows that the
 optimal tree size and depth depend on three things that change at run time:
 
 * the **batch size** — verification amortizes weight traffic across the

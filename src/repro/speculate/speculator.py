@@ -8,21 +8,23 @@ the current generation state into a speculated token tree each iteration:
   (typically a narrow one) and the trees are merged per Definition 3.2.
 
 The speculator mirrors the verified sequence in every SSM's cache.  The
-engine protocol is::
+decode pipeline drafts every speculator's tree through the packed level loop
+(:mod:`repro.speculate.packed`), which reads the SSMs, caches and configs
+from :meth:`Speculator.packed_expansion_states`; the protocol is::
 
     spec.advance(prompt)                 # verified prefix, pending excluded
-    tree = spec.speculate(pending)       # caches restored afterwards
+    tree = packed.speculate_batch(...)   # caches restored afterwards
     ... verifier accepts some tokens ...
     spec.advance([pending] + accepted)   # queue them; no SSM runs here
 
 ``advance`` only records the tokens — the prompt included: the decode
 pipeline's prompt pass queues it, so admitting a request runs no SSM.  They
 reach the SSM caches with the next forward pass that would have needed them
-anyway: packed expansion (:mod:`repro.speculate.packed`) takes the queue and
-scores it in the same level-0 call as the new root, and
-:meth:`Speculator.speculate` / :meth:`Speculator.prefill` flush it with one
-prefill before doing anything else — so a tick never pays an SSM forward of
-its own for mirroring.
+anyway: the packed drafter takes the queue and scores it in the same
+level-0 call as the new root — so a tick never pays an SSM forward of its
+own for mirroring.  :meth:`Speculator.speculate` is the depth-first
+reference the packed trees are tested against (``repro tree`` draws with it
+too); it and :meth:`Speculator.prefill` flush the queue with one prefill.
 """
 
 from __future__ import annotations
@@ -62,13 +64,11 @@ def mirror_cache(ssm):
     A transformer (or a coupled SSM's base) mirrors into a default-size slot
     of an arena its every speculator shares, so the packed drafter
     (:mod:`repro.speculate.packed`) appends a batch's tree rows in place
-    and scores them slot-major; any other SSM gets its own cache.
+    and scores them slot-major.
     """
     if isinstance(ssm, CoupledSSM):
         return CoupledCache(base_cache=_mirror_slot(ssm.base))
-    if isinstance(ssm, TransformerLM):
-        return _mirror_slot(ssm)
-    return ssm.new_cache()
+    return _mirror_slot(ssm)
 
 
 class Speculator:
@@ -81,6 +81,10 @@ class Speculator:
         per_ssm_configs: Optional per-SSM override of ``config`` (merge-based
             speculation often gives each boost-tuned SSM a plain sequence).
         temperature: Temperature of the recorded SSM proposal distributions.
+
+    Raises:
+        TypeError: An SSM is neither a ``TransformerLM`` nor a
+            ``CoupledSSM`` (the packed drafter scores only those).
     """
 
     def __init__(
@@ -89,12 +93,15 @@ class Speculator:
         config: Optional[ExpansionConfig] = None,
         per_ssm_configs: Optional[Sequence[ExpansionConfig]] = None,
         temperature: float = 1.0,
-        adaptive: Optional["AdaptiveConfig"] = None,
     ):
         if not ssms:
             raise ValueError("speculator needs at least one SSM")
+        for ssm in ssms:
+            if not isinstance(ssm, (TransformerLM, CoupledSSM)):
+                raise TypeError(
+                    f"an SSM must be a TransformerLM or a CoupledSSM, "
+                    f"got {type(ssm).__name__}")
         self.ssms = list(ssms)
-        self.adaptive = adaptive
         self.config = config or ExpansionConfig.paper_default()
         if per_ssm_configs is not None and len(per_ssm_configs) != len(self.ssms):
             raise ValueError(
@@ -120,8 +127,8 @@ class Speculator:
         # yet (counted in ``_prefix_len``).
         self._queued: List[int] = []
         # Cost accounting for the cluster model: SSM decode steps issued in
-        # the most recent speculate() call (all SSMs run in data parallel, so
-        # the latency-relevant figure is the max over SSMs).
+        # the most recent speculation, per SSM (all SSMs run in data
+        # parallel, so the latency-relevant figure is the max over SSMs).
         self.last_ssm_steps: List[int] = [0] * len(self.ssms)
 
     # -- cache mirroring -----------------------------------------------------------
@@ -168,7 +175,7 @@ class Speculator:
 
     def take_queued(self) -> List[int]:
         """Hand over the queued tokens to a caller that will append them to
-        the cache :meth:`packed_expansion_state` returned, ahead of the
+        every cache :meth:`packed_expansion_states` returned, ahead of the
         root, in its own forward pass."""
         queued, self._queued = self._queued, []
         return queued
@@ -181,32 +188,23 @@ class Speculator:
 
     # -- packed (cross-request) expansion seam -----------------------------------------
 
-    def packed_expansion_state(self, plan=None):
-        """``(ssm, cache, config)`` when packed expansion may drive this
-        speculator, else ``None``.
-
-        Packed draft scoring (:mod:`repro.speculate.packed`) replays the
-        expansion of a *single* statically-configured SSM as
-        level-synchronous tree-parallel decode; merge-based (multi-SSM) and
-        adaptive speculators keep their own loop.  The cache returned does
-        not hold the queued tokens yet — the packer owes them a
-        :meth:`take_queued`.
+    def packed_expansion_states(self, plan=None):
+        """``(ssm, cache, config)`` per SSM, for the packed drafter
+        (:mod:`repro.speculate.packed`), which expands each SSM level by
+        level and merges the trees.  The caches returned do not hold the
+        queued tokens yet — the packer owes them a :meth:`take_queued`.
 
         Args:
             plan: Optional per-tick :class:`~repro.speculate.planner.
-                TreePlan`; its expansion profile replaces the static config
-                for this tick (exactly as :meth:`speculate` would apply it,
-                so packed and per-session trees stay bit-identical).
+                TreePlan`; its expansion profile replaces the static configs
+                for this tick (exactly as :meth:`speculate` applies it, so
+                packed and depth-first trees stay identical).
         """
-        if self.adaptive is not None or len(self.ssms) != 1:
-            return None
-        config = self._effective_config(self.per_ssm_configs[0], plan)
-        self._last_depth = (
-            config.depth
-            if plan is not None and getattr(plan, "speculative", False)
-            else None
-        )
-        return self.ssms[0], self._caches[0], config
+        planned = plan is not None and getattr(plan, "speculative", False)
+        self._last_depth = plan.depth if planned else None
+        return [(ssm, cache, self._effective_config(config, plan))
+                for ssm, cache, config
+                in zip(self.ssms, self._caches, self.per_ssm_configs)]
 
     @staticmethod
     def _effective_config(config: ExpansionConfig, plan) -> ExpansionConfig:
@@ -215,16 +213,16 @@ class Speculator:
             return config
         return ExpansionConfig(tuple(plan.widths))
 
-    def record_packed_speculation(self, scored_nodes: int) -> None:
+    def record_packed_speculation(self, ssm_index: int,
+                                  scored_nodes: int) -> None:
         """Update cost accounting after packed expansion scored
-        ``scored_nodes`` tree nodes.
+        ``scored_nodes`` tree nodes of SSM ``ssm_index``.
 
         Mirrors :meth:`speculate`'s bookkeeping: one SSM decode step per
         internal node (every scored node gets children), so the cluster
-        cost model prices a packed tick identically to the per-session
-        loop it replaced.
+        cost model prices a packed tick as it prices the depth-first loop.
         """
-        self.last_ssm_steps[0] = scored_nodes
+        self.last_ssm_steps[ssm_index] = scored_nodes
 
     # -- speculation ------------------------------------------------------------------
 
@@ -235,7 +233,15 @@ class Speculator:
         rng: "np.random.Generator" = None,
         plan: Optional["TreePlan"] = None,
     ) -> TokenTree:
-        """Produce a speculated token tree rooted at ``pending_token``.
+        """Produce a speculated token tree rooted at ``pending_token``,
+        depth-first (:func:`expand_token_tree` per SSM, then
+        :func:`merge_trees`).
+
+        The decode pipeline never calls this: it drafts through
+        :class:`~repro.speculate.packed.PackedSpeculator`, which builds the
+        same trees level by level.  This is the reference the packed trees
+        are tested against, and what ``repro tree`` and the merge-vs-expand
+        ablation draw with.
 
         Tokens :meth:`advance` queued are mirrored first; beyond that the
         SSM caches are left unchanged (snapshot/restore inside expansion).
@@ -253,46 +259,21 @@ class Speculator:
                 rebuilding the speculator or disturbing its caches.
         """
         self.prefill(())
-        planned = plan is not None and getattr(plan, "speculative", False)
-        plan_budget = int(plan.budget) if planned else None
         trees: List[TokenTree] = []
-        for ssm_id, (ssm, cache, cfg) in enumerate(
-            zip(self.ssms, self._caches, self.per_ssm_configs)
-        ):
-            if self.adaptive is not None:
-                from repro.speculate.adaptive import expand_token_tree_adaptive
-
-                tree = expand_token_tree_adaptive(
-                    ssm,
-                    pending_token,
-                    cache,
-                    self.adaptive,
-                    temperature=self.temperature,
-                    stochastic=stochastic,
-                    rng=rng,
-                    max_tokens=plan_budget,
-                )
-            else:
-                tree = expand_token_tree(
-                    ssm,
-                    pending_token,
-                    cache,
-                    self._effective_config(cfg, plan),
-                    temperature=self.temperature,
-                    stochastic=stochastic,
-                    rng=rng,
-                )
+        for ssm_id, (ssm, cache, config) in enumerate(
+                self.packed_expansion_states(plan)):
+            tree = expand_token_tree(
+                ssm,
+                pending_token,
+                cache,
+                config,
+                temperature=self.temperature,
+                stochastic=stochastic,
+                rng=rng,
+            )
             # Internal nodes each cost one SSM decode step.
             self.last_ssm_steps[ssm_id] = len(tree) - len(tree.leaves())
             trees.append(tree)
-        if planned:
-            self._last_depth = (
-                min(plan.depth, self.adaptive.max_depth)
-                if self.adaptive is not None
-                else plan.depth
-            )
-        else:
-            self._last_depth = None
         if len(trees) == 1:
             return trees[0]
         return merge_trees(trees)
@@ -308,8 +289,6 @@ class Speculator:
         """
         if self._last_depth is not None:
             return self._last_depth
-        if self.adaptive is not None:
-            return self.adaptive.max_depth
         return max(
             (cfg.depth for cfg in self.per_ssm_configs),
             default=0,

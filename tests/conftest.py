@@ -45,3 +45,19 @@ def make_prompt(rng: np.random.Generator, length: int = 6,
                 vocab: int = 64) -> np.ndarray:
     """Random prompt avoiding the EOS id (0)."""
     return rng.integers(1, vocab, size=length).astype(np.intp)
+
+
+def draft_depth_first(pipeline):
+    """Make ``pipeline`` draft through the depth-first reference — one
+    ``Speculator.speculate`` call per state — instead of its packed level
+    loop; the equivalence tests compare the two."""
+    def speculate_batch(states, plan=None):
+        return [
+            state.speculator.speculate(
+                state.pending, stochastic=not state.sampling.greedy,
+                rng=state.rng, plan=plan)
+            for state in states
+        ]
+
+    pipeline.packed.speculate_batch = speculate_batch
+    return pipeline

@@ -14,7 +14,7 @@ from repro.model.coupled import CoupledSSM
 from repro.speculate.expansion import ExpansionConfig
 from repro.speculate.planner import TreePlan, TreePlanner, tree_tokens
 from repro.speculate.speculator import Speculator
-from tests.conftest import make_prompt
+from tests.conftest import draft_depth_first, make_prompt
 
 
 def make_states(llm, n=3, max_new_tokens=12, alignment=0.9):
@@ -84,9 +84,8 @@ class TestPlannerParity:
         drain(packed, packed_states)
 
         loop_states = make_states(llm)
-        loop = DecodePipeline(llm, FusedBackend(llm),
-                              planner=TreePlanner.default(),
-                              packed_speculation=False)
+        loop = draft_depth_first(DecodePipeline(
+            llm, FusedBackend(llm), planner=TreePlanner.default()))
         drain(loop, loop_states)
 
         for a, b in zip(packed_states, loop_states):

@@ -8,10 +8,10 @@ Four families of guarantees:
   ``out=`` rewrites of the forward pass provably compute the same bits);
 * packed speculation equivalence — scoring every request's draft tree
   through one batched GEMM per level produces, tick for tick, the same
-  trees, the same recorded proposal distributions and the same committed
-  tokens as the per-session SSM loop, greedy and sampling, with automatic
-  fallback (counted, and explained in a trace event) for configurations
-  the packer does not cover;
+  fitted trees, the same recorded proposal distributions and the same
+  committed tokens as the depth-first reference (``Speculator.speculate``),
+  greedy and sampling, merge-based speculators and end-of-context cuts
+  included;
 * steady-state allocation freedom (``perf_smoke``) — after warm-up ticks,
   ``DecodePipeline.tick`` performs zero tracked hot-path allocations, the
   property ``benchmarks/ci_gate.py`` gates in CI;
@@ -41,20 +41,21 @@ from repro.model.kv_cache import LayerKV
 from repro.model.sampling import SamplingConfig
 from repro.model.transformer import TransformerLM
 from repro.obs import REGISTRY, reset_observability
-from repro.obs import tracing
 from repro.serving.manager import RequestManager
-from repro.speculate.adaptive import AdaptiveConfig
 from repro.speculate.expansion import ExpansionConfig
-from repro.speculate.packed import scored_node_bound
+from repro.speculate.packed import PackedSpeculator, scored_node_bound
 from repro.speculate.speculator import Speculator
-from tests.conftest import make_prompt
+from tests.conftest import draft_depth_first, make_prompt
 from tests.engine.test_pipeline_planner import StubPlanner
 from tests.serving.test_fault_tolerance import ScriptedInjector
 from tests.serving.test_manager import incremental_factory
 
 
 def _make_states(llm, ssm_factory, greedy, seed, n_requests=3,
-                 max_new_tokens=14, prompt_len=4, widths=(1, 2, 1)):
+                 max_new_tokens=14, prompt_len=4, widths=(1, 2, 1),
+                 speculator_factory=None):
+    """``n_requests`` decode states, each with a one-SSM speculator under
+    ``widths``, or ``speculator_factory()``'s."""
     rng = np.random.default_rng(seed)
     sampling = (SamplingConfig(greedy=True) if greedy
                 else SamplingConfig(temperature=1.0))
@@ -64,7 +65,8 @@ def _make_states(llm, ssm_factory, greedy, seed, n_requests=3,
             max_new_tokens=max_new_tokens, sampling=sampling, seed=seed + r,
             stop_on_eos=False,
         )
-        spec = Speculator([ssm_factory()], ExpansionConfig(widths))
+        spec = (speculator_factory() if speculator_factory is not None
+                else Speculator([ssm_factory()], ExpansionConfig(widths)))
         states.append(DecodeState(
             llm, make_prompt(rng, length=prompt_len + r), config,
             speculator=spec,
@@ -154,9 +156,13 @@ class _TreeLog(FusedBackend):
         return super().verify(states, trees)
 
 
-def _drive(llm, states, packed):
+def _drive(llm, states, reference=False):
+    """Drive ``states`` to completion through the packed drafter, or the
+    depth-first ``reference``; their tokens and every tick's fitted trees."""
     backend = _TreeLog(llm)
-    pipeline = DecodePipeline(llm, backend=backend, packed_speculation=packed)
+    pipeline = DecodePipeline(llm, backend=backend)
+    if reference:
+        draft_depth_first(pipeline)
     while any(not s.finished for s in states):
         pipeline.tick([s for s in states if not s.finished])
     return [s.tokens for s in states], backend.ticks
@@ -167,7 +173,7 @@ def _assert_same_ticks(packed_ticks, sequential_ticks):
     and edge for edge, and the same recorded distributions.
 
     The distributions are compared to 1e-12, not bit for bit: the
-    per-session loop scores one row at a time, which BLAS runs through GEMV,
+    depth-first loop scores one row at a time, which BLAS runs through GEMV,
     and the packed path scores many, which it runs through GEMM — the two
     kernels round differently in the last few ulps (about 5e-15 on these
     logits).  Everything downstream of the distributions is compared
@@ -185,57 +191,33 @@ def _assert_same_ticks(packed_ticks, sequential_ticks):
                     np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
-def _fallback_causes(llm, speculator_factory, prompt_len=5,
-                     max_new_tokens=6):
-    """Drive two greedy requests to completion; the set of causes their
-    ``repro.speculate.packed.fallback`` events carry (every fallback is
-    counted *and* says why), and how many requests were packed."""
-    reset_observability()
-    states = [
-        DecodeState(
-            llm, make_prompt(np.random.default_rng(r), length=prompt_len),
-            GenerationConfig(max_new_tokens=max_new_tokens,
-                             sampling=SamplingConfig(greedy=True)),
-            speculator=speculator_factory(),
-        )
-        for r in range(2)
-    ]
-    pipeline = DecodePipeline(llm, backend=FusedBackend(llm))
-    with tracing() as tracer:
-        while any(not s.finished for s in states):
-            pipeline.tick([s for s in states if not s.finished])
-        causes = [record["attrs"]["cause"]
-                  for record in tracer.records()
-                  if record["name"] == "repro.speculate.packed.fallback"]
-    snap = REGISTRY.snapshot()
-    assert (snap["repro.speculate.packed.fallbacks"]["value"]
-            == len(causes) > 0)
-    return set(causes), snap["repro.speculate.packed.requests"]["value"]
-
-
 #: The suite's long-standing shape, and one that branches at every level so
 #: sampled siblings collide (merged duplicates) and path indices matter.
 EQUIVALENCE_WIDTHS = [(1, 2, 1), (2, 2, 2)]
 
 
 class TestPackedSpeculationEquivalence:
-    """One batched GEMM per tree level == the per-session SSM loop."""
+    """One batched GEMM per tree level == the depth-first reference."""
+
+    def _assert_matches_reference(self, llm, states):
+        """``states()`` driven through the packed drafter and through the
+        depth-first reference commit the same tokens from the same fitted
+        trees; returns the packed run's ticks."""
+        packed_tokens, packed_ticks = _drive(llm, states())
+        tokens, ticks = _drive(llm, states(), reference=True)
+        assert packed_tokens == tokens
+        assert any(tokens)
+        _assert_same_ticks(packed_ticks, ticks)
+        return packed_ticks
 
     def _check(self, llm, ssm_kind, greedy, seed):
         # Four requests: enough blocks for the draft levels to be scored
         # slot-major (``SLOT_MIN_BLOCKS``).
         for widths in EQUIVALENCE_WIDTHS:
-            runs = [
-                _drive(llm, _make_states(llm, _ssm_factory(llm, ssm_kind),
-                                         greedy, seed, n_requests=4,
-                                         widths=widths),
-                       packed)
-                for packed in (True, False)
-            ]
-            (packed_tokens, packed_ticks), (tokens, ticks) = runs
-            assert packed_tokens == tokens
-            assert any(tokens)
-            _assert_same_ticks(packed_ticks, ticks)
+            self._assert_matches_reference(
+                llm, lambda: _make_states(
+                    llm, _ssm_factory(llm, ssm_kind), greedy, seed,
+                    n_requests=4, widths=widths))
 
     @pytest.mark.parametrize("ssm_kind", ["transformer", "coupled"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -253,7 +235,7 @@ class TestPackedSpeculationEquivalence:
         branching: some sampled tree is smaller than the full shape."""
         states = _make_states(llm, _ssm_factory(llm, "coupled"), False, 0,
                               widths=(2, 2, 2))
-        _, ticks = _drive(llm, states, packed=True)
+        _, ticks = _drive(llm, states)
         sizes = {len(shape) for tick in ticks for shape, _ in tick}
         assert min(sizes) < 1 + 2 + 4 + 8
 
@@ -286,19 +268,12 @@ class TestPackedSpeculationEquivalence:
                 for r, (widths, temperature) in enumerate(shapes)
             ]
 
-        reset_observability()
-        packed_tokens, packed_ticks = _drive(llm, states(), packed=True)
-        snap = REGISTRY.snapshot()
-        assert snap["repro.speculate.packed.requests"]["value"] > 0
-        assert snap["repro.speculate.packed.fallbacks"]["value"] == 0
+        self._assert_matches_reference(llm, states)
         assert any(forward["slot_major"] for forward in forwards)
-        tokens, ticks = _drive(llm, states(), packed=False)
-        assert packed_tokens == tokens
-        _assert_same_ticks(packed_ticks, ticks)
 
     def test_one_group_mixes_greedy_and_sampled_requests(self, llm):
         """Greedy and sampled requests over one base share a group; only
-        the sampled trees keep proposal rows, as on the per-session path."""
+        the sampled trees keep proposal rows, as on the depth-first path."""
         def states():
             made = []
             for greedy in (True, False):
@@ -307,22 +282,21 @@ class TestPackedSpeculationEquivalence:
                                      widths=(2, 2, 1))
             return made
 
-        packed_tokens, packed_ticks = _drive(llm, states(), packed=True)
-        tokens, ticks = _drive(llm, states(), packed=False)
-        assert packed_tokens == tokens
-        _assert_same_ticks(packed_ticks, ticks)
-        first = packed_ticks[0]
+        first = self._assert_matches_reference(llm, states)[0]
         assert all(p is None for _, props in first[:2] for p in props)
         assert all(p is not None for _, props in first[2:] for p in props[1:])
 
     def _assert_packed_only(self, llm, greedy):
         reset_observability()
-        _run(llm, _ssm_factory(llm, "coupled"), FusedBackend, greedy, 0,
-             packed_speculation=True)
+        states = _make_states(llm, _ssm_factory(llm, "coupled"), greedy, 0)
+        pipeline = DecodePipeline(llm, backend=FusedBackend(llm))
+        while any(not s.finished for s in states):
+            pipeline.tick([s for s in states if not s.finished])
         snap = REGISTRY.snapshot()
-        assert snap["repro.speculate.packed.requests"]["value"] > 0
+        # Every tree of every tick was drafted by the packer.
+        assert (snap["repro.speculate.packed.requests"]["value"]
+                == sum(len(s.steps) for s in states) > 0)
         assert snap["repro.speculate.packed.levels"]["value"] > 0
-        assert snap["repro.speculate.packed.fallbacks"]["value"] == 0
 
     def test_packed_path_actually_runs_greedy(self, llm):
         self._assert_packed_only(llm, greedy=True)
@@ -330,14 +304,45 @@ class TestPackedSpeculationEquivalence:
     def test_packed_path_actually_runs_stochastic(self, llm):
         self._assert_packed_only(llm, greedy=False)
 
-    def test_merge_based_speculator_falls_back(self, llm):
-        """Multi-SSM (merge-based) speculators keep the per-session loop."""
-        causes, packed = _fallback_causes(llm, lambda: Speculator(
-            [CoupledSSM(llm, alignment=0.9, seed=s, noise_scale=2.0)
-             for s in (7, 8)],
-            ExpansionConfig((1, 2)),
-        ))
-        assert causes == {"multi_ssm"} and packed == 0
+    @staticmethod
+    def _merged(llm, case):
+        """A merge-based speculator: two coupled SSMs on one base under one
+        config, the same under per-SSM configs of different depths, or a
+        transformer SSM and a coupled one (two packed groups)."""
+        def coupled(seed):
+            return CoupledSSM(llm, alignment=0.9, seed=seed, noise_scale=2.0)
+
+        if case == "two_coupled":
+            return Speculator([coupled(7), coupled(8)],
+                              ExpansionConfig((2, 2)))
+        if case == "per_ssm_depths":
+            return Speculator(
+                [coupled(7), coupled(8)],
+                per_ssm_configs=[ExpansionConfig((2, 2)),
+                                 ExpansionConfig((1, 1, 1, 1))])
+        return Speculator([_ssm_factory(llm, "transformer")(), coupled(8)],
+                          ExpansionConfig((2, 1, 2)))
+
+    @pytest.mark.parametrize("greedy", [True, False],
+                             ids=["greedy", "stochastic"])
+    @pytest.mark.parametrize("case", ["two_coupled", "per_ssm_depths",
+                                      "two_groups"])
+    def test_merge_based_speculator_matches_the_reference(self, llm, case,
+                                                          greedy):
+        """Each SSM of a merge-based speculator is its own slot in its
+        base's group; the request's tree is the merge of its slots' trees,
+        and each SSM's steps are recorded."""
+        def states():
+            return _make_states(
+                llm, None, greedy, 4, n_requests=4,
+                speculator_factory=lambda: self._merged(llm, case))
+
+        self._assert_matches_reference(llm, states)
+        drafted = states()
+        DecodePipeline(llm).tick(drafted)
+        assert all(len(s.speculator.last_ssm_steps) == 2
+                   and min(s.speculator.last_ssm_steps) > 0
+                   for s in drafted)
 
     @pytest.mark.parametrize("greedy", [True, False],
                              ids=["greedy", "stochastic"])
@@ -376,24 +381,39 @@ class TestPackedSpeculationEquivalence:
 
     @pytest.mark.parametrize("greedy", [True, False],
                              ids=["greedy", "stochastic"])
-    def test_request_crossing_the_capacity_fallback(self, llm, greedy):
-        """Near end-of-context a request leaves the packed path for the
-        per-session loop mid-generation; its trees and tokens are the ones
-        the per-session loop alone would have produced, because both read
-        the same uniform block the same way."""
-        def states():
-            return _make_states(llm, _ssm_factory(llm, "coupled"), greedy, 3,
-                                n_requests=2, max_new_tokens=60,
-                                prompt_len=50, widths=(2, 2, 2))
+    @pytest.mark.parametrize("merged", [False, True],
+                             ids=["one_ssm", "merged"])
+    def test_request_crossing_the_capacity_fallback(self, llm, merged,
+                                                    greedy, monkeypatch):
+        """Near end-of-context a request's SSM cache cannot hold its whole
+        scored tree, so the packer stops at the level that no longer fits,
+        down to a bare root; the fitted trees and tokens are the ones the
+        depth-first loop, which stops per branch, produces.  A merge-based
+        speculator cuts each SSM's tree on its own."""
+        widths = (2, 2, 2)
 
-        reset_observability()
-        packed_tokens, packed_ticks = _drive(llm, states(), packed=True)
-        snap = REGISTRY.snapshot()
-        assert snap["repro.speculate.packed.requests"]["value"] > 0
-        assert snap["repro.speculate.packed.fallbacks"]["value"] > 0
-        tokens, ticks = _drive(llm, states(), packed=False)
-        assert packed_tokens == tokens
-        _assert_same_ticks(packed_ticks, ticks)
+        def states():
+            return _make_states(
+                llm, _ssm_factory(llm, "coupled"), greedy, 3, n_requests=2,
+                max_new_tokens=60, prompt_len=50, widths=widths,
+                speculator_factory=(
+                    lambda: self._merged(llm, "two_coupled")) if merged
+                else None)
+
+        # How close to the end each drafted request's SSM cache is.
+        rooms = []
+        speculate_batch = PackedSpeculator.speculate_batch
+
+        def spy(self, drafted, plan=None):
+            rooms.extend(llm.config.max_seq_len - s.speculator.prefix_len
+                         for s in drafted)
+            return speculate_batch(self, drafted, plan)
+
+        monkeypatch.setattr(PackedSpeculator, "speculate_batch", spy)
+        self._assert_matches_reference(llm, states)
+        bound = scored_node_bound(ExpansionConfig(widths))
+        assert max(rooms) >= bound and min(rooms) < bound
+        assert 0 in rooms
 
 
 class _DuckSSM:
@@ -407,31 +427,12 @@ class _DuckSSM:
         self.decode = model.decode
 
 
-class TestPackedFallbackCauses:
-    """The other causes (``multi_ssm`` is
-    ``test_merge_based_speculator_falls_back`` above)."""
-
-    def test_adaptive_speculator(self, llm):
-        causes, packed = _fallback_causes(llm, lambda: Speculator(
-            [CoupledSSM(llm, alignment=0.9, seed=7, noise_scale=2.0)],
-            adaptive=AdaptiveConfig(max_tokens=4, max_depth=3),
-        ))
-        assert causes == {"adaptive"} and packed == 0
-
-    def test_unknown_model_type(self, llm):
-        causes, packed = _fallback_causes(llm, lambda: Speculator(
-            [_DuckSSM(llm)], ExpansionConfig((1, 2))))
-        assert causes == {"model_type"} and packed == 0
-
-    def test_near_capacity(self, llm):
-        # 90 of 96 positions are prompt: the (1, 2) tree's three scored
-        # rows fit for a tick or two, then only the per-branch check does.
-        causes, packed = _fallback_causes(
-            llm, lambda: Speculator(
-                [CoupledSSM(llm, alignment=0.9, seed=7, noise_scale=2.0)],
-                ExpansionConfig((1, 2))),
-            prompt_len=90, max_new_tokens=12)
-        assert causes == {"capacity"} and packed > 0
+class TestOnlyPackableSSMs:
+    def test_duck_typed_ssm_is_rejected(self, llm):
+        """The packed drafter scores transformers and coupled SSMs only, so
+        a speculator refuses anything else when it is built."""
+        with pytest.raises(TypeError):
+            Speculator([_DuckSSM(llm)], ExpansionConfig((1, 2)))
 
 
 def _count_calls(monkeypatch, model, names):
@@ -661,15 +662,14 @@ class TestSteadyStateAllocationFree:
 
     WARMUP_TICKS = 5
 
-    def _drive(self, llm, packed):
+    def _drive(self, llm):
         reset_observability()
         states = _make_states(
             llm, lambda: CoupledSSM(llm, alignment=0.9, seed=7,
                                     noise_scale=2.0),
             greedy=True, seed=0, max_new_tokens=40,
         )
-        pipeline = DecodePipeline(llm, backend=FusedBackend(llm),
-                                  packed_speculation=packed)
+        pipeline = DecodePipeline(llm, backend=FusedBackend(llm))
         live = lambda: [s for s in states if not s.finished]
         for _ in range(self.WARMUP_TICKS):
             if live():
@@ -682,10 +682,8 @@ class TestSteadyStateAllocationFree:
         assert steady_ticks >= 3, "batch finished before steady state"
         return counters
 
-    @pytest.mark.parametrize("packed", [True, False],
-                             ids=["packed", "per_session"])
-    def test_fused_steady_state_has_zero_tracked_allocs(self, llm, packed):
-        counters = self._drive(llm, packed)
+    def test_fused_steady_state_has_zero_tracked_allocs(self, llm):
+        counters = self._drive(llm)
         assert counters.hot_alloc_events == 0
         assert counters.hot_alloc_bytes == 0
         assert counters.mask_cells_allocated == 0

@@ -91,7 +91,6 @@ def test_first_and_second_token_laws_are_the_llms(llm):
 
     snap = REGISTRY.snapshot()
     assert snap["repro.speculate.packed.requests"]["value"] == N_REQUESTS
-    assert snap["repro.speculate.packed.fallbacks"]["value"] == 0
     assert snap["repro.engine.ticks"]["value"] == N_REQUESTS // BATCH
 
     bound = tv_bound(vocab, N_REQUESTS)

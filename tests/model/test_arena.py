@@ -427,8 +427,8 @@ class TestModelIntegration:
         mirror cache are all the one ``KVCache``."""
         kind = type(BatchArena(SMALL_CONFIG).new_sequence())
         assert type(llm.new_cache()) is kind
-        assert type(Speculator([llm]).packed_expansion_state()[1]) is kind
-        coupled = Speculator([ssm]).packed_expansion_state()[1]
+        assert type(Speculator([llm]).packed_expansion_states()[0][1]) is kind
+        coupled = Speculator([ssm]).packed_expansion_states()[0][1]
         assert type(coupled.base_cache) is kind
 
     def test_a_collected_cache_gives_its_rows_back(self):

@@ -103,7 +103,7 @@ def test_slot_major_forwards_keep_attention_in_the_op_seams(monkeypatch):
     with tracer.installed(trace_points(llm=model)):
         model.decode_batch(np.array([s.pending for s in states]),
                            [s.cache for s in states])
-        PackedSpeculator().speculate_batch(states, fallback=None)
+        PackedSpeculator().speculate_batch(states)
     assert len(slot_major) == 2
     spans = tracer.spans
     for forward in ("model.llm.forward", "model.ssm.forward"):

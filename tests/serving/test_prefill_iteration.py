@@ -201,8 +201,8 @@ class TestOneForwardPerAdmissionRound:
             manager.submit(prompt, _config(16))
         llm_tap = _Tap(monkeypatch, llm)
         ssm_tap = _Tap(monkeypatch, ssm)
-        fallbacks = REGISTRY.counter("repro.speculate.packed.fallbacks")
-        before = fallbacks.value
+        packed = REGISTRY.counter("repro.speculate.packed.requests")
+        before = packed.value
 
         with perf.track() as batched:
             stats = manager.run_iteration()
@@ -224,7 +224,7 @@ class TestOneForwardPerAdmissionRound:
         assert ssm_tap.calls == {"forward_masked_blocks": len(WIDTHS),
                                  "prefill": 0, "decode": 0}
         assert ssm_tap.rows[0] == rows + admissions
-        assert fallbacks.value == before
+        assert packed.value == before + admissions
         assert llm_tap.calls["forward_masked_blocks"] == 2
 
 

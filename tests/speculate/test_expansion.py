@@ -156,14 +156,12 @@ class TestStochasticDraws:
         return expand_token_tree(ssm, int(prompt[-1]), cache, self.CONFIG,
                                  stochastic=True, rng=rng, **kwargs)
 
-    @pytest.mark.parametrize("max_tokens", [None, 0, 3])
-    def test_a_call_takes_one_block_sized_by_the_config(self, ssm, rng,
-                                                        max_tokens):
-        """Merged duplicates, budgets and capacity stops shrink the tree,
-        never the draw: the stream ends where the next call expects it."""
+    def test_a_call_takes_one_block_sized_by_the_config(self, ssm, rng):
+        """Merged duplicates and capacity stops shrink the tree, never the
+        draw: the stream ends where the next call expects it."""
         prompt = make_prompt(rng, length=5)
         used, fresh = (np.random.default_rng(4) for _ in range(2))
-        self._tree(ssm, prompt, used, max_tokens=max_tokens)
+        self._tree(ssm, prompt, used)
         fresh.random(self.CONFIG.max_tree_tokens())
         assert used.random() == fresh.random()
 

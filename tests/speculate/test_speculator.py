@@ -178,7 +178,7 @@ class TestMirrorSlots:
 
     @staticmethod
     def _slot_cache(spec):
-        cache = spec.packed_expansion_state()[1]
+        cache = spec.packed_expansion_states()[0][1]
         return getattr(cache, "base_cache", cache)
 
     def test_speculators_of_one_base_share_an_arena(self, base):

@@ -31,9 +31,16 @@ class TestParser:
         ["serve", "--requests", "0"],
         ["serve", "--dataset", "nope"],
         ["loadgen", "--dataset", "nope"],
+        ["chaos", "Alpaca", "--fault-rate", "1.5"],
+        ["loadgen", "--fault-rate", "2"],
+        ["tree", "--widths", "0"],
+        ["demo", "--tokens", "0"],
+        ["latency", "--tp", "0"],
+        ["sweep", "--alpha", "1.5"],
     ])
     def test_bad_workload_is_a_usage_error(self, argv, capsys):
-        """An invalid workload exits 2 with a message, not a traceback."""
+        """An invalid workload or verb argument exits 2 with a message, not
+        a traceback."""
         assert exit_code(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
