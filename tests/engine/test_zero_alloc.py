@@ -435,6 +435,37 @@ class TestOnlyPackableSSMs:
             Speculator([_DuckSSM(llm)], ExpansionConfig((1, 2)))
 
 
+class TestPackedFallbackCauses:
+    """End-of-context once sent a request to the depth-first drafter; now
+    the packer drafts it like any other."""
+
+    def test_near_capacity(self, llm):
+        # 90 of 96 positions are prompt: the (1, 2) tree's three scored
+        # rows fit for a tick or two, then only a cut of the tree does.
+        def states():
+            return _make_states(
+                llm, _ssm_factory(llm, "coupled"), True, 0, n_requests=2,
+                max_new_tokens=12, prompt_len=90, widths=(1, 2))
+
+        reset_observability()
+        packed, drafted = states(), 0
+        backend = _TreeLog(llm)
+        pipeline = DecodePipeline(llm, backend=backend)
+        while any(not s.finished for s in packed):
+            live = [s for s in packed if not s.finished]
+            drafted += len(live)
+            pipeline.tick(live)
+        # Every live request of every tick was drafted by the packer: the
+        # whole tree while it fit, a cut of it (here a bare root) after.
+        assert (REGISTRY.snapshot()["repro.speculate.packed.requests"]
+                ["value"] == drafted)
+        sizes = [[len(shape) for shape, _ in tick] for tick in backend.ticks]
+        assert sizes[0] == [4, 4] and sizes[-1] == [1, 1]
+        tokens, ticks = _drive(llm, states(), reference=True)
+        assert [s.tokens for s in packed] == tokens
+        _assert_same_ticks(backend.ticks, ticks)
+
+
 def _count_calls(monkeypatch, model, names):
     """Count calls of ``names`` on this model *instance* (restored by
     ``monkeypatch``: the fixture models are shared)."""
