@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +37,9 @@ import numpy as np
 def _demo_config(args: argparse.Namespace):
     """``demo``'s :class:`~repro.engine.generation.GenerationConfig`."""
     from repro.engine.generation import GenerationConfig
+    from repro.obs.workload import _check_toy_pair
 
+    _check_toy_pair(args.alignment, args.seed)
     return GenerationConfig(max_new_tokens=args.tokens, stop_on_eos=False)
 
 
@@ -76,8 +78,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def _tree_config(args: argparse.Namespace):
     """``tree``'s :class:`~repro.speculate.expansion.ExpansionConfig`."""
+    from repro.obs.workload import _check_toy_pair
     from repro.speculate.expansion import ExpansionConfig
 
+    _check_toy_pair(args.alignment, args.seed)
     return ExpansionConfig(tuple(args.widths))
 
 
@@ -139,9 +143,8 @@ async def _serve_gateway(spec, listen: str) -> int:
     manager, arrivals = build_workload(spec)
     gateway = ServingGateway(manager)
     await gateway.start()
-    host, _, port = listen.rpartition(":")
-    server = await start_gateway_server(
-        gateway, host=host or "127.0.0.1", port=int(port))
+    host, port = _address(listen)
+    server = await start_gateway_server(gateway, host=host, port=port)
     try:
         print(f"gateway listening on {server.host}:{server.port}")
         config = spec.generation_config()
@@ -239,8 +242,24 @@ def cmd_chat(args: argparse.Namespace) -> int:
 
     if args.local:
         return asyncio.run(local())
-    host, _, port = args.connect.rpartition(":")
-    return asyncio.run(chat(host or "127.0.0.1", int(port)))
+    return asyncio.run(chat(*_address(args.connect)))
+
+
+def _address(text: str) -> Tuple[str, int]:
+    """``HOST:PORT`` (an empty host is 127.0.0.1) as ``(host, port)``."""
+    host, _, port = text.rpartition(":")
+    if not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"expected HOST:PORT, got {text!r}")
+    return host or "127.0.0.1", int(port)
+
+
+def _gateway_workload_spec(args: argparse.Namespace):
+    """``serve``'s and ``chat``'s workload spec, once the gateway address
+    (``--listen`` / ``--connect``), if given, parses as HOST:PORT."""
+    address = getattr(args, "listen", None) or getattr(args, "connect", None)
+    if address:
+        _address(address)
+    return _workload_spec(args)
 
 
 def _loadgen_spec(args: argparse.Namespace):
@@ -308,6 +327,9 @@ def _latency_model(args: argparse.Namespace):
     from repro.cluster.models import paper_model
     from repro.cluster.parallel import ParallelPlan
 
+    for name in ("batch", "tree_tokens"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
     cluster = two_node_cluster() if args.pp > 1 else single_node_cluster()
     plan = ParallelPlan(tensor_parallel=args.tp, pipeline_stages=args.pp)
     return LatencyModel(paper_model(args.model), plan, cluster)
@@ -522,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve through the async streaming gateway, "
                             "exposed over TCP/JSONL while the workload "
                             "drains, instead of the replay simulation")
-    serve.set_defaults(handler=cmd_serve, spec_from=_workload_spec)
+    serve.set_defaults(handler=cmd_serve, spec_from=_gateway_workload_spec)
 
     chat = sub.add_parser(
         "chat", help="stream one generation from a serving gateway"
@@ -542,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     chat.add_argument("--dataset", default="Alpaca")
     chat.add_argument("--alignment", type=float, default=0.88)
     chat.add_argument("--seed", type=int, default=7)
-    chat.set_defaults(handler=cmd_chat, spec_from=_workload_spec)
+    chat.set_defaults(handler=cmd_chat, spec_from=_gateway_workload_spec)
 
     loadgen = sub.add_parser(
         "loadgen",

@@ -82,6 +82,8 @@ def sweep_speculation_depth(
     """
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must be in [0, 1]")
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
     plan = plan or ParallelPlan.for_model(llm, cluster)
     llm_latency = LatencyModel(llm, plan, cluster)
     ssm_latency = LatencyModel(ssm, ParallelPlan(), cluster)

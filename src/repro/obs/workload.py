@@ -66,8 +66,9 @@ class WorkloadSpec:
 
     Raises:
         ValueError: ``requests``, ``max_new_tokens`` or ``batch`` below 1,
-            a non-positive ``rate``, a ``pool`` of 1 or below 0, or an
-            unknown ``dataset``.
+            a non-positive ``rate``, a negative ``seed``, an ``alignment``
+            outside [0, 1], a ``pool`` of 1 or below 0, or an unknown
+            ``dataset``.
     """
 
     dataset: str = "Alpaca"
@@ -91,6 +92,7 @@ class WorkloadSpec:
                 raise ValueError(f"{name} must be >= 1")
         if self.rate <= 0:
             raise ValueError("rate must be > 0")
+        _check_toy_pair(self.alignment, self.seed)
         if self.pool != 0 and self.pool < 2:
             raise ValueError("pool must be 0 (one SSM) or >= 2 members")
         if not 0 <= self.fault_rate <= 1:
@@ -106,6 +108,14 @@ class WorkloadSpec:
 
         return GenerationConfig(max_new_tokens=self.max_new_tokens,
                                 stop_on_eos=False)
+
+
+def _check_toy_pair(alignment: float, seed: int) -> None:
+    """Reject a seed or an alignment the toy pair cannot be built from."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0 <= alignment <= 1:
+        raise ValueError(f"alignment must be in [0, 1], got {alignment}")
 
 
 def _build_toy_pair(alignment: float, seed: int):

@@ -10,7 +10,6 @@
   requests join the batch between iterations.
 * :mod:`repro.serving.policies` -- admission-ordering policies (FCFS, SJF,
   priority).
-* :mod:`repro.serving.memory` -- KV-cache memory pool and admission control.
 * :mod:`repro.serving.metrics` -- TTFT / TPOT / throughput reporting.
 * :mod:`repro.serving.gateway` -- the async streaming gateway: bounded
   per-tenant admission queues, weighted round-robin with rate limits, two
@@ -50,7 +49,6 @@ from repro.serving.gateway import (
 )
 from repro.serving.loop import GatewayLoop
 from repro.serving.manager import IterationStats, RequestManager
-from repro.serving.memory import KvMemoryPool, KvReservation
 from repro.serving.metrics import (
     RequestLatency,
     ServingReport,
@@ -80,8 +78,6 @@ __all__ = [
     "VerificationBackend",
     "FusedBackend",
     "IncrementalBackend",
-    "KvMemoryPool",
-    "KvReservation",
     "RequestLatency",
     "ServingReport",
     "build_report",

@@ -15,9 +15,9 @@ Layering (see ``docs/serving_gateway.md``):
   clients, tenants, or wall-clock time.  The replay path drives it
   unchanged.
 * :class:`ServingGateway` (this module) is the *policy* layer: bounded
-  per-tenant queues, a KV-reservation precheck before any submit reaches
-  the core, per-tenant weighted round-robin with rate limits, and two SLO
-  classes (:class:`SloClass`) that label the latency histograms.
+  per-tenant queues, per-tenant weighted round-robin with rate limits into
+  the core's free batch slots, and two SLO classes (:class:`SloClass`)
+  that label the latency histograms.
 * :class:`~repro.serving.loop.GatewayLoop` is the asyncio *driver*: each
   cycle it pumps admissions — a round that admits anything is the core's
   prefill iteration, whose first tokens are dispatched at once — or else
@@ -57,12 +57,9 @@ _REJECTED = REGISTRY.counter(
 _REJECTED_QUEUE = REGISTRY.counter(
     "repro.gateway.rejected_queue_full",
     help="requests rejected because the tenant queue was full")
-_REJECTED_UNSERVABLE = REGISTRY.counter(
-    "repro.gateway.rejected_unservable",
-    help="requests rejected because they can never fit the KV budget")
 _DEFERRED = REGISTRY.counter(
     "repro.gateway.admission_deferred",
-    help="admission attempts deferred (KV pressure or rate limit); the "
+    help="admission attempts deferred by a tenant rate limit; the "
          "request stays queued and retries next tick")
 _QUEUE_DEPTH = REGISTRY.gauge(
     "repro.gateway.queue_depth",
@@ -183,8 +180,8 @@ class AdmissionError(RuntimeError):
 
     Attributes:
         reason: Machine-readable reason — ``queue_full`` (tenant queue at
-            its bound) or ``unservable`` (the request can never hold a KV
-            reservation even against an empty pool).
+            its bound) or ``unknown_tenant`` (a tenant the gateway does not
+            know, with ``auto_tenants`` off).
     """
 
     def __init__(self, reason: str, detail: str = ""):
@@ -440,10 +437,10 @@ class ServingGateway:
         """Offer a request; returns its :class:`TokenStream` when queued.
 
         Raises :class:`AdmissionError` when the tenant's bounded queue is
-        full (``queue_full``) or the request could never hold a KV
-        reservation even alone (``unservable``).  Rate limits and
-        transient KV pressure do *not* reject — the request waits in the
-        tenant queue and the admission pump retries it each tick.
+        full (``queue_full``).  A full batch and rate limits do *not*
+        reject — the request waits in the tenant queue and the admission
+        pump retries it each tick.  A prompt the model cannot take fails
+        alone at admission, as a terminal ``failed`` event on its stream.
         """
         _SUBMITTED.inc()
         slo = SloClass.parse(slo)
@@ -459,14 +456,6 @@ class ServingGateway:
                 "queue_full",
                 f"tenant {tenant!r} queue at bound "
                 f"{state.config.max_queue_depth}")
-        if not self._fits_alone(prompt_list, config):
-            _REJECTED.inc()
-            _REJECTED_UNSERVABLE.inc()
-            TRACER.event("repro.gateway.reject", tenant=tenant,
-                         reason="unservable")
-            raise AdmissionError(
-                "unservable",
-                "request exceeds the KV budget even against an empty pool")
         stream = TokenStream(tenant=tenant, slo=slo)
         gwreq = _GwRequest(
             prompt=prompt_list,
@@ -486,16 +475,6 @@ class ServingGateway:
             self._wake.set()
         return stream
 
-    def _fits_alone(self, prompt: List[int],
-                    config: GenerationConfig) -> bool:
-        """Could this request ever be admitted, even into an empty pool?"""
-        pool = self.manager.memory_pool
-        if pool is None:
-            return True
-        tokens = (len(prompt) + config.max_new_tokens
-                  + self.manager.kv_headroom)
-        return pool.tokens_to_bytes(tokens) <= pool.budget_bytes
-
     # -- admission pump (called by the loop driver each tick) ----------------------
 
     def _pump_admissions(self) -> bool:
@@ -505,8 +484,8 @@ class ServingGateway:
         a prefill iteration ran.
 
         A candidate is admitted only when a batch slot is free *and* its
-        KV reservation fits right now *and* its tenant's rate bucket has
-        credit; otherwise it stays queued (deferred, not rejected).
+        tenant's rate bucket has credit; otherwise it stays queued
+        (deferred, not rejected).
         Within one tenant the queue is strictly FIFO so admission order
         matches submission order — the property the replay-parity suite
         pins.
@@ -537,11 +516,6 @@ class ServingGateway:
                 _DEFERRED.inc()
                 blocked.add(name)
                 continue
-            if not self.manager.can_reserve(len(gwreq.prompt),
-                                            gwreq.config.max_new_tokens):
-                _DEFERRED.inc()
-                blocked.add(name)
-                continue
             state.queue.popleft()
             if state.config.rate_per_tick is not None:
                 state.bucket -= 1.0
@@ -557,7 +531,7 @@ class ServingGateway:
         if admitted or self.manager.num_waiting:
             # Fill slots even with nothing newly submitted: the core's own
             # waiting queue holds preempted/requeued requests that must
-            # re-enter once their cooldown lapses or KV memory frees up.
+            # re-enter once their cooldown lapses or a slot frees up.
             stats = self.manager.admit()
         _QUEUE_DEPTH.set(self.queue_depth)
         self.peak_queue_depth = max(self.peak_queue_depth, self.queue_depth)

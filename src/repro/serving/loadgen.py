@@ -67,6 +67,10 @@ class LoadgenSpec:
             raise ValueError("requests_per_client must be >= 1")
         if not self.tenants:
             raise ValueError("at least one tenant is required")
+        if self.max_queue_depth < 1:
+            raise ValueError("max_queue_depth must be >= 1")
+        if self.rate_per_tick is not None and self.rate_per_tick <= 0:
+            raise ValueError("rate_per_tick must be positive")
 
 
 @dataclass

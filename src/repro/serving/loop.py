@@ -72,8 +72,8 @@ class GatewayLoop:
                     return
                 if gateway.has_work:
                     # Work exists but nothing is admissible right now
-                    # (rate limit, KV pressure, or a requeued request
-                    # backing off in the core), or a request failed at
+                    # (rate limit, or a requeued request backing off in
+                    # the core), or a request failed at
                     # admission and its terminal event is still in the
                     # core: run an idle core tick so the logical clock —
                     # and with it the rate buckets and retry cooldowns —

@@ -34,8 +34,8 @@ injected failure mode: transient session faults are absorbed by **bounded
 retry with backoff-in-iterations** (then the terminal
 :class:`RequestState.FAILED` so one poisoned request cannot stall the
 batch), KV-pressure spikes trigger **preempt-and-requeue** (victim chosen
-by a :data:`~repro.serving.policies.PreemptionPolicy`, KV reservation
-released, session dropped, request recomputes from its committed tokens on
+by a :data:`~repro.serving.policies.PreemptionPolicy`, session dropped and
+its arena rows given back, request recomputes from its committed tokens on
 re-admission), and speculation/verification faults degrade the decode
 pipeline to incremental decoding.  Under greedy verification all of these
 paths emit bit-identical final tokens to a fault-free run.
@@ -165,13 +165,6 @@ class RequestManager:
         max_batch_size: Maximum concurrently running requests.
         policy: Admission-ordering policy over the waiting queue
             (default FCFS; see :mod:`repro.serving.policies`).
-        memory_pool: Optional :class:`~repro.serving.memory.KvMemoryPool`.
-            When set, a request is only admitted if its worst-case KV
-            footprint (prompt + generation budget + ``kv_headroom``) fits;
-            requests that do not fit are skipped this iteration (no
-            head-of-line blocking) and retried once memory frees up.
-        kv_headroom: Extra KV tokens reserved per request for transient
-            tree-verification rows (section 5.3's memory overhead).
         backend: The :class:`VerificationBackend` that verifies the
             drafted trees of each tick; ``None`` is
             :class:`~repro.engine.pipeline.FusedBackend` over the sessions'
@@ -203,8 +196,6 @@ class RequestManager:
         session_factory: Callable[[Request], DecodeSession],
         max_batch_size: int = 8,
         policy: Optional[Callable] = None,
-        memory_pool: Optional["KvMemoryPool"] = None,
-        kv_headroom: int = 0,
         backend: Optional[VerificationBackend] = None,
         injector: Optional[FaultInjector] = None,
         preemption_policy: Optional[Callable] = None,
@@ -215,8 +206,6 @@ class RequestManager:
     ):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if kv_headroom < 0:
-            raise ValueError("kv_headroom must be >= 0")
         if max_session_retries < 0:
             raise ValueError("max_session_retries must be >= 0")
         from repro.serving.policies import fcfs, preempt_newest_first
@@ -224,8 +213,6 @@ class RequestManager:
         self.session_factory = session_factory
         self.max_batch_size = max_batch_size
         self.policy = policy or fcfs
-        self.memory_pool = memory_pool
-        self.kv_headroom = kv_headroom
         self.backend = backend
         self.injector = injector
         self.preemption_policy = preemption_policy or preempt_newest_first
@@ -286,18 +273,6 @@ class RequestManager:
         """Batch slots currently unoccupied (admission headroom)."""
         return self.max_batch_size - len(self._running)
 
-    def can_reserve(self, prompt_len: int, max_new_tokens: int) -> bool:
-        """Would a request of this shape pass the KV admission check now?
-
-        The gateway's admission control asks this *before* submitting, so
-        requests that cannot hold a KV reservation stay in the gateway's
-        own queues instead of piling up in the manager.
-        """
-        if self.memory_pool is None:
-            return True
-        tokens = prompt_len + max_new_tokens + self.kv_headroom
-        return self.memory_pool.can_admit(tokens)
-
     def run_iteration(self) -> IterationStats:
         """One scheduler iteration: a *prefill* iteration when the round
         admits anything (its first tokens come back without a tick), a
@@ -332,7 +307,7 @@ class RequestManager:
         ``batch_size`` is the number of requests prefilled and
         ``llm_tokens_scored`` their prompt rows.  A request whose budget is
         one token (or whose first token is EOS) finishes here and returns
-        its slot and reservation without ever ticking.
+        its slot and arena rows without ever ticking.
         """
         admitted = self._admit()
         if not admitted:
@@ -439,7 +414,7 @@ class RequestManager:
 
         Applies the failure paths before any session touches the model:
         requests backing off after a transient fault are skipped (they keep
-        their slot and reservation), and injected session faults are
+        their slot and arena rows), and injected session faults are
         absorbed here — bounded retry with exponential
         backoff-in-iterations, then terminal ``FAILED``.
         """
@@ -476,30 +451,7 @@ class RequestManager:
                     f"exceeded {max_iterations} iterations without draining"
                 )
             self.run_iteration()
-            if self._waiting and not self._running:
-                stuck = [
-                    rid for rid in self._waiting
-                    if not self._try_fits_alone(rid)
-                ]
-                if stuck:
-                    raise MemoryError(
-                        f"requests {stuck} can never fit in the KV memory "
-                        f"pool even with an empty batch"
-                    )
         return self.finished_outputs()
-
-    def _try_fits_alone(self, request_id: int) -> bool:
-        """Could this request be admitted into an otherwise empty pool?"""
-        if self.memory_pool is None:
-            return True
-        request = self._tracked[request_id].request
-        tokens = (
-            len(request.prompt)
-            + request.config.max_new_tokens
-            + self.kv_headroom
-        )
-        return self.memory_pool.tokens_to_bytes(tokens) <= \
-            self.memory_pool.budget_bytes
 
     def finished_outputs(self) -> List[RequestOutput]:
         """Outputs of all finished requests, ordered by finish iteration."""
@@ -534,8 +486,8 @@ class RequestManager:
     def preempt(self, request_id: int) -> None:
         """Preempt a RUNNING request: requeue it and free its resources.
 
-        The session (and its KV cache) is dropped, the KV reservation is
-        released, and the request re-enters the waiting queue with its
+        The session is dropped (its caches give their rows back to their
+        arenas), and the request re-enters the waiting queue with its
         committed tokens saved; on re-admission a fresh session recomputes
         from ``prompt + committed``, so under greedy verification the final
         output is bit-identical to an unpreempted run.
@@ -628,9 +580,8 @@ class RequestManager:
         )
 
     def _drop_session(self, request_id: int) -> None:
-        """Free a running request's slot, session cache, and reservation."""
-        if self.memory_pool is not None:
-            self.memory_pool.release(request_id)
+        """Free a running request's batch slot and its session's arena
+        rows."""
         tracked = self._tracked[request_id]
         release = getattr(tracked.session, "release", None)
         if callable(release):
@@ -683,15 +634,9 @@ class RequestManager:
             tracked = self._tracked[request_id]
             if tracked.cooldown_until > self.iteration:
                 continue  # backing off after an admission-time fault
-            if not self._try_reserve(request):
-                continue  # does not fit in KV memory right now; skip ahead
             try:
                 session = self.session_factory(self._session_request(tracked))
             except Exception as exc:
-                # The reservation must not outlive a failed admission —
-                # leaking it here would strand KV capacity forever.
-                if self.memory_pool is not None:
-                    self.memory_pool.release(request_id)
                 if isinstance(exc, FaultError):
                     # Injected transient fault at admission: the request
                     # stays WAITING and retries with backoff.
@@ -720,19 +665,6 @@ class RequestManager:
                 prompt_len=len(tracked.request.prompt),
             )
         return admitted
-
-    def _try_reserve(self, request: Request) -> bool:
-        if self.memory_pool is None:
-            return True
-        tokens = (
-            len(request.prompt)
-            + request.config.max_new_tokens
-            + self.kv_headroom
-        )
-        if not self.memory_pool.can_admit(tokens):
-            return False
-        self.memory_pool.reserve(request.request_id, tokens)
-        return True
 
     def _retire(self, request_id: int) -> None:
         tracked = self._tracked[request_id]

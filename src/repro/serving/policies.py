@@ -67,9 +67,9 @@ def make_priority_policy(
 # -- preemption victim selection ---------------------------------------------------
 
 #: Orders the RUNNING requests; the manager preempts from the front.  Used
-#: when KV pressure forces the batch to shed load (fault injection or real
-#: memory spikes); the victim is requeued and recomputes from its committed
-#: tokens.
+#: when an injected KV-pressure spike (``FaultKind.KV_PRESSURE``) forces the
+#: batch to shed load; the victim is requeued and recomputes from its
+#: committed tokens.
 PreemptionPolicy = Callable[[Sequence[Request]], List[Request]]
 
 

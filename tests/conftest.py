@@ -1,11 +1,14 @@
 """Shared fixtures: small, fast model instances reused across the suite."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.model.config import ModelConfig
 from repro.model.coupled import CoupledSSM
 from repro.model.transformer import TransformerLM
+from repro.obs import REGISTRY
 
 
 SMALL_CONFIG = ModelConfig(
@@ -45,6 +48,16 @@ def make_prompt(rng: np.random.Generator, length: int = 6,
                 vocab: int = 64) -> np.ndarray:
     """Random prompt avoiding the EOS id (0)."""
     return rng.integers(1, vocab, size=length).astype(np.intp)
+
+
+def arena_rows_used() -> int:
+    """Rows carved out of every ``BatchArena`` in the process — the
+    ``repro.model.arena.rows_used`` gauge, which also counts the SSM mirror
+    slots.  Garbage is collected first, so handles that earlier tests
+    dropped have given their rows back; a lifecycle test reads it before a
+    run and asserts the run brings it back to that value."""
+    gc.collect()
+    return REGISTRY.gauge("repro.model.arena.rows_used").value
 
 
 def draft_depth_first(pipeline):

@@ -1,4 +1,4 @@
-"""Admission control: bounded queues, KV prechecks, rate limits, WRR."""
+"""Admission control: bounded queues, rate limits, WRR."""
 
 import pytest
 
@@ -10,23 +10,12 @@ from repro.serving.gateway import (
     ServingGateway,
     TenantConfig,
 )
-from repro.serving.memory import KvMemoryPool
 
 from tests.gateway.conftest import build_manager
 
 
 def _config(tokens=4):
     return GenerationConfig(max_new_tokens=tokens, stop_on_eos=False)
-
-
-def _pooled_manager(llm, requests_that_fit, prompt_len=5, tokens=4,
-                    **kwargs):
-    """A manager whose KV pool holds exactly ``requests_that_fit`` of the
-    suite's standard requests at once."""
-    pool_probe = KvMemoryPool(1, llm.config)
-    per_request = pool_probe.tokens_to_bytes(prompt_len + tokens)
-    pool = KvMemoryPool(per_request * requests_that_fit, llm.config)
-    return build_manager(llm, memory_pool=pool, **kwargs)
 
 
 class TestTenantConfigValidation:
@@ -62,18 +51,6 @@ class TestRejects:
         assert rejected.value == before + 1
         assert gateway.queue_depth == 2
 
-    async def test_unservable_rejects_oversized_request(self, llm, prompts):
-        manager = _pooled_manager(llm, requests_that_fit=2)
-        gateway = ServingGateway(manager)
-        rejected = REGISTRY.counter("repro.gateway.rejected_unservable")
-        before = rejected.value
-        with pytest.raises(AdmissionError) as err:
-            # Budget larger than the whole pool: never servable.
-            await gateway.submit(prompts[0], _config(tokens=64))
-        assert err.value.reason == "unservable"
-        assert rejected.value == before + 1
-        assert gateway.queue_depth == 0
-
     async def test_unknown_tenant_without_auto_tenants(self, llm, prompts):
         config = GatewayConfig(
             tenants={"a": TenantConfig(name="a")}, auto_tenants=False)
@@ -95,28 +72,6 @@ class TestRejects:
 
 
 class TestDeferral:
-    async def test_kv_pressure_defers_and_eventually_serves(
-            self, llm, prompts):
-        # Pool fits one request at a time.  Once the first request holds
-        # its reservation, the pump must defer (not reject) the second —
-        # and everything still completes once memory frees up.
-        manager = _pooled_manager(llm, requests_that_fit=1)
-        gateway = ServingGateway(manager)
-        deferred = REGISTRY.counter("repro.gateway.admission_deferred")
-        first = await gateway.submit(prompts[0], _config())
-        gateway._pump_admissions()
-        assert manager.memory_pool.num_reservations == 1
-        second = await gateway.submit(prompts[1], _config())
-        before = deferred.value
-        gateway._pump_admissions()
-        assert deferred.value > before
-        assert second.request_id is None, "deferred, still gateway-queued"
-        await gateway.start()
-        await gateway.stop(drain=True)
-        assert len(await first.collect()) == 4
-        assert len(await second.collect()) == 4
-        assert manager.memory_pool.reserved_bytes == 0
-
     async def test_rate_limit_defers_and_eventually_serves(
             self, llm, prompts):
         config = GatewayConfig(tenants={

@@ -3,7 +3,7 @@
 The acceptance bar for the fault layer — a workload served under seeded
 fault injection (preemptions, retries, speculation fallback) must emit
 final tokens bit-identical to the fault-free run, across seeds, with no
-request failed and no KV reservation leaked.  Parity is promised under
+request failed and no arena row leaked.  Parity is promised under
 greedy verification only; stochastic decoding consumes RNG on paths that
 faults reorder.
 """
@@ -17,8 +17,7 @@ from repro.faults import FaultInjector
 from repro.obs import REGISTRY, reset_observability
 from repro.obs.workload import WorkloadSpec, run_observed_workload
 from repro.serving.manager import RequestManager
-from repro.serving.memory import KvMemoryPool
-from tests.conftest import SMALL_CONFIG, make_prompt
+from tests.conftest import arena_rows_used, make_prompt
 from tests.serving.test_manager import (
     incremental_factory,
     speculative_factory,
@@ -105,8 +104,8 @@ class TestPerRequestParity:
     @pytest.mark.parametrize("seed", [3, 7, 13])
     def test_per_request_chaos_is_lossless_and_leak_free(self, llm, rng,
                                                          seed):
-        """Per-request serving with a memory pool under random faults:
-        same tokens as the clean run, reservations fully drained."""
+        """Per-request serving under random faults: same tokens as the
+        clean run, every arena row back."""
         self._check(llm, rng, speculative_factory(llm), 0.05, seed)
 
     @pytest.mark.parametrize("seed", [3, 7, 13])
@@ -125,14 +124,13 @@ class TestPerRequestParity:
         clean.run_until_complete()
         expected = [clean.output_for(rid).tokens for rid in clean_ids]
 
-        pool = KvMemoryPool(budget_bytes=10**9, model=SMALL_CONFIG)
+        before = arena_rows_used()
         chaotic = RequestManager(
-            factory, max_batch_size=3, memory_pool=pool,
+            factory, max_batch_size=3,
             injector=FaultInjector(rate=rate, seed=seed),
         )
         ids = [chaotic.submit(p, config) for p in prompts]
         chaotic.run_until_complete(max_iterations=2000)
         assert chaotic.failed_outputs() == []
         assert [chaotic.output_for(rid).tokens for rid in ids] == expected
-        assert pool.reserved_bytes == 0
-        assert pool.num_reservations == 0
+        assert arena_rows_used() == before

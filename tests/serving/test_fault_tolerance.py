@@ -2,8 +2,10 @@
 
 These tests drive the failure paths deterministically (scripted injector
 decisions) and assert the two load-bearing invariants: resources are fully
-reclaimed (KV reservations, arena slots), and under greedy verification
-every surviving request's output is bit-identical to a fault-free run.
+reclaimed (batch slots and arena rows, the SSM mirror slots included), and
+under greedy verification every surviving request's output is
+bit-identical to a fault-free run.  Every lifecycle path here runs in the
+sanitized chaos step, with the arena's overlap guard armed.
 """
 
 import pytest
@@ -17,11 +19,12 @@ from repro.faults import (
     TransientSessionFault,
 )
 from repro.serving.manager import RequestManager
-from repro.serving.memory import KvMemoryPool
 from repro.serving.policies import preempt_oldest_first
 from repro.serving.request import RequestState
-from tests.conftest import SMALL_CONFIG, make_prompt
+from tests.conftest import SMALL_CONFIG, arena_rows_used, make_prompt
 from tests.serving.test_manager import incremental_factory, speculative_factory
+
+pytestmark = pytest.mark.chaos
 
 
 class ScriptedInjector(FaultInjector):
@@ -60,19 +63,22 @@ class TestPreemption:
         assert output.tokens == reference_tokens(llm, prompt, config)
         assert output.tokens[: len(committed_before)] == committed_before
 
-    def test_preempt_releases_kv_reservation(self, llm, rng):
-        pool = KvMemoryPool(budget_bytes=10**9, model=SMALL_CONFIG)
-        mgr = RequestManager(incremental_factory(llm), memory_pool=pool)
+    def test_preempt_gives_back_arena_rows(self, llm, rng):
+        before = arena_rows_used()
+        arena = BatchArena(SMALL_CONFIG, max_requests=1)
+        mgr = RequestManager(
+            speculative_factory(llm, cache_factory=arena.new_sequence))
         rid = mgr.submit(make_prompt(rng),
                          GenerationConfig(max_new_tokens=6,
                                           stop_on_eos=False))
         mgr.run_iteration()
-        assert pool.num_reservations == 1
+        assert arena.used_rows > 0
         mgr.preempt(rid)
-        assert pool.num_reservations == 0
-        assert pool.reserved_bytes == 0
+        assert arena.used_rows == 0
+        assert arena_rows_used() == before
         mgr.run_until_complete()
-        assert pool.reserved_bytes == 0
+        assert arena.used_rows == 0
+        assert arena_rows_used() == before
 
     def test_preempt_non_running_raises(self, llm, rng):
         mgr = RequestManager(incremental_factory(llm))
@@ -167,15 +173,18 @@ class TestBoundedRetry:
         assert failed[0].num_llm_steps == 0
 
     def test_failure_releases_resources(self, llm, rng):
-        pool = KvMemoryPool(budget_bytes=10**9, model=SMALL_CONFIG)
+        before = arena_rows_used()
+        arena = BatchArena(SMALL_CONFIG, max_requests=1)
         injector = FaultInjector(rates={FaultKind.SESSION: 1.0})
-        mgr = RequestManager(incremental_factory(llm), memory_pool=pool,
-                             injector=injector, max_session_retries=1)
+        mgr = RequestManager(
+            speculative_factory(llm, cache_factory=arena.new_sequence),
+            injector=injector, max_session_retries=1)
         rid = mgr.submit(make_prompt(rng))
         mgr.run_until_complete()
         assert mgr._tracked[rid].session is None
-        assert pool.reserved_bytes == 0
-        assert pool.num_reservations == 0
+        assert mgr.free_slots == mgr.max_batch_size
+        assert arena.used_rows == 0
+        assert arena_rows_used() == before
 
     def test_streak_resets_on_successful_advance(self, llm, rng):
         """Retries are consecutive, not cumulative: spaced-out faults never
@@ -195,20 +204,21 @@ class TestBoundedRetry:
 
 
 class TestAdmissionFaults:
-    def test_factory_exception_releases_reservation(self, llm, rng):
-        """Regression: a failing session factory must not leak its KV
-        reservation."""
-        pool = KvMemoryPool(budget_bytes=10**9, model=SMALL_CONFIG)
+    def test_factory_exception_holds_no_rows(self, llm, rng):
+        """A session factory that raises something other than a fault or
+        a bad-request error propagates, and neither a slot nor a row stays
+        taken."""
+        before = arena_rows_used()
 
         def exploding_factory(request):
             raise RuntimeError("model load failed")
 
-        mgr = RequestManager(exploding_factory, memory_pool=pool)
+        mgr = RequestManager(exploding_factory)
         mgr.submit(make_prompt(rng))
         with pytest.raises(RuntimeError, match="model load failed"):
             mgr.run_iteration()
-        assert pool.reserved_bytes == 0
-        assert pool.num_reservations == 0
+        assert mgr.num_running == 0 and mgr.num_waiting == 1
+        assert arena_rows_used() == before
 
     @pytest.mark.parametrize("bad_prompt", [
         list(range(1, SMALL_CONFIG.max_seq_len + 2)), [1, 99], [1, -3],
@@ -216,13 +226,12 @@ class TestAdmissionFaults:
     def test_bad_prompt_fails_alone(self, llm, rng, bad_prompt):
         """One request whose own data is unservable is FAILED with a
         reason at admission; its neighbour's stream is Algorithm 1's and
-        every reservation and arena row comes back."""
-        pool = KvMemoryPool(budget_bytes=10**9, model=SMALL_CONFIG)
+        every arena row comes back."""
+        before = arena_rows_used()
         arena = BatchArena(SMALL_CONFIG, max_requests=2)
         arena_factory = speculative_factory(
             llm, cache_factory=arena.new_sequence)
-        mgr = RequestManager(arena_factory, max_batch_size=2,
-                             memory_pool=pool)
+        mgr = RequestManager(arena_factory, max_batch_size=2)
         config = GenerationConfig(max_new_tokens=6, stop_on_eos=False)
         prompt = make_prompt(rng)
         bad = mgr.submit(bad_prompt, config)
@@ -235,15 +244,16 @@ class TestAdmissionFaults:
         failed = mgr.output_for(bad)
         assert failed.tokens == [] and "rejected at admission" in failed.error
         assert [o.request_id for o in mgr.failed_outputs()] == [bad]
-        assert pool.reserved_bytes == 0 and pool.num_reservations == 0
         assert arena.used_rows == 0
+        assert arena_rows_used() == before
 
     def test_transient_factory_fault_retries_with_backoff(self, llm, rng):
         """A FaultError from the factory keeps the request WAITING and
         re-admits it after the cooldown."""
-        pool = KvMemoryPool(budget_bytes=10**9, model=SMALL_CONFIG)
+        before = arena_rows_used()
+        arena = BatchArena(SMALL_CONFIG, max_requests=1)
         attempts = []
-        inner = incremental_factory(llm)
+        inner = incremental_factory(llm, cache_factory=arena.new_sequence)
 
         def flaky_factory(request):
             attempts.append(request.request_id)
@@ -253,28 +263,31 @@ class TestAdmissionFaults:
 
         prompt = make_prompt(rng)
         config = GenerationConfig(max_new_tokens=4, stop_on_eos=False)
-        mgr = RequestManager(flaky_factory, memory_pool=pool)
+        mgr = RequestManager(flaky_factory)
         rid = mgr.submit(prompt, config)
         mgr.run_until_complete()
         assert len(attempts) == 2
-        assert pool.reserved_bytes == 0
+        assert arena.used_rows == 0
+        assert arena_rows_used() == before
         output = mgr.output_for(rid)
         assert output.retries == 1
         assert output.tokens == reference_tokens(llm, prompt, config)
 
 
 class TestDrainedAccounting:
-    def test_reserved_bytes_exactly_zero_after_chaotic_drain(self, llm, rng):
-        """Integer KV accounting: many reserve/release/preempt cycles end at
-        exactly 0 reserved bytes, not a float epsilon."""
-        pool = KvMemoryPool(budget_bytes=10**9, model=SMALL_CONFIG)
+    def test_arena_rows_back_after_chaotic_drain(self, llm, rng):
+        """Many admit/retire/preempt/retry cycles under random faults end
+        with every arena row — request caches and SSM mirror slots — back."""
+        before = arena_rows_used()
+        arena = BatchArena(SMALL_CONFIG, max_requests=3)
         injector = FaultInjector(rate=0.2, seed=13)
-        mgr = RequestManager(speculative_factory(llm), max_batch_size=3,
-                             memory_pool=pool, injector=injector)
+        mgr = RequestManager(
+            speculative_factory(llm, cache_factory=arena.new_sequence),
+            max_batch_size=3, injector=injector)
         for _ in range(5):
             mgr.submit(make_prompt(rng, length=4),
                        GenerationConfig(max_new_tokens=6, stop_on_eos=False))
         mgr.run_until_complete(max_iterations=2000)
-        assert pool.reserved_bytes == 0
-        assert isinstance(pool.reserved_bytes, int)
-        assert pool.num_reservations == 0
+        assert mgr.iteration_stats and not mgr.has_work
+        assert arena.used_rows == 0
+        assert arena_rows_used() == before

@@ -24,11 +24,10 @@ from repro.model.coupled import CoupledSSM
 from repro.model.transformer import TransformerLM
 from repro.obs import REGISTRY
 from repro.serving.manager import RequestManager
-from repro.serving.memory import KvMemoryPool
 from repro.serving.session import IncrementalSession, SpeculativeSession
 from repro.speculate.expansion import ExpansionConfig
 from repro.speculate.speculator import Speculator
-from tests.conftest import SMALL_CONFIG, make_prompt
+from tests.conftest import SMALL_CONFIG, arena_rows_used, make_prompt
 
 LENGTHS = (1, 2, 32, SMALL_CONFIG.max_seq_len - 1)
 BUDGETS = (1, 2, 64)
@@ -127,8 +126,8 @@ class TestGreedyStreamsEqualAlgorithmOne:
 class TestOneTokenRequestsNeverTick:
     @pytest.mark.parametrize("kind", KINDS)
     def test_finishes_inside_the_prefill_iteration(self, llm, kind):
-        pool = KvMemoryPool(budget_bytes=10**9, model=SMALL_CONFIG)
-        manager = build_manager(llm, kind, 3, memory_pool=pool)
+        rows_before = arena_rows_used()
+        manager = build_manager(llm, kind, 3)
         prompts = _prompts([2, 32, 7])
         ids = [manager.submit(p, _config(1)) for p in prompts]
         ticks = REGISTRY.counter("repro.engine.ticks")
@@ -137,10 +136,10 @@ class TestOneTokenRequestsNeverTick:
         assert stats.finished_ids == ids and stats.finished == 3
         assert {rid: len(t) for rid, t in stats.emissions.items()} == \
             dict.fromkeys(ids, 1)
-        # Slot, KV reservation and arena rows are all back; no tick ran.
+        # Slots and arena rows are all back; no tick ran.
         assert not manager.has_work and manager.free_slots == 3
-        assert pool.reserved_bytes == 0 and pool.num_reservations == 0
         assert manager.arena.used_rows == 0
+        assert arena_rows_used() == rows_before
         assert ticks.value == before
         assert len(manager.iteration_stats) == 1
         for rid, prompt in zip(ids, prompts):

@@ -37,6 +37,21 @@ class TestParser:
         ["demo", "--tokens", "0"],
         ["latency", "--tp", "0"],
         ["sweep", "--alpha", "1.5"],
+        *([verb, "--seed", "-1"] for verb in (
+            "demo", "tree", "serve", "metrics", "loadgen")),
+        ["trace", "Alpaca", "--seed", "-1"],
+        ["chaos", "Alpaca", "--seed", "-1"],
+        ["chat", "--local", "--seed", "-1"],
+        ["loadgen", "--rate-limit", "0"],
+        ["loadgen", "--queue-depth", "0"],
+        ["sweep", "--max-depth", "0"],
+        ["latency", "--batch", "0"],
+        ["latency", "--tree-tokens", "0"],
+        ["serve", "--listen", "nonsense"],
+        ["chat", "--connect", "nonsense"],
+        ["serve", "--alignment", "1.5"],
+        ["serve", "--alignment", "-1"],
+        ["demo", "--alignment", "1.5"],
     ])
     def test_bad_workload_is_a_usage_error(self, argv, capsys):
         """An invalid workload or verb argument exits 2 with a message, not
