@@ -20,7 +20,6 @@ the system inventory, and EXPERIMENTS.md for the paper-vs-measured record.
 
 from repro.engine import (
     BatchedTreeVerifier,
-    BeamSearchEngine,
     DecodePipeline,
     DecodeState,
     FusedBackend,
@@ -71,7 +70,6 @@ __all__ = [
     "FusedBackend",
     "IncrementalBackend",
     "BatchedTreeVerifier",
-    "BeamSearchEngine",
     "GenerationConfig",
     "GenerationResult",
     "StepTrace",

@@ -34,7 +34,6 @@ from repro.cluster.hardware import (
 from repro.cluster.models import PAPER_MODELS, paper_model
 from repro.cluster.parallel import ParallelPlan
 from repro.cluster.cost_model import LatencyModel, StepCost
-from repro.cluster.energy import EnergyModel, EnergySpec, StepEnergy, replay_energy
 from repro.cluster.offload import OffloadLatencyModel, OffloadSpec
 from repro.cluster.simulator import (
     ServingSimulator,
@@ -57,10 +56,6 @@ __all__ = [
     "StepCost",
     "OffloadSpec",
     "OffloadLatencyModel",
-    "EnergyModel",
-    "EnergySpec",
-    "StepEnergy",
-    "replay_energy",
     "ServingSimulator",
     "SimulatedLatency",
     "SystemKind",

@@ -16,7 +16,7 @@ from repro.model.config import ModelConfig
 #: LLaMA models use a SwiGLU FFN (three weight matrices at intermediate
 #: width w); this repository's MLP has two, so LLaMA descriptors carry an
 #: *effective* d_ff = 1.5w that preserves the exact FFN parameter count —
-#: what the cost and energy models consume.
+#: what the cost models consume.
 PAPER_MODELS: Dict[str, ModelConfig] = {
     # LLMs
     "llama-7b": ModelConfig(

@@ -19,7 +19,6 @@ from repro.engine.generation import (
     StepTrace,
 )
 from repro.engine.batched import BatchedTreeVerifier
-from repro.engine.beam_search import BeamSearchEngine, BeamSearchResult
 from repro.engine.incremental import IncrementalEngine
 from repro.engine.pipeline import (
     DecodePipeline,
@@ -43,8 +42,6 @@ __all__ = [
     "SpecInferEngine",
     "make_sequence_spec_engine",
     "BatchedTreeVerifier",
-    "BeamSearchEngine",
-    "BeamSearchResult",
     "DecodePipeline",
     "DecodeState",
     "TickOutcome",

@@ -22,7 +22,6 @@ from repro.model.layers import (
     merge_grad,
     stable_softmax,
 )
-from repro.model.rope import rope_rotate
 from repro.model.scratch import ScratchArena
 from repro.sanitizer import tensor_contract
 
@@ -300,8 +299,6 @@ def mha_forward(
     prefix: str,
     n_heads: int,
     mask: np.ndarray,
-    positions: np.ndarray = None,
-    use_rope: bool = False,
 ) -> Tuple[np.ndarray, LayerCache]:
     """Full multi-head self-attention over a sequence, differentiable.
 
@@ -311,18 +308,11 @@ def mha_forward(
         prefix: name prefix, e.g. ``"layer0.attn"``.
         n_heads: number of heads.
         mask: ``(n, n)`` additive mask.
-        positions: ``(n,)`` absolute positions (required for RoPE).
-        use_rope: apply rotary embeddings to queries and keys.
     """
     q, q_cache = linear_forward(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k, k_cache = linear_forward(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
     v, v_cache = linear_forward(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
     qh, kh, vh = (split_heads(t, n_heads) for t in (q, k, v))
-    if use_rope:
-        if positions is None:
-            raise ValueError("RoPE attention requires explicit positions")
-        qh = rope_rotate(qh, positions)
-        kh = rope_rotate(kh, positions)
     d_head = qh.shape[-1]
     scores = np.einsum("qhd,khd->hqk", qh, kh) / np.sqrt(d_head)
     scores = scores + mask[None, :, :]
@@ -332,8 +322,7 @@ def mha_forward(
     out, o_cache = linear_forward(
         merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"]
     )
-    cache = (q_cache, k_cache, v_cache, o_cache, qh, kh, vh, weights, n_heads,
-             positions if use_rope else None)
+    cache = (q_cache, k_cache, v_cache, o_cache, qh, kh, vh, weights, n_heads)
     return out, cache
 
 
@@ -348,8 +337,7 @@ def mha_backward(
 
     Returns the gradient w.r.t. the layer input ``x``.
     """
-    (q_cache, k_cache, v_cache, o_cache, qh, kh, vh, weights, n_heads,
-     rope_positions) = cache
+    q_cache, k_cache, v_cache, o_cache, qh, kh, vh, weights, n_heads = cache
     d_head = qh.shape[-1]
 
     dmerged, dwo, dbo = linear_backward(grad, o_cache)
@@ -365,11 +353,6 @@ def mha_backward(
     dscores /= np.sqrt(d_head)
     dqh = np.einsum("hqk,khd->qhd", dscores, kh)
     dkh = np.einsum("hqk,qhd->khd", dscores, qh)
-
-    if rope_positions is not None:
-        # The rotation is orthogonal: its adjoint is the inverse rotation.
-        dqh = rope_rotate(dqh, rope_positions, inverse=True)
-        dkh = rope_rotate(dkh, rope_positions, inverse=True)
 
     dq = merge_heads(dqh)
     dk = merge_heads(dkh)

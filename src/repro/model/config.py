@@ -28,10 +28,6 @@ class ModelConfig:
         eos_token_id: Token id that terminates generation.
         dtype: NumPy dtype name used for parameters and activations.
         name: Human-readable model name used in logs and reports.
-        position_encoding: ``"learned"`` (GPT/OPT-style learned absolute
-            embeddings) or ``"rope"`` (LLaMA-style rotary embeddings applied
-            to queries/keys).  Tree-parallel decoding works with both: tree
-            tokens carry depth-based positions either way.
     """
 
     vocab_size: int = 256
@@ -43,7 +39,6 @@ class ModelConfig:
     eos_token_id: int = 0
     dtype: str = "float64"
     name: str = "transformer-lm"
-    position_encoding: str = "learned"
 
     def __post_init__(self) -> None:
         if self.d_ff == 0:
@@ -64,15 +59,6 @@ class ModelConfig:
                 f"eos_token_id ({self.eos_token_id}) out of range for "
                 f"vocab_size {self.vocab_size}"
             )
-        if self.position_encoding not in ("learned", "rope"):
-            raise ValueError(
-                f"position_encoding must be 'learned' or 'rope', got "
-                f"{self.position_encoding!r}"
-            )
-        if self.position_encoding == "rope" and self.d_head % 2 != 0:
-            raise ValueError(
-                f"rotary embeddings need an even head dim, got {self.d_head}"
-            )
 
     @property
     def d_head(self) -> int:
@@ -85,9 +71,7 @@ class ModelConfig:
         Used by the cluster cost model to derive memory traffic per decoding
         step (the dominant term for LLM inference, per paper section 2).
         """
-        embed = self.vocab_size * self.d_model
-        if self.position_encoding == "learned":
-            embed += self.max_seq_len * self.d_model
+        embed = (self.vocab_size + self.max_seq_len) * self.d_model
         per_layer = (
             4 * self.d_model * self.d_model  # Wq, Wk, Wv, Wo
             + 4 * self.d_model  # attention biases folded into q,k,v,o

@@ -57,6 +57,23 @@ _ROWS_COMPACTED = REGISTRY.counter(
     "repro.model.arena.rows_compacted",
     help="slab rows post-verification compaction moved, times layers")
 
+#: Every arena alive in the process, so a registry reset can recompute the
+#: level gauges from the rows they hold.
+_ARENAS: "weakref.WeakSet[BatchArena]" = weakref.WeakSet()
+
+
+def _restore_levels() -> None:
+    """After a registry reset: ``rows_used`` and ``bytes_resident`` are
+    the rows live arenas hold, and the high-water mark restarts there."""
+    arenas = list(_ARENAS)
+    _ROWS_USED.set(sum(arena.used_rows for arena in arenas))
+    _BYTES_RESIDENT.set(sum(arena.used_rows * arena.row_bytes
+                            for arena in arenas))
+    _BYTES_HIGH_WATER.set(_BYTES_RESIDENT.value)
+
+
+REGISTRY.on_reset(_restore_levels)
+
 
 class LayerKV:
     """Key/value rows of one transformer layer for one request.
@@ -139,6 +156,7 @@ class BatchArena:
         # Ranges currently owned by live KVCaches; the sanitizer checks
         # every new registration against these for overlap.
         self._live: List[Tuple[int, int]] = []
+        _ARENAS.add(self)
 
     # -- allocation ---------------------------------------------------------------
 

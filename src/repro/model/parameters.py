@@ -109,9 +109,8 @@ class ParameterStore:
             "final_ln.scale": np.ones(d, dtype=dtype),
             "final_ln.bias": np.zeros(d, dtype=dtype),
             "lm_head": normal((d, v)),
+            "pos_embed": normal((config.max_seq_len, d)),
         }
-        if config.position_encoding == "learned":
-            params["pos_embed"] = normal((config.max_seq_len, d))
         for i in range(config.n_layers):
             p = f"layer{i}"
             params[f"{p}.ln1.scale"] = np.ones(d, dtype=dtype)

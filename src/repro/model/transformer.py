@@ -47,7 +47,6 @@ from repro.model.layers import (
     stable_softmax,
 )
 from repro.model.parameters import ParameterStore
-from repro.model.rope import rope_rotate
 from repro.model.scratch import ScratchArena
 from repro.sanitizer import tensor_contract
 
@@ -330,10 +329,8 @@ class TransformerLM:
         span = _SlotSpan.plan(caches, priors, new_counts, offsets, masks)
         p = self.params
         cfg = self.config
-        use_rope = cfg.position_encoding == "rope"
         x = p["tok_embed"][tokens]
-        if not use_rope:
-            x += p["pos_embed"][positions]
+        x += p["pos_embed"][positions]
         n_heads = cfg.n_heads
         d_head = cfg.d_model // n_heads
         d_model, d_ff = cfg.d_model, cfg.d_ff
@@ -369,9 +366,6 @@ class TransformerLM:
             qh = split_heads(qkv[:, :d_model], n_heads)
             kh = split_heads(qkv[:, d_model : 2 * d_model], n_heads)
             vh = split_heads(qkv[:, 2 * d_model :], n_heads)
-            if use_rope:
-                qh = rope_rotate(qh, positions)
-                kh = rope_rotate(kh, positions)
             if span is not None:
                 kvs = span.store(i, kh, vh)
             else:
@@ -526,11 +520,8 @@ class TransformerLM:
                 f"sequence length {n} exceeds max_seq_len {self.config.max_seq_len}"
             )
         p = self.params
-        use_rope = self.config.position_encoding == "rope"
         positions = np.arange(n)
-        x = p["tok_embed"][tokens]
-        if not use_rope:
-            x = x + p["pos_embed"][positions]
+        x = p["tok_embed"][tokens] + p["pos_embed"][positions]
         mask = causal_mask(n, dtype=self.config.dtype)
         caches: List = [(tokens, positions)]
         for i in range(self.config.n_layers):
@@ -539,8 +530,7 @@ class TransformerLM:
                 x, p[f"{pre}.ln1.scale"], p[f"{pre}.ln1.bias"]
             )
             attn_out, attn_c = mha_forward(
-                h, p, f"{pre}.attn", self.config.n_heads, mask,
-                positions=positions, use_rope=use_rope,
+                h, p, f"{pre}.attn", self.config.n_heads, mask
             )
             x = x + attn_out
             h2, ln2_c = layernorm_forward(
@@ -594,10 +584,9 @@ class TransformerLM:
             "tok_embed",
             embedding_backward(dx, (tokens, p["tok_embed"].shape)),
         )
-        if self.config.position_encoding == "learned":
-            merge_grad(
-                grads,
-                "pos_embed",
-                embedding_backward(dx, (positions, p["pos_embed"].shape)),
-            )
+        merge_grad(
+            grads,
+            "pos_embed",
+            embedding_backward(dx, (positions, p["pos_embed"].shape)),
+        )
         return grads

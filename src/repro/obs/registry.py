@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
@@ -205,6 +205,7 @@ class MetricsRegistry:
 
     def __init__(self):
         self._metrics: Dict[str, Metric] = {}
+        self._reset_hooks: List[Callable[[], None]] = []
 
     # -- registration -------------------------------------------------------------
 
@@ -296,10 +297,20 @@ class MetricsRegistry:
                 out[name] = now
         return out
 
+    def on_reset(self, hook: Callable[[], None]) -> None:
+        """Run ``hook`` after every :meth:`reset`.  A gauge kept by
+        ``add`` is a level (rows held), not a rate: its owner restores it
+        from the live state, since zeroing it would send it negative when
+        that state is later given back."""
+        self._reset_hooks.append(hook)
+
     def reset(self) -> None:
-        """Zero every metric in place (interned references stay valid)."""
+        """Zero every metric in place (interned references stay valid),
+        then run the :meth:`on_reset` hooks."""
         for metric in self._metrics.values():
             metric._reset()
+        for hook in self._reset_hooks:
+            hook()
 
     def to_json(self, snapshot: Optional[Dict] = None, indent: int = 2) -> str:
         """The registry (or a given snapshot) as deterministic JSON."""

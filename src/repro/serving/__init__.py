@@ -8,8 +8,8 @@
   pipeline (:mod:`repro.engine.pipeline`), parameterized by verification
   backend (fused tree pass by default); finished requests leave and waiting
   requests join the batch between iterations.
-* :mod:`repro.serving.policies` -- admission-ordering policies (FCFS, SJF,
-  priority).
+* :mod:`repro.serving.policies` -- admission ordering (FCFS, SJF) and the
+  preemption victim order (newest first).
 * :mod:`repro.serving.metrics` -- TTFT / TPOT / throughput reporting.
 * :mod:`repro.serving.gateway` -- the async streaming gateway: bounded
   per-tenant admission queues, weighted round-robin with rate limits, two
@@ -58,11 +58,7 @@ from repro.serving.metrics import (
 )
 from repro.serving.policies import (
     fcfs,
-    longest_job_first,
-    make_preemption_policy,
-    make_priority_policy,
     preempt_newest_first,
-    preempt_oldest_first,
     shortest_job_first,
 )
 
@@ -85,11 +81,7 @@ __all__ = [
     "request_latency",
     "fcfs",
     "shortest_job_first",
-    "longest_job_first",
-    "make_priority_policy",
     "preempt_newest_first",
-    "preempt_oldest_first",
-    "make_preemption_policy",
     "AdmissionError",
     "GatewayConfig",
     "GatewayLoop",

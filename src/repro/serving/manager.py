@@ -33,9 +33,9 @@ a :class:`~repro.faults.FaultInjector` attached the manager survives every
 injected failure mode: transient session faults are absorbed by **bounded
 retry with backoff-in-iterations** (then the terminal
 :class:`RequestState.FAILED` so one poisoned request cannot stall the
-batch), KV-pressure spikes trigger **preempt-and-requeue** (victim chosen
-by a :data:`~repro.serving.policies.PreemptionPolicy`, session dropped and
-its arena rows given back, request recomputes from its committed tokens on
+batch), KV-pressure spikes trigger **preempt-and-requeue** (the newest
+request first, :func:`~repro.serving.policies.preempt_newest_first`; its
+session dropped and its arena rows given back, request recomputes from its committed tokens on
 re-admission), and speculation/verification faults degrade the decode
 pipeline to incremental decoding.  Under greedy verification all of these
 paths emit bit-identical final tokens to a fault-free run.
@@ -56,6 +56,7 @@ from repro.engine.pipeline import (
 )
 from repro.faults import FaultError, FaultInjector, FaultKind
 from repro.obs import DEFAULT_COUNT_BUCKETS, REGISTRY, TRACER
+from repro.serving.policies import fcfs, preempt_newest_first
 from repro.serving.request import Request, RequestOutput, RequestState
 from repro.serving.session import DecodeSession
 
@@ -172,8 +173,6 @@ class RequestManager:
         injector: Optional :class:`~repro.faults.FaultInjector` driving the
             failure paths (chaos testing); ``None`` disables injection at
             zero cost.
-        preemption_policy: Victim ordering for KV-pressure preemption
-            (default :func:`~repro.serving.policies.preempt_newest_first`).
         max_session_retries: Consecutive transient session faults tolerated
             per request before it is marked ``FAILED``.
         fallback_cooldown: Clean pipeline ticks before speculation re-enables
@@ -198,7 +197,6 @@ class RequestManager:
         policy: Optional[Callable] = None,
         backend: Optional[VerificationBackend] = None,
         injector: Optional[FaultInjector] = None,
-        preemption_policy: Optional[Callable] = None,
         max_session_retries: int = 3,
         fallback_cooldown: int = 3,
         planner: Optional["TreePlanner"] = None,
@@ -208,14 +206,11 @@ class RequestManager:
             raise ValueError("max_batch_size must be >= 1")
         if max_session_retries < 0:
             raise ValueError("max_session_retries must be >= 0")
-        from repro.serving.policies import fcfs, preempt_newest_first
-
         self.session_factory = session_factory
         self.max_batch_size = max_batch_size
         self.policy = policy or fcfs
         self.backend = backend
         self.injector = injector
-        self.preemption_policy = preemption_policy or preempt_newest_first
         self.max_session_retries = max_session_retries
         self.fallback_cooldown = fallback_cooldown
         self.planner = planner
@@ -521,7 +516,7 @@ class RequestManager:
         if not self.injector.should_fire(FaultKind.KV_PRESSURE,
                                          iteration=self.iteration):
             return
-        victims = self.preemption_policy(
+        victims = preempt_newest_first(
             [self._tracked[rid].request for rid in self._running]
         )
         if victims:

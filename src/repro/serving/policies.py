@@ -1,21 +1,19 @@
-"""Admission-ordering policies for the request manager.
+"""Admission ordering and preemption victim order for the request manager.
 
 Orca-style iteration-level scheduling decides *when* requests join the
 batch; a policy decides *which* waiting request joins first.  The paper
-uses FCFS; shortest-job-first and priority policies are provided for
-latency studies (SJF minimizes mean completion time when job lengths are
-known, a standard scheduling result that holds per-iteration here).
+uses FCFS; shortest-job-first is provided for latency studies (SJF
+minimizes mean completion time when job lengths are known, a standard
+scheduling result that holds per-iteration here).  Under an injected
+KV-pressure spike the manager preempts in :func:`preempt_newest_first`
+order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Protocol, Sequence
+from typing import List, Sequence
 
 from repro.serving.request import Request
-
-#: A policy orders the waiting queue; the manager admits from the front.
-SchedulingPolicy = Callable[[Sequence[Request]], List[Request]]
-
 
 def fcfs(waiting: Sequence[Request]) -> List[Request]:
     """First-come-first-served (the paper's policy)."""
@@ -38,43 +36,14 @@ def shortest_job_first(waiting: Sequence[Request]) -> List[Request]:
     )
 
 
-def longest_job_first(waiting: Sequence[Request]) -> List[Request]:
-    """Admit the largest total work first (throughput-packing heuristic)."""
-    return sorted(
-        waiting,
-        key=lambda r: (
-            -(len(r.prompt) + r.config.max_new_tokens),
-            r.arrival_iteration,
-            r.request_id,
-        ),
-    )
-
-
-def make_priority_policy(
-    priority_of: Callable[[Request], float]
-) -> SchedulingPolicy:
-    """Build a policy from a priority function (lower value = sooner)."""
-
-    def policy(waiting: Sequence[Request]) -> List[Request]:
-        return sorted(
-            waiting,
-            key=lambda r: (priority_of(r), r.arrival_iteration, r.request_id),
-        )
-
-    return policy
-
-
 # -- preemption victim selection ---------------------------------------------------
-
-#: Orders the RUNNING requests; the manager preempts from the front.  Used
-#: when an injected KV-pressure spike (``FaultKind.KV_PRESSURE``) forces the
-#: batch to shed load; the victim is requeued and recomputes from its
-#: committed tokens.
-PreemptionPolicy = Callable[[Sequence[Request]], List[Request]]
 
 
 def preempt_newest_first(running: Sequence[Request]) -> List[Request]:
-    """Preempt the most recently arrived request first (default).
+    """Order the RUNNING requests for preemption, most recently arrived
+    first.  The manager preempts from the front when an injected KV-pressure
+    spike (``FaultKind.KV_PRESSURE``) forces the batch to shed load; the
+    victim is requeued and recomputes from its committed tokens.
 
     The newest request has the least sunk verification work, so requeueing
     it wastes the least recompute; FCFS fairness is preserved for the
@@ -85,26 +54,3 @@ def preempt_newest_first(running: Sequence[Request]) -> List[Request]:
         running,
         key=lambda r: (-r.arrival_iteration, -r.request_id),
     )
-
-
-def preempt_oldest_first(running: Sequence[Request]) -> List[Request]:
-    """Preempt the oldest request first (drain-the-stragglers heuristic)."""
-    return sorted(
-        running,
-        key=lambda r: (r.arrival_iteration, r.request_id),
-    )
-
-
-def make_preemption_policy(
-    victim_cost: Callable[[Request], float]
-) -> PreemptionPolicy:
-    """Build a preemption policy from a cost function (lower = preempt
-    sooner)."""
-
-    def policy(running: Sequence[Request]) -> List[Request]:
-        return sorted(
-            running,
-            key=lambda r: (victim_cost(r), -r.arrival_iteration, -r.request_id),
-        )
-
-    return policy

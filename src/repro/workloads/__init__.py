@@ -1,4 +1,4 @@
-"""Workloads: synthetic prompt datasets, training corpus, toy tokenizer.
+"""Workloads: synthetic prompt datasets, training corpus, arrival processes.
 
 The paper evaluates on prompts from five datasets (Alpaca, ChatGPT Prompts,
 WebQA, Chatbot Instruction Prompts, PIQA) and boost-tunes on OpenWebText.
@@ -18,15 +18,7 @@ from repro.workloads.arrival import (
     drive_manager,
     sort_arrivals,
 )
-from repro.workloads.conversation import (
-    Conversation,
-    ConversationBuilder,
-    ConversationResult,
-    ConversationTurn,
-    serve_conversation,
-)
-from repro.workloads.corpus import MarkovCorpus, ZipfCorpus
-from repro.workloads.tokenizer import ToyTokenizer
+from repro.workloads.corpus import MarkovCorpus
 
 __all__ = [
     "DATASET_NAMES",
@@ -35,15 +27,8 @@ __all__ = [
     "dataset_specs",
     "make_dataset",
     "MarkovCorpus",
-    "ZipfCorpus",
-    "ToyTokenizer",
     "Arrival",
     "PoissonArrivals",
     "drive_manager",
     "sort_arrivals",
-    "Conversation",
-    "ConversationBuilder",
-    "ConversationResult",
-    "ConversationTurn",
-    "serve_conversation",
 ]

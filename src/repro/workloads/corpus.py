@@ -1,14 +1,10 @@
-"""Synthetic training corpora (the OpenWebText stand-in).
+"""Synthetic training corpus (the OpenWebText stand-in).
 
-Two generators:
-
-* :class:`ZipfCorpus` -- i.i.d. Zipf-distributed tokens; maximally simple,
-  used when only volume matters.
-* :class:`MarkovCorpus` -- a sparse random first-order Markov chain over the
-  vocabulary.  Sequences drawn from it have *low conditional entropy*, so a
-  transformer trained on them develops the peaked next-token distributions
-  that make speculation informative (a flat untrained model accepts almost
-  nothing — the same reason the paper uses trained model pairs).
+:class:`MarkovCorpus` draws sequences from a sparse random first-order
+Markov chain over the vocabulary.  They have *low conditional entropy*, so a
+transformer trained on them develops the peaked next-token distributions
+that make speculation informative (a flat untrained model accepts almost
+nothing — the same reason the paper uses trained model pairs).
 """
 
 from __future__ import annotations
@@ -16,31 +12,6 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
-
-
-class ZipfCorpus:
-    """I.i.d. Zipf token sequences."""
-
-    def __init__(self, vocab_size: int, exponent: float = 1.2, seed: int = 0,
-                 reserved_low: int = 1):
-        if vocab_size - reserved_low < 2:
-            raise ValueError("vocabulary too small")
-        self.vocab_size = vocab_size
-        self.reserved_low = reserved_low
-        self._rng = np.random.default_rng(seed)
-        ranks = np.arange(1, vocab_size - reserved_low + 1, dtype=np.float64)
-        weights = ranks ** (-exponent)
-        self._probs = weights / weights.sum()
-
-    def sample(self, length: int) -> np.ndarray:
-        """One sequence of ``length`` tokens."""
-        return self._rng.choice(
-            np.arange(self.reserved_low, self.vocab_size),
-            size=length, p=self._probs,
-        ).astype(np.intp)
-
-    def sample_many(self, n: int, length: int) -> List[np.ndarray]:
-        return [self.sample(length) for _ in range(n)]
 
 
 class MarkovCorpus:

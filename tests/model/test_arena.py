@@ -4,6 +4,8 @@ zero-copy layer views, append/truncate/compaction, request lifecycle).
 Both layouts are covered: a private range (``TransformerLM.new_cache``, the
 whole of its own arena) and a slot of an arena a batch shares."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from repro.engine.generation import GenerationConfig
 from repro.model import attention
 from repro.model.coupled import CoupledSSM
 from repro.model.kv_cache import BatchArena, LayerKV
+from repro.obs import REGISTRY, reset_observability
 from repro.serving.manager import RequestManager
 from repro.serving.session import IncrementalSession, SpeculativeSession
 from repro.speculate.expansion import ExpansionConfig
@@ -100,6 +103,25 @@ class TestAllocation:
         a.free()
         again = arena.new_sequence(16)
         assert again.row_range == (0, 16)
+
+    def test_registry_reset_keeps_the_level_gauges(self):
+        """A reset zeroes rates, not levels: the rows a live arena holds
+        stay counted, so giving them back after the reset brings the
+        gauges back to where they were, not below zero."""
+        rows, resident, high_water = (REGISTRY.gauge(
+            f"repro.model.arena.{name}")
+            for name in ("rows_used", "bytes_resident", "bytes_high_water"))
+        gc.collect()
+        rows_before, bytes_before = rows.value, resident.value
+        arena = make_arena(max_requests=1)
+        cache = arena.new_sequence()
+        reset_observability()
+        held = cache.capacity  # 96 rows
+        assert rows.value == rows_before + held
+        assert resident.value == bytes_before + held * arena.row_bytes
+        assert high_water.value == resident.value
+        cache.free()
+        assert (rows.value, resident.value) == (rows_before, bytes_before)
 
     def test_utilization(self):
         arena = make_arena(capacity=32)

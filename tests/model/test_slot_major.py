@@ -15,11 +15,7 @@ import pytest
 
 from repro.model import attention
 from repro.model.kv_cache import BatchArena
-from repro.model.transformer import (
-    SLOT_MIN_BLOCKS,
-    TransformerLM,
-    slot_block_rows,
-)
+from repro.model.transformer import SLOT_MIN_BLOCKS, slot_block_rows
 from tests.conftest import SMALL_CONFIG
 
 LOGIT_TOLERANCE = 1e-12
@@ -120,14 +116,6 @@ class TestSlotMajorEqualsLoop:
         assert np.max(np.abs(slot - loop)) <= LOGIT_TOLERANCE
         np.testing.assert_array_equal(slot.argmax(axis=1),
                                       loop.argmax(axis=1))
-        assert attention_calls["slot_major"] == SMALL_CONFIG.n_layers
-
-    def test_rope_model(self, attention_calls):
-        model = TransformerLM(SMALL_CONFIG.scaled(position_encoding="rope"),
-                              seed=3)
-        batch = _batch(model, np.random.default_rng(8), [0, 2, 4, 5],
-                       [2, 3, 1, 2])
-        _assert_same_as_loop(model, *batch)
         assert attention_calls["slot_major"] == SMALL_CONFIG.n_layers
 
 

@@ -19,7 +19,6 @@ from repro.faults import (
     TransientSessionFault,
 )
 from repro.serving.manager import RequestManager
-from repro.serving.policies import preempt_oldest_first
 from repro.serving.request import RequestState
 from tests.conftest import SMALL_CONFIG, arena_rows_used, make_prompt
 from tests.serving.test_manager import incremental_factory, speculative_factory
@@ -98,24 +97,12 @@ class TestPreemption:
                              injector=injector)
         ids = [mgr.submit(p, config) for p in prompts]
         mgr.run_until_complete()
-        victim = mgr.output_for(ids[1])  # newest-first default policy
+        victim = mgr.output_for(ids[1])  # the newest request goes first
         assert victim.preemptions == 1
         assert mgr.output_for(ids[0]).preemptions == 0
         for rid, prompt in zip(ids, prompts):
             assert mgr.output_for(rid).tokens == \
                 reference_tokens(llm, prompt, config)
-
-    def test_preemption_policy_override(self, llm, rng):
-        config = GenerationConfig(max_new_tokens=8, stop_on_eos=False)
-        injector = ScriptedInjector({FaultKind.KV_PRESSURE: [0, 0, 1]})
-        mgr = RequestManager(incremental_factory(llm), max_batch_size=2,
-                             injector=injector,
-                             preemption_policy=preempt_oldest_first)
-        ids = [mgr.submit(make_prompt(rng, length=4), config)
-               for _ in range(2)]
-        mgr.run_until_complete()
-        assert mgr.output_for(ids[0]).preemptions == 1
-        assert mgr.output_for(ids[1]).preemptions == 0
 
 
 class TestBoundedRetry:

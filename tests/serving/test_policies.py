@@ -1,16 +1,13 @@
-"""Tests for admission-ordering policies and their manager integration."""
+"""Tests for admission ordering, preemption victim order and their manager
+integration."""
 
 import numpy as np
-import pytest
 
 from repro.engine.generation import GenerationConfig
 from repro.serving.manager import RequestManager
 from repro.serving.policies import (
     fcfs,
-    longest_job_first,
-    make_priority_policy,
     preempt_newest_first,
-    preempt_oldest_first,
     shortest_job_first,
 )
 from repro.serving.request import Request
@@ -45,27 +42,12 @@ class TestPolicyOrdering:
         assert [r.request_id for r in shortest_job_first(requests)] == \
             [1, 2, 0]
 
-    def test_ljf_is_reverse_of_sjf_on_distinct_lengths(self):
-        requests = [
-            make_request(0, 10, 20),
-            make_request(1, 2, 3),
-            make_request(2, 5, 5),
-        ]
-        sjf_ids = [r.request_id for r in shortest_job_first(requests)]
-        ljf_ids = [r.request_id for r in longest_job_first(requests)]
-        assert ljf_ids == sjf_ids[::-1]
-
     def test_sjf_ties_break_fcfs(self):
         requests = [
             make_request(5, 5, 5, arrival=2),
             make_request(3, 5, 5, arrival=1),
         ]
         assert [r.request_id for r in shortest_job_first(requests)] == [3, 5]
-
-    def test_priority_policy(self):
-        requests = [make_request(i, 5, 5) for i in range(3)]
-        policy = make_priority_policy(lambda r: -r.request_id)
-        assert [r.request_id for r in policy(requests)] == [2, 1, 0]
 
     def test_policies_do_not_mutate_input(self):
         requests = [make_request(1, 5, 5), make_request(0, 2, 2)]
@@ -103,28 +85,14 @@ class TestPreemptionTieBreak:
         order = preempt_newest_first(self._same_iteration_batch())
         assert [r.request_id for r in order] == [1, 0, 2]
 
-    def test_oldest_first_ties_on_lower_request_id(self):
-        order = preempt_oldest_first(self._same_iteration_batch())
-        assert [r.request_id for r in order] == [2, 0, 1]
-
-    def test_orders_are_exact_reverses_under_ties(self):
-        batch = self._same_iteration_batch()
-        newest = [r.request_id for r in preempt_newest_first(batch)]
-        oldest = [r.request_id for r in preempt_oldest_first(batch)]
-        assert newest == oldest[::-1]
-
-    @pytest.mark.parametrize("policy,victim", [
-        (preempt_oldest_first, 0),
-        (preempt_newest_first, 2),
-    ])
-    def test_manager_picks_tie_broken_victim(self, llm, rng, policy, victim):
+    def test_manager_picks_tie_broken_victim(self, llm, rng):
         """Three requests admitted in the same iteration (identical
-        arrival iteration): a KV-pressure spike must preempt the victim
-        the tie-broken policy ordering names."""
+        arrival iteration): a KV-pressure spike must preempt the one the
+        tie-broken newest-first order names, the highest request id."""
+        victim = 2
         mgr = RequestManager(
             lambda req: IncrementalSession(req, llm),
             max_batch_size=3,
-            preemption_policy=policy,
         )
         config = GenerationConfig(max_new_tokens=4, stop_on_eos=False)
         ids = [mgr.submit(make_prompt(rng, length=4), config)

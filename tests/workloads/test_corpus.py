@@ -1,35 +1,9 @@
-"""Tests for synthetic corpora."""
+"""Tests for the synthetic training corpus."""
 
 import numpy as np
 import pytest
 
-from repro.workloads.corpus import MarkovCorpus, ZipfCorpus
-
-
-class TestZipfCorpus:
-    def test_sample_shape_and_range(self):
-        corpus = ZipfCorpus(vocab_size=32, seed=0)
-        seq = corpus.sample(50)
-        assert len(seq) == 50
-        assert (seq >= 1).all() and (seq < 32).all()
-
-    def test_sample_many(self):
-        corpus = ZipfCorpus(vocab_size=32, seed=0)
-        seqs = corpus.sample_many(4, 10)
-        assert len(seqs) == 4
-        assert all(len(s) == 10 for s in seqs)
-
-    def test_skew(self):
-        corpus = ZipfCorpus(vocab_size=32, exponent=1.5, seed=0)
-        tokens = corpus.sample(5000)
-        counts = np.bincount(tokens, minlength=32)
-        # Rank-1 token should dominate rank-10.
-        sorted_counts = np.sort(counts)[::-1]
-        assert sorted_counts[0] > 3 * sorted_counts[9]
-
-    def test_rejects_tiny_vocab(self):
-        with pytest.raises(ValueError):
-            ZipfCorpus(vocab_size=2)
+from repro.workloads.corpus import MarkovCorpus
 
 
 class TestMarkovCorpus:
