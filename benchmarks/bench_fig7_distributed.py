@@ -14,7 +14,6 @@ so they share one trace set; latencies come from replaying measured
 algorithm traces through the A10 cluster cost model (see DESIGN.md).
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.harness import (
@@ -97,6 +96,14 @@ def _build_report():
     return "\n\n".join(tables), speedups
 
 
+def _build_sequence_vs_tree_report():
+    _, sequence, tree = _trace_sets()
+    sim = distributed_simulator("llama-7b")
+    ratio = _latency_ms(sim, sequence, 1) / _latency_ms(sim, tree, 1)
+    return (f"llama-7b BS=1: sequence-based / tree-based latency = "
+            f"{ratio:.2f}x"), ratio
+
+
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_distributed_latency(benchmark):
     report, speedups = benchmark.pedantic(_build_report, rounds=1,
@@ -113,17 +120,7 @@ def test_fig7_distributed_latency(benchmark):
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_sequence_vs_tree(benchmark):
     """Tree-based beats sequence-based speculation (paper: 1.2-1.5x)."""
-
-    def compute():
-        incremental, sequence, tree = _trace_sets()
-        sim = distributed_simulator("llama-7b")
-        seq_ms = _latency_ms(sim, sequence, 1)
-        tree_ms = _latency_ms(sim, tree, 1)
-        return seq_ms / tree_ms
-
-    ratio = benchmark.pedantic(compute, rounds=1, iterations=1)
-    save_report(
-        "fig7_sequence_vs_tree",
-        f"llama-7b BS=1: sequence-based / tree-based latency = {ratio:.2f}x",
-    )
+    report, ratio = benchmark.pedantic(_build_sequence_vs_tree_report,
+                                       rounds=1, iterations=1)
+    save_report("fig7_sequence_vs_tree", report)
     assert ratio > 1.02

@@ -1,6 +1,6 @@
 """Perf-regression gate for CI.
 
-Five checks, all driven by the metrics registry rather than parsed
+Four checks, all driven by the metrics registry rather than parsed
 benchmark tables:
 
 1. **Benchmark steady-state allocations** — reads the ``BENCH_ci.json``
@@ -24,13 +24,6 @@ benchmark tables:
    reach ``PLANNER_STATIC_SLACK`` of the *best* static expansion config
    at batch 1 and batch 8, and strictly beat every static config on the
    acceptance-drift workload (where no static tree wins both halves).
-5. **Routed speculator pool vs fixed SSMs** — from the
-   ``repro.bench.router.*`` gauges ``bench_router.py --quick --json``
-   merges into the same ``BENCH_ci.json``: the learned router's modeled
-   tokens/sec must reach ``ROUTER_FIXED_SLACK`` of the *best* fixed
-   single-SSM baseline on every workload, and strictly beat every fixed
-   member on the mixed-workload sweep (where no single draft model is
-   competent everywhere).
 
 Regenerate the baseline after an intentional algorithmic change with::
 
@@ -63,13 +56,6 @@ PLANNER_STATIC_SLACK = 0.95
 
 #: Batch sizes the planner-vs-static gate checks in the quick benchmark.
 PLANNER_GATE_BATCHES = (1, 8)
-
-#: Gate: routed tokens/sec must be >= this fraction of the best *fixed*
-#: single-SSM baseline on every individual workload.  The frozen router
-#: still pays for any exploration misassignments pinned during the cold
-#: epoch; 0.97 absorbs that while catching a router that learned the
-#: wrong specialist for a workload.
-ROUTER_FIXED_SLACK = 0.97
 
 BASELINE_PATH = os.path.join(
     os.path.dirname(__file__), "results", "baseline_ci.json"
@@ -209,59 +195,6 @@ def gate_planner(bench_json: str) -> list:
     return failures
 
 
-def gate_router(bench_json: str) -> list:
-    """Failure messages from the routed-pool-vs-fixed benchmark metrics."""
-    with open(bench_json) as fh:
-        metrics = json.load(fh)
-    prefix = "repro.bench.router."
-    failures = []
-    workloads = sorted({
-        name[len(prefix) + len("workload."):].split(".")[0]
-        for name in metrics
-        if name.startswith(prefix + "workload.")
-    })
-    if not workloads:
-        raise RuntimeError(
-            f"{bench_json} is missing the {prefix}workload.* metrics"
-        )
-    for workload in workloads:
-        key = f"{prefix}workload.{workload}.routed_vs_best_fixed"
-        if key not in metrics:
-            raise RuntimeError(f"{bench_json} is missing {key}")
-        ratio = float(metrics[key]["value"])
-        print(f"routed vs best fixed SSM on {workload}: {ratio:.3f}x "
-              f"(gate: >= {ROUTER_FIXED_SLACK:.2f}x)")
-        if ratio < ROUTER_FIXED_SLACK:
-            failures.append(
-                f"routed tokens/sec on {workload} is {ratio:.3f}x the best "
-                f"fixed SSM (gate: >= {ROUTER_FIXED_SLACK:.2f}x)"
-            )
-    routed_key = f"{prefix}mixed.routed.tokens_per_sec"
-    if routed_key not in metrics:
-        raise RuntimeError(f"{bench_json} is missing {routed_key}")
-    routed_tps = float(metrics[routed_key]["value"])
-    fixed = {
-        name[len(prefix) + len("mixed."):-len(".tokens_per_sec")]:
-            float(value["value"])
-        for name, value in metrics.items()
-        if name.startswith(prefix + "mixed.fixed_")
-        and name.endswith(".tokens_per_sec")
-    }
-    if not fixed:
-        raise RuntimeError(
-            f"{bench_json} is missing the {prefix}mixed.fixed_* metrics"
-        )
-    for member, member_tps in sorted(fixed.items()):
-        print(f"mixed sweep: routed {routed_tps:.1f} tok/s vs "
-              f"{member} {member_tps:.1f} tok/s (gate: strictly greater)")
-        if not routed_tps > member_tps:
-            failures.append(
-                f"routed {routed_tps:.1f} tok/s does not strictly beat "
-                f"{member} {member_tps:.1f} tok/s on the mixed sweep"
-            )
-    return failures
-
-
 def gate_tokens_per_step(baseline_path: str) -> list:
     """Failure messages from the tokens/step comparison."""
     with open(baseline_path) as fh:
@@ -308,7 +241,6 @@ def main(argv=None) -> int:
     if args.bench_json:
         failures += gate_bench_allocs(args.bench_json)
         failures += gate_planner(args.bench_json)
-        failures += gate_router(args.bench_json)
     failures += gate_tick_allocs()
     failures += gate_tokens_per_step(args.baseline)
 

@@ -327,9 +327,11 @@ def _latency_model(args: argparse.Namespace):
     from repro.cluster.models import paper_model
     from repro.cluster.parallel import ParallelPlan
 
-    for name in ("batch", "tree_tokens"):
+    for name in ("batch", "tree_tokens", "tokens_per_step"):
         if getattr(args, name) < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be >= 1")
+    if args.context < 0:
+        raise ValueError("--context must be >= 0")
     cluster = two_node_cluster() if args.pp > 1 else single_node_cluster()
     plan = ParallelPlan(tensor_parallel=args.tp, pipeline_stages=args.pp)
     return LatencyModel(paper_model(args.model), plan, cluster)
@@ -341,7 +343,7 @@ def cmd_latency(args: argparse.Namespace) -> int:
     scored = args.batch * args.tree_tokens
     context = args.batch * (args.context + args.tree_tokens)
     step = latency.step_latency(scored, context)
-    per_token = step / max(args.tokens_per_step, 1e-9)
+    per_token = step / args.tokens_per_step
     print(f"model {args.model}, tp={args.tp} pp={args.pp}, "
           f"batch={args.batch}, tree={args.tree_tokens} tokens")
     print(f"step latency      : {step * 1e3:.2f} ms")
@@ -390,7 +392,7 @@ def _workload_spec(args: argparse.Namespace):
     from repro.obs.workload import WorkloadSpec
 
     names = ("dataset", "requests", "batch", "rate", "seed", "alignment",
-             "fault_rate", "planner", "pool", "router")
+             "fault_rate", "planner")
     return WorkloadSpec(
         max_new_tokens=args.tokens,
         **{name: getattr(args, name) for name in names if name in args},
@@ -418,14 +420,6 @@ def _add_workload_args(parser: argparse.ArgumentParser,
     parser.add_argument("--planner", action="store_true",
                         help="re-solve the speculation budget every tick "
                              "against the hardware cost model")
-    parser.add_argument("--pool", type=int, default=0, metavar="N",
-                        help="serve with a heterogeneous pool of N coupled "
-                             "speculators routed per request (N >= 2; "
-                             "0 keeps the single-SSM path)")
-    parser.add_argument("--router",
-                        choices=("ucb", "thompson", "round_robin"),
-                        default="ucb",
-                        help="routing policy over the speculator pool")
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -519,6 +513,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
+    from repro.cluster.models import PAPER_MODELS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SpecInfer reproduction command-line interface",
@@ -590,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     models.set_defaults(handler=cmd_models)
 
     latency = sub.add_parser("latency", help="query the cost model")
-    latency.add_argument("--model", default="llama-7b")
+    latency.add_argument("--model", choices=PAPER_MODELS, default="llama-7b")
     latency.add_argument("--tp", type=int, default=1)
     latency.add_argument("--pp", type=int, default=1)
     latency.add_argument("--batch", type=int, default=1)
@@ -601,8 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep",
                            help="speculation-depth planning sweep")
-    sweep.add_argument("--model", default="llama-7b")
-    sweep.add_argument("--ssm", default="llama-68m")
+    sweep.add_argument("--model", choices=PAPER_MODELS, default="llama-7b")
+    sweep.add_argument("--ssm", choices=PAPER_MODELS, default="llama-68m")
     sweep.add_argument("--alpha", type=float, default=0.7)
     sweep.add_argument("--max-depth", type=int, default=12)
     sweep.set_defaults(handler=cmd_sweep, spec_from=_sweep_points)

@@ -207,10 +207,6 @@ class DecodeState:
         self.speculator = speculator
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.cache = (cache_factory or model.new_cache)()
-        #: Optional :class:`~repro.speculate.router.RouteAssignment` pinned
-        #: by the serving layer when this request was routed to a pool
-        #: member; the pipeline feeds acceptance back through it.
-        self.route = None
         self.tokens: List[int] = []
         self.steps: List[StepTrace] = []
         self.finished_by_eos = False
@@ -494,7 +490,7 @@ class DecodePipeline:
     Algorithm-1 trace shape; every other state drafts a tree, and those
     trees go through the configured backend in a single ``verify``.  So a
     batch mixing speculative and incremental requests is one tick under any
-    backend, and only drafted states feed the planner and the router.
+    backend, and only drafted states feed the planner.
 
     Args:
         model: The LLM (sizes the tree fitter).
@@ -518,22 +514,13 @@ class DecodePipeline:
             speculation.  Under greedy verification the emitted
             tokens are identical for every plan — the planner only moves
             tokens-per-step, never content.
-        router: Optional :class:`~repro.speculate.router.SpeculatorRouter`.
-            When set, ticks that speculated feed each routed state's
-            acceptance outcome back per request (through ``state.route``),
-            and the planner's acceptance input becomes the mean of the live
-            routed members' estimates.  Bare roots feed nothing — the
-            same skip the global planner estimator gets.  Routing never
-            changes greedy output: the verifier emits the LLM's greedy
-            continuation whichever member drafted.
     """
 
     def __init__(self, model: TransformerLM,
                  backend: Optional[VerificationBackend] = None,
                  injector: Optional["FaultInjector"] = None,
                  fallback_cooldown: int = 3,
-                 planner: Optional["TreePlanner"] = None,
-                 router: Optional["SpeculatorRouter"] = None):
+                 planner: Optional["TreePlanner"] = None):
         if fallback_cooldown < 0:
             raise ValueError("fallback_cooldown must be >= 0")
         self.model = model
@@ -546,7 +533,6 @@ class DecodePipeline:
         #: level loop per SSM base.
         self.packed = PackedSpeculator()
         self.planner = planner
-        self.router = router
         #: Scores every bare root of a tick in one ``decode_batch``.
         self._incremental = (
             self.backend if isinstance(self.backend, IncrementalBackend)
@@ -567,26 +553,6 @@ class DecodePipeline:
         _FALLBACK_ENTRIES.inc()
         TRACER.event("repro.engine.fallback", cause=cause,
                      cooldown=self.fallback_cooldown, iteration=self._ticks)
-
-    # -- routing -------------------------------------------------------------------
-
-    def _routed_alpha(self, live: Sequence[DecodeState]) -> Optional[float]:
-        """Mean acceptance estimate of the live batch's routed members.
-
-        ``None`` (planner falls back to its own global estimator) when no
-        router is attached or no live state carries a route assignment.
-        """
-        if self.router is None:
-            return None
-        total = 0.0
-        count = 0
-        for state in live:
-            if state.route is not None:
-                total += self.router.alpha_for(state.route.member)
-                count += 1
-        if count == 0:
-            return None
-        return total / count
 
     # -- phases --------------------------------------------------------------------
 
@@ -706,18 +672,9 @@ class DecodePipeline:
             # Fault-degraded ticks skip planning (nothing will draft).
             plan = None
             if self.planner is not None and live and not degraded:
-                context_len = max(s.cache.length for s in live)
-                routed_alpha = self._routed_alpha(live)
-                if routed_alpha is not None:
-                    plan = self.planner.plan(len(live),
-                                             context_len=context_len,
-                                             alpha=routed_alpha)
-                else:
-                    # No routed states: the planner falls back to its own
-                    # global estimator (and planner doubles need not grow
-                    # an ``alpha`` parameter).
-                    plan = self.planner.plan(len(live),
-                                             context_len=context_len)
+                plan = self.planner.plan(
+                    len(live),
+                    context_len=max(s.cache.length for s in live))
 
             # The one per-state decision: whose tree is a bare root.
             nothing_drafts = degraded or (
@@ -806,24 +763,15 @@ class DecodePipeline:
                 span.set(steps=len(results), tokens_emitted=emitted_total)
 
             # Acceptance evidence — only from drafted trees: a bare root
-            # ran Algorithm 1, so it feeds neither the router's per-member
-            # estimators nor the planner's global EWMA.  Per request, the
-            # accepted speculated tokens, and whether the accepted path
-            # ended by rejection (its tip still had children in the fitted
-            # tree) rather than by consuming the whole tree.
-            if self.router is not None or (plan is not None and drafted):
-                evidence = [(active[j].route,
-                             results[j].num_accepted_speculated,
-                             0 if trees[j].is_leaf(
-                                 results[j].accepted_nodes[-1]) else 1)
-                            for j in drafted]
-                if self.router is not None:
-                    for route, accepted, stopped in evidence:
-                        if route is not None:
-                            self.router.observe(route, accepted, stopped)
-                else:
-                    self.planner.observe(sum(e[1] for e in evidence),
-                                         sum(e[2] for e in evidence))
+            # ran Algorithm 1, so it does not feed the planner's EWMA.  Per
+            # request, the accepted speculated tokens, and whether the
+            # accepted path ended by rejection (its tip still had children
+            # in the fitted tree) rather than by consuming the whole tree.
+            if plan is not None and drafted:
+                self.planner.observe(
+                    sum(results[j].num_accepted_speculated for j in drafted),
+                    sum(not trees[j].is_leaf(results[j].accepted_nodes[-1])
+                        for j in drafted))
 
             if degraded:
                 _FALLBACK_TICKS.inc()

@@ -54,21 +54,11 @@ class WorkloadSpec:
             pipeline — speculation budgets re-solved every tick (populates
             ``repro.planner.*`` metrics).  Greedy token output is identical
             either way; only the tree shapes change.
-        pool: Serve with a heterogeneous speculator pool of this many
-            coupled members (alignments stepping down from ``alignment``)
-            routed per request; 0 (default) keeps the single-SSM path.
-            Greedy token output is identical either way — routing only
-            changes which member drafts (populates ``repro.router.*``
-            metrics).
-        router: Routing policy over the pool (``"ucb"``, ``"thompson"``,
-            ``"round_robin"``, or ``"fixed:<member>"``); only consulted
-            when ``pool >= 2``.
 
     Raises:
         ValueError: ``requests``, ``max_new_tokens`` or ``batch`` below 1,
             a non-positive ``rate``, a negative ``seed``, an ``alignment``
-            outside [0, 1], a ``pool`` of 1 or below 0, or an unknown
-            ``dataset``.
+            outside [0, 1], or an unknown ``dataset``.
     """
 
     dataset: str = "Alpaca"
@@ -81,8 +71,6 @@ class WorkloadSpec:
     simulate: bool = True
     fault_rate: float = 0.0
     planner: bool = False
-    pool: int = 0
-    router: str = "ucb"
 
     def __post_init__(self) -> None:
         from repro.workloads.datasets import DATASET_NAMES
@@ -93,8 +81,6 @@ class WorkloadSpec:
         if self.rate <= 0:
             raise ValueError("rate must be > 0")
         _check_toy_pair(self.alignment, self.seed)
-        if self.pool != 0 and self.pool < 2:
-            raise ValueError("pool must be 0 (one SSM) or >= 2 members")
         if not 0 <= self.fault_rate <= 1:
             raise ValueError(f"fault_rate must be in [0, 1], got "
                              f"{self.fault_rate}")
@@ -143,7 +129,7 @@ def build_workload(
 
     Returns ``(manager, arrivals)``: a
     :class:`~repro.serving.manager.RequestManager` whose sessions draft
-    with the toy coupled SSM (or a routed pool) into one
+    with the toy coupled SSM into one
     :class:`~repro.model.kv_cache.BatchArena`, verified by a seeded
     :class:`~repro.engine.pipeline.FusedBackend`; and the seeded Poisson
     schedule of ``spec.requests`` dataset prompts.  Nothing has run yet.
@@ -151,7 +137,7 @@ def build_workload(
     from repro.engine.pipeline import FusedBackend
     from repro.model.kv_cache import BatchArena
     from repro.serving.manager import RequestManager
-    from repro.serving.session import SpeculativeSession, make_routed_factory
+    from repro.serving.session import SpeculativeSession
     from repro.speculate.expansion import ExpansionConfig
     from repro.speculate.speculator import Speculator
     from repro.workloads.arrival import PoissonArrivals
@@ -160,29 +146,13 @@ def build_workload(
     llm, ssm_factory = _build_toy_pair(spec.alignment, spec.seed)
     arena = BatchArena(llm.config, max_requests=spec.batch)
 
-    router = None
-    if spec.pool:
-        from repro.speculate.pool import SpeculatorPool
-        from repro.speculate.router import RouterConfig, SpeculatorRouter
-
-        sp_pool = SpeculatorPool.coupled_spread(
-            llm, spec.pool, spec.alignment, seed=spec.seed + 1,
-            config=ExpansionConfig.paper_default(),
+    def session_factory(request):
+        return SpeculativeSession(
+            request, llm,
+            lambda: Speculator([ssm_factory()],
+                               ExpansionConfig.paper_default()),
+            cache_factory=arena.new_sequence,
         )
-        router = SpeculatorRouter(
-            sp_pool, RouterConfig(policy=spec.router, seed=spec.seed)
-        )
-        session_factory = make_routed_factory(
-            llm, sp_pool, router, cache_factory=arena.new_sequence
-        )
-    else:
-        def session_factory(request):
-            return SpeculativeSession(
-                request, llm,
-                lambda: Speculator([ssm_factory()],
-                                   ExpansionConfig.paper_default()),
-                cache_factory=arena.new_sequence,
-            )
 
     injector = None
     if spec.fault_rate > 0:
@@ -201,7 +171,6 @@ def build_workload(
         backend=FusedBackend(llm, rng=np.random.default_rng(spec.seed)),
         injector=injector,
         planner=planner,
-        router=router,
     )
     dataset = make_dataset(spec.dataset, vocab_size=llm.config.vocab_size)
     arrivals = PoissonArrivals(

@@ -39,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import enum
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence
@@ -219,6 +220,18 @@ class StreamEvent:
 
 _TERMINAL = ("done", "failed")
 
+#: Every stream a gateway opened and has not yet ended.  ``streams_open``
+#: is its size, so a registry reset cannot leave the gauge off by the
+#: streams open across it.
+_OPEN_STREAMS: "weakref.WeakSet[TokenStream]" = weakref.WeakSet()
+
+
+def _set_streams_open() -> None:
+    _STREAMS_OPEN.set(len(_OPEN_STREAMS))
+
+
+REGISTRY.on_reset(_set_streams_open)
+
 
 class TokenStream:
     """The client half of one streaming request.
@@ -247,7 +260,8 @@ class TokenStream:
         self._queue.put_nowait(event)
         if event.kind in _TERMINAL:
             self.closed = True
-            _STREAMS_OPEN.add(-1)
+            _OPEN_STREAMS.discard(self)
+            _set_streams_open()
 
     # -- consumer side (client) ----------------------------------------------------
 
@@ -466,7 +480,8 @@ class ServingGateway:
             submitted_at=time.perf_counter(),
         )
         state.queue.append(gwreq)
-        _STREAMS_OPEN.add(1)
+        _OPEN_STREAMS.add(stream)
+        _set_streams_open()
         _QUEUE_DEPTH.set(self.queue_depth)
         self.peak_queue_depth = max(self.peak_queue_depth, self.queue_depth)
         TRACER.event("repro.gateway.submit", tenant=tenant, slo=slo.value,

@@ -181,13 +181,6 @@ class RequestManager:
         planner: Optional :class:`~repro.speculate.planner.TreePlanner`
             forwarded to the :class:`DecodePipeline` — per-tick
             hardware-aware speculation budgets.
-        router: Optional :class:`~repro.speculate.router.SpeculatorRouter`
-            closing the routing feedback loop: the pipeline reports each
-            routed request's acceptance back after every verify.  Pair it
-            with a routed session factory
-            (:func:`~repro.serving.session.make_routed_factory`) so
-            assignments are pinned at admit; preempted requests re-route
-            sticky through the same factory.
     """
 
     def __init__(
@@ -200,7 +193,6 @@ class RequestManager:
         max_session_retries: int = 3,
         fallback_cooldown: int = 3,
         planner: Optional["TreePlanner"] = None,
-        router: Optional["SpeculatorRouter"] = None,
     ):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
@@ -214,7 +206,6 @@ class RequestManager:
         self.max_session_retries = max_session_retries
         self.fallback_cooldown = fallback_cooldown
         self.planner = planner
-        self.router = router
         #: The one pipeline every iteration runs through, built at the
         #: first prompt pass (``backend=None`` learns the model there).
         self._pipeline: Optional[DecodePipeline] = None
@@ -316,7 +307,7 @@ class RequestManager:
                     model, self.backend,
                     injector=self.injector,
                     fallback_cooldown=self.fallback_cooldown,
-                    planner=self.planner, router=self.router)
+                    planner=self.planner)
             outcomes = self._pipeline.prefill(
                 [session.state for session in sessions])
             stats = self._collect(

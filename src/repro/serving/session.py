@@ -59,7 +59,7 @@ class DecodeSession:
         return self.state.finished
 
     def release(self) -> None:
-        """Return the cache's rows/blocks to the pool it came from."""
+        """Return the cache's rows to the arena they came from."""
         self.state.release()
 
 
@@ -76,25 +76,3 @@ class SpeculativeSession(DecodeSession):
         super().__init__(request, model, cache_factory=cache_factory,
                          speculator_factory=speculator_factory)
 
-
-def make_routed_factory(model: TransformerLM, pool, router,
-                        cache_factory: Callable = None):
-    """A session factory that pins a routed speculator per request at admit.
-
-    The router decides once per request id and the decision is sticky, so
-    a preempted request's resume view (same id) gets its member back.  The
-    assignment rides on ``session.state.route``; the manager's pipeline
-    (``RequestManager(router=...)``) feeds acceptance back through it.
-    """
-
-    def factory(request: Request) -> SpeculativeSession:
-        assignment = router.route(request.request_id, request.prompt)
-        session = SpeculativeSession(
-            request, model,
-            lambda: pool.make_speculator(assignment.member),
-            cache_factory=cache_factory,
-        )
-        session.state.route = assignment
-        return session
-
-    return factory

@@ -11,10 +11,6 @@
   against the LLM on an unlabeled corpus.
 * :mod:`repro.speculate.planner` -- hardware-aware per-tick tree planning:
   budget/shape solved against the cost model and measured acceptance.
-* :mod:`repro.speculate.pool` -- heterogeneous speculator pool: N draft
-  models, each with its own acceptance estimator.
-* :mod:`repro.speculate.router` -- per-request routing over the pool: an
-  acceptance-history bandit with a deterministic cold-start fallback.
 """
 
 from repro.speculate.expansion import ExpansionConfig, expand_token_tree
@@ -27,12 +23,6 @@ from repro.speculate.planner import (
 )
 from repro.speculate.speculator import Speculator
 from repro.speculate.boost import BoostTuner, BoostTuningReport
-from repro.speculate.pool import PoolMember, SpeculatorPool
-from repro.speculate.router import (
-    RouteAssignment,
-    RouterConfig,
-    SpeculatorRouter,
-)
 
 __all__ = [
     "ExpansionConfig",
@@ -45,9 +35,4 @@ __all__ = [
     "TreePlan",
     "TreePlanner",
     "optimal_widths",
-    "PoolMember",
-    "SpeculatorPool",
-    "RouteAssignment",
-    "RouterConfig",
-    "SpeculatorRouter",
 ]

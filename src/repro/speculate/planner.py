@@ -442,27 +442,19 @@ class TreePlanner:
         )
 
     def plan(self, batch_size: int,
-             context_len: Optional[int] = None,
-             alpha: Optional[float] = None) -> TreePlan:
+             context_len: Optional[int] = None) -> TreePlan:
         """The speculation decision for the coming tick.
 
         Args:
             batch_size: Live (unfinished, speculative) requests this tick.
             context_len: Representative verified-prefix length; defaults to
                 ``config.context_len``.
-            alpha: Acceptance estimate override.  Routed batches pass the
-                mean of their assigned speculators' per-member estimates
-                here, so planning tracks the speculators actually serving
-                this tick instead of the planner's global EWMA.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         context = (context_len if context_len is not None
                    else self.config.context_len)
-        if alpha is None:
-            alpha = self.estimator.alpha
-        elif not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+        alpha = self.estimator.alpha
         plan = self._solve(batch_size, context, alpha)
         if not plan.speculative:
             self._ticks_since_probe += 1

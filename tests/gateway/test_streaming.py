@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.engine.generation import GenerationConfig
-from repro.obs import REGISTRY
+from repro.obs import REGISTRY, reset_observability
 from repro.serving.gateway import (
     GatewayRequestFailed,
     ServingGateway,
@@ -111,6 +111,18 @@ class TestGatewayStreaming:
         finally:
             await gateway.stop()
         assert gauge.value == before
+
+    async def test_streams_open_gauge_survives_a_registry_reset(
+            self, llm, prompts):
+        """A reset while a stream is open keeps counting it, so its
+        terminal event brings the gauge back to 0, not to -1."""
+        gauge = REGISTRY.gauge("repro.gateway.streams_open")
+        gateway = ServingGateway(build_manager(llm))
+        stream = await gateway.submit(prompts[0], _config())
+        reset_observability()
+        assert gauge.value == 1
+        stream.push(StreamEvent(kind="done"))
+        assert gauge.value == 0
 
     async def test_stop_without_drain_fails_queued_requests(
             self, llm, prompts):

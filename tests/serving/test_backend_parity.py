@@ -9,7 +9,7 @@ including when a request exhausts its context mid-batch and is retired by
 the tree fitter.  And every manager shape is one pipeline: a batch mixing
 speculative and incremental sessions is one tick (one ``decode_batch`` for
 the bare roots, one backend ``verify`` for the drafted trees), and the
-planner, the router and the fault injector work without a ``backend``.
+planner and the fault injector work without a ``backend``.
 
 Run standalone with ``pytest -m serving``.
 """
@@ -30,17 +30,11 @@ from repro.model.kv_cache import BatchArena
 from repro.model.coupled import CoupledSSM
 from repro.model.sampling import SamplingConfig
 from repro.serving.manager import RequestManager
-from repro.serving.session import (
-    IncrementalSession,
-    SpeculativeSession,
-    make_routed_factory,
-)
+from repro.serving.session import IncrementalSession, SpeculativeSession
 from repro.speculate.expansion import ExpansionConfig
 from repro.speculate.planner import TreePlanner
-from repro.speculate.pool import SpeculatorPool
-from repro.speculate.router import RouterConfig, SpeculatorRouter
 from repro.speculate.speculator import Speculator
-from tests.conftest import SMALL_CONFIG, make_prompt
+from tests.conftest import SMALL_CONFIG, arena_rows_used, make_prompt
 from tests.engine.test_zero_alloc import _count_calls
 
 pytestmark = pytest.mark.serving
@@ -226,25 +220,55 @@ class TestOnePipelineEveryShape:
                 IncrementalEngine(llm).generate(prompt, config).tokens
         assert arena.used_rows == 0
 
-    def test_planner_and_router_need_no_backend(self, llm, rng):
-        """Armed on a ``backend=None`` manager, both get their evidence."""
+    @pytest.mark.parametrize("fault_rate", [0.0, 0.1])
+    def test_merge_based_speculator_serves_incremental_tokens(
+            self, llm, rng, fault_rate):
+        """Several SSMs are served as one merge-based speculator: every
+        request of a batch-3 manager whose sessions draft with two coupled
+        SSMs on one base emits ``IncrementalEngine``'s greedy tokens, with
+        or without faults, and every arena row comes back."""
+        def merged():
+            return Speculator(
+                [CoupledSSM(llm, alignment=0.9, seed=seed, noise_scale=2.0)
+                 for seed in (7, 8)],
+                ExpansionConfig((2, 2)))
+
+        rows_before = arena_rows_used()
+        arena = BatchArena(SMALL_CONFIG, max_requests=3)
+        injector = FaultInjector(rate=fault_rate, seed=SEED)
+        manager = RequestManager(
+            lambda request: SpeculativeSession(
+                request, llm, merged, cache_factory=arena.new_sequence),
+            max_batch_size=3, injector=injector)
+        config = GenerationConfig(max_new_tokens=8, stop_on_eos=False)
+        prompts = [make_prompt(rng, length=4 + i % 3) for i in range(6)]
+        ids = [manager.submit(prompt, config) for prompt in prompts]
+        manager.run_until_complete()
+        assert manager.failed_outputs() == []
+        for rid, prompt in zip(ids, prompts):
+            assert manager.output_for(rid).tokens == \
+                IncrementalEngine(llm).generate(prompt, config).tokens
+        assert max(stats.batch_size
+                   for stats in manager.iteration_stats) == 3
+        assert (injector.total_injected > 0) == (fault_rate > 0)
+        del manager
+        assert arena.used_rows == 0
+        assert arena_rows_used() == rows_before
+
+    def test_planner_needs_no_backend(self, llm, rng):
+        """Armed on a ``backend=None`` manager, the planner gets its
+        evidence."""
         config = GenerationConfig(max_new_tokens=8, stop_on_eos=False)
         planner = TreePlanner.default()
-        planned = RequestManager(spec_factory(llm), max_batch_size=3,
+        manager = RequestManager(spec_factory(llm), max_batch_size=3,
                                  planner=planner)
-        pool = SpeculatorPool.from_coupled(llm, (0.9, 0.6))
-        router = SpeculatorRouter(pool, RouterConfig(seed=5))
-        routed = RequestManager(make_routed_factory(llm, pool, router),
-                                max_batch_size=3, router=router)
-        for manager in (planned, routed):
-            prompts = [make_prompt(rng, length=5) for _ in range(3)]
-            ids = [manager.submit(p, config) for p in prompts]
-            manager.run_until_complete()
-            for rid, prompt in zip(ids, prompts):
-                assert manager.output_for(rid).tokens == \
-                    IncrementalEngine(llm).generate(prompt, config).tokens
+        prompts = [make_prompt(rng, length=5) for _ in range(3)]
+        ids = [manager.submit(p, config) for p in prompts]
+        manager.run_until_complete()
+        for rid, prompt in zip(ids, prompts):
+            assert manager.output_for(rid).tokens == \
+                IncrementalEngine(llm).generate(prompt, config).tokens
         assert planner.estimator.observations > 0
-        assert router.observations > 0
 
     @pytest.mark.parametrize("kind", MANAGER_SHAPES)
     def test_one_fault_draw_of_each_kind_per_decode_iteration(self, llm,

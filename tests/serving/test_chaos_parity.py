@@ -71,35 +71,6 @@ class TestWorkloadParity:
         assert checks is None or checks.value == 0
 
 
-class TestRoutedPoolParity:
-    def test_routed_workload_survives_rate_010(self):
-        """ISSUE regression: a routed 3-member pool at fault rate 0.10
-        keeps bit-identical finished tokens and zero failures — fallback
-        ticks feed neither the member estimators nor routing history."""
-        spec = WorkloadSpec(requests=6, max_new_tokens=8, seed=7,
-                            simulate=False, pool=3)
-        expected, _ = run_workload_tokens(spec)
-        actual, failed = run_workload_tokens(replace(spec, fault_rate=0.10))
-        assert failed == []
-        assert actual == expected
-
-    def test_faulty_run_keeps_clean_assignment_sequence(self):
-        """The fault layer must not perturb routing: the chaos run assigns
-        requests to the same members as the clean run (retries/preemptions
-        re-route sticky, fallback ticks observe nothing)."""
-        spec = WorkloadSpec(requests=6, max_new_tokens=8, seed=7,
-                            simulate=False, pool=3)
-        reset_observability()
-        clean = run_observed_workload(spec)
-        clean_assigned = REGISTRY.get("repro.router.assignments").value
-        reset_observability()
-        chaotic = run_observed_workload(replace(spec, fault_rate=0.10))
-        assert chaotic.failed_outputs() == []
-        assert (REGISTRY.get("repro.router.assignments").value
-                == clean_assigned)
-        assert REGISTRY.get("repro.faults.checks").value > 0
-
-
 class TestPerRequestParity:
     @pytest.mark.parametrize("seed", [3, 7, 13])
     def test_per_request_chaos_is_lossless_and_leak_free(self, llm, rng,

@@ -25,8 +25,8 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
     @pytest.mark.parametrize("argv", [
-        ["trace", "Alpaca", "--pool", "1"],
-        ["chaos", "Alpaca", "--pool", "1"],
+        ["sweep", "--model", "nope"],
+        ["sweep", "--ssm", "nope"],
         ["metrics", "--requests", "0"],
         ["serve", "--requests", "0"],
         ["serve", "--dataset", "nope"],
@@ -52,6 +52,9 @@ class TestParser:
         ["serve", "--alignment", "1.5"],
         ["serve", "--alignment", "-1"],
         ["demo", "--alignment", "1.5"],
+        ["latency", "--model", "nope"],
+        ["latency", "--context", "-5"],
+        ["latency", "--tokens-per-step", "-1"],
     ])
     def test_bad_workload_is_a_usage_error(self, argv, capsys):
         """An invalid workload or verb argument exits 2 with a message, not
@@ -61,6 +64,16 @@ class TestParser:
         assert captured.out == ""
         assert captured.err.strip().splitlines()[-1].startswith(
             f"repro {argv[0]}")
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--pool", "3"],
+        ["trace", "Alpaca", "--router", "ucb"],
+    ])
+    def test_pool_and_router_flags_are_unknown(self, argv, capsys):
+        """Several SSMs are served only as one merge-based speculator;
+        there is no per-request routing to configure."""
+        assert exit_code(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDemo:
@@ -93,8 +106,8 @@ class TestServe:
         assert "requests           : 4" in out
         assert "tokens generated   : 24" in out
 
-    def test_pool_and_planner(self, capsys):
-        code = main(["serve", "--pool", "3", "--planner", "--requests", "2",
+    def test_planner(self, capsys):
+        code = main(["serve", "--planner", "--requests", "2",
                      "--tokens", "4"])
         out = capsys.readouterr().out
         assert code == 0
