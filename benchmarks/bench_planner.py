@@ -195,7 +195,7 @@ def run_steady_sweep(batch_sizes=BATCH_SIZES, max_new_tokens=48):
                 f"greedy parity violated by static {name} at batch {batch}"
             )
         planned = run_variant(batch, max_new_tokens,
-                              planner=TreePlanner.default())
+                              planner=TreePlanner())
         assert planned["outputs"] == outputs, (
             f"greedy parity violated by the planner at batch {batch}"
         )
@@ -251,7 +251,7 @@ def run_drift(batch=DRIFT_BATCH, max_new_tokens=32):
         record(name, result)
     replans_before = REGISTRY.counter("repro.planner.replans").value
     planned = run_variant(batch, max_new_tokens,
-                          planner=TreePlanner.default(), drift=True)
+                          planner=TreePlanner(), drift=True)
     assert planned["outputs"] == outputs, (
         "greedy parity violated by the planner under drift"
     )

@@ -192,7 +192,7 @@ def cmd_chat(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if args.prompt:
-        prompt = [int(t) for t in args.prompt.split()]
+        prompt = args.prompt
     else:
         from repro.workloads.datasets import make_dataset
 
@@ -255,10 +255,17 @@ def _address(text: str) -> Tuple[str, int]:
 
 def _gateway_workload_spec(args: argparse.Namespace):
     """``serve``'s and ``chat``'s workload spec, once the gateway address
-    (``--listen`` / ``--connect``), if given, parses as HOST:PORT."""
+    (``--listen`` / ``--connect``), if given, parses as HOST:PORT and
+    ``chat``'s ``--prompt``, if given, as token ids (kept on ``args``)."""
     address = getattr(args, "listen", None) or getattr(args, "connect", None)
     if address:
         _address(address)
+    if getattr(args, "prompt", None):
+        try:
+            args.prompt = [int(t) for t in args.prompt.split()]
+        except ValueError:
+            raise ValueError(f"--prompt takes space-separated token ids, "
+                             f"got {args.prompt!r}") from None
     return _workload_spec(args)
 
 

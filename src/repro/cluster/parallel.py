@@ -4,7 +4,8 @@ SpecInfer serves the LLM with tensor model parallelism *within* a node and
 pipeline model parallelism *across* nodes; SSMs are small enough to fit on a
 single GPU and are replicated with data parallelism.  A
 :class:`ParallelPlan` captures one such placement and knows how to validate
-itself against a cluster (degree fits, per-GPU weights fit in HBM).
+itself against a model and a cluster (degree fits the node and divides the
+attention heads, per-GPU weights fit in HBM).
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ class ParallelPlan:
             raise ValueError(
                 f"tensor parallel degree {self.tensor_parallel} exceeds "
                 f"{cluster.node.gpus_per_node} GPUs per node"
+            )
+        if model.n_heads % self.tensor_parallel:
+            # Megatron-style sharding splits attention by whole heads.
+            raise ValueError(
+                f"tensor parallel degree {self.tensor_parallel} does not "
+                f"divide {model.name}'s {model.n_heads} attention heads"
             )
         if self.pipeline_stages > cluster.num_nodes:
             raise ValueError(

@@ -40,7 +40,8 @@ def sweep_tensor_parallel(
     context_tokens: int = 128,
     batch_size: int = 1,
 ) -> List[SweepPoint]:
-    """Incremental per-token latency vs TP degree (within one node).
+    """Incremental per-token latency vs TP degree (within one node; a
+    degree that does not fit or does not divide the heads is skipped).
 
     Shows the diminishing return the paper's placements reflect: weight
     reads shrink with TP but all-reduce costs grow, so small models stop
@@ -52,7 +53,7 @@ def sweep_tensor_parallel(
         try:
             latency_model = LatencyModel(model, plan, cluster)
         except ValueError:
-            continue  # does not fit at this degree
+            continue  # not a valid placement at this degree
         latency = latency_model.step_latency(
             batch_size, batch_size * context_tokens
         )

@@ -89,6 +89,10 @@ _INCREMENTAL_ROWS = REGISTRY.counter(
     "repro.verify.incremental.tokens_scored",
     help="root rows the LLM forwarded for incremental verification")
 
+#: Clean (degraded) ticks served after a speculation or verification fault
+#: before speculation resumes.
+FALLBACK_COOLDOWN = 3
+
 
 def _observe_verify(kind: str, trees: Sequence[TokenTree]) -> None:
     """Charge one backend verification call to ``repro.verify.<kind>.*``.
@@ -501,11 +505,9 @@ class DecodePipeline:
             one speculation and one verification fault can fire each tick;
             the affected tick *degrades* (every tree a bare root) instead
             of crashing, and speculation re-enables after
-            ``fallback_cooldown`` clean ticks.  Under greedy verification
-            degraded ticks emit exactly the tokens the speculative path
-            would — the fallback is lossless, just slower.
-        fallback_cooldown: Clean (degraded) ticks served after a fault
-            before speculation resumes.
+            :data:`FALLBACK_COOLDOWN` clean (degraded) ticks.  Under greedy
+            verification degraded ticks emit exactly the tokens the
+            speculative path would — the fallback is lossless, just slower.
         planner: Optional :class:`~repro.speculate.planner.TreePlanner`
             consulted once per tick, before speculation.  The plan's
             expansion profile overrides every speculative state's static
@@ -519,14 +521,10 @@ class DecodePipeline:
     def __init__(self, model: TransformerLM,
                  backend: Optional[VerificationBackend] = None,
                  injector: Optional["FaultInjector"] = None,
-                 fallback_cooldown: int = 3,
                  planner: Optional["TreePlanner"] = None):
-        if fallback_cooldown < 0:
-            raise ValueError("fallback_cooldown must be >= 0")
         self.model = model
         self.backend = backend if backend is not None else FusedBackend(model)
         self.injector = injector
-        self.fallback_cooldown = fallback_cooldown
         self.fitter = TreeFitter(model.config.max_seq_len)
         self.recorder = TraceRecorder()
         #: The one drafter: every drafted tree of a tick, in one packed
@@ -549,10 +547,10 @@ class DecodePipeline:
         return self._fallback_remaining > 0
 
     def _enter_fallback(self, cause: str) -> None:
-        self._fallback_remaining = self.fallback_cooldown
+        self._fallback_remaining = FALLBACK_COOLDOWN
         _FALLBACK_ENTRIES.inc()
         TRACER.event("repro.engine.fallback", cause=cause,
-                     cooldown=self.fallback_cooldown, iteration=self._ticks)
+                     cooldown=FALLBACK_COOLDOWN, iteration=self._ticks)
 
     # -- phases --------------------------------------------------------------------
 

@@ -23,7 +23,6 @@ def make_sequence_spec_engine(
     model: TransformerLM,
     ssm,
     depth: int = 8,
-    temperature: float = 1.0,
 ) -> SpecInferEngine:
     """Build a sequence-based speculative decoding engine.
 
@@ -31,14 +30,9 @@ def make_sequence_spec_engine(
         model: The LLM (verifier).
         ssm: A single small speculative model.
         depth: Speculation length per step (paper uses 8).
-        temperature: SSM proposal temperature.
 
     Returns:
         A :class:`SpecInferEngine` whose speculator emits width-1 trees.
     """
-    speculator = Speculator(
-        [ssm],
-        config=ExpansionConfig.sequence(depth),
-        temperature=temperature,
-    )
+    speculator = Speculator([ssm], ExpansionConfig.sequence(depth))
     return SpecInferEngine(model, speculator)

@@ -29,8 +29,8 @@ ZOO_SCHEMA_VERSION = 2
 
 #: Spec fields that determine each role's trained weights.  The LLM never
 #: sees the student's architecture or distillation length, so specs that
-#: differ only in SSM fields share one teacher checkpoint — a speculator
-#: pool trains its LLM exactly once.
+#: differ only in SSM fields share one teacher checkpoint: the LLM is
+#: trained once for all of them.
 _ROLE_FIELDS = {
     "llm": ("corpus_branching", "corpus_seed", "llm_config", "llm_steps",
             "seed", "vocab_size"),
@@ -143,20 +143,6 @@ class ModelZoo:
         llm = self._load_or_train_llm(spec)
         ssm = self._load_or_distill_ssm(spec, llm)
         return llm, ssm
-
-    def trained_llm(self, spec: ZooSpec) -> TransformerLM:
-        """Just the trained teacher (cached under its role-specific key).
-
-        Pool construction uses this with :meth:`distilled_ssm` so N member
-        specs sharing a teacher recipe train the LLM once.
-        """
-        return self._load_or_train_llm(spec)
-
-    def distilled_ssm(self, spec: ZooSpec,
-                      llm: Optional[TransformerLM] = None) -> TransformerLM:
-        """A distilled student for ``spec`` (cached), given its teacher."""
-        teacher = llm if llm is not None else self._load_or_train_llm(spec)
-        return self._load_or_distill_ssm(spec, teacher)
 
     # -- internals -------------------------------------------------------------------
 

@@ -164,7 +164,7 @@ def build_workload(
     if spec.planner:
         from repro.speculate.planner import TreePlanner
 
-        planner = TreePlanner.default()
+        planner = TreePlanner()
     manager = RequestManager(
         session_factory,
         max_batch_size=spec.batch,

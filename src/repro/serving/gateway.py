@@ -128,16 +128,15 @@ class TenantConfig:
         weight: Weighted-round-robin share relative to other tenants.
         max_queue_depth: Bounded-queue limit; submissions beyond it are
             rejected with ``queue_full`` (backpressure, not buffering).
-        rate_per_tick: Admissions allowed per gateway tick (token bucket);
-            ``None`` disables rate limiting for the tenant.
-        burst: Token-bucket capacity; defaults to ``max(1, rate_per_tick)``.
+        rate_per_tick: Admissions allowed per gateway tick (token bucket
+            of capacity ``max(1, rate_per_tick)``); ``None`` disables rate
+            limiting for the tenant.
     """
 
     name: str
     weight: int = 1
     max_queue_depth: int = 16
     rate_per_tick: Optional[float] = None
-    burst: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.weight < 1:
@@ -151,8 +150,6 @@ class TenantConfig:
     def bucket_capacity(self) -> float:
         if self.rate_per_tick is None:
             return float("inf")
-        if self.burst is not None:
-            return float(self.burst)
         return max(1.0, float(self.rate_per_tick))
 
 
@@ -163,17 +160,12 @@ class GatewayConfig:
     Attributes:
         tenants: Explicit tenant configurations by name.
         auto_tenants: Whether submissions naming an unknown tenant create
-            one on the fly from ``default_tenant_template``.
-        default_tenant_template: Policy applied to auto-created tenants.
-        idle_wait_seconds: How long the loop parks waiting for a wake
-            signal when it has no work.
+            one on the fly, with the default policy
+            (``TenantConfig(name=tenant)``).
     """
 
     tenants: Dict[str, TenantConfig] = field(default_factory=dict)
     auto_tenants: bool = True
-    default_tenant_template: TenantConfig = field(
-        default_factory=lambda: TenantConfig(name="default"))
-    idle_wait_seconds: float = 0.05
 
 
 class AdmissionError(RuntimeError):
@@ -430,14 +422,7 @@ class ServingGateway:
             if not self.config.auto_tenants:
                 raise AdmissionError("unknown_tenant",
                                      f"unknown tenant {tenant!r}")
-            template = self.config.default_tenant_template
-            state = _TenantState(config=TenantConfig(
-                name=tenant,
-                weight=template.weight,
-                max_queue_depth=template.max_queue_depth,
-                rate_per_tick=template.rate_per_tick,
-                burst=template.burst,
-            ))
+            state = _TenantState(config=TenantConfig(name=tenant))
             self._tenants[tenant] = state
         return state
 

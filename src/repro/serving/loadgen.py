@@ -67,6 +67,9 @@ class LoadgenSpec:
             raise ValueError("requests_per_client must be >= 1")
         if not self.tenants:
             raise ValueError("at least one tenant is required")
+        if len(set(self.tenants)) != len(self.tenants):
+            raise ValueError(f"tenant names must be distinct, got "
+                             f"{list(self.tenants)}")
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
         if self.rate_per_tick is not None and self.rate_per_tick <= 0:

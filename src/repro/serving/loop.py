@@ -28,6 +28,9 @@ from repro.obs import TRACER
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.gateway import ServingGateway
 
+#: How long the loop parks waiting for a wake signal when it has no work.
+IDLE_WAIT_SECONDS = 0.05
+
 
 class GatewayLoop:
     """The async driver owning the gateway's tick cadence.
@@ -35,14 +38,13 @@ class GatewayLoop:
     Args:
         gateway: The :class:`~repro.serving.gateway.ServingGateway` whose
             admission pump and stream dispatcher this loop drives.
-        tick_yield: Optional sleep between cycles (seconds).  The default
-            ``0`` still yields control to the event loop every cycle so
-            client tasks interleave with decoding.
+
+    Every cycle ends in ``asyncio.sleep(0)``, which yields control to the
+    event loop so client tasks interleave with decoding.
     """
 
-    def __init__(self, gateway: "ServingGateway", tick_yield: float = 0.0):
+    def __init__(self, gateway: "ServingGateway"):
         self.gateway = gateway
-        self.tick_yield = tick_yield
         self.ticks = 0
 
     async def run(self) -> None:
@@ -65,7 +67,7 @@ class GatewayLoop:
             if gateway._pump_admissions():
                 # A prefill iteration ran and its first tokens are on the
                 # client streams: let the clients read them before a tick.
-                await asyncio.sleep(self.tick_yield)
+                await asyncio.sleep(0)
                 continue
             if not gateway.manager.num_running:
                 if gateway._closing and not gateway.has_work:
@@ -79,12 +81,12 @@ class GatewayLoop:
                     # and with it the rate buckets and retry cooldowns —
                     # advances and the event is dispatched.
                     self._tick()
-                    await asyncio.sleep(self.tick_yield)
+                    await asyncio.sleep(0)
                     continue
                 await self._wait_for_work()
                 continue
             self._tick()
-            await asyncio.sleep(self.tick_yield)
+            await asyncio.sleep(0)
 
     def _tick(self) -> None:
         """One synchronous decode iteration plus stream dispatch."""
@@ -115,9 +117,7 @@ class GatewayLoop:
         if gateway.has_work or gateway._closing:
             return
         try:
-            await asyncio.wait_for(
-                gateway._wake.wait(),
-                timeout=gateway.config.idle_wait_seconds,
-            )
+            await asyncio.wait_for(gateway._wake.wait(),
+                                   timeout=IDLE_WAIT_SECONDS)
         except asyncio.TimeoutError:
             pass

@@ -89,6 +89,10 @@ _FAILED = REGISTRY.counter(
     "repro.serving.failed",
     help="requests terminally failed after exhausting retries")
 
+#: Consecutive transient session faults a request survives; the next one
+#: marks it ``FAILED``.
+MAX_SESSION_RETRIES = 3
+
 
 @dataclass
 class IterationStats:
@@ -172,12 +176,11 @@ class RequestManager:
             model.
         injector: Optional :class:`~repro.faults.FaultInjector` driving the
             failure paths (chaos testing); ``None`` disables injection at
-            zero cost.
-        max_session_retries: Consecutive transient session faults tolerated
-            per request before it is marked ``FAILED``.
-        fallback_cooldown: Clean pipeline ticks before speculation re-enables
-            after a speculation/verification fault (forwarded to
-            :class:`DecodePipeline`).
+            zero cost.  A request survives :data:`MAX_SESSION_RETRIES`
+            consecutive transient session faults and is marked ``FAILED``
+            at the next; the pipeline re-enables speculation
+            :data:`~repro.engine.pipeline.FALLBACK_COOLDOWN` clean ticks
+            after a speculation or verification fault.
         planner: Optional :class:`~repro.speculate.planner.TreePlanner`
             forwarded to the :class:`DecodePipeline` — per-tick
             hardware-aware speculation budgets.
@@ -190,21 +193,15 @@ class RequestManager:
         policy: Optional[Callable] = None,
         backend: Optional[VerificationBackend] = None,
         injector: Optional[FaultInjector] = None,
-        max_session_retries: int = 3,
-        fallback_cooldown: int = 3,
         planner: Optional["TreePlanner"] = None,
     ):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_session_retries < 0:
-            raise ValueError("max_session_retries must be >= 0")
         self.session_factory = session_factory
         self.max_batch_size = max_batch_size
         self.policy = policy or fcfs
         self.backend = backend
         self.injector = injector
-        self.max_session_retries = max_session_retries
-        self.fallback_cooldown = fallback_cooldown
         self.planner = planner
         #: The one pipeline every iteration runs through, built at the
         #: first prompt pass (``backend=None`` learns the model there).
@@ -304,9 +301,7 @@ class RequestManager:
             if self._pipeline is None:
                 model = sessions[0].model
                 self._pipeline = DecodePipeline(
-                    model, self.backend,
-                    injector=self.injector,
-                    fallback_cooldown=self.fallback_cooldown,
+                    model, self.backend, injector=self.injector,
                     planner=self.planner)
             outcomes = self._pipeline.prefill(
                 [session.state for session in sessions])
@@ -519,9 +514,9 @@ class RequestManager:
         tracked.retry_streak += 1
         tracked.total_retries += 1
         _RETRIES.inc()
-        if tracked.retry_streak > self.max_session_retries:
+        if tracked.retry_streak > MAX_SESSION_RETRIES:
             self._fail(request_id, "transient session faults exceeded "
-                       f"{self.max_session_retries} consecutive retries")
+                       f"{MAX_SESSION_RETRIES} consecutive retries")
             return
         backoff = 2 ** (tracked.retry_streak - 1)
         tracked.cooldown_until = self.iteration + backoff

@@ -14,13 +14,7 @@
 """
 
 from repro.speculate.expansion import ExpansionConfig, expand_token_tree
-from repro.speculate.planner import (
-    AcceptanceEstimator,
-    PlannerConfig,
-    TreePlan,
-    TreePlanner,
-    optimal_widths,
-)
+from repro.speculate.planner import TreePlan, TreePlanner, optimal_widths
 from repro.speculate.speculator import Speculator
 from repro.speculate.boost import BoostTuner, BoostTuningReport
 
@@ -30,8 +24,6 @@ __all__ = [
     "Speculator",
     "BoostTuner",
     "BoostTuningReport",
-    "AcceptanceEstimator",
-    "PlannerConfig",
     "TreePlan",
     "TreePlanner",
     "optimal_widths",

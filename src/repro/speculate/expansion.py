@@ -105,7 +105,6 @@ def expand_token_tree(
     root_token: int,
     cache,
     config: ExpansionConfig,
-    temperature: float = 1.0,
     stochastic: bool = False,
     rng: "np.random.Generator" = None,
 ) -> TokenTree:
@@ -146,8 +145,6 @@ def expand_token_tree(
             becomes the tree root.
         cache: SSM cache holding the verified prefix (excluding the root).
         config: Expansion configuration ⟨k1…km⟩.
-        temperature: Softmax temperature for the recorded SSM distributions
-            (MSS divides by these, so they must match what speculation used).
         stochastic: Sample candidates instead of taking top-k.
         rng: Randomness for stochastic proposals (required when
             ``stochastic=True``).
@@ -171,8 +168,7 @@ def expand_token_tree(
         if cache.length + 1 > cache.capacity:
             return  # SSM context limit reached; stop this branch
         logits = ssm.decode(token, cache)
-        probs = stable_softmax(np.asarray(logits, dtype=np.float64)
-                               / max(temperature, 1e-8))
+        probs = stable_softmax(np.asarray(logits, dtype=np.float64))
         row = tree.add_proposal(probs) if stochastic else -1
         width = config.widths[step]
         if stochastic:

@@ -30,11 +30,11 @@ greedy or sampling, and runs the SSM nowhere else.
 * **The bookkeeping runs once per level, not once per request.**  The
   frontier of every request is one set of arrays (owning slot, tree node,
   token, ancestor rows, path index); the level's mask is filled by array
-  ops from them; the proposal math is one temperature divide, one
-  ``stable_softmax`` and one ``top_k_tokens`` / ``inverse_cdf_tokens``
-  over the level's ``(rows, vocab)`` logits; and a level appends every
-  request's new nodes to the group's tree arrays in one scatter per field,
-  after dropping duplicate sampled draws by (parent, token).  Only sampled
+  ops from them; the proposal math is one ``stable_softmax`` and one
+  ``top_k_tokens`` / ``inverse_cdf_tokens`` over the level's ``(rows,
+  vocab)`` logits; and a level appends every request's new nodes to the
+  group's tree arrays in one scatter per field, after dropping duplicate
+  sampled draws by (parent, token).  Only sampled
   requests keep proposal rows (only ``verify_stochastic`` reads them).
 
 Stochastic requests are packed like greedy ones because a sampled tree no
@@ -61,8 +61,8 @@ order), which no consumer observes: verification runs over the structural
 DFS linearization.
 
 Every speculator is packed.  A merge-based one (several SSMs) puts one slot
-per SSM in the group of that SSM's base, each under its own configuration,
-and its tree is :func:`~repro.tree.token_tree.merge_trees` of its slots'
+per SSM in the group of that SSM's base, all under its configuration, and
+its tree is :func:`~repro.tree.token_tree.merge_trees` of its slots'
 trees (Definition 3.2); slots are built request by request, SSM by SSM, so
 each SSM draws its uniform block from the request's stream where the
 depth-first loop does.  An SSM is a :class:`TransformerLM` or a
@@ -129,7 +129,6 @@ class _Slot:
         self.index = index
         self.ssm = ssm
         self.config = config
-        self.temperature = max(state.speculator.temperature, 1e-8)
         self.queued = queued
         if isinstance(ssm, CoupledSSM):
             self.base = ssm.base
@@ -261,8 +260,6 @@ class _Levels:
             self.level_width.append(max(here))
             self.uniform.append(len(here) == 1)
             self.expands.append([w[level + 1] > 0 for w in widths])
-        self.temperature = np.array([slot.temperature for slot in slots],
-                                    dtype=np.float64)
         self.table = np.full(
             (4, len(slots),
              max(slot.config.max_tree_tokens() for slot in slots) + 1), -1)
@@ -411,11 +408,11 @@ class _Levels:
         # The level's proposal math, once over all frontier rows, into the
         # trees' memory (``logits`` is arena memory): the proposal block's
         # next rows when sampling.
-        temperature = self.temperature[owner][:, None]
-        scaled = np.divide(
-            logits, temperature, dtype=np.float64,
-            out=None if self.proposals is None
-            else self.proposals[first:first + len(owner)])
+        if self.proposals is None:
+            scaled = logits.astype(np.float64)
+        else:
+            scaled = self.proposals[first:first + len(owner)]
+            scaled[...] = logits
         if self.coupled:
             # Replay the coupled perturbation the sequential loop applies
             # inside decode(); it is a pure function of (seed, token
@@ -426,7 +423,7 @@ class _Levels:
                 if slot.entry_context is not None:
                     scaled[row] = slot.ssm._perturb(
                         logits[row], slot.entry_context
-                        + self.table[0, b, path].tolist()) / temperature[row]
+                        + self.table[0, b, path].tolist())
         probs = stable_softmax(scaled, out=scaled)
         # A batch may mix decoding modes and widths: each rule runs once at
         # the widest width any row needs, and a row reads its own leading

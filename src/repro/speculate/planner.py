@@ -30,8 +30,8 @@ pipeline tick:
    best expected committed tokens per second,
 4. **degrades to incremental decoding** (budget 0) when no speculative
    plan beats the Algorithm-1 baseline, re-probing speculation with a
-   minimal tree every ``probe_cooldown`` ticks so a recovery in acceptance
-   is noticed.
+   minimal tree every :data:`PROBE_COOLDOWN` ticks so a recovery in
+   acceptance is noticed.
 
 Everything is deterministic: the estimate is a pure function of the
 observation history, and the DP breaks ties lexicographically (smallest
@@ -65,6 +65,25 @@ _ALPHA = REGISTRY.gauge(
 _EXPECTED = REGISTRY.gauge(
     "repro.planner.expected_tokens_per_step",
     help="committed tokens per request per tick the most recent plan expects")
+
+#: Largest speculated-token budget the DP may spend.
+MAX_BUDGET = 24
+#: Deepest expansion profile and widest per-level branching considered.
+MAX_DEPTH = 8
+MAX_WIDTH = 4
+#: Cold-start acceptance estimate, and the EWMA weight of the newest tick.
+PRIOR_ALPHA = 0.7
+EWMA = 0.25
+#: Clamps on the acceptance estimate: the floor keeps the DP away from the
+#: all-reject corner after one unlucky tick, the ceiling keeps speculation
+#: from ever looking free.
+ALPHA_FLOOR = 0.02
+ALPHA_CEILING = 0.98
+#: Budget-0 (incremental) ticks served between speculative re-probes, and
+#: the token budget of a re-probe tree (small: it only refreshes the
+#: acceptance estimate).
+PROBE_COOLDOWN = 4
+PROBE_BUDGET = 2
 
 
 def tree_tokens(widths: Tuple[int, ...]) -> int:
@@ -154,73 +173,6 @@ def optimal_widths(
     return tuple(widths), expected
 
 
-class AcceptanceEstimator:
-    """EWMA over per-tick censored-geometric acceptance estimates.
-
-    Each speculative tick contributes the maximum-likelihood estimate for a
-    geometric acceptance process censored at tree depth: ``accepted /
-    (accepted + stops)``, where ``accepted`` counts accepted speculated
-    tokens and ``stops`` counts requests whose accepted path ended by
-    *rejection* (not by running out of tree).  Before the first
-    observation, the estimate is the cold-start ``prior``.
-
-    Args:
-        prior: Cold-start acceptance estimate.
-        ewma: Weight of the newest tick (0 < ewma <= 1).
-        floor: Lower clamp on the estimate (keeps the DP away from the
-            degenerate all-reject corner on one unlucky tick).
-        ceiling: Upper clamp (speculation never looks infinitely good).
-    """
-
-    def __init__(self, prior: float = 0.7, ewma: float = 0.25,
-                 floor: float = 0.02, ceiling: float = 0.98):
-        if not 0.0 <= prior <= 1.0:
-            raise ValueError("prior must be in [0, 1]")
-        if not 0.0 < ewma <= 1.0:
-            raise ValueError("ewma must be in (0, 1]")
-        if not 0.0 <= floor < ceiling <= 1.0:
-            raise ValueError("need 0 <= floor < ceiling <= 1")
-        self.prior = prior
-        self.ewma = ewma
-        self.floor = floor
-        self.ceiling = ceiling
-        self._estimate = prior
-        self._observations = 0
-
-    @property
-    def alpha(self) -> float:
-        """The clamped current acceptance estimate."""
-        return min(self.ceiling, max(self.floor, self._estimate))
-
-    @property
-    def observations(self) -> int:
-        """Speculative ticks folded into the estimate so far."""
-        return self._observations
-
-    def observe(self, accepted: int, stops: int) -> None:
-        """Fold one speculative tick's outcome into the estimate.
-
-        Args:
-            accepted: Accepted speculated tokens, summed over the batch.
-            stops: Requests whose accepted path ended in a rejection (a
-                request that consumed its whole tree is censored, not a
-                stop).  Ticks with no evidence either way are ignored.
-        """
-        if accepted < 0 or stops < 0:
-            raise ValueError("accepted and stops must be >= 0")
-        trials = accepted + stops
-        if trials == 0:
-            return
-        tick_alpha = accepted / trials
-        self._estimate += self.ewma * (tick_alpha - self._estimate)
-        self._observations += 1
-
-    def reset(self) -> None:
-        """Return to the cold-start prior (new workload)."""
-        self._estimate = self.prior
-        self._observations = 0
-
-
 @dataclass(frozen=True)
 class TreePlan:
     """One tick's speculation decision.
@@ -266,84 +218,23 @@ class TreePlan:
         return 1.0 / self.baseline_seconds
 
 
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Tuning knobs of the per-tick tree planner.
-
-    Attributes:
-        max_budget: Largest speculated-token budget the DP may spend.
-        max_depth: Deepest expansion profile considered.
-        max_width: Widest per-level branching considered.
-        prior_alpha: Cold-start acceptance estimate.
-        ewma: EWMA weight of the newest tick's acceptance evidence.
-        speculation_margin: A speculative plan must beat the incremental
-            baseline's goodput by this factor to be issued (> 1 demands
-            real headroom; 1.0 takes any modeled win).
-        probe_cooldown: Incremental ticks served between speculative
-            re-probes while degraded.
-        probe_budget: Token budget of a re-probe tree (kept small: the
-            probe exists to refresh the acceptance estimate cheaply).
-        context_len: Verified-prefix length assumed when the caller does
-            not supply one.
-    """
-
-    max_budget: int = 24
-    max_depth: int = 8
-    max_width: int = 4
-    prior_alpha: float = 0.7
-    ewma: float = 0.25
-    speculation_margin: float = 1.0
-    probe_cooldown: int = 4
-    probe_budget: int = 2
-    context_len: int = 128
-
-    def __post_init__(self) -> None:
-        if self.max_budget < 1:
-            raise ValueError("max_budget must be >= 1")
-        if self.probe_cooldown < 1:
-            raise ValueError("probe_cooldown must be >= 1")
-        if not 1 <= self.probe_budget <= self.max_budget:
-            raise ValueError("probe_budget must be in [1, max_budget]")
-        if self.speculation_margin <= 0:
-            raise ValueError("speculation_margin must be > 0")
-
-
 class TreePlanner:
-    """Per-tick speculation-budget planner over a hardware cost model.
+    """Per-tick speculation-budget planner priced for the paper's testbed.
 
-    Args:
-        verify_cost: :class:`~repro.cluster.cost_model.LatencyModel` pricing
-            the LLM verification pass.
-        draft_cost: Optional :class:`LatencyModel` pricing one SSM decode
-            level (the draft tree is built level-synchronously, so its
-            latency term is ``depth`` draft steps).  ``None`` prices
-            drafting as free — budget choices then lean slightly deeper.
-        config: Planner tuning knobs.
-
-    Use :meth:`default` for the paper testbed pairing (LLaMA-7B verify,
-    LLaMA-68M draft, one g5.12xlarge node).
+    Verification is priced as LLaMA-7B and each draft level as LLaMA-68M,
+    both on one GPU of one g5.12xlarge node
+    (:class:`~repro.cluster.cost_model.LatencyModel`; the draft tree is
+    built level-synchronously, so a plan of depth ``d`` pays ``d`` draft
+    steps).  The acceptance estimate is an EWMA over per-tick
+    censored-geometric estimates: a speculative tick contributes the
+    maximum-likelihood estimate ``accepted / (accepted + stops)``, where
+    ``accepted`` counts accepted speculated tokens and ``stops`` counts
+    requests whose accepted path ended by *rejection* (not by running out
+    of tree).  Before the first observation the estimate is
+    :data:`PRIOR_ALPHA`.
     """
 
-    def __init__(
-        self,
-        verify_cost,
-        draft_cost=None,
-        config: Optional[PlannerConfig] = None,
-    ):
-        self.config = config or PlannerConfig()
-        self.verify_cost = verify_cost
-        self.draft_cost = draft_cost
-        self.estimator = AcceptanceEstimator(
-            prior=self.config.prior_alpha, ewma=self.config.ewma
-        )
-        self._last_widths: Optional[Tuple[int, ...]] = None
-        self._ticks_since_probe = 0
-
-    @classmethod
-    def default(cls, config: Optional[PlannerConfig] = None,
-                model: str = "llama-7b", ssm: str = "llama-68m",
-                ) -> "TreePlanner":
-        """Planner priced for the paper's single-node testbed."""
+    def __init__(self):
         from repro.cluster.cost_model import LatencyModel
         from repro.cluster.hardware import single_node_cluster
         from repro.cluster.models import paper_model
@@ -351,116 +242,110 @@ class TreePlanner:
 
         cluster = single_node_cluster()
         plan = ParallelPlan(tensor_parallel=1, pipeline_stages=1)
-        return cls(
-            verify_cost=LatencyModel(paper_model(model), plan, cluster),
-            draft_cost=LatencyModel(paper_model(ssm), plan, cluster),
-            config=config,
-        )
+        self._verify = LatencyModel(paper_model("llama-7b"), plan, cluster)
+        self._draft = LatencyModel(paper_model("llama-68m"), plan, cluster)
+        self._estimate = PRIOR_ALPHA
+        self._observations = 0
+        self._last_widths: Optional[Tuple[int, ...]] = None
+        self._ticks_since_probe = 0
 
     # -- observation -----------------------------------------------------------------
 
+    @property
+    def alpha(self) -> float:
+        """The clamped current acceptance estimate."""
+        return min(ALPHA_CEILING, max(ALPHA_FLOOR, self._estimate))
+
+    @property
+    def observations(self) -> int:
+        """Speculative ticks folded into the estimate so far."""
+        return self._observations
+
     def observe(self, accepted: int, stops: int) -> None:
-        """Feed one speculative tick's acceptance outcome to the EWMA."""
-        self.estimator.observe(accepted, stops)
+        """Fold one speculative tick's acceptance outcome into the EWMA.
+
+        Args:
+            accepted: Accepted speculated tokens, summed over the batch.
+            stops: Requests whose accepted path ended in a rejection (a
+                request that consumed its whole tree is censored, not a
+                stop).  Ticks with no evidence either way are ignored.
+        """
+        if accepted < 0 or stops < 0:
+            raise ValueError("accepted and stops must be >= 0")
+        trials = accepted + stops
+        if trials == 0:
+            return
+        self._estimate += EWMA * (accepted / trials - self._estimate)
+        self._observations += 1
 
     # -- pricing ---------------------------------------------------------------------
 
-    def _tick_seconds(self, batch_size: int, budget: int, depth: int,
-                      context_len: int) -> float:
-        """Modeled duration of one tick: draft levels + fused verify."""
-        verify = self.verify_cost.verify_seconds(
-            batch_size, 1 + budget, context_len
-        )
-        if depth == 0 or self.draft_cost is None:
-            return verify
-        draft_level = self.draft_cost.verify_seconds(
-            batch_size, 1, context_len
-        )
-        return verify + depth * draft_level
-
-    # -- planning --------------------------------------------------------------------
-
-    def _solve(self, batch_size: int, context_len: int,
-               alpha: float) -> TreePlan:
-        """Best plan over all candidate budgets at the current estimate."""
-        baseline = self._tick_seconds(batch_size, 0, 0, context_len)
-        best: Optional[TreePlan] = None
-        cfg = self.config
-        for budget in range(1, cfg.max_budget + 1):
-            widths, expected_accepted = optimal_widths(
-                alpha, budget, cfg.max_depth, cfg.max_width
-            )
-            if not widths:
-                continue
-            tokens = tree_tokens(widths)
-            if best is not None and tokens == best.budget:
-                continue  # larger cap, same realized tree
-            seconds = self._tick_seconds(
-                batch_size, tokens, len(widths), context_len
-            )
-            candidate = TreePlan(
-                budget=tokens,
-                widths=widths,
-                alpha=alpha,
-                expected_tokens=1.0 + expected_accepted,
-                tick_seconds=seconds,
-                baseline_seconds=baseline,
-            )
-            if best is None or candidate.goodput > best.goodput + 1e-12:
-                best = candidate
-        if (best is None
-                or best.goodput < best.baseline_goodput
-                * cfg.speculation_margin):
-            return TreePlan(
-                budget=0, widths=(), alpha=alpha, expected_tokens=1.0,
-                tick_seconds=baseline, baseline_seconds=baseline,
-            )
-        return best
-
-    def _probe_plan(self, batch_size: int, context_len: int,
-                    alpha: float) -> TreePlan:
-        """The minimal speculative tree used to refresh the estimate."""
-        cfg = self.config
-        widths, expected_accepted = optimal_widths(
-            alpha, cfg.probe_budget, cfg.max_depth, cfg.max_width
-        )
-        if not widths:
-            widths, expected_accepted = (1,), alpha
+    def _candidate(self, batch_size: int, context_len: int, alpha: float,
+                   widths: Tuple[int, ...], expected_accepted: float,
+                   probe: bool = False) -> TreePlan:
+        """The plan drafting ``widths``, priced as draft levels + one fused
+        verify against an incremental tick at the same batch size."""
         tokens = tree_tokens(widths)
+        draft_level = self._draft.verify_seconds(batch_size, 1, context_len)
         return TreePlan(
             budget=tokens,
             widths=widths,
             alpha=alpha,
             expected_tokens=1.0 + expected_accepted,
-            tick_seconds=self._tick_seconds(
-                batch_size, tokens, len(widths), context_len
-            ),
-            baseline_seconds=self._tick_seconds(
-                batch_size, 0, 0, context_len
-            ),
-            probe=True,
+            tick_seconds=self._verify.verify_seconds(
+                batch_size, 1 + tokens, context_len)
+            + len(widths) * draft_level,
+            baseline_seconds=self._verify.verify_seconds(
+                batch_size, 1, context_len),
+            probe=probe,
         )
 
-    def plan(self, batch_size: int,
-             context_len: Optional[int] = None) -> TreePlan:
+    # -- planning --------------------------------------------------------------------
+
+    def _solve(self, batch_size: int, context_len: int,
+               alpha: float) -> TreePlan:
+        """Best plan over all candidate budgets at the current estimate, or
+        budget 0 when none beats incremental decoding."""
+        best: Optional[TreePlan] = None
+        for budget in range(1, MAX_BUDGET + 1):
+            widths, expected_accepted = optimal_widths(
+                alpha, budget, MAX_DEPTH, MAX_WIDTH
+            )
+            if best is not None and tree_tokens(widths) == best.budget:
+                continue  # larger cap, same realized tree
+            candidate = self._candidate(batch_size, context_len, alpha,
+                                        widths, expected_accepted)
+            if best is None or candidate.goodput > best.goodput + 1e-12:
+                best = candidate
+        if best.goodput < best.baseline_goodput:
+            return TreePlan(
+                budget=0, widths=(), alpha=alpha, expected_tokens=1.0,
+                tick_seconds=best.baseline_seconds,
+                baseline_seconds=best.baseline_seconds,
+            )
+        return best
+
+    def plan(self, batch_size: int, context_len: int) -> TreePlan:
         """The speculation decision for the coming tick.
 
         Args:
             batch_size: Live (unfinished, speculative) requests this tick.
-            context_len: Representative verified-prefix length; defaults to
-                ``config.context_len``.
+            context_len: Representative verified-prefix length.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        context = (context_len if context_len is not None
-                   else self.config.context_len)
-        alpha = self.estimator.alpha
-        plan = self._solve(batch_size, context, alpha)
+        alpha = self.alpha
+        plan = self._solve(batch_size, context_len, alpha)
         if not plan.speculative:
             self._ticks_since_probe += 1
-            if self._ticks_since_probe >= self.config.probe_cooldown:
+            if self._ticks_since_probe >= PROBE_COOLDOWN:
+                # The minimal speculative tree, to refresh the estimate.
                 self._ticks_since_probe = 0
-                plan = self._probe_plan(batch_size, context, alpha)
+                plan = self._candidate(
+                    batch_size, context_len, alpha,
+                    *optimal_widths(alpha, PROBE_BUDGET, MAX_DEPTH,
+                                    MAX_WIDTH),
+                    probe=True)
                 _PROBES.inc()
         else:
             self._ticks_since_probe = 0

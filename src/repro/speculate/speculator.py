@@ -78,9 +78,8 @@ class Speculator:
         ssms: One or more small speculative models (``TransformerLM`` or
             ``CoupledSSM``).  With several SSMs, per-SSM trees are merged.
         config: Expansion configuration applied to each SSM.
-        per_ssm_configs: Optional per-SSM override of ``config`` (merge-based
-            speculation often gives each boost-tuned SSM a plain sequence).
-        temperature: Temperature of the recorded SSM proposal distributions.
+
+    Proposals are drawn from each SSM's softmax at temperature 1.
 
     Raises:
         TypeError: An SSM is neither a ``TransformerLM`` nor a
@@ -91,8 +90,6 @@ class Speculator:
         self,
         ssms: Sequence,
         config: Optional[ExpansionConfig] = None,
-        per_ssm_configs: Optional[Sequence[ExpansionConfig]] = None,
-        temperature: float = 1.0,
     ):
         if not ssms:
             raise ValueError("speculator needs at least one SSM")
@@ -103,17 +100,6 @@ class Speculator:
                     f"got {type(ssm).__name__}")
         self.ssms = list(ssms)
         self.config = config or ExpansionConfig.paper_default()
-        if per_ssm_configs is not None and len(per_ssm_configs) != len(self.ssms):
-            raise ValueError(
-                f"per_ssm_configs has {len(per_ssm_configs)} entries for "
-                f"{len(self.ssms)} SSMs"
-            )
-        self.per_ssm_configs = (
-            list(per_ssm_configs)
-            if per_ssm_configs is not None
-            else [self.config] * len(self.ssms)
-        )
-        self.temperature = temperature
         # Depth of the most recent speculation (per-call plans change it
         # tick-to-tick; ``speculation_latency_steps`` reports it).
         self._last_depth: Optional[int] = None
@@ -196,22 +182,16 @@ class Speculator:
 
         Args:
             plan: Optional per-tick :class:`~repro.speculate.planner.
-                TreePlan`; its expansion profile replaces the static configs
+                TreePlan`; its expansion profile replaces the static config
                 for this tick (exactly as :meth:`speculate` applies it, so
                 packed and depth-first trees stay identical).
         """
         planned = plan is not None and getattr(plan, "speculative", False)
         self._last_depth = plan.depth if planned else None
-        return [(ssm, cache, self._effective_config(config, plan))
-                for ssm, cache, config
-                in zip(self.ssms, self._caches, self.per_ssm_configs)]
-
-    @staticmethod
-    def _effective_config(config: ExpansionConfig, plan) -> ExpansionConfig:
-        """The static config, unless a per-tick plan overrides the shape."""
-        if plan is None or not getattr(plan, "speculative", False):
-            return config
-        return ExpansionConfig(tuple(plan.widths))
+        config = (ExpansionConfig(tuple(plan.widths)) if planned
+                  else self.config)
+        return [(ssm, cache, config)
+                for ssm, cache in zip(self.ssms, self._caches)]
 
     def record_packed_speculation(self, ssm_index: int,
                                   scored_nodes: int) -> None:
@@ -267,7 +247,6 @@ class Speculator:
                 pending_token,
                 cache,
                 config,
-                temperature=self.temperature,
                 stochastic=stochastic,
                 rng=rng,
             )
@@ -289,7 +268,4 @@ class Speculator:
         """
         if self._last_depth is not None:
             return self._last_depth
-        return max(
-            (cfg.depth for cfg in self.per_ssm_configs),
-            default=0,
-        )
+        return self.config.depth

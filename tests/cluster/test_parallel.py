@@ -48,6 +48,17 @@ class TestParallelPlan:
                 paper_model("llama-7b"), single_node_cluster()
             )
 
+    def test_tp_must_divide_the_heads(self):
+        """Megatron-style sharding splits attention by whole heads: tp=3
+        cannot shard LLaMA-7B's 32 heads, tp=2 and tp=4 can."""
+        model = paper_model("llama-7b")
+        with pytest.raises(ValueError, match="32 attention heads"):
+            ParallelPlan(tensor_parallel=3).validate(
+                model, single_node_cluster())
+        for tp in (2, 4):
+            ParallelPlan(tensor_parallel=tp).validate(
+                model, single_node_cluster())
+
     def test_pp_cannot_exceed_nodes(self):
         with pytest.raises(ValueError, match="exceed"):
             ParallelPlan(pipeline_stages=2).validate(

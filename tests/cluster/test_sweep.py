@@ -14,10 +14,11 @@ from repro.cluster.sweep import (
 
 class TestTensorParallelSweep:
     def test_small_model_gains_little_from_tp(self):
-        """LLaMA-7B: TP=4 helps less than 4x (all-reduce overhead)."""
+        """LLaMA-7B: TP=4 helps less than 4x (all-reduce overhead).  TP=3
+        is skipped: it does not divide the 32 attention heads."""
         points = sweep_tensor_parallel(paper_model("llama-7b"),
                                        single_node_cluster())
-        assert len(points) == 4
+        assert [p.x for p in points] == [1, 2, 4]
         tp1 = points[0].latency
         tp4 = points[-1].latency
         assert tp4 < tp1           # still faster...

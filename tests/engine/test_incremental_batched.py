@@ -254,7 +254,7 @@ class TestManagerEqualsEngine:
         is Algorithm 1 either way, so tokens do not move."""
         injector = ScriptedInjector({FaultKind.VERIFICATION: [0, 1]})
         mgr = RequestManager(incremental_factory(llm), max_batch_size=3,
-                             injector=injector, fallback_cooldown=2)
+                             injector=injector)
         expected = _submit_all(llm, mgr, greedy=True, seed=13, n=3)
         for _ in range(3):  # the prefill iteration, then two ticks
             assert set(mgr.run_iteration().emissions) == {0, 1, 2}

@@ -2,17 +2,19 @@
 
 A speculation or verification fault must not crash a tick — the pipeline
 degrades to Algorithm 1 (one-node tree through the incremental backend) and
-re-enables speculation after ``fallback_cooldown`` clean ticks.  Under
+re-enables speculation after ``FALLBACK_COOLDOWN`` clean ticks.  Under
 greedy verification the degraded ticks emit exactly the tokens the
 speculative path would have, so a faulted run's output is bit-identical to
 a fault-free run.
 """
 
-import pytest
-
 from repro.engine.generation import GenerationConfig
 from repro.engine.incremental import IncrementalEngine
-from repro.engine.pipeline import DecodePipeline, DecodeState
+from repro.engine.pipeline import (
+    FALLBACK_COOLDOWN,
+    DecodePipeline,
+    DecodeState,
+)
 from repro.faults import FaultInjector, FaultKind
 from repro.speculate.expansion import ExpansionConfig
 from repro.speculate.speculator import Speculator
@@ -48,7 +50,6 @@ class TestFallbackEntry:
         pipeline = DecodePipeline(
             llm,
             injector=ScriptedInjector({FaultKind.SPECULATION: [1]}),
-            fallback_cooldown=2,
         )
         outcome = pipeline.tick([state])[0]
         assert pipeline.speculation_suppressed
@@ -66,7 +67,6 @@ class TestFallbackEntry:
         pipeline = DecodePipeline(
             llm,
             injector=ScriptedInjector({FaultKind.VERIFICATION: [1]}),
-            fallback_cooldown=1,
         )
         outcome = pipeline.tick([state])[0]
         assert pipeline.speculation_suppressed
@@ -83,58 +83,42 @@ class TestFallbackEntry:
 
 class TestCooldown:
     def test_speculation_resumes_after_cooldown(self, llm, ssm, rng):
-        """Entry tick + N cooldown ticks degrade; then speculation resumes."""
+        """Entry tick + FALLBACK_COOLDOWN ticks degrade; then speculation
+        resumes."""
         state = make_state(llm, ssm, make_prompt(rng), max_new_tokens=20)
         pipeline = DecodePipeline(
             llm,
             injector=ScriptedInjector({FaultKind.SPECULATION: [1]}),
-            fallback_cooldown=2,
         )
-        for i in range(3):  # entry + 2 cooldown ticks
+        for i in range(1 + FALLBACK_COOLDOWN):
             pipeline.tick([state])
             assert state.steps[-1].tree_size == 0
-            if i < 2:  # suppression drains exactly at the last cooldown tick
-                assert pipeline.speculation_suppressed
+            # Suppression drains exactly at the last cooldown tick.
+            assert pipeline.speculation_suppressed == (i < FALLBACK_COOLDOWN)
         pipeline.tick([state])  # cooldown drained: speculation resumes
         assert not pipeline.speculation_suppressed
         assert state.steps[-1].tree_size > 0
-
-    def test_zero_cooldown_degrades_single_tick(self, llm, ssm, rng):
-        state = make_state(llm, ssm, make_prompt(rng))
-        pipeline = DecodePipeline(
-            llm,
-            injector=ScriptedInjector({FaultKind.SPECULATION: [1]}),
-            fallback_cooldown=0,
-        )
-        pipeline.tick([state])
-        assert state.steps[-1].tree_size == 0
-        assert not pipeline.speculation_suppressed
-        pipeline.tick([state])
-        assert state.steps[-1].tree_size > 0
-
-    def test_negative_cooldown_rejected(self, llm):
-        with pytest.raises(ValueError):
-            DecodePipeline(llm, fallback_cooldown=-1)
 
 
 class TestLosslessness:
     def test_faulted_run_is_bit_identical_under_greedy(self, llm, ssm, rng):
         """Faults change the path, never the tokens (greedy verification)."""
         prompt = make_prompt(rng)
-        config = GenerationConfig(max_new_tokens=14, stop_on_eos=False)
+        config = GenerationConfig(max_new_tokens=20, stop_on_eos=False)
         reference = IncrementalEngine(llm).generate(prompt, config).tokens
 
-        state = make_state(llm, ssm, prompt, max_new_tokens=14)
+        state = make_state(llm, ssm, prompt, max_new_tokens=20)
         pipeline = DecodePipeline(
             llm,
             injector=ScriptedInjector({
                 FaultKind.SPECULATION: [0, 1, 0, 0, 0, 1],
                 FaultKind.VERIFICATION: [1],
             }),
-            fallback_cooldown=2,
         )
         pipeline.run_to_completion(state)
         assert state.tokens == reference
+        assert pipeline.injector.injected[FaultKind.SPECULATION] == 2
+        assert pipeline.injector.injected[FaultKind.VERIFICATION] == 1
 
     def test_incremental_states_unaffected_by_speculation_faults(
             self, llm, rng):

@@ -46,7 +46,7 @@ class StubPlanner:
         self.widths = tuple(widths)
         self.observed = []
 
-    def plan(self, batch_size, context_len=None):
+    def plan(self, batch_size, context_len):
         budget = tree_tokens(self.widths)
         return TreePlan(
             budget=budget, widths=self.widths, alpha=0.5,
@@ -72,7 +72,7 @@ class TestPlannerParity:
         )
         planned = drain(
             DecodePipeline(llm, backend_factory(llm),
-                           planner=TreePlanner.default()),
+                           planner=TreePlanner()),
             make_states(llm),
         )
         assert planned == static
@@ -80,12 +80,12 @@ class TestPlannerParity:
     def test_packed_and_per_session_build_identical_planned_trees(self, llm):
         packed_states = make_states(llm)
         packed = DecodePipeline(llm, FusedBackend(llm),
-                                planner=TreePlanner.default())
+                                planner=TreePlanner())
         drain(packed, packed_states)
 
         loop_states = make_states(llm)
         loop = draft_depth_first(DecodePipeline(
-            llm, FusedBackend(llm), planner=TreePlanner.default()))
+            llm, FusedBackend(llm), planner=TreePlanner()))
         drain(loop, loop_states)
 
         for a, b in zip(packed_states, loop_states):
@@ -147,7 +147,7 @@ class TestPerTickBudget:
         states = make_states(llm, n=2, max_new_tokens=10)
         pipeline = DecodePipeline(
             llm, FusedBackend(llm), planner=stub,
-            injector=FaultInjector(rate=1.0, seed=3), fallback_cooldown=2,
+            injector=FaultInjector(rate=1.0, seed=3),
         )
         pipeline.tick(states)
         # The speculation fault fired, so the tick ran incrementally and
@@ -158,10 +158,10 @@ class TestPerTickBudget:
 
 class TestPlannerFeedback:
     def test_observations_flow_back_to_the_estimator(self, llm):
-        planner = TreePlanner.default()
+        planner = TreePlanner()
         pipeline = DecodePipeline(llm, FusedBackend(llm), planner=planner)
         drain(pipeline, make_states(llm))
-        assert planner.estimator.observations > 0
+        assert planner.observations > 0
 
     def test_stub_receives_accepted_and_stop_counts(self, llm):
         stub = StubPlanner((1, 1, 1, 1))

@@ -31,7 +31,7 @@ from repro.engine.pipeline import (
     DecodeState,
     FusedBackend,
 )
-from repro.faults import FaultKind
+from repro.faults import FaultInjector, FaultKind
 from repro.model import attention, perf
 from repro.model import transformer as transformer_module
 from repro.model.kv_cache import BatchArena
@@ -47,7 +47,6 @@ from repro.speculate.packed import PackedSpeculator, scored_node_bound
 from repro.speculate.speculator import Speculator
 from tests.conftest import draft_depth_first, make_prompt
 from tests.engine.test_pipeline_planner import StubPlanner
-from tests.serving.test_fault_tolerance import ScriptedInjector
 from tests.serving.test_manager import incremental_factory
 
 
@@ -244,12 +243,11 @@ class TestPackedSpeculationEquivalence:
     def test_one_group_mixes_depths_and_temperatures(self, llm, greedy,
                                                      monkeypatch):
         """Requests over one coupled base share a packed group whatever
-        their tree shapes: a depth-2 tree runs out of levels while its
-        depth-3 neighbours still expand, and an int temperature divides
-        like a float.  The group's levels are scored slot-major."""
+        their tree shapes and sampling temperatures: a depth-2 tree runs
+        out of levels while its depth-3 neighbours still expand, and an
+        int temperature samples like a float.  The group's levels are
+        scored slot-major."""
         forwards = _per_forward_work(monkeypatch, llm)
-        sampling = (SamplingConfig(greedy=True) if greedy
-                    else SamplingConfig(temperature=1.0))
         shapes = [((1, 2), 2), ((2, 2, 2), 1.0), ((1, 2), 1.0),
                   ((2, 2, 2), 0.5)]
 
@@ -258,12 +256,14 @@ class TestPackedSpeculationEquivalence:
             return [
                 DecodeState(
                     llm, make_prompt(rng, length=4 + r),
-                    GenerationConfig(max_new_tokens=14, sampling=sampling,
-                                     seed=r, stop_on_eos=False),
+                    GenerationConfig(
+                        max_new_tokens=14, seed=r, stop_on_eos=False,
+                        sampling=SamplingConfig(greedy=greedy,
+                                                temperature=temperature)),
                     speculator=Speculator(
                         [CoupledSSM(llm, alignment=0.9, seed=7,
                                     noise_scale=2.0)],
-                        ExpansionConfig(widths), temperature=temperature),
+                        ExpansionConfig(widths)),
                 )
                 for r, (widths, temperature) in enumerate(shapes)
             ]
@@ -306,8 +306,7 @@ class TestPackedSpeculationEquivalence:
 
     @staticmethod
     def _merged(llm, case):
-        """A merge-based speculator: two coupled SSMs on one base under one
-        config, the same under per-SSM configs of different depths, or a
+        """A merge-based speculator: two coupled SSMs on one base, or a
         transformer SSM and a coupled one (two packed groups)."""
         def coupled(seed):
             return CoupledSSM(llm, alignment=0.9, seed=seed, noise_scale=2.0)
@@ -315,18 +314,12 @@ class TestPackedSpeculationEquivalence:
         if case == "two_coupled":
             return Speculator([coupled(7), coupled(8)],
                               ExpansionConfig((2, 2)))
-        if case == "per_ssm_depths":
-            return Speculator(
-                [coupled(7), coupled(8)],
-                per_ssm_configs=[ExpansionConfig((2, 2)),
-                                 ExpansionConfig((1, 1, 1, 1))])
         return Speculator([_ssm_factory(llm, "transformer")(), coupled(8)],
                           ExpansionConfig((2, 1, 2)))
 
     @pytest.mark.parametrize("greedy", [True, False],
                              ids=["greedy", "stochastic"])
-    @pytest.mark.parametrize("case", ["two_coupled", "per_ssm_depths",
-                                      "two_groups"])
+    @pytest.mark.parametrize("case", ["two_coupled", "two_groups"])
     def test_merge_based_speculator_matches_the_reference(self, llm, case,
                                                           greedy):
         """Each SSM of a merge-based speculator is its own slot in its
@@ -660,17 +653,18 @@ class TestOneLLMForwardPerIncrementalTick:
     def test_fault_degraded_fused_tick(self, llm, monkeypatch):
         reset_observability()
         states = self._speculative_states(llm)
+        # A speculation fault at every draw: each tick enters or drains a
+        # cooldown, so every tick is degraded.
         pipeline = DecodePipeline(
             llm, FusedBackend(llm),
-            injector=ScriptedInjector({FaultKind.SPECULATION: [1]}),
-            fallback_cooldown=self.WARMUP + self.STEADY,
+            injector=FaultInjector(rates={FaultKind.SPECULATION: 1.0}),
         )
         calls = _count_calls(monkeypatch, llm,
                              ["forward_masked_blocks", "decode"])
 
         def tick():
             pipeline.tick(states)
-            assert pipeline.speculation_suppressed
+            assert all(state.steps[-1].tree_size == 0 for state in states)
 
         self._assert_one_forward_per_tick(calls, tick)
 

@@ -30,8 +30,7 @@ class TestTenantConfigValidation:
     def test_bucket_capacity_defaults(self):
         assert TenantConfig(name="t").bucket_capacity == float("inf")
         assert TenantConfig(name="t", rate_per_tick=0.5).bucket_capacity == 1.0
-        assert TenantConfig(name="t", rate_per_tick=2,
-                            burst=5).bucket_capacity == 5.0
+        assert TenantConfig(name="t", rate_per_tick=2).bucket_capacity == 2.0
 
 
 class TestRejects:
@@ -59,16 +58,10 @@ class TestRejects:
             await gateway.submit(prompts[0], _config(), tenant="ghost")
         assert err.value.reason == "unknown_tenant"
 
-    async def test_auto_tenants_inherit_the_template(self, llm, prompts):
-        config = GatewayConfig(default_tenant_template=TenantConfig(
-            name="default", max_queue_depth=1, weight=3))
-        gateway = ServingGateway(build_manager(llm), config)
+    async def test_auto_tenants_get_the_default_policy(self, llm, prompts):
+        gateway = ServingGateway(build_manager(llm), GatewayConfig())
         await gateway.submit(prompts[0], _config(), tenant="fresh")
-        state = gateway._tenants["fresh"]
-        assert state.config.max_queue_depth == 1
-        assert state.config.weight == 3
-        with pytest.raises(AdmissionError):
-            await gateway.submit(prompts[1], _config(), tenant="fresh")
+        assert gateway._tenants["fresh"].config == TenantConfig(name="fresh")
 
 
 class TestDeferral:

@@ -1,6 +1,7 @@
 """In-process streaming semantics: events, ordering, stream lifecycle."""
 
 import asyncio
+import gc
 
 import pytest
 
@@ -119,6 +120,9 @@ class TestGatewayStreaming:
         gauge = REGISTRY.gauge("repro.gateway.streams_open")
         gateway = ServingGateway(build_manager(llm))
         stream = await gateway.submit(prompts[0], _config())
+        # Streams that earlier tests' never-started gateways left open stay
+        # in the open set until the cycle collector frees them.
+        gc.collect()
         reset_observability()
         assert gauge.value == 1
         stream.push(StreamEvent(kind="done"))

@@ -259,7 +259,7 @@ class TestOnePipelineEveryShape:
         """Armed on a ``backend=None`` manager, the planner gets its
         evidence."""
         config = GenerationConfig(max_new_tokens=8, stop_on_eos=False)
-        planner = TreePlanner.default()
+        planner = TreePlanner()
         manager = RequestManager(spec_factory(llm), max_batch_size=3,
                                  planner=planner)
         prompts = [make_prompt(rng, length=5) for _ in range(3)]
@@ -268,7 +268,7 @@ class TestOnePipelineEveryShape:
         for rid, prompt in zip(ids, prompts):
             assert manager.output_for(rid).tokens == \
                 IncrementalEngine(llm).generate(prompt, config).tokens
-        assert planner.estimator.observations > 0
+        assert planner.observations > 0
 
     @pytest.mark.parametrize("kind", MANAGER_SHAPES)
     def test_one_fault_draw_of_each_kind_per_decode_iteration(self, llm,

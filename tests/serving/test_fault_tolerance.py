@@ -18,7 +18,7 @@ from repro.faults import (
     FaultKind,
     TransientSessionFault,
 )
-from repro.serving.manager import RequestManager
+from repro.serving.manager import MAX_SESSION_RETRIES, RequestManager
 from repro.serving.request import RequestState
 from tests.conftest import SMALL_CONFIG, arena_rows_used, make_prompt
 from tests.serving.test_manager import incremental_factory, speculative_factory
@@ -124,8 +124,7 @@ class TestBoundedRetry:
     def test_backoff_skips_iterations_exponentially(self, llm, rng):
         """Consecutive faults double the cooldown: 1, 2, 4 iterations."""
         injector = ScriptedInjector({FaultKind.SESSION: [1, 1]})
-        mgr = RequestManager(incremental_factory(llm), injector=injector,
-                             max_session_retries=3)
+        mgr = RequestManager(incremental_factory(llm), injector=injector)
         rid = mgr.submit(make_prompt(rng),
                          GenerationConfig(max_new_tokens=2,
                                           stop_on_eos=False))
@@ -143,8 +142,7 @@ class TestBoundedRetry:
 
     def test_exhausted_retries_fail_terminally(self, llm, rng):
         injector = FaultInjector(rates={FaultKind.SESSION: 1.0})
-        mgr = RequestManager(incremental_factory(llm), injector=injector,
-                             max_session_retries=2)
+        mgr = RequestManager(incremental_factory(llm), injector=injector)
         rid = mgr.submit(make_prompt(rng),
                          GenerationConfig(max_new_tokens=4,
                                           stop_on_eos=False))
@@ -154,7 +152,8 @@ class TestBoundedRetry:
         assert [o.request_id for o in failed] == [rid]
         assert mgr._tracked[rid].request.state is RequestState.FAILED
         assert "retries" in failed[0].error
-        assert failed[0].retries == 3  # 2 tolerated + the fatal one
+        # Every tolerated fault, then the fatal one.
+        assert failed[0].retries == MAX_SESSION_RETRIES + 1 == 4
         # The prompt pass's token is all it has: no tick ever ran.
         assert len(failed[0].tokens) == 1
         assert failed[0].num_llm_steps == 0
@@ -165,7 +164,7 @@ class TestBoundedRetry:
         injector = FaultInjector(rates={FaultKind.SESSION: 1.0})
         mgr = RequestManager(
             speculative_factory(llm, cache_factory=arena.new_sequence),
-            injector=injector, max_session_retries=1)
+            injector=injector)
         rid = mgr.submit(make_prompt(rng))
         mgr.run_until_complete()
         assert mgr._tracked[rid].session is None
@@ -174,20 +173,19 @@ class TestBoundedRetry:
         assert arena_rows_used() == before
 
     def test_streak_resets_on_successful_advance(self, llm, rng):
-        """Retries are consecutive, not cumulative: spaced-out faults never
-        exhaust the budget."""
-        injector = ScriptedInjector(
-            {FaultKind.SESSION: [1, 0, 1, 0, 1, 0, 1, 0]}
-        )
-        mgr = RequestManager(incremental_factory(llm), injector=injector,
-                             max_session_retries=1)
+        """Retries are consecutive, not cumulative: streaks of tolerated
+        faults between advances never exhaust the budget, however many
+        faults they add up to."""
+        streak = [1] * MAX_SESSION_RETRIES + [0]
+        injector = ScriptedInjector({FaultKind.SESSION: streak * 2})
+        mgr = RequestManager(incremental_factory(llm), injector=injector)
         rid = mgr.submit(make_prompt(rng),
                          GenerationConfig(max_new_tokens=4,
                                           stop_on_eos=False))
         mgr.run_until_complete()
         output = mgr.output_for(rid)
         assert output.error is None
-        assert output.retries >= 2  # several faults absorbed, none fatal
+        assert output.retries == 2 * MAX_SESSION_RETRIES
 
 
 class TestAdmissionFaults:

@@ -9,8 +9,12 @@ from repro.cluster.hardware import single_node_cluster
 from repro.cluster.models import paper_model
 from repro.cluster.parallel import ParallelPlan
 from repro.speculate.planner import (
-    AcceptanceEstimator,
-    PlannerConfig,
+    ALPHA_CEILING,
+    ALPHA_FLOOR,
+    EWMA,
+    PRIOR_ALPHA,
+    PROBE_BUDGET,
+    PROBE_COOLDOWN,
     TreePlanner,
     optimal_widths,
     tree_tokens,
@@ -78,51 +82,42 @@ class TestOptimalWidths:
 
 
 class TestAcceptanceEstimator:
+    """The planner's EWMA over per-tick acceptance evidence."""
+
     def test_cold_start_is_prior(self):
-        assert AcceptanceEstimator(prior=0.7).alpha == 0.7
+        assert TreePlanner().alpha == PRIOR_ALPHA == 0.7
 
     def test_moves_toward_tick_estimate(self):
-        est = AcceptanceEstimator(prior=0.7, ewma=0.25)
-        est.observe(accepted=0, stops=4)
-        assert est.alpha == pytest.approx(0.7 * 0.75)
-        est.observe(accepted=8, stops=0)
-        assert est.alpha > 0.5
+        planner = TreePlanner()
+        planner.observe(accepted=0, stops=4)
+        assert planner.alpha == pytest.approx(0.7 * (1 - EWMA))
+        planner.observe(accepted=8, stops=0)
+        assert planner.alpha > 0.5
 
     def test_converges_under_drift(self):
-        est = AcceptanceEstimator(prior=0.9, ewma=0.25)
+        planner = TreePlanner()
         for _ in range(30):
-            est.observe(accepted=1, stops=4)  # tick alpha 0.2
-        assert est.alpha == pytest.approx(0.2, abs=0.01)
+            planner.observe(accepted=1, stops=4)  # tick alpha 0.2
+        assert planner.alpha == pytest.approx(0.2, abs=0.01)
 
     def test_zero_trial_ticks_ignored(self):
-        est = AcceptanceEstimator(prior=0.7)
-        est.observe(accepted=0, stops=0)
-        assert est.alpha == 0.7
-        assert est.observations == 0
+        planner = TreePlanner()
+        planner.observe(accepted=0, stops=0)
+        assert planner.alpha == 0.7
+        assert planner.observations == 0
 
     def test_clamped_to_floor_and_ceiling(self):
-        est = AcceptanceEstimator(prior=0.5, ewma=1.0, floor=0.05,
-                                  ceiling=0.9)
-        est.observe(accepted=0, stops=10)
-        assert est.alpha == 0.05
-        est.observe(accepted=10, stops=0)
-        assert est.alpha == 0.9
-
-    def test_reset_returns_to_prior(self):
-        est = AcceptanceEstimator(prior=0.7)
-        est.observe(accepted=9, stops=1)
-        est.reset()
-        assert est.alpha == 0.7
-        assert est.observations == 0
+        planner = TreePlanner()
+        for _ in range(40):
+            planner.observe(accepted=0, stops=10)
+        assert planner.alpha == ALPHA_FLOOR
+        for _ in range(40):
+            planner.observe(accepted=10, stops=0)
+        assert planner.alpha == ALPHA_CEILING
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AcceptanceEstimator(ewma=0.0)
-        with pytest.raises(ValueError):
-            AcceptanceEstimator(floor=0.5, ceiling=0.4)
-        est = AcceptanceEstimator()
-        with pytest.raises(ValueError):
-            est.observe(accepted=-1, stops=0)
+            TreePlanner().observe(accepted=-1, stops=0)
 
 
 class TestCostPerVerifiedToken:
@@ -167,42 +162,49 @@ class TestCostPerVerifiedToken:
 
 class TestTreePlanner:
     def test_default_planner_speculates_at_cold_start(self):
-        plan = TreePlanner.default().plan(batch_size=4)
+        plan = TreePlanner().plan(batch_size=4, context_len=128)
         assert plan.speculative
         assert plan.budget == tree_tokens(plan.widths)
         assert plan.expected_tokens > 1.0
         assert plan.goodput > plan.baseline_goodput
 
     def test_budget_shrinks_with_batch_size(self):
-        planner = TreePlanner.default()
-        small_batch = planner.plan(batch_size=1)
-        large_batch = planner.plan(batch_size=16)
+        planner = TreePlanner()
+        small_batch = planner.plan(batch_size=1, context_len=128)
+        large_batch = planner.plan(batch_size=16, context_len=128)
         assert large_batch.budget < small_batch.budget
 
     def test_budget_shrinks_as_acceptance_drops(self):
-        planner = TreePlanner.default()
-        optimistic = planner.plan(batch_size=8)
+        planner = TreePlanner()
+        optimistic = planner.plan(batch_size=8, context_len=128)
         for _ in range(20):
             planner.observe(accepted=0, stops=8)
-        pessimistic = planner.plan(batch_size=8)
+        pessimistic = planner.plan(batch_size=8, context_len=128)
         assert pessimistic.budget < optimistic.budget
 
     def test_degrades_below_margin_and_probes_on_cooldown(self):
-        config = PlannerConfig(speculation_margin=100.0, probe_cooldown=3)
-        planner = TreePlanner.default(config=config)
-        plans = [planner.plan(batch_size=4) for _ in range(6)]
-        assert not plans[0].speculative
-        assert not plans[1].speculative
-        # Every probe_cooldown-th degraded tick re-probes speculation with
-        # a minimal tree so an acceptance recovery is noticed.
-        assert plans[2].probe and plans[2].speculative
-        assert plans[2].budget <= config.probe_budget
-        assert not plans[3].speculative
-        assert plans[5].probe
+        """At floor acceptance, a 256-request batch over short contexts is
+        cheaper to decode incrementally; every PROBE_COOLDOWN-th degraded
+        tick re-probes speculation with a minimal tree so an acceptance
+        recovery is noticed."""
+        planner = TreePlanner()
+        for _ in range(20):
+            planner.observe(accepted=0, stops=8)
+        assert planner.alpha == ALPHA_FLOOR
+        plans = [planner.plan(batch_size=256, context_len=16)
+                 for _ in range(2 * PROBE_COOLDOWN)]
+        probes = [i for i, plan in enumerate(plans) if plan.probe]
+        assert probes == [PROBE_COOLDOWN - 1, 2 * PROBE_COOLDOWN - 1]
+        for i, plan in enumerate(plans):
+            if i in probes:
+                assert plan.speculative
+                assert plan.budget <= PROBE_BUDGET
+            else:
+                assert not plan.speculative
 
     def test_deterministic_given_identical_observations(self):
         def run():
-            planner = TreePlanner.default()
+            planner = TreePlanner()
             plans = []
             for tick in range(10):
                 plans.append(planner.plan(batch_size=4, context_len=200))
@@ -213,8 +215,4 @@ class TestTreePlanner:
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
-            TreePlanner.default().plan(batch_size=0)
-        with pytest.raises(ValueError):
-            PlannerConfig(max_budget=0)
-        with pytest.raises(ValueError):
-            PlannerConfig(probe_budget=99)
+            TreePlanner().plan(batch_size=0, context_len=128)

@@ -68,7 +68,7 @@ def test_drift_soak_keeps_parity_with_bounded_replans(llm):
     replans = REGISTRY.counter("repro.planner.replans")
     start_plans, start_replans = plans.value, replans.value
 
-    planner = TreePlanner.default()
+    planner = TreePlanner()
     planned_pipeline = DecodePipeline(llm, FusedBackend(llm), planner=planner)
     static_pipeline = DecodePipeline(llm, FusedBackend(llm))
 
@@ -82,12 +82,13 @@ def test_drift_soak_keeps_parity_with_bounded_replans(llm):
             static_pipeline, wave_states(llm, wave, alignment))
         # Greedy token parity holds through every drift, wave by wave.
         assert planned_tokens == static_tokens, f"parity broke on wave {wave}"
-        budgets_by_alignment[alignment].append(planner.plan(WAVE_BATCH).budget)
+        budgets_by_alignment[alignment].append(
+            planner.plan(WAVE_BATCH, context_len=128).budget)
         total_ticks += ticks
         wave += 1
 
     assert wave >= 2, "soak too short to cross a drift boundary"
-    assert planner.estimator.observations > 0
+    assert planner.observations > 0
 
     plans_made = plans.value - start_plans
     replans_made = replans.value - start_replans

@@ -30,10 +30,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Speculator([])
 
-    def test_per_ssm_config_count_checked(self, ssm):
-        with pytest.raises(ValueError):
-            Speculator([ssm], per_ssm_configs=[ExpansionConfig.sequence(2)] * 2)
-
 
 class TestSingleSsm:
     def test_speculate_leaves_caches_untouched(self, ssm, rng):
@@ -151,18 +147,6 @@ class TestMultiSsm:
         assert len(tree.proposals) == 4
         assert (tree.rows[1:] >= 0).all()
         assert tree.rows[1] < 2
-
-    def test_per_ssm_configs(self, llm, rng):
-        ssms = [CoupledSSM(llm, alignment=0.7, seed=s) for s in (6, 7)]
-        spec = Speculator(
-            ssms,
-            per_ssm_configs=[ExpansionConfig((2,)), ExpansionConfig.sequence(4)],
-        )
-        assert spec.speculation_latency_steps() == 4
-        prompt = make_prompt(rng, length=4)
-        spec.prefill(prompt[:-1])
-        tree = spec.speculate(int(prompt[-1]))
-        assert tree.max_depth() <= 4
 
 
 class TestMirrorSlots:

@@ -55,6 +55,9 @@ class TestParser:
         ["latency", "--model", "nope"],
         ["latency", "--context", "-5"],
         ["latency", "--tokens-per-step", "-1"],
+        ["latency", "--tp", "3"],
+        ["chat", "--local", "--prompt", "abc"],
+        ["loadgen", "--tenants", "a", "a", "--clients", "4"],
     ])
     def test_bad_workload_is_a_usage_error(self, argv, capsys):
         """An invalid workload or verb argument exits 2 with a message, not
