@@ -15,6 +15,7 @@ appended to ``benchmarks/results/`` so EXPERIMENTS.md can quote them.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import zipfile
 from functools import lru_cache
@@ -61,16 +62,19 @@ BENCH_PROMPTS_PER_DATASET = 3
 #: every acceptance-rate statistic in the paper depends on that peakedness.
 #: The benchmark LLM is therefore *trained* on a Markov corpus (conditional
 #: entropy ~1.2 nats, comparable to English text's per-token entropy) before
-#: any measurement.  Weights are cached on disk across invocations.
+#: any measurement.  Weights are cached on disk across invocations, keyed
+#: by a digest of the training recipe (see :func:`bench_llm`).
 BENCH_TRAIN_STEPS = 400
+BENCH_LEARNING_RATE = 3e-3
+BENCH_INIT_SEED = 1234
 _WEIGHTS_CACHE = os.path.join(
     os.path.dirname(__file__), "results", "bench_llm_weights.npz"
 )
+#: Checkpoint entry holding the recipe digest; not a parameter.
+_RECIPE_KEY = "__recipe__"
 
 
-@lru_cache(maxsize=1)
-def bench_corpus():
-    """The Markov training/prompt corpus shared by all benchmarks."""
+def _markov_corpus():
     from repro.workloads.corpus import MarkovCorpus
 
     return MarkovCorpus(
@@ -82,34 +86,76 @@ def bench_corpus():
 
 
 @lru_cache(maxsize=1)
+def bench_corpus():
+    """The Markov training/prompt corpus shared by all benchmarks."""
+    # One instance per process, so its own stream (what ``sample`` draws
+    # from without an ``rng``) is shared by every caller and moves with
+    # call order.  Callers that need reproducible draws pass an ``rng``.
+    return _markov_corpus()
+
+
+def _recipe_digest(sequences: Sequence[np.ndarray]) -> str:
+    """Digest of everything that determines the trained weights."""
+    from repro.model.zoo import _canonical_value
+
+    h = hashlib.blake2b(digest_size=16)
+    h.update(_canonical_value(BENCH_MODEL_CONFIG).encode())
+    h.update(f"|steps={BENCH_TRAIN_STEPS}|seed={BENCH_INIT_SEED}".encode())
+    h.update(f"|lr={_canonical_value(BENCH_LEARNING_RATE)}|".encode())
+    h.update(np.asarray(sequences, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def _load_checkpoint(digest: str):
+    """The cached parameters if the file loads and carries ``digest``."""
+    from repro.model.parameters import ParameterStore
+
+    try:
+        with np.load(_WEIGHTS_CACHE) as data:
+            if (_RECIPE_KEY not in data.files
+                    or str(data[_RECIPE_KEY]) != digest):
+                return None  # another recipe's weights (or no digest)
+            return ParameterStore(
+                {k: data[k] for k in data.files if k != _RECIPE_KEY}
+            )
+    except (zipfile.BadZipFile, ValueError, OSError):
+        return None  # absent (FileNotFoundError is an OSError) or damaged
+
+
+@lru_cache(maxsize=1)
 def bench_llm() -> TransformerLM:
     """The shared benchmark LLM: trained on the Markov corpus, cached.
 
-    A cache file that is missing or does not load — a truncated zip from a
-    killed run, a stale layout — is retrained over, and the new file is
-    written under a temporary name and moved into place, so this never
+    Training draws 64 sequences from a corpus built for this call alone, so
+    the weights are the same whatever drew from :func:`bench_corpus`
+    earlier in the process.  The cache file is keyed by a digest of the
+    recipe: :data:`BENCH_MODEL_CONFIG`, :data:`BENCH_TRAIN_STEPS`, the
+    learning rate, the init seed and the training sequences.  A file that
+    is missing, does not load (a truncated zip from a killed run), carries
+    no digest or another recipe's digest is retrained over.  The new file
+    is written under a temporary name and moved into place, so this never
     leaves a half-written checkpoint for the next run to trip on.
     """
-    from repro.model.parameters import ParameterStore
     from repro.model.trainer import Trainer, TrainingConfig
 
-    try:
-        params = ParameterStore.load(_WEIGHTS_CACHE)
+    sequences = _markov_corpus().sample_many(64, 48)
+    digest = _recipe_digest(sequences)
+    params = _load_checkpoint(digest)
+    if params is not None:
         return TransformerLM(BENCH_MODEL_CONFIG, params=params)
-    except (zipfile.BadZipFile, ValueError, OSError):
-        pass  # absent (FileNotFoundError is an OSError) or damaged: retrain
-    model = TransformerLM(BENCH_MODEL_CONFIG, seed=1234)
-    corpus = bench_corpus()
+    model = TransformerLM(BENCH_MODEL_CONFIG, seed=BENCH_INIT_SEED)
     trainer = Trainer(
         model,
-        TrainingConfig(max_steps=BENCH_TRAIN_STEPS, learning_rate=3e-3),
+        TrainingConfig(max_steps=BENCH_TRAIN_STEPS,
+                       learning_rate=BENCH_LEARNING_RATE),
     )
-    trainer.train_lm(corpus.sample_many(64, 48))
+    trainer.train_lm(sequences)
     os.makedirs(os.path.dirname(_WEIGHTS_CACHE), exist_ok=True)
     # ``np.savez`` appends ".npz" to a name that lacks it.
     staging = f"{_WEIGHTS_CACHE}.{os.getpid()}.tmp.npz"
     try:
-        model.params.save(staging)
+        np.savez(staging, **dict(model.params.items()),
+                 **{_RECIPE_KEY: np.array(digest)})
         os.replace(staging, _WEIGHTS_CACHE)
     finally:
         if os.path.exists(staging):

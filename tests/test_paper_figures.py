@@ -5,7 +5,9 @@ EXPERIMENTS.md; a change that moves the traces or the cost model must
 regenerate them (``PYTHONPATH=src:. python -m pytest
 benchmarks/bench_fig7_distributed.py benchmarks/bench_fig8_offloading.py``)
 or this fails.  The builders are called directly, so no pytest-benchmark is
-needed.
+needed.  The reports render from the bench LLM's cold-train weights whatever
+order the suite runs in: ``benchmarks.harness.bench_llm`` trains on a corpus
+of its own and retrains over a cached checkpoint from another recipe.
 """
 
 import os
