@@ -7,6 +7,8 @@ and (b) simulated end-to-end speedup on LLaMA-7B hardware — quantifying
 how much SSM quality the tree construction can compensate for.
 """
 
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,8 @@ from benchmarks.harness import (
     save_report,
 )
 from repro.cluster.simulator import mean_tokens_per_step
+from repro.engine.generation import GenerationResult
 from repro.engine.tree_spec import SpecInferEngine
-from repro.metrics.acceptance import estimate_alpha
 from repro.model.coupled import CoupledSSM
 from repro.reporting.tables import AsciiTable
 from repro.speculate.expansion import ExpansionConfig
@@ -28,6 +30,31 @@ from repro.speculate.speculator import Speculator
 
 ALIGNMENTS = (0.3, 0.6, 0.8, 0.9, 1.0)
 DATASET = "Alpaca"
+
+
+def estimate_alpha(results: Sequence[GenerationResult]) -> float:
+    """Estimate the per-token acceptance rate from engine traces.
+
+    Maximum-likelihood estimate under the geometric acceptance model: each
+    verification step accepting ``k`` of ``L`` speculated tokens contributes
+    ``k`` Bernoulli successes plus one failure when ``k < L`` (the step
+    that rejected) and no failure when the whole speculation was accepted.
+    ``alpha_hat = successes / trials``.
+    """
+    successes = 0
+    trials = 0
+    for result in results:
+        for step in result.steps:
+            if step.tree_depth == 0:
+                continue
+            accepted = step.tokens_emitted - 1
+            successes += accepted
+            trials += accepted
+            if accepted < step.tree_depth:
+                trials += 1  # the rejected position
+    if trials == 0:
+        raise ValueError("traces contain no speculation steps")
+    return successes / trials
 
 
 def _engine(alignment: float) -> SpecInferEngine:

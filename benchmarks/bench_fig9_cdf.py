@@ -6,6 +6,9 @@ verified tokens per decoding step shifts right as width grows (1.2-1.5x
 fewer steps for greedy, 1.3-1.4x for stochastic, width 5 vs 1).
 """
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,6 @@ from benchmarks.harness import (
     save_report,
     spec_engine,
 )
-from repro.metrics.stats import empirical_cdf
 from repro.reporting.tables import render_series
 from repro.speculate.expansion import ExpansionConfig
 
@@ -23,6 +25,38 @@ WIDTHS = (1, 2, 3, 4, 5)
 DATASET = "Alpaca"
 QUANTILES = (0.25, 0.5, 0.75)
 N_PROMPTS = 8
+
+
+@dataclass(frozen=True)
+class Cdf:
+    """An empirical CDF: ``P(X <= xs[i]) = ps[i]`` (Figure 9's plot data)."""
+
+    xs: np.ndarray
+    ps: np.ndarray
+
+    def quantile(self, p: float) -> float:
+        """Smallest x with CDF(x) >= p."""
+        if not 0 <= p <= 1:
+            raise ValueError(f"p must be in [0, 1], got {p}")
+        idx = int(np.searchsorted(self.ps, p))
+        idx = min(idx, len(self.xs) - 1)
+        return float(self.xs[idx])
+
+    def at(self, x: float) -> float:
+        """CDF evaluated at ``x``."""
+        idx = int(np.searchsorted(self.xs, x, side="right"))
+        if idx == 0:
+            return 0.0
+        return float(self.ps[idx - 1])
+
+
+def empirical_cdf(values: Sequence[float]) -> Cdf:
+    """Empirical CDF of ``values``."""
+    arr = np.sort(np.asarray(list(values), dtype=np.float64))
+    if arr.size == 0:
+        raise ValueError("cannot build a CDF from an empty sample")
+    ps = np.arange(1, arr.size + 1, dtype=np.float64) / arr.size
+    return Cdf(xs=arr, ps=ps)
 
 
 def _per_request_means(width: int, greedy: bool) -> list:

@@ -13,10 +13,11 @@ benchmark tables:
    grows at all after the warm-up ticks: the whole
    speculate→fit→verify→commit tick must be allocation-free once the
    scratch arenas are warm.
-3. **Verified tokens per step** — runs the seeded observability workload
-   (deterministic: fixed seeds, cost-model time only) and compares the
-   ``repro.engine.tokens_per_step`` histogram mean against the committed
-   baseline ``benchmarks/results/baseline_ci.json``.  A drop below
+3. **Verified tokens per step** — serves the seeded observability workload
+   (deterministic: fixed seeds, and the gate counts tokens, it times
+   nothing) and compares the ``repro.engine.tokens_per_step`` histogram
+   mean against the committed baseline
+   ``benchmarks/results/baseline_ci.json``.  A drop below
    ``baseline * (1 - TOKENS_PER_STEP_SLACK)`` fails the job.
 4. **Planner vs static trees** — from the ``repro.bench.planner.*``
    gauges ``bench_planner.py --quick --json`` merges into the same

@@ -165,13 +165,12 @@ async def _serve_gateway(spec, listen: str) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a Poisson workload: replay simulation or streaming gateway."""
     import asyncio
-    from dataclasses import replace
 
     from repro.obs.workload import run_observed_workload
 
     if args.listen:
         return asyncio.run(_serve_gateway(args.spec, args.listen))
-    manager = run_observed_workload(replace(args.spec, simulate=False))
+    manager = run_observed_workload(args.spec)
     _print_serve_report(manager, args.spec.batch)
     return 0
 
@@ -455,16 +454,19 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """Run the seeded workload; dump the metrics registry (text or JSON)."""
     from repro.obs import REGISTRY, reset_observability
     from repro.obs.workload import run_observed_workload
-    from repro.reporting import render_metrics
+    from repro.reporting import render_metrics_table
 
     spec = args.spec
     reset_observability()
     run_observed_workload(spec)
-    print(render_metrics(
-        REGISTRY.snapshot(), format=args.format,
-        title=f"metrics registry after {spec.dataset} workload "
-              f"({spec.requests} requests, seed {spec.seed})",
-    ))
+    if args.format == "json":
+        print(REGISTRY.to_json())
+    else:
+        print(render_metrics_table(
+            REGISTRY.snapshot(),
+            title=f"metrics registry after {spec.dataset} workload "
+                  f"({spec.requests} requests, seed {spec.seed})",
+        ))
     return 0
 
 
@@ -482,8 +484,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.obs import REGISTRY, reset_observability
     from repro.obs.workload import run_observed_workload
 
-    # The cost-model replay contributes nothing to the parity check.
-    spec = dc_replace(args.spec, simulate=False)
+    spec = args.spec
     reset_observability()
     clean = run_observed_workload(dc_replace(spec, fault_rate=0.0))
     expected = {o.request_id: o.tokens for o in clean.finished_outputs()}

@@ -195,33 +195,6 @@ class LatencyModel:
             batch_size * (context_len + tree_tokens),
         )
 
-    def cost_per_verified_token(
-        self,
-        batch_size: int,
-        tree,
-        context_len: int = 128,
-        expected_tokens_per_step: float = 1.0,
-    ) -> float:
-        """Seconds of verify time per committed token — the planner's unit.
-
-        The quantity the dynamic tree planner minimizes (Sequoia's
-        objective): the latency of one fused verification pass divided by
-        the tokens the batch is expected to commit from it.
-
-        Args:
-            batch_size: Requests verified per pass.
-            tree: The speculated tree — a :class:`~repro.tree.token_tree.
-                TokenTree` (or anything sized) or a plain node count.
-            context_len: Verified prefix length per request.
-            expected_tokens_per_step: Expected committed tokens per request
-                per pass (bonus token included), from the acceptance model.
-        """
-        tokens = len(tree) if hasattr(tree, "__len__") else int(tree)
-        if expected_tokens_per_step <= 0:
-            raise ValueError("expected_tokens_per_step must be > 0")
-        seconds = self.verify_seconds(batch_size, tokens, context_len)
-        return seconds / (batch_size * expected_tokens_per_step)
-
     def step_latency(
         self,
         scored_tokens: int,

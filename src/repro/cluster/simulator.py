@@ -24,23 +24,6 @@ import numpy as np
 from repro.cluster.cost_model import LatencyModel
 from repro.cluster.offload import OffloadLatencyModel
 from repro.engine.generation import GenerationResult, StepTrace
-from repro.obs import REGISTRY, TRACER
-
-# Simulated-vs-host clock: the counters accumulate *modeled* seconds
-# (deterministic under seeds — they are cost-model outputs, not wall time);
-# the host cost of running the replay itself lands in the span-fed
-# ``repro.cluster.replay.host_seconds`` histogram.
-_REPLAYS = REGISTRY.counter(
-    "repro.cluster.replays", help="generation traces replayed")
-_STEPS_REPLAYED = REGISTRY.counter(
-    "repro.cluster.steps_replayed", help="per-step trace records replayed")
-_SIM_SECONDS = REGISTRY.counter(
-    "repro.cluster.simulated_seconds", help="modeled wall-clock, total")
-_SIM_SPEC = REGISTRY.counter(
-    "repro.cluster.simulated_spec_seconds", help="modeled SSM speculation time")
-_SIM_VERIFY = REGISTRY.counter(
-    "repro.cluster.simulated_verify_seconds",
-    help="modeled LLM decode/verify time")
 
 
 class SystemKind(enum.Enum):
@@ -121,21 +104,13 @@ class ServingSimulator:
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        with TRACER.span("repro.cluster.replay", steps=len(result.steps),
-                         batch=batch_size) as span:
-            spec_seconds = 0.0
-            verify_seconds = 0.0
-            for step in result.steps:
-                spec_seconds += self._spec_time(step, batch_size)
-                verify_seconds += self._verify_time(
-                    step, batch_size, sequence_based_decoding
-                )
-            _REPLAYS.inc()
-            _STEPS_REPLAYED.inc(len(result.steps))
-            _SIM_SPEC.inc(spec_seconds)
-            _SIM_VERIFY.inc(verify_seconds)
-            _SIM_SECONDS.inc(spec_seconds + verify_seconds)
-            span.set(simulated_seconds=spec_seconds + verify_seconds)
+        spec_seconds = 0.0
+        verify_seconds = 0.0
+        for step in result.steps:
+            spec_seconds += self._spec_time(step, batch_size)
+            verify_seconds += self._verify_time(
+                step, batch_size, sequence_based_decoding
+            )
         return SimulatedLatency(
             total_seconds=spec_seconds + verify_seconds,
             tokens=result.num_tokens,

@@ -15,7 +15,6 @@ from typing import List, Optional
 from repro.cluster.cost_model import LatencyModel
 from repro.cluster.hardware import ClusterSpec
 from repro.cluster.parallel import ParallelPlan
-from repro.metrics.acceptance import expected_tokens_per_step
 from repro.model.config import ModelConfig
 
 
@@ -61,6 +60,28 @@ def sweep_tensor_parallel(
     if not points:
         raise ValueError(f"{model.name} fits no TP degree on this cluster")
     return points
+
+
+def expected_tokens_per_step(alpha: float, depth: int) -> float:
+    """Expected emitted tokens per LLM step for sequence speculation.
+
+    Speculative decoding theory (Leviathan et al.): with per-token
+    acceptance rate ``alpha``, a step accepts exactly k of L speculated
+    tokens with probability ``alpha^k (1 - alpha)`` for ``k < L`` and
+    ``alpha^L`` for ``k = L``, so it emits ``(1 - alpha^(L+1)) / (1 - alpha)``
+    tokens on average (including the bonus token).
+
+    Args:
+        alpha: Per-token acceptance probability, in [0, 1].
+        depth: Speculation length L.
+    """
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    if alpha == 1.0:
+        return float(depth + 1)
+    return float((1 - alpha ** (depth + 1)) / (1 - alpha))
 
 
 def sweep_speculation_depth(

@@ -52,7 +52,10 @@ class StepTrace:
             host's verifier forwards only the trunk and the accepted
             fan-out child's subtree; ``repro.verify.fused.tokens_scored``
             counts the rows actually forwarded.
-        tokens_emitted: Verified tokens appended to the output this step.
+        tokens_emitted: Tokens the step accepted: the verified path plus
+            the bonus token.  Counted before the token budget or an EOS
+            stop truncates them, so it can exceed what the step appended
+            to the output (``repro.engine.tokens_emitted`` counts those).
         ssm_steps: Sequential SSM decode steps spent speculating (0 for
             incremental decoding).
         tree_size: Nodes in the speculated tree (0 for incremental).

@@ -73,7 +73,8 @@ _TREE_SIZE = REGISTRY.histogram(
     help="fitted tree sizes per verification step")
 _TOKENS_PER_STEP = REGISTRY.histogram(
     "repro.engine.tokens_per_step", buckets=DEFAULT_COUNT_BUCKETS,
-    help="verified tokens emitted per committed step (Table 2)")
+    help="tokens accepted per committed step, before the token budget "
+         "or EOS truncates them (Table 2)")
 _FALLBACK_ENTRIES = REGISTRY.counter(
     "repro.engine.fallback_entries",
     help="faults that switched the pipeline into incremental fallback")

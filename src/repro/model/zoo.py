@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import zipfile
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import List, Optional, Tuple
 
@@ -160,9 +161,9 @@ class ModelZoo:
 
     def _load_or_train_llm(self, spec: ZooSpec) -> TransformerLM:
         path = self._checkpoint_path(spec, "llm")
-        if path and os.path.exists(path):
-            return TransformerLM(spec.llm_config,
-                                 params=ParameterStore.load(path))
+        cached = _load_checkpoint(path, spec.llm_config)
+        if cached is not None:
+            return cached
         model = TransformerLM(spec.llm_config, seed=spec.seed)
         corpus = self.corpus(spec)
         trainer = Trainer(
@@ -176,9 +177,9 @@ class ModelZoo:
     def _load_or_distill_ssm(self, spec: ZooSpec,
                              llm: TransformerLM) -> TransformerLM:
         path = self._checkpoint_path(spec, "ssm")
-        if path and os.path.exists(path):
-            return TransformerLM(spec.ssm_config,
-                                 params=ParameterStore.load(path))
+        cached = _load_checkpoint(path, spec.ssm_config)
+        if cached is not None:
+            return cached
         model = TransformerLM(spec.ssm_config, seed=spec.seed + 1)
         corpus = self.corpus(spec)
         trainer = Trainer(
@@ -193,4 +194,25 @@ class ModelZoo:
         if path is None:
             return
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        model.params.save(path)
+        # Write under a temporary name, then rename: a run killed mid-write
+        # leaves no truncated checkpoint under the real name.
+        staging = f"{path}.{os.getpid()}.tmp.npz"
+        try:
+            model.params.save(staging)
+            os.replace(staging, path)
+        finally:
+            if os.path.exists(staging):
+                os.remove(staging)
+
+
+def _load_checkpoint(path: Optional[str],
+                     config: ModelConfig) -> Optional[TransformerLM]:
+    """The model stored at ``path``, or ``None`` to (re)train it: caching
+    is off, the file is absent, or it is damaged."""
+    if path is None:
+        return None
+    try:
+        params = ParameterStore.load(path)
+    except (zipfile.BadZipFile, ValueError, OSError):
+        return None  # absent (FileNotFoundError is an OSError) or damaged
+    return TransformerLM(config, params=params)

@@ -1,8 +1,10 @@
 """Unified observability: one metrics registry + one tracer for the system.
 
-Everything the paper's evaluation measures — verified tokens per step,
-per-phase latency, arena residency, simulated speedups — flows through this
-package:
+Everything the system measures or counts about itself — verified tokens
+per step, per-phase host latency, arena residency — flows through this
+package.  Modeled A10 seconds do not: the paper-figure benchmarks read
+them from :meth:`repro.cluster.simulator.ServingSimulator.replay`'s return
+value.  The package holds:
 
 * :mod:`repro.obs.registry` — process-wide counters/gauges/histograms
   (:data:`REGISTRY`), deterministic under seeds;

@@ -3,19 +3,19 @@
 One registry (:data:`REGISTRY`) is the single accumulation point for every
 quantitative fact the system measures about itself — operation counts from
 the model primitives (via the :mod:`repro.model.perf` shim), pipeline-phase
-latencies, serving admission/retirement, KV-arena residency, and the cluster
-simulator's simulated-vs-host clock.  The paper's evaluation is entirely
-about measured behaviour (verified tokens per step, per-iteration latency,
-speedup over incremental decoding); this module is where those measurements
-live between the hot path that produces them and the reporting/CI layers
-that consume them.
+latencies, serving admission/retirement and KV-arena residency.  The paper's
+evaluation is entirely about measured behaviour (verified tokens per step,
+per-iteration latency, speedup over incremental decoding); this module is
+where those measurements live between the hot path that produces them and
+the reporting/CI layers that consume them.  Modeled seconds from the A10
+cost model (:mod:`repro.cluster`) are never recorded here.
 
 Design constraints, in priority order:
 
 * **Determinism** — recorded *values* must never contain wall-clock
   timestamps.  Durations are :func:`time.perf_counter` deltas observed into
   histograms (whose bucket layout is fixed at registration), and logical
-  clocks (iterations, cost-model steps) are plain counters, so a seeded run
+  clocks (iterations, pipeline ticks) are plain counters, so a seeded run
   produces the same counter/gauge values every time; only the
   ``host_seconds`` histograms vary run-to-run, and nothing byte-compared
   reads them.
@@ -29,8 +29,8 @@ Design constraints, in priority order:
   If a threaded execution surface lands, it must shard registries per
   thread and merge snapshots.
 
-Naming convention: ``repro.<layer>.<metric>`` with layers ``model``,
-``engine``, ``verify``, ``serving``, ``cluster``, ``bench`` (see
+Naming convention: ``repro.<layer>.<metric>`` with layers such as
+``model``, ``engine``, ``verify``, ``serving``, ``bench`` (see
 ``docs/observability.md``).  Names are validated at registration so typos
 fail loudly instead of creating orphan series.
 """

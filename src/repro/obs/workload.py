@@ -2,13 +2,14 @@
 
 ``repro trace`` and ``repro metrics`` need a workload that (a) exercises
 every instrumented layer — the four pipeline phases, a fused verification
-backend, continuous-batching admission/retirement, the shared KV arena, and
-the cluster cost model — and (b) is fully determined by its seed, so the
-exported trace is byte-identical across runs.  This module is that
-workload: a Poisson arrival schedule of dataset prompts served by a
+backend, continuous-batching admission/retirement and the shared KV arena —
+and (b) is fully determined by its seed, so the exported trace is
+byte-identical across runs.  This module is that workload: a Poisson
+arrival schedule of dataset prompts served by a
 :class:`~repro.serving.manager.RequestManager` over a
-:class:`~repro.model.kv_cache.BatchArena`, followed by one offline generation
-replayed through the hardware cost model.
+:class:`~repro.model.kv_cache.BatchArena`.  Everything it records is
+measured or counted on the host that runs it; modeled A10 seconds stay
+with the paper-figure benchmarks (:mod:`repro.cluster.simulator`).
 
 :func:`build_workload` is the one place the stack is built.  ``serve``,
 ``chat --local`` and ``loadgen`` put its manager behind a gateway or drive
@@ -44,8 +45,6 @@ class WorkloadSpec:
         rate: Poisson arrival rate (requests per scheduler iteration).
         seed: Master seed (models, arrivals, prompts).
         alignment: SSM/LLM alignment of the toy coupled pair.
-        simulate: Also replay one offline generation through the cluster
-            cost model (populates ``repro.cluster.*`` metrics).
         fault_rate: Per-site fault-injection probability; 0.0 (default)
             serves without an injector, byte-identical to the pre-fault
             workload.
@@ -68,7 +67,6 @@ class WorkloadSpec:
     rate: float = 1.0
     seed: int = 7
     alignment: float = 0.88
-    simulate: bool = True
     fault_rate: float = 0.0
     planner: bool = False
 
@@ -182,8 +180,7 @@ def build_workload(
 def run_observed_workload(spec: Optional[WorkloadSpec] = None):
     """Serve ``spec`` and return the drained manager.
 
-    Replays the arrival schedule through :func:`build_workload`'s manager,
-    then (``spec.simulate``) one offline generation through the cost model.
+    Replays the arrival schedule through :func:`build_workload`'s manager.
     Everything downstream of ``spec.seed`` is deterministic; callers that
     want a clean trace/metric state reset the observability globals first
     (:func:`repro.obs.reset_observability`).
@@ -193,33 +190,4 @@ def run_observed_workload(spec: Optional[WorkloadSpec] = None):
     spec = spec or WorkloadSpec()
     manager, arrivals = build_workload(spec)
     drive_manager(manager, arrivals, spec.generation_config())
-    if spec.simulate:
-        _replay_through_cost_model(spec)
     return manager
-
-
-def _replay_through_cost_model(spec: WorkloadSpec) -> None:
-    """One offline generation replayed at paper scale (cluster metrics)."""
-    from repro.cluster.cost_model import LatencyModel
-    from repro.cluster.hardware import single_node_cluster
-    from repro.cluster.models import paper_model
-    from repro.cluster.parallel import ParallelPlan
-    from repro.cluster.simulator import ServingSimulator
-    from repro.engine.tree_spec import SpecInferEngine
-    from repro.speculate.expansion import ExpansionConfig
-    from repro.speculate.speculator import Speculator
-
-    llm, ssm_factory = _build_toy_pair(spec.alignment, spec.seed)
-    rng = np.random.default_rng(spec.seed)
-    prompt = [int(t) for t in
-              rng.integers(1, llm.config.vocab_size, size=8)]
-    result = SpecInferEngine(
-        llm, Speculator([ssm_factory()], ExpansionConfig.paper_default())
-    ).generate(prompt, spec.generation_config())
-    cluster = single_node_cluster()
-    plan = ParallelPlan(tensor_parallel=1, pipeline_stages=1)
-    simulator = ServingSimulator(
-        llm_latency=LatencyModel(paper_model("llama-7b"), plan, cluster),
-        ssm_latency=LatencyModel(paper_model("llama-68m"), plan, cluster),
-    )
-    simulator.replay(result, batch_size=spec.batch)

@@ -1,14 +1,13 @@
 """Render a metrics-registry snapshot as an ASCII table.
 
-``repro metrics --format text`` and the CI perf-gate logs both print this;
-the column layout follows the other benchmark tables so EXPERIMENTS.md can
+``repro metrics --format text`` prints this; the column layout follows the other benchmark tables so EXPERIMENTS.md can
 quote it verbatim.  Counters and gauges print their value; histograms print
 ``count / mean / max-bucket`` plus a compact per-bucket breakdown.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.reporting.tables import AsciiTable
 
@@ -66,15 +65,3 @@ def render_metrics_table(snapshot: Dict[str, Dict[str, object]],
             table.add_row(name, kind, _format_value(data["value"]), "-")
     return table.render()
 
-
-def render_metrics(snapshot: Dict[str, Dict[str, object]],
-                   format: str = "text",
-                   title: Optional[str] = None) -> str:
-    """``render_metrics_table`` or deterministic JSON, by ``format``."""
-    if format == "json":
-        import json
-
-        return json.dumps(snapshot, indent=2, sort_keys=True)
-    return render_metrics_table(
-        snapshot, title=title if title is not None else "metrics registry"
-    )

@@ -49,7 +49,7 @@ class LoadgenSpec:
         rate_per_tick: Optional per-tenant admission rate limit.
         workload: The served stack and its requests: prompt dataset,
             generation budget, batch slots, seed, alignment and fault
-            rate.  Its ``requests``, ``rate`` and ``simulate`` are unused:
+            rate.  Its ``requests`` and ``rate`` are unused:
             the clients, not an arrival schedule, submit the requests.
     """
 

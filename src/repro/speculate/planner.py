@@ -99,8 +99,9 @@ def tree_tokens(widths: Tuple[int, ...]) -> int:
 def _accept_any(alpha: float, width: int) -> float:
     """P(some one of ``width`` distinct candidates is accepted).
 
-    Independence approximation over candidates (the same first-order tree
-    extension :func:`repro.metrics.acceptance.effective_tree_alpha` uses).
+    Independence approximation over candidates: each succeeds with
+    marginal probability ``alpha``, so the set fails only if all do.  Real
+    candidates are the SSM's top-``width``, so this slightly overestimates.
     """
     return 1.0 - (1.0 - alpha) ** width
 

@@ -109,3 +109,9 @@ class TestShape:
     def test_rejects_zero_tokens(self, llama7b_model):
         with pytest.raises(ValueError):
             llama7b_model.step_latency(0, 10)
+
+    def test_verify_seconds_rejects_empty_batch_or_tree(self, llama7b_model):
+        with pytest.raises(ValueError):
+            llama7b_model.verify_seconds(0, 8, 128)
+        with pytest.raises(ValueError):
+            llama7b_model.verify_seconds(4, 0, 128)

@@ -1,15 +1,51 @@
 """Tests for what-if sweeps over the cost model."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.hardware import single_node_cluster, two_node_cluster
 from repro.cluster.models import paper_model
 from repro.cluster.sweep import (
     best_point,
+    expected_tokens_per_step,
     sweep_speculation_depth,
     sweep_ssm_size,
     sweep_tensor_parallel,
 )
+
+
+class TestClosedForms:
+    def test_alpha_zero_gives_one_token(self):
+        assert expected_tokens_per_step(0.0, 8) == 1.0
+
+    def test_alpha_one_accepts_everything(self):
+        assert expected_tokens_per_step(1.0, 8) == 9.0
+
+    def test_matches_geometric_sum(self):
+        alpha, depth = 0.7, 5
+        expected = sum(alpha**k for k in range(depth + 1))
+        assert expected_tokens_per_step(alpha, depth) == \
+            pytest.approx(expected)
+
+    def test_monte_carlo_agreement(self):
+        """Closed form matches direct simulation of the acceptance chain."""
+        rng = np.random.default_rng(0)
+        alpha, depth = 0.6, 8
+        emitted = []
+        for _ in range(20000):
+            k = 0
+            while k < depth and rng.uniform() < alpha:
+                k += 1
+            emitted.append(k + 1)
+        assert np.mean(emitted) == pytest.approx(
+            expected_tokens_per_step(alpha, depth), abs=0.03
+        )
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            expected_tokens_per_step(1.5, 4)
+        with pytest.raises(ValueError):
+            expected_tokens_per_step(0.5, -1)
 
 
 class TestTensorParallelSweep:

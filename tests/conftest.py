@@ -50,6 +50,15 @@ def make_prompt(rng: np.random.Generator, length: int = 6,
     return rng.integers(1, vocab, size=length).astype(np.intp)
 
 
+def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """TV distance between two distributions (distribution-equality tests)."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape:
+        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
+    return float(0.5 * np.abs(p - q).sum())
+
+
 def arena_rows_used() -> int:
     """Rows carved out of every ``BatchArena`` in the process — the
     ``repro.model.arena.rows_used`` gauge, which also counts the SSM mirror

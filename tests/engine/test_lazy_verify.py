@@ -21,7 +21,6 @@ from repro.engine.pipeline import (
     TreeFitter,
 )
 from repro.engine.tree_spec import SpecInferEngine
-from repro.metrics.stats import total_variation_distance
 from repro.model.coupled import CoupledSSM
 from repro.model.kv_cache import BatchArena
 from repro.model.layers import stable_softmax
@@ -32,7 +31,7 @@ from repro.speculate.speculator import Speculator
 from repro.tree.token_tree import TokenTree
 from repro.verify.decode import tree_parallel_decode
 from repro.verify.naive import verify_naive_sampling
-from tests.conftest import SMALL_CONFIG, make_prompt
+from tests.conftest import SMALL_CONFIG, make_prompt, total_variation_distance
 from tests.engine.test_block_sparse import (
     assert_caches_equal,
     assert_results_equal,

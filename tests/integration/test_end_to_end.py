@@ -132,7 +132,7 @@ class TestFullPipelineStochastic:
             ).tokens
         )
         # Both are 400-sample estimates of the same distribution.
-        from repro.metrics.stats import total_variation_distance
+        from tests.conftest import total_variation_distance
 
         assert total_variation_distance(freq_inc, freq_tree) < 0.25
 

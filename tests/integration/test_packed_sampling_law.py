@@ -19,14 +19,13 @@ import numpy as np
 
 from repro.engine.generation import GenerationConfig
 from repro.engine.pipeline import DecodePipeline, DecodeState, FusedBackend
-from repro.metrics.stats import total_variation_distance
 from repro.model.coupled import CoupledSSM
 from repro.model.layers import stable_softmax
 from repro.model.sampling import SamplingConfig
 from repro.obs import REGISTRY, reset_observability
 from repro.speculate.expansion import ExpansionConfig
 from repro.speculate.speculator import Speculator
-from tests.conftest import make_prompt
+from tests.conftest import make_prompt, total_variation_distance
 
 N_REQUESTS = 4096
 BATCH = 64

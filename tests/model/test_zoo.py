@@ -150,3 +150,24 @@ class TestModelZoo:
         assert fresh == [
             f"zoo-v{ZOO_SCHEMA_VERSION}-{tiny.cache_key('llm')}-llm.npz"
         ]
+
+    def test_truncated_checkpoint_is_retrained(self, tmp_path):
+        """A checkpoint cut short (a run killed while writing it) is
+        retrained over, to what a cold train gives, and replaced whole."""
+        tiny = ZooSpec(llm_steps=2, distill_steps=2)
+        zoo = ModelZoo(cache_dir=str(tmp_path))
+        zoo.trained_pair(tiny)
+        for role in ("llm", "ssm"):
+            path = zoo._checkpoint_path(tiny, role)
+            whole = open(path, "rb").read()
+            with open(path, "wb") as fh:
+                fh.write(whole[:len(whole) // 2])
+        llm, ssm = zoo.trained_pair(tiny)
+        cold_llm, cold_ssm = ModelZoo(cache_dir=None).trained_pair(tiny)
+        for model, cold in ((llm, cold_llm), (ssm, cold_ssm)):
+            for name, array in cold.params.items():
+                np.testing.assert_array_equal(model.params[name], array)
+        reloaded, _ = zoo.trained_pair(tiny)  # the rewrite loads cleanly
+        np.testing.assert_array_equal(reloaded.params["lm_head"],
+                                      cold_llm.params["lm_head"])
+        assert not [f for f in os.listdir(tmp_path) if ".tmp." in f]

@@ -39,8 +39,7 @@ class TestWorkloadParity:
     def test_fused_workload_survives_rate_005(self, seed):
         """ISSUE acceptance: greedy workload at fault rate 0.05, three
         seeds, bit-identical finished tokens and zero failures."""
-        spec = WorkloadSpec(requests=4, max_new_tokens=8, seed=seed,
-                            simulate=False)
+        spec = WorkloadSpec(requests=4, max_new_tokens=8, seed=seed)
         expected, _ = run_workload_tokens(spec)
         actual, failed = run_workload_tokens(
             replace(spec, fault_rate=0.05)
@@ -51,8 +50,7 @@ class TestWorkloadParity:
     def test_parity_holds_under_heavy_faults(self):
         """Rate 0.3 actually exercises every path (preempt/retry/fallback)
         on this workload and parity still holds."""
-        spec = WorkloadSpec(requests=6, max_new_tokens=10, seed=11,
-                            simulate=False)
+        spec = WorkloadSpec(requests=6, max_new_tokens=10, seed=11)
         expected, _ = run_workload_tokens(spec)
         actual, failed = run_workload_tokens(replace(spec, fault_rate=0.3))
         assert failed == []
@@ -64,7 +62,7 @@ class TestWorkloadParity:
         byte-determinism contract of the observed workload intact."""
         reset_observability()
         manager = run_observed_workload(
-            WorkloadSpec(requests=2, max_new_tokens=4, simulate=False)
+            WorkloadSpec(requests=2, max_new_tokens=4)
         )
         assert manager.injector is None
         checks = REGISTRY.get("repro.faults.checks")

@@ -4,10 +4,6 @@ import itertools
 
 import pytest
 
-from repro.cluster.cost_model import LatencyModel
-from repro.cluster.hardware import single_node_cluster
-from repro.cluster.models import paper_model
-from repro.cluster.parallel import ParallelPlan
 from repro.speculate.planner import (
     ALPHA_CEILING,
     ALPHA_FLOOR,
@@ -19,7 +15,6 @@ from repro.speculate.planner import (
     optimal_widths,
     tree_tokens,
 )
-from repro.tree.token_tree import TokenTree
 
 
 def brute_force_widths(alpha, budget, max_depth, max_width):
@@ -118,46 +113,6 @@ class TestAcceptanceEstimator:
     def test_validation(self):
         with pytest.raises(ValueError):
             TreePlanner().observe(accepted=-1, stops=0)
-
-
-class TestCostPerVerifiedToken:
-    def _model(self):
-        return LatencyModel(
-            paper_model("llama-7b"),
-            ParallelPlan(tensor_parallel=1, pipeline_stages=1),
-            single_node_cluster(),
-        )
-
-    def test_accepts_tree_or_node_count(self):
-        cost = self._model()
-        tree = TokenTree(5)
-        for _ in range(9):
-            tree.add_child(0, 7)
-        by_tree = cost.cost_per_verified_token(4, tree)
-        by_count = cost.cost_per_verified_token(4, len(tree))
-        assert by_tree == by_count > 0
-
-    def test_batching_amortizes_verify_cost(self):
-        cost = self._model()
-        per_token = [cost.cost_per_verified_token(b, 16) for b in (1, 4, 16)]
-        assert per_token[0] > per_token[1] > per_token[2]
-
-    def test_acceptance_scales_cost_down(self):
-        cost = self._model()
-        assert cost.cost_per_verified_token(
-            4, 16, expected_tokens_per_step=4.0
-        ) == pytest.approx(
-            cost.cost_per_verified_token(4, 16) / 4.0
-        )
-
-    def test_validation(self):
-        cost = self._model()
-        with pytest.raises(ValueError):
-            cost.cost_per_verified_token(0, 8)
-        with pytest.raises(ValueError):
-            cost.verify_seconds(4, 0, 128)
-        with pytest.raises(ValueError):
-            cost.cost_per_verified_token(4, 8, expected_tokens_per_step=0.0)
 
 
 class TestTreePlanner:

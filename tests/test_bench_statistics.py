@@ -1,60 +1,16 @@
-"""Tests for acceptance-rate analytics."""
+"""The statistics two paper-figure benchmarks compute from engine traces:
+``bench_ablation_alignment``'s acceptance-rate estimate and
+``bench_fig9_cdf``'s empirical CDF."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from benchmarks.bench_ablation_alignment import estimate_alpha
+from benchmarks.bench_fig9_cdf import empirical_cdf
+from repro.cluster.sweep import expected_tokens_per_step
 from repro.engine.generation import GenerationResult, StepTrace
-from repro.metrics.acceptance import (
-    effective_tree_alpha,
-    estimate_alpha,
-    expected_tokens_per_step,
-)
-
-
-class TestClosedForms:
-    def test_alpha_zero_gives_one_token(self):
-        assert expected_tokens_per_step(0.0, 8) == 1.0
-
-    def test_alpha_one_accepts_everything(self):
-        assert expected_tokens_per_step(1.0, 8) == 9.0
-
-    def test_matches_geometric_sum(self):
-        alpha, depth = 0.7, 5
-        expected = sum(alpha**k for k in range(depth + 1))
-        assert expected_tokens_per_step(alpha, depth) == \
-            pytest.approx(expected)
-
-    def test_monte_carlo_agreement(self):
-        """Closed form matches direct simulation of the acceptance chain."""
-        rng = np.random.default_rng(0)
-        alpha, depth = 0.6, 8
-        emitted = []
-        for _ in range(20000):
-            k = 0
-            while k < depth and rng.uniform() < alpha:
-                k += 1
-            emitted.append(k + 1)
-        assert np.mean(emitted) == pytest.approx(
-            expected_tokens_per_step(alpha, depth), abs=0.03
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            expected_tokens_per_step(1.5, 4)
-        with pytest.raises(ValueError):
-            expected_tokens_per_step(0.5, -1)
-
-
-class TestTreeAlpha:
-    def test_width_one_is_identity(self):
-        assert effective_tree_alpha(0.6, 1) == pytest.approx(0.6)
-
-    def test_width_grows_alpha(self):
-        assert effective_tree_alpha(0.6, 3) > 0.6
-
-    def test_paper_magnitude(self):
-        """Top-5 boosts ~55% to ~90%+ (Table 1 stochastic shape)."""
-        assert effective_tree_alpha(0.55, 5) > 0.9
 
 
 class TestEstimateAlpha:
@@ -103,3 +59,33 @@ class TestEstimateAlpha:
         ))
         assert predicted == pytest.approx(measured, rel=0.25)
 
+
+class TestCdf:
+    def test_values(self):
+        cdf = empirical_cdf([1.0, 2.0, 3.0, 4.0])
+        assert cdf.at(2.0) == pytest.approx(0.5)
+        assert cdf.at(0.5) == 0.0
+        assert cdf.at(10.0) == 1.0
+
+    def test_quantile(self):
+        cdf = empirical_cdf([1.0, 2.0, 3.0, 4.0])
+        assert cdf.quantile(0.5) == 2.0
+        assert cdf.quantile(1.0) == 4.0
+
+    def test_quantile_bounds(self):
+        cdf = empirical_cdf([1.0])
+        with pytest.raises(ValueError):
+            cdf.quantile(1.5)
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            empirical_cdf([])
+
+    @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1,
+                    max_size=50))
+    @settings(max_examples=50, deadline=None)
+    def test_cdf_monotone_and_bounded(self, values):
+        cdf = empirical_cdf(values)
+        assert (np.diff(cdf.ps) >= 0).all()
+        assert (np.diff(cdf.xs) >= 0).all()
+        assert cdf.ps[-1] == pytest.approx(1.0)

@@ -1,0 +1,62 @@
+"""Measured and modeled stay apart: which modules may import the A10 model.
+
+``repro.cluster`` is the paper-scale roofline model the figure benchmarks
+replay traces through.  The serving, engine and observability paths report
+what this host measured or counted, so they import nothing from it.  Every
+module under ``src/repro`` is parsed, and imports at any scope count.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Modules outside ``repro.cluster`` allowed to import it.  ``repro.cli``
+#: holds the ``models``, ``latency`` and ``sweep`` verbs, which query the
+#: cost model itself.  ``repro.speculate.planner`` prices its plans with
+#: an A10 ``LatencyModel`` until the planner moves to a host-measured cost
+#: surface (ROADMAP item 13(a)).
+CLUSTER_IMPORTERS = {"repro.cli", "repro.speculate.planner"}
+
+
+def module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    if parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts)
+
+
+def imported_modules(path: Path):
+    """Every module ``path`` imports, with ``from repro import x`` read as
+    ``repro.x``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}"
+
+
+def importers_of(package: str):
+    """Modules outside ``package`` that import it."""
+    found = set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        name = module_name(path)
+        if name == package or name.startswith(package + "."):
+            continue
+        if any(m == package or m.startswith(package + ".")
+               for m in imported_modules(path)):
+            found.add(name)
+    return found
+
+
+def test_only_named_modules_import_the_cost_model():
+    # Equality, not a subset: a walk that found nothing would pass a subset
+    # check, and an exception that is no longer needed should go.
+    assert importers_of("repro.cluster") == CLUSTER_IMPORTERS
+
+
+def test_nothing_imports_the_deleted_metrics_package():
+    assert importers_of("repro.metrics") == set()

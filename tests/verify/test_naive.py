@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.metrics.stats import total_variation_distance
 from repro.model.sampling import SamplingConfig
 from repro.tree.token_tree import TokenTree
 from repro.verify.naive import verify_naive_sampling
 
+from tests.conftest import total_variation_distance
 from tests.verify.test_stochastic import (
     P_LLM,
     VOCAB,

@@ -11,7 +11,6 @@ check, over many trials:
 import numpy as np
 import pytest
 
-from repro.metrics.stats import total_variation_distance
 from repro.model.sampling import SamplingConfig
 from repro.tree.masks import linearize
 from repro.tree.token_tree import TokenTree
@@ -21,6 +20,7 @@ from repro.verify.stochastic import (
     _normalized_residual,
     verify_stochastic,
 )
+from tests.conftest import total_variation_distance
 
 VOCAB = 6
 SAMPLING = SamplingConfig()  # temperature 1, no filtering
@@ -274,3 +274,27 @@ class TestVerifyStochasticMechanics:
         output = output_with_distribution(tree, p)
         result = verify_stochastic(output, tree, SAMPLING, rng)
         assert result.num_rejections == 1
+
+
+class TestTvDistance:
+    """The shared helper every distribution-equality check reads."""
+
+    def test_identical_is_zero(self):
+        p = np.array([0.5, 0.5])
+        assert total_variation_distance(p, p) == 0.0
+
+    def test_disjoint_is_one(self):
+        assert total_variation_distance(
+            np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        ) == 1.0
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            total_variation_distance(np.ones(2), np.ones(3))
+
+    def test_symmetry(self, rng):
+        p = rng.dirichlet(np.ones(6))
+        q = rng.dirichlet(np.ones(6))
+        assert total_variation_distance(p, q) == pytest.approx(
+            total_variation_distance(q, p)
+        )
