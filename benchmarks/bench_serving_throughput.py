@@ -14,7 +14,6 @@ from benchmarks.harness import bench_llm, dataset_ssm, save_report
 from repro.engine.generation import GenerationConfig
 from repro.reporting.tables import AsciiTable
 from repro.serving.manager import RequestManager
-from repro.serving.metrics import report_from_manager
 from repro.serving.policies import fcfs, shortest_job_first
 from repro.serving.session import IncrementalSession, SpeculativeSession
 from repro.speculate.expansion import ExpansionConfig
@@ -50,7 +49,18 @@ def _run(speculative: bool, batch_size: int, policy=fcfs,
         manager.submit(prompt, GenerationConfig(max_new_tokens=budget,
                                                 stop_on_eos=False))
     manager.run_until_complete()
-    return report_from_manager(manager)
+    return manager
+
+
+def _tokens_per_iteration(manager) -> float:
+    tokens = sum(len(o.tokens) for o in manager.finished_outputs())
+    return tokens / len(manager.iteration_stats)
+
+
+def _mean_completion(manager) -> float:
+    """Mean submission-to-finish time, in scheduler iterations."""
+    return float(np.mean([o.finish_iteration - o.arrival_iteration
+                          for o in manager.finished_outputs()]))
 
 
 def _build_throughput_report():
@@ -64,7 +74,7 @@ def _build_throughput_report():
     grid = {}
     for label, speculative in (("incremental", False), ("SpecInfer", True)):
         grid[label] = [
-            _run(speculative, bs).tokens_per_iteration
+            _tokens_per_iteration(_run(speculative, bs))
             for bs in (1, 2, 4, 8)
         ]
         table.add_row(label, *(f"{v:.2f}" for v in grid[label]))
@@ -88,11 +98,10 @@ def test_throughput_vs_batch_size(benchmark):
 def test_sjf_policy_improves_mean_completion(benchmark):
     def compute():
         budgets = [4, 20, 6, 18, 4, 20, 6, 18]
-        fcfs_report = _run(False, batch_size=2, policy=fcfs,
-                           budgets=budgets)
-        sjf_report = _run(False, batch_size=2, policy=shortest_job_first,
-                          budgets=budgets)
-        return fcfs_report.mean_completion, sjf_report.mean_completion
+        fcfs_run = _run(False, batch_size=2, policy=fcfs, budgets=budgets)
+        sjf_run = _run(False, batch_size=2, policy=shortest_job_first,
+                       budgets=budgets)
+        return _mean_completion(fcfs_run), _mean_completion(sjf_run)
 
     fcfs_mean, sjf_mean = benchmark.pedantic(compute, rounds=1, iterations=1)
     save_report(

@@ -61,7 +61,7 @@ def main() -> None:
     for output in outputs:
         print(
             f"{output.request_id:>7} "
-            f"{manager._tracked[output.request_id].request.arrival_iteration:>8} "
+            f"{output.arrival_iteration:>8} "
             f"{output.first_token_iteration:>10} "
             f"{output.finish_iteration:>6} "
             f"{len(output.tokens):>7} "

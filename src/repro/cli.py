@@ -111,16 +111,26 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _print_serve_report(manager, batch: int) -> None:
-    from repro.serving.metrics import report_from_manager
-
-    report = report_from_manager(manager)
-    print(f"requests           : {report.num_requests}")
-    print(f"iterations         : {report.total_iterations}")
-    print(f"tokens generated   : {report.total_tokens}")
-    print(f"tokens/iteration   : {report.tokens_per_iteration:.2f}")
-    print(f"mean TTFT (iters)  : {report.mean_ttft:.2f}")
-    print(f"p95 completion     : {report.p95_completion:.2f}")
-    print(f"batch occupancy    : {report.mean_batch_occupancy:.2f}"
+    """``serve``'s report, in scheduler iterations, read off the manager's
+    finished outputs (every one has a first token: the prompt pass emits
+    it) and iteration log.  With no finished request, the latency lines
+    read ``nan``."""
+    outputs = manager.finished_outputs()
+    log = manager.iteration_stats
+    tokens = sum(len(o.tokens) for o in outputs)
+    ttfts = [o.first_token_iteration - o.arrival_iteration + 1
+             for o in outputs]
+    completions = [o.finish_iteration - o.arrival_iteration for o in outputs]
+    busy = [s.batch_size for s in log if s.batch_size]
+    nan = float("nan")
+    print(f"requests           : {len(outputs)}")
+    print(f"iterations         : {len(log)}")
+    print(f"tokens generated   : {tokens}")
+    print(f"tokens/iteration   : {tokens / max(1, len(log)):.2f}")
+    print(f"mean TTFT (iters)  : {np.mean(ttfts) if outputs else nan:.2f}")
+    print(f"p95 completion     : "
+          f"{np.percentile(completions, 95) if outputs else nan:.2f}")
+    print(f"batch occupancy    : {np.mean(busy) if busy else 0.0:.2f}"
           f" / {batch}")
 
 

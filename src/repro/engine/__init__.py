@@ -26,7 +26,6 @@ from repro.engine.pipeline import (
     FusedBackend,
     IncrementalBackend,
     TickOutcome,
-    TraceRecorder,
     TreeFitter,
     VerificationBackend,
     prune_to_size,
@@ -45,7 +44,6 @@ __all__ = [
     "DecodePipeline",
     "DecodeState",
     "TickOutcome",
-    "TraceRecorder",
     "TreeFitter",
     "VerificationBackend",
     "FusedBackend",

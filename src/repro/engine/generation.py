@@ -9,7 +9,7 @@ counts into simulated wall-clock latency on modeled hardware).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -117,20 +117,3 @@ class GenerationResult:
         """Per-step emitted-token counts (Figure 9's CDF input)."""
         return np.array([s.tokens_emitted for s in self.steps], dtype=np.float64)
 
-
-def clip_generated(
-    tokens: List[int],
-    config: GenerationConfig,
-    eos_token_id: int,
-) -> tuple:
-    """Apply EOS and max-token truncation; returns ``(tokens, finished_by_eos)``."""
-    out: List[int] = []
-    finished = False
-    for token in tokens:
-        out.append(int(token))
-        if config.stop_on_eos and token == eos_token_id:
-            finished = True
-            break
-        if len(out) >= config.max_new_tokens:
-            break
-    return out[: config.max_new_tokens], finished

@@ -13,8 +13,6 @@ pieces defined here:
   Building one runs no model.
 * :class:`TreeFitter` — the only home of tree→cache capacity math and BFS
   pruning (:func:`prune_to_size`).
-* :class:`TraceRecorder` — the only construction site of
-  :class:`~repro.engine.generation.StepTrace` records.
 * :class:`VerificationBackend` — the pluggable verify seam with two
   implementations: :class:`FusedBackend` (one
   :class:`~repro.engine.batched.BatchedTreeVerifier` call per batch, each
@@ -23,7 +21,9 @@ pieces defined here:
 * :class:`DecodePipeline` — the prompt pass
   (:meth:`DecodePipeline.prefill`: the full prompts of a batch of states in
   one LLM forward, which emits each request's first token) and the
-  per-iteration loop itself (:meth:`DecodePipeline.tick`).
+  per-iteration loop itself (:meth:`DecodePipeline.tick`), whose
+  :meth:`~DecodePipeline.commit` is the only construction site of
+  :class:`~repro.engine.generation.StepTrace` records.
 
 Because batched serving and offline generation share this one loop and one
 tree verifier, the bit-equivalence suites verify the architecture rather
@@ -46,7 +46,6 @@ from repro.engine.generation import (
     GenerationResult,
     StepTrace,
 )
-from repro.model import perf
 from repro.model.sampling import SamplingConfig, sample_token
 from repro.model.scratch import ScratchArena
 from repro.model.transformer import TransformerLM
@@ -86,6 +85,7 @@ _TICK_ALLOCS = REGISTRY.counter(
     help="tracked hot-path buffer allocations during pipeline ticks "
          "(per-tick delta of repro.model.hot_alloc_events; zero at steady "
          "state once scratch arenas are warm)")
+_HOT_ALLOCS = REGISTRY.counter("repro.model.hot_alloc_events")
 _INCREMENTAL_ROWS = REGISTRY.counter(
     "repro.verify.incremental.tokens_scored",
     help="root rows the LLM forwarded for incremental verification")
@@ -267,63 +267,6 @@ class DecodeState:
         return result
 
 
-# -- trace recording ---------------------------------------------------------------
-
-
-class TraceRecorder:
-    """The sole construction site of :class:`StepTrace` records.
-
-    Every surface shares this one builder, so the cost model's inputs
-    (token counts, tree shapes, prefix lengths) cannot drift between the
-    engines and the serving runtime.
-    """
-
-    def record(self, state: DecodeState, tree: TokenTree,
-               verification: VerificationResult,
-               bare_root: bool = False) -> StepTrace:
-        """Build and append the trace for one committed verification step.
-
-        A ``bare_root`` step (nothing was drafted: the tree is the pending
-        token alone) records the Algorithm 1 shape — one token scored, one
-        emitted, no tree fields, no SSM steps — so the cost model never
-        charges speculation that did not run.
-        """
-        if bare_root:
-            fields = dict(
-                llm_tokens_scored=1,
-                tokens_emitted=1,
-                prefix_len=state.cache.length - 1,
-            )
-        else:
-            leaves = tree.leaves()
-            fields = dict(
-                llm_tokens_scored=len(tree),
-                tokens_emitted=len(verification.accepted_tokens),
-                ssm_steps=state.speculator.speculation_latency_steps(),
-                tree_size=len(tree),
-                tree_depth=tree.max_depth(),
-                tree_leaves=len(leaves),
-                tree_path_tokens=int(tree.depths[leaves].sum()) + len(leaves),
-                prefix_len=state.cache.length - len(verification.accepted_nodes),
-                num_rejections=verification.num_rejections,
-            )
-        trace = StepTrace(**fields)
-        state.steps.append(trace)
-        _TOKENS_PER_STEP.observe(trace.tokens_emitted)
-        if trace.tree_size:
-            _TREE_SIZE.observe(trace.tree_size)
-        TRACER.event(
-            "repro.engine.step",
-            llm_tokens_scored=trace.llm_tokens_scored,
-            tokens_emitted=trace.tokens_emitted,
-            tree_size=trace.tree_size,
-            tree_depth=trace.tree_depth,
-            prefix_len=trace.prefix_len,
-            num_rejections=trace.num_rejections,
-        )
-        return trace
-
-
 # -- verification backends ---------------------------------------------------------
 
 
@@ -462,9 +405,6 @@ class TickOutcome:
             :class:`StepTrace` was recorded; never for a prompt pass).
         retired: Whether the fitter found no room this tick (the state's
             ``retired`` flag is set; it will report ``finished``).
-        committed_total: Tokens the state has committed *after* this tick
-            (``len(state.tokens)``) — the stream position the delta ends
-            at, stable across preemption re-incarnations.
         finished: Whether the state reports finished after this tick (EOS,
             budget, or retirement).
     """
@@ -473,7 +413,6 @@ class TickOutcome:
     emitted: List[int] = field(default_factory=list)
     advanced: bool = False
     retired: bool = False
-    committed_total: int = 0
     finished: bool = False
 
 
@@ -527,7 +466,6 @@ class DecodePipeline:
         self.backend = backend if backend is not None else FusedBackend(model)
         self.injector = injector
         self.fitter = TreeFitter(model.config.max_seq_len)
-        self.recorder = TraceRecorder()
         #: The one drafter: every drafted tree of a tick, in one packed
         #: level loop per SSM base.
         self.packed = PackedSpeculator()
@@ -569,8 +507,49 @@ class DecodePipeline:
     def commit(self, state: DecodeState, tree: TokenTree,
                verification: VerificationResult,
                bare_root: bool = False) -> List[int]:
-        """Phase 3: record the outcome and advance the request's state."""
-        self.recorder.record(state, tree, verification, bare_root=bare_root)
+        """Phase 3: record the outcome and advance the request's state.
+
+        Appends the step's :class:`StepTrace` — the only place one is
+        built, so the cost model's inputs (token counts, tree shapes,
+        prefix lengths) cannot drift between the engines and the serving
+        runtime.  A ``bare_root`` step (nothing was drafted: the tree is
+        the pending token alone) records the Algorithm 1 shape — one token
+        scored, one emitted, no tree fields, no SSM steps — so the cost
+        model never charges speculation that did not run.
+        """
+        if bare_root:
+            fields = dict(
+                llm_tokens_scored=1,
+                tokens_emitted=1,
+                prefix_len=state.cache.length - 1,
+            )
+        else:
+            leaves = tree.leaves()
+            fields = dict(
+                llm_tokens_scored=len(tree),
+                tokens_emitted=len(verification.accepted_tokens),
+                ssm_steps=state.speculator.speculation_latency_steps(),
+                tree_size=len(tree),
+                tree_depth=tree.max_depth(),
+                tree_leaves=len(leaves),
+                tree_path_tokens=int(tree.depths[leaves].sum()) + len(leaves),
+                prefix_len=state.cache.length - len(verification.accepted_nodes),
+                num_rejections=verification.num_rejections,
+            )
+        trace = StepTrace(**fields)
+        state.steps.append(trace)
+        _TOKENS_PER_STEP.observe(trace.tokens_emitted)
+        if trace.tree_size:
+            _TREE_SIZE.observe(trace.tree_size)
+        TRACER.event(
+            "repro.engine.step",
+            llm_tokens_scored=trace.llm_tokens_scored,
+            tokens_emitted=trace.tokens_emitted,
+            tree_size=trace.tree_size,
+            tree_depth=trace.tree_depth,
+            prefix_len=trace.prefix_len,
+            num_rejections=trace.num_rejections,
+        )
         emitted = state.emit(verification.accepted_tokens)
         previous_pending = state.pending
         state.pending = int(verification.bonus_token)
@@ -613,9 +592,7 @@ class DecodePipeline:
                 if state.speculator is not None and not state.finished:
                     state.speculator.advance(state.prompt)
                 outcomes.append(TickOutcome(
-                    state=state, emitted=emitted,
-                    committed_total=len(state.tokens),
-                    finished=state.finished,
+                    state=state, emitted=emitted, finished=state.finished,
                 ))
             rows_scored = sum(state.prompt.size for state in states)
             _PREFILL_ROWS.inc(rows_scored)
@@ -644,7 +621,7 @@ class DecodePipeline:
             for i, first in zip(cold,
                                 self.prefill([states[i] for i in cold])):
                 outcomes[i].emitted = first.emitted
-        allocs_before = perf.COUNTERS.hot_alloc_events
+        allocs_before = _HOT_ALLOCS.value
         with TRACER.span("repro.engine.tick", iteration=self._ticks,
                          batch=len(states)) as tick_span:
             self._ticks += 1
@@ -776,7 +753,7 @@ class DecodePipeline:
                 _FALLBACK_TICKS.inc()
                 if not entered:
                     self._fallback_remaining -= 1
-            allocs = perf.COUNTERS.hot_alloc_events - allocs_before
+            allocs = _HOT_ALLOCS.value - allocs_before
             _TICK_ALLOCS.inc(allocs)
             tick_span.set(advanced=len(results), tokens_emitted=emitted_total,
                           degraded=degraded, allocs=allocs)
@@ -784,7 +761,6 @@ class DecodePipeline:
                 tick_span.set(planner_budget=plan.budget,
                               planner_alpha=round(plan.alpha, 6))
         for outcome in outcomes:
-            outcome.committed_total = len(outcome.state.tokens)
             outcome.finished = outcome.state.finished
         return outcomes
 

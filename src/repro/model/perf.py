@@ -1,20 +1,16 @@
-"""Operation counters for the decoding hot path (registry shim).
+"""Operation counters for the decoding hot path.
 
 The fused-batching work (block-sparse attention over a shared KV arena)
 makes claims that are easy to regress silently: "score FLOPs only inside
 each request's own block", "no per-step KV copies", "allocation-free
 steady-state masks".
-This module threads cheap integer counters through the primitives so those
-claims are *asserted* by the ``perf_smoke`` tier-1 tests and *reported* by
-``benchmarks/bench_batched_fused.py`` — the NumPy analogue of a CUDA
-profiler's achieved-FLOPs/bytes-moved columns.
-
-Since the unified observability layer landed, this module is a thin shim:
-the counts live in the process-wide metrics registry
-(:data:`repro.obs.REGISTRY`) as ``repro.model.<counter>`` series, where
-``repro metrics`` and the CI perf gate read them alongside everything else.
-The legacy surface is unchanged — ``add_*`` helpers, :func:`reset`,
-:data:`COUNTERS` attribute access, and::
+This module holds the counting formulas the primitives call (``add_*``);
+each charges a ``repro.model.<counter>`` series of the process-wide metrics
+registry (:data:`repro.obs.REGISTRY`), where ``repro metrics`` and the CI
+perf gate read them alongside everything else.  The ``perf_smoke`` tier-1
+tests assert the claims, and ``benchmarks/bench_batched_fused.py`` reports
+them — the NumPy analogue of a CUDA profiler's achieved-FLOPs/bytes-moved
+columns — through::
 
     with perf.track() as c:
         verifier.verify_batch(trees, caches, samplings, rngs)
@@ -34,7 +30,7 @@ from repro.obs import REGISTRY
 
 @dataclass
 class PerfCounters:
-    """A point-in-time copy (or delta) of the hot-path operation counts.
+    """The hot-path operation counts one :func:`track` block accumulated.
 
     Attributes:
         gemm_flops: Multiply-add FLOPs (counted as 2*m*n*k) spent in
@@ -63,66 +59,12 @@ class PerfCounters:
     hot_alloc_events: int = 0
     hot_alloc_bytes: int = 0
 
-    def snapshot(self) -> "PerfCounters":
-        """An independent copy of these counts."""
-        return PerfCounters(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
 
-    def delta(self, earlier: "PerfCounters") -> "PerfCounters":
-        """Counts accumulated since ``earlier`` was snapshotted."""
-        return PerfCounters(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
-        )
-
-
-#: The registry series backing each legacy counter field, interned once.
+#: The registry series backing each field, interned once.
 _METRICS = {
     f.name: REGISTRY.counter(f"repro.model.{f.name}")
     for f in fields(PerfCounters)
 }
-
-
-class _RegistryView:
-    """Live attribute view over the registry-backed hot-path counters.
-
-    ``perf.COUNTERS.gemm_flops`` reads the registry series
-    ``repro.model.gemm_flops`` at access time — the legacy accumulator
-    object, now a window onto the shared registry.
-    """
-
-    def __getattr__(self, name: str) -> int:
-        try:
-            return _METRICS[name].value
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def snapshot(self) -> PerfCounters:
-        """An independent :class:`PerfCounters` copy of the current counts."""
-        return PerfCounters(
-            **{name: metric.value for name, metric in _METRICS.items()}
-        )
-
-    def delta(self, earlier: PerfCounters) -> PerfCounters:
-        """Counts accumulated since ``earlier`` was snapshotted."""
-        return self.snapshot().delta(earlier)
-
-
-#: The global accumulator the primitives add into (registry-backed view).
-COUNTERS = _RegistryView()
-
-
-def reset() -> None:
-    """Zero the hot-path counters (tests and benchmarks start fresh).
-
-    Only the ``repro.model.*`` operation counters are touched; use
-    :func:`repro.obs.reset_observability` to zero the whole registry.
-    """
-    for metric in _METRICS.values():
-        metric.value = 0
 
 
 @contextmanager
@@ -132,14 +74,13 @@ def track():
     The yielded object is filled in place when the ``with`` block exits, so
     it can be inspected after the block.
     """
-    before = COUNTERS.snapshot()
+    before = {name: metric.value for name, metric in _METRICS.items()}
     result = PerfCounters()
     try:
         yield result
     finally:
-        after = COUNTERS.delta(before)
-        for f in fields(PerfCounters):
-            setattr(result, f.name, getattr(after, f.name))
+        for name, metric in _METRICS.items():
+            setattr(result, name, metric.value - before[name])
 
 
 def add_gemm(m: int, k: int, n: int) -> None:

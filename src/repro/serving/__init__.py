@@ -10,7 +10,6 @@
   requests join the batch between iterations.
 * :mod:`repro.serving.policies` -- admission ordering (FCFS, SJF) and the
   preemption victim order (newest first).
-* :mod:`repro.serving.metrics` -- TTFT / TPOT / throughput reporting.
 * :mod:`repro.serving.gateway` -- the async streaming gateway: bounded
   per-tenant admission queues, weighted round-robin with rate limits, two
   SLO classes, and per-request token streams over the synchronous core.
@@ -49,13 +48,6 @@ from repro.serving.gateway import (
 )
 from repro.serving.loop import GatewayLoop
 from repro.serving.manager import IterationStats, RequestManager
-from repro.serving.metrics import (
-    RequestLatency,
-    ServingReport,
-    build_report,
-    report_from_manager,
-    request_latency,
-)
 from repro.serving.policies import (
     fcfs,
     preempt_newest_first,
@@ -74,11 +66,6 @@ __all__ = [
     "VerificationBackend",
     "FusedBackend",
     "IncrementalBackend",
-    "RequestLatency",
-    "ServingReport",
-    "build_report",
-    "report_from_manager",
-    "request_latency",
     "fcfs",
     "shortest_job_first",
     "preempt_newest_first",

@@ -372,8 +372,13 @@ class ServingGateway:
             self._loop_driver.run())
 
     async def stop(self, drain: bool = True) -> None:
-        """Stop the driver; by default drain all in-flight work first."""
+        """Stop the loop task; by default drain all in-flight work first.
+
+        A gateway that is not running has nothing to drain with: every
+        stream it still holds ends ``failed`` with reason ``shutdown``.
+        """
         if self._task is None:
+            self._abort_all("shutdown")
             return
         if not drain:
             self._abort_queued("shutdown")

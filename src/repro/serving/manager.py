@@ -68,10 +68,6 @@ _RETIRED = REGISTRY.counter(
     "repro.serving.retired", help="requests retired (finished) by the manager")
 _TOKENS = REGISTRY.counter(
     "repro.serving.tokens_emitted", help="tokens emitted across all batches")
-_SCORED = REGISTRY.counter(
-    "repro.serving.llm_tokens_scored",
-    help="token positions a one-pass verifier would score (tree and prompt "
-         "rows); rows actually forwarded: repro.verify.fused.tokens_scored")
 _RUNNING = REGISTRY.gauge(
     "repro.serving.running", help="requests currently holding batch slots")
 _WAITING = REGISTRY.gauge(
@@ -96,7 +92,7 @@ MAX_SESSION_RETRIES = 3
 
 @dataclass
 class IterationStats:
-    """What one scheduler iteration did (consumed by the cost model).
+    """What one scheduler iteration did (the manager's iteration log).
 
     Attributes:
         iteration: Iteration index.
@@ -108,11 +104,6 @@ class IterationStats:
             whose prompts it scored.  Identical across per-request and
             fused serving for the same workload.
         tokens_emitted: Tokens emitted across the batch.
-        llm_tokens_scored: Token positions the LLM scores in one fused
-            pass: tree rows in a decode iteration, prompt rows in a prefill
-            iteration.  Tree rows are the whole trees (the modelled
-            one-pass cost), not the rows lazy verification forwards; those
-            are ``repro.verify.fused.tokens_scored``.
         admitted: Requests admitted this iteration (non-zero exactly in
             prefill iterations).
         finished: Requests retired this iteration.
@@ -128,7 +119,6 @@ class IterationStats:
     iteration: int
     batch_size: int
     tokens_emitted: int
-    llm_tokens_scored: int
     admitted: int
     finished: int
     emissions: Dict[int, List[int]] = field(default_factory=dict)
@@ -287,9 +277,8 @@ class RequestManager:
     def _prefill_iteration(self) -> Optional[IterationStats]:
         """Admit, then score every admitted prompt in one LLM forward.
 
-        ``batch_size`` is the number of requests prefilled and
-        ``llm_tokens_scored`` their prompt rows.  A request whose budget is
-        one token (or whose first token is EOS) finishes here and returns
+        ``batch_size`` is the number of requests prefilled.  A request
+        whose budget is one token (or whose first token is EOS) finishes here and returns
         its slot and arena rows without ever ticking.
         """
         admitted = self._admit()
@@ -307,8 +296,7 @@ class RequestManager:
                 [session.state for session in sessions])
             stats = self._collect(
                 admitted, sessions, outcomes, batch_size=len(admitted),
-                admitted=len(admitted), span=span,
-                llm_tokens=sum(s.state.prompt.size for s in sessions))
+                admitted=len(admitted), span=span)
         self._record_iteration(stats)
         return stats
 
@@ -327,21 +315,14 @@ class RequestManager:
                 self._tracked[request_id].retry_streak = 0
             stats = self._collect(
                 scheduled, sessions, outcomes, batch_size=batch_size,
-                admitted=0, span=span,
-                # Only steps that actually ran: a retiring session emits
-                # nothing and records no trace, and re-reading the previous
-                # trace would double-count its scored tokens.
-                llm_tokens=sum(
-                    session.steps[-1].llm_tokens_scored
-                    for session, outcome in zip(sessions, outcomes)
-                    if outcome.advanced))
+                admitted=0, span=span)
         self._record_iteration(stats)
         return stats
 
     def _collect(self, request_ids: List[int],
                  sessions: List[DecodeSession],
                  outcomes: List[TickOutcome], *, batch_size: int,
-                 admitted: int, llm_tokens: int, span) -> IterationStats:
+                 admitted: int, span) -> IterationStats:
         """Fold one iteration's outcomes into its stats and retire the
         finished (shared by the prefill and the decode iteration)."""
         tokens_emitted = 0
@@ -363,7 +344,6 @@ class RequestManager:
             iteration=self.iteration,
             batch_size=batch_size,
             tokens_emitted=tokens_emitted,
-            llm_tokens_scored=llm_tokens,
             admitted=admitted,
             finished=len(finished_ids),
             emissions=emissions,
@@ -382,7 +362,6 @@ class RequestManager:
         """Metrics + the iteration log, then advance the logical clock."""
         _ITERATIONS.inc()
         _TOKENS.inc(stats.tokens_emitted)
-        _SCORED.inc(stats.llm_tokens_scored)
         _RUNNING.set(len(self._running))
         _WAITING.set(len(self._waiting))
         if stats.batch_size:
@@ -532,7 +511,9 @@ class RequestManager:
         """Terminal failure: release every resource, keep partial output."""
         tracked = self._tracked[request_id]
         if tracked.output is None:
-            tracked.output = RequestOutput(request_id=request_id)
+            tracked.output = RequestOutput(
+                request_id=request_id,
+                arrival_iteration=tracked.request.arrival_iteration)
         session = tracked.session
         output = tracked.output
         output.tokens = tracked.committed + (
@@ -632,7 +613,9 @@ class RequestManager:
                 raise
             tracked.session = session
             if tracked.output is None:
-                tracked.output = RequestOutput(request_id=request_id)
+                tracked.output = RequestOutput(
+                    request_id=request_id,
+                    arrival_iteration=tracked.request.arrival_iteration)
             tracked.request.state = RequestState.RUNNING
             self._waiting.remove(request_id)
             self._running.append(request_id)

@@ -57,6 +57,8 @@ class RequestOutput:
 
     Attributes:
         request_id: The request this output belongs to.
+        arrival_iteration: Iteration at which the request was submitted
+            (kept across preemptions).
         tokens: Generated tokens (partial for FAILED requests).
         finished_by_eos: Whether generation hit EOS (vs the token budget).
         first_token_iteration: Iteration at which the first token appeared
@@ -71,6 +73,7 @@ class RequestOutput:
     """
 
     request_id: int
+    arrival_iteration: int = 0
     tokens: List[int] = field(default_factory=list)
     finished_by_eos: bool = False
     first_token_iteration: Optional[int] = None

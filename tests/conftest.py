@@ -69,6 +69,18 @@ def arena_rows_used() -> int:
     return REGISTRY.gauge("repro.model.arena.rows_used").value
 
 
+def llm_rows_forwarded() -> int:
+    """Rows the LLM has forwarded in this process, as the layers count
+    them: prompt passes (``repro.engine.prefill_rows``) plus the rows each
+    verifier scored (``repro.verify.{fused,incremental}.tokens_scored``).
+    A test reads it before and after the work it charges."""
+    return sum(REGISTRY.counter(name).value for name in (
+        "repro.engine.prefill_rows",
+        "repro.verify.fused.tokens_scored",
+        "repro.verify.incremental.tokens_scored",
+    ))
+
+
 def draft_depth_first(pipeline):
     """Make ``pipeline`` draft through the depth-first reference — one
     ``Speculator.speculate`` call per state — instead of its packed level

@@ -1,4 +1,4 @@
-"""Tests for generation types and truncation helpers."""
+"""Tests for the generation config, step trace and result types."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.engine.generation import (
     GenerationConfig,
     GenerationResult,
     StepTrace,
-    clip_generated,
 )
 
 
@@ -18,31 +17,6 @@ class TestGenerationConfig:
 
     def test_defaults_greedy(self):
         assert GenerationConfig().sampling.greedy
-
-
-class TestClipGenerated:
-    def test_truncates_to_budget(self):
-        tokens, eos = clip_generated(
-            [1, 2, 3, 4, 5], GenerationConfig(max_new_tokens=3), eos_token_id=0
-        )
-        assert tokens == [1, 2, 3]
-        assert not eos
-
-    def test_stops_at_eos_inclusive(self):
-        tokens, eos = clip_generated(
-            [1, 0, 3], GenerationConfig(max_new_tokens=10), eos_token_id=0
-        )
-        assert tokens == [1, 0]
-        assert eos
-
-    def test_ignores_eos_when_disabled(self):
-        tokens, eos = clip_generated(
-            [1, 0, 3],
-            GenerationConfig(max_new_tokens=10, stop_on_eos=False),
-            eos_token_id=0,
-        )
-        assert tokens == [1, 0, 3]
-        assert not eos
 
 
 class TestGenerationResult:

@@ -2,7 +2,7 @@
 
 The architecture invariants the refactor promises: one tree-fit/prune home
 (:class:`TreeFitter`), one :class:`StepTrace` construction site
-(:class:`TraceRecorder`), and incremental decoding as the pipeline's
+(:meth:`DecodePipeline.commit`), and incremental decoding as the pipeline's
 degenerate one-node-tree case.
 """
 
@@ -107,8 +107,8 @@ class TestTreeFitter:
 
 class TestSingleTraceSite:
     def test_step_trace_constructed_only_in_recorder(self):
-        """The acceptance invariant behind the TraceRecorder: exactly one
-        ``StepTrace(`` construction site in the whole source tree."""
+        """Exactly one ``StepTrace(`` construction site in the whole source
+        tree: the commit phase that records every step."""
         sites = []
         for path in sorted(SRC_ROOT.rglob("*.py")):
             for lineno, line in enumerate(path.read_text().splitlines(), 1):

@@ -724,9 +724,9 @@ class TestSteadyStateAllocationFree:
         # The prompt pass allocates outside any tick; only in-tick
         # allocations must land in the tick.allocs counter.
         pipeline.prefill(states)
-        before = perf.COUNTERS.hot_alloc_events
-        while any(not s.finished for s in states):
-            pipeline.tick([s for s in states if not s.finished])
+        with perf.track() as counted:
+            while any(not s.finished for s in states):
+                pipeline.tick([s for s in states if not s.finished])
         snap = REGISTRY.snapshot()
         assert (snap["repro.engine.tick.allocs"]["value"]
-                == perf.COUNTERS.hot_alloc_events - before)
+                == counted.hot_alloc_events)

@@ -49,6 +49,7 @@ class TestRejects:
         assert err.value.reason == "queue_full"
         assert rejected.value == before + 1
         assert gateway.queue_depth == 2
+        await gateway.stop()
 
     async def test_unknown_tenant_without_auto_tenants(self, llm, prompts):
         config = GatewayConfig(
@@ -62,6 +63,7 @@ class TestRejects:
         gateway = ServingGateway(build_manager(llm), GatewayConfig())
         await gateway.submit(prompts[0], _config(), tenant="fresh")
         assert gateway._tenants["fresh"].config == TenantConfig(name="fresh")
+        await gateway.stop()
 
 
 class TestDeferral:
@@ -123,6 +125,7 @@ class TestWeightedRoundRobin:
         assert light[1].request_id is None
         assert heavy[0].request_id < light[0].request_id
         manager.run_until_complete()
+        await gateway.stop()
 
 
 class TestQueueAccounting:

@@ -159,6 +159,24 @@ class TestGatewayStreaming:
             tokens = await stream.collect()
             assert len(tokens) == 6
 
+    async def test_stop_ends_the_streams_of_a_gateway_never_started(
+            self, llm, prompts):
+        """Nothing will ever serve an unstarted gateway's queue, so
+        ``stop()`` ends its streams (``failed``, reason ``shutdown``)
+        instead of leaving their clients waiting and the gauge counting
+        them."""
+        gauge = REGISTRY.gauge("repro.gateway.streams_open")
+        gc.collect()  # earlier tests' dropped streams leave the open set
+        gateway = ServingGateway(build_manager(llm))
+        streams = [await gateway.submit(p, _config()) for p in prompts[:2]]
+        opened = gauge.value
+        await gateway.stop()
+        assert gauge.value == opened - 2
+        assert gateway.queue_depth == 0
+        for stream in streams:
+            with pytest.raises(GatewayRequestFailed, match="shutdown"):
+                await asyncio.wait_for(stream.collect(), 1.0)
+
 
 class TestBadInputCannotStopOtherStreams:
     async def test_bad_prompt_fails_alone_and_the_loop_keeps_serving(

@@ -5,6 +5,7 @@ import numpy as np
 from repro.model import perf
 from repro.model.attention import scaled_dot_attention
 from repro.model.layers import linear_forward
+from repro.obs import REGISTRY, reset_observability
 
 
 class TestTrack:
@@ -26,9 +27,14 @@ class TestTrack:
         assert outer.mask_cells_allocated == 15
 
     def test_reset_zeroes_globals(self):
+        """The counts live only in the registry, so its reset zeroes them."""
         perf.add_mask_alloc(7)
-        perf.reset()
-        assert perf.COUNTERS.mask_cells_allocated == 0
+        reset_observability()
+        cells = REGISTRY.counter("repro.model.mask_cells_allocated")
+        assert cells.value == 0
+        with perf.track() as c:
+            perf.add_mask_alloc(3)
+        assert c.mask_cells_allocated == cells.value == 3
 
 
 class TestPrimitiveCounting:

@@ -97,15 +97,15 @@ class TestPerfCharging:
 
     def test_growth_charges_hot_alloc(self):
         arena = ScratchArena()
-        before = perf.COUNTERS.hot_alloc_events
-        arena.take("x", (4, 4), np.float64)
-        assert perf.COUNTERS.hot_alloc_events == before + 1
-        assert perf.COUNTERS.hot_alloc_bytes >= 4 * 4 * 8
+        with perf.track() as c:
+            arena.take("x", (4, 4), np.float64)
+        assert c.hot_alloc_events == 1
+        assert c.hot_alloc_bytes >= 4 * 4 * 8
 
     def test_reuse_charges_nothing(self):
         arena = ScratchArena()
         arena.take("x", (4, 4), np.float64)
-        before = perf.COUNTERS.hot_alloc_events
-        for _ in range(10):
-            arena.take("x", (4, 4), np.float64)
-        assert perf.COUNTERS.hot_alloc_events == before
+        with perf.track() as c:
+            for _ in range(10):
+                arena.take("x", (4, 4), np.float64)
+        assert c.hot_alloc_events == 0

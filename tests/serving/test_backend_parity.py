@@ -34,7 +34,12 @@ from repro.serving.session import IncrementalSession, SpeculativeSession
 from repro.speculate.expansion import ExpansionConfig
 from repro.speculate.planner import TreePlanner
 from repro.speculate.speculator import Speculator
-from tests.conftest import SMALL_CONFIG, arena_rows_used, make_prompt
+from tests.conftest import (
+    SMALL_CONFIG,
+    arena_rows_used,
+    llm_rows_forwarded,
+    make_prompt,
+)
 from tests.engine.test_zero_alloc import _count_calls
 
 pytestmark = pytest.mark.serving
@@ -325,22 +330,23 @@ class TestIterationAccounting:
                 assert stats.batch_size > 0
 
     def test_llm_tokens_scored_not_double_counted(self, llm, rng):
-        """Satellite: per-session serving accumulates ``llm_tokens_scored``
-        only when the session actually recorded a new trace.  A session
-        retired by context exhaustion runs extra no-op iterations; those
-        must not re-add its last trace."""
+        """A session retired by context exhaustion runs extra no-op
+        iterations; those forward no LLM rows, so serving the request
+        forwards exactly the rows the offline engine forwards for it."""
         prompt = make_prompt(rng, length=llm.config.max_seq_len - 8)
         config = GenerationConfig(max_new_tokens=500, stop_on_eos=False)
         manager = RequestManager(spec_factory(llm), max_batch_size=1)
         rid = manager.submit(prompt, config)
+        start = llm_rows_forwarded()
+        manager.run_iteration()
+        assert llm_rows_forwarded() - start == len(prompt)  # prompt pass
         manager.run_until_complete()
+        served = llm_rows_forwarded() - start
         output = manager.output_for(rid)
 
+        start = llm_rows_forwarded()
         result = SpecInferEngine(llm, make_speculator(llm)).generate(
             prompt, config)
         assert output.tokens == result.tokens
         assert output.num_llm_steps == len(result.steps)
-        prefill, *decode = manager.iteration_stats
-        assert prefill.llm_tokens_scored == len(prompt)  # the prompt pass
-        assert sum(s.llm_tokens_scored for s in decode) == \
-            sum(s.llm_tokens_scored for s in result.steps)
+        assert served == llm_rows_forwarded() - start

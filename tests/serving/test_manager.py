@@ -147,6 +147,65 @@ class TestOutputs:
         assert output.first_token_iteration == 0
         assert output.finish_iteration >= output.first_token_iteration
 
+    def test_latency_is_one_subtraction_on_the_output(self, llm, rng):
+        mgr = RequestManager(incremental_factory(llm), max_batch_size=2)
+        config = GenerationConfig(max_new_tokens=4, stop_on_eos=False)
+        ids = [mgr.submit(make_prompt(rng), config) for _ in range(3)]
+        mgr.run_iteration()
+        late = mgr.submit(make_prompt(rng), config)
+        mgr.run_until_complete()
+        outputs = {o.request_id: o for o in mgr.finished_outputs()}
+        assert sum(len(o.tokens) for o in outputs.values()) == 16
+        assert [outputs[rid].arrival_iteration for rid in ids] == [0, 0, 0]
+        assert outputs[late].arrival_iteration == 1
+        # Two slots: the third request waits for the first pair to finish
+        # (a prefill iteration and three one-token decode iterations).
+        ttfts = [outputs[rid].first_token_iteration
+                 - outputs[rid].arrival_iteration + 1 for rid in ids]
+        assert ttfts == [1, 1, 5]
+        for output in outputs.values():
+            # Incremental: one decode step per token after the first.
+            assert output.num_llm_steps == len(output.tokens) - 1
+            assert (output.finish_iteration - output.arrival_iteration
+                    >= output.num_llm_steps)
+
+    def test_request_failed_at_admission_keeps_its_arrival(self, llm, rng):
+        """A request rejected at admission never emits: its output has an
+        arrival and a finish, and no first token."""
+        mgr = RequestManager(incremental_factory(llm))
+        mgr.run_iteration()  # an idle iteration moves the clock
+        rid = mgr.submit(list(range(1, llm.config.max_seq_len + 2)),
+                         GenerationConfig(max_new_tokens=2))
+        mgr.run_until_complete()
+        output = mgr.output_for(rid)
+        assert mgr.finished_outputs() == []
+        assert output.error.startswith("rejected at admission")
+        assert output.arrival_iteration == 1
+        assert output.first_token_iteration is None
+        assert output.tokens == []
+        assert output.finish_iteration == 1
+
+    def test_preempted_output_keeps_its_first_arrival(self, llm, rng):
+        """Arrival is the submission, not the admission, and neither the
+        requeue nor the re-admission moves it."""
+        mgr = RequestManager(incremental_factory(llm), max_batch_size=1)
+        mgr.submit(make_prompt(rng),
+                   GenerationConfig(max_new_tokens=2, stop_on_eos=False))
+        mgr.run_iteration()
+        rid = mgr.submit(make_prompt(rng),
+                         GenerationConfig(max_new_tokens=6,
+                                          stop_on_eos=False))
+        mgr.run_iteration()  # the first request's last token
+        mgr.run_iteration()  # rid's prefill iteration
+        mgr.run_iteration()
+        mgr.preempt(rid)
+        mgr.run_until_complete()
+        output = mgr.output_for(rid)
+        assert output.preemptions == 1
+        assert output.arrival_iteration == 1
+        assert output.first_token_iteration == 2
+        assert len(output.tokens) == 6
+
     def test_session_freed_after_finish(self, llm, rng):
         mgr = RequestManager(incremental_factory(llm))
         rid = mgr.submit(make_prompt(rng),

@@ -161,8 +161,6 @@ class TestManagerWithPolicy:
 
     def test_mean_completion_sjf_beats_fcfs(self, llm, rng):
         """The classic scheduling result, observed end-to-end."""
-        from repro.serving.metrics import report_from_manager
-
         def run(policy):
             mgr = RequestManager(
                 lambda req: IncrementalSession(req, llm),
@@ -175,6 +173,7 @@ class TestManagerWithPolicy:
                            GenerationConfig(max_new_tokens=n,
                                             stop_on_eos=False))
             mgr.run_until_complete()
-            return report_from_manager(mgr).mean_completion
+            return np.mean([o.finish_iteration - o.arrival_iteration
+                            for o in mgr.finished_outputs()])
 
         assert run(shortest_job_first) < run(fcfs)

@@ -27,7 +27,12 @@ from repro.serving.manager import RequestManager
 from repro.serving.session import IncrementalSession, SpeculativeSession
 from repro.speculate.expansion import ExpansionConfig
 from repro.speculate.speculator import Speculator
-from tests.conftest import SMALL_CONFIG, arena_rows_used, make_prompt
+from tests.conftest import (
+    SMALL_CONFIG,
+    arena_rows_used,
+    llm_rows_forwarded,
+    make_prompt,
+)
 
 LENGTHS = (1, 2, 32, SMALL_CONFIG.max_seq_len - 1)
 BUDGETS = (1, 2, 64)
@@ -105,11 +110,12 @@ class TestGreedyStreamsEqualAlgorithmOne:
             prompts = _prompts(lengths)
             manager = build_manager(llm, kind, admissions)
             ids = [manager.submit(p, _config(budget)) for p in prompts]
+            start = llm_rows_forwarded()
             first = manager.run_iteration()
             # One round admitted them all, and its first tokens are back
             # before any tick has run.
             assert first.admitted == first.batch_size == admissions
-            assert first.llm_tokens_scored == sum(lengths)
+            assert llm_rows_forwarded() - start == sum(lengths)
             assert sorted(first.emissions) == ids
             manager.run_until_complete()
             for rid, prompt in zip(ids, prompts):
@@ -202,11 +208,12 @@ class TestOneForwardPerAdmissionRound:
         ssm_tap = _Tap(monkeypatch, ssm)
         packed = REGISTRY.counter("repro.speculate.packed.requests")
         before = packed.value
+        rows_before = llm_rows_forwarded()
 
         with perf.track() as batched:
             stats = manager.run_iteration()
         assert stats.admitted == admissions
-        assert stats.llm_tokens_scored == rows
+        assert llm_rows_forwarded() - rows_before == rows
         assert llm_tap.calls == {"forward_masked_blocks": 1, "prefill": 0,
                                  "decode": 0}
         assert llm_tap.rows == [rows]
@@ -292,18 +299,21 @@ class TestPreemptResume:
             manager = build_manager(llm, kind, 3)
             ids = [manager.submit(p, _config(12)) for p in prompts]
             seen = {rid: [] for rid in ids}
+            rows = []
             while manager.has_work:
                 if preempt and manager.iteration == after:
                     manager.preempt(ids[1])
                     preempt = False
+                start = llm_rows_forwarded()
                 stats = manager.run_iteration()
+                rows.append(llm_rows_forwarded() - start)
                 for rid, tokens in stats.emissions.items():
                     seen[rid].extend(tokens)
             assert manager.arena.used_rows == 0
-            return manager, ids, seen
+            return manager, ids, seen, rows
 
-        _, _, plain = stream(preempt=False)
-        manager, ids, resumed = stream(preempt=True)
+        _, _, plain, _ = stream(preempt=False)
+        manager, ids, resumed, rows = stream(preempt=True)
         assert resumed == plain
         assert manager.output_for(ids[1]).preemptions == 1
         for rid, prompt in zip(ids, prompts):
@@ -315,19 +325,23 @@ class TestPreemptResume:
         assert resume.admitted == 1 and list(resume.emissions) == [ids[1]]
         assert resume.preempted_ids == [ids[1]]
         if kind == "incremental":  # one token per iteration so far
-            assert resume.llm_tokens_scored == len(prompts[1]) + after
+            assert rows[after] == len(prompts[1]) + after
 
 
 class TestIterationAccounting:
     def test_steps_count_decode_iterations_only(self, llm):
         manager = build_manager(llm, "incremental", 2)
         ids = [manager.submit(p, _config(5)) for p in _prompts([4, 9])]
-        manager.run_until_complete()
+        rows = []
+        while manager.has_work:
+            start = llm_rows_forwarded()
+            manager.run_iteration()
+            rows.append(llm_rows_forwarded() - start)
         log = manager.iteration_stats
         # One prefill iteration, then four one-token decode iterations.
         assert [s.admitted for s in log] == [2, 0, 0, 0, 0]
         assert [s.batch_size for s in log] == [2] * 5
-        assert [s.llm_tokens_scored for s in log] == [13, 2, 2, 2, 2]
+        assert rows == [13, 2, 2, 2, 2]
         assert [s.tokens_emitted for s in log] == [2] * 5
         for rid in ids:
             output = manager.output_for(rid)
@@ -347,7 +361,7 @@ class TestIterationAccounting:
                 else:
                     manager.run_iteration()
             return [(s.iteration, s.admitted, s.batch_size,
-                     s.llm_tokens_scored, s.emissions, s.finished_ids)
+                     s.emissions, s.finished_ids)
                     for s in manager.iteration_stats]
 
         assert drive(split=True) == drive(split=False)

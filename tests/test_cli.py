@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _print_serve_report, build_parser, main
+from repro.serving.request import RequestOutput
 
 
 def exit_code(argv):
@@ -106,8 +108,15 @@ class TestServe:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "requests           : 4" in out
-        assert "tokens generated   : 24" in out
+        assert out.splitlines() == [
+            "requests           : 4",
+            "iterations         : 7",
+            "tokens generated   : 24",
+            "tokens/iteration   : 3.43",
+            "mean TTFT (iters)  : 1.25",
+            "p95 completion     : 3.70",
+            "batch occupancy    : 1.43 / 2",
+        ]
 
     def test_planner(self, capsys):
         code = main(["serve", "--planner", "--requests", "2",
@@ -124,6 +133,52 @@ class TestServe:
         assert code == 0
         assert "gateway listening on 127.0.0.1:" in out
         assert "tokens streamed    : 4" in out
+
+
+def _report(capsys, outputs, batch_sizes, batch=2):
+    """``serve``'s report over hand-built outputs and an iteration log of
+    ``batch_sizes``, as ``{label: value}``."""
+    manager = SimpleNamespace(
+        finished_outputs=lambda: outputs,
+        iteration_stats=[SimpleNamespace(batch_size=b) for b in batch_sizes])
+    _print_serve_report(manager, batch)
+    lines = capsys.readouterr().out.splitlines()
+    return {label.strip(): value
+            for label, value in (line.split(" : ") for line in lines)}
+
+
+def _output(rid, arrival, first, finish, tokens):
+    return RequestOutput(request_id=rid, arrival_iteration=arrival,
+                         tokens=list(range(tokens)),
+                         first_token_iteration=first,
+                         finish_iteration=finish)
+
+
+class TestServeReport:
+    """The report's arithmetic, read off the outputs and the log alone."""
+
+    def test_report_reads_latency_off_the_outputs(self, capsys):
+        # Arrived at 1, first token at 2 (TTFT counts that iteration),
+        # finished at 6.
+        report = _report(capsys, [_output(0, 1, 2, 6, 4)], [1] * 7)
+        assert report["mean TTFT (iters)"] == "2.00"
+        assert report["p95 completion"] == "5.00"
+
+    def test_report_aggregates_the_iteration_log(self, capsys):
+        outputs = [_output(0, 0, 0, 4, 4), _output(1, 0, 1, 9, 8)]
+        report = _report(capsys, outputs, [2] * 9 + [0])
+        assert report["requests"] == "2"
+        assert report["iterations"] == "10"
+        assert report["tokens generated"] == "12"
+        assert report["tokens/iteration"] == "1.20"
+        # Idle iterations count toward the clock, not the occupancy.
+        assert report["batch occupancy"] == "2.00 / 2"
+
+    def test_report_of_no_finished_request_prints_nan(self, capsys):
+        report = _report(capsys, [], [1, 1])
+        assert report["requests"] == "0"
+        assert report["mean TTFT (iters)"] == "nan"
+        assert report["p95 completion"] == "nan"
 
 
 @pytest.mark.gateway

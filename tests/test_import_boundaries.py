@@ -1,15 +1,22 @@
-"""Measured and modeled stay apart: which modules may import the A10 model.
+"""Module boundaries, checked by parsing the source.
 
-``repro.cluster`` is the paper-scale roofline model the figure benchmarks
-replay traces through.  The serving, engine and observability paths report
-what this host measured or counted, so they import nothing from it.  Every
-module under ``src/repro`` is parsed, and imports at any scope count.
+Measured and modeled stay apart: ``repro.cluster`` is the paper-scale
+roofline model the figure benchmarks replay traces through.  The serving,
+engine and observability paths report what this host measured or counted,
+so they import nothing from it.  Every module under ``src/repro`` is
+parsed, and imports at any scope count.
+
+One home per serving fact: per-request latency is read off
+``RequestOutput`` and the manager's iteration log, so no program file
+(``src/``, ``benchmarks/``, ``examples/``) imports a separate report
+module or reaches into the manager's private request table.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 #: Modules outside ``repro.cluster`` allowed to import it.  ``repro.cli``
 #: holds the ``models``, ``latency`` and ``sweep`` verbs, which query the
@@ -60,3 +67,29 @@ def test_only_named_modules_import_the_cost_model():
 
 def test_nothing_imports_the_deleted_metrics_package():
     assert importers_of("repro.metrics") == set()
+
+
+def program_files():
+    """Every Python file of the library, the benchmarks and the examples."""
+    for top in ("src", "benchmarks", "examples"):
+        yield from sorted((ROOT / top).rglob("*.py"))
+
+
+def test_nothing_imports_the_deleted_serving_report():
+    found = {
+        str(path.relative_to(ROOT)) for path in program_files()
+        if any(m == "repro.serving.metrics"
+               or m.startswith("repro.serving.metrics.")
+               for m in imported_modules(path))
+    }
+    assert found == set()
+
+
+def test_only_the_manager_reads_its_request_table():
+    readers = {
+        str(path.relative_to(ROOT)) for path in program_files()
+        if any(isinstance(node, ast.Attribute) and node.attr == "_tracked"
+               for node in ast.walk(ast.parse(
+                   path.read_text(encoding="utf-8"))))
+    }
+    assert readers == {"src/repro/serving/manager.py"}

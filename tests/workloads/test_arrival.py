@@ -130,13 +130,11 @@ class TestDriveManager:
             GenerationConfig(max_new_tokens=2, stop_on_eos=False),
         )
         for request_id, arrival in zip(ids, arrivals):
-            recorded = mgr._tracked[request_id].request.arrival_iteration
+            recorded = mgr.output_for(request_id).arrival_iteration
             assert recorded >= arrival.iteration
 
     def test_higher_load_increases_queueing(self, llm, dataset):
         """At high arrival rate the batch saturates and TTFT grows."""
-        from repro.serving.metrics import report_from_manager
-
         def run(gap):
             mgr = RequestManager(lambda req: IncrementalSession(req, llm),
                                  max_batch_size=1)
@@ -145,6 +143,7 @@ class TestDriveManager:
                 mgr, arrivals,
                 GenerationConfig(max_new_tokens=4, stop_on_eos=False),
             )
-            return report_from_manager(mgr).mean_ttft
+            return np.mean([o.first_token_iteration - o.arrival_iteration
+                            for o in mgr.finished_outputs()])
 
         assert run(0) > run(6)
