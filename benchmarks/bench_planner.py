@@ -265,16 +265,18 @@ def run_drift(batch=DRIFT_BATCH, max_new_tokens=32):
 
 
 @pytest.mark.benchmark(group="planner")
-def test_planner_beats_static(benchmark):
+def test_planner_beats_static(benchmark, tmp_path):
     # Same operating points as the CI gate (quick batches, quick horizon):
-    # this test and ci_gate.gate_planner enforce one contract.
+    # this test and ci_gate.gate_planner enforce one contract.  The quick
+    # report goes to a scratch directory: only ``main`` (all batch sizes)
+    # writes the committed benchmarks/results/planner.txt.
     report, steady = benchmark.pedantic(
         lambda: run_steady_sweep(batch_sizes=QUICK_BATCH_SIZES,
                                  max_new_tokens=16),
         rounds=1, iterations=1,
     )
     drift_report, drift = run_drift()
-    save_report("planner", report + "\n\n" + drift_report)
+    save_report("planner", report + "\n\n" + drift_report, str(tmp_path))
     for batch, m in steady.items():
         assert m["planner_vs_best_static"] >= 0.95
     assert drift["planner"]["tokens_per_sec"] > drift["best_static"]

@@ -270,12 +270,13 @@ def offload_simulator(llm_name: str) -> ServingSimulator:
 # -- reporting -------------------------------------------------------------------
 
 
-def save_report(name: str, content: str) -> None:
-    """Print a report and persist it under benchmarks/results/."""
+def save_report(name: str, content: str, directory: str = RESULTS_DIR) -> None:
+    """Print a report and persist it under ``directory``
+    (benchmarks/results/ by default)."""
     print()
     print(content)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, f"{name}.txt"), "w") as fh:
         fh.write(content + "\n")
 
 

@@ -21,7 +21,10 @@ whole tree when it is a chain — and walks it.  A walk that accepts a child
 ``w`` below the fan-out pauses there; pass 2 is one more forward, over only
 those requests, that scores ``w``'s subtree as an ordinary tree rooted at
 ``w`` on the cache already compacted to the accepted path, and the walk
-resumes at ``w``.  A node's logits depend only on the prefix and its
+resumes at ``w``.  Drafting is lazy the same way: a tree may arrive with
+its fan-out's children as leaves, and before pass 2 ``verify_batch`` asks
+its ``resume`` callback for the subtrees below the paused walks' nodes
+(:mod:`repro.speculate.packed`).  A node's logits depend only on the prefix and its
 ancestors (Definition 4.1), which pass 2 lays out contiguously as
 incremental decoding does, so every accepted path and bonus token is the one
 a single pass over the whole tree gives.
@@ -39,7 +42,7 @@ exactly the result and cache rows it gets alone — tested.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -106,6 +109,8 @@ class BatchedTreeVerifier:
         caches: Sequence,
         samplings: Sequence[SamplingConfig],
         rngs: Sequence[np.random.Generator],
+        resume: Optional[Callable[[List[int], List[int]],
+                                  List[TokenTree]]] = None,
     ) -> List[VerificationResult]:
         """Lazy fused decode over the batch, then per-request verification.
 
@@ -119,6 +124,12 @@ class BatchedTreeVerifier:
                 draw nothing).  One generator may serve several requests;
                 it is then consumed pass-major: every pass-1 walk in batch
                 order, then the resumed walks in batch order.
+            resume: Called before pass 2 with the paused requests' batch
+                indices and the node each walk paused at; returns those
+                requests' trees with the subtrees below the nodes complete
+                (drafted lazily, and fitted to the compacted caches).
+                Node indices up to each paused node must not change.
+                ``None``: the trees already hold every subtree.
 
         Returns:
             Per-request :class:`VerificationResult`, batch order.
@@ -129,6 +140,7 @@ class BatchedTreeVerifier:
                 f"{len(samplings)} sampling configs and {len(rngs)} rngs"
             )
         results: List[Optional[VerificationResult]] = [None] * len(trees)
+        trees = list(trees)
         # Pass 1 scores every trunk; pass 2 the whole subtree below each
         # paused walk, so no walk pauses twice.
         parts = [(i, tree.trunk()) for i, tree in enumerate(trees)]
@@ -157,13 +169,17 @@ class BatchedTreeVerifier:
                              if slot >= 0])
                 results[i] = result
                 if result.paused:
-                    paused.append(
-                        (i, trees[i].dfs_order(result.accepted_nodes[-1])))
+                    paused.append((i, result.accepted_nodes[-1]))
             # Every cache of the pass, down to its accepted rows at once.
             compact(held, priors, kept)
             if paused:
                 _SECOND_PASSES.inc()
-            parts = paused
+                if resume is not None:
+                    indices = [i for i, _ in paused]
+                    for i, tree in zip(indices, resume(
+                            indices, [node for _, node in paused])):
+                        trees[i] = tree
+            parts = [(i, trees[i].dfs_order(node)) for i, node in paused]
         return results
 
     # -- internals ------------------------------------------------------------------

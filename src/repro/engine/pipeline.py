@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from functools import lru_cache, partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +63,9 @@ _RETIRED = REGISTRY.counter(
 _TREES_PRUNED = REGISTRY.counter(
     "repro.engine.trees_pruned", help="speculated trees shrunk to fit")
 _SPECULATED_NODES = REGISTRY.counter(
-    "repro.engine.speculated_nodes", help="tree nodes before fitting")
+    "repro.engine.speculated_nodes",
+    help="drafted tree nodes before fitting: each first stage, and each "
+         "subtree completed below a paused walk")
 _TOKENS_EMITTED = REGISTRY.counter(
     "repro.engine.tokens_emitted", help="verified tokens appended")
 _PREFILL_ROWS = REGISTRY.counter(
@@ -123,12 +126,7 @@ def prune_to_size(tree: TokenTree, limit: int,
     keep = np.zeros(len(tree), dtype=bool)
     keep[order[:max(limit, 1)]] = True
     # BFS order is ancestor-closed, so every survivor's parent survives.
-    renumber = np.cumsum(keep) - 1
-    parents = np.where(tree.parents[keep] >= 0,
-                       renumber[tree.parents[keep]], -1)
-    return TokenTree.from_arrays(tree.tokens[keep], parents,
-                                 tree.depths[keep], tree.rows[keep],
-                                 tree.proposals)
+    return tree.select(keep)
 
 
 class TreeFitter:
@@ -153,6 +151,58 @@ class TreeFitter:
         if len(tree) <= available and tree.max_depth() <= max_depth:
             return tree
         return prune_to_size(tree, available, max_depth=max_depth)
+
+
+@lru_cache(maxsize=None)
+def _nominal(widths: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Per depth, the size and the leaves of the full subtree (no
+    duplicate draws) below a node at that depth."""
+    sizes, leaves = [1] * (len(widths) + 1), [1] * (len(widths) + 1)
+    for depth in range(len(widths) - 1, -1, -1):
+        sizes[depth] = 1 + widths[depth] * sizes[depth + 1]
+        leaves[depth] = widths[depth] * leaves[depth + 1]
+    return tuple(sizes), tuple(leaves)
+
+
+def _eager_shape(tree: TokenTree, widths: Optional[Sequence[int]],
+                 available: int, max_depth: int) -> Tuple[int, int, int, int]:
+    """Size, depth, leaves and root-to-leaf tokens of ``tree`` with a full
+    subtree under every leaf above ``widths``' depth, fitted to
+    ``available`` rows and ``max_depth`` (see :meth:`DecodePipeline.
+    commit`)."""
+    inner = set(tree.parents.tolist())
+    depths = [d for node, d in enumerate(tree.depths.tolist())
+              if node not in inner]
+    if widths is not None and min(depths) < len(widths):
+        full = len(widths)
+        sizes, ends = _nominal(tuple(widths))
+        short = [d for d in depths if d < full]
+        size = len(tree) + sum(sizes[d] - 1 for d in short)
+        if size <= available and full <= max_depth:
+            deep = [d for d in depths if d >= full]
+            grown = sum(ends[d] for d in short)
+            return (size, full, len(deep) + grown,
+                    sum(deep) + len(deep) + grown * (full + 1))
+        # Near the end of context: build it, and prune it as the fitter
+        # would have pruned the eager tree.
+        for node in tree.leaves().tolist():
+            if tree.depths[node] < full:
+                tree = tree.graft(node, _full_tree(
+                    widths[int(tree.depths[node]):]))
+        tree = prune_to_size(tree, available, max_depth=max_depth)
+        leaves = tree.leaves()
+        depths = tree.depths[leaves].tolist()
+    return (len(tree), tree.max_depth(), len(depths),
+            sum(depths) + len(depths))
+
+
+def _full_tree(widths: Sequence[int]) -> TokenTree:
+    """A tree of ``widths``' full shape (its tokens are child ranks)."""
+    tree, frontier = TokenTree(0), [0]
+    for width in widths:
+        frontier = [tree.add_child(node, rank)
+                    for node in frontier for rank in range(width)]
+    return tree
 
 
 # -- per-request decode state ------------------------------------------------------
@@ -286,8 +336,15 @@ class VerificationBackend(ABC):
 
     @abstractmethod
     def verify(self, states: Sequence[DecodeState],
-               trees: Sequence[TokenTree]) -> List[VerificationResult]:
-        """Verify each tree against its state's cache; batch order."""
+               trees: Sequence[TokenTree],
+               resume: Optional[Callable] = None,
+               ) -> List[VerificationResult]:
+        """Verify each tree against its state's cache; batch order.
+
+        ``resume`` completes subtrees of lazily drafted trees (see
+        :meth:`BatchedTreeVerifier.verify_batch`); a backend that never
+        descends below a tree's trunk ignores it.
+        """
 
 
 class FusedBackend(VerificationBackend):
@@ -334,7 +391,9 @@ class FusedBackend(VerificationBackend):
         )
 
     def verify(self, states: Sequence[DecodeState],
-               trees: Sequence[TokenTree]) -> List[VerificationResult]:
+               trees: Sequence[TokenTree],
+               resume: Optional[Callable] = None,
+               ) -> List[VerificationResult]:
         _observe_verify("fused", trees)
         with TRACER.span("repro.verify.fused", requests=len(trees)):
             return self._verifier.verify_batch(
@@ -342,6 +401,7 @@ class FusedBackend(VerificationBackend):
                 [self.sampling or state.sampling for state in states],
                 [state.rng if self.rng is None else self.rng
                  for state in states],
+                resume=resume,
             )
 
 
@@ -363,7 +423,9 @@ class IncrementalBackend(VerificationBackend):
         self._arena = ScratchArena()
 
     def verify(self, states: Sequence[DecodeState],
-               trees: Sequence[TokenTree]) -> List[VerificationResult]:
+               trees: Sequence[TokenTree],
+               resume: Optional[Callable] = None,
+               ) -> List[VerificationResult]:
         _observe_verify("incremental", trees)
         _INCREMENTAL_ROWS.inc(len(trees))
         with TRACER.span("repro.verify.incremental", requests=len(trees)):
@@ -504,9 +566,37 @@ class DecodePipeline:
             _TREES_PRUNED.inc()
         return fitted
 
+    def _resume_drafts(self, states: Sequence[DecodeState],
+                       trees: List[TokenTree], whole: Sequence[bool],
+                       indices: List[int], nodes: List[int],
+                       ) -> List[TokenTree]:
+        """The verifier's ``resume``: draft the subtree below each paused
+        walk's node, fit it to the request's compacted cache, and graft it
+        in (``trees`` is updated in place).  A tree the fitter pruned
+        drafted nothing more: it is final, as an eager draft's would be."""
+        below = {k: node for k, node in zip(indices, nodes) if whole[k]}
+        if below:
+            todo = list(below)
+            for k, tree in zip(todo, self.packed.speculate_batch(
+                    [states[k] for k in todo],
+                    below=[(below[k],) for k in todo])):
+                _SPECULATED_NODES.inc(len(tree) - len(trees[k]))
+                node, cache = below[k], states[k].cache
+                # Nothing to fit when the whole grown tree would fit.
+                if (len(tree) > cache.capacity - cache.length
+                        or tree.max_depth() - tree.depths[node]
+                        > self.fitter.max_seq_len - 1 - cache.length):
+                    subtree = tree.subtree(node)
+                    fitted = self.fitter.fit(subtree, cache)
+                    if fitted is not subtree:
+                        tree = tree.graft(node, fitted)
+                trees[k] = tree
+        return [trees[k] for k in indices]
+
     def commit(self, state: DecodeState, tree: TokenTree,
                verification: VerificationResult,
-               bare_root: bool = False) -> List[int]:
+               bare_root: bool = False,
+               widths: Optional[Sequence[int]] = None) -> List[int]:
         """Phase 3: record the outcome and advance the request's state.
 
         Appends the step's :class:`StepTrace` — the only place one is
@@ -516,24 +606,35 @@ class DecodePipeline:
         the pending token alone) records the Algorithm 1 shape — one token
         scored, one emitted, no tree fields, no SSM steps — so the cost
         model never charges speculation that did not run.
+
+        The trace describes the tree an eager draft would have had
+        verified, as the cost model expects.  When ``tree`` was drafted
+        lazily under the expansion ``widths``, each of its leaves above
+        the configuration's depth is a frontier node nobody resumed, and
+        counts with the full subtree its widths give (no duplicate draws),
+        the whole fitted to the request's context as :class:`TreeFitter`
+        fits a tree.
         """
+        prefix_len = state.cache.length - len(verification.accepted_nodes)
         if bare_root:
             fields = dict(
                 llm_tokens_scored=1,
                 tokens_emitted=1,
-                prefix_len=state.cache.length - 1,
+                prefix_len=prefix_len,
             )
         else:
-            leaves = tree.leaves()
+            size, depth, leaves, path_tokens = _eager_shape(
+                tree, widths, state.cache.capacity - prefix_len,
+                self.fitter.max_seq_len - 1 - prefix_len)
             fields = dict(
-                llm_tokens_scored=len(tree),
+                llm_tokens_scored=size,
                 tokens_emitted=len(verification.accepted_tokens),
                 ssm_steps=state.speculator.speculation_latency_steps(),
-                tree_size=len(tree),
-                tree_depth=tree.max_depth(),
-                tree_leaves=len(leaves),
-                tree_path_tokens=int(tree.depths[leaves].sum()) + len(leaves),
-                prefix_len=state.cache.length - len(verification.accepted_nodes),
+                tree_size=size,
+                tree_depth=depth,
+                tree_leaves=leaves,
+                tree_path_tokens=path_tokens,
+                prefix_len=prefix_len,
                 num_rejections=verification.num_rejections,
             )
         trace = StepTrace(**fields)
@@ -657,81 +758,107 @@ class DecodePipeline:
                 plan is not None and not plan.speculative)
             bare = [nothing_drafts or s.speculator is None for s in states]
 
-            with TRACER.span("repro.engine.speculate") as span:
-                raw: List[Optional[TokenTree]] = [None] * len(states)
-                todo: List[int] = []
-                for i, state in enumerate(states):
-                    if state.finished:
-                        outcomes[i].retired = state.retired
-                    elif bare[i]:
-                        raw[i] = TokenTree(state.pending)
-                    else:
-                        todo.append(i)
-                if todo:
-                    for i, tree in zip(todo, self.packed.speculate_batch(
-                            [states[i] for i in todo], plan=plan)):
-                        raw[i] = tree
-                nodes = sum(len(t) for t in raw if t is not None)
-                _SPECULATED_NODES.inc(nodes)
-                span.set(trees=sum(t is not None for t in raw), nodes=nodes)
+            try:
+                with TRACER.span("repro.engine.speculate") as span:
+                    raw: List[Optional[TokenTree]] = [None] * len(states)
+                    todo: List[int] = []
+                    for i, state in enumerate(states):
+                        if state.finished:
+                            outcomes[i].retired = state.retired
+                        elif bare[i]:
+                            raw[i] = TokenTree(state.pending)
+                        else:
+                            todo.append(i)
+                    if todo:
+                        # Each draft pauses where its tree first fans out;
+                        # the verifier resumes it below the paused walks.
+                        for i, tree in zip(todo, self.packed.speculate_batch(
+                                [states[i] for i in todo], plan=plan,
+                                below=[()] * len(todo))):
+                            raw[i] = tree
+                    nodes = sum(len(t) for t in raw if t is not None)
+                    _SPECULATED_NODES.inc(nodes)
+                    span.set(trees=sum(t is not None for t in raw),
+                             nodes=nodes)
 
-            with TRACER.span("repro.engine.fit") as span:
-                active: List[DecodeState] = []
-                trees: List[TokenTree] = []
-                slots: List[int] = []
-                for i, (state, tree) in enumerate(zip(states, raw)):
-                    if tree is None:
-                        continue
-                    fitted = self._fit_tree(state, tree)
-                    if fitted is None:
-                        outcomes[i].retired = True
-                        continue
-                    active.append(state)
-                    trees.append(fitted)
-                    slots.append(i)
-                span.set(
-                    fitted=len(trees),
-                    retired=sum(
-                        o.retired for o, t in zip(outcomes, raw)
-                        if t is not None
-                    ),
-                    nodes=sum(len(t) for t in trees),
-                )
+                with TRACER.span("repro.engine.fit") as span:
+                    active: List[DecodeState] = []
+                    trees: List[TokenTree] = []
+                    slots: List[int] = []
+                    #: Whether a tree is its draft's (nothing pruned), so
+                    #: the draft may still grow below a paused walk.
+                    whole: List[bool] = []
+                    for i, (state, tree) in enumerate(zip(states, raw)):
+                        if tree is None:
+                            continue
+                        fitted = self._fit_tree(state, tree)
+                        if fitted is None:
+                            outcomes[i].retired = True
+                            continue
+                        active.append(state)
+                        trees.append(fitted)
+                        slots.append(i)
+                        whole.append(fitted is tree and not bare[i])
+                    span.set(
+                        fitted=len(trees),
+                        retired=sum(
+                            o.retired for o, t in zip(outcomes, raw)
+                            if t is not None
+                        ),
+                        nodes=sum(len(t) for t in trees),
+                    )
 
-            with TRACER.span("repro.engine.verify", requests=len(active),
-                             tokens=sum(len(t) for t in trees)):
-                if active and not degraded and self.injector is not None:
-                    try:
-                        self.injector.maybe_fail(FaultKind.VERIFICATION,
-                                                 iteration=self._ticks - 1)
-                    except FaultError:
-                        # The backend is down this tick: discard the
-                        # drafted trees (nothing touched the caches yet)
-                        # and decode each pending token incrementally.
-                        self._enter_fallback("verification")
-                        degraded = entered = True
-                        trees = [TokenTree(s.pending) for s in active]
-                        bare = [True] * len(states)
-                # Bare roots: one decode_batch.  Drafted trees: one verify
-                # of the configured backend.
-                results: List[Optional[VerificationResult]] = (
-                    [None] * len(active))
-                drafted = [j for j, i in enumerate(slots) if not bare[i]]
-                roots = [j for j, i in enumerate(slots) if bare[i]]
-                for backend, rows in ((self._incremental, roots),
-                                      (self.backend, drafted)):
-                    if rows:
-                        for j, result in zip(rows, backend.verify(
-                                [active[j] for j in rows],
-                                [trees[j] for j in rows])):
+                with TRACER.span("repro.engine.verify", requests=len(active),
+                                 tokens=sum(len(t) for t in trees)):
+                    if active and not degraded and self.injector is not None:
+                        try:
+                            self.injector.maybe_fail(FaultKind.VERIFICATION,
+                                                     iteration=self._ticks - 1)
+                        except FaultError:
+                            # The backend is down this tick: discard the
+                            # drafted trees (nothing touched the caches yet)
+                            # and decode each pending token incrementally.
+                            self._enter_fallback("verification")
+                            degraded = entered = True
+                            trees = [TokenTree(s.pending) for s in active]
+                            bare = [True] * len(states)
+                    # Bare roots: one decode_batch.  Drafted trees: one verify
+                    # of the configured backend.
+                    results: List[Optional[VerificationResult]] = (
+                        [None] * len(active))
+                    drafted = [j for j, i in enumerate(slots) if not bare[i]]
+                    roots = [j for j, i in enumerate(slots) if bare[i]]
+                    if roots:
+                        for j, result in zip(roots, self._incremental.verify(
+                                [active[j] for j in roots],
+                                [trees[j] for j in roots])):
                             results[j] = result
+                    if drafted:
+                        drafted_states = [active[j] for j in drafted]
+                        drafted_trees = [trees[j] for j in drafted]
+                        for j, result in zip(drafted, self.backend.verify(
+                                drafted_states, drafted_trees,
+                                resume=partial(
+                                    self._resume_drafts, drafted_states,
+                                    drafted_trees, [whole[j] for j in drafted]
+                                ))):
+                            results[j] = result
+                        # The trees as verified, their resumed subtrees in.
+                        for j, tree in zip(drafted, drafted_trees):
+                            trees[j] = tree
+            finally:
+                # Every draft of the tick ends here: the SSM caches go back to
+                # their verified prefixes.
+                self.packed.close()
 
             with TRACER.span("repro.engine.commit") as span:
                 emitted_total = 0
-                for i, state, tree, result in zip(slots, active, trees,
-                                                  results):
-                    emitted = self.commit(state, tree, result,
-                                          bare_root=bare[i])
+                for j, (i, state, tree, result) in enumerate(
+                        zip(slots, active, trees, results)):
+                    emitted = self.commit(
+                        state, tree, result, bare_root=bare[i],
+                        widths=None if bare[i] or not whole[j] else
+                        state.speculator.expansion_config(plan).widths)
                     outcomes[i].emitted += emitted
                     outcomes[i].advanced = True
                     emitted_total += len(emitted)

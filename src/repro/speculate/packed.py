@@ -6,7 +6,7 @@ drives an SSM one ``decode`` call — one ``(1, d) @ (d, 3d)`` GEMM per layer
 — per tree node per request, with cache snapshot/restore around every
 branch; on a serving batch of ``B`` requests that is ``O(B · nodes)`` tiny
 GEMMs per tick.  **Level-synchronous packed expansion** builds the same
-trees in exactly ``depth`` SSM forwards per group for the whole batch,
+trees in at most ``depth`` SSM forwards per group for the whole batch,
 greedy or sampling, and runs the SSM nowhere else.
 
 * Every request's frontier at depth ``d`` is scored in **one**
@@ -36,6 +36,17 @@ greedy or sampling, and runs the SSM nowhere else.
   group's tree arrays in one scatter per field, after dropping duplicate
   sampled draws by (parent, token).  Only sampled
   requests keep proposal rows (only ``verify_stochastic`` reads them).
+* **Drafting is lazy below a fan-out.**  At most one child of a node can be
+  accepted, so each SSM's draft pauses where its tree first fans out: the
+  nodes it would score next (its *frontier*: the fan-out's children) stay
+  unscored leaves, and the SSM caches keep the rows above them.  After the
+  verifier has walked the tree's trunk it names the node each paused walk
+  accepted, and the draft resumes on the frontier below that node only
+  (:meth:`PackedSpeculator.speculate_batch` with ``below``); a whole tree
+  is the same loop with every frontier node resumed.  A resume reads the
+  uniforms of its nodes' paths from the block drawn when the draft began
+  and leaves the SSM caches where the pause left them, so what it drafts
+  below a node does not depend on what else is resumed.
 
 Stochastic requests are packed like greedy ones because a sampled tree no
 longer depends on visiting order.  Per call a request draws one block of
@@ -71,17 +82,18 @@ function of the path context and is replayed per node); a
 :class:`~repro.speculate.speculator.Speculator` rejects anything else.
 
 Near end-of-context a slot stops at the first level whose frontier rows its
-cache cannot hold on top of the rows it has already scored; a slot with no
-room for its root mirrors its queued rows and keeps a bare root.  The levels
-it builds are the depth-first loop's, and with the unscored last one they
-hold more nodes than the cache has rows left — so, when the SSM's context is
-no shorter than the LLM's, :class:`~repro.engine.pipeline.TreeFitter`'s BFS
+cache cannot hold on top of the rows it holds; a slot with no room for its
+root mirrors its queued rows and keeps a bare root.  The levels it builds
+are the depth-first loop's, and with the unscored last one they hold more
+nodes than the cache has rows left — so, when the SSM's context is no
+shorter than the LLM's, :class:`~repro.engine.pipeline.TreeFitter`'s BFS
 prefix (the tree the verifier sees) equals the depth-first loop's.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -116,11 +128,12 @@ def scored_node_bound(config: ExpansionConfig) -> int:
 
 class _Slot:
     """One SSM of one request inside a packed group: its SSM cache and its
-    draws (its frontier and tree live in the group's arrays).
+    draws (its frontier and tree live in the group's arrays, ``group``'s
+    slot ``b``).
 
-    Constructing a slot commits the request's SSM to this call: level 0
+    Constructing a slot commits the request's SSM to this draft: level 0
     will mirror ``queued`` into its cache and, when sampling, the slot draws
-    the call's uniform block from the request's stream.
+    the draft's uniform block from the request's stream.
     """
 
     def __init__(self, state, index: int, ssm, cache,
@@ -147,30 +160,71 @@ class _Slot:
         self.uniforms = None
         if not state.sampling.greedy:
             self.uniforms = state.rng.random(config.max_tree_tokens())
-        self.tree: Optional[TokenTree] = None
+        self.group: Optional["_Levels"] = None
+        self.b = -1
 
-    def finish(self, tree: TokenTree, scored: int) -> None:
-        """Keep the slot's tree and truncate the SSM cache back to the
-        verified prefix."""
-        self.tree = tree
-        self.cache.truncate(self.prefix)
-        self.state.speculator.record_packed_speculation(self.index, scored)
+    def tree(self, first_stage: bool = False) -> TokenTree:
+        return self.group.tree(self.b, first_stage)
+
+
+class _Draft:
+    """One request's draft: a slot per SSM, and the tree last handed out."""
+
+    __slots__ = ("slots", "tree")
+
+    def __init__(self, slots: List[_Slot]):
+        self.slots = slots
+        self.tree: Optional[TokenTree] = None
 
 
 class _Frontier(NamedTuple):
     """The nodes every slot scores at one level, in slot order."""
 
-    #: Owning slot, tree node (also its cache row past the slot's prefix)
-    #: and token, one entry per node.
+    #: Owning slot, tree node and token, one entry per node.
     owner: np.ndarray
     nodes: np.ndarray
     tokens: np.ndarray
-    #: Each node's root path, root first: the cache rows it attends to.
+    #: Each node's root path, root first (tree nodes).
     columns: np.ndarray
     #: When sampling, each node's path index into its slot's uniform block.
     paths: Optional[np.ndarray]
     #: How many of the nodes each slot owns.
     counts: List[int]
+
+
+@lru_cache(maxsize=None)
+def _inner_nodes(widths: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Per depth, the inner nodes of a full subtree below a node there
+    (``widths`` padded with zeros past the configuration's depth)."""
+    inner = [0] * len(widths)
+    for depth in range(len(widths) - 2, -1, -1):
+        inner[depth] = (1 + widths[depth] * inner[depth + 1]
+                        if widths[depth] else 0)
+    return tuple(inner)
+
+
+def _take(frontier: _Frontier, keep: np.ndarray) -> _Frontier:
+    """The entries of ``frontier`` that ``keep`` marks."""
+    owner = frontier.owner[keep]
+    return _Frontier(
+        owner, frontier.nodes[keep], frontier.tokens[keep],
+        frontier.columns[keep],
+        None if frontier.paths is None else frontier.paths[keep],
+        np.bincount(owner, minlength=len(frontier.counts)).tolist())
+
+
+def _join(pieces: List[_Frontier]) -> _Frontier:
+    """One frontier of the same level's ``pieces``, in slot order."""
+    if len(pieces) == 1:
+        return pieces[0]
+    owner = np.concatenate([piece.owner for piece in pieces])
+    order = np.argsort(owner, kind="stable")
+    fields = [np.concatenate([piece[f] for piece in pieces])[order]
+              for f in range(4)]
+    paths = (None if pieces[0].paths is None
+             else np.concatenate([piece.paths for piece in pieces])[order])
+    return _Frontier(*fields, paths, np.bincount(
+        owner, minlength=len(pieces[0].counts)).tolist())
 
 
 class PackedSpeculator:
@@ -187,19 +241,62 @@ class PackedSpeculator:
         self._arenas: "WeakKeyDictionary[TransformerLM, ScratchArena]" = (
             WeakKeyDictionary()
         )
+        #: Drafts that may still be resumed, by ``id`` of their state.
+        self._open: Dict[int, _Draft] = {}
 
-    def speculate_batch(self, states: Sequence,
-                        plan=None) -> List[TokenTree]:
+    def speculate_batch(
+        self, states: Sequence, plan=None,
+        below: Optional[Sequence[Sequence[int]]] = None,
+    ) -> List[TokenTree]:
         """One tree per state.
+
+        A state without an open draft starts one: its tree is drafted
+        level by level down to where it first fans out, and pauses there
+        (see the module docstring).  Each state's draft is then resumed
+        below the nodes ``below`` names for it.
 
         Args:
             states: Unfinished decode states that draft this tick (each
                 has a speculator).
             plan: Optional per-tick :class:`~repro.speculate.planner.
                 TreePlan` whose shape replaces every SSM's configuration
-                (as ``Speculator.speculate`` applies it).
+                (as ``Speculator.speculate`` applies it) in the drafts this
+                call starts.
+            below: Per state, nodes of the tree this drafter last returned
+                for it (the nodes paused walks accepted) whose subtrees to
+                complete.  The drafts stay open, their SSM caches holding
+                the rows above the frontier, until :meth:`close`.
+                ``None`` completes every subtree and closes the drafts:
+                each tree comes back whole.
+
+        Returns:
+            Each state's tree: its first stage and every subtree completed
+            so far.
         """
-        drafts: List[List[_Slot]] = []
+        fresh = [state for state in states if id(state) not in self._open]
+        if fresh:
+            self._draft(fresh, plan)
+            _PACKED_REQUESTS.inc(len(fresh))
+        drafts = [self._open[id(state)] for state in states]
+        self._resume(drafts, below)
+        if below is None:
+            for state in states:
+                self._close(self._open.pop(id(state)))
+        return [draft.tree for draft in drafts]
+
+    def close(self) -> None:
+        """End every open draft: each SSM cache goes back to its verified
+        prefix, and each SSM's scored nodes are recorded."""
+        for draft in self._open.values():
+            self._close(draft)
+        self._open.clear()
+
+    # -- internals ------------------------------------------------------------------
+
+    def _draft(self, states: Sequence, plan) -> None:
+        """Start a draft per state and run every group's levels until each
+        request's tree fans out or ends."""
+        drafts: List[_Draft] = []
         groups: Dict[int, List[_Slot]] = {}
         for state in states:
             spec = state.speculator
@@ -209,20 +306,69 @@ class PackedSpeculator:
                      in enumerate(spec.packed_expansion_states(plan))]
             for slot in slots:
                 groups.setdefault(id(slot.base), []).append(slot)
-            drafts.append(slots)
+            draft = self._open[id(state)] = _Draft(slots)
+            drafts.append(draft)
         for slots in groups.values():
             # Level-synchronous expansion of every slot against one base.
             base = slots[0].base
-            arena = self._arenas.setdefault(base, ScratchArena())
-            levels = _Levels(base, arena, slots)
-            levels.run()
-            for slot, count, tree in zip(slots, levels.scored,
-                                         levels.trees()):
-                slot.finish(tree, count)
-        _PACKED_REQUESTS.inc(len(states))
-        return [slots[0].tree if len(slots) == 1
-                else merge_trees(slot.tree for slot in slots)
-                for slots in drafts]
+            _Levels(base, self._arenas.setdefault(base, ScratchArena()),
+                    slots).run()
+        for draft in drafts:
+            draft.tree = (
+                draft.slots[0].tree(True) if len(draft.slots) == 1
+                else merge_trees(slot.tree(True) for slot in draft.slots))
+
+    def _resume(self, drafts: List[_Draft],
+                below: Optional[Sequence[Sequence[int]]]) -> None:
+        """Draft the subtrees below the named nodes (every one when
+        ``below`` is ``None``) and update the drafts' trees."""
+        groups: Dict[int, "_Levels"] = {}
+        grown = []
+        for i, draft in enumerate(drafts):
+            nodes = None if below is None else list(below[i])
+            if nodes == []:
+                continue
+            for slot in draft.slots:
+                if nodes is None:
+                    slot.group.queue(slot.b)
+                for node in nodes or ():
+                    at = node if len(draft.slots) == 1 else slot.tree().find(
+                        draft.tree.sequence_of(node))
+                    if at >= 0:
+                        slot.group.queue(slot.b, at,
+                                         int(draft.tree.depths[node]))
+                groups[id(slot.group)] = slot.group
+            grown.append((draft, nodes))
+        for group in groups.values():
+            group.resume()
+        for draft, nodes in grown:
+            slots = draft.slots
+            if nodes is None:
+                draft.tree = (slots[0].tree() if len(slots) == 1 else
+                              merge_trees(slot.tree() for slot in slots))
+            elif len(slots) == 1 and not slots[0].group.folded[slots[0].b]:
+                # The slot's rows past its first stage are the subtrees
+                # resumed so far.
+                draft.tree = slots[0].tree()
+            else:
+                # Each slot's subtree below the node, merged in slot order
+                # (an eager merge's child order), in place of the node's
+                # first-stage descendants.
+                for node in nodes:
+                    if len(slots) == 1:
+                        subtree = slots[0].tree().subtree(node)
+                    else:
+                        sequence = draft.tree.sequence_of(node)
+                        trees = [slot.tree() for slot in slots]
+                        subtree = merge_trees(
+                            tree.subtree(tree.find(sequence))
+                            for tree in trees if tree.find(sequence) >= 0)
+                    draft.tree = draft.tree.graft(node, subtree)
+
+    @staticmethod
+    def _close(draft: _Draft) -> None:
+        for slot in draft.slots:
+            slot.group.close(slot.b)
 
 
 class _Levels:
@@ -231,10 +377,14 @@ class _Levels:
 
     The group's trees are rows of one ``(token / parent / depth / proposal
     row, slots, nodes)`` table: a level writes every slot's new nodes with
-    one scatter per field, and :meth:`trees` hands each slot views of its
+    one scatter per field, and :meth:`tree` hands a slot views of its
     rows.  When a slot samples, each level's proposal math runs in place in
     the next rows of one ``(scored nodes, vocab)`` block the group's trees
     share, and a node's proposal row is the row its parent was scored in.
+
+    :meth:`run` scores the first stage; :meth:`pause` sets slots'
+    frontiers aside, :meth:`queue` picks what of them a :meth:`resume`
+    scores, and :meth:`close` ends a slot.
     """
 
     def __init__(self, base: TransformerLM, arena: ScratchArena,
@@ -242,8 +392,13 @@ class _Levels:
         self.base = base
         self.slots = slots
         self.arena = arena
-        #: Rows each slot has scored (appended) so far, and its tree size.
-        self.scored = [0] * len(slots)
+        for b, slot in enumerate(slots):
+            slot.group, slot.b = self, b
+        #: Cache rows each slot holds past its prefix (and held when it
+        #: paused), nodes it has scored, and its tree size.
+        self.rows = np.zeros(len(slots), dtype=np.intp)
+        self.held = np.zeros(len(slots), dtype=np.intp)
+        self.work = np.zeros(len(slots), dtype=np.intp)
         self.size = [1] * len(slots)
         self.prefix = np.array([slot.prefix for slot in slots],
                                dtype=np.intp)
@@ -254,23 +409,30 @@ class _Levels:
         widths = [slot.config.widths + (0,) * (depth + 1 - slot.config.depth)
                   for slot in slots]
         self.widths = np.array(widths, dtype=np.intp)
+        #: Per slot and level, the scored (inner) nodes of a full subtree
+        #: below a node at that depth, no duplicate draws.
+        self.inner = np.array([_inner_nodes(w) for w in widths])
         self.level_width, self.uniform, self.expands = [], [], []
         for level in range(depth):
             here = {w[level] for w in widths if w[level]}
             self.level_width.append(max(here))
             self.uniform.append(len(here) == 1)
             self.expands.append([w[level + 1] > 0 for w in widths])
-        self.table = np.full(
-            (4, len(slots),
-             max(slot.config.max_tree_tokens() for slot in slots) + 1), -1)
+        nodes = max(slot.config.max_tree_tokens() for slot in slots) + 1
+        self.table = np.full((4, len(slots), nodes), -1)
         self.table[0, :, 0] = [slot.root for slot in slots]
         self.table[2, :, 0] = 0
+        #: Each scored node's cache row past its slot's prefix.
+        self.cache_row = np.full((len(slots), nodes), -1, dtype=np.intp)
+        self.cache_row[:, 0] = 0
         # Sampling slots read their level's draws from the group's
         # concatenated uniform blocks, starting at ``draws[b, level]``.
         sampled = [slot.uniforms is not None for slot in slots]
         self.sampled = np.array(sampled)
         self.all_sampled = all(sampled)
         self.uniforms = self.proposals = None
+        #: The proposal block's next free row.
+        self.next_row = 0
         bound = sum(scored_node_bound(slot.config) for slot in slots)
         if any(sampled):
             self.uniforms = np.concatenate(
@@ -291,34 +453,147 @@ class _Levels:
             "pk.mask", (max(bound, sum(len(slot.queued) + 1 for slot in slots)),
                         cfg.max_seq_len),
             cfg.dtype, bound=(0, cfg.max_seq_len))
+        #: Paused frontier nodes, by the level that would score them, and
+        #: which of them the next resume scores.
+        self.paused: Dict[int, _Frontier] = {}
+        self.picked: Dict[int, np.ndarray] = {}
+        #: Each slot's tree size when it paused (the first stage the
+        #: verifier sees), and whether its paused frontier was drafted
+        #: anyway, along with a level other slots needed.
+        self.first_stage: List[Optional[int]] = [None] * len(slots)
+        self.folded = np.zeros(len(slots), dtype=bool)
+        self.level = 1
+        self.frontier = self._score_roots()
+
+    # -- the level loop ------------------------------------------------------------
 
     def run(self) -> None:
-        frontier = self._score_roots()
-        level = 1
-        while frontier is not None:
-            frontier = self._fitting(frontier)
-            if frontier is None:
-                break
-            # A level past the roots: frontier node ``j`` attends to the
-            # verified prefix, its scored ancestors' rows and itself —
-            # never to siblings or to other branches' rows (the per-level
-            # topology-aware causal mask).
-            prefix = self.prefix[frontier.owner]
-            logits = self._forward(frontier.counts, frontier.tokens,
-                                   prefix + level, prefix,
-                                   prefix[:, None] + frontier.columns)
-            frontier = self._grow(frontier, logits, level)
+        """Score level after level until each slot's tree fans out (its
+        next level holds two or more nodes) or ends."""
+        while self.frontier is not None:
+            fanned = [b for b, count in enumerate(self.frontier.counts)
+                      if count > 1 and not self.folded[b]]
+            if fanned:
+                self.pause(fanned)
+                self.fold()
+            if self.frontier is not None:
+                self.frontier = self._score(self.frontier, self.level)
+                self.level += 1
+
+    def pause(self, slots: List[int]) -> None:
+        """Set ``slots``' running frontier aside: their caches hold their
+        rows until a resume scores below them."""
+        pausing = np.isin(self.frontier.owner, slots)
+        if pausing.any():
+            self.paused[self.level] = _take(self.frontier, pausing)
+        for b in slots:
+            self.held[b] = self.rows[b]
+            self.first_stage[b] = self.size[b]
+        self.frontier = (None if pausing.all()
+                         else _take(self.frontier, ~pausing))
+
+    def fold(self) -> None:
+        """Take the frontiers just paused back into the running level when
+        it runs anyway (another request's tree goes on as a chain) and
+        their slots' caches hold their whole subtrees: drafting them now
+        costs rows, not forwards, and drafts what resuming them would."""
+        piece = self.paused.get(self.level)
+        if piece is None or self.frontier is None:
+            return
+        fits = (self.rows + np.array(piece.counts)
+                * self.inner[:, self.level]) <= self.room
+        folding = fits[piece.owner]
+        if folding.any():
+            self.frontier = _join([self.frontier, _take(piece, folding)])
+            self.folded[piece.owner[folding]] = True
+            if folding.all():
+                del self.paused[self.level]
+            else:
+                self.paused[self.level] = _take(piece, ~folding)
+
+    def queue(self, b: int, node: int = 0, depth: int = 0) -> None:
+        """Have the next :meth:`resume` score slot ``b``'s paused frontier
+        nodes at or below ``node`` (at ``depth``)."""
+        for level, piece in self.paused.items():
+            inside = (piece.owner == b) & (piece.columns[:, depth] == node)
+            picked = self.picked.get(level)
+            self.picked[level] = inside if picked is None else picked | inside
+
+    def resume(self) -> None:
+        """Score the queued nodes' subtrees to the end of their slots'
+        configurations.  A resume starts from the caches as the pause left
+        them, whatever an earlier resume scored."""
+        queued: Dict[int, _Frontier] = {}
+        for level, picked in self.picked.items():
+            if not picked.any():
+                continue
+            piece = self.paused.pop(level)
+            queued[level] = _take(piece, picked)
+            if not picked.all():
+                self.paused[level] = _take(piece, ~picked)
+            for b in np.unique(piece.owner[picked]).tolist():
+                if self.rows[b] != self.held[b]:
+                    self.slots[b].cache.truncate(
+                        self.slots[b].prefix + self.held[b])
+                    self.rows[b] = self.held[b]
+        self.picked = {}
+        if not queued:
+            return
+        level, frontier = min(queued), None
+        while frontier is not None or queued:
+            joining = queued.pop(level, None)
+            if joining is not None:
+                frontier = (joining if frontier is None
+                            else _join([frontier, joining]))
+            frontier = self._score(frontier, level)
             level += 1
 
-    def trees(self) -> List[TokenTree]:
-        """Each slot's tree so far, as views of the group's table."""
-        scored = sum(self.scored)
-        return [TokenTree.from_arrays(
+    def close(self, b: int) -> None:
+        """End slot ``b``: its cache back to the verified prefix, and its
+        scored nodes recorded."""
+        slot = self.slots[b]
+        slot.cache.truncate(slot.prefix)
+        slot.state.speculator.record_packed_speculation(slot.index,
+                                                        int(self.work[b]))
+
+    def tree(self, b: int, first_stage: bool = False) -> TokenTree:
+        """Slot ``b``'s tree so far, or down to where it paused, as views
+        of the group's table (its first stage numbers first)."""
+        size = self.size[b]
+        if first_stage and self.first_stage[b] is not None:
+            size = self.first_stage[b]
+        # Every tree of the group shares the whole proposal block (rows
+        # past ``next_row`` are unused), so grafting one into another
+        # copies no proposals.
+        return TokenTree.from_arrays(
             *self.table[:, b, :size],
-            self.proposals[:scored] if self.sampled[b] else None)
-            for b, size in enumerate(self.size)]
+            self.proposals if self.sampled[b] else None)
 
     # -- forward inputs ------------------------------------------------------------
+
+    def _score(self, frontier: Optional[_Frontier],
+               level: int) -> Optional[_Frontier]:
+        """Score ``frontier`` (a level past the roots) and return the next
+        one.  Frontier node ``j`` attends to the verified prefix, its
+        scored ancestors' rows and itself — never to siblings or to other
+        branches' rows (the per-level topology-aware causal mask)."""
+        if frontier is None:
+            return None
+        frontier = self._fitting(frontier)
+        if frontier is None:
+            return None
+        owner = frontier.owner
+        rows = self.rows[owner]
+        if max(frontier.counts) > 1:
+            # Each slot's nodes go to its next rows, in frontier order.
+            first = np.cumsum([0] + frontier.counts[:-1])
+            rows += np.arange(len(owner)) - first[owner]
+        self.cache_row[owner, frontier.nodes] = rows
+        prefix = self.prefix[owner]
+        logits = self._forward(
+            frontier.counts, frontier.tokens, prefix + level, prefix,
+            prefix[:, None] + self.cache_row[owner[:, None], frontier.columns])
+        return self._grow(frontier, logits, level)
 
     def _forward(self, counts: List[int], tokens: np.ndarray,
                  positions: np.ndarray, allowed: np.ndarray,
@@ -379,20 +654,14 @@ class _Levels:
 
     def _fitting(self, frontier: _Frontier) -> Optional[_Frontier]:
         """``frontier`` without the nodes of slots whose cache cannot hold
-        them on top of the rows they have scored (such a slot's tree stops
-        at this level), or ``None`` when no node is left."""
+        them on top of the rows it holds (such a slot's tree stops at this
+        level), or ``None`` when no node is left."""
         over = [b for b, count in enumerate(frontier.counts)
-                if count > self.room[b] - self.scored[b]]
+                if count > self.room[b] - self.rows[b]]
         if not over:
             return frontier
         keep = ~np.isin(frontier.owner, over)
-        if not keep.any():
-            return None
-        return _Frontier(
-            *(None if field is None else field[keep]
-              for field in frontier[:5]),
-            [0 if b in over else count
-             for b, count in enumerate(frontier.counts)])
+        return _take(frontier, keep) if keep.any() else None
 
     # -- proposals and growth ------------------------------------------------------
 
@@ -402,9 +671,10 @@ class _Levels:
         node), append every slot's new nodes, and return the next frontier
         (those of slots expanding past this level), or ``None``."""
         owner = frontier.owner
-        first = sum(self.scored)
-        for b, count in enumerate(frontier.counts):
-            self.scored[b] += count
+        first = self.next_row
+        self.next_row += len(owner)
+        self.rows += frontier.counts
+        self.work += frontier.counts
         # The level's proposal math, once over all frontier rows, into the
         # trees' memory (``logits`` is arena memory): the proposal block's
         # next rows when sampling.
@@ -481,8 +751,8 @@ class _Levels:
             self.table[3, owners, nodes] = np.where(
                 self.sampled[owners], first + np.arange(len(owner))[rows], -1)
         if sanitizer.enabled():
-            for tree in self.trees():
-                sanitizer.guard_tree(tree)
+            for b in range(len(self.slots)):
+                sanitizer.guard_tree(self.tree(b))
         expands = self.expands[level]
         if not any(expands):
             return None
@@ -490,6 +760,8 @@ class _Levels:
             keep = np.flatnonzero(self.widths[owners, level + 1] > 0)
             rows = keep if isinstance(rows, slice) else rows[keep]
             owners, nodes, tokens = owners[keep], nodes[keep], tokens[keep]
+            if not len(keep):
+                return None
             ranks = ranks if np.isscalar(ranks) else ranks[keep]
             counts = [count if grows else 0
                       for count, grows in zip(counts, expands)]

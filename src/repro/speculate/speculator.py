@@ -13,8 +13,10 @@ decode pipeline drafts every speculator's tree through the packed level loop
 from :meth:`Speculator.packed_expansion_states`; the protocol is::
 
     spec.advance(prompt)                 # verified prefix, pending excluded
-    tree = packed.speculate_batch(...)   # caches restored afterwards
-    ... verifier accepts some tokens ...
+    tree = packed.speculate_batch(...)   # drafted to the first fan-out
+    ... pass 1 walks the trunk; packed.speculate_batch(..., below=...)
+    ... drafts below each paused walk's node; pass 2; packed.close()
+    ... restores the caches
     spec.advance([pending] + accepted)   # queue them; no SSM runs here
 
 ``advance`` only records the tokens — the prompt included: the decode
@@ -188,20 +190,24 @@ class Speculator:
         """
         planned = plan is not None and getattr(plan, "speculative", False)
         self._last_depth = plan.depth if planned else None
-        config = (ExpansionConfig(tuple(plan.widths)) if planned
-                  else self.config)
+        config = self.expansion_config(plan)
         return [(ssm, cache, config)
                 for ssm, cache in zip(self.ssms, self._caches)]
+
+    def expansion_config(self, plan=None) -> ExpansionConfig:
+        """The configuration every SSM expands under: ``plan``'s shape when
+        it speculates, else the static one."""
+        if plan is not None and getattr(plan, "speculative", False):
+            return ExpansionConfig(tuple(plan.widths))
+        return self.config
 
     def record_packed_speculation(self, ssm_index: int,
                                   scored_nodes: int) -> None:
         """Update cost accounting after packed expansion scored
-        ``scored_nodes`` tree nodes of SSM ``ssm_index``.
-
-        Mirrors :meth:`speculate`'s bookkeeping: one SSM decode step per
-        internal node (every scored node gets children), so the cluster
-        cost model prices a packed tick as it prices the depth-first loop.
-        """
+        ``scored_nodes`` tree nodes of SSM ``ssm_index``: one SSM decode
+        step per internal node, as :meth:`speculate` counts them, but only
+        for the nodes the lazy draft scored (its first stage and the
+        subtrees below paused walks)."""
         self.last_ssm_steps[ssm_index] = scored_nodes
 
     # -- speculation ------------------------------------------------------------------

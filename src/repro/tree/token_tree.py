@@ -107,6 +107,55 @@ class TokenTree:
                           else np.concatenate([self.proposals, probs]))
         return len(self.proposals) - 1
 
+    def select(self, keep: np.ndarray) -> "TokenTree":
+        """The tree of the nodes ``keep`` marks, renumbered in index order.
+
+        The first kept node becomes the root, and every other kept node's
+        parent must be kept.  Nodes keep their proposal rows (and the
+        proposal block is shared).
+        """
+        root = int(np.argmax(keep))
+        renumber = np.cumsum(keep) - 1
+        parents = self.parents[keep]
+        parents = np.where(parents >= 0, renumber[parents], -1)
+        parents[0] = -1
+        return TokenTree.from_arrays(
+            self.tokens[keep], parents, self.depths[keep] - self.depths[root],
+            self.rows[keep], self.proposals)
+
+    def subtree(self, node: int) -> "TokenTree":
+        """``node``'s subtree as a tree of its own, rooted at ``node``."""
+        return self.select(self._descendants(node))
+
+    def graft(self, node: int, subtree: "TokenTree") -> "TokenTree":
+        """This tree with ``node``'s descendants replaced by the nodes of
+        ``subtree`` below its root, which stands for ``node``.
+
+        Descendants come after their ancestors, so every node up to
+        ``node`` keeps its index; the grafted nodes come last, in
+        ``subtree``'s order, with their proposal rows (two trees over the
+        same proposal block keep sharing it).
+        """
+        inside = self._descendants(node)
+        inside[node] = False
+        base = self.select(~inside) if inside.any() else self
+        rows = subtree.rows[1:]
+        proposals = base.proposals
+        if proposals is None or subtree.proposals is None:
+            proposals = subtree.proposals if proposals is None else proposals
+        elif subtree.proposals is not proposals:
+            rows = np.where(rows >= 0, rows + len(proposals), -1)
+            proposals = np.concatenate([proposals, subtree.proposals])
+        n = len(base)
+        parents = subtree.parents[1:]
+        return TokenTree.from_arrays(
+            np.concatenate([base.tokens, subtree.tokens[1:]]),
+            np.concatenate([base.parents,
+                            np.where(parents == 0, node, parents - 1 + n)]),
+            np.concatenate([base.depths,
+                            subtree.depths[1:] + base.depths[node]]),
+            np.concatenate([base.rows, rows]), proposals)
+
     # -- queries -------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -152,6 +201,17 @@ class TokenTree:
     def sequence_of(self, idx: int) -> Tuple[int, ...]:
         """``S_u``: the token sequence identified by node ``idx`` (Def. 3.1)."""
         return tuple(self.tokens[self.path_to(idx)].tolist())
+
+    def find(self, sequence: Sequence[int]) -> int:
+        """The node ``u`` with ``S_u == sequence``, or ``-1``."""
+        if not len(sequence) or sequence[0] != self.tokens[0]:
+            return -1
+        node = 0
+        for token in sequence[1:]:
+            node = self.child_with_token(node, int(token))
+            if node < 0:
+                break
+        return node
 
     def sequences(self) -> FrozenSet[Tuple[int, ...]]:
         """The set of all ``S_u`` — the tree's semantic content (Def. 3.2)."""
@@ -235,6 +295,16 @@ class TokenTree:
         if not 0 <= idx < len(self.tokens):
             raise IndexError(
                 f"node index {idx} out of range [0, {len(self.tokens)})")
+
+    def _descendants(self, node: int) -> np.ndarray:
+        """Boolean mask of ``node`` and its descendants."""
+        self._check_index(node)
+        inside = np.zeros(len(self.tokens), dtype=bool)
+        inside[node] = True
+        # One level further down per round.
+        for _ in range(self.max_depth() - int(self.depths[node])):
+            inside[node + 1:] |= inside[self.parents[node + 1:]]
+        return inside
 
     def _child_index(self) -> Dict[Tuple[int, int], int]:
         if self._index is None:

@@ -9,6 +9,8 @@ from repro.model.config import ModelConfig
 from repro.model.coupled import CoupledSSM
 from repro.model.transformer import TransformerLM
 from repro.obs import REGISTRY
+from repro.speculate.expansion import expand_token_tree
+from repro.tree.token_tree import merge_trees
 
 
 SMALL_CONFIG = ModelConfig(
@@ -82,16 +84,42 @@ def llm_rows_forwarded() -> int:
 
 
 def draft_depth_first(pipeline):
-    """Make ``pipeline`` draft through the depth-first reference — one
-    ``Speculator.speculate`` call per state — instead of its packed level
-    loop; the equivalence tests compare the two."""
-    def speculate_batch(states, plan=None):
-        return [
-            state.speculator.speculate(
-                state.pending, stochastic=not state.sampling.greedy,
-                rng=state.rng, plan=plan)
-            for state in states
-        ]
+    """Make ``pipeline`` draft through the depth-first reference
+    (``expand_token_tree`` per SSM, then ``merge_trees``, as
+    ``Speculator.speculate`` does) instead of its packed level loop, paused
+    and resumed the way the packed drafter is: the tree a call first hands
+    out keeps each SSM's tree down to the children of its first fan-out,
+    and a later call with ``below`` grafts in the whole subtrees below the
+    nodes it names.  The equivalence tests compare the two."""
+    drafts = {}
+
+    def first_stage(tree):
+        return tree.select(tree.depths <= len(tree.trunk()))
+
+    def speculate_batch(states, plan=None, below=None):
+        trees = []
+        for i, state in enumerate(states):
+            if id(state) not in drafts:
+                spec = state.speculator
+                spec.prefill(())
+                each = [expand_token_tree(
+                    ssm, state.pending, cache, config,
+                    stochastic=not state.sampling.greedy, rng=state.rng)
+                    for ssm, cache, config
+                    in spec.packed_expansion_states(plan)]
+                drafts[id(state)] = [merge_trees(each),
+                                     merge_trees(map(first_stage, each))]
+            whole, tree = drafts[id(state)]
+            for node in () if below is None else below[i]:
+                tree = tree.graft(node, whole.subtree(
+                    whole.find(tree.sequence_of(node))))
+            drafts[id(state)][1] = tree
+            trees.append(whole if below is None else tree)
+        if below is None:
+            for state in states:
+                del drafts[id(state)]
+        return trees
 
     pipeline.packed.speculate_batch = speculate_batch
+    pipeline.packed.close = drafts.clear
     return pipeline

@@ -10,6 +10,8 @@ a second one exactly as large as the subtrees it still has to score.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from repro.engine.batched import BatchedTreeVerifier
 from repro.engine.generation import GenerationConfig
@@ -21,10 +23,12 @@ from repro.engine.pipeline import (
     TreeFitter,
 )
 from repro.engine.tree_spec import SpecInferEngine
+from repro.model.config import ModelConfig
 from repro.model.coupled import CoupledSSM
 from repro.model.kv_cache import BatchArena
 from repro.model.layers import stable_softmax
 from repro.model.sampling import SamplingConfig
+from repro.model.transformer import TransformerLM
 from repro.obs import REGISTRY
 from repro.speculate.expansion import ExpansionConfig, expand_token_tree
 from repro.speculate.speculator import Speculator
@@ -37,6 +41,7 @@ from tests.engine.test_block_sparse import (
     assert_results_equal,
     reference_verify,
 )
+from tests.engine.test_pipeline_planner import StubPlanner
 from tests.integration.test_packed_sampling_law import tv_bound
 
 GREEDY = SamplingConfig(greedy=True)
@@ -444,3 +449,236 @@ class TestRowsCompacted:
         # keeps slots [0, 3, 4], so two rows move, in every layer.
         assert result.accepted_tokens[:3] == [g1, g2, g3]
         assert moved == 2 * SMALL_CONFIG.n_layers
+
+
+def test_third_token_law_through_a_merged_resumed_subtree(llm):
+    """Theorem 4.2 when the drafter resumes below the paused walk.
+
+    As above, but the tree merges two SSMs' ⟨2,2⟩ trees: the draft pauses
+    at the root's children, and the subtree below the accepted child is
+    drafted only then, for each SSM whose tree holds that child, and
+    merged in.  ``t3`` comes from that subtree whenever a child was
+    accepted; its law must be the LLM's exactly.
+    """
+    n_requests, batch = 4096, 64
+    prompt = make_prompt(np.random.default_rng(6), length=3)
+    ssms = [CoupledSSM(llm, alignment=0.5, seed=seed, noise_scale=2.0)
+            for seed in (11, 12)]
+    pipeline = DecodePipeline(llm, backend=FusedBackend(
+        llm, sampling=STOCHASTIC, rng=np.random.default_rng(18)))
+    first, grown = {}, []
+    speculate_batch = pipeline.packed.speculate_batch
+
+    def spy(states, plan=None, below=None):
+        trees = speculate_batch(states, plan, below)
+        for state, tree, nodes in zip(states, trees, below):
+            if nodes:
+                grown.append(len(tree) - first[id(state)])
+            else:
+                first[id(state)] = len(tree)
+        return trees
+
+    pipeline.packed.speculate_batch = spy
+    counts = np.zeros(llm.config.vocab_size)
+    deferred = 0
+    for first_seed in range(0, n_requests, batch):
+        states = [
+            DecodeState(
+                llm, prompt,
+                GenerationConfig(max_new_tokens=3, sampling=STOCHASTIC,
+                                 stop_on_eos=False, seed=seed),
+                speculator=Speculator(ssms, ExpansionConfig((2, 2))),
+            )
+            for seed in range(first_seed, first_seed + batch)
+        ]
+        pipeline.prefill(states)
+        pipeline.tick(states)
+        deferred += sum(state.finished for state in states)
+        while not all(state.finished for state in states):
+            pipeline.tick([s for s in states if not s.finished])
+        for state in states:
+            counts[state.tokens[2]] += 1
+    assert deferred > n_requests // 4
+    # Below some paused child, both SSMs' children were drafted and merged.
+    assert max(grown) > 2
+    assert total_variation_distance(
+        third_token_law(llm, prompt), counts / n_requests) < tv_bound(
+            llm.config.vocab_size, n_requests)
+
+
+# -- lazy drafting ---------------------------------------------------------------
+
+#: Shapes whose first fan-out is at level 0, 1 or 2, and a chain.
+DRAFT_SHAPES = [(2, 1, 1), (3, 2), (1, 2, 1, 1), (1, 2, 2), PAPER,
+                (1, 1, 2, 2), (1, 1, 1)]
+
+
+@pytest.fixture(scope="module")
+def small_ssm():
+    return TransformerLM(
+        ModelConfig(vocab_size=64, d_model=16, n_layers=1, n_heads=2,
+                    max_seq_len=96), seed=9)
+
+
+def _speculator(kind, llm, small, alignment, widths):
+    def coupled(seed):
+        return CoupledSSM(llm, alignment=alignment, seed=seed,
+                          noise_scale=2.0)
+
+    ssms = {"transformer": lambda: [small],
+            "coupled": lambda: [coupled(7)],
+            "merged": lambda: [small, coupled(8)],
+            "merged_one_base": lambda: [coupled(7), coupled(8)]}[kind]()
+    return Speculator(ssms, ExpansionConfig(widths))
+
+
+class _Recorder(FusedBackend):
+    """Each request's own sampling and stream; keeps every tick's results
+    and the trees as verified, resumed subtrees in."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.ticks = []
+
+    def verify(self, states, trees, resume=None):
+        final = list(trees)
+
+        def grown(indices, nodes):
+            trees = resume(indices, nodes)
+            for i, tree in zip(indices, trees):
+                final[i] = tree
+            return trees
+
+        results = super().verify(states, trees,
+                                 resume=None if resume is None else grown)
+        self.ticks.append(list(zip(final, results)))
+        return results
+
+
+def resume_every_frontier_node(pipeline):
+    """The eager reference: when the verifier asks for the subtree below
+    a paused walk's node, the drafter first completes the subtree below
+    every child of the state's first fan-out (so below every frontier
+    node), one node per call, and the verifier gets the first stage with
+    the paused node's subtree from that.  A graft renumbers the nodes
+    after the grafted subtree, so each node is found by its token path in
+    the tree the drafter last returned."""
+    speculate_batch = pipeline.packed.speculate_batch
+    first = {}
+
+    def every(states, plan=None, below=None):
+        if below is None or not any(below):
+            trees = speculate_batch(states, plan, below)
+            if below is not None:
+                first.update((id(state), tree)
+                             for state, tree in zip(states, trees))
+            return trees
+        grown = []
+        for state, nodes in zip(states, below):
+            tree = latest = first[id(state)]
+            depth = len(tree.trunk())
+            for node in np.flatnonzero(tree.depths == depth).tolist():
+                latest, = speculate_batch([state], below=[(
+                    latest.find(tree.sequence_of(node)),)])
+            for node in nodes:
+                tree = tree.graft(node, latest.subtree(
+                    latest.find(tree.sequence_of(node))))
+            grown.append(tree)
+        return grown
+
+    pipeline.packed.speculate_batch = every
+    return pipeline
+
+
+REQUEST = st.tuples(
+    st.sampled_from(["transformer", "coupled", "merged",
+                     "merged_one_base"]),
+    st.booleans(),                      # greedy
+    st.integers(min_value=3, max_value=12),  # prompt length
+    st.sampled_from(DRAFT_SHAPES),
+)
+
+
+class TestLazyDraftingEqualsEager:
+    """Drafting below a fan-out only for the walks that enter it gives each
+    request what drafting below every frontier node gives."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(requests=st.lists(REQUEST, min_size=1, max_size=7),
+           near_end=st.integers(min_value=2, max_value=26),
+           alignment=st.sampled_from([0.6, 1.0]),
+           plan=st.sampled_from([None] + DRAFT_SHAPES),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_every_walk_sees_what_eager_drafting_gives(
+            self, llm, small_ssm, requests, near_end, alignment, plan,
+            seed):
+        # One more request, near the end of the LLM's context.
+        requests = requests + [("coupled", seed % 2 == 0,
+                                SMALL_CONFIG.max_seq_len - near_end,
+                                PAPER)]
+
+        def states():
+            made = []
+            for r, (kind, greedy, length, widths) in enumerate(requests):
+                sampling = GREEDY if greedy else STOCHASTIC
+                made.append(DecodeState(
+                    llm, make_prompt(np.random.default_rng(seed + r),
+                                     length=length),
+                    GenerationConfig(max_new_tokens=40, sampling=sampling,
+                                     stop_on_eos=False, seed=seed + r),
+                    speculator=_speculator(kind, llm, small_ssm, alignment,
+                                           widths)))
+            return made
+
+        runs = []
+        for reference in (False, True):
+            backend = _Recorder(llm)
+            pipeline = DecodePipeline(
+                llm, backend=backend,
+                planner=None if plan is None else StubPlanner(plan))
+            if reference:
+                resume_every_frontier_node(pipeline)
+            drafted = states()
+            for _ in range(2):
+                pipeline.tick([s for s in drafted if not s.finished])
+            runs.append((drafted, backend.ticks))
+        (lazy, lazy_ticks), (eager, eager_ticks) = runs
+        event("some walk passed a fan-out" if any(
+            result.num_accepted_speculated >= len(tree.trunk())
+            for tick in lazy_ticks for tree, result in tick)
+            else "no walk passed a fan-out")
+
+        assert len(lazy_ticks) == len(eager_ticks)
+        for tick, ref_tick in zip(lazy_ticks, eager_ticks):
+            assert len(tick) == len(ref_tick)
+            for (tree, result), (ref_tree, ref) in zip(tick, ref_tick):
+                assert result.accepted_tokens == ref.accepted_tokens
+                assert result.bonus_token == ref.bonus_token
+                assert (result.num_candidates_considered
+                        == ref.num_candidates_considered)
+                assert result.num_rejections == ref.num_rejections
+                # Nodes below a fan-out are numbered as they were drafted;
+                # the walks are the same token paths, drawn from the same
+                # SSM distributions (to BLAS's last ulps, which differ
+                # between one-row and many-row levels).
+                path = tree.tokens[result.accepted_nodes].tolist()
+                assert path == ref_tree.tokens[ref.accepted_nodes].tolist()
+                for node, ref_node in zip(result.accepted_nodes[1:],
+                                          ref.accepted_nodes[1:]):
+                    mine = tree.proposal_for(node)
+                    theirs = ref_tree.proposal_for(ref_node)
+                    assert (mine is None) == (theirs is None)
+                    if mine is not None:
+                        np.testing.assert_allclose(mine, theirs, rtol=0,
+                                                   atol=1e-12)
+        for state, ref in zip(lazy, eager):
+            assert state.tokens == ref.tokens
+            assert state.cache.length == ref.cache.length
+            for layer, ref_layer in zip(state.cache.layers,
+                                        ref.cache.layers):
+                for mine, theirs in zip(layer.view(), ref_layer.view()):
+                    np.testing.assert_array_equal(mine, theirs)
+            assert (state.rng.bit_generator.state
+                    == ref.rng.bit_generator.state)

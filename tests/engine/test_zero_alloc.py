@@ -144,15 +144,25 @@ def _shape_and_proposals(tree):
 
 
 class _TreeLog(FusedBackend):
-    """A fused backend that keeps every tick's fitted trees."""
+    """A fused backend that keeps every tick's fitted trees, each with the
+    subtree the verifier resumed drafting below."""
 
     def __init__(self, model):
         super().__init__(model, rng=np.random.default_rng(0))
         self.ticks = []
 
-    def verify(self, states, trees):
-        self.ticks.append([_shape_and_proposals(tree) for tree in trees])
-        return super().verify(states, trees)
+    def verify(self, states, trees, resume=None):
+        tick = [_shape_and_proposals(tree) for tree in trees]
+        self.ticks.append(tick)
+
+        def logged(indices, nodes):
+            grown = resume(indices, nodes)
+            for i, tree in zip(indices, grown):
+                tick[i] = _shape_and_proposals(tree)
+            return grown
+
+        return super().verify(states, trees,
+                              resume=None if resume is None else logged)
 
 
 def _drive(llm, states, reference=False):
@@ -397,10 +407,10 @@ class TestPackedSpeculationEquivalence:
         rooms = []
         speculate_batch = PackedSpeculator.speculate_batch
 
-        def spy(self, drafted, plan=None):
+        def spy(self, drafted, plan=None, below=None):
             rooms.extend(llm.config.max_seq_len - s.speculator.prefix_len
                          for s in drafted)
-            return speculate_batch(self, drafted, plan)
+            return speculate_batch(self, drafted, plan, below)
 
         monkeypatch.setattr(PackedSpeculator, "speculate_batch", spy)
         self._assert_matches_reference(llm, states)
@@ -474,29 +484,54 @@ def _count_calls(monkeypatch, model, names):
 
 @pytest.mark.perf_smoke
 class TestOneDraftForwardPerLevel:
-    """A tick drafts the whole batch in ``depth`` SSM forwards, greedy or
-    sampling, and runs the SSM nowhere else — so a regression to
-    per-request drafting, or to a mirror prefill of its own, fails tier-1
-    and not only the benchmark."""
+    """A tick drafts the whole batch one SSM forward per level, down to
+    where the trees fan out, greedy or sampling, and runs the SSM nowhere
+    else — so a regression to per-request drafting, or to a mirror prefill
+    of its own, fails tier-1 and not only the benchmark.  The levels below
+    a fan-out run only for walks that pass it, one row per walk and
+    level; no tick runs more than ``depth`` forwards."""
 
     BATCH = 8
     TICKS = 6
 
+    @pytest.mark.parametrize("drafter", ["small", "oracle"])
     @pytest.mark.parametrize("greedy", [True, False],
                              ids=["greedy", "stochastic"])
-    def test_ssm_forwards_per_tick_equal_tree_depth(self, llm, greedy,
-                                                    monkeypatch):
+    def test_ssm_forwards_per_tick_stop_at_the_fanout(self, llm, greedy,
+                                                      drafter, monkeypatch):
         config = ExpansionConfig.paper_default()
-        ssm = TransformerLM(
+        fanout = config.widths.index(3) + 1  # levels down to the fan-out
+        # A small SSM, whose greedy walks rarely pass the fan-out, or a copy
+        # of the LLM, whose greedy walks always do.
+        ssm = (TransformerLM(
             ModelConfig(vocab_size=64, d_model=16, n_layers=1, n_heads=2,
-                        max_seq_len=96), seed=9)
+                        max_seq_len=96), seed=9) if drafter == "small"
+            else TransformerLM(llm.config, seed=42))
         states = _make_states(llm, lambda: ssm, greedy, 0,
                               n_requests=self.BATCH, max_new_tokens=90,
                               widths=config.widths)
-        calls = _count_calls(monkeypatch, ssm,
-                             ["forward_masked_blocks", "decode", "prefill"])
+        calls = _count_calls(monkeypatch, ssm, ["decode", "prefill"])
+        # Rows of each SSM forward, and whether it drafted below a paused
+        # walk; how many walks each tick paused.
+        forwards, walks = [], []
+        forward = ssm.forward_masked_blocks
+
+        def counted(tokens, *args, **kwargs):
+            forwards.append((len(tokens), bool(walks) and walks[-1] >= 0))
+            return forward(tokens, *args, **kwargs)
+
+        resume = DecodePipeline._resume_drafts
+
+        def resumed(self, states, trees, whole, indices, nodes):
+            walks[-1] = len(indices)
+            return resume(self, states, trees, whole, indices, nodes)
+
+        monkeypatch.setattr(ssm, "forward_masked_blocks", counted)
+        monkeypatch.setattr(DecodePipeline, "_resume_drafts", resumed)
+        second = REGISTRY.counter("repro.verify.fused.second_passes")
 
         pipeline = DecodePipeline(llm, backend=FusedBackend(llm))
+        paused_ticks = 0
         for _ in range(self.TICKS):
             # Steady state: nobody finishing, nobody near end-of-context.
             assert all(
@@ -505,12 +540,30 @@ class TestOneDraftForwardPerLevel:
                 <= ssm.config.max_seq_len
                 for s in states
             )
-            before = dict(calls)
+            del forwards[:]
+            passes = second.value
+            walks.append(-1)
             pipeline.tick(states)
-            assert (calls["forward_masked_blocks"]
-                    - before["forward_masked_blocks"]) == config.depth
+            levels = len(forwards)
+            if second.value == passes:
+                # Nobody passed the fan-out.  Greedy trees all fan out
+                # there; a sampled fan-out whose draws coincide leaves its
+                # tree a chain, drafted whole (and its neighbours with it).
+                assert levels == fanout if greedy else levels in (
+                    fanout, config.depth)
+            else:
+                paused_ticks += 1
+                assert levels <= config.depth
+            below = [rows for rows, in_resume in forwards if in_resume]
+            assert all(rows <= walks[-1] for rows in below)
             assert calls["decode"] == calls["prefill"] == 0
-
+            if greedy and drafter == "oracle":
+                # Every walk passed the fan-out: the levels below it scored
+                # one row per walk.
+                assert walks[-1] == self.BATCH
+                assert below == [self.BATCH] * (config.depth - fanout)
+        if drafter == "oracle":
+            assert paused_ticks > 0
 
 def _per_forward_work(monkeypatch, model):
     """Per ``forward_masked_blocks`` call on ``model``: its largest block
@@ -569,12 +622,15 @@ class TestOneAttentionEvaluationPerLayer:
         forwards = _per_forward_work(monkeypatch, ssm)
         for _ in range(4):
             pipeline.tick(states)
-        assert len(forwards) == 4 * config.depth
+        # No walk passes this SSM's fan-out in these ticks, so each drafts
+        # the levels down to it only.
+        fanout = config.widths.index(3) + 1
+        assert len(forwards) == 4 * fanout
         small = [f for f in forwards
                  if f["rows"]
                  <= transformer_module.slot_block_rows(ssm.config)]
-        # Levels past the roots are one or three rows a slot.
-        assert len(small) >= 4 * (config.depth - 1)
+        # Levels past the roots are one row a slot.
+        assert len(small) >= 4 * (fanout - 1)
         for forward in small:
             assert forward["blocks"] == self.BATCH
             _assert_one_evaluation_per_layer(forward, ssm.config.n_layers)

@@ -224,10 +224,12 @@ class TestOneForwardPerAdmissionRound:
         assert batched.attn_score_flops == solo.attn_score_flops
         assert batched.kv_bytes_copied == 0
 
-        # The first tick: ``depth`` packed SSM forwards, the first of which
-        # mirrors every queued prompt under its request's root.
+        # The first tick: a packed SSM forward per level down to the
+        # fan-out, the first of which mirrors every queued prompt under its
+        # request's root.  No walk passes the fan-out (one LLM forward
+        # verifies), so nothing is drafted below it.
         manager.run_iteration()
-        assert ssm_tap.calls == {"forward_masked_blocks": len(WIDTHS),
+        assert ssm_tap.calls == {"forward_masked_blocks": WIDTHS.index(2) + 1,
                                  "prefill": 0, "decode": 0}
         assert ssm_tap.rows[0] == rows + admissions
         assert packed.value == before + admissions
