@@ -672,12 +672,14 @@ class DecodePipeline:
 
         Each prompt is scored under its own causal block into its own
         cache.  The request's first token is drawn from its last row's
-        logits with the request's own RNG (argmax when greedy) — a draw
-        from the LLM's own distribution, with nothing to verify — then
-        emitted and made ``pending``.  No SSM runs: a speculative state
-        queues its prompt on the speculator, and the first tick's level-0
-        draft call mirrors it.  No :class:`StepTrace` is recorded — steps
-        count decode iterations — so outcomes report ``advanced=False``.
+        logits (the one row of its prompt the forward carries through the
+        last layer and the LM head) with the request's own RNG (argmax
+        when greedy) — a draw from the LLM's own distribution, with
+        nothing to verify — then emitted and made ``pending``.  No SSM
+        runs: a speculative state queues its prompt on the speculator, and
+        the first tick's level-0 draft call mirrors it.  No
+        :class:`StepTrace` is recorded — steps count decode iterations — so
+        outcomes report ``advanced=False``.
         """
         with TRACER.span("repro.engine.prefill",
                          requests=len(states)) as span:
@@ -686,8 +688,8 @@ class DecodePipeline:
                 [state.cache for state in states],
             )
             outcomes: List[TickOutcome] = []
-            for state, rows in zip(states, logits):
-                token = int(sample_token(rows[-1], state.sampling, state.rng))
+            for state, row in zip(states, logits):
+                token = int(sample_token(row, state.sampling, state.rng))
                 emitted = state.emit([token])
                 state.pending = token
                 if state.speculator is not None and not state.finished:

@@ -254,7 +254,8 @@ def block_diagonal_attention(
             ``(n_kᵢ, h, d_head)`` — typically zero-copy cache views — or
             one :class:`SlotKV` for the slot-major order.
         masks: Per-request ``(n_qᵢ, n_kᵢ)`` additive masks (a
-            :class:`SlotKV` carries them in its bias).
+            :class:`SlotKV` carries them in its bias); a block with no
+            query rows is skipped.
         row_offsets: Start row of each request's query block in ``q``
             (``len(row_offsets) == len(masks) + 1``; last entry is ``Σn_q``).
         out: Optional ``(Σn_q, h, d_head)`` output buffer (steady-state
@@ -271,7 +272,9 @@ def block_diagonal_attention(
         return _slot_major_attention(q, kvs, out)
     for i, ((keys, values), mask) in enumerate(zip(kvs, masks)):
         lo, hi = row_offsets[i], row_offsets[i + 1]
-        scaled_dot_attention(q[lo:hi], keys, values, mask, out=out[lo:hi])
+        if lo < hi:
+            scaled_dot_attention(q[lo:hi], keys, values, mask,
+                                 out=out[lo:hi])
     return out
 
 

@@ -34,7 +34,8 @@ class PerfCounters:
 
     Attributes:
         gemm_flops: Multiply-add FLOPs (counted as 2*m*n*k) spent in
-            ``linear_forward`` — QKV/output projections, MLP, LM head.
+            ``linear_forward`` — QKV/output projections and MLP (the LM
+            head is a bare ``matmul`` and is not counted).
         attn_score_flops: FLOPs spent forming attention scores and the
             weighted value sum (2 * 2 * heads * n_q * n_k * d_head).
         kv_bytes_copied: Bytes of cached keys/values copied to stage

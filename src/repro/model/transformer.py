@@ -93,6 +93,7 @@ class _SlotSpan:
         self.first = min(slots)
         self.n_slots = max(slots) + 1 - self.first
         self.n_keys = max(self.ends)
+        self.slots = [slot - self.first for slot in slots]
         heads = [slot * self.size + prior
                  for slot, prior in zip(slots, priors)]
         if offsets[-1] == len(caches):
@@ -103,8 +104,7 @@ class _SlotSpan:
                                    counts)
                          + np.arange(offsets[-1]))
         self.bias, self.index = slot_layout(
-            masks, [slot - self.first for slot in slots], self.n_slots,
-            offsets, self.arena.config.dtype)
+            masks, self.slots, self.n_slots, offsets, self.arena.config.dtype)
 
     @classmethod
     def plan(cls, caches, priors, counts, offsets, masks):
@@ -143,6 +143,13 @@ class _SlotSpan:
             value_slab[lo:hi].reshape(shape)[:, : self.n_keys],
             self.bias, self.index,
         )
+
+    def narrow(self, kv: SlotKV, masks, offsets) -> SlotKV:
+        """``kv`` for the query rows of ``masks`` alone (some of each
+        block's rows, at ``offsets``): the same keys, a new layout."""
+        bias, index = slot_layout(masks, self.slots, self.n_slots, offsets,
+                                  self.arena.config.dtype)
+        return kv._replace(bias=bias, index=index)
 
     def commit(self) -> None:
         for cache, end in zip(self.caches, self.ends):
@@ -236,6 +243,7 @@ class TransformerLM:
         caches: Sequence,
         priors: Optional[Sequence[int]] = None,
         scratch: Optional[ScratchArena] = None,
+        read: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Block-sparse fused decode over several requests at once.
 
@@ -291,9 +299,16 @@ class TransformerLM:
                 allocation behaviour changes.  Callers that pass an arena
                 own its lifecycle: the returned logits alias arena memory
                 and are overwritten by the next call with the same arena.
+            read: Optional ascending indices of the rows whose logits the
+                caller reads (default: every row).  Every row's K/V is
+                stored in every layer, and layers before the last run over
+                every row; the last layer's attention, output projection
+                and MLP, the final LayerNorm and the LM head run over these
+                rows only (the prompt pass reads one row per prompt).
 
         Returns:
-            ``(Σnᵢ, vocab)`` logits, one row per new token, batch order.
+            ``(Σnᵢ, vocab)`` logits, one row per new token (per ``read``
+            row when given), batch order.
         """
         tokens = np.asarray(tokens, dtype=np.intp)
         positions = np.asarray(positions, dtype=np.intp)
@@ -357,6 +372,7 @@ class TransformerLM:
         # is consumed by the very next op) and ``mlp`` the d_ff-wide one, so
         # a layer allocates nothing of either size.  ``x`` is this call's
         # own array (a gather result): the residual adds run in place.
+        last = cfg.n_layers - 1 if read is not None else -1
         for i in range(cfg.n_layers):
             pre = f"layer{i}"
             h, _ = layernorm_forward(x, p[f"{pre}.ln1.scale"],
@@ -375,6 +391,21 @@ class TransformerLM:
                     layer_kv.append(kh[offsets[b] : offsets[b + 1]],
                                     vh[offsets[b] : offsets[b + 1]])
                     kvs.append(layer_kv.view())
+            if i == last:
+                # Every row's K/V is stored; only the read rows go on.
+                read = np.asarray(read, dtype=np.intp)
+                starts = np.searchsorted(read, offsets)
+                masks = [mask[read[lo:hi] - offset] for mask, offset, lo, hi
+                         in zip(masks, offsets, starts, starts[1:])]
+                offsets = starts.tolist()
+                if span is not None:
+                    kvs = span.narrow(kvs, masks, offsets)
+                n_new = len(read)
+                x, qh = x[read], qh[read]
+                hidden, mlp = hidden[:n_new], mlp[:n_new]
+                if scratch is not None:
+                    attn_buf = attn_buf[:n_new]
+                    logits_out = logits_out[:n_new]
             attn = block_diagonal_attention(qh, kvs, masks, offsets,
                                             out=attn_buf)
             attn_out, _ = linear_forward(
@@ -424,9 +455,10 @@ class TransformerLM:
                                    scratch=scratch)
 
     def prefill_batch(self, prompts: Sequence[np.ndarray],
-                      caches: Sequence) -> List[np.ndarray]:
+                      caches: Sequence) -> np.ndarray:
         """:meth:`prefill` for several requests in one forward pass; returns
-        one ``(nᵢ, vocab)`` logits view per prompt.
+        ``(len(prompts), vocab)`` logits, row ``b`` the last row of prompt
+        ``b`` (the one its first token is drawn from).
 
         Prompt ``b`` lands after whatever ``caches[b]`` already holds, under
         a causal block of its own, so a prompt scored in a batch sees
@@ -440,6 +472,10 @@ class TransformerLM:
         so the upper triangle of a long prompt's score matrix — all
         ``-inf`` under the causal mask — is never computed.  Still one
         forward of ``Σnᵢ`` rows.
+
+        Every row's K/V is stored in every layer, but only the last rows
+        go through the last layer's post-attention path and the LM head
+        (``read`` of :meth:`forward_masked_blocks`).
         """
         dtype = self.config.dtype
         counts = [len(prompt) for prompt in prompts]
@@ -457,10 +493,9 @@ class TransformerLM:
             [np.asarray(prompt, dtype=np.intp) for prompt in prompts])
         positions = np.concatenate(
             [np.arange(start, start + n) for n, start in zip(counts, starts)])
-        logits = self.forward_masked_blocks(tokens, positions, masks,
-                                            block_caches, priors=priors)
-        bounds = np.cumsum([0] + counts)
-        return [logits[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return self.forward_masked_blocks(tokens, positions, masks,
+                                          block_caches, priors=priors,
+                                          read=np.cumsum(counts) - 1)
 
     @tensor_contract(tokens={"ndim": 1})
     def decode_batch(self, tokens: np.ndarray, caches: Sequence,

@@ -192,6 +192,14 @@ class _Frontier(NamedTuple):
     counts: List[int]
 
 
+def _owned_by(frontier: _Frontier, slots: List[int]) -> np.ndarray:
+    """Per node of ``frontier``, whether one of ``slots`` owns it: a
+    per-slot lookup (``np.isin`` costs 15–25 µs at eight slots)."""
+    chosen = np.zeros(len(frontier.counts), dtype=bool)
+    chosen[slots] = True
+    return chosen[frontier.owner]
+
+
 @lru_cache(maxsize=None)
 def _inner_nodes(widths: Tuple[int, ...]) -> Tuple[int, ...]:
     """Per depth, the inner nodes of a full subtree below a node there
@@ -483,7 +491,7 @@ class _Levels:
     def pause(self, slots: List[int]) -> None:
         """Set ``slots``' running frontier aside: their caches hold their
         rows until a resume scores below them."""
-        pausing = np.isin(self.frontier.owner, slots)
+        pausing = _owned_by(self.frontier, slots)
         if pausing.any():
             self.paused[self.level] = _take(self.frontier, pausing)
         for b in slots:
@@ -660,7 +668,7 @@ class _Levels:
                 if count > self.room[b] - self.rows[b]]
         if not over:
             return frontier
-        keep = ~np.isin(frontier.owner, over)
+        keep = ~_owned_by(frontier, over)
         return _take(frontier, keep) if keep.any() else None
 
     # -- proposals and growth ------------------------------------------------------

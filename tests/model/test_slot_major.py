@@ -8,6 +8,11 @@ per-block loop is the reference: logits to 1e-12 with the same argmax, and
 the same cache contents and lengths, for every block size up to the
 crossover, ragged prefixes, idle slots inside the span and blocks in any
 slot order.  Shapes outside the rule take the loop.
+
+Either order can stop at the last layer's K/V store for the rows a caller
+does not read (``read=``): the read rows' logits match the whole forward's
+to 1e-12 with the same argmax, and every row's K/V is bit for bit the
+whole forward's.
 """
 
 import numpy as np
@@ -160,3 +165,36 @@ class TestShapesOutsideTheRuleTakeTheLoop:
                                          block_copies, priors=priors)
         assert np.max(np.abs(slot - loop)) <= LOGIT_TOLERANCE
         assert attention_calls["slot_major"] == 0
+
+
+class TestReadRows:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_read_rows_match_the_whole_forward_in_either_order(
+            self, llm, seed, attention_calls):
+        def batch():
+            rng = np.random.default_rng(200 + seed)
+            used = [int(s) for s in rng.permutation(8)[:6]]
+            counts = [int(rng.integers(1, ROWS + 1)) for _ in used]
+            return _batch(llm, rng, used, counts)
+
+        whole, trimmed = batch(), batch()
+        tokens, positions, masks = whole[2:]
+        rng = np.random.default_rng(seed)
+        # Some blocks hold no read row: they still store their K/V.
+        read = np.flatnonzero(rng.random(len(tokens)) < 0.3)
+        read = read if read.size else np.array([len(tokens) - 1])
+        for side in (0, 1):  # arena slots (slot-major), private copies
+            want = llm.forward_masked_blocks(tokens, positions, masks,
+                                             whole[side])[read]
+            got = llm.forward_masked_blocks(tokens, positions, masks,
+                                            trimmed[side], read=read)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= LOGIT_TOLERANCE
+            np.testing.assert_array_equal(got.argmax(axis=1),
+                                          want.argmax(axis=1))
+            for cache, copy in zip(trimmed[side], whole[side]):
+                assert cache.length == copy.length
+                for got_kv, want_kv in zip(cache.layers, copy.layers):
+                    for a, b in zip(got_kv.view(), want_kv.view()):
+                        np.testing.assert_array_equal(a, b)
+        assert attention_calls["slot_major"] == 2 * SMALL_CONFIG.n_layers

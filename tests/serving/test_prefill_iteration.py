@@ -7,8 +7,10 @@ admission count; a one-token request lives and dies inside the prefill
 iteration and gives everything back; k admissions cost exactly one LLM
 forward of Σ prompt rows and no SSM forward, and the first tick's level-0
 draft call carries the queued prompts; a prompt scored in a batch gets the
-logits it gets alone; preempt → resume re-enters through the same path and
-the client-visible stream does not change.
+last-row logits it gets alone, and stores the K/V the whole forward stores,
+though only its last row goes through the last layer past its K/V and the
+LM head; preempt → resume re-enters through the same path and the
+client-visible stream does not change.
 """
 
 import numpy as np
@@ -17,11 +19,16 @@ import pytest
 from repro.engine.generation import GenerationConfig
 from repro.engine.incremental import IncrementalEngine
 from repro.engine.pipeline import FusedBackend
-from repro.model import perf
+from repro.model import attention, perf
 from repro.model.kv_cache import BatchArena
 from repro.model.config import ModelConfig
 from repro.model.coupled import CoupledSSM
-from repro.model.transformer import TransformerLM
+from repro.model.transformer import (
+    PROMPT_BLOCK_ROWS,
+    SLOT_MIN_BLOCKS,
+    TransformerLM,
+    slot_block_rows,
+)
 from repro.obs import REGISTRY
 from repro.serving.manager import RequestManager
 from repro.serving.session import IncrementalSession, SpeculativeSession
@@ -218,10 +225,18 @@ class TestOneForwardPerAdmissionRound:
                                  "decode": 0}
         assert llm_tap.rows == [rows]
         assert ssm_tap.calls == dict.fromkeys(_Tap.NAMES, 0)
-        # The same arithmetic as k solo prefills, in one call: nothing is
-        # scored across requests and no K/V is copied to stage it.
-        assert batched.gemm_flops == solo.gemm_flops
-        assert batched.attn_score_flops == solo.attn_score_flops
+        # The arithmetic of k solo prefills, in one call, less what no
+        # read row needs: each prompt row but the last stops at the last
+        # layer's K/V store, so it skips that layer's output projection,
+        # MLP and attention.  Nothing is scored across requests and no K/V
+        # is copied to stage it.
+        cfg = llm.config
+        unread = rows - admissions
+        assert batched.gemm_flops == solo.gemm_flops - unread * 2 * (
+            cfg.d_model ** 2 + 2 * cfg.d_model * cfg.d_ff)
+        assert batched.attn_score_flops == solo.attn_score_flops - sum(
+            2 * 2 * cfg.n_heads * (len(p) - 1) * len(p) * cfg.d_head
+            for p in prompts)
         assert batched.kv_bytes_copied == 0
 
         # The first tick: a packed SSM forward per level down to the
@@ -236,6 +251,16 @@ class TestOneForwardPerAdmissionRound:
         assert llm_tap.calls["forward_masked_blocks"] == 2
 
 
+def _assert_last_rows(llm, sequences, got):
+    """``got`` holds one row per sequence: its last row of a solo
+    ``prefill``, to 1e-12 with the same argmax."""
+    assert got.shape == (len(sequences), llm.config.vocab_size)
+    for sequence, row in zip(sequences, got):
+        want = llm.prefill(sequence, llm.new_cache())[-1]
+        assert np.max(np.abs(row - want)) <= 1e-12
+        assert np.argmax(row) == np.argmax(want)
+
+
 class TestBatchedPrefillEqualsSolo:
     @pytest.mark.parametrize("admissions", ADMISSIONS)
     def test_logits_to_1e12_and_argmax_exact(self, llm, admissions):
@@ -245,12 +270,7 @@ class TestBatchedPrefillEqualsSolo:
         caches = [arena.new_sequence() for _ in prompts]
         batched = llm.prefill_batch(prompts, caches)
         assert [c.length for c in caches] == [len(p) for p in prompts]
-        for prompt, got in zip(prompts, batched):
-            want = llm.prefill(prompt, llm.new_cache())
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-12
-            assert np.array_equal(np.argmax(got, axis=-1),
-                                  np.argmax(want, axis=-1))
+        _assert_last_rows(llm, prompts, batched)
 
     def test_each_prompt_lands_after_what_its_cache_holds(self, llm):
         """A non-empty cache (a resumed prefix) is extended, not restarted."""
@@ -262,17 +282,14 @@ class TestBatchedPrefillEqualsSolo:
                 llm.prefill(prompt[:k], cache)
         batched = llm.prefill_batch(
             [p[k:] for p, k in zip(prompts, split)], caches)
-        for prompt, k, got in zip(prompts, split, batched):
-            want = llm.prefill(prompt, llm.new_cache())[k:]
-            assert np.max(np.abs(got - want)) <= 1e-12
-
+        assert [c.length for c in caches] == [len(p) for p in prompts]
+        _assert_last_rows(llm, prompts, batched)
 
     def test_long_prompt_is_causal_blocks_of_one_cache(self, llm):
         """A prompt past ``PROMPT_BLOCK_ROWS`` is scored as blocks of its own
         cache: same logits, one forward of the same rows, and the masked
         upper triangle of its score matrix is not paid for."""
-        from repro.model.transformer import PROMPT_BLOCK_ROWS as rows
-
+        rows = PROMPT_BLOCK_ROWS
         lengths = [rows - 1, rows, rows + 1, 2 * rows, 3 * rows - 1]
         prompts = _prompts(lengths)
         caches = [llm.new_cache() for _ in prompts]
@@ -282,11 +299,72 @@ class TestBatchedPrefillEqualsSolo:
         heads, d_head = llm.config.n_heads, llm.config.d_head
         square = sum(2 * 2 * heads * n * n * d_head for n in lengths)
         assert counted.attn_score_flops < 0.8 * square * llm.config.n_layers
-        for prompt, got in zip(prompts, batched):
-            want = llm.prefill(prompt, llm.new_cache())
-            assert np.max(np.abs(got - want)) <= 1e-12
-            assert np.array_equal(np.argmax(got, axis=-1),
-                                  np.argmax(want, axis=-1))
+        _assert_last_rows(llm, prompts, batched)
+
+
+#: (prompt lengths, rows each cache holds before the pass).  The last two
+#: are four or more prompts of one or two rows in arena slots, which the
+#: forward scores slot-major.
+PASSES = [
+    ((1,), (0,)),
+    ((95,), (0,)),
+    ((31, 32, 33), (0, 0, 0)),
+    ((1, 2, 31, 32, 33, 64, 95), (0,) * 7),
+    ((64, 33, 2, 1, 32, 31, 95, 1), (0, 5, 9, 0, 40, 3, 1, 60)),
+    ((33, 64), (31, 1)),
+    ((1, 2, 1, 2), (0,) * 4),
+    ((2, 1, 2, 1, 2, 1, 2, 1), (3, 0, 7, 12, 0, 1, 30, 2)),
+]
+
+
+class TestPromptPassReadsLastRows:
+    """Only each prompt's last row goes past the last layer's K/V store:
+    the row returned matches a whole ``prefill``'s last row, and every
+    layer's K/V is the untrimmed pass's, bit for bit."""
+
+    @staticmethod
+    def _pass(llm, lengths, held):
+        """One ``prefill_batch`` over arena slots whose caches hold
+        ``held`` rows of each sequence before the pass."""
+        rng = np.random.default_rng(sum(lengths) + len(lengths))
+        arena = BatchArena(llm.config, max_requests=len(lengths))
+        caches = [arena.new_sequence() for _ in lengths]
+        sequences, prompts = [], []
+        for cache, length, rows in zip(caches, lengths, held):
+            sequence = make_prompt(rng, length=rows + length)
+            if rows:
+                llm.prefill(sequence[:rows], cache)
+            sequences.append(sequence)
+            prompts.append(sequence[rows:])
+        return sequences, llm.prefill_batch(prompts, caches), caches
+
+    @pytest.mark.parametrize("lengths, held", PASSES)
+    def test_last_rows_and_bitwise_kv(self, llm, lengths, held, monkeypatch):
+        calls = []
+        slot_major = attention._slot_major_attention
+        forward = llm.forward_masked_blocks
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return slot_major(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(attention, "_slot_major_attention", counted)
+            sequences, got, caches = self._pass(llm, lengths, held)
+        with monkeypatch.context() as patch:
+            # The untrimmed pass: every row to the LM head.
+            patch.setattr(llm, "forward_masked_blocks",
+                          lambda *a, read=None, **k: forward(*a, **k)[read])
+            _, _, reference = self._pass(llm, lengths, held)
+        _assert_last_rows(llm, sequences, got)
+        for cache, copy, sequence in zip(caches, reference, sequences):
+            assert cache.length == copy.length == len(sequence)
+            for layer, layer_copy in zip(cache.layers, copy.layers):
+                for a, b in zip(layer.view(), layer_copy.view()):
+                    np.testing.assert_array_equal(a, b)
+        slot_shaped = (len(lengths) >= SLOT_MIN_BLOCKS
+                       and max(lengths) <= slot_block_rows(llm.config))
+        assert len(calls) == (llm.config.n_layers if slot_shaped else 0)
 
 
 class TestPreemptResume:
