@@ -29,7 +29,6 @@ from repro.engine import (
     IncrementalEngine,
     SpecInferEngine,
     StepTrace,
-    VerificationBackend,
     make_sequence_spec_engine,
 )
 from repro.model import (
@@ -66,7 +65,6 @@ __all__ = [
     "make_sequence_spec_engine",
     "DecodePipeline",
     "DecodeState",
-    "VerificationBackend",
     "FusedBackend",
     "IncrementalBackend",
     "BatchedTreeVerifier",

@@ -167,7 +167,7 @@ async def _serve_gateway(spec, listen: str) -> int:
         await server.close()
         await gateway.stop()
     _print_serve_report(manager, spec.batch)
-    print(f"gateway ticks      : {gateway._loop_driver.ticks}")
+    print(f"gateway ticks      : {gateway.ticks}")
     print(f"tokens streamed    : {sum(len(t) for t in totals)}")
     return 0
 

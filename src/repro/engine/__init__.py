@@ -2,7 +2,7 @@
 
 * :mod:`repro.engine.generation` -- shared request/result/trace types.
 * :mod:`repro.engine.pipeline` -- the unified decode pipeline: the one
-  speculate→fit→verify→commit loop every surface drives, with pluggable
+  speculate→fit→verify→commit loop every surface drives, with two
   verification backends (fused lazy tree passes, incremental).
 * :mod:`repro.engine.incremental` -- Algorithm 1: one token per LLM step
   (what vLLM/TGI/FasterTransformer do; also "SpecInfer w/ incremental
@@ -27,7 +27,6 @@ from repro.engine.pipeline import (
     IncrementalBackend,
     TickOutcome,
     TreeFitter,
-    VerificationBackend,
     prune_to_size,
 )
 from repro.engine.tree_spec import SpecInferEngine
@@ -45,7 +44,6 @@ __all__ = [
     "DecodeState",
     "TickOutcome",
     "TreeFitter",
-    "VerificationBackend",
     "FusedBackend",
     "IncrementalBackend",
     "prune_to_size",

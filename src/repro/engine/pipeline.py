@@ -13,8 +13,7 @@ pieces defined here:
   Building one runs no model.
 * :class:`TreeFitter` — the only home of tree→cache capacity math and BFS
   pruning (:func:`prune_to_size`).
-* :class:`VerificationBackend` — the pluggable verify seam with two
-  implementations: :class:`FusedBackend` (one
+* The two verification backends: :class:`FusedBackend` (one
   :class:`~repro.engine.batched.BatchedTreeVerifier` call per batch, each
   tree under its request's own sampling) and :class:`IncrementalBackend`
   (Algorithm 1 as the degenerate one-node tree).
@@ -27,13 +26,11 @@ pieces defined here:
 
 Because batched serving and offline generation share this one loop and one
 tree verifier, the bit-equivalence suites verify the architecture rather
-than hand-synchronized copies; future backends (async, sharded,
-disaggregated verify) plug into the same seam.
+than hand-synchronized copies.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -41,7 +38,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.batched import BatchedTreeVerifier
-from repro.faults import FaultError, FaultKind
+from repro.faults import FaultKind
 from repro.engine.generation import (
     GenerationConfig,
     GenerationResult,
@@ -230,7 +227,6 @@ class DecodeState:
         cache_factory: Optional KV-cache allocation override (e.g.
             ``arena.new_sequence`` for a slot of a shared
             :class:`~repro.model.kv_cache.BatchArena`).
-        rng: Optional RNG override; defaults to ``default_rng(config.seed)``.
     """
 
     def __init__(
@@ -240,7 +236,6 @@ class DecodeState:
         config: Optional[GenerationConfig] = None,
         speculator=None,
         cache_factory: Optional[Callable] = None,
-        rng: Optional[np.random.Generator] = None,
     ):
         config = config or GenerationConfig()
         prompt_arr = np.asarray(list(prompt), dtype=np.intp)
@@ -260,7 +255,7 @@ class DecodeState:
         self.prompt = prompt_arr
         self.config = config
         self.speculator = speculator
-        self.rng = rng if rng is not None else np.random.default_rng(config.seed)
+        self.rng = np.random.default_rng(config.seed)
         self.cache = (cache_factory or model.new_cache)()
         self.tokens: List[int] = []
         self.steps: List[StepTrace] = []
@@ -320,34 +315,7 @@ class DecodeState:
 # -- verification backends ---------------------------------------------------------
 
 
-class VerificationBackend(ABC):
-    """The pipeline's pluggable verify seam.
-
-    A backend turns a batch of (state, fitted tree) pairs into per-request
-    :class:`VerificationResult`s, committing each accepted path to the
-    request's KV cache.  Implementations decide the execution strategy —
-    fused tree passes per batch, or plain incremental decoding — without
-    touching the loop around them.
-    """
-
-    #: The LLM the backend verifies against (used by the pipeline to size
-    #: the tree fitter).
-    model: TransformerLM
-
-    @abstractmethod
-    def verify(self, states: Sequence[DecodeState],
-               trees: Sequence[TokenTree],
-               resume: Optional[Callable] = None,
-               ) -> List[VerificationResult]:
-        """Verify each tree against its state's cache; batch order.
-
-        ``resume`` completes subtrees of lazily drafted trees (see
-        :meth:`BatchedTreeVerifier.verify_batch`); a backend that never
-        descends below a tree's trunk ignores it.
-        """
-
-
-class FusedBackend(VerificationBackend):
+class FusedBackend:
     """One :class:`BatchedTreeVerifier` call over the whole batch: a fused
     pass over every trunk, and a second only for walks that passed a
     fan-out.
@@ -394,6 +362,11 @@ class FusedBackend(VerificationBackend):
                trees: Sequence[TokenTree],
                resume: Optional[Callable] = None,
                ) -> List[VerificationResult]:
+        """Verify each tree against its state's cache; batch order.
+
+        ``resume`` completes subtrees of lazily drafted trees (see
+        :meth:`BatchedTreeVerifier.verify_batch`).
+        """
         _observe_verify("fused", trees)
         with TRACER.span("repro.verify.fused", requests=len(trees)):
             return self._verifier.verify_batch(
@@ -405,7 +378,7 @@ class FusedBackend(VerificationBackend):
             )
 
 
-class IncrementalBackend(VerificationBackend):
+class IncrementalBackend:
     """Algorithm 1 as the degenerate one-node tree, one forward per batch.
 
     The speculate phase hands this backend a bare root per state (the
@@ -521,7 +494,7 @@ class DecodePipeline:
     """
 
     def __init__(self, model: TransformerLM,
-                 backend: Optional[VerificationBackend] = None,
+                 backend: Optional[FusedBackend | IncrementalBackend] = None,
                  injector: Optional["FaultInjector"] = None,
                  planner: Optional["TreePlanner"] = None):
         self.model = model
@@ -738,13 +711,11 @@ class DecodePipeline:
             # now (drawn only when something could draft).
             degraded = self._fallback_remaining > 0
             entered = False
-            if live and not degraded and self.injector is not None:
-                try:
-                    self.injector.maybe_fail(FaultKind.SPECULATION,
-                                             iteration=self._ticks - 1)
-                except FaultError:
-                    self._enter_fallback("speculation")
-                    degraded = entered = True
+            if (live and not degraded and self.injector is not None
+                    and self.injector.should_fire(
+                        FaultKind.SPECULATION, iteration=self._ticks - 1)):
+                self._enter_fallback("speculation")
+                degraded = entered = True
 
             # Dynamic tree planning: one budget/shape decision for the whole
             # tick, solved against the live batch size and context depth.
@@ -812,18 +783,17 @@ class DecodePipeline:
 
                 with TRACER.span("repro.engine.verify", requests=len(active),
                                  tokens=sum(len(t) for t in trees)):
-                    if active and not degraded and self.injector is not None:
-                        try:
-                            self.injector.maybe_fail(FaultKind.VERIFICATION,
-                                                     iteration=self._ticks - 1)
-                        except FaultError:
-                            # The backend is down this tick: discard the
-                            # drafted trees (nothing touched the caches yet)
-                            # and decode each pending token incrementally.
-                            self._enter_fallback("verification")
-                            degraded = entered = True
-                            trees = [TokenTree(s.pending) for s in active]
-                            bare = [True] * len(states)
+                    if (active and not degraded and self.injector is not None
+                            and self.injector.should_fire(
+                                FaultKind.VERIFICATION,
+                                iteration=self._ticks - 1)):
+                        # The backend is down this tick: discard the drafted
+                        # trees (nothing touched the caches yet) and decode
+                        # each pending token incrementally.
+                        self._enter_fallback("verification")
+                        degraded = entered = True
+                        trees = [TokenTree(s.pending) for s in active]
+                        bare = [True] * len(states)
                     # Bare roots: one decode_batch.  Drafted trees: one verify
                     # of the configured backend.
                     results: List[Optional[VerificationResult]] = (

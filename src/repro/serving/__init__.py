@@ -12,9 +12,9 @@
   preemption victim order (newest first).
 * :mod:`repro.serving.gateway` -- the async streaming gateway: bounded
   per-tenant admission queues, weighted round-robin with rate limits, two
-  SLO classes, and per-request token streams over the synchronous core.
-* :mod:`repro.serving.loop` -- the gateway's asyncio driver (a prefill or
-  a decode iteration of the core per cycle).
+  SLO classes, and per-request token streams over the synchronous core,
+  driven by one asyncio task (a prefill or a decode iteration of the core
+  per cycle).
 * :mod:`repro.serving.transport` / :mod:`repro.serving.client` -- the
   localhost TCP/JSONL transport and its streaming client.
 * :mod:`repro.serving.loadgen` -- concurrent async load generator
@@ -28,7 +28,6 @@ streaming on top.  See ``docs/serving_gateway.md``.
 from repro.engine.pipeline import (
     FusedBackend,
     IncrementalBackend,
-    VerificationBackend,
 )
 from repro.serving.request import Request, RequestOutput, RequestState
 from repro.serving.session import (
@@ -46,7 +45,6 @@ from repro.serving.gateway import (
     TenantConfig,
     TokenStream,
 )
-from repro.serving.loop import GatewayLoop
 from repro.serving.manager import IterationStats, RequestManager
 from repro.serving.policies import (
     fcfs,
@@ -63,7 +61,6 @@ __all__ = [
     "SpeculativeSession",
     "RequestManager",
     "IterationStats",
-    "VerificationBackend",
     "FusedBackend",
     "IncrementalBackend",
     "fcfs",
@@ -71,7 +68,6 @@ __all__ = [
     "preempt_newest_first",
     "AdmissionError",
     "GatewayConfig",
-    "GatewayLoop",
     "GatewayRequestFailed",
     "ServingGateway",
     "SloClass",

@@ -14,15 +14,18 @@ Layering (see ``docs/serving_gateway.md``):
   *synchronous core* — ``admit`` / ``step`` / retire, no awareness of
   clients, tenants, or wall-clock time.  The replay path drives it
   unchanged.
-* :class:`ServingGateway` (this module) is the *policy* layer: bounded
-  per-tenant queues, per-tenant weighted round-robin with rate limits into
-  the core's free batch slots, and two SLO classes (:class:`SloClass`)
-  that label the latency histograms.
-* :class:`~repro.serving.loop.GatewayLoop` is the asyncio *driver*: each
+* :class:`ServingGateway` (this module) is the *policy* layer and the
+  asyncio *driver*: bounded per-tenant queues, per-tenant weighted
+  round-robin with rate limits into the core's free batch slots, and two
+  SLO classes (:class:`SloClass`) that label the latency histograms.  Its
+  one task is the only place where the event loop and the core meet: each
   cycle it pumps admissions — a round that admits anything is the core's
   prefill iteration, whose first tokens are dispatched at once — or else
-  runs one core ``step``, and dispatches the per-request committed-token
-  deltas (``IterationStats.emissions``) into client streams.
+  runs one core ``step``, dispatches the per-request committed-token
+  deltas (``IterationStats.emissions``) into client streams, and yields.
+  That is the replay path's ``run_iteration``, so both drivers advance the
+  core's logical clock identically.  The core never blocks on clients and
+  clients never block the core.
 
 Mid-stream fault tolerance is inherited from the core: a preempted
 request's stream sees a ``stall`` event, then a ``resume`` and the
@@ -72,6 +75,9 @@ _TICKS = REGISTRY.counter(
 _STALLS = REGISTRY.counter(
     "repro.gateway.stalls",
     help="mid-stream stalls surfaced to clients (preemptions)")
+
+#: How long the loop parks waiting for a wake signal when it has no work.
+IDLE_WAIT_SECONDS = 0.05
 
 #: Histogram bucket bounds for client-observed latencies (seconds).  The
 #: toy substrate decodes a tick in well under a millisecond, so the lower
@@ -344,8 +350,6 @@ class ServingGateway:
 
     def __init__(self, manager: RequestManager,
                  config: Optional[GatewayConfig] = None):
-        from repro.serving.loop import GatewayLoop
-
         self.manager = manager
         self.config = config or GatewayConfig()
         self._tenants: Dict[str, _TenantState] = {
@@ -354,11 +358,12 @@ class ServingGateway:
         }
         self._by_id: Dict[int, _GwRequest] = {}
         self._wrr_credit: Dict[str, float] = {}
-        self._loop_driver = GatewayLoop(self)
         self._task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
         self._closing = False
         self.peak_queue_depth = 0
+        #: Decode iterations the loop has run (prefill iterations excluded).
+        self.ticks = 0
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -368,8 +373,7 @@ class ServingGateway:
             raise RuntimeError("gateway already started")
         self._closing = False
         self._wake = asyncio.Event()
-        self._task = asyncio.get_running_loop().create_task(
-            self._loop_driver.run())
+        self._task = asyncio.get_running_loop().create_task(self._run())
 
     async def stop(self, drain: bool = True) -> None:
         """Stop the loop task; by default drain all in-flight work first.
@@ -418,6 +422,78 @@ class ServingGateway:
     @property
     def queue_depth(self) -> int:
         return sum(len(state.queue) for state in self._tenants.values())
+
+    # -- the loop ------------------------------------------------------------------
+
+    async def _run(self) -> None:
+        """Drive the core until the gateway is closing and fully drained.
+
+        Every cycle ends in ``asyncio.sleep(0)``, which yields control to
+        the event loop so client tasks interleave with decoding.  If the
+        core raises, every queued and in-flight stream gets a terminal
+        ``failed`` event carrying the reason before the exception
+        propagates (``stop()`` re-raises it), so no client outlives the
+        loop waiting for tokens.
+        """
+        try:
+            while True:
+                if self._pump_admissions():
+                    # A prefill iteration ran and its first tokens are on
+                    # the client streams: let the clients read them before
+                    # a tick.
+                    await asyncio.sleep(0)
+                    continue
+                if not self.manager.num_running:
+                    if self._closing and not self.has_work:
+                        return
+                    if self.has_work:
+                        # Work exists but nothing is admissible right now
+                        # (rate limit, or a requeued request backing off in
+                        # the core), or a request failed at admission and
+                        # its terminal event is still in the core: run an
+                        # idle core tick so the logical clock — and with it
+                        # the rate buckets and retry cooldowns — advances
+                        # and the event is dispatched.
+                        self._tick()
+                        await asyncio.sleep(0)
+                        continue
+                    await self._wait_for_work()
+                    continue
+                self._tick()
+                await asyncio.sleep(0)
+        except Exception as exc:
+            self._abort_all(f"gateway loop died: {exc!r}")
+            raise
+
+    def _tick(self) -> None:
+        """One synchronous decode iteration plus stream dispatch."""
+        with TRACER.span(
+            "repro.gateway.tick",
+            tick=self.ticks,
+            running=self.manager.num_running,
+            queued=self.queue_depth,
+        ):
+            stats = self.manager.step()
+        _TICKS.inc()
+        self.ticks += 1
+        self._dispatch(stats)
+
+    async def _wait_for_work(self) -> None:
+        """Park until a submission wakes us (or the idle timeout elapses).
+
+        The timeout keeps shutdown responsive even if a wake signal races
+        the park; it is not a correctness mechanism.
+        """
+        if self._closing and not self.has_work:
+            return
+        self._wake.clear()
+        if self.has_work or self._closing:
+            return
+        try:
+            await asyncio.wait_for(self._wake.wait(),
+                                   timeout=IDLE_WAIT_SECONDS)
+        except asyncio.TimeoutError:
+            pass
 
     # -- submission ----------------------------------------------------------------
 
@@ -480,7 +556,7 @@ class ServingGateway:
             self._wake.set()
         return stream
 
-    # -- admission pump (called by the loop driver each tick) ----------------------
+    # -- admission pump (called by the loop each cycle) ----------------------------
 
     def _pump_admissions(self) -> bool:
         """Move queued requests into the core, WRR across tenants, and run

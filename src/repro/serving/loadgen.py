@@ -268,7 +268,7 @@ async def run_loadgen(spec: Optional[LoadgenSpec] = None) -> LoadgenReport:
         peak_queue_depth=gateway.peak_queue_depth,
         queue_bound=spec.max_queue_depth * len(spec.tenants),
         final_queue_depth=gateway.queue_depth,
-        ticks=gateway._loop_driver.ticks,
+        ticks=gateway.ticks,
         ttft_counts={
             k: ttft_after[k] - ttft_before.get(k, 0) for k in ttft_after},
         tbt_counts={

@@ -51,8 +51,9 @@ import numpy as np
 from repro.engine.generation import GenerationConfig
 from repro.engine.pipeline import (
     DecodePipeline,
+    FusedBackend,
+    IncrementalBackend,
     TickOutcome,
-    VerificationBackend,
 )
 from repro.faults import FaultError, FaultInjector, FaultKind
 from repro.obs import DEFAULT_COUNT_BUCKETS, REGISTRY, TRACER
@@ -160,10 +161,9 @@ class RequestManager:
         max_batch_size: Maximum concurrently running requests.
         policy: Admission-ordering policy over the waiting queue
             (default FCFS; see :mod:`repro.serving.policies`).
-        backend: The :class:`VerificationBackend` that verifies the
-            drafted trees of each tick; ``None`` is
-            :class:`~repro.engine.pipeline.FusedBackend` over the sessions'
-            model.
+        backend: The backend that verifies the drafted trees of each tick;
+            ``None`` is :class:`~repro.engine.pipeline.FusedBackend` over
+            the sessions' model.
         injector: Optional :class:`~repro.faults.FaultInjector` driving the
             failure paths (chaos testing); ``None`` disables injection at
             zero cost.  A request survives :data:`MAX_SESSION_RETRIES`
@@ -181,7 +181,7 @@ class RequestManager:
         session_factory: Callable[[Request], DecodeSession],
         max_batch_size: int = 8,
         policy: Optional[Callable] = None,
-        backend: Optional[VerificationBackend] = None,
+        backend: Optional[FusedBackend | IncrementalBackend] = None,
         injector: Optional[FaultInjector] = None,
         planner: Optional["TreePlanner"] = None,
     ):
@@ -207,6 +207,7 @@ class RequestManager:
         #: triggered between iterations by an external driver).
         self._preempted_events: List[int] = []
         self._failed_events: List[int] = []
+        self._finished_events: List[int] = []
 
     # -- submission ------------------------------------------------------------
 
@@ -340,6 +341,7 @@ class RequestManager:
                 finished_ids.append(request_id)
         for request_id in finished_ids:
             self._retire(request_id)
+        finished_ids = self._finished_events + finished_ids
         stats = IterationStats(
             iteration=self.iteration,
             batch_size=batch_size,
@@ -353,6 +355,7 @@ class RequestManager:
         )
         self._preempted_events = []
         self._failed_events = []
+        self._finished_events = []
         span.set(batch=batch_size, admitted=admitted,
                  finished=len(finished_ids),
                  tokens_emitted=tokens_emitted)
@@ -507,8 +510,10 @@ class RequestManager:
             backoff_iterations=backoff,
         )
 
-    def _fail(self, request_id: int, reason: str) -> None:
-        """Terminal failure: release every resource, keep partial output."""
+    def _end(self, request_id: int, state: RequestState) -> RequestOutput:
+        """Fill a request's final output from its committed tokens and its
+        session's, give back its batch slot (or its place in the queue),
+        and set its terminal ``state``."""
         tracked = self._tracked[request_id]
         if tracked.output is None:
             tracked.output = RequestOutput(
@@ -525,12 +530,17 @@ class RequestManager:
         )
         output.preemptions = tracked.preemptions
         output.retries = tracked.total_retries
-        output.error = reason
-        tracked.request.state = RequestState.FAILED
+        tracked.request.state = state
         if request_id in self._running:
             self._drop_session(request_id)
         elif request_id in self._waiting:
             self._waiting.remove(request_id)
+        return output
+
+    def _fail(self, request_id: int, reason: str) -> None:
+        """Terminal failure: release every resource, keep partial output."""
+        output = self._end(request_id, RequestState.FAILED)
+        output.error = reason
         self._failed_events.append(request_id)
         _FAILED.inc()
         TRACER.event(
@@ -596,8 +606,17 @@ class RequestManager:
             tracked = self._tracked[request_id]
             if tracked.cooldown_until > self.iteration:
                 continue  # backing off after an admission-time fault
+            view = self._session_request(tracked)
+            if (tracked.committed and len(view.prompt)
+                    > self._pipeline.model.config.max_seq_len):
+                # Preempted with its context full: no room is left to
+                # decode, so it finishes with what it committed, as the
+                # tick's fitter would have retired it.
+                self._retire(request_id)
+                self._finished_events.append(request_id)
+                continue
             try:
-                session = self.session_factory(self._session_request(tracked))
+                session = self.session_factory(view)
             except Exception as exc:
                 if isinstance(exc, FaultError):
                     # Injected transient fault at admission: the request
@@ -631,17 +650,10 @@ class RequestManager:
         return admitted
 
     def _retire(self, request_id: int) -> None:
-        tracked = self._tracked[request_id]
-        session = tracked.session
-        output = tracked.output
-        output.tokens = tracked.committed + [int(t) for t in session.tokens]
-        output.finished_by_eos = session.finished_by_eos
-        output.finish_iteration = self.iteration
-        output.num_llm_steps = tracked.llm_steps_prior + len(session.steps)
-        output.preemptions = tracked.preemptions
-        output.retries = tracked.total_retries
-        tracked.request.state = RequestState.FINISHED
-        self._drop_session(request_id)
+        session = self._tracked[request_id].session
+        output = self._end(request_id, RequestState.FINISHED)
+        output.finished_by_eos = (session is not None
+                                  and session.finished_by_eos)
         _RETIRED.inc()
         TRACER.event(
             "repro.serving.retire",

@@ -5,6 +5,7 @@ import gc
 import numpy as np
 import pytest
 
+from repro.faults import FaultInjector
 from repro.model.config import ModelConfig
 from repro.model.coupled import CoupledSSM
 from repro.model.transformer import TransformerLM
@@ -44,6 +45,19 @@ def weak_ssm(llm) -> CoupledSSM:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+class ScriptedInjector(FaultInjector):
+    """Deterministic fault double: each kind fires by its script, one flag
+    per check (``itertools.repeat(1)`` fires at every check), and a kind
+    without a script, or past its script's end, never fires."""
+
+    def __init__(self, script):
+        super().__init__()
+        self._script = {kind: iter(flags) for kind, flags in script.items()}
+
+    def _decide(self, kind):
+        return bool(next(self._script.get(kind, iter(())), 0))
 
 
 def make_prompt(rng: np.random.Generator, length: int = 6,

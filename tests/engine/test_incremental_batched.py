@@ -30,8 +30,7 @@ from repro.model.kv_cache import BatchArena
 from repro.model.sampling import SamplingConfig, sample_token
 from repro.serving.manager import RequestManager
 from repro.verify.result import VerificationResult
-from tests.conftest import make_prompt
-from tests.serving.test_fault_tolerance import ScriptedInjector
+from tests.conftest import ScriptedInjector, make_prompt
 from tests.serving.test_manager import incremental_factory
 
 LOGIT_TOLERANCE = 1e-12

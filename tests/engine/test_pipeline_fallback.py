@@ -15,22 +15,10 @@ from repro.engine.pipeline import (
     DecodePipeline,
     DecodeState,
 )
-from repro.faults import FaultInjector, FaultKind
+from repro.faults import FaultKind
 from repro.speculate.expansion import ExpansionConfig
 from repro.speculate.speculator import Speculator
-from tests.conftest import make_prompt
-
-
-class ScriptedInjector(FaultInjector):
-    """Deterministic test double: fires per-kind scripted decisions."""
-
-    def __init__(self, script):
-        super().__init__(rate=0.0)
-        self._script = {kind: list(flags) for kind, flags in script.items()}
-
-    def _decide(self, kind):
-        flags = self._script.get(kind)
-        return bool(flags.pop(0)) if flags else False
+from tests.conftest import ScriptedInjector, make_prompt
 
 
 def make_state(llm, ssm, prompt, max_new_tokens=12):

@@ -22,6 +22,8 @@ Four families of guarantees:
   evaluation and one K/V store per layer.
 """
 
+from itertools import repeat
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from repro.engine.pipeline import (
     DecodeState,
     FusedBackend,
 )
-from repro.faults import FaultInjector, FaultKind
+from repro.faults import FaultKind
 from repro.model import attention, perf
 from repro.model import transformer as transformer_module
 from repro.model.kv_cache import BatchArena
@@ -45,7 +47,7 @@ from repro.serving.manager import RequestManager
 from repro.speculate.expansion import ExpansionConfig
 from repro.speculate.packed import PackedSpeculator, scored_node_bound
 from repro.speculate.speculator import Speculator
-from tests.conftest import draft_depth_first, make_prompt
+from tests.conftest import ScriptedInjector, draft_depth_first, make_prompt
 from tests.engine.test_pipeline_planner import StubPlanner
 from tests.serving.test_manager import incremental_factory
 
@@ -713,7 +715,7 @@ class TestOneLLMForwardPerIncrementalTick:
         # cooldown, so every tick is degraded.
         pipeline = DecodePipeline(
             llm, FusedBackend(llm),
-            injector=FaultInjector(rates={FaultKind.SPECULATION: 1.0}),
+            injector=ScriptedInjector({FaultKind.SPECULATION: repeat(1)}),
         )
         calls = _count_calls(monkeypatch, llm,
                              ["forward_masked_blocks", "decode"])

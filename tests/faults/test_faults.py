@@ -1,57 +1,45 @@
-"""Tests for the seeded fault-injection layer (plan + injector)."""
+"""Tests for the seeded fault injector."""
 
+import zlib
+from itertools import repeat
+
+import numpy as np
 import pytest
 
-from repro.faults import (
-    FaultError,
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    KvPressureFault,
-    SpeculationFault,
-    TransientSessionFault,
-    VerificationFault,
-    exception_for,
-)
+from repro.faults import FaultInjector, FaultKind
 from repro.obs import REGISTRY
+from tests.conftest import ScriptedInjector
 
 
 class TestFaultPlan:
-    def test_rate_for_uses_base_rate(self):
-        plan = FaultPlan(rate=0.25)
-        assert all(plan.rate_for(k) == 0.25 for k in FaultKind)
+    """When faults fire: one rate in ``[0, 1]`` for every kind, and one
+    seeded stream per kind, both held by the injector."""
 
-    def test_rate_for_per_kind_override(self):
-        plan = FaultPlan(rate=0.1, rates={FaultKind.SESSION: 0.9})
-        assert plan.rate_for(FaultKind.SESSION) == 0.9
-        assert plan.rate_for(FaultKind.SPECULATION) == 0.1
+    def test_rate_for_uses_base_rate(self):
+        """Every kind fires at the one rate, and the ``n``-th check of a
+        kind sees the ``n``-th draw of ``default_rng([seed, crc32(kind)])``
+        (the derivation seeded chaos runs replay)."""
+        injector = FaultInjector(rate=0.25, seed=17)
+        for kind in FaultKind:
+            draws = np.random.default_rng(
+                [17, zlib.crc32(kind.value.encode("ascii"))]).random(32)
+            assert [injector.should_fire(kind) for _ in range(32)] == [
+                bool(d < 0.25) for d in draws]
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5])
     def test_invalid_rates_rejected(self, bad):
-        with pytest.raises(ValueError):
-            FaultPlan(rate=bad)
-        with pytest.raises(ValueError):
-            FaultPlan(rates={FaultKind.KV_PRESSURE: bad})
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            FaultInjector(rate=bad)
 
     def test_streams_are_deterministic(self):
-        plan = FaultPlan(rate=0.5, seed=17)
-        a = plan.stream(FaultKind.SESSION).random(8)
-        b = plan.stream(FaultKind.SESSION).random(8)
-        assert list(a) == list(b)
+        a = FaultInjector(rate=0.5, seed=17)._streams[FaultKind.SESSION]
+        b = FaultInjector(rate=0.5, seed=17)._streams[FaultKind.SESSION]
+        assert list(a.random(8)) == list(b.random(8))
 
     def test_streams_are_independent_across_kinds(self):
-        plan = FaultPlan(rate=0.5, seed=17)
-        a = plan.stream(FaultKind.SESSION).random(8)
-        b = plan.stream(FaultKind.VERIFICATION).random(8)
-        assert list(a) != list(b)
-
-    def test_exception_for_maps_every_kind(self):
-        assert exception_for(FaultKind.SPECULATION) is SpeculationFault
-        assert exception_for(FaultKind.VERIFICATION) is VerificationFault
-        assert exception_for(FaultKind.SESSION) is TransientSessionFault
-        assert exception_for(FaultKind.KV_PRESSURE) is KvPressureFault
-        for kind in FaultKind:
-            assert issubclass(exception_for(kind), FaultError)
+        streams = FaultInjector(rate=0.5, seed=17)._streams
+        assert list(streams[FaultKind.SESSION].random(8)) != list(
+            streams[FaultKind.VERIFICATION].random(8))
 
 
 class TestFaultInjector:
@@ -61,9 +49,9 @@ class TestFaultInjector:
             assert not injector.should_fire(FaultKind.SESSION)
         # rate 0 short-circuits before touching the stream, so attaching a
         # default injector perturbs no RNG state anywhere.
+        fresh = FaultInjector(rate=0.0, seed=1)
         assert list(injector._streams[FaultKind.SESSION].random(4)) == list(
-            FaultPlan(seed=1).stream(FaultKind.SESSION).random(4)
-        )
+            fresh._streams[FaultKind.SESSION].random(4))
         assert injector.total_injected == 0
         assert injector.checks[FaultKind.SESSION] == 50
 
@@ -91,25 +79,12 @@ class TestFaultInjector:
         fresh = [b.should_fire(FaultKind.SESSION) for _ in range(32)]
         assert after_drain == fresh
 
-    def test_maybe_fail_raises_matching_exception(self):
-        injector = FaultInjector(rates={FaultKind.VERIFICATION: 1.0})
-        with pytest.raises(VerificationFault):
-            injector.maybe_fail(FaultKind.VERIFICATION, iteration=3)
-        # Other kinds stay at rate 0 and pass through.
-        injector.maybe_fail(FaultKind.SESSION)
-
     def test_metrics_count_checks_and_injections(self):
         REGISTRY.reset()
-        injector = FaultInjector(rates={FaultKind.SESSION: 1.0})
+        injector = ScriptedInjector({FaultKind.SESSION: repeat(1)})
         injector.should_fire(FaultKind.SESSION)
         injector.should_fire(FaultKind.SPECULATION)
         assert REGISTRY.get("repro.faults.checks").value == 2
         assert REGISTRY.get("repro.faults.injected").value == 1
         assert REGISTRY.get("repro.faults.session").value == 1
         assert REGISTRY.get("repro.faults.speculation").value == 0
-
-    def test_explicit_plan_wins(self):
-        plan = FaultPlan(rate=1.0, seed=3)
-        injector = FaultInjector(rate=0.0, seed=99, plan=plan)
-        assert injector.plan is plan
-        assert injector.should_fire(FaultKind.SESSION)

@@ -2,6 +2,7 @@
 
 import asyncio
 import gc
+import weakref
 
 import pytest
 
@@ -176,6 +177,23 @@ class TestGatewayStreaming:
         for stream in streams:
             with pytest.raises(GatewayRequestFailed, match="shutdown"):
                 await asyncio.wait_for(stream.collect(), 1.0)
+
+    async def test_a_dropped_gateway_is_freed_by_refcounting(
+            self, llm, prompts):
+        """A gateway holds no reference cycle, so one dropped without
+        ``stop()`` — never started, streams queued — is freed at once,
+        without waiting on the cycle collector.  Its clients' streams
+        outlive it and never see a terminal event."""
+        gateway = ServingGateway(build_manager(llm))
+        stream = await gateway.submit(prompts[0], _config())
+        dropped = weakref.ref(gateway)
+        gc.disable()
+        try:
+            del gateway
+            assert dropped() is None
+        finally:
+            gc.enable()
+        assert not stream.closed
 
 
 class TestBadInputCannotStopOtherStreams:

@@ -8,34 +8,27 @@ bit-identical to a fault-free run.  Every lifecycle path here runs in the
 sanitized chaos step, with the arena's overlap guard armed.
 """
 
+from itertools import repeat
+
 import pytest
 
 from repro.engine.generation import GenerationConfig
 from repro.engine.incremental import IncrementalEngine
+from repro.model.config import ModelConfig
 from repro.model.kv_cache import BatchArena
-from repro.faults import (
-    FaultInjector,
-    FaultKind,
-    TransientSessionFault,
-)
+from repro.model.transformer import TransformerLM
+from repro.faults import FaultError, FaultInjector, FaultKind
 from repro.serving.manager import MAX_SESSION_RETRIES, RequestManager
 from repro.serving.request import RequestState
-from tests.conftest import SMALL_CONFIG, arena_rows_used, make_prompt
+from tests.conftest import (
+    SMALL_CONFIG,
+    ScriptedInjector,
+    arena_rows_used,
+    make_prompt,
+)
 from tests.serving.test_manager import incremental_factory, speculative_factory
 
 pytestmark = pytest.mark.chaos
-
-
-class ScriptedInjector(FaultInjector):
-    """Deterministic test double: fires per-kind scripted decisions."""
-
-    def __init__(self, script):
-        super().__init__(rate=0.0)
-        self._script = {kind: list(flags) for kind, flags in script.items()}
-
-    def _decide(self, kind):
-        flags = self._script.get(kind)
-        return bool(flags.pop(0)) if flags else False
 
 
 def reference_tokens(llm, prompt, config):
@@ -105,6 +98,47 @@ class TestPreemption:
                 reference_tokens(llm, prompt, config)
 
 
+class TestPreemptionAtTheContextEdge:
+    """A request preempted with its context full has no room left to
+    decode: it finishes with what it committed, as the tick's fitter would
+    have retired it, instead of failing to re-admit a resume prompt one
+    token longer than the context."""
+
+    @pytest.mark.parametrize("factory, max_seq_len", [
+        (incremental_factory, 12), (speculative_factory, 16),
+    ], ids=["incremental", "speculative"])
+    def test_preempted_full_context_finishes(self, factory, max_seq_len):
+        llm = TransformerLM(ModelConfig(
+            vocab_size=64, d_model=16, n_layers=1, n_heads=2,
+            max_seq_len=max_seq_len, name="edge"), seed=5)
+        prompt = list(range(1, 9))
+        config = GenerationConfig(max_new_tokens=50, stop_on_eos=False)
+        clean = FaultInjector()
+        mgr = RequestManager(factory(llm), injector=clean)
+        rid = mgr.submit(prompt, config)
+        mgr.run_until_complete()
+        expected = mgr.output_for(rid).tokens
+        # The context, not the budget, ended the clean run.
+        assert len(prompt) + len(expected) == max_seq_len + 1
+        # Its last decode iteration found the cache full and retired it:
+        # preempt it there instead.
+        last = clean.checks[FaultKind.KV_PRESSURE]
+        before = arena_rows_used()
+        injector = ScriptedInjector(
+            {FaultKind.KV_PRESSURE: [0] * (last - 1) + [1]})
+        mgr = RequestManager(factory(llm), injector=injector)
+        rid = mgr.submit(prompt, config)
+        mgr.run_until_complete()
+        assert mgr.failed_outputs() == []
+        output = mgr.output_for(rid)
+        assert mgr._tracked[rid].request.state is RequestState.FINISHED
+        assert output.preemptions == 1 and output.error is None
+        assert output.tokens == expected
+        assert [rid] == [r for stats in mgr.iteration_stats
+                         for r in stats.finished_ids]
+        assert arena_rows_used() == before
+
+
 class TestBoundedRetry:
     def test_transient_fault_backs_off_then_recovers(self, llm, rng):
         prompt = make_prompt(rng, length=4)
@@ -141,7 +175,7 @@ class TestBoundedRetry:
         assert mgr.output_for(rid).retries == 2
 
     def test_exhausted_retries_fail_terminally(self, llm, rng):
-        injector = FaultInjector(rates={FaultKind.SESSION: 1.0})
+        injector = ScriptedInjector({FaultKind.SESSION: repeat(1)})
         mgr = RequestManager(incremental_factory(llm), injector=injector)
         rid = mgr.submit(make_prompt(rng),
                          GenerationConfig(max_new_tokens=4,
@@ -161,7 +195,7 @@ class TestBoundedRetry:
     def test_failure_releases_resources(self, llm, rng):
         before = arena_rows_used()
         arena = BatchArena(SMALL_CONFIG, max_requests=1)
-        injector = FaultInjector(rates={FaultKind.SESSION: 1.0})
+        injector = ScriptedInjector({FaultKind.SESSION: repeat(1)})
         mgr = RequestManager(
             speculative_factory(llm, cache_factory=arena.new_sequence),
             injector=injector)
@@ -243,7 +277,7 @@ class TestAdmissionFaults:
         def flaky_factory(request):
             attempts.append(request.request_id)
             if len(attempts) == 1:
-                raise TransientSessionFault("injected")
+                raise FaultError("injected")
             return inner(request)
 
         prompt = make_prompt(rng)

@@ -10,10 +10,15 @@ One home per serving fact: per-request latency is read off
 ``RequestOutput`` and the manager's iteration log, so no program file
 (``src/``, ``benchmarks/``, ``examples/``) imports a separate report
 module or reaches into the manager's private request table.
+
+Deleted layers stay deleted: no program file imports their modules or
+names their classes, methods or attributes.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -93,3 +98,48 @@ def test_only_the_manager_reads_its_request_table():
                    path.read_text(encoding="utf-8"))))
     }
     assert readers == {"src/repro/serving/manager.py"}
+
+
+#: Layers deleted because their callers already held everything they held:
+#: the gateway's loop driver (the gateway runs its own loop), the fault
+#: plan and its per-kind exceptions (the injector keeps the rate and the
+#: streams, and its callers ask ``should_fire``), and the verify-seam ABC
+#: (the pipeline takes a ``FusedBackend`` or an ``IncrementalBackend``).
+DELETED_MODULES = ("repro.serving.loop", "repro.faults.plan",
+                   "repro.faults.injector")
+DELETED_NAMES = ("GatewayLoop", "FaultPlan", "VerificationBackend",
+                 "maybe_fail", "_loop_driver")
+
+
+def names_used(path: Path):
+    """Every identifier ``path`` binds, reads, imports or defines."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+            yield node.asname
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            yield node.name
+
+
+@pytest.mark.parametrize("module", DELETED_MODULES)
+def test_nothing_imports_a_deleted_layer(module):
+    found = {
+        str(path.relative_to(ROOT)) for path in program_files()
+        if any(m == module or m.startswith(module + ".")
+               for m in imported_modules(path))
+    }
+    assert found == set()
+
+
+@pytest.mark.parametrize("name", DELETED_NAMES)
+def test_no_program_file_names_a_deleted_layer(name):
+    found = {
+        str(path.relative_to(ROOT)) for path in program_files()
+        if name in set(names_used(path))
+    }
+    assert found == set()
